@@ -18,6 +18,7 @@ import (
 	"acr/internal/netcfg"
 	"acr/internal/sbfl"
 	"acr/internal/scenario"
+	"acr/internal/tmplreg"
 	"acr/internal/verify"
 )
 
@@ -238,6 +239,25 @@ func BenchmarkFigure4_Workflow(b *testing.B) {
 		agg.Visible, agg.Repaired, agg.Top1, agg.Top5, agg.Top10, agg.MeanIterations, agg.MeanValidated)
 	b.ReportMetric(float64(agg.Repaired), "repaired")
 	b.ReportMetric(agg.MeanIterations, "iters/incident")
+}
+
+// BenchmarkGenerateSweep watches the generation path alone: every default
+// template at the top-24 suspicious lines of the 26-device WAN base, on a
+// fresh Context per sweep (so the solve memo starts empty) built outside
+// the timer.
+func BenchmarkGenerateSweep(b *testing.B) {
+	fresh := sweepContexts()
+	tmpls := tmplreg.Default.EngineTemplates()
+	updates := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ctx := fresh()
+		b.StartTimer()
+		updates = generateSweep(ctx, tmpls)
+	}
+	b.ReportMetric(float64(updates), "updates")
 }
 
 func BenchmarkFigure4_IncrementalVsFullVerify(b *testing.B) {

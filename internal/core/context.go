@@ -26,7 +26,8 @@ type Problem struct {
 // Context is everything a change template may consult when generating
 // candidates for one configuration version: the compiled and simulated
 // network, its provenance, the verification report, and the coverage
-// spectrum. Contexts are built once per preserved candidate.
+// spectrum. Contexts are built once per preserved candidate. Like its Rand,
+// a Context serves one goroutine at a time.
 type Context struct {
 	Topo    *topo.Network
 	Configs map[string]*netcfg.Config
@@ -51,6 +52,9 @@ type Context struct {
 	// originated prefix plus every intent prefix.
 	Universe []netip.Prefix
 	Rand     *rand.Rand
+
+	// listSolves is solveList's memo, keyed by (device, list).
+	listSolves map[[2]string]listSolve
 }
 
 // NewContext exposes context construction to the baselines and tools that
@@ -145,18 +149,6 @@ func (ctx *Context) CoversLine(l netcfg.LineRef) bool {
 		}
 	}
 	return false
-}
-
-// LinesOfPrefixAtDevice returns the provenance lines of prefix pfx
-// restricted to one device, as a set.
-func (ctx *Context) LinesOfPrefixAtDevice(pfx netip.Prefix, device string) map[int]bool {
-	out := map[int]bool{}
-	for _, l := range ctx.Prov.LinesForPrefix(pfx) {
-		if l.Device == device {
-			out[l.Line] = true
-		}
-	}
-	return out
 }
 
 // Update is one candidate fix: a set of line edits per device, relative to

@@ -9,19 +9,42 @@ import (
 	"acr/internal/smt"
 )
 
+// listSolve is the outcome of the paper's local symbolic step for one
+// prefix-list: the solved member prefixes, whether a solution exists, and
+// a human-readable constraint description for reports.
+type listSolve struct {
+	want        []netip.Prefix
+	ok          bool
+	constraints string
+}
+
+// solveList memoises solveListValue per (device, list): the solution is a
+// pure function of the configuration version, and every suspicious line
+// anchoring the same list would otherwise re-solve it. The memoised want
+// slice is shared by every Update built from it and is never modified.
+func (ctx *Context) solveList(device, listName string) listSolve {
+	key := [2]string{device, listName}
+	s, ok := ctx.listSolves[key]
+	if !ok {
+		s = solveListValue(ctx, device, listName)
+		if ctx.listSolves == nil {
+			ctx.listSolves = map[[2]string]listSolve{}
+		}
+		ctx.listSolves[key] = s
+	}
+	return s
+}
+
 // solveListValue performs the paper's local symbolic step (§5 step 2) for
 // one prefix-list on one device: the list's membership becomes a symbolic
-// prefix-set variable; every test whose provenance shows the list's
-// policies ran at this device contributes a constraint — passing tests
-// must keep their match outcome (P), failing tests must flip theirs (¬F) —
-// and the solver returns a minimal satisfying membership.
-//
-// Returns the solved member prefixes, whether a solution exists, and a
-// human-readable constraint description for reports.
-func solveListValue(ctx *Context, device, listName string) ([]netip.Prefix, bool, string) {
+// prefix-set variable; every tested prefix whose provenance shows the
+// list's policies ran at this device contributes a constraint — passing
+// tests must keep their match outcome (P), failing tests must flip theirs
+// (¬F) — and the solver returns a minimal satisfying membership.
+func solveListValue(ctx *Context, device, listName string) listSolve {
 	f := ctx.Files[device]
 	if f == nil {
-		return nil, false, ""
+		return listSolve{}
 	}
 	entryLines := map[int]bool{}
 	for _, e := range f.PrefixListEntries(listName) {
@@ -29,73 +52,22 @@ func solveListValue(ctx *Context, device, listName string) ([]netip.Prefix, bool
 	}
 	attachLines := attachLinesForList(f, listName)
 	if len(attachLines) == 0 && len(entryLines) == 0 {
-		return nil, false, ""
+		return listSolve{}
 	}
 
-	v := smt.PrefixSetVar("var")
-	// polarity[p]: +1 keep/flip-to In, -1 keep/flip-to NotIn. Failing
-	// constraints take precedence over passing ones on conflict — the
-	// validator will catch any regression a dropped P-constraint hides.
-	polarity := map[netip.Prefix]int{}
-	fromFailing := map[netip.Prefix]bool{}
-	consider := func(pass bool) {
-		for _, verdict := range ctx.Report.Verdicts {
-			if verdict.Pass != pass || !verdict.Prefix.IsValid() {
-				continue
-			}
-			devLines := ctx.LinesOfPrefixAtDevice(verdict.Prefix, device)
-			ran := false
-			for l := range attachLines {
-				if devLines[l] {
-					ran = true
-					break
-				}
-			}
-			matched := false
-			for l := range entryLines {
-				if devLines[l] {
-					matched = true
-					break
-				}
-			}
-			if !ran && !matched {
-				continue
-			}
-			want := 0
-			if pass {
-				if matched {
-					want = 1
-				} else {
-					want = -1
-				}
-			} else {
-				if matched {
-					want = -1
-				} else {
-					want = 1
-				}
-			}
-			if prev, ok := polarity[verdict.Prefix]; ok {
-				if prev != want && !pass {
-					polarity[verdict.Prefix] = want // failing overrides
-					fromFailing[verdict.Prefix] = true
-				}
-				_ = prev
-				continue
-			}
-			polarity[verdict.Prefix] = want
-			if !pass {
-				fromFailing[verdict.Prefix] = true
-			}
+	// failing[p], for each distinct verdict prefix: does a failing test
+	// concern it? Several intents share a prefix, and a prefix's lines at
+	// this device do not depend on which of them asks. Failing constraints
+	// take precedence over passing ones on conflict — the validator will
+	// catch any regression a dropped P-constraint hides.
+	failing := map[netip.Prefix]bool{}
+	for _, verdict := range ctx.Report.Verdicts {
+		if verdict.Prefix.IsValid() {
+			failing[verdict.Prefix] = failing[verdict.Prefix] || !verdict.Pass
 		}
 	}
-	consider(false) // failing first: they take precedence
-	consider(true)
-	if len(polarity) == 0 {
-		return nil, false, ""
-	}
-	prefixes := make([]netip.Prefix, 0, len(polarity))
-	for p := range polarity {
+	prefixes := make([]netip.Prefix, 0, len(failing))
+	for p := range failing {
 		prefixes = append(prefixes, p)
 	}
 	sort.Slice(prefixes, func(i, j int) bool {
@@ -104,29 +76,38 @@ func solveListValue(ctx *Context, device, listName string) ([]netip.Prefix, bool
 		}
 		return prefixes[i].Bits() < prefixes[j].Bits()
 	})
+
+	v := smt.PrefixSetVar("var")
 	var conj []smt.Formula
 	anyFailing := false
 	for _, p := range prefixes {
-		if polarity[p] > 0 {
+		ran, matched := false, false
+		for _, l := range ctx.Prov.LinesAtDevice(p, device) {
+			ran = ran || attachLines[l.Line]
+			matched = matched || entryLines[l.Line]
+		}
+		if !ran && !matched {
+			continue
+		}
+		// A passing prefix keeps its match outcome, a failing one flips it.
+		if matched != failing[p] {
 			conj = append(conj, smt.In(p, v))
 		} else {
 			conj = append(conj, smt.Not(smt.In(p, v)))
 		}
-		if fromFailing[p] {
-			anyFailing = true
-		}
+		anyFailing = anyFailing || failing[p]
 	}
 	if !anyFailing {
 		// No failing test interacts with this list; rewriting it cannot fix
 		// anything.
-		return nil, false, ""
+		return listSolve{}
 	}
 	formula := smt.And(conj...)
 	model, ok := smt.NewProblem().Solve(formula)
 	if !ok {
-		return nil, false, smt.String(formula)
+		return listSolve{constraints: smt.String(formula)}
 	}
-	return model.Set("var"), true, smt.String(formula)
+	return listSolve{want: model.Set("var"), ok: true, constraints: smt.String(formula)}
 }
 
 // attachLinesForList returns the lines of every policy attachment (and

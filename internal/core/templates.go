@@ -71,17 +71,17 @@ func (SymbolizePrefixList) Generate(ctx *Context, line netcfg.LineRef) []Update 
 	}
 	var out []Update
 	for _, list := range listsAnchoredAt(f, line.Line) {
-		want, ok, constraints := solveListValue(ctx, line.Device, list)
-		if !ok {
+		solved := ctx.solveList(line.Device, list)
+		if !solved.ok {
 			continue
 		}
-		edits := rewriteListEdits(f, list, want)
+		edits := rewriteListEdits(f, list, solved.want)
 		if len(edits) == 0 {
 			continue
 		}
 		out = append(out, Update{
 			Edits: []netcfg.EditSet{{Device: line.Device, Edits: edits}},
-			Desc:  describeEdits("symbolize-prefix-list["+list+"]", line, constraints),
+			Desc:  describeEdits("symbolize-prefix-list["+list+"]", line, solved.constraints),
 		})
 	}
 	return out

@@ -79,11 +79,13 @@ func Build(n *bgp.Net, g *provenance.Graph, rep *verify.Report) *Matrix {
 	m := &Matrix{}
 	failedSessionLines := n.FailedSessionLines()
 	for _, v := range rep.Verdicts {
-		tc := TestCoverage{ID: v.Intent.ID, Pass: v.Pass, Lines: map[netcfg.LineRef]bool{}}
+		var prefixLines []netcfg.LineRef
 		if v.Prefix.IsValid() {
-			for _, l := range g.LinesForPrefix(v.Prefix) {
-				tc.Lines[l] = true
-			}
+			prefixLines = g.LinesForPrefix(v.Prefix)
+		}
+		tc := TestCoverage{ID: v.Intent.ID, Pass: v.Pass, Lines: make(map[netcfg.LineRef]bool, len(prefixLines))}
+		for _, l := range prefixLines {
+			tc.Lines[l] = true
 		}
 		for _, l := range v.Lines() {
 			tc.Lines[l] = true

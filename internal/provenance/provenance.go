@@ -11,6 +11,7 @@ package provenance
 import (
 	"net/netip"
 	"sort"
+	"sync"
 
 	"acr/internal/netcfg"
 )
@@ -77,9 +78,25 @@ type Node struct {
 // (during BuildProvenance), never modified or removed. A fully built
 // graph is therefore read-only, which is what lets verify.Incremental
 // clones share one base graph across concurrently validating workers.
+//
+// The first line query (LinesForPrefix, LinesAtDevice) seals the graph: it
+// builds the line index once, under sealOnce, and every later query — from
+// any goroutine — reads that immutable index. Add on a sealed graph panics.
 type Graph struct {
 	nodes    []*Node
 	byPrefix map[netip.Prefix][]int
+
+	sealOnce sync.Once
+	// lines holds each prefix's deduplicated provenance lines sorted by
+	// (device, line), so one device's lines are a contiguous run. Non-nil
+	// once sealed.
+	lines map[netip.Prefix][]netcfg.LineRef
+
+	invertOnce sync.Once
+	// byLine inverts lines: the prefixes whose provenance executed a line.
+	// Only the verifier's line-dependency heuristic reads it, so it is built
+	// on that first read rather than at seal time.
+	byLine map[netcfg.LineRef][]netip.Prefix
 }
 
 // NewGraph returns an empty graph.
@@ -87,8 +104,13 @@ func NewGraph() *Graph {
 	return &Graph{byPrefix: map[netip.Prefix][]int{}}
 }
 
-// Add appends a node, assigning and returning its ID.
+// Add appends a node, assigning and returning its ID. It panics once a
+// line query has sealed the graph: the index the readers share would
+// silently miss the node.
 func (g *Graph) Add(n Node) int {
+	if g.lines != nil {
+		panic("provenance: Add on a graph sealed by a line query")
+	}
 	n.ID = len(g.nodes)
 	g.nodes = append(g.nodes, &n)
 	g.byPrefix[n.Prefix] = append(g.byPrefix[n.Prefix], n.ID)
@@ -133,20 +155,62 @@ func (g *Graph) Prefixes() []netip.Prefix {
 
 // LinesForPrefix returns the deduplicated, sorted set of configuration
 // lines executed by any derivation for prefix p. This is the coverage set
-// a test over p contributes to the SBFL spectrum.
+// a test over p contributes to the SBFL spectrum. The slice is the sealed
+// index's own: callers must not modify it.
 func (g *Graph) LinesForPrefix(p netip.Prefix) []netcfg.LineRef {
-	seen := map[netcfg.LineRef]bool{}
-	var out []netcfg.LineRef
-	for _, id := range g.byPrefix[p] {
-		for _, l := range g.nodes[id].Lines {
-			if !seen[l] {
-				seen[l] = true
-				out = append(out, l)
+	g.sealOnce.Do(g.seal)
+	return g.lines[p]
+}
+
+// LinesAtDevice returns the lines of LinesForPrefix(p) that belong to one
+// device, sorted by line number — a sub-slice of the sealed index found by
+// binary search. Callers must not modify it.
+func (g *Graph) LinesAtDevice(p netip.Prefix, device string) []netcfg.LineRef {
+	lines := g.LinesForPrefix(p)
+	lo := sort.Search(len(lines), func(i int) bool { return lines[i].Device >= device })
+	hi := lo
+	for hi < len(lines) && lines[hi].Device == device {
+		hi++
+	}
+	return lines[lo:hi:hi]
+}
+
+// PrefixesForLine returns the prefixes whose provenance executed line l,
+// sorted. It reads an inverse of the sealed line index built on first use;
+// callers must not modify the slice.
+func (g *Graph) PrefixesForLine(l netcfg.LineRef) []netip.Prefix {
+	g.invertOnce.Do(func() {
+		byLine := map[netcfg.LineRef][]netip.Prefix{}
+		for _, p := range g.Prefixes() {
+			for _, covered := range g.LinesForPrefix(p) {
+				byLine[covered] = append(byLine[covered], p)
 			}
 		}
+		g.byLine = byLine
+	})
+	return g.byLine[l]
+}
+
+// seal builds the line index: per prefix, the lines of its derivations,
+// deduplicated and sorted.
+func (g *Graph) seal() {
+	lines := make(map[netip.Prefix][]netcfg.LineRef, len(g.byPrefix))
+	seen := map[netcfg.LineRef]struct{}{}
+	for p, ids := range g.byPrefix {
+		clear(seen)
+		for _, id := range ids {
+			for _, l := range g.nodes[id].Lines {
+				seen[l] = struct{}{}
+			}
+		}
+		out := make([]netcfg.LineRef, 0, len(seen))
+		for l := range seen {
+			out = append(out, l)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+		lines[p] = out
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	g.lines = lines
 }
 
 // Slice returns the ancestor closure of root (root included), i.e. the

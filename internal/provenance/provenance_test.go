@@ -71,6 +71,64 @@ func TestLinesForPrefixDedupSorted(t *testing.T) {
 	}
 }
 
+func TestLinesAtDeviceIsTheDeviceRun(t *testing.T) {
+	g, _ := buildSample()
+	g.Add(Node{Kind: Import, Router: "B", Prefix: p1, Lines: []netcfg.LineRef{lr("A", 9), lr("AA", 1), lr("B", 1)}})
+	for device, want := range map[string][]netcfg.LineRef{
+		"A":  {lr("A", 2), lr("A", 5), lr("A", 9)},
+		"AA": {lr("AA", 1)},
+		"B":  {lr("B", 1), lr("B", 3)},
+		"C":  {lr("C", 9)},
+		"0":  nil, // sorts before every device
+		"AB": nil, // sorts between two devices
+		"Z":  nil, // sorts after every device
+	} {
+		got := g.LinesAtDevice(p1, device)
+		if len(got) != len(want) {
+			t.Errorf("LinesAtDevice(p1, %q) = %v, want %v", device, got, want)
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("LinesAtDevice(p1, %q) = %v, want %v", device, got, want)
+				break
+			}
+		}
+	}
+	if got := g.LinesAtDevice(netip.MustParsePrefix("30.0.0.0/8"), "A"); len(got) != 0 {
+		t.Errorf("LinesAtDevice of an unknown prefix = %v, want none", got)
+	}
+}
+
+func TestPrefixesForLine(t *testing.T) {
+	g, _ := buildSample()
+	g.Add(Node{Kind: Import, Router: "X", Prefix: p2, Lines: []netcfg.LineRef{lr("A", 2)}})
+	if got := g.PrefixesForLine(lr("A", 2)); len(got) != 2 || got[0] != p1 || got[1] != p2 {
+		t.Errorf("PrefixesForLine(A:2) = %v, want [%v %v]", got, p1, p2)
+	}
+	if got := g.PrefixesForLine(lr("X", 1)); len(got) != 1 || got[0] != p2 {
+		t.Errorf("PrefixesForLine(X:1) = %v, want [%v]", got, p2)
+	}
+	if got := g.PrefixesForLine(lr("A", 99)); got != nil {
+		t.Errorf("PrefixesForLine of an unexecuted line = %v, want none", got)
+	}
+}
+
+// TestAddAfterLineQueryPanics pins the sealing choice: the first line query
+// builds the index every reader shares, so a later Add — which that index
+// would silently miss — is a bug and panics rather than invalidating.
+func TestAddAfterLineQueryPanics(t *testing.T) {
+	g, _ := buildSample()
+	g.Add(Node{Kind: Selection, Router: "A", Prefix: p2}) // unsealed: fine
+	g.LinesForPrefix(p2)
+	defer func() {
+		if recover() == nil {
+			t.Error("Add on a sealed graph did not panic")
+		}
+	}()
+	g.Add(Node{Kind: Selection, Router: "A", Prefix: p2})
+}
+
 func TestSliceAncestorClosure(t *testing.T) {
 	g, ids := buildSample()
 	slice := g.Slice(ids["selB"])

@@ -84,20 +84,33 @@ type Score struct {
 }
 
 // Rank scores every covered line and sorts by suspiciousness (descending),
-// breaking ties by line reference for determinism.
+// breaking ties by line reference for determinism. The failed/passed
+// counts of all lines accumulate in one pass over the spectrum.
 func Rank(m *coverage.Matrix, f Formula) []Score {
 	tf, tp := m.TotalFailed(), m.TotalPassed()
 	var out []Score
-	for _, l := range m.CoveredLines() {
-		fc, pc := m.Counts(l)
-		out = append(out, Score{
-			Line:   l,
-			Susp:   f.Fn(fc, pc, tf, tp),
-			Failed: fc,
-			Passed: pc,
-		})
+	at := map[netcfg.LineRef]int{} // line → its position in out
+	for _, t := range m.Tests {
+		for l, covered := range t.Lines {
+			i, ok := at[l]
+			if !ok {
+				i = len(out)
+				at[l] = i
+				out = append(out, Score{Line: l})
+			}
+			if covered && t.Pass {
+				out[i].Passed++
+			} else if covered {
+				out[i].Failed++
+			}
+		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
+	for i := range out {
+		out[i].Susp = f.Fn(out[i].Failed, out[i].Passed, tf, tp)
+	}
+	// Lines are distinct, so (Susp, Line) is a total order and the result
+	// does not depend on the map iteration above.
+	sort.Slice(out, func(i, j int) bool {
 		if out[i].Susp != out[j].Susp {
 			return out[i].Susp > out[j].Susp
 		}

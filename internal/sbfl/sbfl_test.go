@@ -2,10 +2,13 @@ package sbfl_test
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"acr/internal/bgp"
 	"acr/internal/coverage"
+	"acr/internal/incidents"
 	"acr/internal/netcfg"
 	"acr/internal/sbfl"
 	"acr/internal/scenario"
@@ -161,6 +164,47 @@ func TestRankDeterministicAndSorted(t *testing.T) {
 		}
 		if i > 0 && a[i].Susp > a[i-1].Susp {
 			t.Fatalf("rank not sorted at %d", i)
+		}
+	}
+}
+
+// rankByCounts is Rank as defined: one Matrix.Counts query per covered
+// line, then the stable sort. Rank accumulates the counts in one pass
+// instead; the ranking must not change by a byte, ties included.
+func rankByCounts(m *coverage.Matrix, f sbfl.Formula) []sbfl.Score {
+	tf, tp := m.TotalFailed(), m.TotalPassed()
+	var out []sbfl.Score
+	for _, l := range m.CoveredLines() {
+		fc, pc := m.Counts(l)
+		out = append(out, sbfl.Score{Line: l, Susp: f.Fn(fc, pc, tf, tp), Failed: fc, Passed: pc})
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Susp != out[j].Susp {
+			return out[i].Susp > out[j].Susp
+		}
+		return out[i].Line.Less(out[j].Line)
+	})
+	return out
+}
+
+func TestRankMatchesPerLineCounts(t *testing.T) {
+	incs, err := incidents.GenerateCorpus(incidents.CorpusOptions{Size: 24, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []*scenario.Scenario{scenario.Figure2()}
+	for _, inc := range incs {
+		cases = append(cases, inc.Scenario)
+	}
+	for i, s := range cases {
+		m := spectrum(t, s)
+		// A key mapped to false is present but not covered: it ranks with
+		// zero counts, exactly as CoveredLines and Counts treat it.
+		m.Tests[0].Lines[netcfg.LineRef{Device: "nowhere", Line: 1}] = false
+		for _, f := range sbfl.Formulas {
+			if got, want := sbfl.Rank(m, f), rankByCounts(m, f); !reflect.DeepEqual(got, want) {
+				t.Fatalf("case %d, %s: one-pass ranking differs from per-line counts\ngot:  %v\nwant: %v", i, f.Name, got, want)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package verify_test
 
 import (
 	"context"
+	"net/netip"
 	"sync"
 	"testing"
 
@@ -84,4 +85,65 @@ func TestCloneCommitIndependence(t *testing.T) {
 	if cl.BaseConfigs()["A"].Text() == origText {
 		t.Fatal("clone's A config identical to original after a repair that edits A")
 	}
+}
+
+// TestCloneSharedLineIndexRace has clones of one verifier reach the base
+// provenance graph's line indexes for the first time concurrently: readers
+// query them directly while checkers run the impact path and the
+// line-dependency (NoImpact) path, whose anchor lookup builds the inverse
+// index on first use. Nothing touches the graph before the goroutines
+// start, so under -race this covers the build itself, and every result
+// must equal the one a second, serially used verifier gives.
+func TestCloneSharedLineIndexRace(t *testing.T) {
+	s := scenario.Figure2()
+	edits := scenario.Figure2PaperRepair()
+	serial := newIV(t, s)
+	type site struct {
+		prefix netip.Prefix
+		device string
+	}
+	wantLines := map[site]int{}
+	for _, p := range serial.BaseProvenance().Prefixes() {
+		for _, d := range serial.BaseNet().Order {
+			wantLines[site{p, d}] = len(serial.BaseProvenance().LinesAtDevice(p, d))
+		}
+	}
+	serial.NoImpact = true
+	wantDep, _, err := serial.Check(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	iv := newIV(t, s)
+	const workers = 9
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cl := iv.Clone()
+			cl.NoImpact = w%3 == 1
+			<-start
+			if w%3 == 0 {
+				g := cl.BaseProvenance()
+				for _, p := range g.Prefixes() {
+					for _, d := range cl.BaseNet().Order {
+						if got, want := len(g.LinesAtDevice(p, d)), wantLines[site{p, d}]; got != want {
+							t.Errorf("reader %d: %d lines of %v at %s, want %d", w, got, p, d, want)
+						}
+					}
+				}
+				return
+			}
+			rep, _, err := cl.Check(edits)
+			if err != nil {
+				t.Errorf("checker %d: %v", w, err)
+			} else if !reportsEqual(rep, wantDep) {
+				t.Errorf("checker %d (NoImpact=%v) disagrees with the serial check", w, cl.NoImpact)
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
 }

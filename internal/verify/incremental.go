@@ -92,10 +92,6 @@ type Incremental struct {
 	prov    *provenance.Graph
 	report  *Report
 
-	// lineDeps maps each configuration line to the prefixes whose
-	// provenance executed it.
-	lineDeps map[netcfg.LineRef]map[netip.Prefix]bool
-
 	// graph and impact are the cross-device influence graph and the static
 	// impact analyzer over the current base; both are sealed read-only
 	// after rebase and shared by reference across clones.
@@ -113,8 +109,7 @@ type Incremental struct {
 // parseKey identifies a candidate parse by device and full post-edit text.
 type parseKey struct{ device, text string }
 
-// NewIncremental verifies the base configuration fully and builds the
-// dependency index.
+// NewIncremental verifies the base configuration fully.
 func NewIncremental(t *topo.Network, configs map[string]*netcfg.Config, intents []Intent, opts bgp.Options) *Incremental {
 	iv := &Incremental{Topo: t, Intents: intents, SimOpts: opts}
 	iv.rebase(configs)
@@ -132,17 +127,6 @@ func (iv *Incremental) rebase(configs map[string]*netcfg.Config) {
 	iv.out = bgp.Simulate(iv.net, iv.SimOpts)
 	iv.prov = bgp.BuildProvenance(iv.net, iv.out)
 	iv.report = Verify(iv.net, iv.out, iv.Intents)
-	iv.lineDeps = map[netcfg.LineRef]map[netip.Prefix]bool{}
-	for _, p := range iv.prov.Prefixes() {
-		for _, l := range iv.prov.LinesForPrefix(p) {
-			m := iv.lineDeps[l]
-			if m == nil {
-				m = map[netip.Prefix]bool{}
-				iv.lineDeps[l] = m
-			}
-			m[p] = true
-		}
-	}
 	iv.graph = bgp.DeviceGraphOf(iv.net)
 	origins := map[netip.Prefix][]string{}
 	for _, name := range iv.net.Order {
@@ -157,11 +141,12 @@ func (iv *Incremental) rebase(configs map[string]*netcfg.Config) {
 //
 // Everything behind a clone is shared by reference and immutable once
 // rebase returns: the parsed files, the compiled bgp.Net, the simulation
-// Outcome and its per-prefix outcomes, the provenance graph, the base
-// report, and the line-dependency index are built once and only ever read
-// afterward (CheckCtx constructs fresh maps for candidate state and reuses
-// base entries by pointer; rebase replaces the maps wholesale rather than
-// mutating them). Clone therefore only copies the top-level map headers,
+// Outcome and its per-prefix outcomes, the provenance graph and the base
+// report are built once and only ever read afterward (the graph's line
+// indexes build themselves on first read, under sync.Once; CheckCtx
+// constructs fresh maps for candidate state and reuses base entries by
+// pointer; rebase replaces the maps wholesale rather than mutating
+// them). Clone therefore only copies the top-level map headers,
 // so a Commit on one clone — which rebases that clone onto new maps —
 // can never be observed, even partially, by checks running on another.
 // Concurrent CheckCtx/FullCheckCtx calls on distinct clones are race-free;
@@ -175,10 +160,6 @@ func (iv *Incremental) Clone() *Incremental {
 	cp.files = make(map[string]*netcfg.File, len(iv.files))
 	for d, f := range iv.files { //acrvet:ordered
 		cp.files[d] = f
-	}
-	cp.lineDeps = make(map[netcfg.LineRef]map[netip.Prefix]bool, len(iv.lineDeps))
-	for l, m := range iv.lineDeps { //acrvet:ordered
-		cp.lineDeps[l] = m // inner maps are read-only after rebase
 	}
 	cp.batch = nil // batch memos are per-goroutine; never inherited
 	return &cp
@@ -359,7 +340,7 @@ func (iv *Incremental) checkDependencyCtx(ctx context.Context, edits []netcfg.Ed
 			}
 			scoped := false
 			if anchorRef.Line > 0 {
-				for p := range iv.lineDeps[anchorRef] { //acrvet:ordered
+				for _, p := range iv.prov.PrefixesForLine(anchorRef) {
 					affected[p] = true
 					scoped = true
 				}

@@ -1,0 +1,137 @@
+package acr_test
+
+import (
+	"math/rand"
+	"net/netip"
+	"reflect"
+	"sort"
+	"testing"
+
+	"acr"
+	"acr/internal/bgp"
+	"acr/internal/core"
+	"acr/internal/netcfg"
+	"acr/internal/provenance"
+	"acr/internal/sbfl"
+	"acr/internal/tmplreg"
+	"acr/internal/verify"
+)
+
+// wanBase is the generation benchmark's substrate: the 26-device WAN
+// (12 routers, 8 PoPs, 6 DCNs) with one prefix-list entry missing.
+func wanBase() *acr.Case { return brokenWAN(12, 8, 6) }
+
+// indexCases are Figure 2, a 24-incident corpus slice and the WAN base.
+func indexCases(t *testing.T) map[string]*acr.Case {
+	t.Helper()
+	cases := map[string]*acr.Case{"figure2": acr.Figure2Incident(), "wan26": wanBase()}
+	incs, err := acr.GenerateCorpus(acr.CorpusOptions{Size: 24, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inc := range incs {
+		cases[inc.ID] = acr.IncidentCase(inc)
+	}
+	return cases
+}
+
+// definitionalLines is the oracle for the sealed line index: filter the
+// prefix's derivations' lines to one device (all devices when device is
+// empty), deduplicate, sort.
+func definitionalLines(g *provenance.Graph, p netip.Prefix, device string) []netcfg.LineRef {
+	seen := map[netcfg.LineRef]bool{}
+	var out []netcfg.LineRef
+	for _, n := range g.ForPrefix(p) {
+		for _, l := range n.Lines {
+			if (device == "" || l.Device == device) && !seen[l] {
+				seen[l] = true
+				out = append(out, l)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
+}
+
+// TestLineIndexMatchesDefinition compares the provenance graph's sealed
+// index with the definitional filter-and-sort for every (verdict prefix,
+// device), and its inverse with the definition of line → prefixes.
+func TestLineIndexMatchesDefinition(t *testing.T) {
+	for name, c := range indexCases(t) {
+		iv := verify.NewIncremental(c.Topo, c.Configs, c.Intents, bgp.Options{})
+		g := iv.BaseProvenance()
+		pairs := 0
+		for _, v := range iv.BaseReport().Verdicts {
+			if !v.Prefix.IsValid() {
+				continue
+			}
+			if got, want := g.LinesForPrefix(v.Prefix), definitionalLines(g, v.Prefix, ""); !sameLines(got, want) {
+				t.Fatalf("%s: LinesForPrefix(%v) = %v, want %v", name, v.Prefix, got, want)
+			}
+			for _, device := range iv.BaseNet().Order {
+				pairs++
+				if got, want := g.LinesAtDevice(v.Prefix, device), definitionalLines(g, v.Prefix, device); !sameLines(got, want) {
+					t.Fatalf("%s: LinesAtDevice(%v, %s) = %v, want %v", name, v.Prefix, device, got, want)
+				}
+			}
+		}
+		if pairs == 0 {
+			t.Fatalf("%s: no (verdict prefix, device) pair to compare", name)
+		}
+		byLine := map[netcfg.LineRef][]netip.Prefix{}
+		for _, p := range g.Prefixes() {
+			for _, l := range definitionalLines(g, p, "") {
+				byLine[l] = append(byLine[l], p)
+			}
+		}
+		for l, want := range byLine {
+			if got := g.PrefixesForLine(l); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: PrefixesForLine(%v) = %v, want %v", name, l, got, want)
+			}
+		}
+	}
+}
+
+func sameLines(a, b []netcfg.LineRef) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// generateSweep is one generation sweep as the engine runs it: every
+// default template at each of the top-24 suspicious lines.
+func generateSweep(ctx *core.Context, tmpls []core.Template) int {
+	updates := 0
+	for _, sc := range sbfl.Suspicious(ctx.Ranks, 24, 0.45) {
+		for _, tmpl := range tmpls {
+			updates += len(tmpl.Generate(ctx, sc.Line))
+		}
+	}
+	return updates
+}
+
+// sweepContexts verifies the WAN base once and returns a constructor of
+// fresh localization Contexts over it, each with an empty solve memo.
+func sweepContexts() func() *core.Context {
+	c := wanBase()
+	p := core.Problem{Topo: c.Topo, Configs: c.Configs, Intents: c.Intents}
+	iv := verify.NewIncremental(p.Topo, p.Configs, p.Intents, bgp.Options{})
+	return func() *core.Context {
+		return core.NewContext(p, iv, sbfl.Tarantula, rand.New(rand.NewSource(1)))
+	}
+}
+
+// TestGenerateSweepAllocBudget is ROADMAP item 1's allocation budget on
+// generation. Before the provenance line index and the per-(device, list)
+// solve memo, one sweep over the WAN base cost 44,294 allocations. The
+// budget is a tenth of that, and it is charged the construction of a
+// fresh Context as well, so no run benefits from an earlier run's memo.
+func TestGenerateSweepAllocBudget(t *testing.T) {
+	const budget = 4429
+	fresh := sweepContexts()
+	tmpls := tmplreg.Default.EngineTemplates()
+	if generateSweep(fresh(), tmpls) == 0 {
+		t.Fatal("the sweep proposed nothing; the budget is vacuous")
+	}
+	if got := testing.AllocsPerRun(5, func() { generateSweep(fresh(), tmpls) }); got > budget {
+		t.Errorf("a fresh Context and one generate sweep on the WAN base: %.0f allocations, budget %d", got, budget)
+	}
+}
