@@ -260,6 +260,31 @@ func BenchmarkGenerateSweep(b *testing.B) {
 	b.ReportMetric(float64(updates), "updates")
 }
 
+// BenchmarkPreserveScratch and BenchmarkPreserveDerived watch the two
+// preservation paths on the repaired 26-device WAN: verifier plus
+// localization Context from the version's texts alone, and derived from
+// the base version's verifier (Clone + Commit).
+func BenchmarkPreserveScratch(b *testing.B) {
+	scratch, _ := wanPreserves(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		preserved = scratch()
+	}
+}
+
+func BenchmarkPreserveDerived(b *testing.B) {
+	_, derived := wanPreserves(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		preserved = derived()
+	}
+}
+
+// preserved keeps the preserve benchmarks' results alive.
+var preserved *core.Context
+
 func BenchmarkFigure4_IncrementalVsFullVerify(b *testing.B) {
 	s := scenario.Figure2()
 	iv := verify.NewIncremental(s.Topo, s.Configs, scenario.Figure2Intents(), bgp.Options{})

@@ -59,6 +59,9 @@ type Router struct {
 	Origins  []Origination
 	Statics  []*netcfg.StaticRoute
 
+	// index is the router's position in the owning Net's Order.
+	index int
+
 	// interns points at the owning Net's intern table so the policy
 	// pipeline (which only sees Routers) can stamp and dedupe finalized
 	// routes. Nil for hand-built Routers in tests.
@@ -90,7 +93,7 @@ func Compile(t *topo.Network, files map[string]*netcfg.File) *Net {
 		if f == nil {
 			f = &netcfg.File{Device: nd.Name}
 		}
-		r := &Router{Name: nd.Name, RID: nd.RouterID, File: f, interns: n.intern}
+		r := &Router{Name: nd.Name, RID: nd.RouterID, File: f, index: len(n.Order), interns: n.intern}
 		if f.BGP != nil {
 			r.ASN = f.BGP.ASN
 			if f.BGP.RouterID.IsValid() {
@@ -228,12 +231,7 @@ func (n *Net) AllPrefixes() []netip.Prefix {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr() != out[j].Addr() {
-			return out[i].Addr().Less(out[j].Addr())
-		}
-		return out[i].Bits() < out[j].Bits()
-	})
+	sort.Slice(out, func(i, j int) bool { return netcfg.PrefixLess(out[i], out[j]) })
 	return out
 }
 

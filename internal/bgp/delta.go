@@ -26,6 +26,52 @@ import "net/netip"
 // -delta-differential mode, FuzzDeltaSim, and the corpus byte-identity
 // gate exist to catch that class; every divergence found is a bug.
 
+// DeltaSimulate is Simulate for a net n that differs from base's only in
+// the configuration of the dirty routers and establishes the same sessions
+// (the DeltaSimulatePrefix precondition): every prefix is re-simulated from
+// its base outcome, cold where base has none, did not converge, or the
+// delta run refuses. A prefix whose stable state — Final and AdjIn on every
+// router — came out equal to base's keeps base's *PrefixOutcome, so the
+// caller recognises an unmoved prefix by pointer.
+func DeltaSimulate(n *Net, base *Outcome, dirty []string, opts Options) *Outcome {
+	out := &Outcome{Net: n, ByPrefix: make(map[netip.Prefix]*PrefixOutcome, len(base.ByPrefix))}
+	for _, p := range n.AllPrefixes() {
+		if opts.canceled() {
+			out.ByPrefix[p] = &PrefixOutcome{Prefix: p, Canceled: true}
+			continue
+		}
+		old := base.ByPrefix[p]
+		po, ok := DeltaSimulatePrefix(n, old, dirty, p, opts)
+		if !ok {
+			po = SimulatePrefix(n, p, opts)
+		}
+		if sameStableState(po, old, n.Order) {
+			po = old
+		}
+		out.ByPrefix[p] = po
+	}
+	return out
+}
+
+// sameStableState reports whether two outcomes converged to the same
+// routes, best and adj-in, on every router.
+func sameStableState(a, b *PrefixOutcome, order []string) bool {
+	if a == nil || b == nil || !a.Converged || !b.Converged {
+		return false
+	}
+	for _, name := range order {
+		if !sameRoute(a.Final[name], b.Final[name]) || len(a.AdjIn[name]) != len(b.AdjIn[name]) {
+			return false
+		}
+		for addr, rt := range a.AdjIn[name] { //acrvet:ordered boolean all-reduction
+			if !sameRoute(rt, b.AdjIn[name][addr]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // DeltaSimulatePrefix re-simulates one prefix for net n (the candidate
 // compilation) starting from base (the converged outcome of the
 // pre-edit net), re-deriving and force-activating only the dirty
@@ -166,7 +212,7 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 // routes into candidate-net slots, so a router-ID edit would otherwise
 // leave a key-equal, RID-stale entry in place and corrupt tie-breaking.
 func sameRoute(a, b *Route) bool {
-	if a == nil || b == nil {
+	if a == b || a == nil || b == nil {
 		return a == b
 	}
 	return a.PeerRID == b.PeerRID && routeKey(a) == routeKey(b)

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"net/netip"
 	"strconv"
 	"strings"
 )
@@ -36,7 +37,11 @@ func newInternTable() *internTable {
 // provenance node keys and journal state hashes depend on it.
 func buildKey(r *Route) string {
 	b := make([]byte, 0, 96)
-	b = append(b, r.Prefix.String()...)
+	if r.Prefix.IsValid() {
+		b = r.Prefix.AppendTo(b)
+	} else {
+		b = append(b, r.Prefix.String()...)
+	}
 	b = append(b, '|', '[')
 	for i, a := range r.ASPath {
 		if i > 0 {
@@ -51,12 +56,22 @@ func buildKey(r *Route) string {
 	b = append(b, "|o"...)
 	b = strconv.AppendUint(b, uint64(r.Origin), 10)
 	b = append(b, "|nh"...)
-	b = append(b, r.NextHop.String()...)
+	b = appendAddr(b, r.NextHop)
 	b = append(b, "|s"...)
 	b = strconv.AppendUint(b, uint64(r.Src), 10)
 	b = append(b, "|p"...)
-	b = append(b, r.PeerAddr.String()...)
+	b = appendAddr(b, r.PeerAddr)
 	return string(b)
+}
+
+// appendAddr appends a.String() without the intermediate string. An unset
+// address (an originated route's next hop, an exported route's peer) is
+// where AppendTo and String differ: AppendTo appends nothing.
+func appendAddr(b []byte, a netip.Addr) []byte {
+	if !a.IsValid() {
+		return append(b, a.String()...)
+	}
+	return a.AppendTo(b)
 }
 
 // finalizeRoute stamps r's memoized key and, when a table is available,

@@ -115,7 +115,7 @@ func applyPolicies(f *netcfg.File, attaches []*netcfg.PolicyAttach, r *Route, tr
 // policy denial for negative provenance.
 func processImport(r *Router, s *Session, adv *Route, tr *lineRefs) (*Route, bool, string) {
 	if adv.HasAS(r.ASN) {
-		return nil, false, "as-path loop"
+		return nil, false, reasonLoop
 	}
 	in := adv.clone()
 	in.LocalPref = DefaultLocalPref
@@ -123,7 +123,7 @@ func processImport(r *Router, s *Session, adv *Route, tr *lineRefs) (*Route, boo
 	tr.addRefs(s.RemoteLines)
 	res, ok := applyPolicies(r.File, r.File.EffectivePolicies(s.stanza, netcfg.Import), in, tr)
 	if !ok {
-		return nil, false, "import policy deny"
+		return nil, false, reasonImportDeny
 	}
 	out := res.clone()
 	out.Src = SrcPeer

@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"fmt"
 	"net/netip"
 
 	"acr/internal/netcfg"
@@ -17,156 +16,260 @@ import (
 // across phases are deduplicated, so a flapping prefix's graph is the
 // union of the derivations of all its cycle states.
 func BuildProvenance(n *Net, out *Outcome) *provenance.Graph {
-	g := provenance.NewGraph()
+	return DeriveProvenance(n, out, nil, nil, nil)
+}
+
+// DeriveProvenance is BuildProvenance for out = DeltaSimulate(n, base,
+// dirty), given baseProv, the graph of base. A prefix that kept base's
+// outcome replays, against n's files, only the originations at dirty
+// routers and the sessions with a dirty router at either end — export
+// lines live on the sender, import lines on the receiver, and an edit
+// renumbers both — and copies every other node from base's section: it
+// involves no dirty router, so it is what the replay would produce. A
+// prefix whose outcome moved is replayed in full. The result equals
+// BuildProvenance(n, out) node for node.
+func DeriveProvenance(n *Net, out, base *Outcome, baseProv *provenance.Graph, dirty []string) *provenance.Graph {
+	dirtySet := make(map[string]bool, len(dirty))
+	for _, d := range dirty {
+		dirtySet[d] = true
+	}
+	sites := len(n.Order) // a selection per router, a node per session
+	for _, name := range n.Order {
+		sites += len(n.Routers[name].Sessions)
+	}
+	var sections []*provenance.Section
 	for _, p := range n.AllPrefixes() {
 		po := out.ByPrefix[p]
 		if po == nil {
 			continue
 		}
-		buildPrefixProvenance(g, n, p, po)
+		b := sectionBuilder{n: n, prefix: p, dirty: dirtySet}
+		if base != nil && po.Converged && po == base.ByPrefix[p] {
+			b.from = baseProv.Section(p)
+		}
+		phases := po.Phases()
+		if len(phases) > 1 {
+			b.ids = map[nodeKey]int{}
+		}
+		b.sec = provenance.NewSection(p, sites+2) // and an origination or two
+		for _, phase := range phases {
+			b.replay(phase)
+		}
+		sections = append(sections, b.sec)
 	}
-	return g
+	return provenance.NewGraph(sections...)
 }
 
-func buildPrefixProvenance(g *provenance.Graph, n *Net, prefix netip.Prefix, po *PrefixOutcome) {
-	ids := map[string]int{} // dedup key → node id
-	add := func(key string, node provenance.Node) int {
-		if id, ok := ids[key]; ok {
-			return id
-		}
-		id := g.Add(node)
-		ids[key] = id
+// nodeKey identifies a derivation across the phases of a flapping prefix:
+// the node's own kind, router, peer and reason, and the processed route.
+type nodeKey struct {
+	kind   provenance.Kind
+	router string
+	peer   netip.Addr
+	route  string
+	reason string
+}
+
+// Rejection reasons. An export suppression carries no route, which is how
+// its node is told from an import rejection over the same session.
+const (
+	reasonLoop       = "as-path loop"
+	reasonImportDeny = "import policy deny"
+	reasonExportDeny = "export policy suppressed advertisement"
+)
+
+// sectionBuilder builds one prefix's section.
+type sectionBuilder struct {
+	n      *Net
+	prefix netip.Prefix
+	sec    *provenance.Section
+	// ids deduplicates derivations across phases; nil for a converged
+	// prefix, whose single phase visits every site once.
+	ids map[nodeKey]int
+
+	// from, when non-nil, is the section of the version n was derived from,
+	// for the same outcome: nodes that involve no dirty router are copied
+	// from it in step with the replay, cur being the next one to consider.
+	from  *provenance.Section
+	cur   int
+	dirty map[string]bool
+}
+
+// add appends nd unless, on a flapping prefix, an earlier phase derived it
+// already; route is the key of the route the derivation processed.
+func (b *sectionBuilder) add(route string, nd provenance.Node) int {
+	if b.ids == nil {
+		return b.sec.Add(nd)
+	}
+	k := nodeKey{kind: nd.Kind, router: nd.Router, peer: nd.Peer, route: route, reason: nd.Reason}
+	if id, ok := b.ids[k]; ok {
 		return id
 	}
+	id := b.sec.Add(nd)
+	b.ids[k] = id
+	return id
+}
 
-	for _, phase := range po.Phases() {
-		// Origination and selection nodes first, so imports can reference
-		// the advertising neighbor's selection as a parent.
-		selIDs := map[string]int{} // router → selection node id for this phase
-		for _, name := range n.Order {
-			r := n.Routers[name]
+// addParent records parent as a parent of node id.
+func (b *sectionBuilder) addParent(id, parent int) {
+	nd := b.sec.Node(id)
+	for _, x := range nd.Parents {
+		if x == parent {
+			return
+		}
+	}
+	nd.Parents = append(nd.Parents, parent)
+}
+
+// reusable reports whether the nodes of a site involving routers x and y
+// (x == y for an origination) are copied from b.from instead of replayed.
+func (b *sectionBuilder) reusable(x, y string) bool {
+	return b.from != nil && !b.dirty[x] && !b.dirty[y]
+}
+
+// next returns the next node of b.from that the derived section copies — it
+// is no selection (those are rebuilt: they carry no lines) and involves no
+// dirty router — without consuming it, or nil.
+func (b *sectionBuilder) next() *provenance.Node {
+	for ; b.cur < b.from.Len(); b.cur++ {
+		nd := b.from.Node(b.cur)
+		if nd.Kind != provenance.Selection && !b.dirty[nd.Router] && !b.dirty[nd.PeerRouter] {
+			return nd
+		}
+	}
+	return nil
+}
+
+// copyNode consumes the node next returned and adds it to the section,
+// re-parented.
+func (b *sectionBuilder) copyNode(nd *provenance.Node, parents []int) int {
+	b.cur++
+	cp := *nd
+	cp.Parents = parents
+	return b.sec.Add(cp)
+}
+
+// replay adds the derivations of one phase.
+func (b *sectionBuilder) replay(phase map[string]*Route) {
+	n, prefix := b.n, b.prefix
+	// Origination and selection nodes first, so imports can reference the
+	// advertising neighbor's selection as a parent.
+	sel := make([]int, len(n.Order)) // router index → selection node of this phase
+	for i, name := range n.Order {
+		r := n.Routers[name]
+		best := phase[name]
+		local := -1 // the origination best was selected from
+		selected := func(rt *Route) bool {
+			return best != nil && best.Src == SrcLocal && rt.Key() == best.Key()
+		}
+		if b.reusable(name, name) {
+			for nd := b.next(); nd != nil && nd.Kind == provenance.Origination && nd.Router == name; nd = b.next() {
+				id := b.copyNode(nd, nil)
+				if selected(nd.Route.(*Route)) {
+					local = id
+				}
+			}
+		} else {
+			first := b.sec.Len()
 			for _, o := range r.Origins {
 				if o.Prefix != prefix {
 					continue
 				}
 				var tr lineRefs
-				if rt, ok := originRoute(r, o, &tr); ok {
-					key := fmt.Sprintf("orig|%s|%s", name, rt.Key())
-					add(key, provenance.Node{
-						Kind: provenance.Origination, Router: name, Prefix: prefix,
-						Detail: "originates " + rt.PathString(), Lines: tr.refs,
-					})
+				rt, ok := originRoute(r, o, &tr)
+				if !ok || (b.ids == nil && b.originated(first, rt)) {
+					continue
 				}
-			}
-			if best := phase[name]; best != nil {
-				key := fmt.Sprintf("sel|%s|%s", name, best.Key())
-				// The selection's parent is filled in below once the
-				// supporting import/origination node exists; we record the
-				// selection itself here.
-				selIDs[name] = add(key, provenance.Node{
-					Kind: provenance.Selection, Router: name, Prefix: prefix,
-					Detail: fmt.Sprintf("selects %s via %s", best.PathString(), bestVia(best)),
+				id := b.add(rt.Key(), provenance.Node{
+					Kind: provenance.Origination, Router: name, Route: rt, Lines: tr.refs,
 				})
+				if selected(rt) {
+					local = id
+				}
 			}
 		}
-		// Import / rejection derivations: replay each established session.
-		for _, name := range n.Order {
-			r := n.Routers[name]
-			for _, s := range r.Sessions {
-				nbBest := phase[s.PeerName]
-				if nbBest == nil {
-					continue
-				}
-				nbRouter := n.Routers[s.PeerName]
-				nbSess := n.sessionFrom(s.PeerName, s.LocalAddr)
-				if nbSess == nil {
-					continue
-				}
-				var exTr lineRefs
-				adv, ok := processExport(nbRouter, nbSess, nbBest, &exTr)
-				if !ok {
-					// Export suppressed: negative provenance on the sender.
-					key := fmt.Sprintf("exdeny|%s->%s|%s", s.PeerName, name, nbBest.Key())
-					node := provenance.Node{
-						Kind: provenance.Rejection, Router: s.PeerName, Prefix: prefix,
-						Peer: s.LocalAddr, Detail: "export policy suppressed advertisement",
-						Lines: exTr.refs,
-					}
-					if pid, ok := selIDs[s.PeerName]; ok {
-						node.Parents = []int{pid}
-					}
-					add(key, node)
-					continue
-				}
-				var imTr lineRefs
-				imTr.addRefs(exTr.refs)
-				in, accepted, reason := processImport(r, s, adv, &imTr)
-				if accepted {
-					key := fmt.Sprintf("imp|%s|%s|%s", name, s.PeerAddr, in.Key())
-					node := provenance.Node{
-						Kind: provenance.Import, Router: name, Prefix: prefix,
-						Peer: s.PeerAddr, Detail: fmt.Sprintf("imports %s from %s", in.PathString(), s.PeerName),
-						Lines: imTr.refs,
-					}
-					if pid, ok := selIDs[s.PeerName]; ok {
-						node.Parents = []int{pid}
-					}
-					id := add(key, node)
-					// Wire this import as a parent of the receiver's
-					// selection when it is the route selected.
-					if best := phase[name]; best != nil && best.Src == SrcPeer && best.PeerAddr == s.PeerAddr && best.Key() == in.Key() {
-						if sid, ok := selIDs[name]; ok {
-							g.Node(sid).Parents = appendUnique(g.Node(sid).Parents, id)
-						}
-					}
-				} else {
-					key := fmt.Sprintf("rej|%s|%s|%s|%s", name, s.PeerAddr, adv.Key(), reason)
-					node := provenance.Node{
-						Kind: provenance.Rejection, Router: name, Prefix: prefix,
-						Peer: s.PeerAddr, Detail: fmt.Sprintf("rejects %s from %s: %s", adv.PathString(), s.PeerName, reason),
-						Lines: imTr.refs,
-					}
-					if pid, ok := selIDs[s.PeerName]; ok {
-						node.Parents = []int{pid}
-					}
-					add(key, node)
-				}
+		sel[i] = -1
+		if best != nil {
+			sel[i] = b.add(best.Key(), provenance.Node{
+				Kind: provenance.Selection, Router: name, Route: best,
+			})
+			if local >= 0 {
+				b.addParent(sel[i], local)
 			}
-			// Local selections supported by originations.
-			if best := phase[name]; best != nil && best.Src == SrcLocal {
-				for _, o := range r.Origins {
-					if o.Prefix != prefix {
-						continue
-					}
-					var tr lineRefs
-					if rt, ok := originRoute(r, o, &tr); ok && rt.Key() == best.Key() {
-						okey := fmt.Sprintf("orig|%s|%s", name, rt.Key())
-						if oid, ok := ids[okey]; ok {
-							if sid, ok := selIDs[name]; ok {
-								g.Node(sid).Parents = appendUnique(g.Node(sid).Parents, oid)
-							}
-						}
-					}
+		}
+	}
+	// Import / rejection derivations: replay each established session.
+	for i, name := range n.Order {
+		r := n.Routers[name]
+		best := phase[name]
+		for _, s := range r.Sessions {
+			nbBest := phase[s.PeerName]
+			if nbBest == nil {
+				continue
+			}
+			nbRouter := n.Routers[s.PeerName]
+			nbSess := n.sessionFrom(s.PeerName, s.LocalAddr)
+			if nbSess == nil {
+				continue
+			}
+			parents := []int{sel[nbRouter.index]}
+			// An accepted import is a parent of the receiver's selection
+			// when it is the route selected.
+			selected := func(in *Route) bool {
+				return best != nil && best.Src == SrcPeer && best.PeerAddr == s.PeerAddr && best.Key() == in.Key()
+			}
+			if b.reusable(name, s.PeerName) {
+				nd := b.next()
+				atReceiver := nd != nil && nd.Router == name && nd.Peer == s.PeerAddr
+				atSender := nd != nil && nd.Router == s.PeerName && nd.Peer == s.LocalAddr // an export suppression
+				if !atReceiver && !atSender {
+					panic("bgp: the parent version's provenance section is out of step with the replay of " + prefix.String())
 				}
+				id := b.copyNode(nd, parents)
+				if nd.Kind == provenance.Import && selected(nd.Route.(*Route)) {
+					b.addParent(sel[i], id)
+				}
+				continue
+			}
+			var exTr lineRefs
+			adv, ok := processExport(nbRouter, nbSess, nbBest, &exTr)
+			if !ok {
+				// Export suppressed: negative provenance on the sender.
+				b.add(nbBest.Key(), provenance.Node{
+					Kind: provenance.Rejection, Router: s.PeerName, Peer: s.LocalAddr, PeerRouter: name,
+					Reason: reasonExportDeny, Lines: exTr.refs, Parents: parents,
+				})
+				continue
+			}
+			imTr := lineRefs{refs: exTr.refs}
+			in, accepted, reason := processImport(r, s, adv, &imTr)
+			if !accepted {
+				b.add(adv.Key(), provenance.Node{
+					Kind: provenance.Rejection, Router: name, Peer: s.PeerAddr, PeerRouter: s.PeerName,
+					Route: adv, Reason: reason, Lines: imTr.refs, Parents: parents,
+				})
+				continue
+			}
+			id := b.add(in.Key(), provenance.Node{
+				Kind: provenance.Import, Router: name, Peer: s.PeerAddr, PeerRouter: s.PeerName,
+				Route: in, Lines: imTr.refs, Parents: parents,
+			})
+			if selected(in) {
+				b.addParent(sel[i], id)
 			}
 		}
 	}
 }
 
-func bestVia(r *Route) string {
-	if r.Src == SrcLocal {
-		return "local"
-	}
-	return r.PeerAddr.String()
-}
-
-func appendUnique(s []int, v int) []int {
-	for _, x := range s {
-		if x == v {
-			return s
+// originated reports whether a node from first on already originates rt:
+// a router configured with the same origination twice derives it once.
+func (b *sectionBuilder) originated(first int, rt *Route) bool {
+	for id := first; id < b.sec.Len(); id++ {
+		if nd := b.sec.Node(id); nd.Kind == provenance.Origination && nd.Route.(*Route).Key() == rt.Key() {
+			return true
 		}
 	}
-	return append(s, v)
+	return false
 }
 
 // MissingOriginLines computes negative provenance for a prefix that has no

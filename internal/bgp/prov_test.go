@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 
 	"acr/internal/netcfg"
@@ -55,6 +56,17 @@ func TestProvenanceNodeKinds(t *testing.T) {
 	kinds := map[provenance.Kind]int{}
 	for _, n := range g.ForPrefix(p) {
 		kinds[n.Kind]++
+		// Details are rendered on demand from the route the node keeps.
+		switch d := n.Detail(); {
+		case n.Kind == provenance.Origination && d != "originates []":
+			t.Errorf("origination detail = %q", d)
+		case n.Kind == provenance.Selection && n.Router == "O" && d != "selects [] via local":
+			t.Errorf("O's selection detail = %q", d)
+		case n.Kind == provenance.Import && !(strings.HasPrefix(d, "imports [") && strings.HasSuffix(d, " from "+n.PeerRouter)):
+			t.Errorf("import detail = %q", d)
+		case n.Kind == provenance.Rejection && !strings.HasSuffix(d, " from "+n.PeerRouter+": as-path loop"):
+			t.Errorf("rejection detail = %q", d)
+		}
 	}
 	if kinds[provenance.Origination] != 1 {
 		t.Errorf("originations = %d, want 1", kinds[provenance.Origination])
@@ -87,19 +99,29 @@ func TestProvenanceSelectionParents(t *testing.T) {
 	if ySel == nil {
 		t.Fatal("no selection node for Y")
 	}
-	slice := g.Slice(ySel.ID)
-	foundOrig := false
-	for _, n := range slice {
+	// Walk the ancestor closure of Y's selection within the prefix's section.
+	sec := g.Section(p)
+	seen := map[int]bool{}
+	foundOrig, leafLines := false, 0
+	for stack := []int{ySel.ID}; len(stack) > 0; {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		n := sec.Node(id)
 		if n.Kind == provenance.Origination && n.Router == "O" {
 			foundOrig = true
 		}
+		leafLines += len(n.Lines)
+		stack = append(stack, n.Parents...)
 	}
 	if !foundOrig {
-		t.Errorf("Y's provenance slice does not reach O's origination; slice has %d nodes", len(slice))
+		t.Errorf("Y's provenance slice does not reach O's origination; slice has %d nodes", len(seen))
 	}
-	leaves := provenance.LeafLines(g, ySel.ID)
-	if len(leaves) == 0 {
-		t.Error("no leaf config lines in Y's provenance slice")
+	if leafLines == 0 {
+		t.Error("no config lines in Y's provenance slice")
 	}
 }
 
@@ -141,7 +163,7 @@ func TestProvenanceDedupAcrossPhases(t *testing.T) {
 	p := netip.MustParsePrefix("10.0.0.0/16")
 	seen := map[string]bool{}
 	for _, n := range g.ForPrefix(p) {
-		key := n.Kind.String() + "|" + n.Router + "|" + n.Peer.String() + "|" + n.Detail
+		key := n.Kind.String() + "|" + n.Router + "|" + n.Peer.String() + "|" + n.Detail()
 		if seen[key] {
 			t.Errorf("duplicate derivation: %s", key)
 		}

@@ -103,6 +103,15 @@ func (r *Route) PathString() string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
+// Via names where the route was learned: "local", or the advertising
+// peer's address.
+func (r *Route) Via() string {
+	if r.Src == SrcLocal {
+		return "local"
+	}
+	return r.PeerAddr.String()
+}
+
 // Key renders a canonical string for state hashing: every field that can
 // influence future behavior must appear. Finalized routes answer from the
 // memoized interned key; unstamped routes (hand-built in tests, or

@@ -1,8 +1,10 @@
 package bgp
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -243,5 +245,27 @@ func TestQuickSelectBestMaximal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBuildKeyFormat pins the key's rendering, unset addresses included: an
+// originated route has no next hop or peer, an exported one no peer, and
+// both print as netip prints an unset address.
+func TestBuildKeyFormat(t *testing.T) {
+	for _, r := range []*Route{
+		mkRoute(nil),
+		mkRoute(func(r *Route) { r.NextHop, r.PeerAddr = netip.Addr{}, netip.Addr{} }),
+		mkRoute(func(r *Route) { r.ASPath, r.Src, r.PeerAddr = nil, SrcLocal, netip.Addr{} }),
+		mkRoute(func(r *Route) { r.Prefix = netip.Prefix{} }),
+	} {
+		path := make([]string, len(r.ASPath))
+		for i, a := range r.ASPath {
+			path[i] = fmt.Sprint(a)
+		}
+		want := fmt.Sprintf("%s|[%s]|lp%d|med%d|o%d|nh%s|s%d|p%s", r.Prefix, strings.Join(path, " "),
+			r.LocalPref, r.MED, r.Origin, r.NextHop, r.Src, r.PeerAddr)
+		if got := buildKey(r); got != want {
+			t.Errorf("buildKey = %q, want %q", got, want)
+		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
+
+	"acr/internal/netcfg"
 )
 
 // PrefixOutcome is the control-plane result for one prefix. Once
@@ -120,7 +122,7 @@ func (o *Outcome) FlappingPrefixes() []netip.Prefix {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr().Less(out[j].Addr()) })
+	sort.Slice(out, func(i, j int) bool { return netcfg.PrefixLess(out[i], out[j]) })
 	return out
 }
 
@@ -348,7 +350,7 @@ func (o *Outcome) Describe() string {
 	for p := range o.ByPrefix {
 		prefixes = append(prefixes, p)
 	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Addr().Less(prefixes[j].Addr()) })
+	sort.Slice(prefixes, func(i, j int) bool { return netcfg.PrefixLess(prefixes[i], prefixes[j]) })
 	for _, p := range prefixes {
 		po := o.ByPrefix[p]
 		if po.Converged {

@@ -542,3 +542,37 @@ func TestNoRedistributeNoOrigin(t *testing.T) {
 		t.Errorf("negative provenance does not reference X: %v", lines)
 	}
 }
+
+// TestPrefixListingsOrderAggregateBeforeSpecific pins the (address, bits)
+// order of FlappingPrefixes and Describe: an aggregate and a specific that
+// share an address used to come out in map order.
+func TestPrefixListingsOrderAggregateBeforeSpecific(t *testing.T) {
+	want := []netip.Prefix{
+		netip.MustParsePrefix("10.0.0.0/8"),
+		netip.MustParsePrefix("10.0.0.0/16"),
+		netip.MustParsePrefix("10.0.0.0/24"),
+		netip.MustParsePrefix("20.0.0.0/16"),
+	}
+	const wantDesc = "10.0.0.0/8: FLAPPING (cycle of 0 states; unstable routers: )\n" +
+		"10.0.0.0/16: FLAPPING (cycle of 0 states; unstable routers: )\n" +
+		"10.0.0.0/24: FLAPPING (cycle of 0 states; unstable routers: )\n" +
+		"20.0.0.0/16: FLAPPING (cycle of 0 states; unstable routers: )\n"
+	for round := 0; round < 32; round++ { // map order varies per map
+		out := &Outcome{ByPrefix: map[netip.Prefix]*PrefixOutcome{}}
+		for _, p := range want {
+			out.ByPrefix[p] = &PrefixOutcome{Prefix: p}
+		}
+		got := out.FlappingPrefixes()
+		if len(got) != len(want) {
+			t.Fatalf("FlappingPrefixes = %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("FlappingPrefixes = %v, want %v", got, want)
+			}
+		}
+		if desc := out.Describe(); desc != wantDesc {
+			t.Fatalf("Describe =\n%s\nwant\n%s", desc, wantDesc)
+		}
+	}
+}

@@ -537,7 +537,7 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 		// resumed run's hits and misses replay identically.
 		ec.warm(opts.Resume.Candidates, st.iter)
 	} else {
-		base := preserve(res, p, p.Configs, nil, opts)
+		base := preserve(res, nil, opts, scratchVersion(p, p.Configs, nil, opts))
 		if base == nil {
 			// The base version itself could not be verified (persistent
 			// panic or immediate cancellation): nothing to search from.
@@ -773,8 +773,8 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 			if _, ok := interrupted(); ok {
 				return abort()
 			}
-			c := preserve(res, p, applyUpdate(pr.parent.configs, pr.update),
-				append(append([]string{}, pr.parent.descs...), pr.update.Desc), opts)
+			descs := append(append([]string{}, pr.parent.descs...), pr.update.Desc)
+			c := preserve(res, descs, opts, derivedVersion(p, pr, descs, opts))
 			if c == nil {
 				continue // preservation quarantined (panic during re-verify)
 			}
@@ -1171,12 +1171,12 @@ func mergeUpdates(a, b Update) (Update, bool) {
 	}, true
 }
 
-// preserve fully verifies one configuration version and builds its
-// localization context, with panic quarantine: a version whose
-// re-verification panics (a simulator bug, or an injected chaos fault) is
-// dropped from the population instead of killing the run. The base version
+// preserve builds one configuration version's verifier and localization
+// context, with panic quarantine: a version whose (re-)verification panics
+// (a simulator bug, or an injected chaos fault) is dropped from the
+// population instead of killing the run. The base version (nil descs)
 // additionally gets retries, since without it there is no search at all.
-func preserve(res *Result, p Problem, configs map[string]*netcfg.Config, descs []string, opts Options) *candidate {
+func preserve(res *Result, descs []string, opts Options, build func() (*candidate, error)) *candidate {
 	attempts := 1
 	if descs == nil { // the base version
 		attempts = 1 + opts.MaxValidationRetries
@@ -1196,7 +1196,13 @@ func preserve(res *Result, p Problem, configs map[string]*netcfg.Config, descs [
 					c = nil
 				}
 			}()
-			return newCandidate(p, configs, descs, opts)
+			c, err := build()
+			if err != nil {
+				res.recordError(&RepairError{Kind: KindValidation, Op: "preserve",
+					Candidate: strings.Join(descs, " + "), Err: err})
+				return nil
+			}
+			return c
 		}()
 		if c != nil {
 			return c
@@ -1208,18 +1214,40 @@ func preserve(res *Result, p Problem, configs map[string]*netcfg.Config, descs [
 	return nil
 }
 
-// newCandidate fully verifies one configuration version and builds its
-// localization context. The context's random stream is addressed by the
-// version's descs (versionRNG) so a version restored from a checkpoint is
-// indistinguishable from one preserved straight through.
-func newCandidate(p Problem, configs map[string]*netcfg.Config, descs []string, opts Options) *candidate {
-	iv := verify.NewIncremental(p.Topo, configs, p.Intents, opts.SimOpts)
-	iv.NoImpact = opts.NoImpact
-	iv.Differential = opts.ImpactDifferential
-	iv.NoDelta = opts.NoDelta
-	iv.DeltaDifferential = opts.DeltaDifferential
+// scratchVersion verifies a configuration version from its texts alone:
+// the base version, and a population member restored from a checkpoint.
+func scratchVersion(p Problem, configs map[string]*netcfg.Config, descs []string, opts Options) func() (*candidate, error) {
+	return func() (*candidate, error) {
+		iv := verify.NewIncremental(p.Topo, configs, p.Intents, opts.SimOpts)
+		iv.NoImpact = opts.NoImpact
+		iv.Differential = opts.ImpactDifferential
+		iv.NoDelta = opts.NoDelta
+		iv.DeltaDifferential = opts.DeltaDifferential
+		return newCandidate(p, iv, descs, opts), nil
+	}
+}
+
+// derivedVersion verifies a kept proposal's version by committing its
+// edits on a clone of the parent's verifier, which re-derives only what
+// the edits can reach; the result is the verifier scratchVersion builds on
+// the same texts (a resumed run rebuilds this population that way).
+func derivedVersion(p Problem, pr proposal, descs []string, opts Options) func() (*candidate, error) {
+	return func() (*candidate, error) {
+		iv := pr.parent.iv.Clone()
+		if err := iv.Commit(pr.update.Edits); err != nil {
+			return nil, err
+		}
+		return newCandidate(p, iv, descs, opts), nil
+	}
+}
+
+// newCandidate builds the localization context of a verified version. The
+// context's random stream is addressed by the version's descs (versionRNG)
+// so a version restored from a checkpoint is indistinguishable from one
+// preserved straight through.
+func newCandidate(p Problem, iv *verify.Incremental, descs []string, opts Options) *candidate {
 	c := &candidate{
-		configs: configs,
+		configs: iv.BaseConfigs(),
 		iv:      iv,
 		fitness: iv.BaseReport().NumFailed(),
 		descs:   descs,

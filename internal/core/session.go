@@ -279,7 +279,7 @@ func restoreCheckpoint(res *Result, best *bestEffort, p Problem, opts Options, c
 		stagnant:    cp.Stagnant,
 	}
 	for _, m := range cp.Population {
-		c := preserve(res, p, configsFromLines(m.Configs), m.Descs, opts)
+		c := preserve(res, m.Descs, opts, scratchVersion(p, configsFromLines(m.Configs), m.Descs, opts))
 		if c == nil {
 			continue
 		}

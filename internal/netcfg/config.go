@@ -2,6 +2,7 @@ package netcfg
 
 import (
 	"fmt"
+	"net/netip"
 	"sort"
 	"strings"
 )
@@ -23,6 +24,17 @@ func (r LineRef) Less(o LineRef) bool {
 		return r.Device < o.Device
 	}
 	return r.Line < o.Line
+}
+
+// PrefixLess orders prefixes by address, then by length, so an aggregate
+// sorts before the specifics sharing its address. It is the one order every
+// sorted prefix listing uses (bgp.Net.AllPrefixes, bgp.Outcome.Describe,
+// provenance.Graph.Prefixes).
+func PrefixLess(a, b netip.Prefix) bool {
+	if a.Addr() != b.Addr() {
+		return a.Addr().Less(b.Addr())
+	}
+	return a.Bits() < b.Bits()
 }
 
 // Config is an immutable, line-addressable configuration document for a

@@ -14,52 +14,61 @@ var (
 
 func lr(d string, n int) netcfg.LineRef { return netcfg.LineRef{Device: d, Line: n} }
 
-// buildSample constructs: orig(A) -> sel(A) -> imp(B) -> sel(B), plus an
-// unrelated origination for p2 and a rejection for p1.
-func buildSample() (*Graph, map[string]int) {
-	g := NewGraph()
-	ids := map[string]int{}
-	ids["origA"] = g.Add(Node{Kind: Origination, Router: "A", Prefix: p1, Lines: []netcfg.LineRef{lr("A", 5)}})
-	ids["selA"] = g.Add(Node{Kind: Selection, Router: "A", Prefix: p1, Parents: []int{ids["origA"]}})
-	ids["impB"] = g.Add(Node{Kind: Import, Router: "B", Prefix: p1,
+// buildSample constructs: orig(A) -> sel(A) -> imp(B) -> sel(B) and a
+// rejection for p1, plus an unrelated origination for p2. The sections are
+// returned unsealed so a test can add to them before building its graph.
+func buildSample() (s1, s2 *Section, ids map[string]int) {
+	s1, s2 = NewSection(p1, 8), NewSection(p2, 0)
+	ids = map[string]int{}
+	ids["origA"] = s1.Add(Node{Kind: Origination, Router: "A", Lines: []netcfg.LineRef{lr("A", 5)}})
+	ids["selA"] = s1.Add(Node{Kind: Selection, Router: "A", Parents: []int{ids["origA"]}})
+	ids["impB"] = s1.Add(Node{Kind: Import, Router: "B",
 		Lines: []netcfg.LineRef{lr("B", 3), lr("A", 2)}, Parents: []int{ids["selA"]}})
-	ids["selB"] = g.Add(Node{Kind: Selection, Router: "B", Prefix: p1, Parents: []int{ids["impB"]}})
-	ids["rejC"] = g.Add(Node{Kind: Rejection, Router: "C", Prefix: p1,
+	ids["selB"] = s1.Add(Node{Kind: Selection, Router: "B", Parents: []int{ids["impB"]}})
+	ids["rejC"] = s1.Add(Node{Kind: Rejection, Router: "C",
 		Lines: []netcfg.LineRef{lr("C", 9)}, Parents: []int{ids["selB"]}})
-	ids["origX"] = g.Add(Node{Kind: Origination, Router: "X", Prefix: p2, Lines: []netcfg.LineRef{lr("X", 1)}})
-	return g, ids
+	ids["origX"] = s2.Add(Node{Kind: Origination, Router: "X", Lines: []netcfg.LineRef{lr("X", 1)}})
+	return s1, s2, ids
 }
 
 func TestAddAssignsSequentialIDs(t *testing.T) {
-	g, ids := buildSample()
-	if g.Len() != 6 {
+	s1, s2, ids := buildSample()
+	if g := NewGraph(s1, s2); g.Len() != 6 {
 		t.Fatalf("Len = %d, want 6", g.Len())
 	}
-	if ids["origA"] != 0 || ids["selB"] != 3 {
+	// IDs are per section: p2's only node starts again at 0.
+	if ids["origA"] != 0 || ids["selB"] != 3 || ids["origX"] != 0 {
 		t.Errorf("unexpected IDs: %v", ids)
 	}
-	if g.Node(99) != nil || g.Node(-1) != nil {
+	if n := s1.Node(ids["impB"]); n == nil || n.ID != ids["impB"] || n.Prefix != p1 {
+		t.Errorf("Node(impB) = %+v, want ID %d for %v", n, ids["impB"], p1)
+	}
+	if s1.Node(99) != nil || s1.Node(-1) != nil {
 		t.Error("out-of-range Node should be nil")
 	}
 }
 
 func TestForPrefixSeparation(t *testing.T) {
-	g, _ := buildSample()
+	s1, s2, _ := buildSample()
+	g := NewGraph(s1, s2, NewSection(netip.MustParsePrefix("30.0.0.0/8"), 0))
 	if got := len(g.ForPrefix(p1)); got != 5 {
 		t.Errorf("ForPrefix(p1) = %d nodes, want 5", got)
 	}
 	if got := len(g.ForPrefix(p2)); got != 1 {
 		t.Errorf("ForPrefix(p2) = %d nodes, want 1", got)
 	}
-	if got := len(g.Prefixes()); got != 2 {
-		t.Errorf("Prefixes = %d, want 2", got)
+	if got := g.Prefixes(); len(got) != 2 || got[0] != p1 || got[1] != p2 {
+		t.Errorf("Prefixes = %v, want [%v %v] (the empty section left out)", got, p1, p2)
+	}
+	if g.Section(p1) != s1 || g.Section(netip.MustParsePrefix("30.0.0.0/8")) != nil {
+		t.Error("Section does not return the attached section, or returns an empty one")
 	}
 }
 
 func TestLinesForPrefixDedupSorted(t *testing.T) {
-	g, _ := buildSample()
-	g.Add(Node{Kind: Import, Router: "D", Prefix: p1, Lines: []netcfg.LineRef{lr("A", 2), lr("A", 2)}})
-	lines := g.LinesForPrefix(p1)
+	s1, s2, _ := buildSample()
+	s1.Add(Node{Kind: Import, Router: "D", Lines: []netcfg.LineRef{lr("A", 2), lr("A", 2)}})
+	lines := NewGraph(s1, s2).LinesForPrefix(p1)
 	want := []netcfg.LineRef{lr("A", 2), lr("A", 5), lr("B", 3), lr("C", 9)}
 	if len(lines) != len(want) {
 		t.Fatalf("lines = %v, want %v", lines, want)
@@ -72,8 +81,9 @@ func TestLinesForPrefixDedupSorted(t *testing.T) {
 }
 
 func TestLinesAtDeviceIsTheDeviceRun(t *testing.T) {
-	g, _ := buildSample()
-	g.Add(Node{Kind: Import, Router: "B", Prefix: p1, Lines: []netcfg.LineRef{lr("A", 9), lr("AA", 1), lr("B", 1)}})
+	s1, s2, _ := buildSample()
+	s1.Add(Node{Kind: Import, Router: "B", Lines: []netcfg.LineRef{lr("A", 9), lr("AA", 1), lr("B", 1)}})
+	g := NewGraph(s1, s2)
 	for device, want := range map[string][]netcfg.LineRef{
 		"A":  {lr("A", 2), lr("A", 5), lr("A", 9)},
 		"AA": {lr("AA", 1)},
@@ -101,8 +111,9 @@ func TestLinesAtDeviceIsTheDeviceRun(t *testing.T) {
 }
 
 func TestPrefixesForLine(t *testing.T) {
-	g, _ := buildSample()
-	g.Add(Node{Kind: Import, Router: "X", Prefix: p2, Lines: []netcfg.LineRef{lr("A", 2)}})
+	s1, s2, _ := buildSample()
+	s2.Add(Node{Kind: Import, Router: "X", Lines: []netcfg.LineRef{lr("A", 2)}})
+	g := NewGraph(s1, s2)
 	if got := g.PrefixesForLine(lr("A", 2)); len(got) != 2 || got[0] != p1 || got[1] != p2 {
 		t.Errorf("PrefixesForLine(A:2) = %v, want [%v %v]", got, p1, p2)
 	}
@@ -116,45 +127,60 @@ func TestPrefixesForLine(t *testing.T) {
 
 // TestAddAfterLineQueryPanics pins the sealing choice: the first line query
 // builds the index every reader shares, so a later Add — which that index
-// would silently miss — is a bug and panics rather than invalidating.
+// would silently miss — is a bug and panics rather than invalidating. A
+// section without lines seals like any other.
 func TestAddAfterLineQueryPanics(t *testing.T) {
-	g, _ := buildSample()
-	g.Add(Node{Kind: Selection, Router: "A", Prefix: p2}) // unsealed: fine
-	g.LinesForPrefix(p2)
+	_, s2, _ := buildSample()
+	empty := NewSection(p1, 0)
+	empty.Add(Node{Kind: Selection, Router: "A"}) // unsealed: fine
+	s2.Add(Node{Kind: Selection, Router: "A"})
+	NewGraph(s2).LinesForPrefix(p2)
+	empty.Lines()
+	for _, s := range []*Section{s2, empty} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add on the sealed section of %v did not panic", s.prefix)
+				}
+			}()
+			s.Add(Node{Kind: Selection, Router: "A"})
+		}()
+	}
+}
+
+// TestNewGraphRejectsTwoSectionsForOnePrefix: a graph holds one section per
+// prefix; a second would shadow the first's nodes.
+func TestNewGraphRejectsTwoSectionsForOnePrefix(t *testing.T) {
+	s1, _, _ := buildSample()
+	dup := NewSection(p1, 1)
+	dup.Add(Node{Kind: Selection, Router: "A"})
 	defer func() {
 		if recover() == nil {
-			t.Error("Add on a sealed graph did not panic")
+			t.Error("NewGraph accepted two sections for one prefix")
 		}
 	}()
-	g.Add(Node{Kind: Selection, Router: "A", Prefix: p2})
+	NewGraph(s1, dup)
 }
 
-func TestSliceAncestorClosure(t *testing.T) {
-	g, ids := buildSample()
-	slice := g.Slice(ids["selB"])
-	if len(slice) != 4 {
-		t.Fatalf("slice of selB has %d nodes, want 4", len(slice))
-	}
-	for _, n := range slice {
-		if n.Router == "C" || n.Router == "X" {
-			t.Errorf("slice contains unrelated node %+v", n)
-		}
-	}
-	if got := g.Slice(-5); got != nil {
-		t.Errorf("Slice of invalid root = %v, want nil", got)
-	}
-}
+type fakeRoute struct{ path, via string }
 
-func TestLeafLines(t *testing.T) {
-	g, ids := buildSample()
-	leaves := LeafLines(g, ids["selB"])
-	want := map[netcfg.LineRef]bool{lr("A", 5): true, lr("B", 3): true, lr("A", 2): true}
-	if len(leaves) != len(want) {
-		t.Fatalf("leaves = %v", leaves)
-	}
-	for _, l := range leaves {
-		if !want[l] {
-			t.Errorf("unexpected leaf %v", l)
+func (r fakeRoute) PathString() string { return r.path }
+func (r fakeRoute) Via() string        { return r.via }
+
+func TestDetailRendersOnDemand(t *testing.T) {
+	rt := fakeRoute{path: "[65001]", via: "10.1.0.1"}
+	for _, tc := range []struct {
+		n    Node
+		want string
+	}{
+		{Node{Kind: Origination, Route: fakeRoute{path: "[]"}}, "originates []"},
+		{Node{Kind: Selection, Route: rt}, "selects [65001] via 10.1.0.1"},
+		{Node{Kind: Import, Route: rt, PeerRouter: "B"}, "imports [65001] from B"},
+		{Node{Kind: Rejection, Route: rt, PeerRouter: "B", Reason: "as-path loop"}, "rejects [65001] from B: as-path loop"},
+		{Node{Kind: Rejection, Reason: "export policy suppressed advertisement"}, "export policy suppressed advertisement"},
+	} {
+		if got := tc.n.Detail(); got != tc.want {
+			t.Errorf("%v Detail = %q, want %q", tc.n.Kind, got, tc.want)
 		}
 	}
 }

@@ -80,14 +80,19 @@ type Network struct {
 	Name  string
 	nodes map[string]*Node
 	order []string // insertion order, for deterministic iteration
+	// Links lists every link in creation order. Only Connect appends to it;
+	// it also maintains adj, so a link added any other way would be missing
+	// from Adjacencies.
 	Links []*Link
+	// adj indexes Links by endpoint: each node's adjacencies in link order.
+	adj map[string][]Adjacency
 
 	linkSeq int // next /30 block index
 }
 
 // New returns an empty network.
 func New(name string) *Network {
-	return &Network{Name: name, nodes: map[string]*Node{}}
+	return &Network{Name: name, nodes: map[string]*Node{}, adj: map[string][]Adjacency{}}
 }
 
 // AddNode creates a node. ASN and RouterID must be unique per node; the
@@ -147,11 +152,15 @@ func (n *Network) Connect(a, b string) *Link {
 		Subnet: subnet, AddrA: addrA, AddrB: addrB,
 	}
 	n.Links = append(n.Links, l)
+	n.adj[a] = append(n.adj[a], Adjacency{Link: l, Iface: ifA, LocalAddr: addrA, PeerNode: b, PeerIface: ifB, PeerAddr: addrB})
+	if b != a { // a self-link (Validate rejects it) is listed once, from its A side
+		n.adj[b] = append(n.adj[b], Adjacency{Link: l, Iface: ifB, LocalAddr: addrB, PeerNode: a, PeerIface: ifA, PeerAddr: addrA})
+	}
 	return l
 }
 
-// Neighbors returns, for the named node, every (link, local address, peer
-// node, peer address) adjacency, in link order.
+// Adjacency is one end's view of a link: the link, the local interface and
+// address, and the peer node, interface and address.
 type Adjacency struct {
 	Link      *Link
 	Iface     string
@@ -161,19 +170,9 @@ type Adjacency struct {
 	PeerAddr  netip.Addr
 }
 
-// Adjacencies lists the adjacencies of node name.
-func (n *Network) Adjacencies(name string) []Adjacency {
-	var out []Adjacency
-	for _, l := range n.Links {
-		switch name {
-		case l.A.Node:
-			out = append(out, Adjacency{Link: l, Iface: l.A.Iface, LocalAddr: l.AddrA, PeerNode: l.B.Node, PeerIface: l.B.Iface, PeerAddr: l.AddrB})
-		case l.B.Node:
-			out = append(out, Adjacency{Link: l, Iface: l.B.Iface, LocalAddr: l.AddrB, PeerNode: l.A.Node, PeerIface: l.A.Iface, PeerAddr: l.AddrA})
-		}
-	}
-	return out
-}
+// Adjacencies lists the adjacencies of node name in link order. The slice
+// is the network's own index, shared by every caller: read-only.
+func (n *Network) Adjacencies(name string) []Adjacency { return n.adj[name] }
 
 // NodeByAddr returns the node owning the given interface address, or nil.
 func (n *Network) NodeByAddr(a netip.Addr) *Node {

@@ -239,3 +239,40 @@ func TestQuickRidInjective(t *testing.T) {
 		seen[r] = i
 	}
 }
+
+// TestAdjacenciesMatchLinkScan checks the per-node index Connect maintains
+// against its definition — a scan of Links from the node's point of view.
+func TestAdjacenciesMatchLinkScan(t *testing.T) {
+	scan := func(n *Network, name string) []Adjacency {
+		var out []Adjacency
+		for _, l := range n.Links {
+			switch name {
+			case l.A.Node:
+				out = append(out, Adjacency{Link: l, Iface: l.A.Iface, LocalAddr: l.AddrA, PeerNode: l.B.Node, PeerIface: l.B.Iface, PeerAddr: l.AddrB})
+			case l.B.Node:
+				out = append(out, Adjacency{Link: l, Iface: l.B.Iface, LocalAddr: l.AddrB, PeerNode: l.A.Node, PeerIface: l.A.Iface, PeerAddr: l.AddrA})
+			}
+		}
+		return out
+	}
+	for _, n := range []*Network{
+		ExampleGraph(true),
+		FatTree(FatTreeOpts{K: 4}),
+		BackboneMesh(BackboneOpts{Routers: 12, Chord: 3, PoPs: 8, DCNs: 6}),
+	} {
+		for _, nd := range n.Nodes() {
+			got, want := n.Adjacencies(nd.Name), scan(n, nd.Name)
+			if len(got) != len(want) {
+				t.Fatalf("%s: Adjacencies(%s) has %d entries, the link scan %d", n.Name, nd.Name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s: Adjacencies(%s)[%d] = %+v, the link scan gives %+v", n.Name, nd.Name, i, got[i], want[i])
+				}
+			}
+		}
+		if got := n.Adjacencies("no-such-node"); len(got) != 0 {
+			t.Errorf("%s: Adjacencies of an unknown node = %v, want none", n.Name, got)
+		}
+	}
+}

@@ -3,9 +3,11 @@ package verify_test
 import (
 	"context"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 
+	"acr/internal/netcfg"
 	"acr/internal/scenario"
 	"acr/internal/verify"
 )
@@ -146,4 +148,94 @@ func TestCloneSharedLineIndexRace(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+}
+
+// TestCommitCloneRace is the engine's preservation pattern under -race:
+// sibling versions are committed on clones of one parent — each commit reads
+// the parent's outcomes and provenance sections and shares what the edit
+// does not reach — while validation workers check candidates on further
+// clones of the same parent and readers seal its line index. Nothing
+// touches the parent before the goroutines start, and every result must
+// equal the one a second parent, used serially, gives.
+func TestCommitCloneRace(t *testing.T) {
+	s := scenario.WAN(6, 3, 2, scenario.GenOptions{})
+	serial := newIV(t, s)
+	order := serial.BaseNet().Order
+	var edits [][]netcfg.EditSet
+	for w := 0; w < 6; w++ {
+		d := order[w%len(order)]
+		es := netcfg.EditSet{Device: d, Edits: []netcfg.Edit{netcfg.InsertBefore{At: 1, Text: "# renumbers every line"}}}
+		if origins := serial.BaseNet().Routers[d].Origins; w%2 == 1 && len(origins) > 0 {
+			// Also withdraw an origination, so some prefix's outcome moves.
+			es.Edits = append(es.Edits, netcfg.DeleteLine{At: origins[0].Lines[0].Line})
+		}
+		edits = append(edits, []netcfg.EditSet{es})
+	}
+	type result struct {
+		failed int
+		lines  map[netip.Prefix][]netcfg.LineRef
+	}
+	resultOf := func(iv *verify.Incremental) result {
+		r := result{failed: iv.BaseReport().NumFailed(), lines: map[netip.Prefix][]netcfg.LineRef{}}
+		for _, p := range iv.BaseProvenance().Prefixes() {
+			r.lines[p] = iv.BaseProvenance().LinesForPrefix(p)
+		}
+		return r
+	}
+	want := make([]result, len(edits))
+	wantCheck := make([]*verify.Report, len(edits))
+	for w, e := range edits {
+		cl := serial.Clone()
+		if err := cl.Commit(e); err != nil {
+			t.Fatal(err)
+		}
+		want[w] = resultOf(cl)
+		rep, _, err := serial.Check(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCheck[w] = rep
+	}
+	wantBase := resultOf(serial)
+
+	parent := newIV(t, s)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range edits {
+		wg.Add(2)
+		go func(w int) { // a sibling version
+			defer wg.Done()
+			cl := parent.Clone()
+			<-start
+			if err := cl.Commit(edits[w]); err != nil {
+				t.Errorf("commit %d: %v", w, err)
+				return
+			}
+			if got := resultOf(cl); !reflect.DeepEqual(got, want[w]) {
+				t.Errorf("commit %d under concurrency differs from the serial commit", w)
+			}
+		}(w)
+		go func(w int) { // a validation worker, or a reader of the parent
+			defer wg.Done()
+			cl := parent.Clone()
+			<-start
+			if w%3 == 0 {
+				if got := resultOf(cl); !reflect.DeepEqual(got, wantBase) {
+					t.Errorf("reader %d: the parent's line index differs from the serial one", w)
+				}
+				return
+			}
+			rep, _, err := cl.Check(edits[w])
+			if err != nil {
+				t.Errorf("check %d: %v", w, err)
+			} else if !reportsEqual(rep, wantCheck[w]) {
+				t.Errorf("check %d disagrees with the serial check", w)
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if got := resultOf(parent); !reflect.DeepEqual(got, wantBase) {
+		t.Error("the parent changed under its clones' commits")
+	}
 }

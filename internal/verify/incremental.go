@@ -91,6 +91,9 @@ type Incremental struct {
 	out     *bgp.Outcome
 	prov    *provenance.Graph
 	report  *Report
+	// sessions is sessionFingerprint(net), kept so that a check compares the
+	// candidate's established sessions against it without rebuilding it.
+	sessions string
 
 	// graph and impact are the cross-device influence graph and the static
 	// impact analyzer over the current base; both are sealed read-only
@@ -117,38 +120,45 @@ func NewIncremental(t *topo.Network, configs map[string]*netcfg.Config, intents 
 }
 
 func (iv *Incremental) rebase(configs map[string]*netcfg.Config) {
-	iv.configs = configs
-	iv.files = map[string]*netcfg.File{}
+	files := make(map[string]*netcfg.File, len(configs))
 	for d, c := range configs { //acrvet:ordered
 		f, _ := netcfg.Parse(c) // partial ASTs are fine; broken lines are repair candidates
-		iv.files[d] = f
+		files[d] = f
 	}
-	iv.net = bgp.Compile(iv.Topo, iv.files)
-	iv.out = bgp.Simulate(iv.net, iv.SimOpts)
-	iv.prov = bgp.BuildProvenance(iv.net, iv.out)
-	iv.report = Verify(iv.net, iv.out, iv.Intents)
-	iv.graph = bgp.DeviceGraphOf(iv.net)
+	n := bgp.Compile(iv.Topo, files)
+	out := bgp.Simulate(n, iv.SimOpts)
+	iv.install(configs, files, n, out, bgp.BuildProvenance(n, out), sessionFingerprint(n, 0))
+}
+
+// install makes a compiled, simulated configuration version the base: it
+// verifies the intents and builds the influence graph and the impact
+// analyzer over it.
+func (iv *Incremental) install(configs map[string]*netcfg.Config, files map[string]*netcfg.File, n *bgp.Net, out *bgp.Outcome, prov *provenance.Graph, sessions string) {
+	iv.configs, iv.files, iv.net, iv.out, iv.prov, iv.sessions = configs, files, n, out, prov, sessions
+	iv.report = Verify(n, out, iv.Intents)
+	iv.graph = bgp.DeviceGraphOf(n)
 	origins := map[netip.Prefix][]string{}
-	for _, name := range iv.net.Order {
-		for _, o := range iv.net.Routers[name].Origins {
+	for _, name := range n.Order {
+		for _, o := range n.Routers[name].Origins {
 			origins[o.Prefix] = append(origins[o.Prefix], name)
 		}
 	}
-	iv.impact = analysis.NewImpactAnalyzer(iv.files, iv.net.AllPrefixes(), origins, iv.graph)
+	iv.impact = analysis.NewImpactAnalyzer(files, n.AllPrefixes(), origins, iv.graph)
 }
 
 // Clone returns an independently usable verifier over the same base.
 //
 // Everything behind a clone is shared by reference and immutable once
-// rebase returns: the parsed files, the compiled bgp.Net, the simulation
-// Outcome and its per-prefix outcomes, the provenance graph and the base
-// report are built once and only ever read afterward (the graph's line
-// indexes build themselves on first read, under sync.Once; CheckCtx
-// constructs fresh maps for candidate state and reuses base entries by
-// pointer; rebase replaces the maps wholesale rather than mutating
-// them). Clone therefore only copies the top-level map headers,
-// so a Commit on one clone — which rebases that clone onto new maps —
-// can never be observed, even partially, by checks running on another.
+// the base is installed: the parsed files, the compiled bgp.Net, the
+// simulation Outcome and its per-prefix outcomes, the provenance graph and
+// the base report are built once and only ever read afterward (the
+// graph's line indexes build themselves on first read, under sync.Once;
+// CheckCtx constructs fresh maps for candidate state and reuses base
+// entries by pointer; Commit reads the old base — and shares per-prefix
+// outcomes, provenance nodes and parsed files with it — but builds the new
+// one in fresh maps and installs it wholesale). Clone therefore only
+// copies the top-level map headers, so a Commit on one clone can never be
+// observed, even partially, by checks running on another.
 // Concurrent CheckCtx/FullCheckCtx calls on distinct clones are race-free;
 // a single Incremental is still not safe for concurrent use with Commit.
 func (iv *Incremental) Clone() *Incremental {
@@ -210,6 +220,26 @@ func (iv *Incremental) BaseConfigs() map[string]*netcfg.Config { return iv.confi
 
 // BaseFiles returns the parsed base configurations.
 func (iv *Incremental) BaseFiles() map[string]*netcfg.File { return iv.files }
+
+// parseChanged parses the candidate's configurations, reusing the base's
+// parsed file wherever the document is the base's own. dirty lists the
+// re-parsed devices in topology order, for determinism.
+func (iv *Incremental) parseChanged(newConfigs map[string]*netcfg.Config) (files map[string]*netcfg.File, dirty []string) {
+	files = make(map[string]*netcfg.File, len(newConfigs))
+	for d, c := range newConfigs { //acrvet:ordered
+		if c == iv.configs[d] {
+			files[d] = iv.files[d]
+			continue
+		}
+		files[d] = iv.parseFile(d, c)
+	}
+	for _, d := range iv.net.Order {
+		if files[d] != iv.files[d] {
+			dirty = append(dirty, d)
+		}
+	}
+	return files, dirty
+}
 
 // applyEdits produces the candidate configuration map.
 func (iv *Incremental) applyEdits(edits []netcfg.EditSet) (map[string]*netcfg.Config, error) {
@@ -310,14 +340,11 @@ func (iv *Incremental) checkDependencyCtx(ctx context.Context, edits []netcfg.Ed
 	broad := false
 	oldPrefixes := iv.net.AllPrefixes()
 	markOverlaps := func(lit netip.Prefix) {
-		hit := false
 		for _, p := range oldPrefixes {
 			if p.Overlaps(lit) {
 				affected[p] = true
-				hit = true
 			}
 		}
-		_ = hit
 	}
 	for _, es := range edits {
 		baseCfg := iv.configs[es.Device]
@@ -360,14 +387,7 @@ func (iv *Incremental) checkDependencyCtx(ctx context.Context, edits []netcfg.Ed
 	}
 
 	// --- recompile and re-simulate --------------------------------------
-	newFiles := map[string]*netcfg.File{}
-	for d, c := range newConfigs { //acrvet:ordered
-		if c == iv.configs[d] {
-			newFiles[d] = iv.files[d]
-			continue
-		}
-		newFiles[d] = iv.parseFile(d, c)
-	}
+	newFiles, _ := iv.parseChanged(newConfigs)
 	newNet := bgp.Compile(iv.Topo, newFiles)
 
 	newAll := newNet.AllPrefixes()
@@ -388,7 +408,7 @@ func (iv *Incremental) checkDependencyCtx(ctx context.Context, edits []netcfg.Ed
 		}
 	}
 	// Session changes (up or down) affect everything.
-	if sessionFingerprint(iv.net) != sessionFingerprint(newNet) {
+	if sessionFingerprint(newNet, len(iv.sessions)) != iv.sessions {
 		broad = true
 	}
 
@@ -465,30 +485,15 @@ func (iv *Incremental) checkImpactCtx(ctx context.Context, edits []netcfg.EditSe
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	newFiles := map[string]*netcfg.File{}
-	for d, c := range newConfigs { //acrvet:ordered
-		if c == iv.configs[d] {
-			newFiles[d] = iv.files[d]
-			continue
-		}
-		newFiles[d] = iv.parseFile(d, c)
-	}
+	// dirty is the set for delta re-simulation: exactly the devices whose
+	// configuration text changed.
+	newFiles, dirty := iv.parseChanged(newConfigs)
 	im := iv.impact.Compare(newFiles)
 	newNet := bgp.Compile(iv.Topo, newFiles)
 	broad := im.Broad
 
-	// The dirty set for delta re-simulation: exactly the devices whose
-	// configuration text changed (re-parsed above). Collected in topology
-	// order for determinism.
-	var dirty []string
-	for _, d := range iv.net.Order {
-		if newFiles[d] != iv.files[d] {
-			dirty = append(dirty, d)
-		}
-	}
-
 	// Cross-check 1: the session set must not change unless predicted.
-	fpChanged := sessionFingerprint(iv.net) != sessionFingerprint(newNet)
+	fpChanged := sessionFingerprint(newNet, len(iv.sessions)) != iv.sessions
 	if !broad && !im.SessionsMayChange && fpChanged {
 		broad = true
 	}
@@ -863,16 +868,22 @@ func (iv *Incremental) intentAffected(base Verdict, in Intent, affected map[neti
 	return false
 }
 
-// sessionFingerprint summarizes the established-session set.
-func sessionFingerprint(n *bgp.Net) string {
-	var sb strings.Builder
+// sessionFingerprint summarizes the established-session set: two nets over
+// one topology have equal fingerprints exactly when every router
+// establishes sessions with the same peer addresses. sizeHint is the
+// expected length, 0 when unknown.
+func sessionFingerprint(n *bgp.Net, sizeHint int) string {
+	b := make([]byte, 0, sizeHint)
 	for _, name := range n.Order {
 		for _, s := range n.Routers[name].Sessions {
-			fmt.Fprintf(&sb, "%s-%s;", name, s.PeerAddr)
+			b = append(b, name...)
+			b = append(b, '-')
+			b = s.PeerAddr.AppendTo(b)
+			b = append(b, ';')
 		}
-		sb.WriteByte('|')
+		b = append(b, '|')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // FullCheck verifies the base with edits applied from scratch — no reuse.
@@ -907,13 +918,33 @@ func (iv *Incremental) FullCheckCtx(ctx context.Context, edits []netcfg.EditSet)
 	return Verify(n, out, iv.Intents), nil
 }
 
-// Commit applies edits to the base permanently, rebuilding the dependency
-// index (full recomputation; commits happen once per accepted repair).
+// Commit applies edits to the base permanently. The new base is derived
+// from the old one rather than verified from scratch: unedited devices
+// keep their parsed files; while the established sessions are unchanged,
+// each prefix is delta-simulated from its old outcome over the edited
+// devices and, where its stable state did not move, keeps the old outcome
+// and re-derives only the provenance that involves an edited device (see
+// bgp.DeltaSimulate, bgp.DeriveProvenance). A session change falls back to
+// a cold simulation and a full provenance replay. Either way the result is
+// the base NewIncremental would build on the edited texts. On error the
+// base is unchanged.
 func (iv *Incremental) Commit(edits []netcfg.EditSet) error {
 	newConfigs, err := iv.applyEdits(edits)
 	if err != nil {
 		return err
 	}
-	iv.rebase(newConfigs)
+	files, dirty := iv.parseChanged(newConfigs)
+	n := bgp.Compile(iv.Topo, files)
+	sessions := sessionFingerprint(n, len(iv.sessions))
+	var out *bgp.Outcome
+	var prov *provenance.Graph
+	if sessions == iv.sessions {
+		out = bgp.DeltaSimulate(n, iv.out, dirty, iv.SimOpts)
+		prov = bgp.DeriveProvenance(n, out, iv.out, iv.prov, dirty)
+	} else {
+		out = bgp.Simulate(n, iv.SimOpts)
+		prov = bgp.BuildProvenance(n, out)
+	}
+	iv.install(newConfigs, files, n, out, prov, sessions)
 	return nil
 }

@@ -135,3 +135,53 @@ func TestGenerateSweepAllocBudget(t *testing.T) {
 		t.Errorf("a fresh Context and one generate sweep on the WAN base: %.0f allocations, budget %d", got, budget)
 	}
 }
+
+// wanPreserves returns the two ways to preserve the version that repairs
+// the WAN base (the deleted prefix-list entry put back): from scratch on its
+// texts, as the base version and a resumed population are, and derived from
+// the base's verifier, as the engine preserves a kept candidate. Each
+// builds the verifier and its localization Context.
+func wanPreserves(t testing.TB) (scratch, derived func() *core.Context) {
+	c, fixed := wanBase(), acr.WANBackbone(12, 8, 6, acr.GenOptions{StaticOriginEvery: 1, FullIsolation: true})
+	var edits []netcfg.EditSet
+	for d, cfg := range c.Configs {
+		if from, to := cfg.Lines(), fixed.Configs[d].Lines(); !reflect.DeepEqual(from, to) {
+			edits = append(edits, editsBetween(d, from, to))
+		}
+	}
+	if len(edits) != 1 {
+		t.Fatalf("the WAN base differs from its repair on %d devices, want 1", len(edits))
+	}
+	p := core.Problem{Topo: c.Topo, Configs: c.Configs, Intents: c.Intents}
+	base := verify.NewIncremental(p.Topo, p.Configs, p.Intents, bgp.Options{})
+	context := func(iv *verify.Incremental) *core.Context {
+		return core.NewContext(p, iv, sbfl.Tarantula, rand.New(rand.NewSource(1)))
+	}
+	scratch = func() *core.Context {
+		return context(verify.NewIncremental(p.Topo, fixed.Configs, p.Intents, bgp.Options{}))
+	}
+	derived = func() *core.Context {
+		iv := base.Clone()
+		if err := iv.Commit(edits); err != nil {
+			t.Fatal(err)
+		}
+		return context(iv)
+	}
+	return scratch, derived
+}
+
+// TestPreserveAllocBudget is the allocation budget on preservation: a
+// version derived from its parent's verifier costs at most half the
+// allocations of the same version verified from scratch.
+func TestPreserveAllocBudget(t *testing.T) {
+	scratch, derived := wanPreserves(t)
+	if s, d := scratch(), derived(); s.Report.NumFailed() != 0 || d.Report.NumFailed() != 0 {
+		t.Fatalf("the repaired WAN fails %d intents from scratch, %d derived; want 0", s.Report.NumFailed(), d.Report.NumFailed())
+	}
+	fromScratch := testing.AllocsPerRun(5, func() { scratch() })
+	fromParent := testing.AllocsPerRun(5, func() { derived() })
+	t.Logf("preserving the repaired WAN: %.0f allocations from scratch, %.0f derived from the base", fromScratch, fromParent)
+	if fromParent > fromScratch/2 {
+		t.Errorf("a derived preserve allocates %.0f times, over half of a scratch preserve's %.0f", fromParent, fromScratch)
+	}
+}
