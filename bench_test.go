@@ -506,10 +506,14 @@ func BenchmarkSimulateFigure2(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateFatTree is the cold control-plane simulation of a
+// fat-tree, parse and compile included; k=10 is the dcn-scale workload's
+// 126-device fabric.
 func BenchmarkSimulateFatTree(b *testing.B) {
-	for _, k := range []int{4, 6, 8} {
+	for _, k := range []int{4, 6, 8, 10} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			c := acr.FatTreeDCN(k, acr.GenOptions{})
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				out, err := acr.Simulate(c)

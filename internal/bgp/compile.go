@@ -26,6 +26,10 @@ type Session struct {
 	RemoteLines []netcfg.LineRef
 	// stanza is the local peer statement, used to resolve policies.
 	stanza *netcfg.Peer
+	// reverse is the peer's view of this session: the Session on PeerName
+	// whose PeerAddr is LocalAddr. Establishment is symmetric, so it is set
+	// for every session Compile builds; callers still guard against nil.
+	reverse *Session
 }
 
 // FailedSession records a configured-but-down session and why. The repair
@@ -61,16 +65,11 @@ type Router struct {
 
 	// index is the router's position in the owning Net's Order.
 	index int
-
-	// interns points at the owning Net's intern table so the policy
-	// pipeline (which only sees Routers) can stamp and dedupe finalized
-	// routes. Nil for hand-built Routers in tests.
-	interns *internTable
 }
 
 // Net is a compiled network: topology plus parsed configurations resolved
 // into sessions and originations. Compile it once per configuration
-// version; simulation runs against it.
+// version; simulation runs against it. A Net is immutable after Compile.
 type Net struct {
 	Topo    *topo.Network
 	Files   map[string]*netcfg.File
@@ -78,22 +77,21 @@ type Net struct {
 	Order   []string // deterministic activation order (topology insertion order)
 	Failed  []*FailedSession
 
-	// intern dedupes route keys and AS paths across this Net's
-	// simulations; see internTable for the sharing and concurrency rules.
-	intern *internTable
+	// prefixes is every originated prefix, sorted; see AllPrefixes.
+	prefixes []netip.Prefix
 }
 
 // Compile resolves configurations against the topology. Configurations
 // that fail to parse entirely are treated as empty (their router runs no
 // BGP); callers interested in parse errors should Parse first.
 func Compile(t *topo.Network, files map[string]*netcfg.File) *Net {
-	n := &Net{Topo: t, Files: files, Routers: map[string]*Router{}, intern: newInternTable()}
+	n := &Net{Topo: t, Files: files, Routers: map[string]*Router{}}
 	for _, nd := range t.Nodes() {
 		f := files[nd.Name]
 		if f == nil {
 			f = &netcfg.File{Device: nd.Name}
 		}
-		r := &Router{Name: nd.Name, RID: nd.RouterID, File: f, index: len(n.Order), interns: n.intern}
+		r := &Router{Name: nd.Name, RID: nd.RouterID, File: f, index: len(n.Order)}
 		if f.BGP != nil {
 			r.ASN = f.BGP.ASN
 			if f.BGP.RouterID.IsValid() {
@@ -179,6 +177,16 @@ func (n *Net) resolveSessions() {
 			return r.Sessions[i].PeerAddr.Less(r.Sessions[j].PeerAddr)
 		})
 	}
+	for _, name := range n.Order {
+		for _, s := range n.Routers[name].Sessions {
+			for _, ps := range n.Routers[s.PeerName].Sessions {
+				if ps.PeerAddr == s.LocalAddr {
+					s.reverse = ps
+					break
+				}
+			}
+		}
+	}
 }
 
 func (n *Net) resolveOrigins() {
@@ -216,24 +224,22 @@ func (n *Net) resolveOrigins() {
 			}
 		}
 	}
-}
-
-// AllPrefixes returns every prefix originated anywhere, sorted. The
-// simulator runs once per prefix.
-func (n *Net) AllPrefixes() []netip.Prefix {
 	seen := map[netip.Prefix]bool{}
-	var out []netip.Prefix
 	for _, name := range n.Order {
 		for _, o := range n.Routers[name].Origins {
 			if !seen[o.Prefix] {
 				seen[o.Prefix] = true
-				out = append(out, o.Prefix)
+				n.prefixes = append(n.prefixes, o.Prefix)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return netcfg.PrefixLess(out[i], out[j]) })
-	return out
+	sort.Slice(n.prefixes, func(i, j int) bool { return netcfg.PrefixLess(n.prefixes[i], n.prefixes[j]) })
 }
+
+// AllPrefixes returns every prefix originated anywhere, sorted. The
+// simulator runs once per prefix. The slice is computed once at Compile and
+// shared by every caller: read-only.
+func (n *Net) AllPrefixes() []netip.Prefix { return n.prefixes }
 
 // SessionBetween returns the session from a to b, or nil.
 func (n *Net) SessionBetween(a, b string) *Session {

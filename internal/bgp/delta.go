@@ -91,13 +91,7 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 	if opts.PrefixHook != nil {
 		opts.PrefixHook(prefix)
 	}
-	maxPasses := opts.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 2*len(n.Order) + 20
-		if maxPasses < 32 {
-			maxPasses = 32
-		}
-	}
+	maxPasses := opts.maxPasses(n)
 
 	// Seed the state from the base outcome, copy-on-write: best is a
 	// fresh map (snapshots alias it), adj-in inner maps stay shared with
@@ -150,7 +144,7 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 			delete(adj, a)
 		}
 		for _, ls := range r.Sessions {
-			ns := n.sessionFrom(ls.PeerName, ls.LocalAddr)
+			ns := ls.reverse
 			if ns == nil {
 				continue
 			}
@@ -206,18 +200,6 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 		Final: st.snapshot(n.Order), AdjIn: st.adjIn, Activations: acts}, true
 }
 
-// sameRoute is the delta path's change predicate: canonical key plus the
-// advertising router ID. Key() deliberately omits PeerRID (within one
-// net, the adj-in slot determines it), but a delta run mixes base-net
-// routes into candidate-net slots, so a router-ID edit would otherwise
-// leave a key-equal, RID-stale entry in place and corrupt tie-breaking.
-func sameRoute(a, b *Route) bool {
-	if a == b || a == nil || b == nil {
-		return a == b
-	}
-	return a.PeerRID == b.PeerRID && routeKey(a) == routeKey(b)
-}
-
 // activateDelta is activate() for the delta run: it recomputes router
 // name's best route and pushes changes to neighbors, marking every
 // neighbor whose adj-in changed in frontier. With force set the push loop
@@ -226,19 +208,7 @@ func sameRoute(a, b *Route) bool {
 // outcome's immutability.
 func (n *Net) activateDelta(st *prefixState, name string, prefix netip.Prefix, force bool, ownAdj func(string) map[netip.Addr]*Route, frontier map[string]bool) {
 	r := n.Routers[name]
-	var candidates []*Route
-	for _, o := range r.Origins {
-		if o.Prefix != prefix {
-			continue
-		}
-		if rt, ok := originRoute(r, o, nil); ok {
-			candidates = append(candidates, rt)
-		}
-	}
-	for _, rt := range st.adjIn[name] { //acrvet:ordered — SelectBest is order-insensitive
-		candidates = append(candidates, rt)
-	}
-	best := SelectBest(candidates)
+	best := st.selectBest(r, prefix)
 	if !force && sameRoute(best, st.best[name]) {
 		return
 	}
@@ -251,13 +221,10 @@ func (n *Net) activateDelta(st *prefixState, name string, prefix netip.Prefix, f
 		nb := s.PeerName
 		prev := st.adjIn[nb][s.LocalAddr]
 		var next *Route
-		if best != nil {
+		if best != nil && s.reverse != nil {
 			if adv, ok := processExport(r, s, best, nil); ok {
-				nbSess := n.sessionFrom(nb, s.LocalAddr)
-				if nbSess != nil {
-					if in, ok, _ := processImport(n.Routers[nb], nbSess, adv, nil); ok {
-						next = in
-					}
+				if in, ok, _ := processImport(n.Routers[nb], s.reverse, adv, nil); ok {
+					next = in
 				}
 			}
 		}

@@ -27,7 +27,8 @@ func squareNet() *topo.Network {
 
 // assertDeltaMatchesCold runs the prefix cold and via delta from base on
 // the candidate net and requires identical stable state, down to the
-// tie-breaking router IDs Key() omits. Returns the delta outcome.
+// tie-breaking router IDs Key() omits (sameRoute compares them). Returns
+// the delta outcome.
 func assertDeltaMatchesCold(t *testing.T, cand *Net, base *PrefixOutcome, dirty []string, p netip.Prefix) *PrefixOutcome {
 	t.Helper()
 	cold := SimulatePrefix(cand, p, Options{})
@@ -40,11 +41,8 @@ func assertDeltaMatchesCold(t *testing.T, cand *Net, base *PrefixOutcome, dirty 
 	}
 	for _, name := range cand.Order {
 		d, c := po.Final[name], cold.Final[name]
-		if routeKey(d) != routeKey(c) {
-			t.Errorf("%s: delta %s vs cold %s", name, routeKey(d), routeKey(c))
-		}
-		if d != nil && c != nil && d.PeerRID != c.PeerRID {
-			t.Errorf("%s: delta PeerRID %s vs cold %s", name, d.PeerRID, c.PeerRID)
+		if !sameRoute(d, c) {
+			t.Errorf("%s: delta %+v vs cold %+v", name, d, c)
 		}
 	}
 	return po

@@ -125,12 +125,12 @@ func processImport(r *Router, s *Session, adv *Route, tr *lineRefs) (*Route, boo
 	if !ok {
 		return nil, false, reasonImportDeny
 	}
-	out := res.clone()
-	out.Src = SrcPeer
-	out.PeerAddr = s.PeerAddr
-	out.PeerRID = s.PeerRID
-	out.NextHop = s.PeerAddr
-	return finalizeRoute(r.interns, out), true, ""
+	// res is in or a policy's copy of it: ours to finish in place.
+	res.Src = SrcPeer
+	res.PeerAddr = s.PeerAddr
+	res.PeerRID = s.PeerRID
+	res.NextHop = s.PeerAddr
+	return res, true, ""
 }
 
 // processExport models the send side: export policies, then the sender
@@ -146,14 +146,17 @@ func processExport(r *Router, s *Session, best *Route, tr *lineRefs) (*Route, bo
 	if !ok {
 		return nil, false
 	}
-	out := res.clone()
+	out := res
+	if out == best { // no policy copied it; best stays the sender's RIB value
+		out = best.clone()
+	}
 	out.ASPath = append([]uint32{r.ASN}, out.ASPath...)
 	out.LocalPref = 0
 	out.Src = SrcPeer
 	out.PeerAddr = netip.Addr{}
 	out.PeerRID = netip.Addr{}
 	out.NextHop = netip.Addr{}
-	return finalizeRoute(r.interns, out), true
+	return out, true
 }
 
 // originRoute materializes an origination as a local route.
@@ -169,11 +172,7 @@ func originRoute(r *Router, o Origination, tr *lineRefs) (*Route, bool) {
 		PeerRID:   r.RID,
 	}
 	if o.Policy != "" {
-		res, ok := evalPolicy(r.File, o.Policy, rt, tr)
-		if !ok {
-			return nil, false
-		}
-		return finalizeRoute(r.interns, res), true
+		return evalPolicy(r.File, o.Policy, rt, tr)
 	}
-	return finalizeRoute(r.interns, rt), true
+	return rt, true
 }

@@ -96,12 +96,13 @@ type sectionBuilder struct {
 }
 
 // add appends nd unless, on a flapping prefix, an earlier phase derived it
-// already; route is the key of the route the derivation processed.
-func (b *sectionBuilder) add(route string, nd provenance.Node) int {
+// already; route is the route the derivation processed, rendered only for
+// that dedup.
+func (b *sectionBuilder) add(route *Route, nd provenance.Node) int {
 	if b.ids == nil {
 		return b.sec.Add(nd)
 	}
-	k := nodeKey{kind: nd.Kind, router: nd.Router, peer: nd.Peer, route: route, reason: nd.Reason}
+	k := nodeKey{kind: nd.Kind, router: nd.Router, peer: nd.Peer, route: route.Key(), reason: nd.Reason}
 	if id, ok := b.ids[k]; ok {
 		return id
 	}
@@ -160,7 +161,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 		best := phase[name]
 		local := -1 // the origination best was selected from
 		selected := func(rt *Route) bool {
-			return best != nil && best.Src == SrcLocal && rt.Key() == best.Key()
+			return best != nil && best.Src == SrcLocal && sameRoute(rt, best)
 		}
 		if b.reusable(name, name) {
 			for nd := b.next(); nd != nil && nd.Kind == provenance.Origination && nd.Router == name; nd = b.next() {
@@ -180,7 +181,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 				if !ok || (b.ids == nil && b.originated(first, rt)) {
 					continue
 				}
-				id := b.add(rt.Key(), provenance.Node{
+				id := b.add(rt, provenance.Node{
 					Kind: provenance.Origination, Router: name, Route: rt, Lines: tr.refs,
 				})
 				if selected(rt) {
@@ -190,7 +191,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 		}
 		sel[i] = -1
 		if best != nil {
-			sel[i] = b.add(best.Key(), provenance.Node{
+			sel[i] = b.add(best, provenance.Node{
 				Kind: provenance.Selection, Router: name, Route: best,
 			})
 			if local >= 0 {
@@ -208,7 +209,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 				continue
 			}
 			nbRouter := n.Routers[s.PeerName]
-			nbSess := n.sessionFrom(s.PeerName, s.LocalAddr)
+			nbSess := s.reverse
 			if nbSess == nil {
 				continue
 			}
@@ -216,7 +217,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 			// An accepted import is a parent of the receiver's selection
 			// when it is the route selected.
 			selected := func(in *Route) bool {
-				return best != nil && best.Src == SrcPeer && best.PeerAddr == s.PeerAddr && best.Key() == in.Key()
+				return best != nil && best.Src == SrcPeer && sameRoute(best, in)
 			}
 			if b.reusable(name, s.PeerName) {
 				nd := b.next()
@@ -235,7 +236,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 			adv, ok := processExport(nbRouter, nbSess, nbBest, &exTr)
 			if !ok {
 				// Export suppressed: negative provenance on the sender.
-				b.add(nbBest.Key(), provenance.Node{
+				b.add(nbBest, provenance.Node{
 					Kind: provenance.Rejection, Router: s.PeerName, Peer: s.LocalAddr, PeerRouter: name,
 					Reason: reasonExportDeny, Lines: exTr.refs, Parents: parents,
 				})
@@ -244,13 +245,13 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 			imTr := lineRefs{refs: exTr.refs}
 			in, accepted, reason := processImport(r, s, adv, &imTr)
 			if !accepted {
-				b.add(adv.Key(), provenance.Node{
+				b.add(adv, provenance.Node{
 					Kind: provenance.Rejection, Router: name, Peer: s.PeerAddr, PeerRouter: s.PeerName,
 					Route: adv, Reason: reason, Lines: imTr.refs, Parents: parents,
 				})
 				continue
 			}
-			id := b.add(in.Key(), provenance.Node{
+			id := b.add(in, provenance.Node{
 				Kind: provenance.Import, Router: name, Peer: s.PeerAddr, PeerRouter: s.PeerName,
 				Route: in, Lines: imTr.refs, Parents: parents,
 			})
@@ -265,7 +266,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 // a router configured with the same origination twice derives it once.
 func (b *sectionBuilder) originated(first int, rt *Route) bool {
 	for id := first; id < b.sec.Len(); id++ {
-		if nd := b.sec.Node(id); nd.Kind == provenance.Origination && nd.Route.(*Route).Key() == rt.Key() {
+		if nd := b.sec.Node(id); nd.Kind == provenance.Origination && sameRoute(nd.Route.(*Route), rt) {
 			return true
 		}
 	}

@@ -56,12 +56,8 @@ func RederiveLeaves(n *Net, base *PrefixOutcome, prefix netip.Prefix, leaves []s
 			if patched[ls.PeerName] {
 				return nil, false
 			}
-			ns := n.sessionFrom(ls.PeerName, ls.LocalAddr)
+			ns := ls.reverse
 			if ns == nil {
-				continue
-			}
-			recv := n.sessionFrom(leaf, ns.LocalAddr)
-			if recv == nil {
 				continue
 			}
 			nbBest := base.Final[ls.PeerName]
@@ -72,7 +68,7 @@ func RederiveLeaves(n *Net, base *PrefixOutcome, prefix netip.Prefix, leaves []s
 			if !ok {
 				continue
 			}
-			in, ok, _ := processImport(r, recv, adv, nil)
+			in, ok, _ := processImport(r, ls, adv, nil)
 			if !ok {
 				continue
 			}

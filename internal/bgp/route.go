@@ -23,6 +23,8 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
+	"slices"
+	"strconv"
 	"strings"
 
 	"acr/internal/netcfg"
@@ -47,7 +49,9 @@ const (
 )
 
 // Route is one BGP route as held in a router's Adj-RIB-In or Loc-RIB.
-// Routes are treated as immutable; policy application copies.
+// A route is immutable once processImport, processExport or originRoute
+// returns it: each writes only to copies made during that call, and routes
+// are compared by value (sameRoute), never by identity.
 type Route struct {
 	Prefix    netip.Prefix
 	ASPath    []uint32
@@ -64,10 +68,6 @@ type Route struct {
 	// PeerRID is the advertising neighbor's router ID, used in best-path
 	// tie-breaking (SrcPeer only; for local routes the router's own ID).
 	PeerRID netip.Addr
-	// key memoizes the canonical Key() rendering. Stamped by finalizeRoute
-	// once a route becomes an immutable RIB value; empty on mid-policy
-	// clones, which are still mutable.
-	key string
 }
 
 // DefaultLocalPref is the local preference assigned when no policy sets one.
@@ -77,11 +77,26 @@ const DefaultLocalPref = 100
 // mutation site (policy overwrite/prepend, the export prepend) replaces
 // the slice with a freshly built one rather than writing through it, so
 // structural sharing is safe and the hot path stops allocating a slice
-// per clone. The memoized key is reset because the copy may be mutated.
+// per clone.
 func (r *Route) clone() *Route {
 	cp := *r
-	cp.key = ""
 	return &cp
+}
+
+// sameRoute is the one route-equality predicate: every field that can
+// influence future behavior — the fields Key renders, plus the advertising
+// router ID. Key omits PeerRID because within one net the adj-in slot
+// determines it, but a delta run mixes base-net routes into candidate-net
+// slots, where a router-ID edit would otherwise leave a key-equal,
+// RID-stale entry in place and corrupt tie-breaking. A nil and an empty
+// AS path are the same path.
+func sameRoute(a, b *Route) bool {
+	if a == b || a == nil || b == nil {
+		return a == b
+	}
+	return a.Prefix == b.Prefix && a.LocalPref == b.LocalPref && a.MED == b.MED &&
+		a.Origin == b.Origin && a.Src == b.Src && a.NextHop == b.NextHop &&
+		a.PeerAddr == b.PeerAddr && a.PeerRID == b.PeerRID && slices.Equal(a.ASPath, b.ASPath)
 }
 
 // HasAS reports whether asn appears in the route's AS path.
@@ -112,16 +127,48 @@ func (r *Route) Via() string {
 	return r.PeerAddr.String()
 }
 
-// Key renders a canonical string for state hashing: every field that can
-// influence future behavior must appear. Finalized routes answer from the
-// memoized interned key; unstamped routes (hand-built in tests, or
-// mid-policy copies) compute a fresh rendering without memoizing, which
-// keeps Key race-free on routes shared across verifier clones.
+// Key renders the route's canonical text: every field sameRoute compares
+// except PeerRID. It is rendered on demand and not stored — diagnostics and
+// the provenance dedup of a flapping prefix are its only readers; the
+// simulator compares routes with sameRoute. TestBuildKeyFormat pins the
+// format.
 func (r *Route) Key() string {
-	if r.key != "" {
-		return r.key
+	b := make([]byte, 0, 96)
+	if r.Prefix.IsValid() {
+		b = r.Prefix.AppendTo(b)
+	} else {
+		b = append(b, r.Prefix.String()...)
 	}
-	return buildKey(r)
+	b = append(b, '|', '[')
+	for i, a := range r.ASPath {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendUint(b, uint64(a), 10)
+	}
+	b = append(b, "]|lp"...)
+	b = strconv.AppendUint(b, uint64(r.LocalPref), 10)
+	b = append(b, "|med"...)
+	b = strconv.AppendUint(b, uint64(r.MED), 10)
+	b = append(b, "|o"...)
+	b = strconv.AppendUint(b, uint64(r.Origin), 10)
+	b = append(b, "|nh"...)
+	b = appendAddr(b, r.NextHop)
+	b = append(b, "|s"...)
+	b = strconv.AppendUint(b, uint64(r.Src), 10)
+	b = append(b, "|p"...)
+	b = appendAddr(b, r.PeerAddr)
+	return string(b)
+}
+
+// appendAddr appends a.String() without the intermediate string. An unset
+// address (an originated route's next hop, an exported route's peer) is
+// where AppendTo and String differ: AppendTo appends nothing.
+func appendAddr(b []byte, a netip.Addr) []byte {
+	if !a.IsValid() {
+		return append(b, a.String()...)
+	}
+	return a.AppendTo(b)
 }
 
 // Better reports whether route a is preferred over b under the standard

@@ -133,40 +133,6 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-func TestCloneResetsMemoizedKey(t *testing.T) {
-	r := finalizeRoute(nil, mkRoute(nil))
-	if r.key == "" || r.Key() != buildKey(r) {
-		t.Fatalf("finalizeRoute did not stamp the key: %q", r.key)
-	}
-	c := r.clone()
-	if c.key != "" {
-		t.Errorf("clone kept the memoized key %q; mutations would go unseen", c.key)
-	}
-	c.LocalPref = 7
-	if c.Key() == r.Key() {
-		t.Error("mutated clone renders the original's key")
-	}
-}
-
-func TestInternTableDedupes(t *testing.T) {
-	tab := newInternTable()
-	a := finalizeRoute(tab, mkRoute(nil))
-	b := finalizeRoute(tab, mkRoute(nil))
-	if a.Key() != b.Key() {
-		t.Fatalf("equal routes got different keys: %q vs %q", a.Key(), b.Key())
-	}
-	// One canonical key string and one AS-path backing in the table.
-	if len(tab.keys) != 1 {
-		t.Errorf("table holds %d key strings, want 1", len(tab.keys))
-	}
-	if len(tab.paths) != 1 {
-		t.Errorf("table holds %d AS paths, want 1", len(tab.paths))
-	}
-	if &a.ASPath[0] != &b.ASPath[0] {
-		t.Error("equal AS paths not interned to one slice")
-	}
-}
-
 func TestKeyDistinguishesFields(t *testing.T) {
 	base := mkRoute(nil)
 	variants := []*Route{
@@ -248,7 +214,7 @@ func TestQuickSelectBestMaximal(t *testing.T) {
 	}
 }
 
-// TestBuildKeyFormat pins the key's rendering, unset addresses included: an
+// TestBuildKeyFormat pins Key's rendering, unset addresses included: an
 // originated route has no next hop or peer, an exported one no peer, and
 // both print as netip prints an unset address.
 func TestBuildKeyFormat(t *testing.T) {
@@ -264,8 +230,8 @@ func TestBuildKeyFormat(t *testing.T) {
 		}
 		want := fmt.Sprintf("%s|[%s]|lp%d|med%d|o%d|nh%s|s%d|p%s", r.Prefix, strings.Join(path, " "),
 			r.LocalPref, r.MED, r.Origin, r.NextHop, r.Src, r.PeerAddr)
-		if got := buildKey(r); got != want {
-			t.Errorf("buildKey = %q, want %q", got, want)
+		if got := r.Key(); got != want {
+			t.Errorf("Key = %q, want %q", got, want)
 		}
 	}
 }

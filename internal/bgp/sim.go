@@ -2,8 +2,8 @@ package bgp
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"sort"
 	"strings"
@@ -14,8 +14,10 @@ import (
 // PrefixOutcome is the control-plane result for one prefix. Once
 // SimulatePrefix returns, the outcome (including its Route values) is
 // immutable: the incremental verifier shares base outcomes by pointer
-// across candidate checks — and, with verify.Incremental.Clone, across
-// concurrently validating workers — so nothing may mutate one in place.
+// across candidate checks, across concurrently validating workers
+// (verify.Incremental.Clone) and across derived versions (DeltaSimulate
+// carries unmoved routes and whole outcomes into the next version) — so
+// nothing may mutate one in place, and nothing caches on a Route.
 type PrefixOutcome struct {
 	Prefix    netip.Prefix
 	Converged bool
@@ -61,7 +63,7 @@ func (po *PrefixOutcome) FlappingRouters() []string {
 	for name := range po.Cycle[0] {
 		first := po.Cycle[0][name]
 		for _, ph := range po.Cycle[1:] {
-			if routeKey(ph[name]) != routeKey(first) {
+			if !sameRoute(ph[name], first) {
 				out = append(out, name)
 				break
 			}
@@ -145,6 +147,15 @@ type Options struct {
 	PrefixHook func(netip.Prefix)
 }
 
+// maxPasses is the activation-pass bound for net n: MaxPasses, or the
+// automatic bound when it is unset.
+func (o Options) maxPasses(n *Net) int {
+	if o.MaxPasses > 0 {
+		return o.MaxPasses
+	}
+	return max(2*len(n.Order)+20, 32)
+}
+
 // canceled reports whether the options' context is done.
 func (o Options) canceled() bool {
 	return o.Ctx != nil && o.Ctx.Err() != nil
@@ -182,38 +193,57 @@ func newPrefixState(n *Net) *prefixState {
 	return st
 }
 
-func routeKey(r *Route) string {
+// stateHash accumulates a prefixState digest from fixed-width words.
+type stateHash uint64
+
+func (h *stateHash) word(v uint64) {
+	x := (uint64(*h) ^ v) * 0xff51afd7ed558ccd
+	*h = stateHash(x ^ x>>33)
+}
+
+// addr mixes an address; the bit length tells 1.2.3.4 from ::ffff:1.2.3.4
+// and the unset address from ::.
+func (h *stateHash) addr(a netip.Addr) {
+	b := a.As16()
+	h.word(binary.BigEndian.Uint64(b[:8]))
+	h.word(binary.BigEndian.Uint64(b[8:]))
+	h.word(uint64(a.BitLen()))
+}
+
+// route mixes every field sameRoute compares; nil is a word of its own.
+func (h *stateHash) route(r *Route) {
 	if r == nil {
-		return "-"
+		h.word(0)
+		return
 	}
-	return r.Key()
+	h.word(1 | uint64(r.Origin)<<8 | uint64(r.Src)<<16 | uint64(len(r.ASPath))<<32)
+	h.word(uint64(r.LocalPref)<<32 | uint64(r.MED))
+	for _, a := range r.ASPath {
+		h.word(uint64(a))
+	}
+	h.addr(r.Prefix.Addr())
+	h.word(uint64(int64(r.Prefix.Bits())))
+	h.addr(r.NextHop)
+	h.addr(r.PeerAddr)
+	h.addr(r.PeerRID)
 }
 
 // hash digests the complete state; any field that can influence future
-// transitions must be included. Finalized routes answer Key() from their
-// interned stamp, so hashing is a sequence of plain writes — no fmt.
-func (st *prefixState) hash(order []string) uint64 {
-	h := fnv.New64a()
-	var buf []byte
-	for _, name := range order {
-		h.Write([]byte(name))
-		h.Write([]byte{'='})
-		h.Write([]byte(routeKey(st.best[name])))
-		peers := make([]netip.Addr, 0, len(st.adjIn[name]))
-		for a := range st.adjIn[name] {
-			peers = append(peers, a)
+// transitions must be included. Routers go in activation order and each
+// router's adj-in in session order (an adj-in slot is keyed by the
+// sender's address, which is the receiving session's PeerAddr), so every
+// router contributes a fixed number of slots and nothing is sorted,
+// rendered or allocated.
+func (st *prefixState) hash(n *Net) uint64 {
+	var h stateHash
+	for _, name := range n.Order {
+		h.route(st.best[name])
+		adj := st.adjIn[name]
+		for _, s := range n.Routers[name].Sessions {
+			h.route(adj[s.PeerAddr])
 		}
-		sort.Slice(peers, func(i, j int) bool { return peers[i].Less(peers[j]) })
-		for _, a := range peers {
-			buf = append(buf[:0], '|')
-			buf = a.AppendTo(buf)
-			buf = append(buf, ':')
-			h.Write(buf)
-			h.Write([]byte(st.adjIn[name][a].Key()))
-		}
-		h.Write([]byte{'\n'})
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 func (st *prefixState) snapshot(order []string) map[string]*Route {
@@ -236,13 +266,7 @@ func SimulatePrefix(n *Net, prefix netip.Prefix, opts Options) *PrefixOutcome {
 	if opts.PrefixHook != nil {
 		opts.PrefixHook(prefix)
 	}
-	maxPasses := opts.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 2*len(n.Order) + 20
-		if maxPasses < 32 {
-			maxPasses = 32
-		}
-	}
+	maxPasses := opts.maxPasses(n)
 	st := newPrefixState(n)
 	seen := map[uint64]int{}       // state hash → pass index it was first seen after
 	snaps := []map[string]*Route{} // snapshot after each pass
@@ -265,7 +289,7 @@ func SimulatePrefix(n *Net, prefix netip.Prefix, opts Options) *PrefixOutcome {
 			return &PrefixOutcome{Prefix: prefix, Converged: true, Passes: pass,
 				Final: st.snapshot(n.Order), AdjIn: st.adjIn, Activations: acts}
 		}
-		h := st.hash(n.Order)
+		h := st.hash(n)
 		if first, ok := seen[h]; ok {
 			// States after passes first..pass-1 repeat forever.
 			return &PrefixOutcome{Prefix: prefix, Converged: false, Passes: pass, Cycle: snaps[first:], Activations: acts}
@@ -282,25 +306,33 @@ func SimulatePrefix(n *Net, prefix netip.Prefix, opts Options) *PrefixOutcome {
 	return &PrefixOutcome{Prefix: prefix, Converged: false, Passes: maxPasses, Cycle: tail, Activations: acts}
 }
 
+// selectBest runs the decision process at router r: its originations of
+// prefix and everything in its adj-RIB-in.
+func (st *prefixState) selectBest(r *Router, prefix netip.Prefix) *Route {
+	var best *Route
+	for _, o := range r.Origins {
+		if o.Prefix != prefix {
+			continue
+		}
+		if rt, ok := originRoute(r, o, nil); ok && Better(rt, best) {
+			best = rt
+		}
+	}
+	for _, rt := range st.adjIn[r.Name] { //acrvet:ordered Better is a total order over one router's candidates, so the maximum does not depend on visiting order
+		if Better(rt, best) {
+			best = rt
+		}
+	}
+	return best
+}
+
 // activate recomputes router name's best route for prefix and, on change,
 // pushes updates to neighbors. Reports whether anything changed (best or
 // any neighbor's adj-in).
 func (n *Net) activate(st *prefixState, name string, prefix netip.Prefix) bool {
 	r := n.Routers[name]
-	var candidates []*Route
-	for _, o := range r.Origins {
-		if o.Prefix != prefix {
-			continue
-		}
-		if rt, ok := originRoute(r, o, nil); ok {
-			candidates = append(candidates, rt)
-		}
-	}
-	for _, rt := range st.adjIn[name] { //acrvet:ordered SelectBest applies the Better total order, so candidate collection order is immaterial
-		candidates = append(candidates, rt)
-	}
-	best := SelectBest(candidates)
-	if routeKey(best) == routeKey(st.best[name]) {
+	best := st.selectBest(r, prefix)
+	if sameRoute(best, st.best[name]) {
 		return false
 	}
 	st.best[name] = best
@@ -309,18 +341,14 @@ func (n *Net) activate(st *prefixState, name string, prefix netip.Prefix) bool {
 		nb := s.PeerName
 		prev := st.adjIn[nb][s.LocalAddr]
 		var next *Route
-		if best != nil {
+		if best != nil && s.reverse != nil {
 			if adv, ok := processExport(r, s, best, nil); ok {
-				nbRouter := n.Routers[nb]
-				nbSess := n.sessionFrom(nb, s.LocalAddr)
-				if nbSess != nil {
-					if in, ok, _ := processImport(nbRouter, nbSess, adv, nil); ok {
-						next = in
-					}
+				if in, ok, _ := processImport(n.Routers[nb], s.reverse, adv, nil); ok {
+					next = in
 				}
 			}
 		}
-		if routeKey(prev) != routeKey(next) {
+		if !sameRoute(prev, next) {
 			if next == nil {
 				delete(st.adjIn[nb], s.LocalAddr)
 			} else {
@@ -329,17 +357,6 @@ func (n *Net) activate(st *prefixState, name string, prefix netip.Prefix) bool {
 		}
 	}
 	return true
-}
-
-// sessionFrom returns router `name`'s session whose neighbor address is
-// peerAddr, or nil.
-func (n *Net) sessionFrom(name string, peerAddr netip.Addr) *Session {
-	for _, s := range n.Routers[name].Sessions {
-		if s.PeerAddr == peerAddr {
-			return s
-		}
-	}
-	return nil
 }
 
 // Describe renders a compact multi-line report of an outcome, used by the
