@@ -3,7 +3,7 @@
 package evalstore
 
 // flockWait is a no-op where flock is unavailable. Writes remain safe —
-// journal.WriteFileAtomic renames are atomic — but cross-process eviction
+// the rename that publishes an entry is atomic — but cross-process eviction
 // bookkeeping is advisory-only on such platforms, which the store's
 // contract already tolerates (any inconsistency degrades to a miss).
 func flockWait(uintptr) error { return nil }

@@ -16,10 +16,14 @@
 //     is stored under. A read verifies frame length, checksum, and digest;
 //     any mismatch quarantines the file and reports a corruption-flagged
 //     miss, falling back to simulation.
-//   - Writes go through journal.WriteFileAtomic (temp file + fsync + rename
-//     + parent-dir fsync) under a blocking flock on the store's lock file,
-//     so concurrent writers — other workers, other processes, fleet peers —
-//     serialize and readers only ever observe whole entries.
+//   - A write is a temp file in the entry's shard renamed into place, under
+//     a blocking flock on the store's lock file: concurrent writers — other
+//     workers, other processes, fleet peers — serialize, and readers only
+//     ever observe a whole entry or none. Nothing is fsync'd. A power cut
+//     can therefore leave an entry empty or short, and that is the torn
+//     write the read-side verification above already turns into a
+//     quarantined miss; durability would buy a guarantee this package
+//     disclaims, at two fsyncs an evaluation.
 //   - Eviction is LRU by a logical recency clock seeded from entry mtimes,
 //     bounded by a byte budget. A reader racing a concurrent eviction sees
 //     ENOENT: a miss.
@@ -36,7 +40,9 @@ package evalstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -308,15 +314,11 @@ func (s *Store) Put(digest string, fitness int) {
 		return
 	}
 	path := s.entryPath(digest)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		s.writeErrs++
-		return
-	}
 	// Serialize against writers in other processes. A failed lock degrades
 	// to an unserialized (still atomic) write rather than a lost entry.
 	lock := s.flockStore()
 	defer s.unflockStore(lock)
-	if err := journal.WriteFileAtomic(path, frame, 0o644); err != nil {
+	if err := publish(path, frame); err != nil {
 		s.writeErrs++
 		return
 	}
@@ -325,6 +327,38 @@ func (s *Store) Put(digest string, fitness int) {
 	}
 	s.touchLocked(digest, path, int64(len(frame)))
 	s.evictLocked()
+}
+
+// publish makes frame visible at path all at once: written to a temp file
+// beside it (scan skips the name), then renamed. No fsync — see the package
+// comment. The shard directory is made on first use rather than stat'd on
+// every write.
+func publish(path string, frame []byte) error {
+	dir, pattern := filepath.Dir(path), filepath.Base(path)+".tmp*"
+	tmp, err := os.CreateTemp(dir, pattern)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		tmp, err = os.CreateTemp(dir, pattern)
+	}
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(frame)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // flockStore takes the store's cross-process write lock (blocking).

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -382,6 +384,100 @@ func TestScanSkipsTempFiles(t *testing.T) {
 	s2 := open(t, dir, 0)
 	if st := s2.Stats(); st.Entries != 1 {
 		t.Fatalf("temp file indexed: %+v", st)
+	}
+}
+
+// TestPutPublishesWholeEntries pins the write discipline: a Put leaves the
+// entry under its final name and nothing else — no temp file, in a shard
+// directory made on demand — and a Store opened before the write reads it
+// with no reindexing.
+func TestPutPublishesWholeEntries(t *testing.T) {
+	dir := t.TempDir()
+	a := open(t, dir, 0)
+	b := open(t, dir, 0)
+	if shards, _ := os.ReadDir(filepath.Join(dir, "entries")); len(shards) != 0 {
+		t.Fatalf("fresh store already has %d shard directories", len(shards))
+	}
+	var want, got []string
+	for i := 0; i < 20; i++ {
+		a.Put(td(i), i)
+		want = append(want, filepath.Join(td(i)[:2], td(i)))
+	}
+	sort.Strings(want)
+	root := filepath.Join(dir, "entries")
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		fi, err := d.Info()
+		if err != nil {
+			return err
+		}
+		if fi.Mode().Perm() != 0o644 {
+			t.Errorf("%s: mode %v, want 0644", path, fi.Mode().Perm())
+		}
+		rel, _ := filepath.Rel(root, path)
+		got = append(got, rel) // WalkDir visits in lexical order
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("entries/ holds %v, want exactly %v", got, want)
+	}
+	for i := 0; i < 20; i++ {
+		if fit, ok, corrupt := b.Get(td(i)); !ok || corrupt || fit != i {
+			t.Fatalf("second store Get(%d) = %d,%v,%v", i, fit, ok, corrupt)
+		}
+	}
+	if st := a.Stats(); st.WriteErrors != 0 || st.Entries != 20 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestFailedPublishLeavesNoTempFile: a write that cannot be renamed into
+// place is counted, forgotten, and cleans up after itself.
+func TestFailedPublishLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, 0)
+	// A directory squatting on the entry's name makes the rename fail.
+	if err := os.MkdirAll(filepath.Join(s.entryPath(td(1)), "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(td(1), 1)
+	if st := s.Stats(); st.WriteErrors != 1 || st.Entries != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	ents, err := os.ReadDir(filepath.Dir(s.entryPath(td(1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != td(1) {
+		t.Fatalf("shard after failed Put: %v", ents)
+	}
+}
+
+// BenchmarkPut is one cold evaluation-store write: a distinct digest into
+// a fresh store, so every iteration creates a file (and, for the first
+// entry of a shard, its directory).
+func BenchmarkPut(b *testing.B) {
+	s, err := Open(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	digests := make([]string, b.N)
+	for i := range digests {
+		digests[i] = td(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Put(digests[i], i)
+	}
+	b.StopTimer()
+	if st := s.Stats(); st.WriteErrors != 0 || st.Entries != b.N {
+		b.Fatalf("stats after %d puts: %+v", b.N, st)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"acr/internal/caseio"
 	"acr/internal/chaos"
 	"acr/internal/core"
 	"acr/internal/journal"
@@ -172,13 +173,22 @@ func TestDaemonSIGKILLResume(t *testing.T) {
 		t.Skip("re-execs the test binary; skipped in -short")
 	}
 	seeds := []int64{1, 2, 3}
+	// Seed 3 travels as an uploaded case, so the reboot re-materializes it
+	// from the job's case.json; the other two are rebuilt builtins.
+	request := func(seed int64) service.JobRequest {
+		if seed == 3 {
+			u := caseio.ToUpload(scenario.Figure2())
+			return service.JobRequest{Case: &u, Seed: seed}
+		}
+		return service.JobRequest{Builtin: "figure2", Seed: seed}
+	}
 
 	// Uninterrupted reference runs, in-process, no journal: the engine is
 	// deterministic, so these are the ground truth the crashed-and-resumed
 	// daemon must reproduce byte for byte.
 	expected := map[int64]string{}
 	for _, seed := range seeds {
-		req := service.JobRequest{Builtin: "figure2", Seed: seed}
+		req := request(seed)
 		opts, err := req.Options()
 		if err != nil {
 			t.Fatal(err)
@@ -200,7 +210,7 @@ func TestDaemonSIGKILLResume(t *testing.T) {
 	cmd1, addr1 := startDaemon(t, stateDir, 6, holdFile)
 	ids := map[int64]string{}
 	for _, seed := range seeds {
-		job := postJob(t, addr1, service.JobRequest{Builtin: "figure2", Seed: seed})
+		job := postJob(t, addr1, request(seed))
 		ids[seed] = job.ID
 	}
 	if err := os.WriteFile(holdFile, []byte("go"), 0o644); err != nil {

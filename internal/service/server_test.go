@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -411,8 +412,18 @@ func TestListFiltering(t *testing.T) {
 // state directory resumes and finishes it.
 func TestShutdownDrainRequeuesAndResumes(t *testing.T) {
 	stateDir := t.TempDir()
-	release := make(chan struct{})
-	hook := func(int, *journal.Record) error { <-release; return nil }
+	// Park the engine on its first append after a checkpoint, so the drain
+	// interrupts a session the next boot can restore rather than restart.
+	release, parked := make(chan struct{}), make(chan struct{})
+	var park sync.Once
+	checkpointed := false // only the lone worker's engine goroutine appends
+	hook := func(_ int, r *journal.Record) error {
+		if checkpointed {
+			park.Do(func() { close(parked); <-release })
+		}
+		checkpointed = checkpointed || r.Type == journal.TypeCheckpoint
+		return nil
+	}
 	srv1, err := service.New(service.Config{StateDir: stateDir, Workers: 1, JournalHook: hook})
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +431,7 @@ func TestShutdownDrainRequeuesAndResumes(t *testing.T) {
 	srv1.Start()
 	ts1 := httptest.NewServer(srv1.Handler())
 	job, _ := submit(t, ts1, service.JobRequest{Case: unsatisfiableUpload(t), Seed: 1, MaxIterations: 5})
-	waitState(t, ts1, job.ID, func(j service.Job) bool { return j.State == service.StateRunning })
+	<-parked
 	ts1.Close()
 
 	done := make(chan error, 1)
@@ -456,6 +467,11 @@ func TestShutdownDrainRequeuesAndResumes(t *testing.T) {
 	}
 	if got.Attempts != 2 {
 		t.Fatalf("attempts = %d, want the drained attempt plus the resumed one", got.Attempts)
+	}
+	// The reloaded case must digest as the submitted one did: on a mismatch
+	// the second daemon would silently truncate the journal and rerun.
+	if !got.Resumed {
+		t.Fatal("second daemon reran the job instead of resuming its journal")
 	}
 	if got.Result == nil || got.Result.Feasible {
 		t.Fatalf("unsatisfiable case produced %+v", got.Result)

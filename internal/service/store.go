@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,9 +19,15 @@ import (
 // Store layout, one directory per job under the daemon's -state-dir:
 //
 //	statedir/jobs/<id>/
+//	  case.json  # the uploaded case in its wire form, caseio.Upload (absent for builtins)
 //	  job.json   # the wire Job record, written atomically on every transition
-//	  case/      # caseio.Save of an uploaded case (absent for builtins)
 //	  journal/   # the crash-safe session journal of the job's engine run
+//
+// Each of case.json and job.json is one journal.WriteFileAtomic; case.json
+// is written once at submit and read back through caseio.FromUpload, the
+// decoder that accepted the submission, so a reloaded case digests the same
+// as the submitted one. (Daemons before case.json wrote a case/ directory
+// with caseio.Save; loadCase still reads one, nothing writes one.)
 //
 // job.json is the recovery index: a rebooted daemon scans these, keeps
 // terminal jobs for listing, and requeues every job found queued or
@@ -88,9 +96,9 @@ func openStore(root string) (*store, error) {
 		}
 		data, err := os.ReadFile(filepath.Join(jobsDir, e.Name(), "job.json"))
 		if err != nil {
-			// A job dir without a readable record (crash between MkdirAll
-			// and the first atomic job.json write) holds nothing worth
-			// recovering: skip it rather than refuse to boot.
+			// A job dir without a readable record (crash between MkdirAll or
+			// the case.json write and the first atomic job.json write) holds
+			// nothing worth recovering: skip it rather than refuse to boot.
 			continue
 		}
 		var rec Job
@@ -152,11 +160,12 @@ func (s *store) findKey(key string, liveOnly bool) *job {
 	return j
 }
 
-// create allocates, persists, and indexes a new queued job. For uploaded
-// cases the decoded scenario is saved under the job's case/ dir so a
-// rebooted daemon can re-materialize it. In fleet mode id is the
-// key-derived job ID and key/owner carry placement identity; single-node
-// callers pass "" for all three and get a sequential ID.
+// create allocates, persists, and indexes a new queued job. An uploaded
+// case is written to the job's case.json as submitted, before job.json, so
+// a rebooted daemon can re-materialize it; a failed write removes the job
+// directory again. In fleet mode id is the key-derived job ID and key/owner
+// carry placement identity; single-node callers pass "" for all three and
+// get a sequential ID.
 func (s *store) create(req JobRequest, sc *scenario.Scenario, id, key, owner string) (*job, error) {
 	s.mu.Lock()
 	seq := s.nextSeq
@@ -182,16 +191,10 @@ func (s *store) create(req JobRequest, sc *scenario.Scenario, id, key, owner str
 		Owner:          owner,
 	}
 	j := &job{id: rec.ID, seq: seq, priority: req.Priority, events: newEventLog(), rec: rec}
-	if err := os.MkdirAll(s.jobDir(j.id), 0o755); err != nil {
-		return nil, err
-	}
-	if req.Builtin == "" {
-		// Uploaded case: persist it so restart-resume can reload it.
-		if err := caseio.Save(s.caseDir(j.id), sc); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.persist(j); err != nil {
+	if err := s.writeJobDir(j, req.Case); err != nil {
+		// Single-node ids never repeat, so nothing would ever reuse or
+		// collect a half-written directory.
+		os.RemoveAll(s.jobDir(j.id))
 		return nil, err
 	}
 	j.events.append(Event{Type: "state", State: StateQueued})
@@ -202,6 +205,24 @@ func (s *store) create(req JobRequest, sc *scenario.Scenario, id, key, owner str
 	s.order = append(s.order, j)
 	s.mu.Unlock()
 	return j, nil
+}
+
+// writeJobDir creates the job's directory and its first durable files:
+// case.json for an uploaded case, then job.json.
+func (s *store) writeJobDir(j *job, upload *caseio.Upload) error {
+	if err := os.MkdirAll(s.jobDir(j.id), 0o755); err != nil {
+		return err
+	}
+	if upload != nil {
+		data, err := json.Marshal(upload)
+		if err != nil {
+			return err
+		}
+		if err := journal.WriteFileAtomic(s.casePath(j.id), data, 0o644); err != nil {
+			return err
+		}
+	}
+	return s.persist(j)
 }
 
 // adoptIndex registers a job directory just renamed into this store (the
@@ -247,7 +268,7 @@ func (s *store) persist(j *job) error {
 }
 
 func (s *store) jobDir(id string) string     { return filepath.Join(s.root, "jobs", id) }
-func (s *store) caseDir(id string) string    { return filepath.Join(s.jobDir(id), "case") }
+func (s *store) casePath(id string) string   { return filepath.Join(s.jobDir(id), "case.json") }
 func (s *store) journalDir(id string) string { return filepath.Join(s.jobDir(id), "journal") }
 
 // get looks a job up by id.
@@ -267,22 +288,35 @@ func (s *store) list() []*job {
 }
 
 // loadCase re-materializes the job's repair case: builtins are rebuilt
-// (generation is deterministic), uploads reload from the job's case dir.
+// (generation is deterministic), uploads are decoded from the job's
+// case.json exactly as the submission was.
 func (s *store) loadCase(j *job) (*scenario.Scenario, error) {
 	rec := j.snapshot()
 	if rec.Builtin != "" {
 		return builtinScenario(rec.Builtin)
 	}
-	sc, err := caseio.Load(s.caseDir(j.id))
+	data, err := os.ReadFile(s.casePath(j.id))
+	if errors.Is(err, fs.ErrNotExist) {
+		// State directory written before case.json: the case is a
+		// caseio.Save directory. Directory loads name the case (and its
+		// topology) after the directory ("case"); restore the submitted
+		// name so the journal's case digest still matches.
+		sc, lerr := caseio.Load(filepath.Join(s.jobDir(j.id), "case"))
+		if lerr != nil {
+			return nil, fmt.Errorf("%w (legacy case dir: %v)", err, lerr)
+		}
+		sc.Name = rec.Case
+		sc.Topo.Name = rec.Case
+		return sc, nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Directory loads name the case (and its topology) after the directory
-	// ("case"); restore the submitted name so the journal's case digest
-	// matches the original upload across a daemon reboot.
-	sc.Name = rec.Case
-	sc.Topo.Name = rec.Case
-	return sc, nil
+	var u caseio.Upload
+	if err := json.Unmarshal(data, &u); err != nil {
+		return nil, fmt.Errorf("case.json: %w", err)
+	}
+	return caseio.FromUpload(u)
 }
 
 // builtinScenario maps the builtin names the CLI accepts to generated
