@@ -8,7 +8,7 @@
 //	acr lint     (-builtin <name> | -dir <casedir>) [-json] [-severity info]
 //	acr localize (-builtin <name> | -dir <casedir>) [-formula tarantula] [-top 15]
 //	acr repair   (-builtin <name> | -dir <casedir>) [-strategy evolutionary] [-seed 0] [-out <dir>]
-//	             [-journal <dir> [-resume]] [-p <workers>] [-no-cache] [-o text|json]
+//	             [-journal <dir> [-resume]] [-p <workers>] [-no-cache] [-differential] [-o text|json]
 //	             [-cache-dir <dir> [-cache-max-bytes <n>]]
 //	acr serve    -state-dir <dir> [-addr 127.0.0.1:7365] [-workers 2] [-queue-cap 64]
 //	             [-job-parallelism <n>] [-debug-addr 127.0.0.1:6060]
@@ -268,11 +268,7 @@ func runRepair(args []string) error {
 	noCache := fs.Bool("no-cache", false, "disable the content-addressed evaluation cache (including -cache-dir)")
 	cacheDir := fs.String("cache-dir", "", "persistent evaluation store directory, shared across runs and processes (empty = in-memory only)")
 	cacheMax := fs.Int64("cache-max-bytes", 0, "persistent store byte budget (0 = 256 MiB); oldest entries evict first")
-	noImpact := fs.Bool("no-impact", false, "disable static impact analysis (ablation: every candidate is fully scoped by the legacy dependency heuristic)")
-	impactDiff := fs.Bool("impact-differential", false, "replay every pruned validation against a full simulation and fail the run on any divergence (soundness audit)")
-	noDelta := fs.Bool("no-delta", false, "disable delta re-simulation (ablation: every affected prefix simulates from a cold start)")
-	noBatch := fs.Bool("no-batch", false, "disable the sibling-candidate parse memo (ablation: each candidate re-parses its post-edit configs)")
-	deltaDiff := fs.Bool("delta-differential", false, "replay every delta-simulated prefix against a cold full simulation and fail the run on any divergence (soundness audit)")
+	differential := fs.Bool("differential", false, "replay every delta-simulated prefix and every validation against the cold path and fail the run on any divergence (soundness audit)")
 	journalDir := fs.String("journal", "", "write a crash-safe session journal to this directory")
 	resume := fs.Bool("resume", false, "resume the crashed session journaled in -journal")
 	crashAfter := fs.Int("crash-after-appends", 0, "testing hook: SIGKILL this process after N journal appends")
@@ -286,9 +282,7 @@ func runRepair(args []string) error {
 		return err
 	}
 	opts := acr.RepairOptions{Seed: *seed, MaxIterations: *maxIter, MaxWallClock: *timeout,
-		Parallelism: *parallel, NoCache: *noCache,
-		NoImpact: *noImpact, ImpactDifferential: *impactDiff,
-		NoDelta: *noDelta, NoBatch: *noBatch, DeltaDifferential: *deltaDiff}
+		Parallelism: *parallel, NoCache: *noCache, Differential: *differential}
 	switch *strategy {
 	case "evolutionary":
 		opts.Strategy = core.Evolutionary

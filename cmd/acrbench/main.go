@@ -4,15 +4,15 @@
 //
 // Usage:
 //
-//	acrbench -exp table1|fig1|fig2|fig3|fig4|ablations|staticprior|resume|serve|parallel|delta|staticprune|templates|all
-//	         [-size 48] [-seed 1] [-short] [-json BENCH_parallel.json]
-//	         [-json-delta BENCH_delta.json]
-//	         [-json-staticprune BENCH_staticprune.json]
+//	acrbench -exp table1|fig1|fig2|fig3|fig4|ablations|staticprior|hypothesis|templates|all
+//	         [-size 48] [-seed 1] [-short]
 //	         [-json-templates BENCH_templates.json]
+//
+// Performance is measured by the benchmark module in bench/ (see
+// bench/README.md), not here.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -20,24 +20,21 @@ import (
 	"time"
 
 	"acr"
-	"acr/internal/caseio"
 	"acr/internal/core"
 	"acr/internal/incidents"
-	"acr/internal/journal"
 	"acr/internal/netcfg"
 	"acr/internal/sbfl"
 	"acr/internal/scenario"
-	"acr/internal/service"
 )
 
+// flagShort selects smaller workloads.
+var flagShort bool
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig1, fig2, fig3, fig4, ablations, staticprior, hypothesis, resume, serve, parallel, delta, staticprune, templates, all")
+	exp := flag.String("exp", "all", "experiment: table1, fig1, fig2, fig3, fig4, ablations, staticprior, hypothesis, templates, all")
 	size := flag.Int("size", 48, "corpus size for corpus-driven experiments")
 	seed := flag.Int64("seed", 1, "corpus seed")
-	flag.BoolVar(&flagShort, "short", false, "smaller workloads (CI smoke runs)")
-	flag.StringVar(&flagJSON, "json", "BENCH_parallel.json", "machine-readable output path for -exp parallel (empty = don't write)")
-	flag.StringVar(&flagJSONDelta, "json-delta", "BENCH_delta.json", "machine-readable output path for -exp delta (empty = don't write)")
-	flag.StringVar(&flagJSONStatic, "json-staticprune", "BENCH_staticprune.json", "machine-readable output path for -exp staticprune (empty = don't write)")
+	flag.BoolVar(&flagShort, "short", false, "smaller workloads")
 	flag.StringVar(&flagJSONTemplates, "json-templates", "BENCH_templates.json", "machine-readable output path for -exp templates (empty = don't write)")
 	flag.Parse()
 	run := func(name string, f func(int, int64)) {
@@ -60,11 +57,6 @@ func main() {
 		{"ablations", ablations},
 		{"staticprior", staticPrior},
 		{"hypothesis", hypothesis},
-		{"resume", resumeExp},
-		{"serve", serveExp},
-		{"parallel", parallelExp},
-		{"delta", deltaExp},
-		{"staticprune", staticPrune},
 		{"templates", templatesExp},
 	} {
 		if *exp == e.name || *exp == "all" {
@@ -349,73 +341,6 @@ func staticPrior(size int, seed int64) {
 	fmt.Printf("  without prior: %s", off.Summary())
 }
 
-// resumeExp measures the write-ahead journal's overhead: the same corpus
-// repairs with journaling off, synced on checkpoints (the default), synced
-// on every record, and never synced, plus the WAL footprint per mode.
-func resumeExp(size int, seed int64) {
-	incs := corpus(min(size, 12), seed)
-	modes := []struct {
-		name string
-		on   bool
-		sync journal.SyncMode
-	}{
-		{"off", false, journal.SyncOnCheckpoint},
-		{"sync-checkpoint", true, journal.SyncOnCheckpoint},
-		{"sync-always", true, journal.SyncAlways},
-		{"sync-never", true, journal.SyncNever},
-	}
-	fmt.Printf("%-16s %10s %10s %12s %10s %12s\n",
-		"journal", "wall", "iters", "iters/s", "records", "WAL bytes")
-	var baseline time.Duration
-	for _, m := range modes {
-		var wall time.Duration
-		iters, records, bytes := 0, 0, int64(0)
-		for _, inc := range incs {
-			c := acr.IncidentCase(inc)
-			opts := acr.RepairOptions{Seed: seed}
-			dir := ""
-			if m.on {
-				var err error
-				if dir, err = os.MkdirTemp("", "acrbench-journal"); err != nil {
-					fmt.Fprintln(os.Stderr, "acrbench:", err)
-					os.Exit(1)
-				}
-				w, err := acr.CreateJournal(dir, c, opts)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "acrbench:", err)
-					os.Exit(1)
-				}
-				w.Sync = m.sync
-				opts.Journal = w
-			}
-			start := time.Now()
-			res := acr.Repair(c, opts)
-			wall += time.Since(start)
-			iters += res.Iterations
-			if m.on {
-				records += opts.Journal.Appends()
-				opts.Journal.Close()
-				if st, err := os.Stat(journal.WALPath(dir)); err == nil {
-					bytes += st.Size()
-				}
-				os.RemoveAll(dir)
-			}
-		}
-		if !m.on {
-			baseline = wall
-		}
-		rate := 0.0
-		if wall > 0 {
-			rate = float64(iters) / wall.Seconds()
-		}
-		fmt.Printf("%-16s %10s %10d %12.1f %10d %12d", m.name, wall.Round(time.Millisecond), iters, rate, records, bytes)
-		if m.on && baseline > 0 {
-			fmt.Printf("  (%+.1f%% vs off)", 100*(wall.Seconds()-baseline.Seconds())/baseline.Seconds())
-		}
-		fmt.Println()
-	}
-}
-
 // hypothesis measures the §6 plastic surgery hypothesis: intra-role vs
 // inter-role configuration similarity, and the role-consensus lines a
 // deviant device lacks.
@@ -439,68 +364,5 @@ func hypothesis(int, int64) {
 	for _, m := range acr.MissingRoleShapes(c, "leaf1-0", 0.75) {
 		fmt.Printf("  %-40s e.g. %q (from %s, %.0f%% of peers)\n",
 			m.Normalized, m.Example, m.FromDevice, 100*m.PeerShare)
-	}
-}
-
-// serveExp measures the repair daemon's throughput: a corpus slice
-// submitted to an in-process service.Server at several worker-pool sizes,
-// reported as jobs/sec. Jobs go through the full service path — admission,
-// persistence, journal, engine — so the numbers include the daemon's
-// durability tax, not just raw engine time.
-func serveExp(size int, seed int64) {
-	incs := corpus(min(size, 12), seed)
-	fmt.Printf("%-8s %6s %10s %10s %12s\n", "workers", "jobs", "wall", "jobs/s", "speedup")
-	var baseline time.Duration
-	for _, workers := range []int{1, 4, 8} {
-		dir, err := os.MkdirTemp("", "acrbench-serve")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "acrbench:", err)
-			os.Exit(1)
-		}
-		srv, err := service.New(service.Config{
-			StateDir: dir, Workers: workers, QueueCap: len(incs) + 1,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "acrbench:", err)
-			os.Exit(1)
-		}
-		srv.Start()
-		start := time.Now()
-		ids := make([]string, 0, len(incs))
-		for i, inc := range incs {
-			u := caseio.ToUpload(inc.Scenario)
-			job, err := srv.Submit(service.JobRequest{Case: &u, Seed: seed + int64(i)})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "acrbench:", err)
-				os.Exit(1)
-			}
-			ids = append(ids, job.ID)
-		}
-		for done := 0; done < len(ids); {
-			done = 0
-			for _, id := range ids {
-				if job, ok := srv.Job(id); ok && job.State.Terminal() {
-					done++
-				}
-			}
-			if done < len(ids) {
-				time.Sleep(5 * time.Millisecond)
-			}
-		}
-		wall := time.Since(start)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		srv.Shutdown(ctx)
-		cancel()
-		os.RemoveAll(dir)
-		if workers == 1 {
-			baseline = wall
-		}
-		speedup := 1.0
-		if wall > 0 && baseline > 0 {
-			speedup = baseline.Seconds() / wall.Seconds()
-		}
-		fmt.Printf("%-8d %6d %10s %10.2f %11.2fx\n",
-			workers, len(incs), wall.Round(time.Millisecond),
-			float64(len(incs))/wall.Seconds(), speedup)
 	}
 }

@@ -127,7 +127,7 @@ func AEDContext(ctx context.Context, p core.Problem, opts AEDOptions) *AEDResult
 			return false
 		}
 		res.Explored++
-		rep, err := iv.FullCheckCtx(ctx, up.Edits)
+		rep, _, err := iv.FullCheckCtx(ctx, up.Edits)
 		if err != nil {
 			return false
 		}

@@ -23,8 +23,9 @@ import "net/netip"
 // route content, which the dirty-device re-derivation and forced pushes
 // rewrite. The one caveat is multi-stability: a network with several
 // fixpoints could converge to a different one when started warm. The
-// -delta-differential mode, FuzzDeltaSim, and the corpus byte-identity
-// gate exist to catch that class; every divergence found is a bug.
+// -differential mode, FuzzDeltaSim, and the corpus byte-identity gate
+// against full validation exist to catch that class; every divergence
+// found is a bug.
 
 // DeltaSimulate is Simulate for a net n that differs from base's only in
 // the configuration of the dirty routers and establishes the same sessions

@@ -83,40 +83,15 @@ type Options struct {
 	// count differently, so a journaled session must resume under the
 	// same setting.
 	NoCache bool
-	// NoImpact disables the static impact analysis in the incremental
-	// verifier (ablation): candidates are scoped by the original
-	// line/literal dependency heuristic and nothing is statically
-	// refuted. The search trajectory — fitness per candidate, hence the
-	// Canonical() result — is identical either way; only the work
-	// counters differ, so the setting is part of SearchDigest for the
-	// same reason NoCache is.
-	NoImpact bool
-	// ImpactDifferential replays every pruned validation against a
-	// from-scratch full check and fails the run with termination
-	// "impact-divergence" if any intent verdict differs — the soundness
-	// enforcement mode the corpus CI job runs under. Purely observational
-	// on a sound analysis, so it is excluded from SearchDigest.
-	ImpactDifferential bool
-	// NoDelta disables delta re-simulation in the incremental verifier
-	// (ablation): every needed prefix simulation runs from a cold start
-	// instead of propagating from the edited devices over the base
-	// outcome. The search trajectory — and Canonical() — is identical
-	// either way; only the work counters differ, so the setting is part
-	// of SearchDigest for the same reason NoImpact is.
-	NoDelta bool
-	// DeltaDifferential replays every delta-simulated prefix against a
-	// cold full simulation and fails the run with termination
-	// "delta-divergence" if the fixpoints differ — the soundness
-	// enforcement mode the delta-soundness CI job runs under. Purely
-	// observational on a sound delta, so excluded from SearchDigest.
-	DeltaDifferential bool
-	// NoBatch disables the sibling-batch parse memo: each candidate in a
-	// dispatch group re-parses its post-edit configurations instead of
-	// sharing parses with siblings that produced identical text. Purely a
-	// cache of a deterministic function — verdicts, trajectory, and every
-	// counter are identical — so it is excluded from SearchDigest (like
-	// Parallelism: scheduling detail, not search input).
-	NoBatch bool
+	// Differential audits every incremental validation against the cold
+	// path (verify.Incremental.Differential): each delta-simulated prefix
+	// is replayed against a cold simulation and each report against a
+	// from-scratch full check. A disagreement ends the run with
+	// termination "delta-divergence" or "impact-divergence" — the
+	// soundness enforcement mode the soundness CI job runs under. Purely
+	// observational on a sound verifier, so it is excluded from
+	// SearchDigest.
+	Differential bool
 	// Store, when non-nil, is the persistent content-addressed evaluation
 	// store layered under the in-memory cache (internal/evalstore): digests
 	// the cache misses are looked up there before simulating, and freshly
@@ -300,7 +275,7 @@ type Result struct {
 	// --- static impact analysis -----------------------------------------
 	//
 	// Work counters of the candidate impact analysis (all 0 with
-	// Options.NoImpact or FullValidation). Like PrefixSimulations they
+	// Options.FullValidation). Like PrefixSimulations they
 	// measure effort, not trajectory, and are excluded from Canonical().
 
 	// StaticallyRefuted counts candidates whose impact set was disjoint
@@ -323,9 +298,9 @@ type Result struct {
 	// --- delta re-simulation --------------------------------------------
 	//
 	// Work counters of the delta BGP simulator (all 0 with
-	// Options.NoDelta or FullValidation). Like the impact counters they
-	// measure effort, not trajectory, and are excluded from Canonical():
-	// a delta run and a -no-delta run decide identically.
+	// Options.FullValidation). Like the impact counters they measure
+	// effort, not trajectory, and are excluded from Canonical(): a delta
+	// run and a FullValidation run decide identically.
 
 	// DeltaReused counts prefix evaluations answered by delta
 	// re-simulation: seeded from the parent outcome, only the edit's wave
@@ -1033,22 +1008,12 @@ func checkOnce(ctx context.Context, st *valStats, iv *verify.Incremental, pr *pr
 			rep, err = nil, errQuarantined
 		}
 	}()
+	var stats verify.Stats
 	if opts.FullValidation {
-		rep, err = iv.FullCheckCtx(cctx, pr.update.Edits)
-		if rep != nil {
-			st.intentChecks += len(rep.Verdicts)
-			st.prefixSims += len(iv.BaseNet().AllPrefixes())
-		}
+		rep, stats, err = iv.FullCheckCtx(cctx, pr.update.Edits)
 	} else {
-		var stats verify.Stats
 		rep, stats, err = iv.CheckCtx(cctx, pr.update.Edits)
-		st.prefixSims += stats.PrefixesSimulated
-		st.intentChecks += stats.IntentsReverified
-		st.derived += stats.PrefixesDerived
-		st.deltaReused += stats.PrefixesDelta
-		st.deltaResim += stats.DeltaFallbacks
-		st.activations += stats.Activations
-		if err == nil && !opts.NoImpact {
+		if err == nil {
 			switch {
 			case stats.Refuted:
 				st.refuted++
@@ -1059,6 +1024,12 @@ func checkOnce(ctx context.Context, st *valStats, iv *verify.Incremental, pr *pr
 			}
 		}
 	}
+	st.prefixSims += stats.PrefixesSimulated
+	st.intentChecks += stats.IntentsReverified
+	st.derived += stats.PrefixesDerived
+	st.deltaReused += stats.PrefixesDelta
+	st.deltaResim += stats.DeltaFallbacks
+	st.activations += stats.Activations
 	if err != nil && cctx.Err() != nil && ctx.Err() == nil {
 		// The candidate's own timeout tripped, not the run's: quarantine
 		// just this candidate.
@@ -1219,10 +1190,7 @@ func preserve(res *Result, descs []string, opts Options, build func() (*candidat
 func scratchVersion(p Problem, configs map[string]*netcfg.Config, descs []string, opts Options) func() (*candidate, error) {
 	return func() (*candidate, error) {
 		iv := verify.NewIncremental(p.Topo, configs, p.Intents, opts.SimOpts)
-		iv.NoImpact = opts.NoImpact
-		iv.Differential = opts.ImpactDifferential
-		iv.NoDelta = opts.NoDelta
-		iv.DeltaDifferential = opts.DeltaDifferential
+		iv.Differential = opts.Differential
 		return newCandidate(p, iv, descs, opts), nil
 	}
 }

@@ -8,35 +8,10 @@ import (
 	"acr/internal/scenario"
 )
 
-// TestDeltaAblationIdenticalFigure2 pins the tentpole contract at engine
-// scope: a delta+batch run and a run with both disabled decide
-// byte-identically (same Canonical()), while the delta run does strictly
-// less device·prefix work.
-func TestDeltaAblationIdenticalFigure2(t *testing.T) {
-	p := problemOf(scenario.Figure2())
-	withDelta := core.Repair(p, core.Options{Strategy: core.BruteForce})
-	without := core.Repair(p, core.Options{Strategy: core.BruteForce, NoDelta: true, NoBatch: true})
-	if withDelta.Canonical() != without.Canonical() {
-		t.Fatalf("Canonical() differs between delta and -no-delta runs:\n--- delta:\n%s\n--- no-delta:\n%s",
-			withDelta.Canonical(), without.Canonical())
-	}
-	if withDelta.DeltaReused == 0 {
-		t.Error("delta run never reused a base outcome; the ablation is vacuous")
-	}
-	if without.DeltaReused != 0 || without.DeltaResimulated != 0 {
-		t.Errorf("-no-delta run reports delta counters: reused=%d resimulated=%d",
-			without.DeltaReused, without.DeltaResimulated)
-	}
-	if withDelta.SimActivations >= without.SimActivations {
-		t.Errorf("delta did not reduce activations: %d with vs %d without",
-			withDelta.SimActivations, without.SimActivations)
-	}
-}
-
 // TestDeltaCountersExcludedFromCanonical pins the exclusion contract:
 // DeltaReused/DeltaResimulated/SimActivations are work counters, so
-// mutating them must not move a byte of Canonical() — otherwise the
-// delta-vs-no-delta byte-identity ablation could never hold.
+// mutating them must not move a byte of Canonical() — otherwise a delta
+// run could never match its FullValidation reference byte for byte.
 func TestDeltaCountersExcludedFromCanonical(t *testing.T) {
 	p := problemOf(scenario.Figure2())
 	res := core.Repair(p, core.Options{Strategy: core.BruteForce})
@@ -53,36 +28,44 @@ func TestDeltaCountersExcludedFromCanonical(t *testing.T) {
 	}
 }
 
-// TestDeltaDigestSeparatesSessions pins the resume-compatibility rule:
-// NoDelta moves the checkpointed work counters, so it is part of
-// SearchDigest (like NoImpact); NoBatch and DeltaDifferential move
-// nothing and are excluded.
-func TestDeltaDigestSeparatesSessions(t *testing.T) {
-	base := core.Options{}.SearchDigest()
-	if d := (core.Options{NoDelta: true}).SearchDigest(); d == base {
-		t.Error("NoDelta does not change SearchDigest; delta and -no-delta sessions would mix")
-	}
-	if d := (core.Options{NoBatch: true}).SearchDigest(); d != base {
-		t.Error("NoBatch changes SearchDigest; the parse memo is a pure cache and must not split sessions")
-	}
-	if d := (core.Options{DeltaDifferential: true}).SearchDigest(); d != base {
-		t.Error("DeltaDifferential changes SearchDigest; observational replay must not split sessions")
+// TestSearchDigestGolden pins SearchDigest to the values written before
+// the impact and delta ablation switches were removed (they hash as their
+// constant false), so journals, service state directories and fleet
+// dedup keys written then still resume and dedup. Differential moves
+// nothing and is excluded.
+func TestSearchDigestGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts core.Options
+		want string
+	}{
+		{"defaults", core.Options{}, "4e11203c04540eb565dd9dee844c30eb4e67665fcd2013f88aaa37339961dc10"},
+		{"seed 1, no cache", core.Options{Seed: 1, NoCache: true}, "c335d0a3830e35a9253b809086c0adab0f759f2209ab436935fedb75813690b3"},
+		{"full validation", core.Options{FullValidation: true}, "42dfd7271eae0da1634a89e7bd543001d1ecb99276c45d1d0842668db937eef2"},
+	} {
+		if got := c.opts.SearchDigest(); got != c.want {
+			t.Errorf("%s: SearchDigest() = %s, want %s", c.name, got, c.want)
+		}
+		c.opts.Differential = true
+		if got := c.opts.SearchDigest(); got != c.want {
+			t.Errorf("%s: Differential moves SearchDigest to %s; observational replay must not split sessions", c.name, got)
+		}
 	}
 }
 
-// TestDeltaDifferentialFigure2 runs the engine with the per-prefix
-// differential on: every delta-simulated prefix is replayed against a
-// cold simulation inside the check, and any divergence terminates the
-// run. A clean pass on the worked incident is the smoke version of the
-// corpus-wide delta-soundness CI job.
-func TestDeltaDifferentialFigure2(t *testing.T) {
+// TestDifferentialFigure2 runs the engine with Differential on:
+// every delta-simulated prefix is replayed against a cold simulation and
+// every report against a full check inside the validation, and any
+// divergence terminates the run. A clean pass on the worked incident is
+// the smoke version of the corpus-wide soundness CI job.
+func TestDifferentialFigure2(t *testing.T) {
 	p := problemOf(scenario.Figure2())
-	res := core.Repair(p, core.Options{Strategy: core.BruteForce, DeltaDifferential: true})
-	if res.Termination == "delta-divergence" {
-		t.Fatalf("delta simulation diverged from full simulation:\n%s", res.Summary())
+	res := core.Repair(p, core.Options{Strategy: core.BruteForce, Differential: true})
+	if res.Termination == "delta-divergence" || res.Termination == "impact-divergence" {
+		t.Fatalf("incremental validation diverged from the cold path:\n%s", res.Summary())
 	}
 	want := core.Repair(p, core.Options{Strategy: core.BruteForce})
 	if res.Canonical() != want.Canonical() {
-		t.Error("DeltaDifferential changed the result; replay must be observational")
+		t.Error("Differential changed the result; replay must be observational")
 	}
 }

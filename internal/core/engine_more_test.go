@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"strings"
 	"testing"
 
 	"acr/internal/core"
@@ -83,20 +82,28 @@ func TestRepairSmallCapsStillFeasible(t *testing.T) {
 	checkRepaired(t, p, res)
 }
 
+// TestRepairFullValidationEquivalent holds the incremental run to its
+// from-scratch reference: byte-identical Canonical() output, while the
+// incremental run delta-simulates and does strictly less work.
 func TestRepairFullValidationEquivalent(t *testing.T) {
 	s := scenario.Figure2()
 	p := problemOf(s)
 	inc := core.Repair(p, core.Options{Strategy: core.BruteForce})
 	full := core.Repair(p, core.Options{Strategy: core.BruteForce, FullValidation: true})
-	if inc.Feasible != full.Feasible {
-		t.Fatalf("feasibility differs: incremental=%v full=%v", inc.Feasible, full.Feasible)
+	if inc.Canonical() != full.Canonical() {
+		t.Fatalf("Canonical() differs between incremental and full validation:\n--- incremental:\n%s\n--- full:\n%s",
+			inc.Canonical(), full.Canonical())
 	}
-	if strings.Join(inc.Applied, "|") != strings.Join(full.Applied, "|") {
-		t.Errorf("applied differ:\n%v\n%v", inc.Applied, full.Applied)
+	if inc.DeltaReused == 0 {
+		t.Error("incremental run never answered a prefix by delta re-simulation")
 	}
 	if full.IntentChecks < inc.IntentChecks {
 		t.Errorf("full validation did fewer intent checks (%d) than incremental (%d)",
 			full.IntentChecks, inc.IntentChecks)
+	}
+	if inc.SimActivations >= full.SimActivations {
+		t.Errorf("incremental validation did not reduce activations: %d vs %d under full validation",
+			inc.SimActivations, full.SimActivations)
 	}
 }
 

@@ -37,7 +37,7 @@ const (
 	// full simulation. Terminal: the run stops so the analysis defect is
 	// fixed instead of silently corrupting the search.
 	KindImpactDivergence ErrorKind = "impact-divergence"
-	// KindDeltaDivergence: delta-differential mode caught the delta BGP
+	// KindDeltaDivergence: differential mode caught the delta BGP
 	// simulator reaching a different fixpoint than a cold full simulation
 	// for some prefix. Terminal for the same reason as impact divergences:
 	// every verdict downstream of the bad outcome is suspect.

@@ -220,7 +220,7 @@ func newBatchValidator(ctx context.Context, props []proposal, opts Options, cach
 			bv.wg.Add(1)
 			go bv.worker()
 		}
-	} else if !opts.NoBatch {
+	} else {
 		// Lazy mode validates on the parents' own verifiers from the merge
 		// loop — still one goroutine, so the parse memo is safe to install
 		// there for the duration of the batch.
@@ -262,9 +262,7 @@ func (bv *batchValidator) worker() {
 			iv = parent.iv.Clone()
 			clones[parent] = iv
 		}
-		if !bv.opts.NoBatch {
-			iv.BeginBatch()
-		}
+		iv.BeginBatch()
 		for _, i := range group {
 			bv.validateOne(bv.bctx, i, iv)
 			close(bv.outs[i].done)

@@ -107,16 +107,14 @@ func (r *Result) Canonical() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "feasible=%v termination=%s iterations=%d baseFailing=%d\n",
 		r.Feasible, r.Termination, r.Iterations, r.BaseFailing)
-	// PrefixSimulations/IntentChecks (and the impact-analysis counters)
-	// are deliberately absent: they measure how much work validation did,
-	// not what it decided. The impact-scoped and -no-impact paths agree on
-	// every fitness — and therefore on everything in this string — while
-	// doing very different amounts of simulation; the `-no-impact`
-	// byte-identity ablation is how tests enforce that agreement. The
+	// PrefixSimulations/IntentChecks, the impact-analysis counters and the
 	// delta counters (DeltaReused/DeltaResimulated/SimActivations) are
-	// absent for the same reason: a delta run and a `-no-delta` run reach
-	// every fixpoint and verdict identically, differing only in how many
-	// router activations it took to get there.
+	// deliberately absent: they measure how much work validation did, not
+	// what it decided. The incremental path and FullValidation — which
+	// re-parses, recompiles, cold-simulates every prefix and re-verifies
+	// every intent — agree on every fitness, and therefore on everything
+	// in this string, while doing very different amounts of simulation;
+	// TestIncrementalMatchesFullValidation is how tests enforce that.
 	fmt.Fprintf(&sb, "validated=%d\n", r.CandidatesValidated)
 	fmt.Fprintf(&sb, "static: diags=%d seeded=%d pruned=%d\n",
 		r.StaticDiagnostics, r.PriorSeededLines, r.TemplatesPrunedStatic)

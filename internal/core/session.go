@@ -58,21 +58,18 @@ func (o Options) SearchDigest() string {
 	// byte-identical, so resuming under a different worker count is
 	// legitimate. NoCache is present: it changes the hit/miss counters in
 	// Canonical, so cached and uncached sessions must not mix.
-	// NoImpact is present for the same reason: the impact and
-	// legacy-dependency paths agree on every fitness (enforced by the
-	// differential mode) but not on the work counters. NoDelta follows the
-	// NoImpact precedent: the delta and cold simulation paths agree on
-	// every outcome, but the checkpointed work counters differ, so delta
-	// and -no-delta sessions must not mix. NoBatch and the differential
-	// modes are absent: the parse memo is a pure cache and differential
-	// replay is purely observational — neither moves any counter.
-	// Store is deliberately absent, like Parallelism: the persistent
-	// evaluation store only substitutes disk reads for simulations without
-	// touching anything in Canonical, so a session may resume on a machine
-	// with a different -cache-dir, budget, or no store at all.
-	fmt.Fprintf(h, "formula=%s iters=%d minsusp=%g topk=%d popcap=%d candcap=%d sample=%d strategy=%d seed=%d full=%v noprior=%v nocache=%v noimpact=%v nodelta=%v\n",
+	// Differential is absent: replay is purely observational and moves no
+	// counter. Store is deliberately absent, like Parallelism: the
+	// persistent evaluation store only substitutes disk reads for
+	// simulations without touching anything in Canonical, so a session may
+	// resume on a machine with a different -cache-dir, budget, or no store
+	// at all. "noimpact=false nodelta=false" is constant text: it keeps the
+	// digest of every option vector equal to the one written when those two
+	// ablation switches existed, so older journals, service state
+	// directories and fleet dedup keys still resume and dedup.
+	fmt.Fprintf(h, "formula=%s iters=%d minsusp=%g topk=%d popcap=%d candcap=%d sample=%d strategy=%d seed=%d full=%v noprior=%v nocache=%v noimpact=false nodelta=false\n",
 		o.Formula.Name, o.MaxIterations, o.MinSusp, o.TopKLines, o.PopulationCap,
-		o.CandidateCap, o.SampleSize, o.Strategy, o.Seed, o.FullValidation, o.NoStaticPrior, o.NoCache, o.NoImpact, o.NoDelta)
+		o.CandidateCap, o.SampleSize, o.Strategy, o.Seed, o.FullValidation, o.NoStaticPrior, o.NoCache)
 	for _, t := range o.Templates {
 		// Registry-resolved templates fold their full descriptor digest —
 		// name, description, error class, use-case, version, provenance —

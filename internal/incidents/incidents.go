@@ -286,13 +286,13 @@ type RunResult struct {
 	PrefixSimulations int
 	IntentChecks      int
 	// StaticallyRefuted / ImpactScoped / ImpactBroad expose the static
-	// impact analysis's pruning decisions (all zero under -no-impact).
+	// impact analysis's pruning decisions (all zero under FullValidation).
 	StaticallyRefuted int
 	ImpactScoped      int
 	ImpactBroad       int
 	// DeltaReused / DeltaResimulated / SimActivations expose the delta
 	// re-simulation's work counters (reused/resimulated zero under
-	// -no-delta).
+	// FullValidation).
 	DeltaReused      int
 	DeltaResimulated int
 	SimActivations   int

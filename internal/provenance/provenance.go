@@ -204,12 +204,6 @@ func (s *Section) Lines() []netcfg.LineRef {
 type Graph struct {
 	sections map[netip.Prefix]*Section
 	nodes    int
-
-	invertOnce sync.Once
-	// byLine inverts the sections' line indexes: the prefixes whose
-	// provenance executed a line. Only the verifier's line-dependency
-	// heuristic reads it, so it is built on that first read.
-	byLine map[netcfg.LineRef][]netip.Prefix
 }
 
 // NewGraph returns the graph made of the given sections, at most one per
@@ -281,20 +275,4 @@ func (g *Graph) LinesAtDevice(p netip.Prefix, device string) []netcfg.LineRef {
 		hi++
 	}
 	return lines[lo:hi:hi]
-}
-
-// PrefixesForLine returns the prefixes whose provenance executed line l,
-// sorted. It reads an inverse of the line indexes built on first use;
-// callers must not modify the slice.
-func (g *Graph) PrefixesForLine(l netcfg.LineRef) []netip.Prefix {
-	g.invertOnce.Do(func() {
-		byLine := map[netcfg.LineRef][]netip.Prefix{}
-		for _, p := range g.Prefixes() {
-			for _, covered := range g.LinesForPrefix(p) {
-				byLine[covered] = append(byLine[covered], p)
-			}
-		}
-		g.byLine = byLine
-	})
-	return g.byLine[l]
 }

@@ -110,21 +110,6 @@ func TestLinesAtDeviceIsTheDeviceRun(t *testing.T) {
 	}
 }
 
-func TestPrefixesForLine(t *testing.T) {
-	s1, s2, _ := buildSample()
-	s2.Add(Node{Kind: Import, Router: "X", Lines: []netcfg.LineRef{lr("A", 2)}})
-	g := NewGraph(s1, s2)
-	if got := g.PrefixesForLine(lr("A", 2)); len(got) != 2 || got[0] != p1 || got[1] != p2 {
-		t.Errorf("PrefixesForLine(A:2) = %v, want [%v %v]", got, p1, p2)
-	}
-	if got := g.PrefixesForLine(lr("X", 1)); len(got) != 1 || got[0] != p2 {
-		t.Errorf("PrefixesForLine(X:1) = %v, want [%v]", got, p2)
-	}
-	if got := g.PrefixesForLine(lr("A", 99)); got != nil {
-		t.Errorf("PrefixesForLine of an unexecuted line = %v, want none", got)
-	}
-}
-
 // TestAddAfterLineQueryPanics pins the sealing choice: the first line query
 // builds the index every reader shares, so a later Add — which that index
 // would silently miss — is a bug and panics rather than invalidating. A

@@ -91,9 +91,8 @@ func TestCloneCommitIndependence(t *testing.T) {
 
 // TestCloneSharedLineIndexRace has clones of one verifier reach the base
 // provenance graph's line indexes for the first time concurrently: readers
-// query them directly while checkers run the impact path and the
-// line-dependency (NoImpact) path, whose anchor lookup builds the inverse
-// index on first use. Nothing touches the graph before the goroutines
+// query them directly while checkers run the incremental check and the
+// from-scratch FullCheck. Nothing touches the graph before the goroutines
 // start, so under -race this covers the build itself, and every result
 // must equal the one a second, serially used verifier gives.
 func TestCloneSharedLineIndexRace(t *testing.T) {
@@ -110,8 +109,7 @@ func TestCloneSharedLineIndexRace(t *testing.T) {
 			wantLines[site{p, d}] = len(serial.BaseProvenance().LinesAtDevice(p, d))
 		}
 	}
-	serial.NoImpact = true
-	wantDep, _, err := serial.Check(edits)
+	want, _, err := serial.Check(edits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +123,6 @@ func TestCloneSharedLineIndexRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			cl := iv.Clone()
-			cl.NoImpact = w%3 == 1
 			<-start
 			if w%3 == 0 {
 				g := cl.BaseProvenance()
@@ -138,11 +135,17 @@ func TestCloneSharedLineIndexRace(t *testing.T) {
 				}
 				return
 			}
-			rep, _, err := cl.Check(edits)
+			var rep *verify.Report
+			var err error
+			if w%3 == 1 {
+				rep, err = cl.FullCheck(edits)
+			} else {
+				rep, _, err = cl.Check(edits)
+			}
 			if err != nil {
 				t.Errorf("checker %d: %v", w, err)
-			} else if !reportsEqual(rep, wantDep) {
-				t.Errorf("checker %d (NoImpact=%v) disagrees with the serial check", w, cl.NoImpact)
+			} else if !reportsEqual(rep, want) {
+				t.Errorf("checker %d (full=%v) disagrees with the serial check", w, w%3 == 1)
 			}
 		}(w)
 	}

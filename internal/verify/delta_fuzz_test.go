@@ -1,39 +1,14 @@
 package verify_test
 
-import (
-	"sort"
-	"strings"
-	"sync"
-	"testing"
-
-	"acr/internal/bgp"
-	"acr/internal/netcfg"
-	"acr/internal/scenario"
-	"acr/internal/verify"
-)
-
-// deltaFuzzBases mirrors fuzzBases with DeltaDifferential on instead of
-// Differential: every prefix the delta simulator answers is replayed
-// against a cold full simulation inside the check itself.
-var deltaFuzzBases = sync.OnceValue(func() []*verify.Incremental {
-	mk := func(s *scenario.Scenario) *verify.Incremental {
-		iv := verify.NewIncremental(s.Topo, s.Configs, s.Intents, bgp.Options{})
-		iv.DeltaDifferential = true
-		return iv
-	}
-	return []*verify.Incremental{
-		mk(scenario.Figure2()),
-		mk(scenario.WAN(4, 3, 2, scenario.GenOptions{})),
-	}
-})
+import "testing"
 
 // FuzzDeltaSim throws arbitrary single-line edits at the delta simulator
-// with the per-prefix differential on: any fixpoint the warm-started
-// propagation reaches that a cold simulation would not surfaces as a
-// DeltaDivergenceError. Independently, the check's verdicts are compared
-// against a from-scratch FullCheck, so a wrong structural reuse (a stale
-// base outcome answering for a changed prefix) is caught even if each
-// delta-simulated prefix individually agreed.
+// with Differential on: any fixpoint the warm-started propagation reaches
+// that a cold simulation would not surfaces as a DeltaDivergenceError.
+// Independently, the check's verdicts are compared against a from-scratch
+// FullCheck, so a wrong structural reuse (a stale base outcome answering
+// for a changed prefix) is caught even if each delta-simulated prefix
+// individually agreed.
 func FuzzDeltaSim(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint16(3), " deny 10.0.0.0/16")
 	f.Add(uint8(0), uint8(1), uint16(5), "")
@@ -41,51 +16,5 @@ func FuzzDeltaSim(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint16(1), " apply as-path 65000")
 	f.Add(uint8(0), uint8(2), uint16(7), " apply local-preference 300")
 	f.Add(uint8(1), uint8(1), uint16(4), " router-id 9.9.9.9")
-	f.Fuzz(func(t *testing.T, base, op uint8, line uint16, text string) {
-		if strings.ContainsRune(text, '\n') {
-			return
-		}
-		ivs := deltaFuzzBases()
-		iv := ivs[int(base)%len(ivs)]
-		devices := make([]string, 0, len(iv.BaseConfigs()))
-		for d := range iv.BaseConfigs() { //acrvet:ordered — sorted below
-			devices = append(devices, d)
-		}
-		sort.Strings(devices)
-		dev := devices[int(op>>2)%len(devices)]
-		cfg := iv.BaseConfigs()[dev]
-		n := cfg.NumLines()
-		if n == 0 {
-			return
-		}
-		at := 1 + int(line)%n
-		var edit netcfg.Edit
-		switch op % 3 {
-		case 0:
-			edit = netcfg.ReplaceLine{At: at, Text: text}
-		case 1:
-			edit = netcfg.DeleteLine{At: at}
-		default:
-			edit = netcfg.InsertBefore{At: at, Text: text}
-		}
-		edits := []netcfg.EditSet{{Device: dev, Edits: []netcfg.Edit{edit}}}
-
-		rep, _, err := iv.Check(edits)
-		if err != nil {
-			if _, ok := err.(*verify.DeltaDivergenceError); ok {
-				t.Fatalf("delta simulation diverged from full simulation: %v", err)
-			}
-			// Parse/apply failure: the candidate is discarded, nothing to
-			// cross-check.
-			return
-		}
-		full, err := iv.FullCheck(edits)
-		if err != nil {
-			t.Fatalf("Check accepted edits FullCheck rejects: %v", err)
-		}
-		if !reportsEqual(rep, full) {
-			t.Fatalf("delta-backed and full verdicts disagree for %v:\ndelta:\n%s\nfull:\n%s",
-				edits, rep.Summary(), full.Summary())
-		}
-	})
+	f.Fuzz(checkDifferential)
 }

@@ -14,7 +14,7 @@ import (
 // DeltaDivergenceError reports that a delta re-simulation and a cold full
 // simulation reached different fixpoints for a prefix — the delta
 // propagation was unsound for this edit (or exposed multi-stability).
-// Returned by CheckCtx in DeltaDifferential mode with a minimized
+// Returned by CheckCtx in Differential mode with a minimized
 // reproduction attached; terminal like *DivergenceError: the run must
 // fail so the defect is fixed rather than silently mis-searched.
 type DeltaDivergenceError struct {
@@ -69,31 +69,10 @@ func deltaOutcomesDiverge(delta, full *bgp.PrefixOutcome, order []string) (devic
 	return "", "", ""
 }
 
-// minimizeDeltaDivergence greedily shrinks a delta-diverging edit
-// sequence exactly as minimizeDivergence does for impact divergences:
-// each single-line edit is dropped in turn and kept out whenever the
-// remainder still reproduces a *DeltaDivergenceError. Trial errors of any
-// other kind (unapplicable subset, cancellation) count as "does not
-// diverge", so only re-confirmed subsets survive.
-func (iv *Incremental) minimizeDeltaDivergence(ctx context.Context, edits []netcfg.EditSet) []netcfg.EditSet {
-	diverges := func(es []netcfg.EditSet) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		_, _, err := iv.checkPrunedCtx(ctx, es)
-		var dde *DeltaDivergenceError
-		return errors.As(err, &dde)
-	}
-	cur := flattenEdits(edits)
-	for i := 0; i < len(cur); {
-		trial := make([]netcfg.EditSet, 0, len(cur)-1)
-		trial = append(trial, cur[:i]...)
-		trial = append(trial, cur[i+1:]...)
-		if len(trial) > 0 && diverges(trial) {
-			cur = trial
-		} else {
-			i++
-		}
-	}
-	return cur
+// deltaDiverges reports whether the scoped check, replaying every
+// delta-simulated prefix cold, hits a *DeltaDivergenceError on edits.
+func (iv *Incremental) deltaDiverges(ctx context.Context, edits []netcfg.EditSet) bool {
+	_, _, err := iv.checkImpactCtx(ctx, edits)
+	var dde *DeltaDivergenceError
+	return errors.As(err, &dde)
 }

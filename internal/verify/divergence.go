@@ -8,9 +8,9 @@ import (
 	"acr/internal/netcfg"
 )
 
-// DivergenceError reports that a pruned (impact-scoped or dependency-
-// scoped) check and a from-scratch full check disagreed on a verdict —
-// the impact analysis was unsound for this edit. It is returned by
+// DivergenceError reports that the impact-scoped check and a
+// from-scratch full check disagreed on a verdict — the impact analysis
+// was unsound for this edit. It is returned by
 // CheckCtx in Differential mode, carries a minimized reproduction, and is
 // terminal: retrying cannot help, the run must fail so the defect is
 // fixed rather than silently mis-searched.
@@ -71,37 +71,34 @@ func reportsDiverge(pruned, full *Report) *DivergenceError {
 // single-line edit is dropped in turn and kept out whenever the remainder
 // still diverges. The result is a 1-minimal reproduction (removing any
 // one remaining edit makes the divergence disappear or the edits
-// inapplicable). Errors during a trial (unapplicable subset, cancellation)
-// count as "does not diverge", so minimization only ever returns subsets
-// it re-confirmed; if nothing shrinks, the original flattened sequence is
-// returned as-is.
-func (iv *Incremental) minimizeDivergence(ctx context.Context, edits []netcfg.EditSet) []netcfg.EditSet {
-	diverges := func(es []netcfg.EditSet) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		rep, _, err := iv.checkPrunedCtx(ctx, es)
-		if err != nil {
-			return false
-		}
-		full, err := iv.FullCheckCtx(ctx, es)
-		if err != nil {
-			return false
-		}
-		return reportsDiverge(rep, full) != nil
-	}
+// inapplicable). A cancelled context ends the shrinking, and errors during
+// a trial (unapplicable subset, cancellation) count as "does not diverge",
+// so minimization only ever returns subsets it re-confirmed; if nothing
+// shrinks, the original flattened sequence is returned as-is.
+func (iv *Incremental) minimizeDivergence(ctx context.Context, edits []netcfg.EditSet, diverges func(context.Context, []netcfg.EditSet) bool) []netcfg.EditSet {
 	cur := flattenEdits(edits)
 	for i := 0; i < len(cur); {
 		trial := make([]netcfg.EditSet, 0, len(cur)-1)
 		trial = append(trial, cur[:i]...)
 		trial = append(trial, cur[i+1:]...)
-		if len(trial) > 0 && diverges(trial) {
+		if len(trial) > 0 && ctx.Err() == nil && diverges(ctx, trial) {
 			cur = trial
 		} else {
 			i++
 		}
 	}
 	return cur
+}
+
+// reportDiverges reports whether the scoped check and a from-scratch full
+// check disagree on some intent verdict for edits.
+func (iv *Incremental) reportDiverges(ctx context.Context, edits []netcfg.EditSet) bool {
+	rep, _, err := iv.checkImpactCtx(ctx, edits)
+	if err != nil {
+		return false
+	}
+	full, _, err := iv.FullCheckCtx(ctx, edits)
+	return err == nil && reportsDiverge(rep, full) != nil
 }
 
 // flattenEdits splits every edit set into single-edit sets so the

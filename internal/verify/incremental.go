@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"strings"
 
 	"acr/internal/analysis"
 	"acr/internal/bgp"
@@ -38,8 +37,8 @@ type Stats struct {
 	Activations       int
 	IntentsTotal      int
 	IntentsReverified int
-	// Broad marks a change the dependency analysis could not scope (e.g. a
-	// session-level edit), forcing full re-verification.
+	// Broad marks a change the impact analysis could not scope (e.g. a
+	// session set it did not predict), forcing full re-verification.
 	Broad bool
 	// Refuted marks a candidate the static impact analysis proved unable
 	// to influence any intent: the base verdicts were returned with zero
@@ -66,24 +65,14 @@ type Incremental struct {
 	Intents []Intent
 	SimOpts bgp.Options
 
-	// NoImpact disables the static impact analysis and falls back to the
-	// original line/literal dependency heuristic — the ablation baseline
-	// (`acr repair -no-impact`).
-	NoImpact bool
-	// Differential replays every pruned decision against a from-scratch
-	// full check and fails the check with a *DivergenceError when any
-	// intent verdict differs — the soundness enforcement mode.
+	// Differential audits every check against the cold path (`acr repair
+	// -differential`): each delta-simulated prefix is replayed against a
+	// cold simulation of that prefix, failing the check with a
+	// *DeltaDivergenceError when the outcomes differ, and the whole report
+	// is replayed against FullCheckCtx, failing it with a *DivergenceError
+	// when any intent verdict differs. Either error carries a minimized
+	// reproduction.
 	Differential bool
-	// NoDelta disables delta re-simulation on the impact-scoped path and
-	// runs every needed prefix simulation from a cold start — the ablation
-	// baseline (`acr repair -no-delta`).
-	NoDelta bool
-	// DeltaDifferential replays every delta-simulated prefix against a
-	// cold full simulation and fails the check with a
-	// *DeltaDivergenceError (minimized repro attached by CheckCtx) when
-	// the outcomes differ — the soundness enforcement mode for the delta
-	// simulator (`acr repair -delta-differential`).
-	DeltaDifferential bool
 
 	configs map[string]*netcfg.Config
 	files   map[string]*netcfg.File
@@ -261,17 +250,6 @@ func (iv *Incremental) applyEdits(edits []netcfg.EditSet) (map[string]*netcfg.Co
 	return out, nil
 }
 
-// prefixLiterals extracts prefix tokens ("a.b.c.d/len") from a line.
-func prefixLiterals(line string) []netip.Prefix {
-	var out []netip.Prefix
-	for _, tok := range strings.Fields(line) {
-		if p, err := netip.ParsePrefix(tok); err == nil {
-			out = append(out, p.Masked())
-		}
-	}
-	return out
-}
-
 // Check verifies the base with edits applied, incrementally. The returned
 // report covers every intent (cached verdicts are reused for unaffected
 // ones). The base is not modified.
@@ -284,179 +262,34 @@ func (iv *Incremental) Check(edits []netcfg.EditSet) (*Report, Stats, error) {
 // so a deadline interrupts validation mid-candidate. On cancellation it
 // returns the context's error and no report.
 //
-// By default the static impact analysis scopes the work (see
-// checkImpactCtx); NoImpact selects the original line/literal dependency
-// heuristic. With Differential set, the pruned result is replayed against
-// a full check and any verdict mismatch returns a *DivergenceError.
+// The static impact analysis scopes the work and delta re-simulation
+// answers the prefixes it leaves (see checkImpactCtx). With Differential
+// set, both are audited against the cold path: a disagreement returns a
+// *DeltaDivergenceError or a *DivergenceError with a minimized
+// reproduction attached.
 func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*Report, Stats, error) {
-	rep, stats, err := iv.checkPrunedCtx(ctx, edits)
-	if err != nil {
-		// A delta divergence surfaces here from deep inside the per-prefix
-		// loop; attach the minimized reproduction before it propagates.
-		var dde *DeltaDivergenceError
-		if errors.As(err, &dde) && dde.Edits == nil {
-			dde.Edits = iv.minimizeDeltaDivergence(ctx, edits)
-		}
-		return rep, stats, err
-	}
+	rep, stats, err := iv.checkImpactCtx(ctx, edits)
 	if !iv.Differential {
 		return rep, stats, err
 	}
-	full, err := iv.FullCheckCtx(ctx, edits)
+	var dde *DeltaDivergenceError
+	if errors.As(err, &dde) {
+		// A delta divergence surfaces from deep inside the per-prefix loop;
+		// attach the minimized reproduction before it propagates.
+		dde.Edits = iv.minimizeDivergence(ctx, edits, iv.deltaDiverges)
+		return rep, stats, err
+	}
+	if err != nil {
+		return rep, stats, err
+	}
+	full, _, err := iv.FullCheckCtx(ctx, edits)
 	if err != nil {
 		return nil, stats, err
 	}
 	if d := reportsDiverge(rep, full); d != nil {
 		d.Refuted = stats.Refuted
-		d.Edits = iv.minimizeDivergence(ctx, edits)
+		d.Edits = iv.minimizeDivergence(ctx, edits, iv.reportDiverges)
 		return nil, stats, d
-	}
-	return rep, stats, nil
-}
-
-// checkPrunedCtx dispatches to the configured pruning strategy without
-// differential replay (the replay driver calls it directly).
-func (iv *Incremental) checkPrunedCtx(ctx context.Context, edits []netcfg.EditSet) (*Report, Stats, error) {
-	if iv.NoImpact || iv.impact == nil {
-		return iv.checkDependencyCtx(ctx, edits)
-	}
-	return iv.checkImpactCtx(ctx, edits)
-}
-
-// checkDependencyCtx is the pre-impact dependency heuristic: provenance
-// line history plus prefix literals, with any unscopable edit degrading to
-// a full re-simulation. Kept verbatim as the `-no-impact` ablation
-// baseline and as the fallback when no impact analyzer exists.
-func (iv *Incremental) checkDependencyCtx(ctx context.Context, edits []netcfg.EditSet) (*Report, Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
-	}
-	newConfigs, err := iv.applyEdits(edits)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	// --- dependency analysis -------------------------------------------
-	affected := map[netip.Prefix]bool{}
-	broad := false
-	oldPrefixes := iv.net.AllPrefixes()
-	markOverlaps := func(lit netip.Prefix) {
-		for _, p := range oldPrefixes {
-			if p.Overlaps(lit) {
-				affected[p] = true
-			}
-		}
-	}
-	for _, es := range edits {
-		baseCfg := iv.configs[es.Device]
-		for _, e := range es.Edits {
-			var oldText, newText string
-			var anchorRef netcfg.LineRef
-			switch ed := e.(type) {
-			case netcfg.InsertBefore:
-				newText = ed.Text
-			case netcfg.DeleteLine:
-				oldText = baseCfg.Line(ed.At)
-				anchorRef = netcfg.LineRef{Device: es.Device, Line: ed.At}
-			case netcfg.ReplaceLine:
-				oldText = baseCfg.Line(ed.At)
-				newText = ed.Text
-				anchorRef = netcfg.LineRef{Device: es.Device, Line: ed.At}
-			default:
-				broad = true
-				continue
-			}
-			scoped := false
-			if anchorRef.Line > 0 {
-				for _, p := range iv.prov.PrefixesForLine(anchorRef) {
-					affected[p] = true
-					scoped = true
-				}
-			}
-			lits := append(prefixLiterals(oldText), prefixLiterals(newText)...)
-			for _, lit := range lits {
-				markOverlaps(lit)
-				scoped = true
-			}
-			if !scoped {
-				// A line with no prefix literal and no provenance history
-				// (e.g. a new policy attachment or session stanza) can
-				// influence any prefix through that device.
-				broad = true
-			}
-		}
-	}
-
-	// --- recompile and re-simulate --------------------------------------
-	newFiles, _ := iv.parseChanged(newConfigs)
-	newNet := bgp.Compile(iv.Topo, newFiles)
-
-	newAll := newNet.AllPrefixes()
-	newSet := map[netip.Prefix]bool{}
-	for _, p := range newAll {
-		newSet[p] = true
-	}
-	oldSet := map[netip.Prefix]bool{}
-	for _, p := range oldPrefixes {
-		oldSet[p] = true
-		if !newSet[p] {
-			affected[p] = true // origination removed
-		}
-	}
-	for _, p := range newAll {
-		if !oldSet[p] {
-			affected[p] = true // new origination
-		}
-	}
-	// Session changes (up or down) affect everything.
-	if sessionFingerprint(newNet, len(iv.sessions)) != iv.sessions {
-		broad = true
-	}
-
-	stats := Stats{PrefixesTotal: len(newAll), IntentsTotal: len(iv.Intents), Broad: broad}
-	simOpts := iv.SimOpts
-	simOpts.Ctx = ctx
-	newOut := &bgp.Outcome{Net: newNet, ByPrefix: map[netip.Prefix]*bgp.PrefixOutcome{}}
-	for _, p := range newAll {
-		if broad || affected[p] {
-			if err := ctx.Err(); err != nil {
-				return nil, stats, err
-			}
-			po := bgp.SimulatePrefix(newNet, p, simOpts)
-			if po.Canceled {
-				return nil, stats, ctx.Err()
-			}
-			newOut.ByPrefix[p] = po
-			stats.PrefixesSimulated++
-			stats.Activations += po.Activations
-		} else {
-			newOut.ByPrefix[p] = iv.out.ByPrefix[p]
-		}
-	}
-
-	// --- re-verify affected intents --------------------------------------
-	editedLines := map[netcfg.LineRef]bool{}
-	for _, es := range edits {
-		for _, e := range es.Edits {
-			switch ed := e.(type) {
-			case netcfg.DeleteLine:
-				editedLines[netcfg.LineRef{Device: es.Device, Line: ed.At}] = true
-			case netcfg.ReplaceLine:
-				editedLines[netcfg.LineRef{Device: es.Device, Line: ed.At}] = true
-			}
-		}
-	}
-	rep := &Report{Verdicts: make([]Verdict, len(iv.Intents))}
-	for i, in := range iv.Intents {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		base := iv.report.Verdicts[i]
-		if broad || iv.intentAffected(base, in, affected, editedLines) {
-			rep.Verdicts[i] = checkIntent(newNet, newOut, in)
-			stats.IntentsReverified++
-		} else {
-			rep.Verdicts[i] = base
-		}
 	}
 	return rep, stats, nil
 }
@@ -681,14 +514,14 @@ func (iv *Incremental) checkImpactCtx(ctx context.Context, edits []netcfg.EditSe
 	// session fingerprint: the seed state's adj-in structure must be the
 	// candidate's session structure. Broad impact is fine — broad widens
 	// which prefixes are simulated, not how each one is.
-	useDelta := !iv.NoDelta && !fpChanged && len(dirty) > 0
+	useDelta := !fpChanged && len(dirty) > 0
 	simulate := func(p netip.Prefix) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if useDelta {
 			if po, ok := bgp.DeltaSimulatePrefix(newNet, iv.out.ByPrefix[p], dirty, p, simOpts); ok {
-				if iv.DeltaDifferential {
+				if iv.Differential {
 					full := bgp.SimulatePrefix(newNet, p, simOpts)
 					if full.Canceled {
 						return ctx.Err()
@@ -849,25 +682,6 @@ func consultsPrefix(in Intent, p netip.Prefix) bool {
 	return p.Contains(in.Packet().Dst)
 }
 
-// intentAffected decides whether a cached verdict may be stale.
-func (iv *Incremental) intentAffected(base Verdict, in Intent, affected map[netip.Prefix]bool, edited map[netcfg.LineRef]bool) bool {
-	pkt := in.Packet()
-	for p := range affected { //acrvet:ordered
-		if p.Contains(pkt.Dst) {
-			return true
-		}
-	}
-	for _, l := range base.Lines() {
-		if edited[l] {
-			return true
-		}
-	}
-	// Intents that previously matched no prefix must be re-checked when
-	// new prefixes appear covering them — handled above since new
-	// originations are in `affected`.
-	return false
-}
-
 // sessionFingerprint summarizes the established-session set: two nets over
 // one topology have equal fingerprints exactly when every router
 // establishes sessions with the same peer addresses. sizeHint is the
@@ -887,19 +701,23 @@ func sessionFingerprint(n *bgp.Net, sizeHint int) string {
 }
 
 // FullCheck verifies the base with edits applied from scratch — no reuse.
-// It exists for the incremental-vs-full ablation.
+// It is the reference the incremental check is held to: the
+// FullValidation ablation and the Differential audit.
 func (iv *Incremental) FullCheck(edits []netcfg.EditSet) (*Report, error) {
-	return iv.FullCheckCtx(context.Background(), edits)
+	rep, _, err := iv.FullCheckCtx(context.Background(), edits)
+	return rep, err
 }
 
-// FullCheckCtx is FullCheck with cooperative cancellation.
-func (iv *Incremental) FullCheckCtx(ctx context.Context, edits []netcfg.EditSet) (*Report, error) {
+// FullCheckCtx is FullCheck with cooperative cancellation. Its Stats count
+// the candidate's own prefixes, every one simulated cold, and every intent
+// re-verified.
+func (iv *Incremental) FullCheckCtx(ctx context.Context, edits []netcfg.EditSet) (*Report, Stats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, Stats{}, err
 	}
 	newConfigs, err := iv.applyEdits(edits)
 	if err != nil {
-		return nil, err
+		return nil, Stats{}, err
 	}
 	files := map[string]*netcfg.File{}
 	for d, c := range newConfigs { //acrvet:ordered
@@ -913,9 +731,15 @@ func (iv *Incremental) FullCheckCtx(ctx context.Context, edits []netcfg.EditSet)
 	simOpts.Ctx = ctx
 	out := bgp.Simulate(n, simOpts)
 	if out.Canceled() {
-		return nil, ctx.Err()
+		return nil, Stats{}, ctx.Err()
 	}
-	return Verify(n, out, iv.Intents), nil
+	all := n.AllPrefixes()
+	stats := Stats{PrefixesTotal: len(all), PrefixesSimulated: len(all),
+		IntentsTotal: len(iv.Intents), IntentsReverified: len(iv.Intents)}
+	for _, p := range all {
+		stats.Activations += out.ByPrefix[p].Activations
+	}
+	return Verify(n, out, iv.Intents), stats, nil
 }
 
 // Commit applies edits to the base permanently. The new base is derived

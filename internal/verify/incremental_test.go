@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"context"
 	"net/netip"
 	"testing"
 
@@ -98,22 +99,6 @@ func TestIncrementalScopesPrefixListEdit(t *testing.T) {
 	if !stats.Refuted || stats.PrefixesSimulated != 0 {
 		t.Errorf("no-op rewrite not statically refuted (%s)", stats)
 	}
-	// The legacy dependency heuristic cannot prove that; it re-simulates
-	// exactly the touched static's prefix.
-	iv.NoImpact = true
-	_, stats, err = iv.Check([]netcfg.EditSet{{Device: "pop0", Edits: []netcfg.Edit{
-		netcfg.ReplaceLine{At: line, Text: text},
-	}}})
-	iv.NoImpact = false
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PrefixesSimulated != 1 {
-		t.Errorf("legacy path simulated %d prefixes, want 1 (%s)", stats.PrefixesSimulated, stats)
-	}
-	if stats.IntentsReverified >= stats.IntentsTotal {
-		t.Errorf("legacy path reverified everything (%s); dependency scoping broken", stats)
-	}
 }
 
 func TestIncrementalDetectsNewViolation(t *testing.T) {
@@ -173,15 +158,35 @@ func TestIncrementalSessionEditIsBroad(t *testing.T) {
 	if !stats.Broad && stats.IntentsReverified != stats.IntentsTotal {
 		t.Errorf("session-affecting edit skipped intents: %s", stats)
 	}
-	// The legacy heuristic classifies the same edit broad outright.
-	iv.NoImpact = true
-	_, stats, err = iv.Check(edits)
-	iv.NoImpact = false
+}
+
+// TestFullCheckCountsCandidatePrefixes: a full check simulates the
+// candidate's prefixes, not the base's, so its Stats count an origination
+// the edit adds.
+func TestFullCheckCountsCandidatePrefixes(t *testing.T) {
+	s := scenario.Figure2Correct()
+	iv := newIV(t, s)
+	f := netcfg.MustParse(s.Configs["PoP-A"])
+	edits := []netcfg.EditSet{{Device: "PoP-A", Edits: []netcfg.Edit{
+		netcfg.InsertBefore{At: f.BGP.End + 1, Text: " network 10.71.0.0/16"},
+	}}}
+	candidate := iv.Clone()
+	if err := candidate.Commit(edits); err != nil {
+		t.Fatal(err)
+	}
+	want := len(candidate.BaseNet().AllPrefixes())
+	if base := len(iv.BaseNet().AllPrefixes()); want != base+1 {
+		t.Fatalf("the edit takes the prefix count from %d to %d, want one origination more", base, want)
+	}
+	_, stats, err := iv.FullCheckCtx(context.Background(), edits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Broad {
-		t.Errorf("legacy path: session-affecting edit not classified broad: %s", stats)
+	if stats.PrefixesTotal != want || stats.PrefixesSimulated != want {
+		t.Errorf("full check counts %d/%d prefixes, want the candidate's %d", stats.PrefixesSimulated, stats.PrefixesTotal, want)
+	}
+	if stats.IntentsReverified != len(s.Intents) || stats.Activations == 0 {
+		t.Errorf("full check reverified %d of %d intents in %d activations", stats.IntentsReverified, len(s.Intents), stats.Activations)
 	}
 }
 
