@@ -138,21 +138,28 @@ func sameVerifier(t *testing.T, label string, got, want *verify.Incremental) {
 			t.Fatalf("%s: %v converged=%v cycle=%d, scratch converged=%v cycle=%d",
 				label, p, g.Converged, len(g.Cycle), w.Converged, len(w.Cycle))
 		}
-		for _, name := range order {
+		if (g.AdjIn == nil) != (w.AdjIn == nil) || len(g.AdjIn) != len(w.AdjIn) {
+			t.Fatalf("%s: %v has adj-in rows for %d routers (nil: %v), scratch %d (nil: %v)",
+				label, p, len(g.AdjIn), g.AdjIn == nil, len(w.AdjIn), w.AdjIn == nil)
+		}
+		for i, name := range order {
 			if routeID(g.Final[name]) != routeID(w.Final[name]) {
 				t.Fatalf("%s: %v at %s: %s, scratch %s", label, p, name, routeID(g.Final[name]), routeID(w.Final[name]))
 			}
-			if len(g.AdjIn[name]) != len(w.AdjIn[name]) {
-				t.Fatalf("%s: %v at %s: %d adj-in routes, scratch %d", label, p, name, len(g.AdjIn[name]), len(w.AdjIn[name]))
-			}
-			for a, rt := range w.AdjIn[name] {
-				if routeID(g.AdjIn[name][a]) != routeID(rt) {
-					t.Fatalf("%s: %v at %s from %s: %s, scratch %s", label, p, name, a, routeID(g.AdjIn[name][a]), routeID(rt))
+			for k := range w.Cycle {
+				if routeID(g.Cycle[k][name]) != routeID(w.Cycle[k][name]) {
+					t.Fatalf("%s: %v phase %d at %s differs from scratch", label, p, k, name)
 				}
 			}
-			for i := range w.Cycle {
-				if routeID(g.Cycle[i][name]) != routeID(w.Cycle[i][name]) {
-					t.Fatalf("%s: %v phase %d at %s differs from scratch", label, p, i, name)
+			if w.AdjIn == nil {
+				continue
+			}
+			if len(g.AdjIn[i]) != len(w.AdjIn[i]) {
+				t.Fatalf("%s: %v at %s: %d adj-in slots, scratch %d", label, p, name, len(g.AdjIn[i]), len(w.AdjIn[i]))
+			}
+			for j, rt := range w.AdjIn[i] {
+				if routeID(g.AdjIn[i][j]) != routeID(rt) {
+					t.Fatalf("%s: %v at %s, session slot %d: %s, scratch %s", label, p, name, j, routeID(g.AdjIn[i][j]), routeID(rt))
 				}
 			}
 		}

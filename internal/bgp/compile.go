@@ -24,12 +24,22 @@ type Session struct {
 	// ends.
 	LocalLines  []netcfg.LineRef
 	RemoteLines []netcfg.LineRef
-	// stanza is the local peer statement, used to resolve policies.
-	stanza *netcfg.Peer
+	// exportPols and importPols are the policy attachments of the local
+	// peer statement in each direction, resolved once at Compile.
+	exportPols, importPols []*netcfg.PolicyAttach
+	// slot is the session's position in its router's Sessions, peer the
+	// peer's position in the Net's Order: together they address a
+	// prefixState's adj-in rows.
+	slot, peer int
 	// reverse is the peer's view of this session: the Session on PeerName
 	// whose PeerAddr is LocalAddr. Establishment is symmetric, so it is set
 	// for every session Compile builds; callers still guard against nil.
 	reverse *Session
+	// plainLines, set when neither the peer's export toward this router
+	// nor this router's import attaches a policy, are the lines the traced
+	// export→import of an accepted advertisement yields: the peer's
+	// LocalLines, then LocalLines, then RemoteLines. Shared read-only.
+	plainLines []netcfg.LineRef
 }
 
 // FailedSession records a configured-but-down session and why. The repair
@@ -77,6 +87,10 @@ type Net struct {
 	Order   []string // deterministic activation order (topology insertion order)
 	Failed  []*FailedSession
 
+	// routers is Routers in Order order; sessions counts their Sessions.
+	routers  []*Router
+	sessions int
+
 	// prefixes is every originated prefix, sorted; see AllPrefixes.
 	prefixes []netip.Prefix
 }
@@ -101,6 +115,7 @@ func Compile(t *topo.Network, files map[string]*netcfg.File) *Net {
 		r.Statics = f.Statics
 		n.Routers[nd.Name] = r
 		n.Order = append(n.Order, nd.Name)
+		n.routers = append(n.routers, r)
 	}
 	n.resolveSessions()
 	n.resolveOrigins()
@@ -170,20 +185,27 @@ func (n *Net) resolveSessions() {
 				PeerRID:     peer.RID,
 				LocalLines:  r.File.PeerSessionLines(stanza),
 				RemoteLines: peer.File.PeerSessionLines(remote),
-				stanza:      stanza,
+				exportPols:  r.File.EffectivePolicies(stanza, netcfg.Export),
+				importPols:  r.File.EffectivePolicies(stanza, netcfg.Import),
+				peer:        peer.index,
 			})
 		}
 		sort.Slice(r.Sessions, func(i, j int) bool {
 			return r.Sessions[i].PeerAddr.Less(r.Sessions[j].PeerAddr)
 		})
 	}
-	for _, name := range n.Order {
-		for _, s := range n.Routers[name].Sessions {
-			for _, ps := range n.Routers[s.PeerName].Sessions {
+	for _, r := range n.routers {
+		n.sessions += len(r.Sessions)
+		for i, s := range r.Sessions {
+			s.slot = i
+			for _, ps := range n.routers[s.peer].Sessions {
 				if ps.PeerAddr == s.LocalAddr {
 					s.reverse = ps
 					break
 				}
+			}
+			if s.reverse != nil && len(s.reverse.exportPols) == 0 && len(s.importPols) == 0 {
+				s.plainLines = append(append(append([]netcfg.LineRef{}, s.reverse.LocalLines...), s.LocalLines...), s.RemoteLines...)
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package bgp
 
-import "net/netip"
+import (
+	"net/netip"
+	"slices"
+)
 
 // This file implements delta re-simulation: running a candidate
 // configuration's per-prefix fixpoint from the base outcome instead of
@@ -57,15 +60,15 @@ func DeltaSimulate(n *Net, base *Outcome, dirty []string, opts Options) *Outcome
 // sameStableState reports whether two outcomes converged to the same
 // routes, best and adj-in, on every router.
 func sameStableState(a, b *PrefixOutcome, order []string) bool {
-	if a == nil || b == nil || !a.Converged || !b.Converged {
+	if a == nil || b == nil || !a.Converged || !b.Converged || len(a.AdjIn) != len(b.AdjIn) {
 		return false
 	}
-	for _, name := range order {
-		if !sameRoute(a.Final[name], b.Final[name]) || len(a.AdjIn[name]) != len(b.AdjIn[name]) {
+	for i, name := range order {
+		if !sameRoute(a.Final[name], b.Final[name]) || len(a.AdjIn[i]) != len(b.AdjIn[i]) {
 			return false
 		}
-		for addr, rt := range a.AdjIn[name] { //acrvet:ordered boolean all-reduction
-			if !sameRoute(rt, b.AdjIn[name][addr]) {
+		for j, rt := range a.AdjIn[i] {
+			if !sameRoute(rt, b.AdjIn[i][j]) {
 				return false
 			}
 		}
@@ -78,51 +81,44 @@ func sameStableState(a, b *PrefixOutcome, order []string) bool {
 // pre-edit net), re-deriving and force-activating only the dirty
 // routers — the devices whose configuration text changed. The false
 // return refuses the shortcut (non-converged or AdjIn-less base, unknown
-// dirty router, cancellation, pass bound exhausted) and the caller must
-// fall back to a cold SimulatePrefix.
+// dirty router, a clean router whose sessions changed, cancellation, pass
+// bound exhausted) and the caller must fall back to a cold SimulatePrefix.
 func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix netip.Prefix, opts Options) (*PrefixOutcome, bool) {
-	if base == nil || !base.Converged || base.Final == nil || base.AdjIn == nil {
+	if base == nil || !base.Converged || base.Final == nil || len(base.AdjIn) != len(n.routers) {
 		return nil, false
 	}
+	dirtyAt := make([]bool, len(n.routers))
 	for _, d := range dirty {
-		if n.Routers[d] == nil {
+		r := n.Routers[d]
+		if r == nil {
 			return nil, false
 		}
+		dirtyAt[r.index] = true
 	}
 	if opts.PrefixHook != nil {
 		opts.PrefixHook(prefix)
 	}
 	maxPasses := opts.maxPasses(n)
 
-	// Seed the state from the base outcome, copy-on-write: best is a
-	// fresh map (snapshots alias it), adj-in inner maps stay shared with
-	// the immutable base until a router's first write.
+	// Seed the state from the base outcome, copy-on-write: best is a fresh
+	// slice, clean routers' adj rows stay shared with the immutable base
+	// until their first write.
 	st := &prefixState{
-		adjIn: make(map[string]map[netip.Addr]*Route, len(n.Order)),
-		best:  make(map[string]*Route, len(n.Order)),
+		best:  make([]*Route, len(n.routers)),
+		adj:   make([][]*Route, len(n.routers)),
+		owned: make([]bool, len(n.routers)),
 	}
-	owned := make(map[string]bool, len(dirty))
-	for _, name := range n.Order {
-		if m := base.AdjIn[name]; m != nil {
-			st.adjIn[name] = m
-		} else {
-			st.adjIn[name] = map[netip.Addr]*Route{}
-			owned[name] = true
+	for i, r := range n.routers {
+		st.best[i] = base.Final[r.Name]
+		switch {
+		case dirtyAt[i]:
+			st.adj[i] = make([]*Route, len(r.Sessions))
+			st.owned[i] = true
+		case len(base.AdjIn[i]) == len(r.Sessions):
+			st.adj[i] = base.AdjIn[i]
+		default:
+			return nil, false
 		}
-		if r := base.Final[name]; r != nil {
-			st.best[name] = r
-		}
-	}
-	ownAdj := func(name string) map[netip.Addr]*Route {
-		if !owned[name] {
-			cp := make(map[netip.Addr]*Route, len(st.adjIn[name]))
-			for a, rt := range st.adjIn[name] { //acrvet:ordered — map copy
-				cp[a] = rt
-			}
-			st.adjIn[name] = cp
-			owned[name] = true
-		}
-		return st.adjIn[name]
 	}
 
 	// Phase 1: rebuild each dirty router's entire adj-RIB-in under the
@@ -130,38 +126,11 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 	// the same reconstruction RederiveLeaves performs. Base entries import
 	// through the OLD import policies, so every entry is stale on a device
 	// whose config changed.
-	acts := 0
-	dirtySet := make(map[string]bool, len(dirty))
-	for _, d := range dirty {
-		dirtySet[d] = true
-	}
-	for _, name := range n.Order {
-		if !dirtySet[name] {
-			continue
-		}
-		r := n.Routers[name]
-		adj := ownAdj(name)
-		for a := range adj { //acrvet:ordered — clearing for rebuild
-			delete(adj, a)
-		}
-		for _, ls := range r.Sessions {
-			ns := ls.reverse
-			if ns == nil {
-				continue
+	for i, r := range n.routers {
+		if dirtyAt[i] {
+			for _, ls := range r.Sessions {
+				st.adj[i][ls.slot] = n.hop(ls.reverse, st.best[ls.peer])
 			}
-			nbBest := st.best[ls.PeerName]
-			if nbBest == nil {
-				continue
-			}
-			adv, ok := processExport(n.Routers[ls.PeerName], ns, nbBest, nil)
-			if !ok {
-				continue
-			}
-			in, ok, _ := processImport(r, ls, adv, nil)
-			if !ok {
-				continue
-			}
-			adj[ns.LocalAddr] = in
 		}
 	}
 
@@ -171,72 +140,31 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 	// the neighbor's import) alters what neighbors hear without moving
 	// the local best. Receivers whose adj-in actually changed form the
 	// first frontier.
-	pending := map[string]bool{}
-	for _, name := range n.Order {
-		if !dirtySet[name] {
-			continue
+	acts := 0
+	pending, next := make([]bool, len(n.routers)), make([]bool, len(n.routers))
+	for i, r := range n.routers {
+		if dirtyAt[i] {
+			acts++
+			n.activate(st, r, prefix, true, pending)
 		}
-		acts++
-		n.activateDelta(st, name, prefix, true, ownAdj, pending)
 	}
 
 	// Phase 3: worklist to fixpoint. Each pass activates the frontier in
 	// topology order; a router re-enters the frontier only when a push
 	// changed its adj-in. Quiet frontier = converged.
-	for pass := 1; len(pending) > 0; pass++ {
+	for pass := 1; slices.Contains(pending, true); pass++ {
 		if pass > maxPasses || opts.canceled() {
 			return nil, false
 		}
-		next := map[string]bool{}
-		for _, name := range n.Order {
-			if !pending[name] {
-				continue
+		for i, r := range n.routers {
+			if pending[i] {
+				acts++
+				n.activate(st, r, prefix, false, next)
 			}
-			acts++
-			n.activateDelta(st, name, prefix, false, ownAdj, next)
 		}
-		pending = next
+		pending, next = next, pending
+		clear(next)
 	}
 	return &PrefixOutcome{Prefix: prefix, Converged: true, Passes: base.Passes,
-		Final: st.snapshot(n.Order), AdjIn: st.adjIn, Activations: acts}, true
-}
-
-// activateDelta is activate() for the delta run: it recomputes router
-// name's best route and pushes changes to neighbors, marking every
-// neighbor whose adj-in changed in frontier. With force set the push loop
-// runs even when the best is unchanged (see DeltaSimulatePrefix phase 2).
-// Writes to a neighbor's adj-in go through ownAdj to preserve the base
-// outcome's immutability.
-func (n *Net) activateDelta(st *prefixState, name string, prefix netip.Prefix, force bool, ownAdj func(string) map[netip.Addr]*Route, frontier map[string]bool) {
-	r := n.Routers[name]
-	best := st.selectBest(r, prefix)
-	if !force && sameRoute(best, st.best[name]) {
-		return
-	}
-	if best != nil {
-		st.best[name] = best
-	} else {
-		delete(st.best, name)
-	}
-	for _, s := range r.Sessions {
-		nb := s.PeerName
-		prev := st.adjIn[nb][s.LocalAddr]
-		var next *Route
-		if best != nil && s.reverse != nil {
-			if adv, ok := processExport(r, s, best, nil); ok {
-				if in, ok, _ := processImport(n.Routers[nb], s.reverse, adv, nil); ok {
-					next = in
-				}
-			}
-		}
-		if !sameRoute(prev, next) {
-			adj := ownAdj(nb)
-			if next == nil {
-				delete(adj, s.LocalAddr)
-			} else {
-				adj[s.LocalAddr] = next
-			}
-			frontier[nb] = true
-		}
-	}
+		Final: st.snapshot(n), AdjIn: st.adj, Activations: acts}, true
 }

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"acr/internal/netcfg"
@@ -157,6 +158,12 @@ func TestDeltaRefusals(t *testing.T) {
 	}
 }
 
+// TestDeltaBaseOutcomeUnmutated: a delta run shares the base outcome's
+// adj-in rows until its first write into one, so the base must come out of
+// every run with the same best routes and the same route in every adj-in
+// slot. One candidate rebuilds only its own row (Y's import policy); the
+// other's forced push writes into clean Y's row (X's export prepend), which
+// is the copy-on-write under test.
 func TestDeltaBaseOutcomeUnmutated(t *testing.T) {
 	net := chainNet()
 	p := netip.MustParsePrefix("10.0.0.0/16")
@@ -166,17 +173,35 @@ func TestDeltaBaseOutcomeUnmutated(t *testing.T) {
 	for d, r := range bp.Final { //acrvet:ordered — test snapshot
 		beforeBest[d] = r.Key()
 	}
-	beforeAdj := make(map[string]int)
-	for d, m := range bp.AdjIn { //acrvet:ordered — test snapshot
-		beforeAdj[d] = len(m)
+	beforeAdj := make([][]*Route, len(bp.AdjIn))
+	for i, row := range bp.AdjIn {
+		beforeAdj[i] = slices.Clone(row)
 	}
 
-	tb := newTestNet(net)
-	tb.bgp("Y").PeerPolicy(tb.peerAddr("Y", "X"), "lp200", netcfg.Import)
-	tb.builder("Y").RoutePolicy("lp200", true, 10).ApplyLocalPref(200).End()
-	cand := tb.compile(t)
-	if _, ok := DeltaSimulatePrefix(cand, bp, []string{"Y"}, p, Options{}); !ok {
-		t.Fatal("delta refused")
+	importLP := newTestNet(net)
+	importLP.bgp("Y").PeerPolicy(importLP.peerAddr("Y", "X"), "lp200", netcfg.Import)
+	importLP.builder("Y").RoutePolicy("lp200", true, 10).ApplyLocalPref(200).End()
+	exportPrepend := newTestNet(net)
+	exportPrepend.bgp("X").PeerPolicy(exportPrepend.peerAddr("X", "Y"), "prep", netcfg.Export)
+	exportPrepend.builder("X").RoutePolicy("prep", true, 10).ApplyASPathPrepend(65001, 2).End()
+	sharedWrites := 0
+	for _, c := range []struct {
+		dirty string
+		tb    *testNetBuilder
+	}{{"Y", importLP}, {"X", exportPrepend}} {
+		cand := c.tb.compile(t)
+		po, ok := DeltaSimulatePrefix(cand, bp, []string{c.dirty}, p, Options{})
+		if !ok {
+			t.Fatalf("delta refused with %s dirty", c.dirty)
+		}
+		for i, row := range po.AdjIn {
+			if cand.Order[i] != c.dirty && !slices.Equal(row, beforeAdj[i]) {
+				sharedWrites++
+			}
+		}
+	}
+	if sharedWrites == 0 {
+		t.Fatal("no delta run wrote into a row shared with the base; the check below is vacuous")
 	}
 
 	for d, k := range beforeBest {
@@ -184,9 +209,9 @@ func TestDeltaBaseOutcomeUnmutated(t *testing.T) {
 			t.Errorf("delta mutated base Final[%s]", d)
 		}
 	}
-	for d, n := range beforeAdj {
-		if len(bp.AdjIn[d]) != n {
-			t.Errorf("delta mutated base AdjIn[%s]", d)
+	for i, row := range beforeAdj {
+		if !slices.Equal(bp.AdjIn[i], row) {
+			t.Errorf("delta mutated base AdjIn of %s: %v, was %v", net.Nodes()[i].Name, bp.AdjIn[i], row)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 
 	"acr/internal/netcfg"
@@ -99,18 +100,19 @@ func TestSameRouteMatchesKey(t *testing.T) {
 
 // TestStateHashCoversRouteFields flips every compared field of every best
 // and adj-in route of a mid-run state, one at a time: each flip must move
-// the hash and restoring it must bring the hash back. The order the adj-in
-// maps were filled in must not matter.
+// the hash and restoring it must bring the hash back, and so must
+// withdrawing the route from its slot. Value-equal copies in every slot
+// must not.
 func TestStateHashCoversRouteFields(t *testing.T) {
 	n, _, _ := overrideGadget(t)
 	p := netip.MustParsePrefix("10.0.0.0/16")
 	st := newPrefixState(n)
 	for pass := 0; pass < 3; pass++ {
-		for _, name := range n.Order {
-			n.activate(st, name, p)
+		for _, r := range n.routers {
+			n.activate(st, r, p, false, nil)
 		}
 	}
-	base := st.hash(n)
+	base := st.hash()
 
 	flips := map[string]func(*Route){
 		"Prefix addr": func(r *Route) { r.Prefix = netip.PrefixFrom(r.Prefix.Addr().Next(), r.Prefix.Bits()) },
@@ -144,34 +146,39 @@ func TestStateHashCoversRouteFields(t *testing.T) {
 			}
 			flipped[field]++
 			put(cp)
-			if st.hash(n) == base {
+			if st.hash() == base {
 				t.Errorf("%s: flipping %s does not change the state hash", where, field)
 			}
 			put(orig)
-			if st.hash(n) != base {
+			if st.hash() != base {
 				t.Fatalf("%s: restoring %s does not restore the state hash", where, field)
 			}
 		}
 	}
 	routes := 0
-	for _, name := range n.Order {
-		if best := st.best[name]; best != nil {
+	for i, name := range n.Order {
+		if best := st.best[i]; best != nil {
 			routes++
-			check("best of "+name, best, func(r *Route) { st.best[name] = r })
-			st.best[name] = nil
-			if st.hash(n) == base {
+			check("best of "+name, best, func(r *Route) { st.best[i] = r })
+			st.best[i] = nil
+			if st.hash() == base {
 				t.Errorf("withdrawing the best of %s does not change the state hash", name)
 			}
-			st.best[name] = best
+			st.best[i] = best
 		}
-		for addr, rt := range st.adjIn[name] { //acrvet:ordered — independent subtests
-			routes++
-			check("adj-in of "+name+" from "+addr.String(), rt, func(r *Route) { st.adjIn[name][addr] = r })
-			delete(st.adjIn[name], addr)
-			if st.hash(n) == base {
-				t.Errorf("withdrawing %s's route from %s does not change the state hash", name, addr)
+		row := st.adj[i]
+		for j, rt := range row {
+			if rt == nil {
+				continue
 			}
-			st.adjIn[name][addr] = rt
+			routes++
+			from := n.routers[i].Sessions[j].PeerName
+			check("adj-in of "+name+" from "+from, rt, func(r *Route) { row[j] = r })
+			row[j] = nil
+			if st.hash() == base {
+				t.Errorf("withdrawing %s's route from %s does not change the state hash", name, from)
+			}
+			row[j] = rt
 		}
 	}
 	if routes < 8 {
@@ -183,33 +190,37 @@ func TestStateHashCoversRouteFields(t *testing.T) {
 		}
 	}
 
-	// Refill every adj-in map in descending address order, from value-equal
-	// copies: same state, same hash.
-	for _, name := range n.Order {
-		rs := n.Routers[name].Sessions
-		refilled := map[netip.Addr]*Route{}
-		for i := len(rs) - 1; i >= 0; i-- {
-			if rt := st.adjIn[name][rs[i].PeerAddr]; rt != nil {
-				refilled[rs[i].PeerAddr] = rt.clone()
+	// Replace every best and adj-in route with a value-equal copy, in a
+	// fresh row: same state, same hash.
+	for i, row := range st.adj {
+		if st.best[i] != nil {
+			st.best[i] = st.best[i].clone()
+		}
+		if len(row) != len(n.routers[i].Sessions) {
+			t.Fatalf("%s has %d adj-in slots for %d sessions", n.Order[i], len(row), len(n.routers[i].Sessions))
+		}
+		refilled := make([]*Route, len(row))
+		for j := len(row) - 1; j >= 0; j-- {
+			if row[j] != nil {
+				refilled[j] = row[j].clone()
 			}
 		}
-		if len(refilled) != len(st.adjIn[name]) {
-			t.Fatalf("%s holds adj-in entries under addresses that are not its sessions' peers", name)
-		}
-		st.adjIn[name] = refilled
+		st.adj[i] = refilled
 	}
-	if st.hash(n) != base {
-		t.Error("refilling the adj-in maps in another order changes the state hash")
+	if st.hash() != base {
+		t.Error("value-equal copies of the state's routes change the state hash")
 	}
 }
 
 // TestPolicyPipelineNeverMutatesInput replaces the tests of the memoized
 // key: with routes compared by value and shared across versions, the one
-// thing the pipeline must never do is write through the route it was given.
-// Every session of a net whose policies overwrite, prepend and set
-// attributes in both directions is driven export→import, traced and
-// untraced, and each input is compared field by field, AS-path backing
-// included, before and after.
+// thing a hop must never do is write through the sender's route. Every
+// session of a net whose policies overwrite, prepend and set attributes in
+// both directions is driven export→import, traced and untraced, and the
+// sender's route is compared field by field, AS-path backing included,
+// before and after. processImport finishes the export's fresh copy in place
+// but must leave that copy's AS-path backing alone: the replay keeps the
+// advertisement for a rejection node from a shallow clone.
 func TestPolicyPipelineNeverMutatesInput(t *testing.T) {
 	net := chainNet()
 	tb := newTestNet(net)
@@ -263,11 +274,15 @@ func TestPolicyPipelineNeverMutatesInput(t *testing.T) {
 				if adv == best {
 					t.Fatalf("processExport at %s returned its input", name)
 				}
-				was = freeze(adv)
+				sent := adv.ASPath
+				sentWas := append([]uint32(nil), sent...)
 				in, ok, _ := processImport(n.Routers[s.PeerName], s.reverse, adv, tr)
-				unchanged("processImport at "+s.PeerName, adv, was)
-				if ok && in == adv {
-					t.Fatalf("processImport at %s returned its input", s.PeerName)
+				unchanged("the hop from "+name+" to "+s.PeerName, best, was)
+				if !slices.Equal(sent, sentWas) {
+					t.Errorf("processImport at %s wrote through the advertisement's AS path: %v, was %v", s.PeerName, sent, sentWas)
+				}
+				if ok && in == best {
+					t.Fatalf("the hop from %s returned its input", name)
 				}
 				hops++
 			}

@@ -111,21 +111,23 @@ func applyPolicies(f *netcfg.File, attaches []*netcfg.PolicyAttach, r *Route, tr
 // session's next hop, peer identity, and the default local preference
 // unless a policy set one.
 //
+// adv must be processExport's fresh copy: the import finishes it in place
+// (or a policy's copy of it), so a caller that still needs the advertisement
+// as sent passes a clone. A loop rejection leaves adv untouched.
+//
 // The boolean reports acceptance; reason distinguishes loop rejection from
 // policy denial for negative provenance.
 func processImport(r *Router, s *Session, adv *Route, tr *lineRefs) (*Route, bool, string) {
 	if adv.HasAS(r.ASN) {
 		return nil, false, reasonLoop
 	}
-	in := adv.clone()
-	in.LocalPref = DefaultLocalPref
+	adv.LocalPref = DefaultLocalPref
 	tr.addRefs(s.LocalLines)
 	tr.addRefs(s.RemoteLines)
-	res, ok := applyPolicies(r.File, r.File.EffectivePolicies(s.stanza, netcfg.Import), in, tr)
+	res, ok := applyPolicies(r.File, s.importPols, adv, tr)
 	if !ok {
 		return nil, false, reasonImportDeny
 	}
-	// res is in or a policy's copy of it: ours to finish in place.
 	res.Src = SrcPeer
 	res.PeerAddr = s.PeerAddr
 	res.PeerRID = s.PeerRID
@@ -142,7 +144,7 @@ func processImport(r *Router, s *Session, adv *Route, tr *lineRefs) (*Route, boo
 // provenance must reach the group membership that attached the policy).
 func processExport(r *Router, s *Session, best *Route, tr *lineRefs) (*Route, bool) {
 	tr.addRefs(s.LocalLines)
-	res, ok := applyPolicies(r.File, r.File.EffectivePolicies(s.stanza, netcfg.Export), best, tr)
+	res, ok := applyPolicies(r.File, s.exportPols, best, tr)
 	if !ok {
 		return nil, false
 	}

@@ -15,6 +15,11 @@ import (
 // the provenance that systems like Y! record online. Derivations identical
 // across phases are deduplicated, so a flapping prefix's graph is the
 // union of the derivations of all its cycle states.
+//
+// An accepted import over a session without policies at either end is not
+// replayed but read off a converged outcome's AdjIn: its route is the
+// adj-in slot and its lines are the session lines alone (plainLines), which
+// is all the traced replay of a policy-free hop would record.
 func BuildProvenance(n *Net, out *Outcome) *provenance.Graph {
 	return DeriveProvenance(n, out, nil, nil, nil)
 }
@@ -33,17 +38,14 @@ func DeriveProvenance(n *Net, out, base *Outcome, baseProv *provenance.Graph, di
 	for _, d := range dirty {
 		dirtySet[d] = true
 	}
-	sites := len(n.Order) // a selection per router, a node per session
-	for _, name := range n.Order {
-		sites += len(n.Routers[name].Sessions)
-	}
+	sites := len(n.Order) + n.sessions // a selection per router, a node per session
 	var sections []*provenance.Section
 	for _, p := range n.AllPrefixes() {
 		po := out.ByPrefix[p]
 		if po == nil {
 			continue
 		}
-		b := sectionBuilder{n: n, prefix: p, dirty: dirtySet}
+		b := sectionBuilder{n: n, prefix: p, dirty: dirtySet, adj: po.AdjIn}
 		if base != nil && po.Converged && po == base.ByPrefix[p] {
 			b.from = baseProv.Section(p)
 		}
@@ -93,6 +95,11 @@ type sectionBuilder struct {
 	from  *provenance.Section
 	cur   int
 	dirty map[string]bool
+
+	// adj is the outcome's AdjIn, which accepted imports over policy-free
+	// sessions are read off; nil for a flapping prefix or an outcome
+	// without one.
+	adj [][]*Route
 }
 
 // add appends nd unless, on a flapping prefix, an earlier phase derived it
@@ -156,8 +163,8 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 	// Origination and selection nodes first, so imports can reference the
 	// advertising neighbor's selection as a parent.
 	sel := make([]int, len(n.Order)) // router index → selection node of this phase
-	for i, name := range n.Order {
-		r := n.Routers[name]
+	for i, r := range n.routers {
+		name := r.Name
 		best := phase[name]
 		local := -1 // the origination best was selected from
 		selected := func(rt *Route) bool {
@@ -200,20 +207,16 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 		}
 	}
 	// Import / rejection derivations: replay each established session.
-	for i, name := range n.Order {
-		r := n.Routers[name]
+	for i, r := range n.routers {
+		name := r.Name
 		best := phase[name]
 		for _, s := range r.Sessions {
 			nbBest := phase[s.PeerName]
-			if nbBest == nil {
-				continue
-			}
-			nbRouter := n.Routers[s.PeerName]
 			nbSess := s.reverse
-			if nbSess == nil {
+			if nbBest == nil || nbSess == nil {
 				continue
 			}
-			parents := []int{sel[nbRouter.index]}
+			parents := []int{sel[s.peer]}
 			// An accepted import is a parent of the receiver's selection
 			// when it is the route selected.
 			selected := func(in *Route) bool {
@@ -232,8 +235,18 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 				}
 				continue
 			}
+			if in := b.plainImport(i, s); in != nil {
+				id := b.add(in, provenance.Node{
+					Kind: provenance.Import, Router: name, Peer: s.PeerAddr, PeerRouter: s.PeerName,
+					Route: in, Lines: s.plainLines, Parents: parents,
+				})
+				if selected(in) {
+					b.addParent(sel[i], id)
+				}
+				continue
+			}
 			var exTr lineRefs
-			adv, ok := processExport(nbRouter, nbSess, nbBest, &exTr)
+			adv, ok := processExport(n.routers[s.peer], nbSess, nbBest, &exTr)
 			if !ok {
 				// Export suppressed: negative provenance on the sender.
 				b.add(nbBest, provenance.Node{
@@ -243,7 +256,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 				continue
 			}
 			imTr := lineRefs{refs: exTr.refs}
-			in, accepted, reason := processImport(r, s, adv, &imTr)
+			in, accepted, reason := processImport(r, s, adv.clone(), &imTr)
 			if !accepted {
 				b.add(adv, provenance.Node{
 					Kind: provenance.Rejection, Router: name, Peer: s.PeerAddr, PeerRouter: s.PeerName,
@@ -260,6 +273,16 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 			}
 		}
 	}
+}
+
+// plainImport returns the route router i accepted over its policy-free
+// session s, read off the converged adj-in, or nil when the import must be
+// replayed.
+func (b *sectionBuilder) plainImport(i int, s *Session) *Route {
+	if b.adj == nil || s.plainLines == nil {
+		return nil
+	}
+	return b.adj[i][s.slot]
 }
 
 // originated reports whether a node from first on already originates rt:

@@ -48,35 +48,16 @@ func RederiveLeaves(n *Net, base *PrefixOutcome, prefix netip.Prefix, leaves []s
 			}
 		}
 		// Rebuild the leaf's stable adj-in exactly as the simulator's
-		// activation step fills it: one entry per sender session, keyed by
-		// the sender's local address, imported through the leaf session
-		// looked up by that address.
-		adjIn := map[netip.Addr]*Route{}
+		// activation step fills it: one route per session, carried over
+		// from the neighbor's stable best.
+		candidates := make([]*Route, 0, len(r.Sessions))
 		for _, ls := range r.Sessions {
 			if patched[ls.PeerName] {
 				return nil, false
 			}
-			ns := ls.reverse
-			if ns == nil {
-				continue
+			if in := n.hop(ls.reverse, base.Final[ls.PeerName]); in != nil {
+				candidates = append(candidates, in)
 			}
-			nbBest := base.Final[ls.PeerName]
-			if nbBest == nil {
-				continue
-			}
-			adv, ok := processExport(n.Routers[ls.PeerName], ns, nbBest, nil)
-			if !ok {
-				continue
-			}
-			in, ok, _ := processImport(r, ls, adv, nil)
-			if !ok {
-				continue
-			}
-			adjIn[ns.LocalAddr] = in
-		}
-		candidates := make([]*Route, 0, len(adjIn))
-		for _, rt := range adjIn { //acrvet:ordered — SelectBest is order-insensitive
-			candidates = append(candidates, rt)
 		}
 		if best := SelectBest(candidates); best != nil {
 			final[leaf] = best

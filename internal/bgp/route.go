@@ -50,8 +50,10 @@ const (
 
 // Route is one BGP route as held in a router's Adj-RIB-In or Loc-RIB.
 // A route is immutable once processImport, processExport or originRoute
-// returns it: each writes only to copies made during that call, and routes
-// are compared by value (sameRoute), never by identity.
+// returns it, and routes are compared by value (sameRoute), never by
+// identity. processExport and originRoute write only to copies they make;
+// processImport finishes in place the advertisement processExport copied
+// for it, so a hop copies a route once (twice when a policy rewrites it).
 type Route struct {
 	Prefix    netip.Prefix
 	ASPath    []uint32

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,11 +30,13 @@ type PrefixOutcome struct {
 	// Final is the stable best-route map (router name → route, absent when
 	// the router has no route). Nil when not converged.
 	Final map[string]*Route
-	// AdjIn is the stable adj-RIB-in at convergence
-	// (router → sender's local address → post-import route), retained so
-	// delta re-simulation can seed a candidate's fixpoint from it. Nil
-	// when not converged. Immutable like the rest of the outcome.
-	AdjIn map[string]map[netip.Addr]*Route
+	// AdjIn is the stable adj-RIB-in at convergence: AdjIn[i][j] is the
+	// post-import route the router at Net.Order position i holds from the
+	// peer of its session j, nil when none. Retained so delta
+	// re-simulation can seed a candidate's fixpoint from it and provenance
+	// can read accepted imports off it. Nil when not converged. Immutable
+	// like the rest of the outcome.
+	AdjIn [][]*Route
 	// Cycle holds the repeating sequence of best-route maps when the
 	// prefix flaps: the control plane visits these states forever. Nil
 	// when converged.
@@ -177,20 +180,34 @@ func Simulate(n *Net, opts Options) *Outcome {
 	return out
 }
 
-// prefixState is the full dynamic state of one prefix's computation.
+// prefixState is the full dynamic state of one prefix's computation,
+// indexed by router position in the Net's Order: best[i] is the router's
+// selected route, adj[i][j] the post-import route it holds from the peer of
+// its session j.
 type prefixState struct {
-	// adjIn[router][peerAddr] is the post-import route the router holds
-	// from that neighbor.
-	adjIn map[string]map[netip.Addr]*Route
-	best  map[string]*Route
+	best []*Route
+	adj  [][]*Route
+	// owned, when non-nil, marks the adj rows this state may write; the
+	// others are shared with a base outcome and copied on first write.
+	owned []bool
 }
 
 func newPrefixState(n *Net) *prefixState {
-	st := &prefixState{adjIn: map[string]map[netip.Addr]*Route{}, best: map[string]*Route{}}
-	for _, name := range n.Order {
-		st.adjIn[name] = map[netip.Addr]*Route{}
+	st := &prefixState{best: make([]*Route, len(n.routers)), adj: make([][]*Route, len(n.routers))}
+	slots := make([]*Route, n.sessions)
+	for i, r := range n.routers {
+		st.adj[i], slots = slots[:len(r.Sessions):len(r.Sessions)], slots[len(r.Sessions):]
 	}
 	return st
+}
+
+// row returns router i's adj row for writing.
+func (st *prefixState) row(i int) []*Route {
+	if st.owned != nil && !st.owned[i] {
+		st.adj[i] = slices.Clone(st.adj[i])
+		st.owned[i] = true
+	}
+	return st.adj[i]
 }
 
 // stateHash accumulates a prefixState digest from fixed-width words.
@@ -230,27 +247,25 @@ func (h *stateHash) route(r *Route) {
 
 // hash digests the complete state; any field that can influence future
 // transitions must be included. Routers go in activation order and each
-// router's adj-in in session order (an adj-in slot is keyed by the
-// sender's address, which is the receiving session's PeerAddr), so every
-// router contributes a fixed number of slots and nothing is sorted,
-// rendered or allocated.
-func (st *prefixState) hash(n *Net) uint64 {
+// router's adj-in in session order, so every router contributes a fixed
+// number of slots and nothing is sorted, rendered or allocated.
+func (st *prefixState) hash() uint64 {
 	var h stateHash
-	for _, name := range n.Order {
-		h.route(st.best[name])
-		adj := st.adjIn[name]
-		for _, s := range n.Routers[name].Sessions {
-			h.route(adj[s.PeerAddr])
+	for i, best := range st.best {
+		h.route(best)
+		for _, rt := range st.adj[i] {
+			h.route(rt)
 		}
 	}
 	return uint64(h)
 }
 
-func (st *prefixState) snapshot(order []string) map[string]*Route {
-	snap := make(map[string]*Route, len(order))
-	for _, name := range order {
-		if r := st.best[name]; r != nil {
-			snap[name] = r
+// snapshot returns the best routes as a router name → route map.
+func (st *prefixState) snapshot(n *Net) map[string]*Route {
+	snap := make(map[string]*Route, len(n.Order))
+	for i, r := range st.best {
+		if r != nil {
+			snap[n.Order[i]] = r
 		}
 	}
 	return snap
@@ -277,9 +292,9 @@ func SimulatePrefix(n *Net, prefix netip.Prefix, opts Options) *PrefixOutcome {
 			return &PrefixOutcome{Prefix: prefix, Canceled: true, Passes: pass, Activations: acts}
 		}
 		changed := false
-		for _, name := range n.Order {
+		for _, r := range n.routers {
 			acts++
-			if n.activate(st, name, prefix) {
+			if n.activate(st, r, prefix, false, nil) {
 				changed = true
 			}
 		}
@@ -287,15 +302,15 @@ func SimulatePrefix(n *Net, prefix netip.Prefix, opts Options) *PrefixOutcome {
 			// The state is stable; hand the adj-RIB-in over to the outcome
 			// (st is dead from here) so delta re-simulation can seed from it.
 			return &PrefixOutcome{Prefix: prefix, Converged: true, Passes: pass,
-				Final: st.snapshot(n.Order), AdjIn: st.adjIn, Activations: acts}
+				Final: st.snapshot(n), AdjIn: st.adj, Activations: acts}
 		}
-		h := st.hash(n)
+		h := st.hash()
 		if first, ok := seen[h]; ok {
 			// States after passes first..pass-1 repeat forever.
 			return &PrefixOutcome{Prefix: prefix, Converged: false, Passes: pass, Cycle: snaps[first:], Activations: acts}
 		}
 		seen[h] = len(snaps)
-		snaps = append(snaps, st.snapshot(n.Order))
+		snaps = append(snaps, st.snapshot(n))
 	}
 	// Bound hit without repeat: report the tail as the observed unstable
 	// behavior. This indicates maxPasses is too small for the topology.
@@ -318,45 +333,52 @@ func (st *prefixState) selectBest(r *Router, prefix netip.Prefix) *Route {
 			best = rt
 		}
 	}
-	for _, rt := range st.adjIn[r.Name] { //acrvet:ordered Better is a total order over one router's candidates, so the maximum does not depend on visiting order
-		if Better(rt, best) {
+	for _, rt := range st.adj[r.index] {
+		if rt != nil && Better(rt, best) {
 			best = rt
 		}
 	}
 	return best
 }
 
-// activate recomputes router name's best route for prefix and, on change,
-// pushes updates to neighbors. Reports whether anything changed (best or
-// any neighbor's adj-in).
-func (n *Net) activate(st *prefixState, name string, prefix netip.Prefix) bool {
-	r := n.Routers[name]
+// activate recomputes router r's best route for prefix and, when it
+// changed or force is set, pushes it (or its withdrawal) over every
+// session, marking in frontier, when non-nil, each neighbor whose adj-in
+// changed. Reports whether the best changed.
+func (n *Net) activate(st *prefixState, r *Router, prefix netip.Prefix, force bool, frontier []bool) bool {
 	best := st.selectBest(r, prefix)
-	if sameRoute(best, st.best[name]) {
+	changed := !sameRoute(best, st.best[r.index])
+	if !changed && !force {
 		return false
 	}
-	st.best[name] = best
-	// Push the new best (or withdrawal) to every session.
+	st.best[r.index] = best
 	for _, s := range r.Sessions {
-		nb := s.PeerName
-		prev := st.adjIn[nb][s.LocalAddr]
-		var next *Route
-		if best != nil && s.reverse != nil {
-			if adv, ok := processExport(r, s, best, nil); ok {
-				if in, ok, _ := processImport(n.Routers[nb], s.reverse, adv, nil); ok {
-					next = in
-				}
-			}
+		if s.reverse == nil {
+			continue
 		}
-		if !sameRoute(prev, next) {
-			if next == nil {
-				delete(st.adjIn[nb], s.LocalAddr)
-			} else {
-				st.adjIn[nb][s.LocalAddr] = next
+		if next := n.hop(s, best); !sameRoute(st.adj[s.peer][s.reverse.slot], next) {
+			st.row(s.peer)[s.reverse.slot] = next
+			if frontier != nil {
+				frontier[s.peer] = true
 			}
 		}
 	}
-	return true
+	return changed
+}
+
+// hop carries best over session s, from s's router to its peer: the route
+// the peer's adj-in holds for it, or nil when there is nothing to carry or
+// export policy, loop detection or import policy drops it.
+func (n *Net) hop(s *Session, best *Route) *Route {
+	if best == nil || s == nil || s.reverse == nil {
+		return nil
+	}
+	adv, ok := processExport(n.routers[s.reverse.peer], s, best, nil)
+	if !ok {
+		return nil
+	}
+	in, _, _ := processImport(n.routers[s.peer], s.reverse, adv, nil)
+	return in
 }
 
 // Describe renders a compact multi-line report of an outcome, used by the

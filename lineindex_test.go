@@ -165,7 +165,8 @@ func wanPreserves(t testing.TB) (scratch, derived func() *core.Context) {
 // allocations of the same version verified from scratch, and the scratch
 // preserve itself stays near its measurement — 17,381 allocations with
 // routes compared by value (26,406 when every hop rendered and interned a
-// text key), 5,084 derived.
+// text key), 5,084 derived; 13,301 and 4,532 once a hop copies a route
+// once and policy-free imports are read off the converged adj-in.
 func TestPreserveAllocBudget(t *testing.T) {
 	const scratchBudget = 18500
 	scratch, derived := wanPreserves(t)
@@ -187,10 +188,12 @@ func TestPreserveAllocBudget(t *testing.T) {
 // control plane: compile, cold Simulate and BuildProvenance of the k=6
 // fat-tree (45 devices). With a rendered, interned key per hop and three
 // route copies it cost 71,801 allocations; compared by value, with one or
-// two copies per hop and no candidate slice per activation, it measures
-// 47,672. The budget is three quarters of the former.
+// two copies per hop and no candidate slice per activation, 47,672. With
+// one copy per hop, per-prefix state in indexed rows and the policy-free
+// imports read off the converged adj-in instead of replayed, it measures
+// 22,533. The budget is half of 47,672.
 func TestSimulateAllocBudget(t *testing.T) {
-	const budget = 71801 * 3 / 4
+	const budget = 47672 / 2
 	s := scenario.DCN(6, scenario.GenOptions{})
 	files := s.Files()
 	var nodes int
