@@ -7,6 +7,7 @@ package acr_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -284,6 +285,24 @@ func BenchmarkPreserveDerived(b *testing.B) {
 
 // preserved keeps the preserve benchmarks' results alive.
 var preserved *core.Context
+
+// BenchmarkBuildContext watches localization alone: the Context of a
+// dcn-scale base version (a PBR incident on the k=10 fat-tree) — sealing
+// the sections its verdicts read, building the spectrum, ranking it — over
+// a fresh verifier per run, built outside the timer, since a verifier's
+// sections seal once.
+func BenchmarkBuildContext(b *testing.B) {
+	inc := dcnIncidents(b, 10, 1)[0]
+	p := core.Problem{Topo: inc.Scenario.Topo, Configs: inc.Scenario.Configs, Intents: inc.Scenario.Intents}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		iv := verify.NewIncremental(p.Topo, p.Configs, p.Intents, bgp.Options{})
+		b.StartTimer()
+		preserved = core.NewContext(p, iv, sbfl.Tarantula, rand.New(rand.NewSource(1)))
+	}
+}
 
 func BenchmarkFigure4_IncrementalVsFullVerify(b *testing.B) {
 	s := scenario.Figure2()

@@ -46,6 +46,10 @@ func TestImpactCoversASTSurface(t *testing.T) {
 		"File.BGP",
 		"File.Device",
 		"File.Interfaces",
+		// Metadata, not semantics: the document's length sizes the line
+		// space localization numbers lines in, and an edited device is
+		// re-parsed, so its count is never stale.
+		"File.NumLines",
 		"File.PBRPolicies",
 		"File.Policies",
 		"File.PrefixLists",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"sync"
 
 	"acr/internal/netcfg"
 	"acr/internal/topo"
@@ -79,7 +80,8 @@ type Router struct {
 
 // Net is a compiled network: topology plus parsed configurations resolved
 // into sessions and originations. Compile it once per configuration
-// version; simulation runs against it. A Net is immutable after Compile.
+// version; simulation runs against it. A Net is immutable after Compile,
+// but for the line space it builds once, on first use (LineSpace).
 type Net struct {
 	Topo    *topo.Network
 	Files   map[string]*netcfg.File
@@ -93,6 +95,9 @@ type Net struct {
 
 	// prefixes is every originated prefix, sorted; see AllPrefixes.
 	prefixes []netip.Prefix
+
+	spaceOnce sync.Once
+	space     *netcfg.LineSpace // see LineSpace
 }
 
 // Compile resolves configurations against the topology. Configurations
@@ -262,6 +267,19 @@ func (n *Net) resolveOrigins() {
 // simulator runs once per prefix. The slice is computed once at Compile and
 // shared by every caller: read-only.
 func (n *Net) AllPrefixes() []netip.Prefix { return n.prefixes }
+
+// LineSpace returns the numbering of the routers' lines that localization's
+// line sets are over, built on first use: a net only checked never pays.
+func (n *Net) LineSpace() *netcfg.LineSpace {
+	n.spaceOnce.Do(func() {
+		numLines := make(map[string]int, len(n.routers))
+		for _, r := range n.routers {
+			numLines[r.Name] = r.File.NumLines
+		}
+		n.space = netcfg.NewLineSpace(numLines)
+	})
+	return n.space
+}
 
 // SessionBetween returns the session from a to b, or nil.
 func (n *Net) SessionBetween(a, b string) *Session {

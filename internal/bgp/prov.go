@@ -39,6 +39,7 @@ func DeriveProvenance(n *Net, out, base *Outcome, baseProv *provenance.Graph, di
 		dirtySet[d] = true
 	}
 	sites := len(n.Order) + n.sessions // a selection per router, a node per session
+	space := n.LineSpace               // built on a section's first line query
 	var sections []*provenance.Section
 	for _, p := range n.AllPrefixes() {
 		po := out.ByPrefix[p]
@@ -53,7 +54,7 @@ func DeriveProvenance(n *Net, out, base *Outcome, baseProv *provenance.Graph, di
 		if len(phases) > 1 {
 			b.ids = map[nodeKey]int{}
 		}
-		b.sec = provenance.NewSection(p, sites+2) // and an origination or two
+		b.sec = provenance.NewSection(p, space, sites+2) // and an origination or two
 		for _, phase := range phases {
 			b.replay(phase)
 		}

@@ -144,7 +144,7 @@ func (ctx *Context) FailingVerdicts() []verify.Verdict { return ctx.Report.Faile
 // failure.
 func (ctx *Context) CoversLine(l netcfg.LineRef) bool {
 	for _, t := range ctx.Matrix.Tests {
-		if !t.Pass && t.Lines[l] {
+		if !t.Pass && t.Lines.Has(l) {
 			return true
 		}
 	}

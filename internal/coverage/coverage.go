@@ -9,8 +9,6 @@
 package coverage
 
 import (
-	"sort"
-
 	"acr/internal/bgp"
 	"acr/internal/netcfg"
 	"acr/internal/provenance"
@@ -21,11 +19,12 @@ import (
 type TestCoverage struct {
 	ID    string
 	Pass  bool
-	Lines map[netcfg.LineRef]bool
+	Lines netcfg.LineSet // over the version's line space
 }
 
 // Matrix is the full spectrum.
 type Matrix struct {
+	Space *netcfg.LineSpace // the version's line space, every row's
 	Tests []TestCoverage
 }
 
@@ -46,7 +45,7 @@ func (m *Matrix) TotalFailed() int { return len(m.Tests) - m.TotalPassed() }
 // Counts returns (failed, passed) coverage counts for one line.
 func (m *Matrix) Counts(l netcfg.LineRef) (failed, passed int) {
 	for _, t := range m.Tests {
-		if !t.Lines[l] {
+		if !t.Lines.Has(l) {
 			continue
 		}
 		if t.Pass {
@@ -60,53 +59,40 @@ func (m *Matrix) Counts(l netcfg.LineRef) (failed, passed int) {
 
 // CoveredLines returns every line covered by at least one test, sorted.
 func (m *Matrix) CoveredLines() []netcfg.LineRef {
-	seen := map[netcfg.LineRef]bool{}
-	var out []netcfg.LineRef
+	all := m.Space.NewSet()
 	for _, t := range m.Tests {
-		for l := range t.Lines {
-			if !seen[l] {
-				seen[l] = true
-				out = append(out, l)
-			}
-		}
+		all.Union(t.Lines)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return all.Refs()
 }
 
-// Build constructs the spectrum from a verified outcome.
+// Build constructs the spectrum from a verified outcome. A row starts as a
+// copy of its prefix section's line set; a line outside n's line space
+// panics, naming the line.
 func Build(n *bgp.Net, g *provenance.Graph, rep *verify.Report) *Matrix {
-	m := &Matrix{}
+	m := &Matrix{Space: n.LineSpace(), Tests: make([]TestCoverage, 0, len(rep.Verdicts))}
 	failedSessionLines := n.FailedSessionLines()
 	for _, v := range rep.Verdicts {
-		var prefixLines []netcfg.LineRef
-		if v.Prefix.IsValid() {
-			prefixLines = g.LinesForPrefix(v.Prefix)
+		tc := TestCoverage{ID: v.Intent.ID, Pass: v.Pass, Lines: m.Space.NewSet()}
+		if s := g.Section(v.Prefix); s != nil {
+			tc.Lines.Union(s.LineSet())
 		}
-		tc := TestCoverage{ID: v.Intent.ID, Pass: v.Pass, Lines: make(map[netcfg.LineRef]bool, len(prefixLines))}
-		for _, l := range prefixLines {
-			tc.Lines[l] = true
-		}
-		for _, l := range v.Lines() {
-			tc.Lines[l] = true
+		for _, tr := range v.Traces {
+			tc.Lines.Add(tr.Lines...)
 		}
 		if !v.Pass {
 			// Negative provenance: explain absence.
 			if !v.Prefix.IsValid() {
-				for _, l := range bgp.MissingOriginLines(n, v.Intent.DstPrefix) {
-					tc.Lines[l] = true
-				}
+				tc.Lines.Add(bgp.MissingOriginLines(n, v.Intent.DstPrefix)...)
 			}
-			for _, l := range failedSessionLines {
-				tc.Lines[l] = true
-			}
+			tc.Lines.Add(failedSessionLines...)
 			if v.Intent.Kind == verify.Waypoint {
 				// A bypassed waypoint implicates the PBR machinery along
 				// the actual path: the rules that should have redirected
 				// the flow live (or are missing) there.
 				for _, tr := range v.Traces {
 					for _, router := range tr.Path {
-						addPBRShell(n, router, tc.Lines)
+						addPBRShell(n, router, &tc.Lines)
 					}
 				}
 			}
@@ -116,8 +102,8 @@ func Build(n *bgp.Net, g *provenance.Graph, rep *verify.Report) *Matrix {
 	return m
 }
 
-// addPBRShell marks the PBR binding and policy-header lines of a router.
-func addPBRShell(n *bgp.Net, router string, lines map[netcfg.LineRef]bool) {
+// addPBRShell adds the PBR binding and policy-header lines of a router.
+func addPBRShell(n *bgp.Net, router string, lines *netcfg.LineSet) {
 	r := n.Routers[router]
 	if r == nil || r.File == nil {
 		return
@@ -126,9 +112,9 @@ func addPBRShell(n *bgp.Net, router string, lines map[netcfg.LineRef]bool) {
 		if itf.PBRPolicy == "" {
 			continue
 		}
-		lines[netcfg.LineRef{Device: router, Line: itf.PBRLine}] = true
+		lines.Add(netcfg.LineRef{Device: router, Line: itf.PBRLine})
 		if pol := r.File.PBRPolicyByName(itf.PBRPolicy); pol != nil {
-			lines[netcfg.LineRef{Device: router, Line: pol.Line}] = true
+			lines.Add(netcfg.LineRef{Device: router, Line: pol.Line})
 		}
 	}
 }

@@ -1,11 +1,16 @@
 package coverage_test
 
 import (
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"acr/internal/bgp"
 	"acr/internal/coverage"
+	"acr/internal/dataplane"
 	"acr/internal/netcfg"
+	"acr/internal/sbfl"
 	"acr/internal/scenario"
 	"acr/internal/verify"
 )
@@ -47,12 +52,12 @@ func TestFailingTestCoversOverridePolicyOnA(t *testing.T) {
 		{Device: "A", Line: scenario.FigureALineOverwrite},
 		{Device: "C", Line: scenario.FigureCLineDCNImport},
 	} {
-		if !failing.Lines[want] {
+		if !failing.Lines.Has(want) {
 			t.Errorf("failing test does not cover %v", want)
 		}
 	}
 	// The PoP-side attachment on A is only exercised by PoP-A's prefix.
-	if failing.Lines[netcfg.LineRef{Device: "A", Line: scenario.FigureALinePoPImport}] {
+	if failing.Lines.Has(netcfg.LineRef{Device: "A", Line: scenario.FigureALinePoPImport}) {
 		t.Error("failing test should not cover A's PoP-side attachment")
 	}
 }
@@ -82,7 +87,7 @@ func TestMissingOriginNegativeCoverage(t *testing.T) {
 	staticLine = f2.Statics[0].Line
 	covered := false
 	for _, tc := range m.Tests {
-		if !tc.Pass && tc.Lines[netcfg.LineRef{Device: "pop0", Line: staticLine}] {
+		if !tc.Pass && tc.Lines.Has(netcfg.LineRef{Device: "pop0", Line: staticLine}) {
 			covered = true
 		}
 	}
@@ -109,10 +114,10 @@ func TestFailedSessionNegativeCoverage(t *testing.T) {
 	}
 	ref := netcfg.LineRef{Device: "pop1", Line: asnLine}
 	for _, tc := range m.Tests {
-		if tc.Pass && tc.Lines[ref] {
+		if tc.Pass && tc.Lines.Has(ref) {
 			t.Errorf("passing test %s covers the failed-session line", tc.ID)
 		}
-		if !tc.Pass && !tc.Lines[ref] {
+		if !tc.Pass && !tc.Lines.Has(ref) {
 			t.Errorf("failing test %s misses the failed-session line", tc.ID)
 		}
 	}
@@ -127,6 +132,64 @@ func TestCountsConsistency(t *testing.T) {
 		}
 		if f > m.TotalFailed() || p > m.TotalPassed() {
 			t.Errorf("line %v counts (%d,%d) exceed totals", l, f, p)
+		}
+	}
+}
+
+// TestBuildPanicsOutsideTheLineSpace: a row is a bit set over the version's
+// line space, which would silently drop a line it does not number, so Build
+// panics and names the line.
+func TestBuildPanicsOutsideTheLineSpace(t *testing.T) {
+	s := scenario.Figure2()
+	n := bgp.Compile(s.Topo, s.Files())
+	out := bgp.Simulate(n, bgp.Options{})
+	bad := netcfg.LineRef{Device: "A", Line: n.Files["A"].NumLines + 1}
+	rep := &verify.Report{Verdicts: []verify.Verdict{{Pass: true,
+		Traces: []*dataplane.TraceResult{{Lines: []netcfg.LineRef{{Device: "A", Line: 1}, bad}}}}}}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, bad.String()) {
+			t.Errorf("Build with trace line %v: panic %q, want one naming the line", bad, msg)
+		}
+	}()
+	coverage.Build(n, bgp.BuildProvenance(n, out), rep)
+}
+
+// TestConcurrentSealRace: clones of one verifier share its net and its
+// provenance graph, so their workers race to build the net's line space on
+// first use, to seal the same sections and to copy them into spectra. Every
+// worker must see one space and build the spectrum and ranking a verifier
+// of its own builds.
+func TestConcurrentSealRace(t *testing.T) {
+	s := scenario.Figure2()
+	base := verify.NewIncremental(s.Topo, s.Configs, s.Intents, bgp.Options{})
+	const workers = 4
+	spaces := make([]*netcfg.LineSpace, workers)
+	ranks := make([][]sbfl.Score, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		iv := base.Clone()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			spaces[i] = iv.BaseNet().LineSpace()
+			for _, p := range iv.BaseProvenance().Prefixes() {
+				iv.BaseProvenance().Section(p).LineSet()
+			}
+			ranks[i] = sbfl.Rank(coverage.Build(iv.BaseNet(), iv.BaseProvenance(), iv.BaseReport()), sbfl.Tarantula)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	own := verify.NewIncremental(s.Topo, s.Configs, s.Intents, bgp.Options{})
+	want := sbfl.Rank(coverage.Build(own.BaseNet(), own.BaseProvenance(), own.BaseReport()), sbfl.Tarantula)
+	for i := range ranks {
+		if spaces[i] != spaces[0] {
+			t.Errorf("worker %d built a line space of its own", i)
+		}
+		if !reflect.DeepEqual(ranks[i], want) {
+			t.Errorf("worker %d ranks differently from a verifier of its own", i)
 		}
 	}
 }

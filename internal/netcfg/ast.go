@@ -10,6 +10,9 @@ import (
 // analyses can translate between semantic constructs and LineRefs.
 type File struct {
 	Device string
+	// NumLines is the length of the parsed document, blank and comment
+	// lines included: the device's extent in a LineSpace.
+	NumLines int
 
 	BGP         *BGPBlock
 	Policies    []*RoutePolicy // in file order; one entry per "node"

@@ -22,7 +22,7 @@ func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Ref, e.Msg)
 // statements that parsed cleanly (analyses want to keep going on partially
 // broken configs — a broken line is itself a repair candidate).
 func Parse(c *Config) (*File, error) {
-	p := &parser{cfg: c, file: &File{Device: c.Device}}
+	p := &parser{cfg: c, file: &File{Device: c.Device, NumLines: c.NumLines()}}
 	p.run()
 	if len(p.errs) == 0 {
 		return p.file, nil

@@ -11,9 +11,7 @@ package provenance
 import (
 	"fmt"
 	"net/netip"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"acr/internal/netcfg"
@@ -115,39 +113,35 @@ func (n *Node) Detail() string {
 
 // Section holds the derivations of one prefix. It is append-only while it
 // is being built and immutable afterwards, which is what lets a
-// configuration version share a section — or copy nodes out of one — with
-// the versions derived from it, and verify.Incremental clones share a whole
-// graph across concurrently validating workers.
+// configuration version copy nodes out of it into the versions derived
+// from it, and verify.Incremental clones share a whole graph across
+// concurrently validating workers.
 //
-// The first Lines call seals the section: it builds the line index once,
-// under sealOnce, and every later call — from any goroutine — reads that
-// immutable index. Add on a sealed section panics.
+// The first line query seals the section: it sets, once under sealOnce,
+// the bits of its derivations' lines in a LineSet over the version's line
+// space, and every later query — from any goroutine — reads that
+// immutable set. Add on a sealed section panics.
 type Section struct {
 	prefix netip.Prefix
 	nodes  []Node
+	// space yields the line space of the version the section belongs to.
+	space func() *netcfg.LineSpace
 
 	sealOnce sync.Once
-	// lines holds the deduplicated provenance lines sorted by (device,
-	// line), so one device's lines are a contiguous run. Non-nil once sealed.
-	lines []netcfg.LineRef
+	lines    netcfg.LineSet // over space(); the zero LineSet until sealed
 }
 
-// sealScratch recycles the deduplication set from one seal to the next: it
-// keeps the size its use gave it, which spares every section of every
-// version growing a map of its own.
-var sealScratch = sync.Pool{New: func() any { return map[netcfg.LineRef]struct{}{} }}
-
-// NewSection returns an empty section for prefix p with room for sizeHint
-// nodes.
-func NewSection(p netip.Prefix, sizeHint int) *Section {
-	return &Section{prefix: p, nodes: make([]Node, 0, sizeHint)}
+// NewSection returns an empty section for prefix p of the version whose
+// line space space yields, with room for sizeHint nodes.
+func NewSection(p netip.Prefix, space func() *netcfg.LineSpace, sizeHint int) *Section {
+	return &Section{prefix: p, space: space, nodes: make([]Node, 0, sizeHint)}
 }
 
 // Add appends a node, assigning its ID and Prefix, and returns the ID. It
-// panics once Lines has sealed the section: the index the readers share
-// would silently miss the node.
+// panics once a line query has sealed the section: the set the readers
+// share would silently miss the node.
 func (s *Section) Add(n Node) int {
-	if s.lines != nil {
+	if s.lines.Space() != nil {
 		panic("provenance: Add on a section sealed by a line query")
 	}
 	n.ID = len(s.nodes)
@@ -168,39 +162,27 @@ func (s *Section) Node(id int) *Node {
 	return &s.nodes[id]
 }
 
-// Lines returns the deduplicated, sorted set of configuration lines the
-// section's derivations executed. The slice is the sealed index's own:
-// callers must not modify it.
-func (s *Section) Lines() []netcfg.LineRef {
+// LineSet returns the set of configuration lines the section's derivations
+// executed — the coverage a test over its prefix contributes to the SBFL
+// spectrum — sealing the section. The set is shared: callers must not add
+// to it.
+func (s *Section) LineSet() netcfg.LineSet {
 	s.sealOnce.Do(func() {
-		// Sessions and policies are shared between derivations, so most
-		// lines repeat: deduplicate, then sort the distinct ones.
-		seen := sealScratch.Get().(map[netcfg.LineRef]struct{})
+		set := s.space().NewSet()
 		for i := range s.nodes {
-			for _, l := range s.nodes[i].Lines {
-				seen[l] = struct{}{}
-			}
+			set.Add(s.nodes[i].Lines...)
 		}
-		lines := make([]netcfg.LineRef, 0, len(seen))
-		for l := range seen {
-			lines = append(lines, l)
-		}
-		clear(seen)
-		sealScratch.Put(seen)
-		slices.SortFunc(lines, func(a, b netcfg.LineRef) int {
-			if c := strings.Compare(a.Device, b.Device); c != 0 {
-				return c
-			}
-			return a.Line - b.Line
-		})
-		s.lines = lines
+		s.lines = set
 	})
 	return s.lines
 }
 
+// Lines returns the configuration lines the section's derivations
+// executed, deduplicated and sorted by (device, line).
+func (s *Section) Lines() []netcfg.LineRef { return s.LineSet().Refs() }
+
 // Graph is the derivation DAG of one configuration version: one Section
-// per prefix, fixed at construction. Sections may be shared with the graphs
-// of other versions.
+// per prefix, fixed at construction.
 type Graph struct {
 	sections map[netip.Prefix]*Section
 	nodes    int
@@ -254,9 +236,7 @@ func (g *Graph) Prefixes() []netip.Prefix {
 }
 
 // LinesForPrefix returns the deduplicated, sorted set of configuration
-// lines executed by any derivation for prefix p. This is the coverage set
-// a test over p contributes to the SBFL spectrum. The slice is the sealed
-// index's own: callers must not modify it.
+// lines executed by any derivation for prefix p.
 func (g *Graph) LinesForPrefix(p netip.Prefix) []netcfg.LineRef {
 	if s := g.sections[p]; s != nil {
 		return s.Lines()
@@ -265,14 +245,18 @@ func (g *Graph) LinesForPrefix(p netip.Prefix) []netcfg.LineRef {
 }
 
 // LinesAtDevice returns the lines of LinesForPrefix(p) that belong to one
-// device, sorted by line number — a sub-slice of the sealed index found by
-// binary search. Callers must not modify it.
+// device, sorted by line number: the sealed set's bits in the device's
+// span of the line space.
 func (g *Graph) LinesAtDevice(p netip.Prefix, device string) []netcfg.LineRef {
-	lines := g.LinesForPrefix(p)
-	lo := sort.Search(len(lines), func(i int) bool { return lines[i].Device >= device })
-	hi := lo
-	for hi < len(lines) && lines[hi].Device == device {
-		hi++
+	s := g.sections[p]
+	if s == nil {
+		return nil
 	}
-	return lines[lo:hi:hi]
+	set := s.LineSet()
+	lo, hi := set.Space().Span(device)
+	var out []netcfg.LineRef
+	for id := set.Next(lo); id >= 0 && id < hi; id = set.Next(id + 1) {
+		out = append(out, netcfg.LineRef{Device: device, Line: id - lo + 1})
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 
 	"acr/internal/netcfg"
@@ -14,11 +15,16 @@ var (
 
 func lr(d string, n int) netcfg.LineRef { return netcfg.LineRef{Device: d, Line: n} }
 
+// sampleSpace numbers the sample's lines; A and AA prefix each other's names.
+var sampleSpace = netcfg.NewLineSpace(map[string]int{"A": 9, "AA": 1, "B": 3, "C": 9, "X": 1})
+
+func space() *netcfg.LineSpace { return sampleSpace }
+
 // buildSample constructs: orig(A) -> sel(A) -> imp(B) -> sel(B) and a
 // rejection for p1, plus an unrelated origination for p2. The sections are
 // returned unsealed so a test can add to them before building its graph.
 func buildSample() (s1, s2 *Section, ids map[string]int) {
-	s1, s2 = NewSection(p1, 8), NewSection(p2, 0)
+	s1, s2 = NewSection(p1, space, 8), NewSection(p2, space, 0)
 	ids = map[string]int{}
 	ids["origA"] = s1.Add(Node{Kind: Origination, Router: "A", Lines: []netcfg.LineRef{lr("A", 5)}})
 	ids["selA"] = s1.Add(Node{Kind: Selection, Router: "A", Parents: []int{ids["origA"]}})
@@ -50,7 +56,7 @@ func TestAddAssignsSequentialIDs(t *testing.T) {
 
 func TestForPrefixSeparation(t *testing.T) {
 	s1, s2, _ := buildSample()
-	g := NewGraph(s1, s2, NewSection(netip.MustParsePrefix("30.0.0.0/8"), 0))
+	g := NewGraph(s1, s2, NewSection(netip.MustParsePrefix("30.0.0.0/8"), space, 0))
 	if got := len(g.ForPrefix(p1)); got != 5 {
 		t.Errorf("ForPrefix(p1) = %d nodes, want 5", got)
 	}
@@ -111,12 +117,12 @@ func TestLinesAtDeviceIsTheDeviceRun(t *testing.T) {
 }
 
 // TestAddAfterLineQueryPanics pins the sealing choice: the first line query
-// builds the index every reader shares, so a later Add — which that index
+// builds the set every reader shares, so a later Add — which that set
 // would silently miss — is a bug and panics rather than invalidating. A
 // section without lines seals like any other.
 func TestAddAfterLineQueryPanics(t *testing.T) {
 	_, s2, _ := buildSample()
-	empty := NewSection(p1, 0)
+	empty := NewSection(p1, space, 0)
 	empty.Add(Node{Kind: Selection, Router: "A"}) // unsealed: fine
 	s2.Add(Node{Kind: Selection, Router: "A"})
 	NewGraph(s2).LinesForPrefix(p2)
@@ -133,11 +139,29 @@ func TestAddAfterLineQueryPanics(t *testing.T) {
 	}
 }
 
+// TestSealPanicsOutsideTheLineSpace: a derivation line the version's line
+// space does not number — past the device's last line, line 0, an unknown
+// device — would drop out of the sealed set, so the seal panics and names it.
+func TestSealPanicsOutsideTheLineSpace(t *testing.T) {
+	for _, bad := range []netcfg.LineRef{lr("A", 10), lr("B", 0), lr("Q", 1)} {
+		s := NewSection(p1, space, 1)
+		s.Add(Node{Kind: Origination, Router: "A", Lines: []netcfg.LineRef{lr("A", 1), bad}})
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, bad.String()) {
+					t.Errorf("sealing a section with line %v: panic %q, want one naming the line", bad, msg)
+				}
+			}()
+			s.Lines()
+		}()
+	}
+}
+
 // TestNewGraphRejectsTwoSectionsForOnePrefix: a graph holds one section per
 // prefix; a second would shadow the first's nodes.
 func TestNewGraphRejectsTwoSectionsForOnePrefix(t *testing.T) {
 	s1, _, _ := buildSample()
-	dup := NewSection(p1, 1)
+	dup := NewSection(p1, space, 1)
 	dup.Add(Node{Kind: Selection, Router: "A"})
 	defer func() {
 		if recover() == nil {

