@@ -8,11 +8,10 @@
 //	acr lint     (-builtin <name> | -dir <casedir>) [-json] [-severity info]
 //	acr localize (-builtin <name> | -dir <casedir>) [-formula tarantula] [-top 15]
 //	acr repair   (-builtin <name> | -dir <casedir>) [-strategy evolutionary] [-seed 0] [-out <dir>]
-//	             [-journal <dir> [-resume]] [-p <workers>] [-no-cache] [-differential] [-o text|json]
+//	             [-journal <dir> [-resume]] [-no-cache] [-differential] [-o text|json]
 //	             [-cache-dir <dir> [-cache-max-bytes <n>]]
 //	acr serve    -state-dir <dir> [-addr 127.0.0.1:7365] [-workers 2] [-queue-cap 64]
-//	             [-job-parallelism <n>] [-debug-addr 127.0.0.1:6060]
-//	             [-cache-dir <dir>|none] [-cache-max-bytes <n>]
+//	             [-debug-addr 127.0.0.1:6060] [-cache-dir <dir>|none] [-cache-max-bytes <n>]
 //	             [-peers <addr,addr,...> -fleet-dir <dir> [-advertise <addr>]
 //	              [-lease-ttl 15s] [-health-interval 1s]]
 //	acr cache    (stats|verify|gc) -cache-dir <dir> [-cache-max-bytes <n>] [-json]
@@ -264,7 +263,6 @@ func runRepair(args []string) error {
 	outDir := fs.String("out", "", "write repaired case to this directory")
 	maxIter := fs.Int("max-iterations", 0, "iteration cap (default 500)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the repair (0 = unlimited)")
-	parallel := fs.Int("p", 0, "candidate-validation workers (0 = GOMAXPROCS); any value yields the identical repair")
 	noCache := fs.Bool("no-cache", false, "disable the content-addressed evaluation cache (including -cache-dir)")
 	cacheDir := fs.String("cache-dir", "", "persistent evaluation store directory, shared across runs and processes (empty = in-memory only)")
 	cacheMax := fs.Int64("cache-max-bytes", 0, "persistent store byte budget (0 = 256 MiB); oldest entries evict first")
@@ -282,7 +280,7 @@ func runRepair(args []string) error {
 		return err
 	}
 	opts := acr.RepairOptions{Seed: *seed, MaxIterations: *maxIter, MaxWallClock: *timeout,
-		Parallelism: *parallel, NoCache: *noCache, Differential: *differential}
+		NoCache: *noCache, Differential: *differential}
 	switch *strategy {
 	case "evolutionary":
 		opts.Strategy = core.Evolutionary

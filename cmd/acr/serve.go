@@ -37,7 +37,6 @@ func runServe(args []string) error {
 	stateDir := fs.String("state-dir", "", "job persistence directory (required)")
 	workers := fs.Int("workers", 2, "worker-pool size")
 	queueCap := fs.Int("queue-cap", service.DefaultQueueCap, "queued-job cap; a full queue answers 429")
-	jobParallel := fs.Int("job-parallelism", 0, "per-job validation-worker budget (0 = GOMAXPROCS/workers)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget before hard cancel")
 	killAfter := fs.Int("kill-after-appends", 0, "testing hook: SIGKILL the daemon after N journal appends across all jobs")
@@ -58,8 +57,7 @@ func runServe(args []string) error {
 	if err := os.MkdirAll(*stateDir, 0o755); err != nil {
 		return &exitError{exitServeState, fmt.Errorf("state dir: %w", err)}
 	}
-	cfg := service.Config{StateDir: *stateDir, Workers: *workers, QueueCap: *queueCap,
-		JobParallelism: *jobParallel}
+	cfg := service.Config{StateDir: *stateDir, Workers: *workers, QueueCap: *queueCap}
 	if *peers != "" || *fleetDir != "" {
 		if *fleetDir == "" {
 			return &exitError{exitServeFleet, fmt.Errorf("-peers requires -fleet-dir")}

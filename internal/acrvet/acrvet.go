@@ -3,8 +3,8 @@
 // byte-identity guarantees rest on. Generic linters cannot know that the
 // merge loop is the only place allowed to observe wall-clock time, that
 // every random draw must come from a content-derived rand.New source, or
-// that iterating a map while producing output silently breaks `-p 1 ≡ -p N`
-// — so this package encodes those rules and CI runs it next to the stock
+// that iterating a map while producing output silently breaks run-to-run
+// and crash→resume byte-identity — so this package encodes those rules and CI runs it next to the stock
 // linters.
 //
 // The checker type-checks the module from source (no build cache, no

@@ -12,7 +12,7 @@ import (
 // StorePlan is a deterministic fault plan for the persistent evaluation
 // store (internal/evalstore). Counter-driven like Plan: the engine consults
 // the store on a single goroutine in proposal order, so a plan's injection
-// sequence reproduces exactly across runs and parallelism levels.
+// sequence reproduces exactly across runs.
 type StorePlan struct {
 	// ReadErrEveryN injects an I/O error (an EIO-shaped read failure) into
 	// every Nth store read (0 = off). The store must answer with a miss.

@@ -29,7 +29,7 @@ func mustStore(t *testing.T, dir string, maxBytes int64) *evalstore.Store {
 // through the faults, the second reads back whatever survived them.
 func TestStoreFaultMatrixByteIdentity(t *testing.T) {
 	p := figure2Problem()
-	opts := core.Options{Strategy: core.BruteForce, Parallelism: 1}
+	opts := core.Options{Strategy: core.BruteForce}
 	baseline := core.Repair(p, opts)
 	if !baseline.Feasible {
 		t.Fatalf("baseline infeasible: %s", baseline.Summary())
@@ -106,7 +106,7 @@ func TestStoreFaultMatrixByteIdentity(t *testing.T) {
 func TestWarmStoreAnswersWholeSession(t *testing.T) {
 	p := figure2Problem()
 	dir := t.TempDir()
-	opts := core.Options{Strategy: core.BruteForce, Parallelism: 1, Store: mustStore(t, dir, 0)}
+	opts := core.Options{Strategy: core.BruteForce, Store: mustStore(t, dir, 0)}
 	first := core.Repair(p, opts)
 	if !first.Feasible || first.StoreMisses == 0 {
 		t.Fatalf("populate run: %s", first.Summary())
@@ -132,7 +132,7 @@ func TestWarmStoreAnswersWholeSession(t *testing.T) {
 // between classification and nothing else; the result must not move.
 func TestStoreEvictionChurnByteIdentity(t *testing.T) {
 	p := figure2Problem()
-	opts := core.Options{Strategy: core.BruteForce, Parallelism: 1}
+	opts := core.Options{Strategy: core.BruteForce}
 	want := core.Repair(p, opts).Canonical()
 
 	dir := t.TempDir()

@@ -7,8 +7,8 @@ import (
 
 // TestRetryJitterDeterministicAndBounded pins the full-jitter contract:
 // the per-candidate stream is a pure function of (seed, candidate desc),
-// so the backoff schedule cannot depend on worker count or validation
-// order, and every draw stays within the doubling window [0, backoff].
+// so the backoff schedule cannot depend on validation order, and every
+// draw stays within the doubling window [0, backoff].
 func TestRetryJitterDeterministicAndBounded(t *testing.T) {
 	const seed, desc = int64(42), "set-metric @ A:3"
 	draw := func() []time.Duration {

@@ -37,10 +37,9 @@ type EvalStore interface {
 // are exact, not approximate.
 //
 // The cache is not safe for concurrent use and does not need to be: only
-// the engine goroutine touches it, at batch dispatch (digest + lookup)
-// and in the merge loop (store). Validation workers never see it, which
-// is also what keeps cache state — and therefore the CacheHits/CacheMisses
-// counters — deterministic at any parallelism level.
+// the engine goroutine touches it, one proposal at a time in proposal
+// order, which is what keeps cache state — and therefore the
+// CacheHits/CacheMisses counters — deterministic.
 type evalCache struct {
 	enabled bool
 	fitness map[string]int
@@ -50,9 +49,8 @@ type evalCache struct {
 	// configs produced while digesting a proposal are hashed and dropped.
 	cfg map[*netcfg.Config]string
 	// store is the persistent layer (nil = memory only). It is consulted
-	// only at batch classification, for digests missing from memory, and
-	// written back only from the merge loop — the same single-goroutine
-	// discipline that keeps the in-memory counters deterministic.
+	// only for digests missing from memory and written back only with
+	// freshly simulated fitness values.
 	store EvalStore
 	// storeCorrupt counts store entries that failed integrity verification
 	// during this run (folded into Result.StoreCorrupt at the end).
@@ -154,9 +152,7 @@ func (c *evalCache) get(d string) (int, bool) {
 	return fit, ok
 }
 
-// put stores a successfully validated candidate's fitness. Only the merge
-// loop calls it, in proposal order, so cache contents never depend on
-// worker scheduling.
+// put stores a successfully validated candidate's fitness.
 func (c *evalCache) put(d string, fitness int) {
 	if !c.enabled || d == "" {
 		return
@@ -168,10 +164,9 @@ func (c *evalCache) put(d string, fitness int) {
 
 // storeGet consults the persistent store for a digest the in-memory cache
 // missed. Corrupt entries are tallied (the store has already quarantined
-// them) and reported as misses. Called only from batch classification on
-// the engine goroutine, in proposal order, so the sequence of store reads —
-// and therefore any fault-injection schedule against them — is identical
-// at every parallelism level.
+// them) and reported as misses. Reads happen in proposal order, so their
+// sequence — and therefore any fault-injection schedule against them — is
+// identical across runs.
 func (c *evalCache) storeGet(d string) (int, bool) {
 	if c.store == nil || d == "" {
 		return 0, false
@@ -187,7 +182,6 @@ func (c *evalCache) storeGet(d string) (int, bool) {
 }
 
 // storePut writes a simulated fitness through to the persistent store.
-// Merge-loop only, like put.
 func (c *evalCache) storePut(d string, fitness int) {
 	if c.store == nil || d == "" || fitness < 0 {
 		return

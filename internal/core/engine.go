@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -68,13 +67,8 @@ type Options struct {
 
 	// --- performance ----------------------------------------------------
 
-	// Parallelism is the number of workers validating candidates
-	// concurrently (default runtime.GOMAXPROCS(0); 1 runs serially).
-	// Outcomes merge in proposal order on a single goroutine, so the
-	// Result — including Canonical() — is byte-identical at every level;
-	// only wall-clock-dependent quarantines (CandidateTimeout) and runs
-	// with a chaos injector wired (which forces one worker, because
-	// injection is call-order-dependent) can observe the difference.
+	// Deprecated: Parallelism is ignored. Candidates are validated one at
+	// a time, in proposal order, on the engine goroutine.
 	Parallelism int
 	// NoCache disables the content-addressed evaluation cache (ablation):
 	// duplicate proposals across iterations, widening rounds, and resumed
@@ -99,9 +93,9 @@ type Options struct {
 	// function of the configuration set, a store answer replaces only the
 	// simulation, never the decision — Canonical() output is byte-identical
 	// with a cold, warm, corrupt, or absent store. The store is therefore
-	// excluded from SearchDigest (like Parallelism): a journaled session
-	// may resume on a machine with a different -cache-dir, a different
-	// budget, or no store at all. NoCache severs the store too.
+	// excluded from SearchDigest: a journaled session may resume on a
+	// machine with a different -cache-dir, a different budget, or no store
+	// at all. NoCache severs the store too.
 	Store EvalStore
 
 	// --- robustness -----------------------------------------------------
@@ -181,9 +175,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxValidationRetries <= 0 {
 		o.MaxValidationRetries = 2
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = time.Millisecond
 	}
@@ -244,11 +235,6 @@ type Result struct {
 	CacheHits int
 	// CacheMisses counts candidates that were simulated and then stored.
 	CacheMisses int
-	// ParallelWorkers is the effective validation worker count the run
-	// used (1 when a chaos injector forced serial execution). It is
-	// excluded from Canonical(): runs at different parallelism produce
-	// identical results.
-	ParallelWorkers int
 
 	// --- persistent evaluation store ------------------------------------
 	//
@@ -379,8 +365,7 @@ func (r *Result) Summary() string {
 			r.CandidatesPanicked, r.CandidatesTimedOut, r.ValidationRetries)
 	}
 	if r.CacheHits+r.CacheMisses > 0 {
-		fmt.Fprintf(&sb, "  cache: hits=%d misses=%d workers=%d\n",
-			r.CacheHits, r.CacheMisses, r.ParallelWorkers)
+		fmt.Fprintf(&sb, "  cache: hits=%d misses=%d\n", r.CacheHits, r.CacheMisses)
 	}
 	if r.StoreHits+r.StoreMisses+r.StoreCorrupt > 0 {
 		fmt.Fprintf(&sb, "  store: hits=%d misses=%d corrupt=%d\n",
@@ -457,12 +442,6 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 	res := &Result{FinalConfigs: p.Configs, Termination: "iteration-cap"}
 	sink := newJournalSink(opts.Journal, res, opts.CheckpointEvery)
 	ec := newEvalCache(opts)
-	res.ParallelWorkers = opts.Parallelism
-	if opts.Chaos != nil || opts.SimOpts.PrefixHook != nil {
-		// Stateful injection seams count invocations; concurrency would
-		// make the injection sequence scheduler-dependent.
-		res.ParallelWorkers = 1
-	}
 
 	best := &bestEffort{fitness: -1}
 	finish := func(term string) *Result {
@@ -599,45 +578,51 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 		}
 
 		// --- Validate -----------------------------------------------------
-		// Proposals are validated by the batch validator's worker pool
-		// (internal/core/parallel.go); this loop is the single-threaded
-		// merge: it consumes outcomes strictly in proposal order, and it
-		// alone touches res, the log, the sink, the cache, and best — so
-		// the Result is identical at any Options.Parallelism.
-		bv := newBatchValidator(ctx, props, opts, ec)
+		// Proposals are evaluated one at a time, in proposal order, so the
+		// first feasible one ends the iteration before anything after it is
+		// simulated. The members' verifiers carry a parse memo for the
+		// iteration: siblings leaving a device with the same text parse it
+		// once.
+		for _, m := range pop {
+			m.iv.BeginBatch()
+		}
+		endBatch := func() {
+			for _, m := range pop {
+				m.iv.EndBatch()
+			}
+		}
 		var kept []proposal
 		feasibleAt := -1
 		for i := range props {
 			if _, ok := interrupted(); ok {
-				bv.close()
+				endBatch()
 				res.Logs = append(res.Logs, log)
 				return abort()
 			}
 			pr := &props[i]
-			out := bv.resolve(i)
-			out.stats.mergeInto(res)
-			if !out.ok {
+			fitness, digest, refuted, err := evaluate(ctx, res, ec, pr, opts)
+			if err != nil {
 				if _, ok := interrupted(); ok {
-					bv.close()
+					endBatch()
 					res.Logs = append(res.Logs, log)
 					return abort()
 				}
 				var dv *verify.DivergenceError
-				if errors.As(out.err, &dv) {
+				if errors.As(err, &dv) {
 					// The impact analysis was caught pruning unsoundly.
 					// Continuing would search on corrupted fitness data;
 					// fail the run and surface the minimized repro.
-					bv.close()
+					endBatch()
 					res.recordError(&RepairError{Kind: KindImpactDivergence, Op: "validate", Candidate: pr.update.Desc, Err: dv})
 					res.Logs = append(res.Logs, log)
 					sink.iteration(log)
 					return finish("impact-divergence")
 				}
 				var dde *verify.DeltaDivergenceError
-				if errors.As(out.err, &dde) {
+				if errors.As(err, &dde) {
 					// The delta simulator reached a fixpoint a cold
 					// simulation would not; same terminal treatment.
-					bv.close()
+					endBatch()
 					res.recordError(&RepairError{Kind: KindDeltaDivergence, Op: "validate", Candidate: pr.update.Desc, Err: dde})
 					res.Logs = append(res.Logs, log)
 					sink.iteration(log)
@@ -647,25 +632,8 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 			}
 			res.CandidatesValidated++
 			log.Validated++
-			pr.fitness = out.fitness
-			if out.hit {
-				res.CacheHits++
-			} else if out.digest != "" {
-				// A store answer is accounted as an in-memory miss, exactly
-				// like the simulation it replaced: the fitness enters the
-				// cache so later duplicates hit it, and CacheHits/CacheMisses
-				// — part of Canonical() — match a cold-store run byte for
-				// byte. Only the cost counters below see the store.
-				res.CacheMisses++
-				ec.put(out.digest, pr.fitness)
-				if out.mode == modeStore {
-					res.StoreHits++
-				} else if ec.store != nil {
-					res.StoreMisses++
-					ec.storePut(out.digest, pr.fitness)
-				}
-			}
-			sink.candidate(iter, pr.update.Desc, pr.fitness, out.digest, out.stats.refuted > 0)
+			pr.fitness = fitness
+			sink.candidate(iter, pr.update.Desc, pr.fitness, digest, refuted)
 			if pr.fitness < log.BestFitness {
 				log.BestFitness = pr.fitness
 			}
@@ -673,9 +641,7 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 				best.observeLazy(pr.fitness, pr)
 			}
 			if pr.fitness == 0 {
-				// Feasible update found (termination condition 1). Later
-				// proposals are discarded unmerged, exactly as the serial
-				// engine never validated them.
+				// Feasible update found (termination condition 1).
 				feasibleAt = i
 				break
 			}
@@ -685,7 +651,7 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 				kept = append(kept, *pr)
 			}
 		}
-		bv.close()
+		endBatch()
 		if feasibleAt >= 0 {
 			pr := &props[feasibleAt]
 			final := applyUpdate(pr.parent.configs, pr.update)
@@ -796,9 +762,9 @@ func versionRNG(seed int64, descs []string) *rand.Rand {
 
 // retryRNG derives the backoff-jitter stream for one candidate, addressed
 // by its update description. Keying the stream to the candidate's content
-// (not to which worker validates it, or in what order) keeps `-p 1` ≡
-// `-p N` determinism and resume byte-identity intact: jitter only ever
-// shifts wall clock, and even the draws themselves are reproducible.
+// (not to the order candidates are validated in) keeps resume
+// byte-identity intact: jitter only ever shifts wall clock, and even the
+// draws themselves are reproducible.
 func retryRNG(seed int64, desc string) *rand.Rand {
 	return rand.New(rand.NewSource(deriveSeed(seed, "retry/"+desc)))
 }
@@ -893,7 +859,7 @@ func (b *bestEffort) observe(fitness int, configs map[string]*netcfg.Config, app
 }
 
 // observeLazy records an improving candidate without materializing it.
-// The caller has already established the improvement (the merge loop's
+// The caller has already established the improvement (the validate loop's
 // fitness check), so this unconditionally replaces the previous best.
 func (b *bestEffort) observeLazy(fitness int, pr *proposal) {
 	b.fitness = fitness
@@ -934,32 +900,66 @@ func (b *bestEffort) writeTo(res *Result) {
 	}
 }
 
-// validateCandidate runs one candidate's validation behind the full
-// resilience boundary: chaos injection, transient-fault retries with
-// exponential backoff, panic quarantine, and the per-candidate timeout.
-// Counters and errors go to st — the caller's private valStats slot —
-// never to the shared Result, so validations may run concurrently; iv is
-// the verifier to validate against (the parent's own on the merge
-// goroutine, a per-worker clone in the pool).
-func validateCandidate(ctx context.Context, st *valStats, iv *verify.Incremental, pr *proposal, opts Options) (*verify.Report, error) {
+// evaluate answers one proposal's fitness from the evaluation cache, else
+// the persistent store, else by validating it on its parent's verifier.
+// A duplicate of an earlier proposal hits the entry that proposal wrote. A
+// store answer replaces only the simulation: it is accounted as a cache
+// miss and enters the cache like the simulation it replaced, so
+// CacheHits/CacheMisses — part of Canonical() — match a cold-store run and
+// only the store counters see it. digest is "" for a proposal the cache
+// cannot address (cache off, malformed edits); refuted reports that the
+// impact analysis answered the validation without simulating.
+func evaluate(ctx context.Context, res *Result, ec *evalCache, pr *proposal, opts Options) (fitness int, digest string, refuted bool, err error) {
+	digest, _ = ec.digest(pr)
+	if fit, ok := ec.get(digest); ok {
+		res.CacheHits++
+		return fit, digest, false, nil
+	}
+	fitness, stored := ec.storeGet(digest)
+	if stored {
+		res.StoreHits++
+	} else {
+		rep, stats, err := validateCandidate(ctx, res, pr, opts)
+		if err != nil {
+			return 0, digest, false, err
+		}
+		fitness, refuted = rep.NumFailed(), stats.Refuted
+		if digest != "" && ec.store != nil {
+			res.StoreMisses++
+			ec.storePut(digest, fitness)
+		}
+	}
+	if digest != "" {
+		res.CacheMisses++
+		ec.put(digest, fitness)
+	}
+	return fitness, digest, refuted, nil
+}
+
+// validateCandidate validates one candidate on its parent's verifier
+// behind the full resilience boundary: chaos injection, transient-fault
+// retries with exponential backoff, panic quarantine, and the
+// per-candidate timeout. Work counters and errors go to res; the returned
+// Stats are the final attempt's.
+func validateCandidate(ctx context.Context, res *Result, pr *proposal, opts Options) (*verify.Report, verify.Stats, error) {
 	backoff := opts.RetryBackoff
 	var jitter *rand.Rand
 	var lastErr error
 	for attempt := 0; attempt <= opts.MaxValidationRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, verify.Stats{}, err
 		}
 		retry := func(err error) {
 			lastErr = err
-			st.retries++
-			st.recordError(&RepairError{Kind: KindTransient, Op: "validate", Candidate: pr.update.Desc, Err: err})
+			res.ValidationRetries++
+			res.recordError(&RepairError{Kind: KindTransient, Op: "validate", Candidate: pr.update.Desc, Err: err})
 			if attempt < opts.MaxValidationRetries {
 				// Back off only when another attempt follows; sleeping
 				// after the final failure would waste RetryBackoff*2^k of
 				// wall clock on a candidate already being given up on.
 				// The sleep is full-jitter over the doubling window, drawn
 				// from the candidate's content-derived stream (retryRNG) so
-				// the schedule is reproducible under any parallelism.
+				// the schedule is reproducible.
 				if jitter == nil {
 					jitter = retryRNG(opts.Seed, pr.update.Desc)
 				}
@@ -973,22 +973,22 @@ func validateCandidate(ctx context.Context, st *valStats, iv *verify.Incremental
 					retry(err)
 					continue
 				}
-				return nil, err
+				return nil, verify.Stats{}, err
 			}
 		}
-		rep, err := checkOnce(ctx, st, iv, pr, opts)
+		rep, stats, err := checkOnce(ctx, res, pr, opts)
 		if err != nil && IsTransient(err) {
 			retry(err)
 			continue
 		}
-		return rep, err
+		return rep, stats, err
 	}
-	return nil, lastErr
+	return nil, verify.Stats{}, lastErr
 }
 
 // checkOnce performs one validator invocation with panic quarantine and
 // the per-candidate timeout.
-func checkOnce(ctx context.Context, st *valStats, iv *verify.Incremental, pr *proposal, opts Options) (rep *verify.Report, err error) {
+func checkOnce(ctx context.Context, res *Result, pr *proposal, opts Options) (rep *verify.Report, stats verify.Stats, err error) {
 	cctx := ctx
 	if opts.CandidateTimeout > 0 {
 		var cancel context.CancelFunc
@@ -997,8 +997,8 @@ func checkOnce(ctx context.Context, st *valStats, iv *verify.Incremental, pr *pr
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
-			st.panicked++
-			st.recordError(&RepairError{
+			res.CandidatesPanicked++
+			res.recordError(&RepairError{
 				Kind:      KindCandidatePanic,
 				Op:        "validate",
 				Candidate: pr.update.Desc,
@@ -1008,7 +1008,7 @@ func checkOnce(ctx context.Context, st *valStats, iv *verify.Incremental, pr *pr
 			rep, err = nil, errQuarantined
 		}
 	}()
-	var stats verify.Stats
+	iv := pr.parent.iv
 	if opts.FullValidation {
 		rep, stats, err = iv.FullCheckCtx(cctx, pr.update.Edits)
 	} else {
@@ -1016,28 +1016,28 @@ func checkOnce(ctx context.Context, st *valStats, iv *verify.Incremental, pr *pr
 		if err == nil {
 			switch {
 			case stats.Refuted:
-				st.refuted++
+				res.StaticallyRefuted++
 			case stats.Broad:
-				st.broad++
+				res.ImpactBroad++
 			default:
-				st.scoped++
+				res.ImpactScoped++
 			}
 		}
 	}
-	st.prefixSims += stats.PrefixesSimulated
-	st.intentChecks += stats.IntentsReverified
-	st.derived += stats.PrefixesDerived
-	st.deltaReused += stats.PrefixesDelta
-	st.deltaResim += stats.DeltaFallbacks
-	st.activations += stats.Activations
+	res.PrefixSimulations += stats.PrefixesSimulated
+	res.IntentChecks += stats.IntentsReverified
+	res.LeafDerivations += stats.PrefixesDerived
+	res.DeltaReused += stats.PrefixesDelta
+	res.DeltaResimulated += stats.DeltaFallbacks
+	res.SimActivations += stats.Activations
 	if err != nil && cctx.Err() != nil && ctx.Err() == nil {
 		// The candidate's own timeout tripped, not the run's: quarantine
 		// just this candidate.
-		st.timedOut++
-		st.recordError(&RepairError{Kind: KindCandidateTimeout, Op: "validate", Candidate: pr.update.Desc, Err: err})
+		res.CandidatesTimedOut++
+		res.recordError(&RepairError{Kind: KindCandidateTimeout, Op: "validate", Candidate: pr.update.Desc, Err: err})
 		err = errQuarantined
 	}
-	return rep, err
+	return rep, stats, err
 }
 
 // sleepCtx sleeps for d or until the context is done, whichever is first.

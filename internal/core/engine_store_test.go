@@ -62,7 +62,7 @@ func (f *fakeStore) len() int {
 func TestStoreWarmByteIdentity(t *testing.T) {
 	s := scenario.Figure2()
 	p := problemOf(s)
-	base := core.Options{Strategy: core.BruteForce, Parallelism: 1}
+	base := core.Options{Strategy: core.BruteForce}
 
 	cold := core.Repair(p, base)
 	if !cold.Feasible {
@@ -103,39 +103,13 @@ func TestStoreWarmByteIdentity(t *testing.T) {
 	}
 }
 
-// TestParallelStoreDeterminism pins -p 1 ≡ -p N over a warm store: store
-// reads happen at batch classification on the engine goroutine, so the
-// worker count must not change which candidates the store answers.
-func TestParallelStoreDeterminism(t *testing.T) {
-	s := scenario.Figure2()
-	p := problemOf(s)
-	st := newFakeStore()
-	opts := core.Options{Strategy: core.BruteForce, Parallelism: 1, Store: st}
-	core.Repair(p, opts) // populate
-
-	serial := core.Repair(p, opts)
-	for _, workers := range []int{4, 8} {
-		par := opts
-		par.Parallelism = workers
-		res := core.Repair(p, par)
-		if res.Canonical() != serial.Canonical() {
-			t.Errorf("-p %d over warm store diverges from -p 1\n--- p1 ---\n%s\n--- p%d ---\n%s",
-				workers, serial.Canonical(), workers, res.Canonical())
-		}
-		if res.StoreHits != serial.StoreHits || res.StoreMisses != serial.StoreMisses {
-			t.Errorf("-p %d store counters hits=%d misses=%d, want hits=%d misses=%d",
-				workers, res.StoreHits, res.StoreMisses, serial.StoreHits, serial.StoreMisses)
-		}
-	}
-}
-
 // TestStoreFaultsAreInvisible runs the engine against a store that is
 // all-corrupt, then one that fails every I/O: both must produce the
 // storeless run's bytes, with the damage visible only in cost counters.
 func TestStoreFaultsAreInvisible(t *testing.T) {
 	s := scenario.Figure2()
 	p := problemOf(s)
-	base := core.Options{Strategy: core.BruteForce, Parallelism: 1}
+	base := core.Options{Strategy: core.BruteForce}
 	want := core.Repair(p, base).Canonical()
 
 	corrupt := newFakeStore()
@@ -169,7 +143,7 @@ func TestNoCacheBypassesStore(t *testing.T) {
 	p := problemOf(s)
 	st := newFakeStore()
 	st.m["deadbeef"] = 1 // anything in here must stay unread
-	res := core.Repair(p, core.Options{Strategy: core.BruteForce, Parallelism: 1, NoCache: true, Store: st})
+	res := core.Repair(p, core.Options{Strategy: core.BruteForce, NoCache: true, Store: st})
 	if !res.Feasible {
 		t.Fatalf("infeasible: %s", res.Summary())
 	}
@@ -183,7 +157,7 @@ func TestNoCacheBypassesStore(t *testing.T) {
 
 // TestSearchDigestExcludesStore: the store is infrastructure, not search
 // steering — a journaled session must resume under a different cache
-// directory, budget, or no store at all (the Parallelism precedent).
+// directory, budget, or no store at all.
 func TestSearchDigestExcludesStore(t *testing.T) {
 	base := core.Options{Seed: 7, MaxIterations: 40}
 	with := base

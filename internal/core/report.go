@@ -47,8 +47,7 @@ func (r *Result) Report(baseConfigs map[string]*netcfg.Config) string {
 		fmt.Fprintf(&sb, "delta simulation: %d prefixes reused, %d resimulated, %d router activations\n",
 			r.DeltaReused, r.DeltaResimulated, r.SimActivations)
 	}
-	fmt.Fprintf(&sb, "cache: %d hits, %d misses  validation workers: %d\n",
-		r.CacheHits, r.CacheMisses, r.ParallelWorkers)
+	fmt.Fprintf(&sb, "cache: %d hits, %d misses\n", r.CacheHits, r.CacheMisses)
 	if r.StoreHits+r.StoreMisses+r.StoreCorrupt > 0 {
 		fmt.Fprintf(&sb, "persistent store: %d hits, %d misses, %d corrupt entries quarantined\n",
 			r.StoreHits, r.StoreMisses, r.StoreCorrupt)
@@ -120,9 +119,7 @@ func (r *Result) Canonical() string {
 		r.StaticDiagnostics, r.PriorSeededLines, r.TemplatesPrunedStatic)
 	fmt.Fprintf(&sb, "quarantine: panicked=%d timedOut=%d retries=%d\n",
 		r.CandidatesPanicked, r.CandidatesTimedOut, r.ValidationRetries)
-	// ParallelWorkers is deliberately absent: the worker count must not
-	// change the result, and this line is how tests enforce that.
-	// StoreHits/StoreMisses/StoreCorrupt are deliberately absent too: the
+	// StoreHits/StoreMisses/StoreCorrupt are deliberately absent: the
 	// persistent store only moves evaluations between "simulated" and
 	// "read from disk", so a warm, cold, faulty, or absent store must
 	// produce this exact string — the storage-chaos harness asserts it.

@@ -54,19 +54,17 @@ func (p Problem) Digest() string {
 func (o Options) SearchDigest() string {
 	o = o.withDefaults()
 	h := sha256.New()
-	// Parallelism is deliberately absent: -p 1 and -p N runs are
-	// byte-identical, so resuming under a different worker count is
-	// legitimate. NoCache is present: it changes the hit/miss counters in
-	// Canonical, so cached and uncached sessions must not mix.
-	// Differential is absent: replay is purely observational and moves no
-	// counter. Store is deliberately absent, like Parallelism: the
-	// persistent evaluation store only substitutes disk reads for
-	// simulations without touching anything in Canonical, so a session may
-	// resume on a machine with a different -cache-dir, budget, or no store
-	// at all. "noimpact=false nodelta=false" is constant text: it keeps the
-	// digest of every option vector equal to the one written when those two
-	// ablation switches existed, so older journals, service state
-	// directories and fleet dedup keys still resume and dedup.
+	// NoCache is present: it changes the hit/miss counters in Canonical,
+	// so cached and uncached sessions must not mix. Differential is
+	// absent: replay is purely observational and moves no counter. Store
+	// is deliberately absent too: the persistent evaluation store only
+	// substitutes disk reads for simulations without touching anything in
+	// Canonical, so a session may resume on a machine with a different
+	// -cache-dir, budget, or no store at all. "noimpact=false
+	// nodelta=false" is constant text: it keeps the digest of every option
+	// vector equal to the one written when those two ablation switches
+	// existed, so older journals, service state directories and fleet
+	// dedup keys still resume and dedup.
 	fmt.Fprintf(h, "formula=%s iters=%d minsusp=%g topk=%d popcap=%d candcap=%d sample=%d strategy=%d seed=%d full=%v noprior=%v nocache=%v noimpact=false nodelta=false\n",
 		o.Formula.Name, o.MaxIterations, o.MinSusp, o.TopKLines, o.PopulationCap,
 		o.CandidateCap, o.SampleSize, o.Strategy, o.Seed, o.FullValidation, o.NoStaticPrior, o.NoCache)

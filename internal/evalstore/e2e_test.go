@@ -50,7 +50,7 @@ func runWorker() error {
 	s := scenario.Figure2()
 	p := core.Problem{Topo: s.Topo, Configs: s.Configs, Intents: s.Intents}
 	res := core.RepairContext(context.Background(), p,
-		core.Options{Strategy: core.BruteForce, Parallelism: 2, Store: st})
+		core.Options{Strategy: core.BruteForce, Store: st})
 	sum := sha256.Sum256([]byte(res.Canonical()))
 	return json.NewEncoder(os.Stdout).Encode(workerReport{
 		CanonicalSHA256: hex.EncodeToString(sum[:]),
@@ -131,7 +131,7 @@ func TestMultiProcessStoreSharing(t *testing.T) {
 	s := scenario.Figure2()
 	p := core.Problem{Topo: s.Topo, Configs: s.Configs, Intents: s.Intents}
 	res := core.RepairContext(context.Background(), p,
-		core.Options{Strategy: core.BruteForce, Parallelism: 1, Store: st})
+		core.Options{Strategy: core.BruteForce, Store: st})
 	if res.StoreMisses != 0 || res.PrefixSimulations != 0 {
 		t.Fatalf("settled store still missed: misses=%d prefixSims=%d",
 			res.StoreMisses, res.PrefixSimulations)

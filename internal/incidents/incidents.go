@@ -272,71 +272,21 @@ func ManualResolutionMinutes(rng *rand.Rand) float64 {
 	return math.Exp(math.Log(10) + 1.0*rng.NormFloat64())
 }
 
-// RunResult is the outcome of repairing one incident.
+// RunResult is the outcome of repairing one incident: the engine's Result
+// (BaseFailing is the number of failing tests the injection caused) plus
+// how well localization ranked the ground truth.
 type RunResult struct {
+	*core.Result
 	Incident *Incident
-	// BaseFailing is the number of failing tests the injection caused.
-	BaseFailing int
-	Feasible    bool
-	Iterations  int
-	// CandidatesValidated counts validator calls during repair.
-	CandidatesValidated int
-	// PrefixSimulations / IntentChecks expose the incremental verifier's
-	// work.
-	PrefixSimulations int
-	IntentChecks      int
-	// StaticallyRefuted / ImpactScoped / ImpactBroad expose the static
-	// impact analysis's pruning decisions (all zero under FullValidation).
-	StaticallyRefuted int
-	ImpactScoped      int
-	ImpactBroad       int
-	// DeltaReused / DeltaResimulated / SimActivations expose the delta
-	// re-simulation's work counters (reused/resimulated zero under
-	// FullValidation).
-	DeltaReused      int
-	DeltaResimulated int
-	SimActivations   int
 	// LocalizationRank is the best (smallest) SBFL rank over the ground
 	// truth lines, computed on the faulty configuration (0 = not ranked).
 	LocalizationRank int
-	// Termination is how the run ended ("feasible", "exhausted",
-	// "iteration-cap", "deadline", "canceled").
-	Termination string
-	// Improved reports whether the best-effort repair fixes at least one
-	// failing intent even when infeasible.
-	Improved bool
-	// CandidatesPanicked / CandidatesTimedOut / ValidationRetries expose
-	// the engine's robustness counters (nonzero under fault injection or
-	// hostile templates).
-	CandidatesPanicked int
-	CandidatesTimedOut int
-	ValidationRetries  int
 }
 
 // Run repairs one incident with the engine and collects metrics.
 func Run(inc *Incident, opts core.Options) *RunResult {
 	p := core.Problem{Topo: inc.Scenario.Topo, Configs: inc.Scenario.Configs, Intents: inc.Scenario.Intents}
-	res := &RunResult{Incident: inc}
-	res.LocalizationRank = LocalizationRank(inc)
-	r := core.Repair(p, opts)
-	res.BaseFailing = r.BaseFailing
-	res.Feasible = r.Feasible
-	res.Iterations = r.Iterations
-	res.CandidatesValidated = r.CandidatesValidated
-	res.PrefixSimulations = r.PrefixSimulations
-	res.IntentChecks = r.IntentChecks
-	res.StaticallyRefuted = r.StaticallyRefuted
-	res.ImpactScoped = r.ImpactScoped
-	res.ImpactBroad = r.ImpactBroad
-	res.DeltaReused = r.DeltaReused
-	res.DeltaResimulated = r.DeltaResimulated
-	res.SimActivations = r.SimActivations
-	res.Termination = r.Termination
-	res.Improved = r.Improved
-	res.CandidatesPanicked = r.CandidatesPanicked
-	res.CandidatesTimedOut = r.CandidatesTimedOut
-	res.ValidationRetries = r.ValidationRetries
-	return res
+	return &RunResult{Incident: inc, LocalizationRank: LocalizationRank(inc), Result: core.Repair(p, opts)}
 }
 
 // LocalizationRank computes the best Tarantula rank over the incident's

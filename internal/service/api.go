@@ -107,12 +107,6 @@ type JobRequest struct {
 	// not the job's lifetime (deadlines are excluded from the search
 	// digest for exactly this reason).
 	TimeoutSeconds float64 `json:"timeoutSeconds,omitempty"`
-	// Parallelism requests this many validation workers for the job.
-	// The server clamps it to its per-job budget (Config.JobParallelism);
-	// 0 takes the budget. Parallelism never changes the repair result —
-	// only how fast it arrives — so it is excluded from the search digest
-	// and a job may resume under a different value.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // Options converts the request's engine knobs to core.Options.
@@ -129,11 +123,7 @@ func (r *JobRequest) Options() (core.Options, error) {
 	if r.TimeoutSeconds < 0 {
 		return opts, fmt.Errorf("negative timeoutSeconds")
 	}
-	if r.Parallelism < 0 {
-		return opts, fmt.Errorf("negative parallelism")
-	}
 	opts.MaxWallClock = time.Duration(r.TimeoutSeconds * float64(time.Second))
-	opts.Parallelism = r.Parallelism
 	return opts, nil
 }
 
@@ -149,11 +139,10 @@ type Job struct {
 	Case    string `json:"case"`
 	Builtin string `json:"builtin,omitempty"`
 	Seed    int64  `json:"seed"`
-	// Strategy, MaxIterations, TimeoutSeconds, Parallelism echo the request.
+	// Strategy, MaxIterations, TimeoutSeconds echo the request.
 	Strategy       string  `json:"strategy,omitempty"`
 	MaxIterations  int     `json:"maxIterations,omitempty"`
 	TimeoutSeconds float64 `json:"timeoutSeconds,omitempty"`
-	Parallelism    int     `json:"parallelism,omitempty"`
 	// Attempts counts times a worker picked the job up (1 for a job that
 	// ran once; higher after crash- or drain-resumes).
 	Attempts int `json:"attempts,omitempty"`
@@ -212,7 +201,6 @@ type ResultJSON struct {
 	ValidationRetries     int `json:"validationRetries,omitempty"`
 	CacheHits             int `json:"cacheHits,omitempty"`
 	CacheMisses           int `json:"cacheMisses,omitempty"`
-	ParallelWorkers       int `json:"parallelWorkers,omitempty"`
 	StoreHits             int `json:"storeHits,omitempty"`
 	StoreMisses           int `json:"storeMisses,omitempty"`
 	StoreCorrupt          int `json:"storeCorrupt,omitempty"`
@@ -264,7 +252,6 @@ func NewResultJSON(res *core.Result) *ResultJSON {
 		ValidationRetries:     res.ValidationRetries,
 		CacheHits:             res.CacheHits,
 		CacheMisses:           res.CacheMisses,
-		ParallelWorkers:       res.ParallelWorkers,
 		StoreHits:             res.StoreHits,
 		StoreMisses:           res.StoreMisses,
 		StoreCorrupt:          res.StoreCorrupt,

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -34,11 +33,6 @@ type Config struct {
 	// QueueCap bounds the queued-job count for admission control
 	// (<=0 means DefaultQueueCap). A full queue answers 429 + Retry-After.
 	QueueCap int
-	// JobParallelism is the per-job validation-worker budget: a job's
-	// requested parallelism is clamped to it, and a request of 0 takes the
-	// whole budget. <=0 means GOMAXPROCS divided across the worker pool
-	// (at least 1), so a fully busy daemon does not oversubscribe the host.
-	JobParallelism int
 	// JournalHook, when non-nil, is installed on every job's journal
 	// writer before the event mirror — the seam crash tests use to SIGKILL
 	// the daemon after N appends (chaos.KillSwitch) or to block appends.
@@ -111,12 +105,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = DefaultQueueCap
-	}
-	if cfg.JobParallelism <= 0 {
-		cfg.JobParallelism = runtime.GOMAXPROCS(0) / cfg.Workers
-		if cfg.JobParallelism < 1 {
-			cfg.JobParallelism = 1
-		}
 	}
 	st, err := openStore(cfg.StateDir)
 	if err != nil {
@@ -657,12 +645,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status":         "ok",
-		"uptimeSeconds":  time.Since(s.startedAt).Seconds(),
-		"workers":        s.cfg.Workers,
-		"jobParallelism": s.cfg.JobParallelism,
-		"busyWorkers":    s.busyWorkers.Load(),
-		"queueDepth":     s.queue.depth(),
+		"status":        "ok",
+		"uptimeSeconds": time.Since(s.startedAt).Seconds(),
+		"workers":       s.cfg.Workers,
+		"busyWorkers":   s.busyWorkers.Load(),
+		"queueDepth":    s.queue.depth(),
 	})
 }
 

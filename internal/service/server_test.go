@@ -133,7 +133,18 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("submit(%+v) = %d, want 400", req, resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/repairs/nosuch")
+	// Fields the API does not define are refused, not ignored — including
+	// "parallelism", which older daemons accepted.
+	resp, err := http.Post(ts.URL+"/v1/repairs", "application/json",
+		strings.NewReader(`{"builtin":"figure2","seed":7,"parallelism":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf(`submit with "parallelism" = %d, want 400`, resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/v1/repairs/nosuch")
 	if err != nil {
 		t.Fatal(err)
 	}

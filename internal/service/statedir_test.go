@@ -2,6 +2,8 @@ package service_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io/fs"
 	"math/rand"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"acr/internal/caseio"
+	"acr/internal/chaos"
 	"acr/internal/core"
 	"acr/internal/incidents"
 	"acr/internal/journal"
@@ -170,6 +173,52 @@ func TestLegacyCaseDirectoryResumes(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(legacyDir, "case", "topology.txt")); err != nil {
 		t.Fatalf("legacy case directory disturbed: %v", err)
+	}
+}
+
+// TestJobRecordWithParallelismResumes: older daemons persisted a job's
+// requested validation "parallelism" in job.json. A state directory whose
+// record still carries it, for a job that crashed mid-run, boots — the
+// record decoder ignores the field — and resumes the journal to the
+// uninterrupted run's result.
+func TestJobRecordWithParallelismResumes(t *testing.T) {
+	sc := scenario.Figure2()
+	p := core.Problem{Topo: sc.Topo, Configs: sc.Configs, Intents: sc.Intents}
+	opts := core.Options{Seed: 7} // what {"builtin":"figure2","seed":7} runs
+	sum := sha256.Sum256([]byte(core.Repair(p, opts).Canonical()))
+	want := hex.EncodeToString(sum[:])
+
+	stateDir := t.TempDir()
+	jobDir := filepath.Join(stateDir, "jobs", "j000001")
+	w, err := journal.Create(filepath.Join(jobDir, "journal"), core.SessionHeader(sc.Name, p, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos.New(chaos.Plan{CrashAfterAppends: 2}).WireJournal(w)
+	opts.Journal = w
+	func() {
+		defer func() {
+			if _, ok := recover().(chaos.CrashPanic); !ok {
+				t.Fatal("journaled run did not crash")
+			}
+		}()
+		core.Repair(p, opts)
+	}()
+	rec := `{"id":"j000001","seq":1,"state":"running","case":"figure2","builtin":"figure2","seed":7,"parallelism":4,"attempts":1}`
+	if err := os.WriteFile(filepath.Join(jobDir, "job.json"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, service.Config{StateDir: stateDir, Workers: 1})
+	got := waitState(t, ts, "j000001", func(j service.Job) bool { return j.State.Terminal() })
+	if got.State != service.StateDone || got.Result == nil {
+		t.Fatalf("job = %s (error %q), want done", got.State, got.Error)
+	}
+	if !got.Resumed {
+		t.Fatal("daemon reran the job instead of resuming its journal")
+	}
+	if got.Result.CanonicalSHA256 != want {
+		t.Fatalf("resumed canonical sha %s, uninterrupted run %s", got.Result.CanonicalSHA256, want)
 	}
 }
 

@@ -186,7 +186,6 @@ func (s *store) create(req JobRequest, sc *scenario.Scenario, id, key, owner str
 		Strategy:       req.Strategy,
 		MaxIterations:  req.MaxIterations,
 		TimeoutSeconds: req.TimeoutSeconds,
-		Parallelism:    req.Parallelism,
 		Key:            key,
 		Owner:          owner,
 	}

@@ -86,19 +86,11 @@ func (s *Server) runJob(j *job) {
 		Strategy:       rec.Strategy,
 		MaxIterations:  rec.MaxIterations,
 		TimeoutSeconds: rec.TimeoutSeconds,
-		Parallelism:    rec.Parallelism,
 	}
 	opts, err := req.Options()
 	if err != nil {
 		s.finishFailed(j, err)
 		return
-	}
-	// Clamp the job's validation parallelism to the server budget; a
-	// request of 0 takes the whole budget. Safe across resume: Parallelism
-	// is excluded from the search digest, so a job journaled under one
-	// budget resumes under another with a byte-identical result.
-	if opts.Parallelism <= 0 || opts.Parallelism > s.cfg.JobParallelism {
-		opts.Parallelism = s.cfg.JobParallelism
 	}
 	// Wire the shared persistent evaluation store under this job's cache.
 	// The nil check must stay on the concrete field: assigning a nil

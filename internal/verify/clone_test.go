@@ -156,8 +156,8 @@ func TestCloneSharedLineIndexRace(t *testing.T) {
 // TestCommitCloneRace is the engine's preservation pattern under -race:
 // sibling versions are committed on clones of one parent — each commit reads
 // the parent's outcomes and provenance sections and shares what the edit
-// does not reach — while validation workers check candidates on further
-// clones of the same parent and readers seal its line index. Nothing
+// does not reach — while checks run on further clones of the same parent
+// and readers seal its line index. Nothing
 // touches the parent before the goroutines start, and every result must
 // equal the one a second parent, used serially, gives.
 func TestCommitCloneRace(t *testing.T) {
@@ -218,7 +218,7 @@ func TestCommitCloneRace(t *testing.T) {
 				t.Errorf("commit %d under concurrency differs from the serial commit", w)
 			}
 		}(w)
-		go func(w int) { // a validation worker, or a reader of the parent
+		go func(w int) { // a checker, or a reader of the parent
 			defer wg.Done()
 			cl := parent.Clone()
 			<-start
