@@ -185,7 +185,7 @@ func sameVerifier(t *testing.T, label string, got, want *verify.Incremental) {
 		}
 		for i, w := range wn {
 			g := gn[i]
-			if g.ID != w.ID || g.Kind != w.Kind || g.Router != w.Router || g.Prefix != w.Prefix || g.Peer != w.Peer ||
+			if g.Kind != w.Kind || g.Router != w.Router || g.Peer != w.Peer ||
 				g.PeerRouter != w.PeerRouter || g.Reason != w.Reason || g.Detail() != w.Detail() ||
 				!sameLines(g.Lines, w.Lines) || !reflect.DeepEqual(g.Parents, w.Parents) {
 				t.Fatalf("%s: %v derivation %d:\n  %s %s/%s %q lines=%v parents=%v\nscratch\n  %s %s/%s %q lines=%v parents=%v", label, p, i,

@@ -74,8 +74,10 @@ type Router struct {
 	Origins  []Origination
 	Statics  []*netcfg.StaticRoute
 
-	// index is the router's position in the owning Net's Order.
-	index int
+	// index is the router's position in the owning Net's Order, slotBase
+	// the number of sessions the routers before it hold: its adj-in slot j
+	// is the state digest's slot len(Order)+slotBase+j.
+	index, slotBase int
 }
 
 // Net is a compiled network: topology plus parsed configurations resolved
@@ -200,6 +202,7 @@ func (n *Net) resolveSessions() {
 		})
 	}
 	for _, r := range n.routers {
+		r.slotBase = n.sessions
 		n.sessions += len(r.Sessions)
 		for i, s := range r.Sessions {
 			s.slot = i

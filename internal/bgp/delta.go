@@ -129,7 +129,7 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 	for i, r := range n.routers {
 		if dirtyAt[i] {
 			for _, ls := range r.Sessions {
-				st.adj[i][ls.slot] = n.hop(ls.reverse, st.best[ls.peer])
+				st.adj[i][ls.slot] = n.hop(ls.reverse, st.best[ls.peer], &st.mem)
 			}
 		}
 	}
@@ -166,5 +166,5 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 		clear(next)
 	}
 	return &PrefixOutcome{Prefix: prefix, Converged: true, Passes: base.Passes,
-		Final: st.snapshot(n), AdjIn: st.adj, Activations: acts}, true
+		Final: n.snapshot(st.best), AdjIn: st.adj, Activations: acts}, true
 }

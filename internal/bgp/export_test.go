@@ -24,6 +24,38 @@ func TracedProvenance(n *Net, out *Outcome) *provenance.Graph {
 	return BuildProvenance(n, bare)
 }
 
+// rehash is the state digest recomputed from scratch: Σ term over every
+// slot of st, best i at slot i and adj[i][j] at len(routers)+slotBase+j.
+func (st *prefixState) rehash(n *Net) uint64 {
+	var h uint64
+	for i, r := range n.routers {
+		h += term(i, st.best[i])
+		for j, rt := range st.adj[i] {
+			h += term(len(n.routers)+r.slotBase+j, rt)
+		}
+	}
+	return h
+}
+
+// StateDigests drives the cold simulation of prefix p by hand, pass by
+// pass, until a pass changes nothing or passes have run. After every pass
+// it reports the digest the state kept up to date on its writes and the
+// digest recomputed from scratch over its slots.
+func StateDigests(n *Net, p netip.Prefix, passes int) (kept, scratch []uint64) {
+	st := newPrefixState(n)
+	for pass := 0; pass < passes; pass++ {
+		changed := false
+		for _, r := range n.routers {
+			changed = n.activate(st, r, p, false, nil) || changed
+		}
+		kept, scratch = append(kept, st.h), append(scratch, st.rehash(n))
+		if !changed {
+			break
+		}
+	}
+	return kept, scratch
+}
+
 // ReadOff reports whether node nd is an import read off the adj-in: its
 // lines are its session's shared plainLines, not a traced copy.
 func ReadOff(n *Net, nd *provenance.Node) bool {

@@ -100,9 +100,10 @@ func TestSameRouteMatchesKey(t *testing.T) {
 
 // TestStateHashCoversRouteFields flips every compared field of every best
 // and adj-in route of a mid-run state, one at a time: each flip must move
-// the hash and restoring it must bring the hash back, and so must
-// withdrawing the route from its slot. Value-equal copies in every slot
-// must not.
+// the digest recomputed over the slots and restoring it must bring the
+// digest back, and so must withdrawing the route from its slot. Value-equal
+// copies in every slot must not. The unset address, ::, ::80, an IPv4
+// address and its 4-in-6 twin must all digest apart in every address field.
 func TestStateHashCoversRouteFields(t *testing.T) {
 	n, _, _ := overrideGadget(t)
 	p := netip.MustParsePrefix("10.0.0.0/16")
@@ -112,7 +113,10 @@ func TestStateHashCoversRouteFields(t *testing.T) {
 			n.activate(st, r, p, false, nil)
 		}
 	}
-	base := st.hash()
+	base := st.rehash(n)
+	if st.h != base {
+		t.Fatalf("the kept digest %x is not the recomputed %x", st.h, base)
+	}
 
 	flips := map[string]func(*Route){
 		"Prefix addr": func(r *Route) { r.Prefix = netip.PrefixFrom(r.Prefix.Addr().Next(), r.Prefix.Bits()) },
@@ -146,11 +150,11 @@ func TestStateHashCoversRouteFields(t *testing.T) {
 			}
 			flipped[field]++
 			put(cp)
-			if st.hash() == base {
+			if st.rehash(n) == base {
 				t.Errorf("%s: flipping %s does not change the state hash", where, field)
 			}
 			put(orig)
-			if st.hash() != base {
+			if st.rehash(n) != base {
 				t.Fatalf("%s: restoring %s does not restore the state hash", where, field)
 			}
 		}
@@ -161,7 +165,7 @@ func TestStateHashCoversRouteFields(t *testing.T) {
 			routes++
 			check("best of "+name, best, func(r *Route) { st.best[i] = r })
 			st.best[i] = nil
-			if st.hash() == base {
+			if st.rehash(n) == base {
 				t.Errorf("withdrawing the best of %s does not change the state hash", name)
 			}
 			st.best[i] = best
@@ -175,7 +179,7 @@ func TestStateHashCoversRouteFields(t *testing.T) {
 			from := n.routers[i].Sessions[j].PeerName
 			check("adj-in of "+name+" from "+from, rt, func(r *Route) { row[j] = r })
 			row[j] = nil
-			if st.hash() == base {
+			if st.rehash(n) == base {
 				t.Errorf("withdrawing %s's route from %s does not change the state hash", name, from)
 			}
 			row[j] = rt
@@ -189,6 +193,37 @@ func TestStateHashCoversRouteFields(t *testing.T) {
 			t.Errorf("%s was flipped on %d routes only", field, flipped[field])
 		}
 	}
+
+	// Addresses an encoding could confuse: an IPv4 address is one word, the
+	// others three, and folding the bit length (128) into the low half would
+	// make ::80 the unset address's twin.
+	setters := map[string]func(*Route, netip.Addr){
+		"NextHop":  func(r *Route, a netip.Addr) { r.NextHop = a },
+		"PeerAddr": func(r *Route, a netip.Addr) { r.PeerAddr = a },
+		"PeerRID":  func(r *Route, a netip.Addr) { r.PeerRID = a },
+	}
+	pairs := [][2]netip.Addr{
+		{{}, netip.MustParseAddr("::80")},
+		{{}, netip.MustParseAddr("::")},
+		{netip.MustParseAddr("1.2.3.4"), netip.MustParseAddr("::ffff:1.2.3.4")},
+	}
+	at := slices.IndexFunc(st.best, func(r *Route) bool { return r != nil })
+	orig := st.best[at]
+	for field, set := range setters { //acrvet:ordered — independent checks
+		for _, pair := range pairs {
+			var digests [2]uint64
+			for k, a := range pair {
+				cp := orig.clone()
+				set(cp, a)
+				st.best[at] = cp
+				digests[k] = st.rehash(n)
+			}
+			if digests[0] == digests[1] {
+				t.Errorf("%s %v and %v digest alike", field, pair[0], pair[1])
+			}
+		}
+	}
+	st.best[at] = orig
 
 	// Replace every best and adj-in route with a value-equal copy, in a
 	// fresh row: same state, same hash.
@@ -207,7 +242,7 @@ func TestStateHashCoversRouteFields(t *testing.T) {
 		}
 		st.adj[i] = refilled
 	}
-	if st.hash() != base {
+	if st.rehash(n) != base {
 		t.Error("value-equal copies of the state's routes change the state hash")
 	}
 }
@@ -216,11 +251,13 @@ func TestStateHashCoversRouteFields(t *testing.T) {
 // key: with routes compared by value and shared across versions, the one
 // thing a hop must never do is write through the sender's route. Every
 // session of a net whose policies overwrite, prepend and set attributes in
-// both directions is driven export→import, traced and untraced, and the
-// sender's route is compared field by field, AS-path backing included,
-// before and after. processImport finishes the export's fresh copy in place
-// but must leave that copy's AS-path backing alone: the replay keeps the
-// advertisement for a rejection node from a shallow clone.
+// both directions is driven export→import, traced and untraced, through one
+// arena, and the sender's route is compared field by field,
+// AS-path backing included, before and after. processImport finishes the
+// export's fresh copy in place but must leave that copy's AS-path backing
+// alone: the replay keeps the advertisement for a rejection node from a
+// shallow clone. Every exported path's len is its cap, and no route the
+// arena handed out changes as it hands out more.
 func TestPolicyPipelineNeverMutatesInput(t *testing.T) {
 	net := chainNet()
 	tb := newTestNet(net)
@@ -256,6 +293,9 @@ func TestPolicyPipelineNeverMutatesInput(t *testing.T) {
 		}
 	}
 	hops := 0
+	var carried []*Route // every route an arena hop handed out
+	var carriedWas []frozen
+	mem := new(arena)
 	for _, traced := range []bool{false, true} {
 		for _, name := range n.Order {
 			r := n.Routers[name]
@@ -266,7 +306,7 @@ func TestPolicyPipelineNeverMutatesInput(t *testing.T) {
 					tr = &lineRefs{}
 				}
 				was := freeze(best)
-				adv, ok := processExport(r, s, best, tr)
+				adv, ok := processExport(r, s, best, tr, mem)
 				unchanged("processExport at "+name, best, was)
 				if !ok {
 					continue
@@ -275,6 +315,9 @@ func TestPolicyPipelineNeverMutatesInput(t *testing.T) {
 					t.Fatalf("processExport at %s returned its input", name)
 				}
 				sent := adv.ASPath
+				if len(sent) != cap(sent) {
+					t.Errorf("processExport at %s made a path of len %d and cap %d", name, len(sent), cap(sent))
+				}
 				sentWas := append([]uint32(nil), sent...)
 				in, ok, _ := processImport(n.Routers[s.PeerName], s.reverse, adv, tr)
 				unchanged("the hop from "+name+" to "+s.PeerName, best, was)
@@ -284,12 +327,22 @@ func TestPolicyPipelineNeverMutatesInput(t *testing.T) {
 				if ok && in == best {
 					t.Fatalf("the hop from %s returned its input", name)
 				}
+				if ok {
+					carried, carriedWas = append(carried, in), append(carriedWas, freeze(in))
+				}
 				hops++
 			}
 		}
 	}
-	if hops < 8 {
-		t.Fatalf("only %d hops driven", hops)
+	if hops < 8 || len(carried) < 4 {
+		t.Fatalf("only %d hops driven, %d carried through an arena", hops, len(carried))
+	}
+	// The arena hands later hops fresh memory: no route or path it handed
+	// out earlier moved.
+	for k, rt := range carried {
+		if !reflect.DeepEqual(*rt, carriedWas[k].route) || !slices.Equal(rt.ASPath, carriedWas[k].path) {
+			t.Errorf("arena route %d changed after later hops: %+v, was %+v", k, *rt, carriedWas[k].route)
+		}
 	}
 	for name, rt := range po.Final { //acrvet:ordered — independent checks
 		if rt.Src == SrcLocal {

@@ -142,7 +142,8 @@ func processImport(r *Router, s *Session, adv *Route, tr *lineRefs) (*Route, boo
 // The sender's session lines are traced: they are preconditions of the
 // advertisement (and of an export-policy suppression — negative
 // provenance must reach the group membership that attached the policy).
-func processExport(r *Router, s *Session, best *Route, tr *lineRefs) (*Route, bool) {
+// The copy and the prepended path are carved from arena a.
+func processExport(r *Router, s *Session, best *Route, tr *lineRefs, a *arena) (*Route, bool) {
 	tr.addRefs(s.LocalLines)
 	res, ok := applyPolicies(r.File, s.exportPols, best, tr)
 	if !ok {
@@ -150,9 +151,12 @@ func processExport(r *Router, s *Session, best *Route, tr *lineRefs) (*Route, bo
 	}
 	out := res
 	if out == best { // no policy copied it; best stays the sender's RIB value
-		out = best.clone()
+		out = a.clone(best)
 	}
-	out.ASPath = append([]uint32{r.ASN}, out.ASPath...)
+	path := a.path(len(out.ASPath) + 1)
+	path[0] = r.ASN
+	copy(path[1:], out.ASPath)
+	out.ASPath = path
 	out.LocalPref = 0
 	out.Src = SrcPeer
 	out.PeerAddr = netip.Addr{}

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"net/netip"
+	"slices"
 
 	"acr/internal/netcfg"
 	"acr/internal/provenance"
@@ -40,13 +41,14 @@ func DeriveProvenance(n *Net, out, base *Outcome, baseProv *provenance.Graph, di
 	}
 	sites := len(n.Order) + n.sessions // a selection per router, a node per session
 	space := n.LineSpace               // built on a section's first line query
-	var sections []*provenance.Section
+	sections := make([]*provenance.Section, 0, len(n.AllPrefixes()))
+	bests, sel := make([]*Route, len(n.routers)), make([]int, len(n.routers))
 	for _, p := range n.AllPrefixes() {
 		po := out.ByPrefix[p]
 		if po == nil {
 			continue
 		}
-		b := sectionBuilder{n: n, prefix: p, dirty: dirtySet, adj: po.AdjIn}
+		b := sectionBuilder{n: n, prefix: p, dirty: dirtySet, adj: po.AdjIn, bests: bests, sel: sel, hint: sites + 2}
 		if base != nil && po.Converged && po == base.ByPrefix[p] {
 			b.from = baseProv.Section(p)
 		}
@@ -54,7 +56,7 @@ func DeriveProvenance(n *Net, out, base *Outcome, baseProv *provenance.Graph, di
 		if len(phases) > 1 {
 			b.ids = map[nodeKey]int{}
 		}
-		b.sec = provenance.NewSection(p, space, sites+2) // and an origination or two
+		b.sec = provenance.NewSection(p, space, b.hint)
 		for _, phase := range phases {
 			b.replay(phase)
 		}
@@ -101,6 +103,17 @@ type sectionBuilder struct {
 	// sessions are read off; nil for a flapping prefix or an outcome
 	// without one.
 	adj [][]*Route
+
+	// bests and sel index a phase by router position: its best routes and
+	// their selection nodes. Scratch shared by every section of a version.
+	bests []*Route
+	sel   []int
+	// mem holds the routes the replayed exports make, ints the parent
+	// lists. hint bounds a converged section's nodes and parent links: a
+	// selection per router, a node per session, and an origination or two.
+	mem  arena
+	ints []int
+	hint int
 }
 
 // add appends nd unless, on a flapping prefix, an earlier phase derived it
@@ -122,12 +135,21 @@ func (b *sectionBuilder) add(route *Route, nd provenance.Node) int {
 // addParent records parent as a parent of node id.
 func (b *sectionBuilder) addParent(id, parent int) {
 	nd := b.sec.Node(id)
-	for _, x := range nd.Parents {
-		if x == parent {
-			return
-		}
+	switch {
+	case len(nd.Parents) == 0:
+		nd.Parents = b.parent(parent)
+	case !slices.Contains(nd.Parents, parent):
+		nd.Parents = append(nd.Parents, parent)
 	}
-	nd.Parents = append(nd.Parents, parent)
+}
+
+// parent returns the parent list [id], carved from the section's chunk.
+// Its len is its cap, so addParent's append reallocates instead of writing
+// into the next list.
+func (b *sectionBuilder) parent(id int) []int {
+	p := carve(&b.ints, 1, b.hint)
+	p[0] = id
+	return p
 }
 
 // reusable reports whether the nodes of a site involving routers x and y
@@ -160,13 +182,15 @@ func (b *sectionBuilder) copyNode(nd *provenance.Node, parents []int) int {
 
 // replay adds the derivations of one phase.
 func (b *sectionBuilder) replay(phase map[string]*Route) {
-	n, prefix := b.n, b.prefix
+	n, prefix, bests, sel := b.n, b.prefix, b.bests, b.sel
+	for i, r := range n.routers {
+		bests[i] = phase[r.Name]
+	}
 	// Origination and selection nodes first, so imports can reference the
 	// advertising neighbor's selection as a parent.
-	sel := make([]int, len(n.Order)) // router index → selection node of this phase
 	for i, r := range n.routers {
 		name := r.Name
-		best := phase[name]
+		best := bests[i]
 		local := -1 // the origination best was selected from
 		selected := func(rt *Route) bool {
 			return best != nil && best.Src == SrcLocal && sameRoute(rt, best)
@@ -210,14 +234,14 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 	// Import / rejection derivations: replay each established session.
 	for i, r := range n.routers {
 		name := r.Name
-		best := phase[name]
+		best := bests[i]
 		for _, s := range r.Sessions {
-			nbBest := phase[s.PeerName]
+			nbBest := bests[s.peer]
 			nbSess := s.reverse
 			if nbBest == nil || nbSess == nil {
 				continue
 			}
-			parents := []int{sel[s.peer]}
+			parents := b.parent(sel[s.peer])
 			// An accepted import is a parent of the receiver's selection
 			// when it is the route selected.
 			selected := func(in *Route) bool {
@@ -247,7 +271,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 				continue
 			}
 			var exTr lineRefs
-			adv, ok := processExport(n.routers[s.peer], nbSess, nbBest, &exTr)
+			adv, ok := processExport(n.routers[s.peer], nbSess, nbBest, &exTr, &b.mem)
 			if !ok {
 				// Export suppressed: negative provenance on the sender.
 				b.add(nbBest, provenance.Node{
@@ -257,7 +281,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 				continue
 			}
 			imTr := lineRefs{refs: exTr.refs}
-			in, accepted, reason := processImport(r, s, adv.clone(), &imTr)
+			in, accepted, reason := processImport(r, s, b.mem.clone(adv), &imTr)
 			if !accepted {
 				b.add(adv, provenance.Node{
 					Kind: provenance.Rejection, Router: name, Peer: s.PeerAddr, PeerRouter: s.PeerName,

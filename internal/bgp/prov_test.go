@@ -90,20 +90,20 @@ func TestProvenanceSelectionParents(t *testing.T) {
 	g := BuildProvenance(bn, out)
 	p := netip.MustParsePrefix("10.0.0.0/16")
 	// Y's selection must trace (transitively) back to O's origination.
-	var ySel *provenance.Node
-	for _, n := range g.ForPrefix(p) {
+	ySel := -1
+	for id, n := range g.ForPrefix(p) {
 		if n.Kind == provenance.Selection && n.Router == "Y" {
-			ySel = n
+			ySel = id
 		}
 	}
-	if ySel == nil {
+	if ySel < 0 {
 		t.Fatal("no selection node for Y")
 	}
 	// Walk the ancestor closure of Y's selection within the prefix's section.
 	sec := g.Section(p)
 	seen := map[int]bool{}
 	foundOrig, leafLines := false, 0
-	for stack := []int{ySel.ID}; len(stack) > 0; {
+	for stack := []int{ySel}; len(stack) > 0; {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if seen[id] {

@@ -100,4 +100,3 @@ func sameValue(a, b provenance.RouteInfo) bool {
 	ra, rb := a.(*bgp.Route), b.(*bgp.Route)
 	return ra.Key() == rb.Key() && ra.PeerRID == rb.PeerRID
 }
-

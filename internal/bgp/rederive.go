@@ -37,6 +37,7 @@ func RederiveLeaves(n *Net, base *PrefixOutcome, prefix netip.Prefix, leaves []s
 	for d, r := range base.Final { //acrvet:ordered — map copy
 		final[d] = r
 	}
+	var mem arena
 	for _, leaf := range leaves {
 		r := n.Routers[leaf]
 		if r == nil {
@@ -55,7 +56,7 @@ func RederiveLeaves(n *Net, base *PrefixOutcome, prefix netip.Prefix, leaves []s
 			if patched[ls.PeerName] {
 				return nil, false
 			}
-			if in := n.hop(ls.reverse, base.Final[ls.PeerName]); in != nil {
+			if in := n.hop(ls.reverse, base.Final[ls.PeerName], &mem); in != nil {
 				candidates = append(candidates, in)
 			}
 		}

@@ -85,6 +85,42 @@ func (r *Route) clone() *Route {
 	return &cp
 }
 
+// arena hands out the routes and AS paths one prefix's computation makes,
+// carved from chunks, so a hop costs no allocation of its own. Chunks start
+// small (a delta run writes a handful of routes) and double up to a cap. A
+// route or path handed out is immutable like any other and lives as long as
+// something points into its chunk.
+type arena struct {
+	routes []Route
+	words  []uint32
+}
+
+// clone is r.clone() out of the arena.
+func (a *arena) clone(r *Route) *Route {
+	cp := carve(&a.routes, 1, min(max(2*cap(a.routes), 4), 256))
+	cp[0] = *r
+	return &cp[0]
+}
+
+// path returns a fresh AS path of n words out of the arena.
+func (a *arena) path(n int) []uint32 {
+	return carve(&a.words, n, min(max(2*cap(a.words), 16), 1024))
+}
+
+// carve returns n fresh elements from the end of *chunk, first replacing a
+// chunk without room for them by a new one of capacity max(next, n). The
+// slice's len is its cap, so an append to it reallocates instead of writing
+// into the next slice carved.
+func carve[T any](chunk *[]T, n, next int) []T {
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, max(next, n))
+	}
+	start := len(c)
+	*chunk = c[:start+n]
+	return c[start : start+n : start+n]
+}
+
 // sameRoute is the one route-equality predicate: every field that can
 // influence future behavior — the fields Key renders, plus the advertising
 // router ID. Key omits PeerRID because within one net the adj-in slot

@@ -95,6 +95,88 @@ func TestFigure2FlapShape(t *testing.T) {
 	}
 }
 
+// TestStateHashIncremental is the oracle for the state digest: a cold run
+// keeps it up to date on every slot write instead of re-hashing the state
+// each pass, and after every pass it must equal the sum of the slots' terms
+// recomputed from scratch — on every prefix of Figure 2, whose flapping
+// prefix must revisit a digest, of the WAN and of a k=4 fat-tree.
+func TestStateHashIncremental(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    *scenario.Scenario
+	}{
+		{"figure2", scenario.Figure2()},
+		{"wan", scenario.WAN(6, 4, 3, scenario.GenOptions{FullIsolation: true})},
+		{"fat-tree k=4", scenario.DCN(4, scenario.GenOptions{})},
+	} {
+		n := bgp.Compile(tc.s.Topo, tc.s.Files())
+		passes, distinct := 0, map[uint64]bool{}
+		for _, p := range n.AllPrefixes() {
+			kept, scratch := bgp.StateDigests(n, p, 12)
+			for i := range kept {
+				if kept[i] != scratch[i] {
+					t.Fatalf("%s %v pass %d: kept digest %x, recomputed %x", tc.name, p, i+1, kept[i], scratch[i])
+				}
+				distinct[kept[i]] = true
+			}
+			passes += len(kept)
+			if tc.name == "figure2" && p == scenario.PrefixPoPB {
+				if len(kept) != 12 || kept[11] != kept[9] {
+					t.Errorf("the flapping prefix ran %d passes and does not revisit its digest", len(kept))
+				}
+			}
+		}
+		if passes < 2*len(n.AllPrefixes()) || len(distinct) < passes/2 {
+			t.Errorf("%s: %d passes over %d prefixes with %d distinct digests; the oracle is barely exercised", tc.name, passes, len(n.AllPrefixes()), len(distinct))
+		}
+	}
+}
+
+// TestArenaPathsLenIsCap: every AS path a simulated outcome holds, best and
+// adj-in, has its len as its cap, so an append to one reallocates instead of
+// writing into the path carved next to it — on Figure 2, its flapping
+// prefix's cycle included, the WAN with its NoLeakDCN export policy, and a
+// k=6 fat-tree.
+func TestArenaPathsLenIsCap(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    *scenario.Scenario
+	}{
+		{"figure2", scenario.Figure2()},
+		{"wan", scenario.WAN(6, 4, 3, scenario.GenOptions{FullIsolation: true})},
+		{"fat-tree k=6", scenario.DCN(6, scenario.GenOptions{})},
+	} {
+		n := bgp.Compile(tc.s.Topo, tc.s.Files())
+		out := bgp.Simulate(n, bgp.Options{})
+		paths := 0
+		check := func(rt *bgp.Route) {
+			if rt == nil {
+				return
+			}
+			paths++
+			if len(rt.ASPath) != cap(rt.ASPath) {
+				t.Fatalf("%s: path %v has len %d and cap %d", tc.name, rt.ASPath, len(rt.ASPath), cap(rt.ASPath))
+			}
+		}
+		for _, p := range n.AllPrefixes() {
+			po := out.ByPrefix[p]
+			for _, phase := range po.Phases() {
+				for _, name := range n.Order {
+					check(phase[name])
+				}
+			}
+			for _, row := range po.AdjIn {
+				for _, rt := range row {
+					check(rt)
+				}
+			}
+		}
+		if paths < 10*len(n.AllPrefixes()) {
+			t.Errorf("%s: %d routes checked over %d prefixes; the check is close to vacuous", tc.name, paths, len(n.AllPrefixes()))
+		}
+	}
+}
+
 // TestAllPrefixesSharedReadOnly: AllPrefixes hands every caller the slice
 // Compile built, and the passes that range over it leave it alone.
 func TestAllPrefixesSharedReadOnly(t *testing.T) {

@@ -15,10 +15,11 @@ import (
 // PrefixOutcome is the control-plane result for one prefix. Once
 // SimulatePrefix returns, the outcome (including its Route values) is
 // immutable: the incremental verifier shares base outcomes by pointer
-// across candidate checks, across concurrently validating workers
-// (verify.Incremental.Clone) and across derived versions (DeltaSimulate
-// carries unmoved routes and whole outcomes into the next version) — so
-// nothing may mutate one in place, and nothing caches on a Route.
+// across candidate checks, across verifier clones, which callers may check
+// on concurrently (verify.Incremental.Clone), and across derived versions
+// (DeltaSimulate carries unmoved routes and whole outcomes into the next
+// version) — so nothing may mutate one in place, and nothing caches on a
+// Route.
 type PrefixOutcome struct {
 	Prefix    netip.Prefix
 	Converged bool
@@ -190,11 +191,21 @@ type prefixState struct {
 	// owned, when non-nil, marks the adj rows this state may write; the
 	// others are shared with a base outcome and copied on first write.
 	owned []bool
+	// mem is where the prefix's hops copy their routes and paths.
+	mem arena
+	// h digests the complete state as the sum of its slots' terms, kept
+	// up to date by setBest and setAdj: contrib[k] is slot k's term, best
+	// i being slot i and adj[i][j] slot len(best)+slotBase+j. Only a cold
+	// state keeps them; a delta run never hashes.
+	h       uint64
+	contrib []uint64
 }
 
 func newPrefixState(n *Net) *prefixState {
-	st := &prefixState{best: make([]*Route, len(n.routers)), adj: make([][]*Route, len(n.routers))}
-	slots := make([]*Route, n.sessions)
+	k := len(n.routers)
+	slots := make([]*Route, k+n.sessions)
+	st := &prefixState{best: slots[:k:k], adj: make([][]*Route, k), contrib: make([]uint64, k+n.sessions)}
+	slots = slots[k:]
 	for i, r := range n.routers {
 		st.adj[i], slots = slots[:len(r.Sessions):len(r.Sessions)], slots[len(r.Sessions):]
 	}
@@ -210,7 +221,43 @@ func (st *prefixState) row(i int) []*Route {
 	return st.adj[i]
 }
 
-// stateHash accumulates a prefixState digest from fixed-width words.
+// setBest installs rt as router i's best route.
+func (st *prefixState) setBest(i int, rt *Route) {
+	st.best[i] = rt
+	st.digest(i, rt)
+}
+
+// setAdj installs rt in router r's adj-in slot j.
+func (st *prefixState) setAdj(r *Router, j int, rt *Route) {
+	st.row(r.index)[j] = rt
+	st.digest(len(st.best)+r.slotBase+j, rt)
+}
+
+// digest moves h by slot k's change of term.
+func (st *prefixState) digest(k int, rt *Route) {
+	if st.contrib == nil {
+		return
+	}
+	t := term(k, rt)
+	st.h += t - st.contrib[k]
+	st.contrib[k] = t
+}
+
+// term is slot k's share of the state digest while it holds rt: zero for
+// an empty slot, else a hash of k and every field that can influence
+// future transitions. Summing terms lets a write re-hash one slot, not the
+// state, and puts no order on the slots beyond their numbers.
+func term(k int, rt *Route) uint64 {
+	if rt == nil {
+		return 0
+	}
+	var h stateHash
+	h.word(uint64(k))
+	h.route(rt)
+	return uint64(h)
+}
+
+// stateHash accumulates a slot's term from fixed-width words.
 type stateHash uint64
 
 func (h *stateHash) word(v uint64) {
@@ -218,21 +265,24 @@ func (h *stateHash) word(v uint64) {
 	*h = stateHash(x ^ x>>33)
 }
 
-// addr mixes an address; the bit length tells 1.2.3.4 from ::ffff:1.2.3.4
-// and the unset address from ::.
+// addr mixes an address: an IPv4 address as one word, its bit length
+// above it; an IPv6 or the unset address as its bit length, then its two
+// halves. The first word tells the three apart, which is what separates
+// 1.2.3.4 from ::ffff:1.2.3.4 and the unset address from :: and ::80.
 func (h *stateHash) addr(a netip.Addr) {
-	b := a.As16()
-	h.word(binary.BigEndian.Uint64(b[:8]))
-	h.word(binary.BigEndian.Uint64(b[8:]))
-	h.word(uint64(a.BitLen()))
-}
-
-// route mixes every field sameRoute compares; nil is a word of its own.
-func (h *stateHash) route(r *Route) {
-	if r == nil {
-		h.word(0)
+	if a.Is4() {
+		b := a.As4()
+		h.word(uint64(binary.BigEndian.Uint32(b[:])) | 32<<32)
 		return
 	}
+	b := a.As16()
+	h.word(uint64(a.BitLen()))
+	h.word(binary.BigEndian.Uint64(b[:8]))
+	h.word(binary.BigEndian.Uint64(b[8:]))
+}
+
+// route mixes every field sameRoute compares.
+func (h *stateHash) route(r *Route) {
 	h.word(1 | uint64(r.Origin)<<8 | uint64(r.Src)<<16 | uint64(len(r.ASPath))<<32)
 	h.word(uint64(r.LocalPref)<<32 | uint64(r.MED))
 	for _, a := range r.ASPath {
@@ -245,25 +295,11 @@ func (h *stateHash) route(r *Route) {
 	h.addr(r.PeerRID)
 }
 
-// hash digests the complete state; any field that can influence future
-// transitions must be included. Routers go in activation order and each
-// router's adj-in in session order, so every router contributes a fixed
-// number of slots and nothing is sorted, rendered or allocated.
-func (st *prefixState) hash() uint64 {
-	var h stateHash
-	for i, best := range st.best {
-		h.route(best)
-		for _, rt := range st.adj[i] {
-			h.route(rt)
-		}
-	}
-	return uint64(h)
-}
-
-// snapshot returns the best routes as a router name → route map.
-func (st *prefixState) snapshot(n *Net) map[string]*Route {
+// snapshot returns best routes indexed by router position as a router
+// name → route map.
+func (n *Net) snapshot(best []*Route) map[string]*Route {
 	snap := make(map[string]*Route, len(n.Order))
-	for i, r := range st.best {
+	for i, r := range best {
 		if r != nil {
 			snap[n.Order[i]] = r
 		}
@@ -283,8 +319,8 @@ func SimulatePrefix(n *Net, prefix netip.Prefix, opts Options) *PrefixOutcome {
 	}
 	maxPasses := opts.maxPasses(n)
 	st := newPrefixState(n)
-	seen := map[uint64]int{}       // state hash → pass index it was first seen after
-	snaps := []map[string]*Route{} // snapshot after each pass
+	var hashes []uint64  // state digest after each pass
+	var snaps [][]*Route // best routes after each pass
 	acts := 0
 
 	for pass := 1; pass <= maxPasses; pass++ {
@@ -302,23 +338,28 @@ func SimulatePrefix(n *Net, prefix netip.Prefix, opts Options) *PrefixOutcome {
 			// The state is stable; hand the adj-RIB-in over to the outcome
 			// (st is dead from here) so delta re-simulation can seed from it.
 			return &PrefixOutcome{Prefix: prefix, Converged: true, Passes: pass,
-				Final: st.snapshot(n), AdjIn: st.adj, Activations: acts}
+				Final: n.snapshot(st.best), AdjIn: st.adj, Activations: acts}
 		}
-		h := st.hash()
-		if first, ok := seen[h]; ok {
+		if first := slices.Index(hashes, st.h); first >= 0 {
 			// States after passes first..pass-1 repeat forever.
-			return &PrefixOutcome{Prefix: prefix, Converged: false, Passes: pass, Cycle: snaps[first:], Activations: acts}
+			return &PrefixOutcome{Prefix: prefix, Converged: false, Passes: pass, Cycle: n.snapshots(snaps[first:]), Activations: acts}
 		}
-		seen[h] = len(snaps)
-		snaps = append(snaps, st.snapshot(n))
+		hashes = append(hashes, st.h)
+		snaps = append(snaps, slices.Clone(st.best))
 	}
 	// Bound hit without repeat: report the tail as the observed unstable
 	// behavior. This indicates maxPasses is too small for the topology.
-	tail := snaps
-	if len(tail) > 8 {
-		tail = tail[len(tail)-8:]
+	tail := snaps[max(len(snaps)-8, 0):]
+	return &PrefixOutcome{Prefix: prefix, Converged: false, Passes: maxPasses, Cycle: n.snapshots(tail), Activations: acts}
+}
+
+// snapshots maps snapshot over a sequence of states.
+func (n *Net) snapshots(states [][]*Route) []map[string]*Route {
+	out := make([]map[string]*Route, len(states))
+	for i, best := range states {
+		out[i] = n.snapshot(best)
 	}
-	return &PrefixOutcome{Prefix: prefix, Converged: false, Passes: maxPasses, Cycle: tail, Activations: acts}
+	return out
 }
 
 // selectBest runs the decision process at router r: its originations of
@@ -351,13 +392,13 @@ func (n *Net) activate(st *prefixState, r *Router, prefix netip.Prefix, force bo
 	if !changed && !force {
 		return false
 	}
-	st.best[r.index] = best
+	st.setBest(r.index, best)
 	for _, s := range r.Sessions {
 		if s.reverse == nil {
 			continue
 		}
-		if next := n.hop(s, best); !sameRoute(st.adj[s.peer][s.reverse.slot], next) {
-			st.row(s.peer)[s.reverse.slot] = next
+		if next := n.hop(s, best, &st.mem); !sameRoute(st.adj[s.peer][s.reverse.slot], next) {
+			st.setAdj(n.routers[s.peer], s.reverse.slot, next)
 			if frontier != nil {
 				frontier[s.peer] = true
 			}
@@ -368,12 +409,13 @@ func (n *Net) activate(st *prefixState, r *Router, prefix netip.Prefix, force bo
 
 // hop carries best over session s, from s's router to its peer: the route
 // the peer's adj-in holds for it, or nil when there is nothing to carry or
-// export policy, loop detection or import policy drops it.
-func (n *Net) hop(s *Session, best *Route) *Route {
+// export policy, loop detection or import policy drops it. The route is
+// carved from arena a.
+func (n *Net) hop(s *Session, best *Route, a *arena) *Route {
 	if best == nil || s == nil || s.reverse == nil {
 		return nil
 	}
-	adv, ok := processExport(n.routers[s.reverse.peer], s, best, nil)
+	adv, ok := processExport(n.routers[s.reverse.peer], s, best, nil, a)
 	if !ok {
 		return nil
 	}

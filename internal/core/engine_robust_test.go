@@ -9,8 +9,8 @@ import (
 	"acr/internal/core"
 	"acr/internal/errclass"
 	"acr/internal/netcfg"
-	"acr/internal/tmplreg"
 	"acr/internal/scenario"
+	"acr/internal/tmplreg"
 )
 
 // assertBestEffort checks the invariants every termination path must

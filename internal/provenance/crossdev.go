@@ -90,7 +90,8 @@ func (g *DeviceGraph) AddEdge(e DeviceEdge) {
 
 // Seal precomputes the component index so subsequent read-only queries
 // (SameComponent, Reachable) are safe for concurrent use — clones of the
-// incremental verifier share one sealed graph across worker goroutines.
+// incremental verifier, which callers may check on concurrently, share one
+// sealed graph.
 // Call it after the last AddEdge; it returns the receiver for chaining.
 func (g *DeviceGraph) Seal() *DeviceGraph {
 	g.components()

@@ -69,14 +69,11 @@ type RouteInfo interface {
 	Via() string
 }
 
-// Node is one derivation.
+// Node is one derivation of its Section's prefix. Its ID is its index in
+// the section.
 type Node struct {
-	// ID is the node's index within its prefix's Section; Parents refer to
-	// nodes of the same section.
-	ID     int
 	Kind   Kind
 	Router string
-	Prefix netip.Prefix
 	// Peer is the address of the session's other end for Import/Rejection
 	// nodes, PeerRouter that end's device.
 	Peer       netip.Addr
@@ -88,8 +85,9 @@ type Node struct {
 	Reason string
 	// Lines are the configuration lines this derivation executed.
 	Lines []netcfg.LineRef
-	// Parents are the IDs of the derivations this one was derived from
-	// (e.g. an Import's parent is the neighbor's Selection).
+	// Parents are the IDs of the derivations of the same section this one
+	// was derived from (e.g. an Import's parent is the neighbor's
+	// Selection).
 	Parents []int
 }
 
@@ -114,8 +112,8 @@ func (n *Node) Detail() string {
 // Section holds the derivations of one prefix. It is append-only while it
 // is being built and immutable afterwards, which is what lets a
 // configuration version copy nodes out of it into the versions derived
-// from it, and verify.Incremental clones share a whole graph across
-// concurrently validating workers.
+// from it, and verify.Incremental clones, which callers may check on
+// concurrently, share a whole graph.
 //
 // The first line query seals the section: it sets, once under sealOnce,
 // the bits of its derivations' lines in a LineSet over the version's line
@@ -137,17 +135,15 @@ func NewSection(p netip.Prefix, space func() *netcfg.LineSpace, sizeHint int) *S
 	return &Section{prefix: p, space: space, nodes: make([]Node, 0, sizeHint)}
 }
 
-// Add appends a node, assigning its ID and Prefix, and returns the ID. It
-// panics once a line query has sealed the section: the set the readers
-// share would silently miss the node.
+// Add appends a node and returns its ID. It panics once a line query has
+// sealed the section: the set the readers share would silently miss the
+// node.
 func (s *Section) Add(n Node) int {
 	if s.lines.Space() != nil {
 		panic("provenance: Add on a section sealed by a line query")
 	}
-	n.ID = len(s.nodes)
-	n.Prefix = s.prefix
 	s.nodes = append(s.nodes, n)
-	return n.ID
+	return len(s.nodes) - 1
 }
 
 // Len reports the number of nodes.

@@ -46,8 +46,8 @@ func TestAddAssignsSequentialIDs(t *testing.T) {
 	if ids["origA"] != 0 || ids["selB"] != 3 || ids["origX"] != 0 {
 		t.Errorf("unexpected IDs: %v", ids)
 	}
-	if n := s1.Node(ids["impB"]); n == nil || n.ID != ids["impB"] || n.Prefix != p1 {
-		t.Errorf("Node(impB) = %+v, want ID %d for %v", n, ids["impB"], p1)
+	if n := s1.Node(ids["impB"]); n == nil || n.Kind != Import || n.Router != "B" {
+		t.Errorf("Node(impB) = %+v, want B's import", n)
 	}
 	if s1.Node(99) != nil || s1.Node(-1) != nil {
 		t.Error("out-of-range Node should be nil")

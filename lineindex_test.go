@@ -166,9 +166,11 @@ func wanPreserves(t testing.TB) (scratch, derived func() *core.Context) {
 // preserve itself stays near its measurement — 17,381 allocations with
 // routes compared by value (26,406 when every hop rendered and interned a
 // text key), 5,084 derived; 13,301 and 4,532 once a hop copies a route
-// once and policy-free imports are read off the converged adj-in.
+// once and policy-free imports are read off the converged adj-in; 7,358
+// and 2,568 once hops copy into a per-prefix arena, the state digest is
+// kept on write and parent lists are carved per section.
 func TestPreserveAllocBudget(t *testing.T) {
-	const scratchBudget = 18500
+	const scratchBudget = 9000
 	scratch, derived := wanPreserves(t)
 	if s, d := scratch(), derived(); s.Report.NumFailed() != 0 || d.Report.NumFailed() != 0 {
 		t.Fatalf("the repaired WAN fails %d intents from scratch, %d derived; want 0", s.Report.NumFailed(), d.Report.NumFailed())
@@ -190,10 +192,12 @@ func TestPreserveAllocBudget(t *testing.T) {
 // route copies it cost 71,801 allocations; compared by value, with one or
 // two copies per hop and no candidate slice per activation, 47,672. With
 // one copy per hop, per-prefix state in indexed rows and the policy-free
-// imports read off the converged adj-in instead of replayed, it measures
-// 22,533. The budget is half of 47,672.
+// imports read off the converged adj-in instead of replayed, 22,533. With
+// hops copying routes and paths into a per-prefix arena, the digest kept
+// on write, snapshots as slices and parent lists carved per section, it
+// measures 3,324. The budget is a quarter of 22,533.
 func TestSimulateAllocBudget(t *testing.T) {
-	const budget = 47672 / 2
+	const budget = 22533 / 4
 	s := scenario.DCN(6, scenario.GenOptions{})
 	files := s.Files()
 	var nodes int
