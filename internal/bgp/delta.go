@@ -122,10 +122,9 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 	}
 
 	// Phase 1: rebuild each dirty router's entire adj-RIB-in under the
-	// candidate's policies from the neighbors' (still-base) best routes —
-	// the same reconstruction RederiveLeaves performs. Base entries import
-	// through the OLD import policies, so every entry is stale on a device
-	// whose config changed.
+	// candidate's policies from the neighbors' (still-base) best routes.
+	// Base entries import through the OLD import policies, so every entry
+	// is stale on a device whose config changed.
 	for i, r := range n.routers {
 		if dirtyAt[i] {
 			for _, ls := range r.Sessions {

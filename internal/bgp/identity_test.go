@@ -382,7 +382,4 @@ func TestReverseSessionNilGuard(t *testing.T) {
 	if dpo, ok := DeltaSimulatePrefix(n, base.ByPrefix[p], []string{"X", "Y"}, p, Options{}); !ok || dpo.Final["Y"] != nil {
 		t.Errorf("delta from the intact outcome: ok=%v; want Y withdrawn", ok)
 	}
-	if rpo, ok := RederiveLeaves(n, base.ByPrefix[p], p, []string{"X"}); !ok || !sameRoute(rpo.Final["X"], po.Final["X"]) {
-		t.Errorf("rederiving X across its one-sided session: ok=%v; want its route via O", ok)
-	}
 }

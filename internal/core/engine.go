@@ -275,11 +275,6 @@ type Result struct {
 	// compiled-network cross-check guarding it — degraded to a full
 	// re-simulation.
 	ImpactBroad int
-	// LeafDerivations counts prefixes whose candidate outcome was patched
-	// from the parent outcome via leaf re-derivation (bgp.RederiveLeaves)
-	// instead of a full prefix simulation. Each one is a simulation the
-	// leaf-local refinement avoided beyond what slice scoping alone saves.
-	LeafDerivations int
 
 	// --- delta re-simulation --------------------------------------------
 	//
@@ -372,8 +367,8 @@ func (r *Result) Summary() string {
 			r.StoreHits, r.StoreMisses, r.StoreCorrupt)
 	}
 	if r.StaticallyRefuted+r.ImpactScoped+r.ImpactBroad > 0 {
-		fmt.Fprintf(&sb, "  impact: refuted=%d scoped=%d broad=%d leafDerived=%d\n",
-			r.StaticallyRefuted, r.ImpactScoped, r.ImpactBroad, r.LeafDerivations)
+		fmt.Fprintf(&sb, "  impact: refuted=%d scoped=%d broad=%d\n",
+			r.StaticallyRefuted, r.ImpactScoped, r.ImpactBroad)
 	}
 	if r.DeltaReused+r.DeltaResimulated+r.SimActivations > 0 {
 		fmt.Fprintf(&sb, "  delta: reused=%d resimulated=%d activations=%d\n",
@@ -1026,7 +1021,6 @@ func checkOnce(ctx context.Context, res *Result, pr *proposal, opts Options) (re
 	}
 	res.PrefixSimulations += stats.PrefixesSimulated
 	res.IntentChecks += stats.IntentsReverified
-	res.LeafDerivations += stats.PrefixesDerived
 	res.DeltaReused += stats.PrefixesDelta
 	res.DeltaResimulated += stats.DeltaFallbacks
 	res.SimActivations += stats.Activations

@@ -40,8 +40,8 @@ func (r *Result) Report(baseConfigs map[string]*netcfg.Config) string {
 	fmt.Fprintf(&sb, "iterations: %d  candidates validated: %d  prefix simulations: %d  intent checks: %d\n",
 		r.Iterations, r.CandidatesValidated, r.PrefixSimulations, r.IntentChecks)
 	if r.StaticallyRefuted+r.ImpactScoped+r.ImpactBroad > 0 {
-		fmt.Fprintf(&sb, "impact analysis: %d statically refuted, %d scoped, %d broad, %d leaf-derived prefixes\n",
-			r.StaticallyRefuted, r.ImpactScoped, r.ImpactBroad, r.LeafDerivations)
+		fmt.Fprintf(&sb, "impact analysis: %d statically refuted, %d scoped, %d broad\n",
+			r.StaticallyRefuted, r.ImpactScoped, r.ImpactBroad)
 	}
 	if r.DeltaReused+r.DeltaResimulated+r.SimActivations > 0 {
 		fmt.Fprintf(&sb, "delta simulation: %d prefixes reused, %d resimulated, %d router activations\n",

@@ -186,7 +186,6 @@ func buildCheckpoint(res *Result, best *bestEffort, st loopState) journal.Checkp
 			StaticallyRefuted:     res.StaticallyRefuted,
 			ImpactScoped:          res.ImpactScoped,
 			ImpactBroad:           res.ImpactBroad,
-			LeafDerivations:       res.LeafDerivations,
 			DeltaReused:           res.DeltaReused,
 			DeltaResimulated:      res.DeltaResimulated,
 			SimActivations:        res.SimActivations,
@@ -244,7 +243,6 @@ func restoreCheckpoint(res *Result, best *bestEffort, p Problem, opts Options, c
 	res.StaticallyRefuted = cp.Counters.StaticallyRefuted
 	res.ImpactScoped = cp.Counters.ImpactScoped
 	res.ImpactBroad = cp.Counters.ImpactBroad
-	res.LeafDerivations = cp.Counters.LeafDerivations
 	res.DeltaReused = cp.Counters.DeltaReused
 	res.DeltaResimulated = cp.Counters.DeltaResimulated
 	res.SimActivations = cp.Counters.SimActivations

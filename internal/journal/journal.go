@@ -166,10 +166,14 @@ type Counters struct {
 	StaticallyRefuted     int `json:"staticallyRefuted,omitempty"`
 	ImpactScoped          int `json:"impactScoped,omitempty"`
 	ImpactBroad           int `json:"impactBroad,omitempty"`
-	LeafDerivations       int `json:"leafDerivations,omitempty"`
 	DeltaReused           int `json:"deltaReused,omitempty"`
 	DeltaResimulated      int `json:"deltaResimulated,omitempty"`
 	SimActivations        int `json:"simActivations,omitempty"`
+
+	// LeafDerivations is read-only: older engines wrote it, and frames
+	// reject unknown fields, so it stays for their checkpoints to decode.
+	// It is read and ignored; nothing writes it.
+	LeafDerivations int `json:"leafDerivations,omitempty"`
 }
 
 // ErrorEvent is a flattened engine error (stacks and wrapped causes do not

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -89,6 +90,46 @@ func TestRoundTrip(t *testing.T) {
 	// 1 header + 3*(candidate+iteration+checkpoint) + terminal.
 	if sess.Records != 11 {
 		t.Fatalf("records = %d", sess.Records)
+	}
+}
+
+// TestOlderCheckpointCountersReplay: older engines wrote a
+// "leafDerivations" counter into every checkpoint. Frames decode with
+// unknown fields rejected, so such a checkpoint must still replay as a
+// clean record rather than a torn tail that resume would truncate.
+func TestOlderCheckpointCountersReplay(t *testing.T) {
+	dir := t.TempDir()
+	writeSession(t, dir, 1, nil)
+	clean, err := os.ReadFile(WALPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := ReplayBytes(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := testCheckpoint(2)
+	payload, err := json.Marshal(&Record{Seq: sess.Records + 1, Type: TypeCheckpoint, Checkpoint: &cp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := bytes.Replace(payload, []byte(`"counters":{`), []byte(`"counters":{"leafDerivations":7,`), 1)
+	if bytes.Equal(older, payload) {
+		t.Fatal("checkpoint payload carries no counters object")
+	}
+	frame, err := Frame(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReplayBytes(append(clean, frame...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Truncated {
+		t.Fatalf("older checkpoint read as a torn frame: %s", got.TruncatedReason)
+	}
+	if got.Checkpoint == nil || got.Checkpoint.Iteration != 2 {
+		t.Fatalf("older checkpoint not recovered: %+v", got.Checkpoint)
 	}
 }
 

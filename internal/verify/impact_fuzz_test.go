@@ -15,7 +15,7 @@ import (
 
 // fuzzBases lazily builds the two base verifiers the fuzzers mutate
 // against: the Figure 2 incident (small, every intent kind) and a WAN
-// with transit/leaf structure (exercises the leaf-local derivation path).
+// with transit/leaf structure (exercises leaf-local slices).
 // Both run with Differential on. Check never mutates the verifier, so one
 // instance per base serves every fuzz iteration.
 var fuzzBases = sync.OnceValue(func() []*verify.Incremental {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sort"
 
 	"acr/internal/analysis"
 	"acr/internal/bgp"
@@ -19,11 +18,12 @@ import (
 // paper's claim that validation is efficient with incremental verifiers
 // (§3.2, observation 3).
 type Stats struct {
-	PrefixesTotal     int
+	PrefixesTotal int
+	// PrefixesSimulated counts prefixes simulated cold, delta fallbacks
+	// included.
 	PrefixesSimulated int
-	// PrefixesDerived counts prefixes whose candidate outcome was obtained
-	// by patching leaf entries of the base outcome (bgp.RederiveLeaves)
-	// instead of a full prefix simulation.
+	// Deprecated: PrefixesDerived is always zero. Leaf-local slices are
+	// answered by delta re-simulation and counted in PrefixesDelta.
 	PrefixesDerived int
 	// PrefixesDelta counts prefixes answered by delta re-simulation
 	// (bgp.DeltaSimulatePrefix): seeded from the base outcome, only the
@@ -52,8 +52,12 @@ func (s Stats) String() string {
 		return fmt.Sprintf("statically refuted: 0/%d prefixes simulated, 0/%d intents reverified",
 			s.PrefixesTotal, s.IntentsTotal)
 	}
-	return fmt.Sprintf("simulated %d/%d prefixes, reverified %d/%d intents (broad=%v)",
-		s.PrefixesSimulated, s.PrefixesTotal, s.IntentsReverified, s.IntentsTotal, s.Broad)
+	fallbacks := ""
+	if s.DeltaFallbacks > 0 {
+		fallbacks = fmt.Sprintf(" fallbacks=%d", s.DeltaFallbacks)
+	}
+	return fmt.Sprintf("simulated %d/%d prefixes cold (delta=%d%s), reverified %d/%d intents (broad=%v)",
+		s.PrefixesSimulated, s.PrefixesTotal, s.PrefixesDelta, fallbacks, s.IntentsReverified, s.IntentsTotal, s.Broad)
 }
 
 // Incremental is a DNA-style incremental verifier. It holds a verified
@@ -401,14 +405,9 @@ func (iv *Incremental) checkImpactCtx(ctx context.Context, edits []netcfg.EditSe
 	// held locally at an observed leaf.
 	var leafObs []map[string]bool
 	if !broad && len(im.LocalPrefixes) > 0 {
-		leaves := make([]string, 0, len(im.LocalPrefixes))
-		for d := range im.LocalPrefixes { //acrvet:ordered — collected then sorted below
-			leaves = append(leaves, d)
-		}
-		sort.Strings(leaves)
 		leafObs = make([]map[string]bool, len(iv.Intents))
 		for i, in := range iv.Intents {
-			for _, d := range leaves {
+			for d := range im.LocalPrefixes { //acrvet:ordered — builds a set
 				if iv.observesDevice(iv.report.Verdicts[i], in, d) {
 					if leafObs[i] == nil {
 						leafObs[i] = map[string]bool{}
@@ -427,6 +426,19 @@ func (iv *Incremental) checkImpactCtx(ctx context.Context, edits []netcfg.EditSe
 				if consultsPrefix(in, p) {
 					return true
 				}
+			}
+		}
+		return false
+	}
+	// readsLeafLocal reports whether intent i observes a leaf at which
+	// prefix p changed (im.LocalPrefixes).
+	readsLeafLocal := func(i int, p netip.Prefix) bool {
+		if leafObs == nil {
+			return false
+		}
+		for d := range leafObs[i] { //acrvet:ordered — any-match boolean
+			if im.LocalPrefixes[d][p] {
+				return true
 			}
 		}
 		return false
@@ -453,57 +465,21 @@ func (iv *Incremental) checkImpactCtx(ctx context.Context, edits []netcfg.EditSe
 	// triggered intent reads its outcome (flow intents read the longest
 	// ByPrefix key covering their destination — any covering key is
 	// potentially selected — global intents read their DstPrefix key
-	// exactly), and either the prefix itself is affected or the reader
+	// exactly), and either the prefix itself is affected, or the reader
 	// observes a changed leaf device, whose base outcome for p carries a
-	// stale local FIB.
+	// stale local FIB, or it observes a leaf at which p changed. That last
+	// slice is leaf-local: delta over the edited devices re-derives the
+	// leaf's entry and stops one hop later (DESIGN.md §13).
 	simNeeded := func(p netip.Prefix) bool {
 		for i, in := range iv.Intents {
 			if !reverify[i] {
 				continue
 			}
-			if consultsPrefix(in, p) && (affected[p] || localWatch[i]) {
+			if consultsPrefix(in, p) && (affected[p] || localWatch[i] || readsLeafLocal(i, p)) {
 				return true
 			}
 		}
 		return false
-	}
-	// deriveLeaves returns the leaf routers to patch when prefix p changed
-	// only as observed at leaves (im.LocalPrefixes) and some triggered
-	// intent observing such a leaf reads p. Every leaf holding p locally is
-	// patched — not just the observed ones — so the re-derived outcome
-	// equals the full simulation's on every device and any read is safe.
-	// Disabled when the session set changed: the leaf-locality argument is
-	// made against the base session structure.
-	deriveLeaves := func(p netip.Prefix) []string {
-		if fpChanged || leafObs == nil {
-			return nil
-		}
-		needed := false
-		for i, in := range iv.Intents {
-			if !reverify[i] || leafObs[i] == nil || !consultsPrefix(in, p) {
-				continue
-			}
-			for d := range leafObs[i] { //acrvet:ordered — any-match boolean
-				if im.LocalPrefixes[d][p] {
-					needed = true
-					break
-				}
-			}
-			if needed {
-				break
-			}
-		}
-		if !needed {
-			return nil
-		}
-		var leaves []string
-		for d, ps := range im.LocalPrefixes { //acrvet:ordered — collected then sorted below
-			if ps[p] {
-				leaves = append(leaves, d)
-			}
-		}
-		sort.Strings(leaves)
-		return leaves
 	}
 
 	simOpts := iv.SimOpts
@@ -549,19 +525,6 @@ func (iv *Incremental) checkImpactCtx(ctx context.Context, edits []netcfg.EditSe
 	for _, p := range newAll {
 		if broad || simNeeded(p) {
 			if err := simulate(p); err != nil {
-				return nil, stats, err
-			}
-			continue
-		}
-		if leaves := deriveLeaves(p); len(leaves) > 0 {
-			// Leaf-local slice: re-derive just the leaves' entries of the
-			// base outcome instead of simulating the whole prefix. The
-			// result is exact; RederiveLeaves refuses (and we simulate)
-			// when its preconditions fail.
-			if po, ok := bgp.RederiveLeaves(newNet, iv.out.ByPrefix[p], p, leaves); ok {
-				newOut.ByPrefix[p] = po
-				stats.PrefixesDerived++
-			} else if err := simulate(p); err != nil {
 				return nil, stats, err
 			}
 			continue

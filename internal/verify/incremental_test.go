@@ -2,7 +2,9 @@ package verify_test
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"acr/internal/bgp"
@@ -122,6 +124,55 @@ func TestIncrementalDetectsNewViolation(t *testing.T) {
 	}
 	if !reportsEqual(rep, full) {
 		t.Fatalf("incremental misses the regression:\ninc:\n%s\nfull:\n%s", rep.Summary(), full.Summary())
+	}
+}
+
+// TestLeafLocalSliceAnsweredByDelta: detaching a backbone router's export
+// policy toward its PoP group changes the DCN prefixes only as heard at
+// those PoPs (a leaf-local slice), and the isolation intents injected at
+// the PoPs read exactly those prefixes. Such a slice goes through delta
+// re-simulation over the edited router, like any other simulated prefix:
+// no cold simulation, no fallback, verdicts equal to a full check, and a
+// clean Differential audit.
+func TestLeafLocalSliceAnsweredByDelta(t *testing.T) {
+	s := scenario.WAN(6, 3, 2, scenario.GenOptions{})
+	iv := newIV(t, s)
+	iv.Differential = true
+	attach := "route-policy " + scenario.WANPolicyNoLeak + " export"
+	var edits []netcfg.EditSet
+	for _, d := range iv.BaseNet().Order {
+		cfg := s.Configs[d]
+		for l := 1; l <= cfg.NumLines() && edits == nil; l++ {
+			if strings.Contains(cfg.Line(l), attach) {
+				edits = []netcfg.EditSet{{Device: d, Edits: []netcfg.Edit{netcfg.DeleteLine{At: l}}}}
+			}
+		}
+		if edits != nil {
+			break
+		}
+	}
+	if edits == nil {
+		t.Fatal("no backbone router attaches the PoP export policy")
+	}
+	rep, stats, err := iv.Check(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Refuted || stats.Broad || stats.PrefixesDelta < 1 || stats.PrefixesSimulated != 0 || stats.DeltaFallbacks != 0 {
+		t.Fatalf("leaf-local slice not answered by delta alone: %s", stats)
+	}
+	if want := fmt.Sprintf("simulated 0/%d prefixes cold (delta=%d),", stats.PrefixesTotal, stats.PrefixesDelta); !strings.HasPrefix(stats.String(), want) {
+		t.Errorf("stats render %q, want prefix %q", stats, want)
+	}
+	full, err := iv.FullCheck(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reportsEqual(rep, full) {
+		t.Fatalf("delta-answered check disagrees with the full check:\ninc:\n%s\nfull:\n%s", rep.Summary(), full.Summary())
+	}
+	if rep.NumFailed() == 0 {
+		t.Errorf("removing the DCN-isolation export policy leaked nothing:\n%s", rep.Summary())
 	}
 }
 
