@@ -326,8 +326,9 @@ func Repair(c *Case, opts RepairOptions) *RepairResult {
 	return core.Repair(c.problem(), opts)
 }
 
-// RepairContext is Repair with cooperative cancellation and wall-clock
-// bounds (opts.Deadline / opts.MaxWallClock). The result is always usable:
+// RepairContext is Repair with cooperative cancellation. The context is
+// the run's only wall-clock bound: wrap it with context.WithTimeout or
+// context.WithDeadline to budget the run. The result is always usable:
 // when the run ends on "deadline" or "canceled" it carries the best-effort
 // repair found so far (BestEffortConfigs / BestEffortFitness / Improved).
 func RepairContext(ctx context.Context, c *Case, opts RepairOptions) *RepairResult {

@@ -50,6 +50,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -279,7 +280,7 @@ func runRepair(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := acr.RepairOptions{Seed: *seed, MaxIterations: *maxIter, MaxWallClock: *timeout,
+	opts := acr.RepairOptions{Seed: *seed, MaxIterations: *maxIter,
 		NoCache: *noCache, Differential: *differential}
 	switch *strategy {
 	case "evolutionary":
@@ -337,7 +338,13 @@ func runRepair(args []string) error {
 		}
 		opts = chaos.New(chaos.Plan{CrashAfterAppends: *crashAfter, CrashKill: true}).Wire(opts)
 	}
-	res := acr.Repair(c, opts)
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	res := acr.RepairContext(ctx, c, opts)
 	if *output == "json" {
 		// The same schema the service API returns, so scripts parse one
 		// format no matter which front end ran the repair.

@@ -2,8 +2,8 @@
 // pipeline. It wraps the engine's two resilience seams — the per-prefix
 // simulation hook (bgp.Options.PrefixHook) and the validation boundary
 // (core.Options.Chaos) — with seeded fault plans: panics on the Nth
-// prefix simulation, injected delays that trip deadlines, and transient
-// verifier errors that exercise the engine's retry-with-backoff path.
+// prefix simulation, injected delays that trip a context deadline, and
+// validator errors, each of which drops the candidate it hits.
 //
 // Plans are deterministic given their Seed and the engine's own
 // determinism, so a chaos failure reproduces exactly. Typical use:
@@ -42,12 +42,13 @@ type Plan struct {
 	// DelayPerSim sleeps this long at the start of every per-prefix
 	// simulation — the knob for tripping deadlines mid-validation.
 	DelayPerSim time.Duration
-	// TransientEveryN returns a retryable error from every Nth validation
-	// attempt at the engine boundary (0 = off).
-	TransientEveryN int
-	// MaxTransients caps the total injected transient errors
+	// ValidateErrorEveryN fails every Nth validator invocation at the
+	// engine boundary with a ValidateError (0 = off). The engine drops
+	// the candidate being validated.
+	ValidateErrorEveryN int
+	// MaxValidateErrors caps the total injected validator errors
 	// (0 = unlimited).
-	MaxTransients int
+	MaxValidateErrors int
 
 	// --- crash points (journal seam) ------------------------------------
 
@@ -72,11 +73,11 @@ type Stats struct {
 	Simulations int
 	// PanicsInjected counts panics raised into the simulator.
 	PanicsInjected int
-	// ValidateCalls counts validation attempts observed at the engine
+	// ValidateCalls counts validator invocations observed at the engine
 	// boundary.
 	ValidateCalls int
-	// TransientsInjected counts retryable errors handed to the engine.
-	TransientsInjected int
+	// ValidateErrorsInjected counts validator errors handed to the engine.
+	ValidateErrorsInjected int
 	// JournalAppends counts journal appends observed.
 	JournalAppends int
 	// CrashesInjected counts simulated crashes raised at the journal seam
@@ -98,20 +99,16 @@ func (v PanicValue) String() string {
 	return fmt.Sprintf("chaos: injected panic on simulation %d (prefix %s)", v.Sim, v.Prefix)
 }
 
-// TransientError is a retryable injected fault; it satisfies the engine's
-// Transient() retry contract.
-type TransientError struct {
-	// Call is the 1-based validation-attempt count at injection time.
+// ValidateError is an injected validator fault.
+type ValidateError struct {
+	// Call is the 1-based validator-invocation count at injection time.
 	Call int
 }
 
 // Error implements error.
-func (e TransientError) Error() string {
-	return fmt.Sprintf("chaos: injected transient verifier error on attempt %d", e.Call)
+func (e ValidateError) Error() string {
+	return fmt.Sprintf("chaos: injected verifier error on call %d", e.Call)
 }
-
-// Transient marks the error retryable.
-func (e TransientError) Transient() bool { return true }
 
 // Injector executes a Plan. It is safe for concurrent use; its counters
 // advance in the deterministic order the (deterministic, single-threaded)
@@ -310,17 +307,16 @@ func (i *Injector) PrefixHook(p netip.Prefix) {
 }
 
 // BeforeValidate is the engine-boundary seam (core.FaultInjector): it may
-// return a transient error per plan, which the engine retries with
-// backoff.
+// return a ValidateError per plan, which drops the candidate.
 func (i *Injector) BeforeValidate() error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.stats.ValidateCalls++
 	n := i.stats.ValidateCalls
-	if i.plan.TransientEveryN > 0 && n%i.plan.TransientEveryN == 0 {
-		if i.plan.MaxTransients == 0 || i.stats.TransientsInjected < i.plan.MaxTransients {
-			i.stats.TransientsInjected++
-			return TransientError{Call: n}
+	if i.plan.ValidateErrorEveryN > 0 && n%i.plan.ValidateErrorEveryN == 0 {
+		if i.plan.MaxValidateErrors == 0 || i.stats.ValidateErrorsInjected < i.plan.MaxValidateErrors {
+			i.stats.ValidateErrorsInjected++
+			return ValidateError{Call: n}
 		}
 	}
 	return nil

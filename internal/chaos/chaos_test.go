@@ -78,9 +78,11 @@ func TestFigure2SurvivesInjectedPanics(t *testing.T) {
 // return a usable best-effort result.
 func TestFigure2DeadlineTrip(t *testing.T) {
 	inj := New(Plan{Seed: 1, DelayPerSim: 5 * time.Millisecond})
-	opts := inj.Wire(core.Options{Strategy: core.BruteForce, MaxWallClock: 25 * time.Millisecond})
+	opts := inj.Wire(core.Options{Strategy: core.BruteForce})
 	start := time.Now()
-	res := core.RepairContext(context.Background(), figure2Problem(), opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+	defer cancel()
+	res := core.RepairContext(ctx, figure2Problem(), opts)
 	elapsed := time.Since(start)
 
 	if res.Termination != "deadline" {
@@ -96,8 +98,10 @@ func TestFigure2DeadlineTrip(t *testing.T) {
 // seeded panics plus one deadline trip.
 func TestFigure2PanicsAndDeadlineTogether(t *testing.T) {
 	inj := New(Plan{Seed: 7, PanicEveryN: 10, DelayPerSim: 2 * time.Millisecond})
-	opts := inj.Wire(core.Options{Strategy: core.BruteForce, MaxWallClock: 60 * time.Millisecond})
-	res := core.RepairContext(context.Background(), figure2Problem(), opts)
+	opts := inj.Wire(core.Options{Strategy: core.BruteForce})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+	defer cancel()
+	res := core.RepairContext(ctx, figure2Problem(), opts)
 
 	if res.Termination != "feasible" && res.Termination != "deadline" {
 		t.Fatalf("termination = %q, want feasible or deadline\n%s", res.Termination, res.Summary())
@@ -105,29 +109,33 @@ func TestFigure2PanicsAndDeadlineTogether(t *testing.T) {
 	assertNoRegression(t, res)
 }
 
-// TestTransientRetries proves the retry-with-backoff path: injected
-// transient verifier errors are retried and the run still succeeds.
-func TestTransientRetries(t *testing.T) {
+// TestInjectedValidatorErrorsDropCandidates: an injected validator error
+// drops the one candidate it hit, nothing else. Every validator call
+// either fails or resolves exactly one cache miss, and the search still
+// repairs Figure 2 from the candidates that validated.
+func TestInjectedValidatorErrorsDropCandidates(t *testing.T) {
 	// The static prior narrows Figure 2 to a handful of validator calls,
-	// so inject aggressively to guarantee the retry path is exercised.
-	inj := New(Plan{Seed: 1, TransientEveryN: 2, MaxTransients: 4})
-	opts := inj.Wire(core.Options{Strategy: core.BruteForce, RetryBackoff: 100 * time.Microsecond})
+	// so inject aggressively to be sure some candidates are dropped.
+	inj := New(Plan{Seed: 1, ValidateErrorEveryN: 2, MaxValidateErrors: 4})
+	opts := inj.Wire(core.Options{Strategy: core.BruteForce})
 	res := core.RepairContext(context.Background(), figure2Problem(), opts)
 
-	if got := inj.Stats(); got.TransientsInjected == 0 {
-		t.Fatalf("plan injected no transients (validate calls=%d)", got.ValidateCalls)
+	got := inj.Stats()
+	if got.ValidateErrorsInjected == 0 {
+		t.Fatalf("plan injected no validator errors (validate calls=%d)", got.ValidateCalls)
 	}
-	if res.ValidationRetries == 0 {
-		t.Fatal("engine recorded no retries")
+	if want := res.CacheMisses + res.CandidatesPanicked + got.ValidateErrorsInjected; got.ValidateCalls != want {
+		t.Fatalf("%d validator calls, want %d (misses=%d panicked=%d injected=%d)",
+			got.ValidateCalls, want, res.CacheMisses, res.CandidatesPanicked, got.ValidateErrorsInjected)
 	}
 	if !res.Feasible {
-		t.Fatalf("run did not recover from transient faults:\n%s", res.Summary())
+		t.Fatalf("run did not repair Figure 2 around the dropped candidates:\n%s", res.Summary())
 	}
 	assertNoRegression(t, res)
 }
 
 // TestCorpusSliceSurvivesChaos runs a slice of the 120-incident corpus
-// under combined chaos (panics + transients) and requires every run to
+// under combined chaos (panics + validator errors) and requires every run to
 // end cleanly with the best-effort guarantee intact.
 func TestCorpusSliceSurvivesChaos(t *testing.T) {
 	incs, err := incidents.GenerateCorpus(incidents.CorpusOptions{Size: 120, Seed: 1})
@@ -141,13 +149,12 @@ func TestCorpusSliceSurvivesChaos(t *testing.T) {
 	ran := 0
 	for idx := 0; idx < len(incs); idx += stride {
 		inc := incs[idx]
-		inj := New(Plan{Seed: int64(idx), PanicEveryN: 10, TransientEveryN: 50})
-		opts := inj.Wire(core.Options{
-			RetryBackoff: 100 * time.Microsecond,
-			MaxWallClock: 10 * time.Second,
-		})
+		inj := New(Plan{Seed: int64(idx), PanicEveryN: 10, ValidateErrorEveryN: 50})
+		opts := inj.Wire(core.Options{})
 		p := core.Problem{Topo: inc.Scenario.Topo, Configs: inc.Scenario.Configs, Intents: inc.Scenario.Intents}
-		res := core.RepairContext(context.Background(), p, opts)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		res := core.RepairContext(ctx, p, opts)
+		cancel()
 		assertNoRegression(t, res)
 		if res.BaseFailing > 0 && !res.Feasible && !res.Improved && res.Termination == "feasible" {
 			t.Errorf("incident %d: inconsistent result: %s", idx, res.Summary())
@@ -163,8 +170,8 @@ func TestCorpusSliceSurvivesChaos(t *testing.T) {
 // injects the same faults.
 func TestInjectorDeterminism(t *testing.T) {
 	run := func() (Stats, *core.Result) {
-		inj := New(Plan{Seed: 3, PanicRate: 0.15, TransientEveryN: 9})
-		opts := inj.Wire(core.Options{Strategy: core.BruteForce, RetryBackoff: 100 * time.Microsecond})
+		inj := New(Plan{Seed: 3, PanicRate: 0.15, ValidateErrorEveryN: 9})
+		opts := inj.Wire(core.Options{Strategy: core.BruteForce})
 		res := core.RepairContext(context.Background(), figure2Problem(), opts)
 		return inj.Stats(), res
 	}

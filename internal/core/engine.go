@@ -34,14 +34,14 @@ const (
 	BruteForce
 )
 
-// FaultInjector is the chaos seam at the engine's validation boundary.
+// FaultInjector is the test seam at the engine's validation boundary.
 // Production runs leave Options.Chaos nil; the chaos harness
-// (internal/chaos) implements this to inject transient and fatal faults
-// before validator invocations.
+// (internal/chaos) implements this to inject validator errors, and tests
+// use it to count validator invocations.
 type FaultInjector interface {
-	// BeforeValidate runs before each validator invocation (including
-	// retries) and may return an error to inject. Errors advertising
-	// Transient() get the engine's retry-with-backoff treatment.
+	// BeforeValidate runs before each validator invocation and may return
+	// an error to inject. Like any validator error, an injected one drops
+	// its candidate: validation is deterministic, so nothing is retried.
 	BeforeValidate() error
 }
 
@@ -100,27 +100,8 @@ type Options struct {
 
 	// --- robustness -----------------------------------------------------
 
-	// Deadline, when set, bounds the run by wall-clock time; the engine
-	// stops cooperatively and returns the best-effort repair with
-	// Termination "deadline".
-	Deadline time.Time
-	// MaxWallClock, when positive, bounds the run by a duration measured
-	// from the RepairContext call. Combined with Deadline, the earlier
-	// bound wins.
-	MaxWallClock time.Duration
-	// CandidateTimeout, when positive, bounds each candidate's validation;
-	// a candidate that exceeds it is skipped (counted in
-	// CandidatesTimedOut) without ending the run.
-	CandidateTimeout time.Duration
-	// MaxValidationRetries bounds retries of transient validator faults
-	// per candidate (default 2). Retries back off exponentially starting
-	// at RetryBackoff.
-	MaxValidationRetries int
-	// RetryBackoff is the initial backoff between transient-fault retries
-	// (default 1ms, doubling per retry).
-	RetryBackoff time.Duration
 	// Chaos, when non-nil, injects faults at the validation boundary
-	// (testing only).
+	// (testing only). The run's deadline is RepairContext's context.
 	Chaos FaultInjector
 
 	// --- durability -----------------------------------------------------
@@ -141,10 +122,6 @@ type Options struct {
 	// journaled one left off and produces the same Result as an
 	// uninterrupted run (compare with Result.Canonical).
 	Resume *journal.Session
-	// CheckpointEvery is the full-checkpoint cadence in iterations
-	// (default 1: every iteration boundary is a restart point). Raising
-	// it trades recovery granularity for journal bandwidth.
-	CheckpointEvery int
 }
 
 func (o Options) withDefaults() Options {
@@ -171,12 +148,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Templates == nil {
 		o.Templates = templateSource()
-	}
-	if o.MaxValidationRetries <= 0 {
-		o.MaxValidationRetries = 2
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = time.Millisecond
 	}
 	return o
 }
@@ -327,11 +298,6 @@ type Result struct {
 	// CandidatesPanicked counts candidates quarantined because a template,
 	// parser edit, or simulator panicked while processing them.
 	CandidatesPanicked int
-	// CandidatesTimedOut counts candidates skipped by CandidateTimeout.
-	CandidatesTimedOut int
-	// ValidationRetries counts transient-fault retries at the validation
-	// boundary.
-	ValidationRetries int
 	// Errors collects classified failures (capped; counters above are
 	// complete).
 	Errors []*RepairError
@@ -355,9 +321,8 @@ func (r *Result) Summary() string {
 	if !r.Feasible {
 		fmt.Fprintf(&sb, "  best-effort: fitness=%d improved=%v\n", r.BestEffortFitness, r.Improved)
 	}
-	if r.CandidatesPanicked+r.CandidatesTimedOut+r.ValidationRetries > 0 {
-		fmt.Fprintf(&sb, "  quarantined: panicked=%d timedOut=%d transientRetries=%d\n",
-			r.CandidatesPanicked, r.CandidatesTimedOut, r.ValidationRetries)
+	if r.CandidatesPanicked > 0 {
+		fmt.Fprintf(&sb, "  quarantined: panicked=%d\n", r.CandidatesPanicked)
 	}
 	if r.CacheHits+r.CacheMisses > 0 {
 		fmt.Fprintf(&sb, "  cache: hits=%d misses=%d\n", r.CacheHits, r.CacheMisses)
@@ -401,8 +366,8 @@ type proposal struct {
 	fitness int
 }
 
-// errQuarantined marks a candidate removed from the search (panic or
-// per-candidate timeout) without ending the run.
+// errQuarantined marks a candidate removed from the search by a panic
+// without ending the run.
 var errQuarantined = fmt.Errorf("candidate quarantined")
 
 // Repair runs localize–fix–validate (Figure 4) until a feasible update is
@@ -411,31 +376,22 @@ func Repair(p Problem, opts Options) *Result {
 	return RepairContext(context.Background(), p, opts)
 }
 
-// RepairContext is Repair with cooperative cancellation and wall-clock
-// bounds. The context is checked in every hot loop — between iterations,
-// between candidate validations, inside per-prefix simulation passes — so
-// cancellation and deadlines take effect promptly. The returned Result is
-// always usable: on "deadline" or "canceled" it carries the best-effort
-// repair found so far.
+// RepairContext is Repair with cooperative cancellation. The context is
+// the run's only wall-clock bound: wrap it with context.WithTimeout or
+// WithDeadline to budget the run. It is checked in every hot loop —
+// between iterations, between candidate validations, inside per-prefix
+// simulation passes — so cancellation and deadlines take effect promptly.
+// The returned Result is always usable: on "deadline" or "canceled" it
+// carries the best-effort repair found so far.
 func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 	opts = opts.withDefaults()
 	start := time.Now()
-	if opts.MaxWallClock > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.MaxWallClock)
-		defer cancel()
-	}
-	if !opts.Deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, opts.Deadline)
-		defer cancel()
-	}
 	// Thread the run context into every base (re)simulation the engine
 	// performs while preserving candidates.
 	opts.SimOpts.Ctx = ctx
 
 	res := &Result{FinalConfigs: p.Configs, Termination: "iteration-cap"}
-	sink := newJournalSink(opts.Journal, res, opts.CheckpointEvery)
+	sink := newJournalSink(opts.Journal, res)
 	ec := newEvalCache(opts)
 
 	best := &bestEffort{fitness: -1}
@@ -486,10 +442,10 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 		// resumed run's hits and misses replay identically.
 		ec.warm(opts.Resume.Candidates, st.iter)
 	} else {
-		base := preserve(res, nil, opts, scratchVersion(p, p.Configs, nil, opts))
+		base := preserve(res, nil, scratchVersion(p, p.Configs, nil, opts))
 		if base == nil {
-			// The base version itself could not be verified (persistent
-			// panic or immediate cancellation): nothing to search from.
+			// The base version itself could not be verified (a panic or
+			// immediate cancellation): nothing to search from.
 			if _, ok := interrupted(); ok {
 				return abort()
 			}
@@ -710,7 +666,7 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 				return abort()
 			}
 			descs := append(append([]string{}, pr.parent.descs...), pr.update.Desc)
-			c := preserve(res, descs, opts, derivedVersion(p, pr, descs, opts))
+			c := preserve(res, descs, derivedVersion(p, pr, descs, opts))
 			if c == nil {
 				continue // preservation quarantined (panic during re-verify)
 			}
@@ -753,26 +709,6 @@ func iterRNG(seed int64, iter int) *rand.Rand {
 // from a checkpoint therefore reconstructs the identical context.
 func versionRNG(seed int64, descs []string) *rand.Rand {
 	return rand.New(rand.NewSource(deriveSeed(seed, "version/"+strings.Join(descs, "|"))))
-}
-
-// retryRNG derives the backoff-jitter stream for one candidate, addressed
-// by its update description. Keying the stream to the candidate's content
-// (not to the order candidates are validated in) keeps resume
-// byte-identity intact: jitter only ever shifts wall clock, and even the
-// draws themselves are reproducible.
-func retryRNG(seed int64, desc string) *rand.Rand {
-	return rand.New(rand.NewSource(deriveSeed(seed, "retry/"+desc)))
-}
-
-// jitterBackoff draws a full-jitter sleep: uniform over [0, backoff].
-// Full jitter (rather than equal jitter or none) decorrelates the retry
-// storms a shared fault — one overloaded solver box behind the validator —
-// would otherwise synchronize across candidates and nodes.
-func jitterBackoff(rng *rand.Rand, backoff time.Duration) time.Duration {
-	if backoff <= 0 {
-		return 0
-	}
-	return time.Duration(rng.Int63n(int64(backoff) + 1))
 }
 
 // deriveSeed mixes the run seed with a stream label.
@@ -931,64 +867,19 @@ func evaluate(ctx context.Context, res *Result, ec *evalCache, pr *proposal, opt
 	return fitness, digest, refuted, nil
 }
 
-// validateCandidate validates one candidate on its parent's verifier
-// behind the full resilience boundary: chaos injection, transient-fault
-// retries with exponential backoff, panic quarantine, and the
-// per-candidate timeout. Work counters and errors go to res; the returned
-// Stats are the final attempt's.
-func validateCandidate(ctx context.Context, res *Result, pr *proposal, opts Options) (*verify.Report, verify.Stats, error) {
-	backoff := opts.RetryBackoff
-	var jitter *rand.Rand
-	var lastErr error
-	for attempt := 0; attempt <= opts.MaxValidationRetries; attempt++ {
-		if err := ctx.Err(); err != nil {
+// validateCandidate validates one candidate on its parent's verifier, with
+// panic quarantine. Any error drops the candidate: a malformed edit, a
+// panic, or a fault injected through Options.Chaos. The verifier is
+// deterministic, so a retry would only re-run the same failure. Work
+// counters and panics go to res.
+func validateCandidate(ctx context.Context, res *Result, pr *proposal, opts Options) (rep *verify.Report, stats verify.Stats, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, verify.Stats{}, err
+	}
+	if opts.Chaos != nil {
+		if err := opts.Chaos.BeforeValidate(); err != nil {
 			return nil, verify.Stats{}, err
 		}
-		retry := func(err error) {
-			lastErr = err
-			res.ValidationRetries++
-			res.recordError(&RepairError{Kind: KindTransient, Op: "validate", Candidate: pr.update.Desc, Err: err})
-			if attempt < opts.MaxValidationRetries {
-				// Back off only when another attempt follows; sleeping
-				// after the final failure would waste RetryBackoff*2^k of
-				// wall clock on a candidate already being given up on.
-				// The sleep is full-jitter over the doubling window, drawn
-				// from the candidate's content-derived stream (retryRNG) so
-				// the schedule is reproducible.
-				if jitter == nil {
-					jitter = retryRNG(opts.Seed, pr.update.Desc)
-				}
-				sleepCtx(ctx, jitterBackoff(jitter, backoff))
-				backoff *= 2
-			}
-		}
-		if opts.Chaos != nil {
-			if err := opts.Chaos.BeforeValidate(); err != nil {
-				if IsTransient(err) {
-					retry(err)
-					continue
-				}
-				return nil, verify.Stats{}, err
-			}
-		}
-		rep, stats, err := checkOnce(ctx, res, pr, opts)
-		if err != nil && IsTransient(err) {
-			retry(err)
-			continue
-		}
-		return rep, stats, err
-	}
-	return nil, verify.Stats{}, lastErr
-}
-
-// checkOnce performs one validator invocation with panic quarantine and
-// the per-candidate timeout.
-func checkOnce(ctx context.Context, res *Result, pr *proposal, opts Options) (rep *verify.Report, stats verify.Stats, err error) {
-	cctx := ctx
-	if opts.CandidateTimeout > 0 {
-		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(ctx, opts.CandidateTimeout)
-		defer cancel()
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -1005,9 +896,9 @@ func checkOnce(ctx context.Context, res *Result, pr *proposal, opts Options) (re
 	}()
 	iv := pr.parent.iv
 	if opts.FullValidation {
-		rep, stats, err = iv.FullCheckCtx(cctx, pr.update.Edits)
+		rep, stats, err = iv.FullCheckCtx(ctx, pr.update.Edits)
 	} else {
-		rep, stats, err = iv.CheckCtx(cctx, pr.update.Edits)
+		rep, stats, err = iv.CheckCtx(ctx, pr.update.Edits)
 		if err == nil {
 			switch {
 			case stats.Refuted:
@@ -1024,27 +915,7 @@ func checkOnce(ctx context.Context, res *Result, pr *proposal, opts Options) (re
 	res.DeltaReused += stats.PrefixesDelta
 	res.DeltaResimulated += stats.DeltaFallbacks
 	res.SimActivations += stats.Activations
-	if err != nil && cctx.Err() != nil && ctx.Err() == nil {
-		// The candidate's own timeout tripped, not the run's: quarantine
-		// just this candidate.
-		res.CandidatesTimedOut++
-		res.recordError(&RepairError{Kind: KindCandidateTimeout, Op: "validate", Candidate: pr.update.Desc, Err: err})
-		err = errQuarantined
-	}
 	return rep, stats, err
-}
-
-// sleepCtx sleeps for d or until the context is done, whichever is first.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
 }
 
 // generate produces this member's proposals: template applications at
@@ -1139,44 +1010,29 @@ func mergeUpdates(a, b Update) (Update, bool) {
 // preserve builds one configuration version's verifier and localization
 // context, with panic quarantine: a version whose (re-)verification panics
 // (a simulator bug, or an injected chaos fault) is dropped from the
-// population instead of killing the run. The base version (nil descs)
-// additionally gets retries, since without it there is no search at all.
-func preserve(res *Result, descs []string, opts Options, build func() (*candidate, error)) *candidate {
-	attempts := 1
-	if descs == nil { // the base version
-		attempts = 1 + opts.MaxValidationRetries
-	}
-	for a := 0; a < attempts; a++ {
-		c := func() (c *candidate) {
-			defer func() {
-				if rec := recover(); rec != nil {
-					res.CandidatesPanicked++
-					res.recordError(&RepairError{
-						Kind:      KindCandidatePanic,
-						Op:        "preserve",
-						Candidate: strings.Join(descs, " + "),
-						Err:       fmt.Errorf("panic: %v", rec),
-						Stack:     debug.Stack(),
-					})
-					c = nil
-				}
-			}()
-			c, err := build()
-			if err != nil {
-				res.recordError(&RepairError{Kind: KindValidation, Op: "preserve",
-					Candidate: strings.Join(descs, " + "), Err: err})
-				return nil
-			}
-			return c
-		}()
-		if c != nil {
-			return c
+// population instead of killing the run. The base version gets no second
+// attempt: verification is deterministic, so it would fail the same way.
+func preserve(res *Result, descs []string, build func() (*candidate, error)) (c *candidate) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			res.CandidatesPanicked++
+			res.recordError(&RepairError{
+				Kind:      KindCandidatePanic,
+				Op:        "preserve",
+				Candidate: strings.Join(descs, " + "),
+				Err:       fmt.Errorf("panic: %v", rec),
+				Stack:     debug.Stack(),
+			})
+			c = nil
 		}
-		if opts.SimOpts.Ctx != nil && opts.SimOpts.Ctx.Err() != nil {
-			return nil
-		}
+	}()
+	c, err := build()
+	if err != nil {
+		res.recordError(&RepairError{Kind: KindValidation, Op: "preserve",
+			Candidate: strings.Join(descs, " + "), Err: err})
+		return nil
 	}
-	return nil
+	return c
 }
 
 // scratchVersion verifies a configuration version from its texts alone:

@@ -129,8 +129,10 @@ func slowSims(opts core.Options, d time.Duration) core.Options {
 // returns within 100ms with Termination == "deadline".
 func TestTerminationDeadline(t *testing.T) {
 	start := time.Now()
-	res := core.RepairContext(context.Background(), problemOf(scenario.Figure2()),
-		slowSims(core.Options{MaxWallClock: time.Millisecond}, time.Millisecond))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	res := core.RepairContext(ctx, problemOf(scenario.Figure2()),
+		slowSims(core.Options{}, time.Millisecond))
 	elapsed := time.Since(start)
 	if res.Termination != "deadline" {
 		t.Fatalf("termination %q, want deadline (%s)", res.Termination, res.Summary())
@@ -144,11 +146,13 @@ func TestTerminationDeadline(t *testing.T) {
 	}
 }
 
-// TestTerminationDeadlineViaAbsoluteTime: Options.Deadline behaves like
-// MaxWallClock.
+// TestTerminationDeadlineViaAbsoluteTime: a context with an absolute
+// deadline ends the run like a relative timeout.
 func TestTerminationDeadlineViaAbsoluteTime(t *testing.T) {
-	res := core.RepairContext(context.Background(), problemOf(scenario.Figure2()),
-		slowSims(core.Options{Deadline: time.Now().Add(time.Millisecond)}, time.Millisecond))
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Millisecond))
+	defer cancel()
+	res := core.RepairContext(ctx, problemOf(scenario.Figure2()),
+		slowSims(core.Options{}, time.Millisecond))
 	if res.Termination != "deadline" {
 		t.Fatalf("termination %q, want deadline", res.Termination)
 	}

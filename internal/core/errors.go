@@ -1,9 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // ErrorKind classifies the failures a repair run can absorb or end on.
 // The engine never surfaces a raw panic or bare context error: everything
@@ -15,20 +12,12 @@ type ErrorKind string
 const (
 	// KindCanceled: the caller's context was canceled.
 	KindCanceled ErrorKind = "canceled"
-	// KindDeadline: the run's deadline (Options.Deadline / MaxWallClock /
-	// a context deadline) expired.
+	// KindDeadline: the run context's deadline expired.
 	KindDeadline ErrorKind = "deadline"
 	// KindCandidatePanic: a template, parser edit, or simulator panicked
 	// while generating or validating one candidate. The candidate is
 	// quarantined; the run continues.
 	KindCandidatePanic ErrorKind = "candidate-panic"
-	// KindCandidateTimeout: one candidate's validation exceeded
-	// Options.CandidateTimeout. The candidate is skipped.
-	KindCandidateTimeout ErrorKind = "candidate-timeout"
-	// KindTransient: the validator reported a retryable fault (in
-	// production, a backend hiccup; under chaos, an injected one). The
-	// engine retries with backoff before giving up on the candidate.
-	KindTransient ErrorKind = "transient"
 	// KindValidation: a candidate was structurally invalid (conflicting or
 	// out-of-range edits). Expected during search; never fatal.
 	KindValidation ErrorKind = "validation"
@@ -50,7 +39,7 @@ const (
 )
 
 // RepairError is one classified failure observed during a run. Quarantined
-// failures (panics, timeouts, transient faults) are collected in
+// failures (panics, invalid versions, journal faults) are collected in
 // Result.Errors; terminal ones (canceled, deadline) also decide
 // Result.Termination.
 type RepairError struct {
@@ -80,25 +69,6 @@ func (e *RepairError) Error() string {
 
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *RepairError) Unwrap() error { return e.Err }
-
-// Transient reports whether the failure is worth retrying.
-func (e *RepairError) Transient() bool { return e.Kind == KindTransient }
-
-// transienter is the retry contract: any error advertising Transient()
-// (e.g. the chaos harness's injected faults) gets the engine's
-// retry-with-backoff treatment at the validation boundary.
-type transienter interface{ Transient() bool }
-
-// IsTransient reports whether err (or anything it wraps) is retryable.
-func IsTransient(err error) bool {
-	for err != nil {
-		if t, ok := err.(transienter); ok && t.Transient() {
-			return true
-		}
-		err = errors.Unwrap(err)
-	}
-	return false
-}
 
 // maxStoredErrors caps Result.Errors so a pathological run (or a hostile
 // chaos plan) cannot balloon the result; the full count survives in the

@@ -48,9 +48,10 @@ func (p Problem) Digest() string {
 }
 
 // SearchDigest fingerprints every option that steers the search. Options
-// that only bound or observe the run (deadlines, journaling, chaos) are
-// excluded: resuming under a different wall-clock budget is legitimate,
-// resuming under a different seed or template library is not.
+// that only observe the run (journaling, chaos) are excluded, and the
+// deadline is the run's context, not an option: resuming under a different
+// wall-clock budget is legitimate, resuming under a different seed or
+// template library is not.
 func (o Options) SearchDigest() string {
 	o = o.withDefaults()
 	h := sha256.New()
@@ -179,8 +180,6 @@ func buildCheckpoint(res *Result, best *bestEffort, st loopState) journal.Checkp
 			IntentChecks:          res.IntentChecks,
 			TemplatesPrunedStatic: res.TemplatesPrunedStatic,
 			CandidatesPanicked:    res.CandidatesPanicked,
-			CandidatesTimedOut:    res.CandidatesTimedOut,
-			ValidationRetries:     res.ValidationRetries,
 			CacheHits:             res.CacheHits,
 			CacheMisses:           res.CacheMisses,
 			StaticallyRefuted:     res.StaticallyRefuted,
@@ -236,8 +235,6 @@ func restoreCheckpoint(res *Result, best *bestEffort, p Problem, opts Options, c
 	res.IntentChecks = cp.Counters.IntentChecks
 	res.TemplatesPrunedStatic = cp.Counters.TemplatesPrunedStatic
 	res.CandidatesPanicked = cp.Counters.CandidatesPanicked
-	res.CandidatesTimedOut = cp.Counters.CandidatesTimedOut
-	res.ValidationRetries = cp.Counters.ValidationRetries
 	res.CacheHits = cp.Counters.CacheHits
 	res.CacheMisses = cp.Counters.CacheMisses
 	res.StaticallyRefuted = cp.Counters.StaticallyRefuted
@@ -272,7 +269,7 @@ func restoreCheckpoint(res *Result, best *bestEffort, p Problem, opts Options, c
 		stagnant:    cp.Stagnant,
 	}
 	for _, m := range cp.Population {
-		c := preserve(res, m.Descs, opts, scratchVersion(p, configsFromLines(m.Configs), m.Descs, opts))
+		c := preserve(res, m.Descs, scratchVersion(p, configsFromLines(m.Configs), m.Descs, opts))
 		if c == nil {
 			continue
 		}
@@ -296,18 +293,14 @@ func restoreCheckpoint(res *Result, best *bestEffort, p Problem, opts Options, c
 type journalSink struct {
 	w        *journal.Writer
 	res      *Result
-	every    int // checkpoint cadence in iterations
 	disabled bool
 }
 
-func newJournalSink(w *journal.Writer, res *Result, every int) *journalSink {
+func newJournalSink(w *journal.Writer, res *Result) *journalSink {
 	if w == nil {
 		return nil
 	}
-	if every <= 0 {
-		every = 1
-	}
-	return &journalSink{w: w, res: res, every: every}
+	return &journalSink{w: w, res: res}
 }
 
 func (j *journalSink) emit(op string, err error) {
@@ -334,14 +327,10 @@ func (j *journalSink) iteration(l IterationLog) {
 		BestFitness: jl.BestFitness, Top: jl.Top}))
 }
 
-// checkpoint journals a restart point when the cadence is due. The base
-// snapshot (iteration 0) is always written: it is the minimum viable
-// resume point.
+// checkpoint journals a restart point: the base snapshot (iteration 0)
+// and every iteration boundary.
 func (j *journalSink) checkpoint(res *Result, best *bestEffort, st loopState) {
 	if j == nil || j.disabled {
-		return
-	}
-	if st.iter != 0 && st.iter%j.every != 0 {
 		return
 	}
 	j.emit("checkpoint", j.w.AppendCheckpoint(buildCheckpoint(res, best, st)))

@@ -311,11 +311,10 @@ type Stats struct {
 	Top1, Top5, Top10 int
 	MeanIterations    float64
 	MeanValidated     float64
-	// Improved counts infeasible-but-improved runs; the robustness
-	// counters sum the engine's quarantine/retry tallies over the corpus.
+	// Improved counts infeasible-but-improved runs; CandidatesPanicked
+	// sums the engine's quarantine tally over the corpus.
 	Improved           int
 	CandidatesPanicked int
-	ValidationRetries  int
 	TimedOut           int // runs ending on "deadline" or "canceled"
 }
 
@@ -340,7 +339,6 @@ func Aggregate(results []*RunResult) Stats {
 			s.TimedOut++
 		}
 		s.CandidatesPanicked += r.CandidatesPanicked
-		s.ValidationRetries += r.ValidationRetries
 		switch {
 		case r.LocalizationRank == 1:
 			s.Top1++

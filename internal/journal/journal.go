@@ -159,8 +159,6 @@ type Counters struct {
 	IntentChecks          int `json:"intentChecks"`
 	TemplatesPrunedStatic int `json:"templatesPrunedStatic"`
 	CandidatesPanicked    int `json:"candidatesPanicked"`
-	CandidatesTimedOut    int `json:"candidatesTimedOut"`
-	ValidationRetries     int `json:"validationRetries"`
 	CacheHits             int `json:"cacheHits,omitempty"`
 	CacheMisses           int `json:"cacheMisses,omitempty"`
 	StaticallyRefuted     int `json:"staticallyRefuted,omitempty"`
@@ -170,10 +168,13 @@ type Counters struct {
 	DeltaResimulated      int `json:"deltaResimulated,omitempty"`
 	SimActivations        int `json:"simActivations,omitempty"`
 
-	// LeafDerivations is read-only: older engines wrote it, and frames
-	// reject unknown fields, so it stays for their checkpoints to decode.
-	// It is read and ignored; nothing writes it.
-	LeafDerivations int `json:"leafDerivations,omitempty"`
+	// LeafDerivations, CandidatesTimedOut and ValidationRetries are
+	// read-only: older engines wrote them, and frames reject unknown
+	// fields, so they stay for their checkpoints to decode. They are read
+	// and ignored; nothing writes them.
+	LeafDerivations    int `json:"leafDerivations,omitempty"`
+	CandidatesTimedOut int `json:"candidatesTimedOut,omitempty"`
+	ValidationRetries  int `json:"validationRetries,omitempty"`
 }
 
 // ErrorEvent is a flattened engine error (stacks and wrapped causes do not

@@ -93,10 +93,11 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOlderCheckpointCountersReplay: older engines wrote a
-// "leafDerivations" counter into every checkpoint. Frames decode with
-// unknown fields rejected, so such a checkpoint must still replay as a
-// clean record rather than a torn tail that resume would truncate.
+// TestOlderCheckpointCountersReplay: older engines wrote
+// "leafDerivations", "candidatesTimedOut" and "validationRetries" counters
+// into every checkpoint. Frames decode with unknown fields rejected, so
+// such a checkpoint must still replay as a clean record rather than a torn
+// tail that resume would truncate.
 func TestOlderCheckpointCountersReplay(t *testing.T) {
 	dir := t.TempDir()
 	writeSession(t, dir, 1, nil)
@@ -113,7 +114,7 @@ func TestOlderCheckpointCountersReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	older := bytes.Replace(payload, []byte(`"counters":{`), []byte(`"counters":{"leafDerivations":7,`), 1)
+	older := bytes.Replace(payload, []byte(`"counters":{`), []byte(`"counters":{"leafDerivations":7,"candidatesTimedOut":0,"validationRetries":3,`), 1)
 	if bytes.Equal(older, payload) {
 		t.Fatal("checkpoint payload carries no counters object")
 	}

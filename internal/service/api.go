@@ -39,6 +39,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"time"
 
 	"acr/internal/caseio"
@@ -109,8 +110,12 @@ type JobRequest struct {
 	TimeoutSeconds float64 `json:"timeoutSeconds,omitempty"`
 }
 
-// Options converts the request's engine knobs to core.Options.
-func (r *JobRequest) Options() (core.Options, error) {
+// Options converts the request's engine knobs to core.Options, and
+// TimeoutSeconds to the job's wall-clock budget (0 = unlimited), which the
+// worker applies to the run's context. This is the one place the seconds
+// become a time.Duration: a negative value, or one whose nanoseconds
+// overflow an int64, is refused.
+func (r *JobRequest) Options() (core.Options, time.Duration, error) {
 	opts := core.Options{Seed: r.Seed, MaxIterations: r.MaxIterations}
 	switch r.Strategy {
 	case "", "evolutionary":
@@ -118,13 +123,15 @@ func (r *JobRequest) Options() (core.Options, error) {
 	case "bruteforce":
 		opts.Strategy = core.BruteForce
 	default:
-		return opts, fmt.Errorf("unknown strategy %q", r.Strategy)
+		return opts, 0, fmt.Errorf("unknown strategy %q", r.Strategy)
 	}
-	if r.TimeoutSeconds < 0 {
-		return opts, fmt.Errorf("negative timeoutSeconds")
+	// float64(math.MaxInt64) rounds up to 2^63, so ">=" is the overflow
+	// test; the negated form also refuses NaN.
+	ns := r.TimeoutSeconds * float64(time.Second)
+	if !(ns >= 0 && ns < math.MaxInt64) {
+		return opts, 0, fmt.Errorf("timeoutSeconds %g out of range [0, %g)", r.TimeoutSeconds, math.MaxInt64/float64(time.Second))
 	}
-	opts.MaxWallClock = time.Duration(r.TimeoutSeconds * float64(time.Second))
-	return opts, nil
+	return opts, time.Duration(ns), nil
 }
 
 // Job is the wire (and on-disk) form of one repair job. The same record is
@@ -197,8 +204,6 @@ type ResultJSON struct {
 	PriorSeededLines      int `json:"priorSeededLines,omitempty"`
 	TemplatesPrunedStatic int `json:"templatesPrunedStatic,omitempty"`
 	CandidatesPanicked    int `json:"candidatesPanicked,omitempty"`
-	CandidatesTimedOut    int `json:"candidatesTimedOut,omitempty"`
-	ValidationRetries     int `json:"validationRetries,omitempty"`
 	CacheHits             int `json:"cacheHits,omitempty"`
 	CacheMisses           int `json:"cacheMisses,omitempty"`
 	StoreHits             int `json:"storeHits,omitempty"`
@@ -248,8 +253,6 @@ func NewResultJSON(res *core.Result) *ResultJSON {
 		PriorSeededLines:      res.PriorSeededLines,
 		TemplatesPrunedStatic: res.TemplatesPrunedStatic,
 		CandidatesPanicked:    res.CandidatesPanicked,
-		CandidatesTimedOut:    res.CandidatesTimedOut,
-		ValidationRetries:     res.ValidationRetries,
 		CacheHits:             res.CacheHits,
 		CacheMisses:           res.CacheMisses,
 		StoreHits:             res.StoreHits,

@@ -189,7 +189,7 @@ func TestDaemonSIGKILLResume(t *testing.T) {
 	expected := map[int64]string{}
 	for _, seed := range seeds {
 		req := request(seed)
-		opts, err := req.Options()
+		opts, _, err := req.Options()
 		if err != nil {
 			t.Fatal(err)
 		}

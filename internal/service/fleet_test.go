@@ -114,7 +114,7 @@ func getFrom(t *testing.T, addr, path string, v any) *http.Response {
 // canonical result digest the fleet must reproduce.
 func referenceSHA(t *testing.T, req service.JobRequest) string {
 	t.Helper()
-	opts, err := req.Options()
+	opts, _, err := req.Options()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,7 +261,7 @@ func (s *Server) prepare(req JobRequest) (*submission, error) {
 		return nil, &apiError{http.StatusBadRequest,
 			"exactly one of builtin and case must be set"}
 	}
-	opts, err := req.Options()
+	opts, _, err := req.Options()
 	if err != nil {
 		return nil, &apiError{http.StatusBadRequest, err.Error()}
 	}

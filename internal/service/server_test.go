@@ -154,6 +154,29 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitTimeoutSeconds: timeoutSeconds bounds the job's run. A 1ns
+// budget ends Figure 2 on "deadline"; a negative budget, and one whose
+// nanoseconds overflow an int64, are refused with 400.
+func TestSubmitTimeoutSeconds(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{Workers: 1})
+	job, resp := submit(t, ts, service.JobRequest{Builtin: "figure2", TimeoutSeconds: 1e-9})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status = %d, want 202", resp.StatusCode)
+	}
+	done := waitState(t, ts, job.ID, func(j service.Job) bool { return j.State.Terminal() })
+	if done.State != service.StateDone || done.Result == nil {
+		t.Fatalf("state = %s (error %q), want done with a result", done.State, done.Error)
+	}
+	if done.Result.Termination != "deadline" {
+		t.Fatalf("termination = %q, want deadline", done.Result.Termination)
+	}
+	for _, secs := range []float64{-1, 1e10} {
+		if _, resp := submit(t, ts, service.JobRequest{Builtin: "figure2", TimeoutSeconds: secs}); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("timeoutSeconds %g: status = %d, want 400", secs, resp.StatusCode)
+		}
+	}
+}
+
 func TestBackpressure429(t *testing.T) {
 	release := make(chan struct{})
 	defer func() {

@@ -87,7 +87,7 @@ func (s *Server) runJob(j *job) {
 		MaxIterations:  rec.MaxIterations,
 		TimeoutSeconds: rec.TimeoutSeconds,
 	}
-	opts, err := req.Options()
+	opts, timeout, err := req.Options()
 	if err != nil {
 		s.finishFailed(j, err)
 		return
@@ -162,6 +162,13 @@ func (s *Server) runJob(j *job) {
 	}
 	opts.Journal = w
 
+	// The timeout bounds this attempt, not the job's lifetime: a resumed
+	// job gets a fresh budget.
+	if timeout > 0 {
+		var cancelTimeout context.CancelFunc
+		ctx, cancelTimeout = context.WithTimeout(ctx, timeout)
+		defer cancelTimeout()
+	}
 	res := core.RepairContext(ctx, p, opts)
 	w.Close()
 
