@@ -15,8 +15,8 @@ import (
 //	acr cache verify -cache-dir <dir>   read+verify every entry; exit 1 if any fail
 //	acr cache gc     -cache-dir <dir>   enforce the byte budget, purge quarantine
 //
-// All three adopt entries written by other processes (repairs, daemons,
-// fleet peers) since the directory was last scanned.
+// All three adopt entries written by other processes (repairs, daemons)
+// since the directory was last scanned.
 func runCache(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("cache requires a subcommand: stats, verify, or gc")

@@ -26,11 +26,12 @@ func repairExitCode(res *core.Result) int {
 // Exit codes for `acr serve` startup failures, so a supervisor can tell a
 // misconfigured node (do not restart, fix the unit file) from a transient
 // one (restart may help) without parsing stderr. They sit above the repair
-// outcome codes (0-5).
+// outcome codes (0-5). Code 8 is retired, not free: it meant a rejected
+// multi-node configuration, and a supervisor written against it must never
+// see it mean something else.
 const (
 	exitServeState = 6 // -state-dir unusable (missing parent, not a directory, unwritable)
 	exitServeBind  = 7 // listen address unavailable (-addr or -debug-addr)
-	exitServeFleet = 8 // fleet configuration rejected (-peers / -advertise / -fleet-dir)
 )
 
 // exitError carries a specific process exit code up through main's single

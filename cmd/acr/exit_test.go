@@ -85,20 +85,4 @@ func TestServeStartupExitCodes(t *testing.T) {
 			t.Errorf("exit code = %d, want %d (exitServeBind)", got, exitServeBind)
 		}
 	})
-	t.Run("peers without fleet dir", func(t *testing.T) {
-		args := []string{"-state-dir", t.TempDir(), "-peers", "127.0.0.1:7366"}
-		if got := serveExitCode(t, args); got != exitServeFleet {
-			t.Errorf("exit code = %d, want %d (exitServeFleet)", got, exitServeFleet)
-		}
-	})
-	t.Run("fleet dir is a file", func(t *testing.T) {
-		f := filepath.Join(t.TempDir(), "fleet")
-		if err := os.WriteFile(f, []byte("not a dir"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		args := []string{"-state-dir", t.TempDir(), "-peers", "127.0.0.1:7366", "-fleet-dir", f}
-		if got := serveExitCode(t, args); got != exitServeFleet {
-			t.Errorf("exit code = %d, want %d (exitServeFleet)", got, exitServeFleet)
-		}
-	})
 }

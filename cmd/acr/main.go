@@ -12,8 +12,6 @@
 //	             [-cache-dir <dir> [-cache-max-bytes <n>]]
 //	acr serve    -state-dir <dir> [-addr 127.0.0.1:7365] [-workers 2] [-queue-cap 64]
 //	             [-debug-addr 127.0.0.1:6060] [-cache-dir <dir>|none] [-cache-max-bytes <n>]
-//	             [-peers <addr,addr,...> -fleet-dir <dir> [-advertise <addr>]
-//	              [-lease-ttl 15s] [-health-interval 1s]]
 //	acr cache    (stats|verify|gc) -cache-dir <dir> [-cache-max-bytes <n>] [-json]
 //	acr templates list [-json]
 //	acr templates describe [-json] <name>
@@ -39,9 +37,8 @@
 // read fitness values from disk instead of re-simulating. The store is
 // advisory — corrupt or unreadable entries are quarantined and degrade to
 // cache misses, and the repair result is byte-identical with or without
-// it. serve opens one automatically under -state-dir (or the shared
-// -fleet-dir in fleet mode, deduplicating evaluations fleet-wide);
-// -cache-dir none disables it. acr cache inspects, verifies, and compacts
+// it. serve opens one automatically under -state-dir; -cache-dir none
+// disables it. acr cache inspects, verifies, and compacts
 // a store directory; cache verify exits 1 when it quarantines entries.
 //
 // Builtins: figure2 (the paper's worked incident), figure2-repaired,

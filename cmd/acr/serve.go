@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -11,7 +10,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -26,11 +24,6 @@ import (
 // directory resumes its in-flight jobs from their last checkpoints;
 // SIGINT/SIGTERM drain gracefully (running jobs checkpoint and return to
 // "queued" for the next boot).
-//
-// With -peers and -fleet-dir the daemon joins a repair fleet: jobs are
-// placed on a consistent-hash ring over the members, leased while
-// running, and adopted by a live peer when their owner dies (see
-// DESIGN.md §12 and README "Running a fleet").
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7365", "listen address")
@@ -41,12 +34,7 @@ func runServe(args []string) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget before hard cancel")
 	killAfter := fs.Int("kill-after-appends", 0, "testing hook: SIGKILL the daemon after N journal appends across all jobs")
 	holdUntil := fs.String("hold-until", "", "testing hook: block journal appends until this file exists")
-	peers := fs.String("peers", "", "comma-separated peer addresses; joins this node to a repair fleet")
-	advertise := fs.String("advertise", "", "this node's address as it appears in peers' -peers lists (default -addr)")
-	fleetDir := fs.String("fleet-dir", "", "shared fleet directory, same filesystem as every node's -state-dir (required with -peers)")
-	leaseTTL := fs.Duration("lease-ttl", service.DefaultLeaseTTL, "job lease duration; expired leases on down nodes are adopted by peers")
-	healthInterval := fs.Duration("health-interval", service.DefaultHealthInterval, "peer healthcheck period")
-	cacheDir := fs.String("cache-dir", "", "persistent evaluation store directory (default <state-dir>/evalstore, or <fleet-dir>/evalstore in fleet mode; \"none\" disables)")
+	cacheDir := fs.String("cache-dir", "", "persistent evaluation store directory (default <state-dir>/evalstore; \"none\" disables)")
 	cacheMax := fs.Int64("cache-max-bytes", 0, "persistent store byte budget (0 = 256 MiB)")
 	fs.Parse(args)
 	if *stateDir == "" {
@@ -58,34 +46,10 @@ func runServe(args []string) error {
 		return &exitError{exitServeState, fmt.Errorf("state dir: %w", err)}
 	}
 	cfg := service.Config{StateDir: *stateDir, Workers: *workers, QueueCap: *queueCap}
-	if *peers != "" || *fleetDir != "" {
-		if *fleetDir == "" {
-			return &exitError{exitServeFleet, fmt.Errorf("-peers requires -fleet-dir")}
-		}
-		self := *advertise
-		if self == "" {
-			self = *addr
-		}
-		cfg.Fleet = &service.FleetConfig{
-			Self:           self,
-			Peers:          strings.Split(*peers, ","),
-			Dir:            *fleetDir,
-			LeaseTTL:       *leaseTTL,
-			HealthInterval: *healthInterval,
-		}
-	}
-	// The evaluation store defaults on: under the shared fleet directory in
-	// fleet mode (every peer reads every peer's evaluations — a duplicate
-	// incident costs the fleet one simulation set) or under the node's own
-	// state directory otherwise.
 	switch *cacheDir {
 	case "none":
 	case "":
-		if cfg.Fleet != nil {
-			cfg.CacheDir = filepath.Join(*fleetDir, "evalstore")
-		} else {
-			cfg.CacheDir = filepath.Join(*stateDir, "evalstore")
-		}
+		cfg.CacheDir = filepath.Join(*stateDir, "evalstore")
 	default:
 		cfg.CacheDir = *cacheDir
 	}
@@ -119,9 +83,6 @@ func runServe(args []string) error {
 	}
 	srv, err := service.New(cfg)
 	if err != nil {
-		if errors.Is(err, service.ErrFleetSetup) {
-			return &exitError{exitServeFleet, err}
-		}
 		return &exitError{exitServeState, err}
 	}
 	if *debugAddr != "" {
@@ -145,12 +106,7 @@ func runServe(args []string) error {
 	}
 	srv.Start()
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	if cfg.Fleet != nil {
-		fmt.Printf("acr: serving on http://%s (state %s, %d workers, fleet %s + %d peers)\n",
-			ln.Addr(), *stateDir, *workers, cfg.Fleet.Self, len(cfg.Fleet.Peers))
-	} else {
-		fmt.Printf("acr: serving on http://%s (state %s, %d workers)\n", ln.Addr(), *stateDir, *workers)
-	}
+	fmt.Printf("acr: serving on http://%s (state %s, %d workers)\n", ln.Addr(), *stateDir, *workers)
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()

@@ -11,8 +11,8 @@ import (
 )
 
 // EvalStore is the persistent layer under the in-memory evaluation cache:
-// a content-addressed store of validated fitness values shared across runs,
-// processes, and fleet peers (internal/evalstore implements it; core only
+// a content-addressed store of validated fitness values shared across runs
+// and processes (internal/evalstore implements it; core only
 // sees the interface so the dependency points outward). The store is
 // advisory by contract — implementations must degrade every failure to a
 // miss — and its answers are consulted only for digests the in-memory
@@ -197,10 +197,10 @@ func (c *evalCache) storePut(d string, fitness int) {
 // and therefore Result.Canonical — byte-identical to an uninterrupted
 // run's. Journals written before digests existed warm nothing.
 //
-// Warmed entries are also written through to the persistent store: a fleet
-// node adopting a crashed peer's session replays fitness values its own
-// local view may never have seen, and writing them back makes the adoption
-// pay the dead node's evaluations forward. Put skips digests the store
+// Warmed entries are also written through to the persistent store: a
+// session resumed against another or an emptied store directory replays
+// fitness values that store may never have seen, and writing them back
+// pays the crashed run's evaluations forward. Put skips digests the store
 // already holds, so re-warming an already-shared store is free.
 func (c *evalCache) warm(cands []journal.Candidate, upTo int) {
 	if !c.enabled {

@@ -179,8 +179,7 @@ type Template interface {
 // descriptor — name, description, error class, use-case, version,
 // provenance. SearchDigest folds the descriptor digest of every described
 // template into the options fingerprint, so a journaled session refuses
-// to resume — and the fleet refuses to dedup — against a template set
-// whose registry metadata changed, not just one whose names changed.
+// to resume against a template set whose registry metadata changed, not just one whose names changed.
 type DescribedTemplate interface {
 	Template
 	DescriptorDigest() string

@@ -30,8 +30,8 @@ func TestDeltaCountersExcludedFromCanonical(t *testing.T) {
 
 // TestSearchDigestGolden pins SearchDigest to the values written before
 // the impact and delta ablation switches were removed (they hash as their
-// constant false), so journals, service state directories and fleet
-// dedup keys written then still resume and dedup. Differential moves
+// constant false), so journals and service state directories written
+// then still resume. Differential moves
 // nothing and is excluded.
 func TestSearchDigestGolden(t *testing.T) {
 	for _, c := range []struct {

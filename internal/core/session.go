@@ -64,16 +64,15 @@ func (o Options) SearchDigest() string {
 	// -cache-dir, budget, or no store at all. "noimpact=false
 	// nodelta=false" is constant text: it keeps the digest of every option
 	// vector equal to the one written when those two ablation switches
-	// existed, so older journals, service state directories and fleet
-	// dedup keys still resume and dedup.
+	// existed, so older journals and service state directories still
+	// resume.
 	fmt.Fprintf(h, "formula=%s iters=%d minsusp=%g topk=%d popcap=%d candcap=%d sample=%d strategy=%d seed=%d full=%v noprior=%v nocache=%v noimpact=false nodelta=false\n",
 		o.Formula.Name, o.MaxIterations, o.MinSusp, o.TopKLines, o.PopulationCap,
 		o.CandidateCap, o.SampleSize, o.Strategy, o.Seed, o.FullValidation, o.NoStaticPrior, o.NoCache)
 	for _, t := range o.Templates {
 		// Registry-resolved templates fold their full descriptor digest —
 		// name, description, error class, use-case, version, provenance —
-		// into the search fingerprint, so a resume (or a fleet dedup hit)
-		// against a registry whose metadata changed is refused even when the
+		// into the search fingerprint, so a resume against a registry whose metadata changed is refused even when the
 		// template names still match. Bare templates hash by name only.
 		if dt, ok := t.(DescribedTemplate); ok {
 			fmt.Fprintf(h, "template=%s %s\n", t.Name(), dt.DescriptorDigest())

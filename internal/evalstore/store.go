@@ -3,8 +3,8 @@
 // SHA-256 digest of a post-edit configuration set to the fitness
 // (failing-intent count) validation computed for it. Fitness is a pure
 // function of the configuration set under a fixed problem, so entries are
-// exact and never expire — a repair session, a daemon worker, or a whole
-// fleet sharing one cache directory pays for each distinct evaluation once.
+// exact and never expire — repair sessions and daemon workers sharing one
+// cache directory pay for each distinct evaluation once.
 //
 // The store is advisory by contract. It may lose entries (eviction, ENOSPC,
 // crashes), refuse them (I/O errors), or reject what it finds on disk (bit
@@ -18,7 +18,7 @@
 //     miss, falling back to simulation.
 //   - A write is a temp file in the entry's shard renamed into place, under
 //     a blocking flock on the store's lock file: concurrent writers — other
-//     workers, other processes, fleet peers — serialize, and readers only
+//     workers, other processes — serialize, and readers only
 //     ever observe a whole entry or none. Nothing is fsync'd. A power cut
 //     can therefore leave an entry empty or short, and that is the torn
 //     write the read-side verification above already turns into a
@@ -54,7 +54,7 @@ import (
 )
 
 // DefaultMaxBytes is the eviction budget when none is configured: large
-// enough that a repair fleet's working set never thrashes, small enough to
+// enough that a busy daemon's working set never thrashes, small enough to
 // forget about.
 const DefaultMaxBytes int64 = 256 << 20
 

@@ -63,9 +63,9 @@ const (
 	TypeCheckpoint Type = "checkpoint"
 	// TypeTerminal closes a session gracefully.
 	TypeTerminal Type = "terminal"
-	// TypeOwner records which fleet node ran (or adopted) the session for
-	// this attempt. Pure provenance: replay collects owner records but they
-	// never affect the resume state.
+	// TypeOwner is read-only: multi-node daemons appended one right after
+	// the header, naming the node that ran the attempt. Replay skips it;
+	// nothing writes it.
 	TypeOwner Type = "owner"
 )
 
@@ -80,7 +80,9 @@ type Record struct {
 	Iteration  *Iteration  `json:"iteration,omitempty"`
 	Checkpoint *Checkpoint `json:"checkpoint,omitempty"`
 	Terminal   *Terminal   `json:"terminal,omitempty"`
-	Owner      *Owner      `json:"owner,omitempty"`
+	// Owner is TypeOwner's payload, kept undecoded: frames reject unknown
+	// fields, so it stays for older WALs to replay.
+	Owner json.RawMessage `json:"owner,omitempty"`
 }
 
 // Header identifies the session. Resume refuses to continue a session
@@ -229,20 +231,6 @@ type Checkpoint struct {
 type Terminal struct {
 	Termination string `json:"termination"`
 	Feasible    bool   `json:"feasible"`
-}
-
-// Owner is one fleet-ownership record: which node claimed the session for
-// which job attempt, and — after a lease-expiry adoption — which dead node
-// it took the session from. The fleet appends one per attempt so a
-// journal carries the custody chain of the job across node failures.
-type Owner struct {
-	// Node is the claiming node's advertised address.
-	Node string `json:"node"`
-	// Attempt is the job's attempt count when the node claimed it.
-	Attempt int `json:"attempt,omitempty"`
-	// AdoptedFrom names the down node this attempt adopted the job from
-	// (empty for the original owner's attempts).
-	AdoptedFrom string `json:"adoptedFrom,omitempty"`
 }
 
 // SyncMode selects the WAL's fsync discipline.
@@ -433,12 +421,6 @@ func (w *Writer) AppendCheckpoint(cp Checkpoint) error {
 // AppendTerminal journals the session's graceful end.
 func (w *Writer) AppendTerminal(t Terminal) error {
 	return w.append(Record{Type: TypeTerminal, Terminal: &t}, true)
-}
-
-// AppendOwner journals a fleet-ownership claim (fsynced: a custody record
-// that vanished in a crash would defeat its purpose).
-func (w *Writer) AppendOwner(o Owner) error {
-	return w.append(Record{Type: TypeOwner, Owner: &o}, true)
 }
 
 // Appends reports how many records this Writer has appended.

@@ -423,25 +423,40 @@ func TestAbandonReleasesLock(t *testing.T) {
 	w2.Close()
 }
 
-// TestOwnerRecordsReplay covers the fleet custody chain: owner records
-// round-trip through replay in order, survive resume truncation when they
-// precede the checkpoint, and never affect the resume state itself.
+// TestOwnerRecordsReplay: multi-node daemons wrote an owner record right
+// after the header. A WAL framed that way replays in full — the owner
+// record is skipped, not a truncation point — and resumes with its
+// sequence numbers intact.
 func TestOwnerRecordsReplay(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Create(dir, testHeader())
-	if err != nil {
-		t.Fatal(err)
+	var wal []byte
+	appendFrame := func(payload []byte) {
+		t.Helper()
+		frame, err := Frame(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal = append(wal, frame...)
 	}
-	if err := w.AppendOwner(Owner{Node: "n1:7001", Attempt: 1}); err != nil {
-		t.Fatal(err)
+	appendRecord := func(rec Record) {
+		t.Helper()
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendFrame(payload)
 	}
-	if err := w.AppendCheckpoint(testCheckpoint(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	hdr := testHeader()
+	hdr.Version = Version
+	cp := testCheckpoint(1)
+	appendRecord(Record{Seq: 1, Type: TypeHeader, Header: &hdr})
+	appendFrame([]byte(`{"seq":2,"type":"owner","owner":{"node":"127.0.0.1:7366","attempt":1,"adoptedFrom":"127.0.0.1:7367"}}`))
+	appendRecord(Record{Seq: 3, Type: TypeCandidate, Candidate: &Candidate{Iteration: 1, Desc: "tmpl @ A:1", Fitness: 2}})
+	appendRecord(Record{Seq: 4, Type: TypeCheckpoint, Checkpoint: &cp})
 
+	dir := t.TempDir()
+	if err := os.WriteFile(WALPath(dir), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	sess, err := Replay(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -449,39 +464,32 @@ func TestOwnerRecordsReplay(t *testing.T) {
 	if sess.Truncated {
 		t.Fatalf("owner record truncated the session: %s", sess.TruncatedReason)
 	}
-	if len(sess.Owners) != 1 || sess.Owners[0].Node != "n1:7001" {
-		t.Fatalf("owners = %+v", sess.Owners)
+	if sess.Records != 4 || len(sess.Candidates) != 1 {
+		t.Fatalf("replayed %d records, %d candidates; want 4 and 1", sess.Records, len(sess.Candidates))
 	}
-	if sess.Checkpoint == nil || sess.Checkpoint.Iteration != 1 {
-		t.Fatalf("checkpoint = %+v", sess.Checkpoint)
+	if sess.Checkpoint == nil || sess.Checkpoint.Iteration != 1 || sess.ResumeSeq != 4 {
+		t.Fatalf("checkpoint = %+v at seq %d, want iteration 1 at seq 4", sess.Checkpoint, sess.ResumeSeq)
 	}
 
-	// An adopting node resumes and appends its own claim; replaying again
-	// yields the custody chain oldest-first.
-	w2, err := Resume(dir, sess)
+	w, err := Resume(dir, sess)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.AppendOwner(Owner{Node: "n2:7002", Attempt: 2, AdoptedFrom: "n1:7001"}); err != nil {
+	if err := w.AppendCheckpoint(testCheckpoint(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	sess2, err := Replay(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sess2.Owners) != 2 || sess2.Owners[1].AdoptedFrom != "n1:7001" {
-		t.Fatalf("custody chain = %+v", sess2.Owners)
+	if sess2.Truncated || sess2.Records != 5 {
+		t.Fatalf("after resume: %d records, truncated %v (%s); want 5, not truncated",
+			sess2.Records, sess2.Truncated, sess2.TruncatedReason)
 	}
-	// Provenance only: the resume point is still the checkpoint, not the
-	// owner record that follows it... owner records after the checkpoint
-	// are discarded by the next resume like any other event.
-	if sess2.Checkpoint == nil || sess2.Checkpoint.Iteration != 1 {
-		t.Fatalf("checkpoint after adoption = %+v", sess2.Checkpoint)
-	}
-	if sess2.ResumeSeq != sess.ResumeSeq {
-		t.Fatalf("owner record moved the resume point: %d != %d", sess2.ResumeSeq, sess.ResumeSeq)
+	if sess2.Checkpoint == nil || sess2.Checkpoint.Iteration != 2 || sess2.ResumeSeq != 5 {
+		t.Fatalf("resumed checkpoint = %+v at seq %d, want iteration 2 at seq 5", sess2.Checkpoint, sess2.ResumeSeq)
 	}
 }

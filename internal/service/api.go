@@ -7,13 +7,12 @@
 // API surface (all JSON):
 //
 //	POST   /v1/repairs             submit a job (builtin or uploaded case) → 202
-//	GET    /v1/repairs             list jobs (?state= filters; fleet: fans out)
+//	GET    /v1/repairs             list jobs (?state= filters)
 //	GET    /v1/repairs/{id}        one job, including its result when terminal
 //	GET    /v1/repairs/{id}/events job lifecycle + engine progress as SSE
 //	DELETE /v1/repairs/{id}        cancel (queued: immediate; running: cooperative)
 //	GET    /healthz                readiness + basic gauges (503 while booting/draining)
 //	GET    /livez                  liveness (200 while the process serves at all)
-//	GET    /v1/peers               fleet membership and peer health (fleet mode)
 //	GET    /varz                   expvar-style counters
 //
 // Job lifecycle: queued → running → done | failed | canceled. "done" means
@@ -24,15 +23,6 @@
 // interrupted at the next engine checkpoint and persisted back to
 // "queued", so the next boot — like a boot after a crash — picks them up
 // and resumes them from their journals.
-//
-// In fleet mode (Config.Fleet / acr serve -peers) the lifecycle gains
-// ownership states: queued → leased → running → {done, failed, canceled},
-// with orphaned → adopted → queued spliced in when a job's owner node is
-// marked down and its lease expires — a live peer renames the job
-// directory into its own state dir and resumes the journal byte-
-// identically. Jobs are placed on a consistent-hash ring keyed by the
-// job's case+options digest; POST is forwarded to the owner, reads fan
-// out across live peers.
 package service
 
 import (
@@ -49,18 +39,11 @@ import (
 // JobState is one point of the job lifecycle.
 type JobState string
 
-// Job states. Queued, Leased, Running, Orphaned, and Adopted are live;
-// Done, Failed, and Canceled are terminal. Leased/Orphaned/Adopted only
-// occur in fleet mode: Leased is a worker's persisted ownership claim
-// before Running; Orphaned marks a job found on a down peer with an
-// expired lease; Adopted marks its transfer to this node (it is requeued
-// immediately after).
+// Job states. Queued and Running are live; Done, Failed, and Canceled are
+// terminal.
 const (
 	StateQueued   JobState = "queued"
-	StateLeased   JobState = "leased"
 	StateRunning  JobState = "running"
-	StateOrphaned JobState = "orphaned"
-	StateAdopted  JobState = "adopted"
 	StateDone     JobState = "done"
 	StateFailed   JobState = "failed"
 	StateCanceled JobState = "canceled"
@@ -75,8 +58,7 @@ func (s JobState) Terminal() bool {
 // a hostile or future process may have written).
 func (s JobState) valid() bool {
 	switch s {
-	case StateQueued, StateLeased, StateRunning, StateOrphaned, StateAdopted,
-		StateDone, StateFailed, StateCanceled:
+	case StateQueued, StateRunning, StateDone, StateFailed, StateCanceled:
 		return true
 	}
 	return false
@@ -84,8 +66,7 @@ func (s JobState) valid() bool {
 
 // allStates is every state in lifecycle order (the /varz jobs_<state>
 // gauge set).
-var allStates = []JobState{StateQueued, StateLeased, StateRunning, StateOrphaned,
-	StateAdopted, StateDone, StateFailed, StateCanceled}
+var allStates = []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled}
 
 // JobRequest is the body of POST /v1/repairs. Exactly one of Builtin and
 // Case selects the repair problem.
@@ -153,21 +134,6 @@ type Job struct {
 	// Attempts counts times a worker picked the job up (1 for a job that
 	// ran once; higher after crash- or drain-resumes).
 	Attempts int `json:"attempts,omitempty"`
-	// Key is the job's placement/dedup identity: a digest of the case and
-	// the search-steering options. Two submissions with the same key are
-	// the same repair (set in fleet mode; empty for single-node jobs).
-	Key string `json:"key,omitempty"`
-	// Owner is the advertised address of the fleet node responsible for
-	// the job (fleet mode only).
-	Owner string `json:"owner,omitempty"`
-	// LeaseUntilMs is the job claim's expiry as Unix milliseconds. A job
-	// whose owner is marked down and whose lease has expired is adoptable
-	// by the next live peer on the ring.
-	LeaseUntilMs int64 `json:"leaseUntilMs,omitempty"`
-	// AdoptedFrom names the down node this job was last adopted from.
-	AdoptedFrom string `json:"adoptedFrom,omitempty"`
-	// Adoptions counts ownership transfers over the job's lifetime.
-	Adoptions int `json:"adoptions,omitempty"`
 	// Resumed reports that the latest attempt restored engine state from
 	// the job's journal instead of starting from scratch.
 	Resumed bool `json:"resumed,omitempty"`

@@ -12,7 +12,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -45,23 +44,6 @@ func runDaemon() error {
 	killAfter, _ := strconv.Atoi(os.Getenv("ACR_SERVICE_KILL_AFTER"))
 	holdFile := os.Getenv("ACR_SERVICE_HOLD")
 	cfg := service.Config{StateDir: stateDir, Workers: 2}
-	// Fleet mode: a fixed listen address doubling as the advertised self,
-	// plus the shared peer/fleet wiring (the fleet e2e drives this).
-	listenAddr := "127.0.0.1:0"
-	if addr := os.Getenv("ACR_SERVICE_ADDR"); addr != "" {
-		listenAddr = addr
-		if fleetDir := os.Getenv("ACR_SERVICE_FLEET_DIR"); fleetDir != "" {
-			leaseMs, _ := strconv.Atoi(os.Getenv("ACR_SERVICE_LEASE_MS"))
-			healthMs, _ := strconv.Atoi(os.Getenv("ACR_SERVICE_HEALTH_MS"))
-			cfg.Fleet = &service.FleetConfig{
-				Self:           addr,
-				Peers:          strings.Split(os.Getenv("ACR_SERVICE_PEERS"), ","),
-				Dir:            fleetDir,
-				LeaseTTL:       time.Duration(leaseMs) * time.Millisecond,
-				HealthInterval: time.Duration(healthMs) * time.Millisecond,
-			}
-		}
-	}
 	var hooks []journal.AppendHook
 	if holdFile != "" {
 		// Hold every append until the parent says go, so it can finish
@@ -92,7 +74,7 @@ func runDaemon() error {
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", listenAddr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
@@ -105,9 +87,8 @@ func runDaemon() error {
 }
 
 // startDaemon re-execs the test binary as a repair daemon on stateDir and
-// waits for it to publish its listen address. extraEnv entries (KEY=VALUE)
-// opt the daemon into fleet mode.
-func startDaemon(t *testing.T, stateDir string, killAfter int, holdFile string, extraEnv ...string) (*exec.Cmd, string) {
+// waits for it to publish its listen address.
+func startDaemon(t *testing.T, stateDir string, killAfter int, holdFile string) (*exec.Cmd, string) {
 	t.Helper()
 	os.Remove(filepath.Join(stateDir, "addr"))
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
@@ -117,7 +98,6 @@ func startDaemon(t *testing.T, stateDir string, killAfter int, holdFile string, 
 		"ACR_SERVICE_KILL_AFTER="+strconv.Itoa(killAfter),
 		"ACR_SERVICE_HOLD="+holdFile,
 	)
-	cmd.Env = append(cmd.Env, extraEnv...)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {

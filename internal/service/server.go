@@ -2,22 +2,17 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
-	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"acr/internal/caseio"
-	"acr/internal/core"
 	"acr/internal/evalstore"
 	"acr/internal/journal"
 	"acr/internal/scenario"
@@ -37,14 +32,10 @@ type Config struct {
 	// writer before the event mirror — the seam crash tests use to SIGKILL
 	// the daemon after N appends (chaos.KillSwitch) or to block appends.
 	JournalHook journal.AppendHook
-	// Fleet, when non-nil, joins this node to a peer fleet: jobs are
-	// placed on a consistent-hash ring, leased while running, and adopted
-	// from peers that go down (acr serve -peers).
-	Fleet *FleetConfig
 	// CacheDir, when non-empty, opens a persistent evaluation store there
 	// and wires it under every job's in-memory cache, so repeated and
 	// duplicate incidents are answered from disk instead of re-simulated.
-	// In fleet mode the CLI points every peer at one shared directory. The
+	// Other processes may share the directory (acr repair -cache-dir). The
 	// store is advisory: corrupt or unreadable entries degrade to cache
 	// misses, never to failed jobs.
 	CacheDir string
@@ -61,7 +52,6 @@ type Server struct {
 	cfg       Config
 	store     *store
 	queue     *queue
-	fleet     *fleet           // nil outside fleet mode
 	evalStore *evalstore.Store // nil without Config.CacheDir
 
 	baseCtx   context.Context
@@ -72,15 +62,10 @@ type Server struct {
 	started  bool
 	draining bool
 
-	// ready gates /healthz (readiness): false while the node is still
+	// ready gates /healthz (readiness): false while the daemon is still
 	// recovering journaled jobs on boot or once it starts draining, so
-	// peers and load balancers stop routing to a node that cannot admit.
+	// load balancers stop routing to a daemon that cannot admit.
 	ready atomic.Bool
-
-	// creating guards in-flight keyed submissions, closing the window
-	// between the dedup lookup and the store insert for duplicate keys.
-	subMu    sync.Mutex
-	creating map[string]chan struct{}
 
 	busyWorkers         atomic.Int64
 	candidatesValidated atomic.Int64
@@ -115,22 +100,9 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		store:     st,
 		queue:     newQueue(cfg.QueueCap),
-		creating:  map[string]chan struct{}{},
 		baseCtx:   ctx,
 		cancelAll: cancel,
 		startedAt: time.Now(),
-	}
-	if cfg.Fleet != nil {
-		f, err := newFleet(*cfg.Fleet)
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("%w: %v", ErrFleetSetup, err)
-		}
-		if err := f.register(cfg.StateDir); err != nil {
-			cancel()
-			return nil, fmt.Errorf("%w: registration: %v", ErrFleetSetup, err)
-		}
-		s.fleet = f
 	}
 	if cfg.CacheDir != "" {
 		es, err := evalstore.Open(cfg.CacheDir, cfg.CacheMaxBytes)
@@ -154,28 +126,13 @@ func (s *Server) Start() {
 	s.mu.Unlock()
 	// Recovered jobs bypass admission control: they were admitted once.
 	for _, j := range s.store.list() {
-		if j.state() != StateQueued {
-			continue
+		if j.state() == StateQueued {
+			s.queue.push(j)
 		}
-		if s.fleet != nil {
-			// Whatever node owned this job before, it is in our state dir
-			// now (our own crash, or a crash mid-adoption after the
-			// rename): claim it so peers see a live owner.
-			j.mu.Lock()
-			j.rec.Owner = s.fleet.cfg.Self
-			j.mu.Unlock()
-			s.store.persist(j)
-		}
-		s.queue.push(j)
 	}
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.workerLoop()
-	}
-	if s.fleet != nil {
-		s.fleet.wg.Add(2)
-		go s.fleet.healthLoop()
-		go s.adoptLoop()
 	}
 	s.ready.Store(true)
 }
@@ -194,9 +151,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	s.ready.Store(false)
 
-	if s.fleet != nil {
-		s.fleet.shutdown()
-	}
 	s.queue.close()
 	for _, j := range s.store.list() {
 		j.mu.Lock()
@@ -236,118 +190,58 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/repairs/{id}", s.handleGet)
 	mux.HandleFunc("DELETE /v1/repairs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/repairs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/peers", s.handlePeers)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /livez", s.handleLivez)
 	mux.HandleFunc("GET /varz", s.handleVarz)
 	return mux
 }
 
-// submission is a validated, materialized job request: the decoded
-// scenario plus (in fleet mode) the placement key and the key-derived ID.
-type submission struct {
-	req JobRequest
-	sc  *scenario.Scenario
-	key string
-	id  string
-}
-
-// prepare validates a request and materializes its scenario. In fleet
-// mode it also computes the placement key — the digest of the case and
-// the search-steering options, i.e. the same identity the journal header
-// carries — and the job ID derived from it.
-func (s *Server) prepare(req JobRequest) (*submission, error) {
+// prepare validates a request and materializes its scenario.
+func prepare(req JobRequest) (*scenario.Scenario, error) {
 	if (req.Builtin == "") == (req.Case == nil) {
 		return nil, &apiError{http.StatusBadRequest,
 			"exactly one of builtin and case must be set"}
 	}
-	opts, _, err := req.Options()
-	if err != nil {
+	if _, _, err := req.Options(); err != nil {
 		return nil, &apiError{http.StatusBadRequest, err.Error()}
 	}
-	var sc *scenario.Scenario
 	if req.Builtin != "" {
-		if sc, err = builtinScenario(req.Builtin); err != nil {
+		sc, err := builtinScenario(req.Builtin)
+		if err != nil {
 			return nil, &apiError{http.StatusBadRequest, err.Error()}
 		}
-	} else {
-		if sc, err = caseio.FromUpload(*req.Case); err != nil {
-			return nil, &apiError{http.StatusBadRequest, fmt.Sprintf("bad case: %v", err)}
-		}
+		return sc, nil
 	}
-	sub := &submission{req: req, sc: sc}
-	if s.fleet != nil {
-		hdr := core.SessionHeader(sc.Name, core.Problem{Topo: sc.Topo, Configs: sc.Configs, Intents: sc.Intents}, opts)
-		sum := sha256.Sum256([]byte(hdr.CaseDigest + "|" + hdr.OptionsDigest))
-		sub.key = hex.EncodeToString(sum[:])
-		sub.id = "f" + sub.key[:16]
+	sc, err := caseio.FromUpload(*req.Case)
+	if err != nil {
+		return nil, &apiError{http.StatusBadRequest, fmt.Sprintf("bad case: %v", err)}
 	}
-	return sub, nil
+	return sc, nil
 }
 
 // Submit validates, persists, and enqueues one job — the programmatic
-// core of POST /v1/repairs, also used by tests. The bool reports whether
-// a job was created: false means an equivalent job already existed (fleet
-// dedup) and that one is returned.
+// core of POST /v1/repairs, also used by tests. It returns the queued
+// job's record.
 func (s *Server) Submit(req JobRequest) (Job, error) {
-	sub, err := s.prepare(req)
+	sc, err := prepare(req)
 	if err != nil {
 		return Job{}, err
-	}
-	job, _, err := s.admit(sub)
-	return job, err
-}
-
-// admit runs keyed dedup and admission control, then persists and
-// enqueues. In fleet mode two submissions with the same key are the same
-// repair: a live duplicate returns the existing job, and a terminal one
-// returns its cached result (duplicate incidents across a fleet cost one
-// engine run). created is false for deduplicated returns.
-func (s *Server) admit(sub *submission) (job Job, created bool, err error) {
-	for {
-		if sub.key != "" {
-			if existing := s.store.findKey(sub.key, false); existing != nil {
-				return existing.snapshot(), false, nil
-			}
-			// Claim the key against concurrent identical submissions; wait
-			// and re-check if someone else holds it.
-			s.subMu.Lock()
-			if ch := s.creating[sub.key]; ch != nil {
-				s.subMu.Unlock()
-				<-ch
-				continue
-			}
-			ch := make(chan struct{})
-			s.creating[sub.key] = ch
-			s.subMu.Unlock()
-			defer func() {
-				s.subMu.Lock()
-				delete(s.creating, sub.key)
-				s.subMu.Unlock()
-				close(ch)
-			}()
-		}
-		break
 	}
 	// Reserve the admission slot before the (slow, fallible) persistence
 	// work so concurrent submissions cannot overshoot the cap.
 	if err := s.queue.reserve(); err != nil {
 		if errors.Is(err, ErrQueueFull) {
-			return Job{}, false, &apiError{http.StatusTooManyRequests, err.Error()}
+			return Job{}, &apiError{http.StatusTooManyRequests, err.Error()}
 		}
-		return Job{}, false, &apiError{http.StatusServiceUnavailable, err.Error()}
+		return Job{}, &apiError{http.StatusServiceUnavailable, err.Error()}
 	}
-	owner := ""
-	if s.fleet != nil {
-		owner = s.fleet.cfg.Self
-	}
-	j, err := s.store.create(sub.req, sub.sc, sub.id, sub.key, owner)
+	j, err := s.store.create(req, sc)
 	if err != nil {
 		s.queue.unreserve()
-		return Job{}, false, &apiError{http.StatusInternalServerError, err.Error()}
+		return Job{}, &apiError{http.StatusInternalServerError, err.Error()}
 	}
 	s.queue.pushReserved(j)
-	return j.snapshot(), true, nil
+	return j.snapshot(), nil
 }
 
 // Cancel cancels a job: a queued job terminates immediately; a running
@@ -439,44 +333,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, &apiError{http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
-	sub, err := s.prepare(req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	// Fleet placement: route the job to its ring owner unless this request
-	// was already forwarded once (one hop maximum — a membership
-	// disagreement must not bounce a request around the ring) or the owner
-	// walk lands back on self. When every preferred peer is unreachable
-	// the job is admitted locally: a partitioned fleet degrades to
-	// single-node service, never to refusal.
-	if s.fleet != nil && r.Header.Get(forwardHeader) == "" {
-		if prefs := s.fleet.placement(sub.key); prefs[0] != s.fleet.cfg.Self {
-			if s.fleet.forwardSubmit(w, req, prefs) {
-				return
-			}
-		}
-	}
-	job, created, err := s.admit(sub)
+	job, err := s.Submit(req)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/repairs/"+job.ID)
-	status := http.StatusAccepted
-	if !created {
-		// Keyed duplicate: same repair, same record — report the existing
-		// job rather than admitting twice.
-		status = http.StatusOK
-	}
-	writeJSON(w, status, job)
-}
-
-// fanOut reports whether a read/cancel should consult peers: fleet mode,
-// and neither forwarded nor explicitly scoped to this node.
-func (s *Server) fanOut(r *http.Request) bool {
-	return s.fleet != nil && r.Header.Get(forwardHeader) == "" &&
-		r.URL.Query().Get("scope") != "local"
+	writeJSON(w, http.StatusAccepted, job)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -492,27 +355,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			jobs = append(jobs, rec)
 		}
 	}
-	if s.fanOut(r) {
-		// Merge every live peer's local view. Down peers are skipped — the
-		// jobs they owned surface again once a peer adopts them.
-		path := "/v1/repairs?scope=local"
-		if filter != "" {
-			path += "&state=" + string(filter)
-		}
-		for _, p := range s.fleet.upPeers() {
-			body, status, err := s.fleet.peerGet(p, path)
-			if err != nil || status != http.StatusOK {
-				continue
-			}
-			peerJobs, err := decodePeerJobList(body)
-			if err != nil {
-				s.fleet.health.observe(p, false, fmt.Sprintf("bad list body: %v", err))
-				continue
-			}
-			jobs = append(jobs, peerJobs...)
-		}
-		sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
-	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 }
 
@@ -522,52 +364,11 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, j.snapshot())
 		return
 	}
-	if s.fanOut(r) {
-		for _, p := range s.fleet.upPeers() {
-			body, status, err := s.fleet.peerGet(p, "/v1/repairs/"+id+"?scope=local")
-			if err != nil || status != http.StatusOK {
-				continue
-			}
-			job, err := decodePeerJob(body)
-			if err != nil {
-				s.fleet.health.observe(p, false, fmt.Sprintf("bad job body: %v", err))
-				continue
-			}
-			writeJSON(w, http.StatusOK, job)
-			return
-		}
-	}
 	writeErr(w, &apiError{http.StatusNotFound, "no such job"})
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.store.get(id) == nil && s.fanOut(r) {
-		// Not ours: relay the cancel to whichever live peer holds it.
-		for _, p := range s.fleet.upPeers() {
-			hreq, err := http.NewRequest(http.MethodDelete, "http://"+p+"/v1/repairs/"+id+"?scope=local", nil)
-			if err != nil {
-				break
-			}
-			hreq.Header.Set(forwardHeader, s.fleet.cfg.Self)
-			resp, err := s.fleet.client.Do(hreq)
-			if err != nil {
-				s.fleet.health.observe(p, false, err.Error())
-				continue
-			}
-			body, rerr := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-			resp.Body.Close()
-			if rerr != nil || resp.StatusCode == http.StatusNotFound {
-				continue
-			}
-			s.fleet.forwarded.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(resp.StatusCode)
-			w.Write(body)
-			return
-		}
-	}
-	job, err := s.Cancel(id)
+	job, err := s.Cancel(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -627,8 +428,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz is the *readiness* probe: it answers 503 with a reason
 // while the node cannot usefully take traffic — still recovering journaled
-// jobs on boot, or draining for shutdown. Peer healthchecks and load
-// balancers key off this. Liveness is /livez.
+// jobs on boot, or draining for shutdown. Load balancers key off this. Liveness is /livez.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if !s.ready.Load() {
 		s.mu.Lock()
@@ -658,31 +458,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // restart on /livez failure; routers drop on /healthz failure.
 func (s *Server) handleLivez(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "alive"})
-}
-
-// handlePeers reports fleet membership as this node sees it: the static
-// member list, each peer's health-probe state, and the fleet counters.
-func (s *Server) handlePeers(w http.ResponseWriter, _ *http.Request) {
-	if s.fleet == nil {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"fleet": false,
-			"self":  "",
-			"peers": []peerStatus{},
-		})
-		return
-	}
-	up, down := s.fleet.health.counts()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"fleet":             true,
-		"self":              s.fleet.cfg.Self,
-		"members":           s.fleet.members,
-		"peers":             s.fleet.health.snapshot(),
-		"peersUp":           up,
-		"peersDown":         down,
-		"requestsForwarded": s.fleet.forwarded.Load(),
-		"leasesAdopted":     s.fleet.adopted.Load(),
-		"leaseRenewals":     s.fleet.renewals.Load(),
-	})
 }
 
 // handleVarz serves expvar-style counters. The map is rebuilt per request
@@ -719,14 +494,6 @@ func (s *Server) handleVarz(w http.ResponseWriter, _ *http.Request) {
 		set("store_corrupt", st.Corrupt)
 		set("store_evicted", st.Evicted)
 		set("store_bytes", st.Bytes)
-	}
-	if s.fleet != nil {
-		up, down := s.fleet.health.counts()
-		set("peers_up", int64(up))
-		set("peers_down", int64(down))
-		set("requests_forwarded", s.fleet.forwarded.Load())
-		set("leases_adopted", s.fleet.adopted.Load())
-		set("lease_renewals", s.fleet.renewals.Load())
 	}
 	w.Header().Set("Content-Type", "application/json")
 	// expvar.Map renders itself as a JSON object.

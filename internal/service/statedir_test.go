@@ -176,49 +176,67 @@ func TestLegacyCaseDirectoryResumes(t *testing.T) {
 	}
 }
 
-// TestJobRecordWithParallelismResumes: older daemons persisted a job's
-// requested validation "parallelism" in job.json. A state directory whose
-// record still carries it, for a job that crashed mid-run, boots — the
-// record decoder ignores the field — and resumes the journal to the
-// uninterrupted run's result.
-func TestJobRecordWithParallelismResumes(t *testing.T) {
+// TestOlderJobRecordsResume: state directories written by older daemons
+// boot, and a job that crashed mid-run resumes its journal to the
+// uninterrupted run's result. The record decoder ignores retired fields;
+// a retired live state boots as queued.
+func TestOlderJobRecordsResume(t *testing.T) {
 	sc := scenario.Figure2()
 	p := core.Problem{Topo: sc.Topo, Configs: sc.Configs, Intents: sc.Intents}
 	opts := core.Options{Seed: 7} // what {"builtin":"figure2","seed":7} runs
 	sum := sha256.Sum256([]byte(core.Repair(p, opts).Canonical()))
 	want := hex.EncodeToString(sum[:])
 
-	stateDir := t.TempDir()
-	jobDir := filepath.Join(stateDir, "jobs", "j000001")
-	w, err := journal.Create(filepath.Join(jobDir, "journal"), core.SessionHeader(sc.Name, p, opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaos.New(chaos.Plan{CrashAfterAppends: 2}).WireJournal(w)
-	opts.Journal = w
-	func() {
-		defer func() {
-			if _, ok := recover().(chaos.CrashPanic); !ok {
-				t.Fatal("journaled run did not crash")
+	for _, tc := range []struct {
+		name, id, rec string
+	}{
+		// The job's requested validation parallelism.
+		{"parallelism", "j000001",
+			`{"id":"j000001","seq":1,"state":"running","case":"figure2","builtin":"figure2","seed":7,"parallelism":4,"attempts":1}`},
+		// A multi-node daemon's claim: the "leased" state, a key-derived
+		// id and the placement, lease and adoption fields.
+		{"leased", "f5d41402abc4b2a76",
+			`{"id":"f5d41402abc4b2a76","seq":1,"state":"leased","case":"figure2","builtin":"figure2","seed":7,"attempts":1,` +
+				`"key":"5d41402abc4b2a76b9719d911017c592","owner":"127.0.0.1:7366","leaseUntilMs":1700000000000,` +
+				`"adoptedFrom":"127.0.0.1:7367","adoptions":1}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stateDir := t.TempDir()
+			jobDir := filepath.Join(stateDir, "jobs", tc.id)
+			opts := opts
+			w, err := journal.Create(filepath.Join(jobDir, "journal"), core.SessionHeader(sc.Name, p, opts))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-		core.Repair(p, opts)
-	}()
-	rec := `{"id":"j000001","seq":1,"state":"running","case":"figure2","builtin":"figure2","seed":7,"parallelism":4,"attempts":1}`
-	if err := os.WriteFile(filepath.Join(jobDir, "job.json"), []byte(rec), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			chaos.New(chaos.Plan{CrashAfterAppends: 2}).WireJournal(w)
+			opts.Journal = w
+			func() {
+				defer func() {
+					if _, ok := recover().(chaos.CrashPanic); !ok {
+						t.Fatal("journaled run did not crash")
+					}
+				}()
+				core.Repair(p, opts)
+			}()
+			if err := os.WriteFile(filepath.Join(jobDir, "job.json"), []byte(tc.rec), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	_, ts := newTestServer(t, service.Config{StateDir: stateDir, Workers: 1})
-	got := waitState(t, ts, "j000001", func(j service.Job) bool { return j.State.Terminal() })
-	if got.State != service.StateDone || got.Result == nil {
-		t.Fatalf("job = %s (error %q), want done", got.State, got.Error)
-	}
-	if !got.Resumed {
-		t.Fatal("daemon reran the job instead of resuming its journal")
-	}
-	if got.Result.CanonicalSHA256 != want {
-		t.Fatalf("resumed canonical sha %s, uninterrupted run %s", got.Result.CanonicalSHA256, want)
+			srv, ts := newTestServer(t, service.Config{StateDir: stateDir, Workers: 1})
+			if _, ok := srv.Job(tc.id); !ok {
+				t.Fatal("boot skipped the job record")
+			}
+			got := waitState(t, ts, tc.id, func(j service.Job) bool { return j.State.Terminal() })
+			if got.State != service.StateDone || got.Result == nil {
+				t.Fatalf("job = %s (error %q), want done", got.State, got.Error)
+			}
+			if !got.Resumed {
+				t.Fatal("daemon reran the job instead of resuming its journal")
+			}
+			if got.Result.CanonicalSHA256 != want {
+				t.Fatalf("resumed canonical sha %s, uninterrupted run %s", got.Result.CanonicalSHA256, want)
+			}
+		})
 	}
 }
 

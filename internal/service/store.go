@@ -73,15 +73,19 @@ type store struct {
 
 	mu      sync.Mutex
 	jobs    map[string]*job
-	byKey   map[string]*job // newest job per placement key (fleet dedup)
-	order   []*job          // submission order (seq asc)
+	order   []*job // submission order (seq asc)
 	nextSeq int
 }
+
+// retiredLiveStates are live states older daemons also wrote to job.json.
+// Each meant the job had not finished, so a record carrying one boots as
+// queued, like one left running.
+var retiredLiveStates = map[JobState]bool{"leased": true, "orphaned": true, "adopted": true}
 
 // openStore loads (or initializes) a state directory. Jobs found queued or
 // running are normalized to queued; the caller enqueues them.
 func openStore(root string) (*store, error) {
-	s := &store{root: root, jobs: map[string]*job{}, byKey: map[string]*job{}, nextSeq: 1}
+	s := &store{root: root, jobs: map[string]*job{}, nextSeq: 1}
 	jobsDir := filepath.Join(root, "jobs")
 	if err := os.MkdirAll(jobsDir, 0o755); err != nil {
 		return nil, err
@@ -102,15 +106,16 @@ func openStore(root string) (*store, error) {
 			continue
 		}
 		var rec Job
-		if err := json.Unmarshal(data, &rec); err != nil || rec.ID != e.Name() || !rec.State.valid() {
+		if err := json.Unmarshal(data, &rec); err != nil || rec.ID != e.Name() {
 			continue
 		}
-		if !rec.State.Terminal() && rec.State != StateQueued {
-			// The previous process died (or was mid-claim/mid-adoption) —
-			// running, leased, orphaned, and adopted all mean the same
-			// thing on boot: the journal under the job dir carries the
-			// checkpointed search. Requeue for resume.
+		switch {
+		case rec.State == StateRunning || retiredLiveStates[rec.State]:
+			// The previous process died mid-run: the journal under the job
+			// dir carries the checkpointed search. Requeue for resume.
 			rec.State = StateQueued
+		case !rec.State.valid():
+			continue
 		}
 		j := &job{id: rec.ID, seq: rec.Seq, priority: rec.Priority, events: newEventLog(), rec: rec}
 		j.events.append(Event{Type: "state", State: rec.State, Error: rec.Error})
@@ -118,7 +123,6 @@ func openStore(root string) (*store, error) {
 			j.events.close()
 		}
 		s.jobs[j.id] = j
-		s.indexKeyLocked(j)
 		s.order = append(s.order, j)
 		if rec.Seq >= s.nextSeq {
 			s.nextSeq = rec.Seq + 1
@@ -128,55 +132,18 @@ func openStore(root string) (*store, error) {
 	return s, nil
 }
 
-// indexKeyLocked records j as the newest job for its placement key.
-// Caller holds s.mu (or has exclusive access during openStore).
-func (s *store) indexKeyLocked(j *job) {
-	key := j.rec.Key
-	if key == "" {
-		return
-	}
-	if prev := s.byKey[key]; prev == nil || j.seq >= prev.seq {
-		s.byKey[key] = j
-	}
-}
-
-// findKey returns the newest job for a placement key. With liveOnly set,
-// terminal jobs don't count (the single-node dedup semantic: resubmitting
-// a finished repair reruns it); otherwise a terminal job is returned too
-// (the fleet semantic: same key = same repair = same cached result).
-func (s *store) findKey(key string, liveOnly bool) *job {
-	if key == "" {
-		return nil
-	}
-	s.mu.Lock()
-	j := s.byKey[key]
-	s.mu.Unlock()
-	if j == nil {
-		return nil
-	}
-	if liveOnly && j.state().Terminal() {
-		return nil
-	}
-	return j
-}
-
 // create allocates, persists, and indexes a new queued job. An uploaded
 // case is written to the job's case.json as submitted, before job.json, so
 // a rebooted daemon can re-materialize it; a failed write removes the job
-// directory again. In fleet mode id is the key-derived job ID and key/owner
-// carry placement identity; single-node callers pass "" for all three and
-// get a sequential ID.
-func (s *store) create(req JobRequest, sc *scenario.Scenario, id, key, owner string) (*job, error) {
+// directory again.
+func (s *store) create(req JobRequest, sc *scenario.Scenario) (*job, error) {
 	s.mu.Lock()
 	seq := s.nextSeq
 	s.nextSeq++
 	s.mu.Unlock()
 
-	if id == "" {
-		id = fmt.Sprintf("j%06d", seq)
-	}
 	rec := Job{
-		ID:             id,
+		ID:             fmt.Sprintf("j%06d", seq),
 		Seq:            seq,
 		State:          StateQueued,
 		Priority:       req.Priority,
@@ -186,12 +153,10 @@ func (s *store) create(req JobRequest, sc *scenario.Scenario, id, key, owner str
 		Strategy:       req.Strategy,
 		MaxIterations:  req.MaxIterations,
 		TimeoutSeconds: req.TimeoutSeconds,
-		Key:            key,
-		Owner:          owner,
 	}
 	j := &job{id: rec.ID, seq: seq, priority: req.Priority, events: newEventLog(), rec: rec}
 	if err := s.writeJobDir(j, req.Case); err != nil {
-		// Single-node ids never repeat, so nothing would ever reuse or
+		// Sequential ids never repeat, so nothing would ever reuse or
 		// collect a half-written directory.
 		os.RemoveAll(s.jobDir(j.id))
 		return nil, err
@@ -200,7 +165,6 @@ func (s *store) create(req JobRequest, sc *scenario.Scenario, id, key, owner str
 
 	s.mu.Lock()
 	s.jobs[j.id] = j
-	s.indexKeyLocked(j)
 	s.order = append(s.order, j)
 	s.mu.Unlock()
 	return j, nil
@@ -222,37 +186,6 @@ func (s *store) writeJobDir(j *job, upload *caseio.Upload) error {
 		}
 	}
 	return s.persist(j)
-}
-
-// adoptIndex registers a job directory just renamed into this store (the
-// fleet adoption path): the record is reloaded from disk post-rename and
-// indexed under a fresh local seq so list order stays coherent.
-func (s *store) adoptIndex(id string) (*job, error) {
-	data, err := os.ReadFile(filepath.Join(s.jobDir(id), "job.json"))
-	if err != nil {
-		return nil, err
-	}
-	var rec Job
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, err
-	}
-	if rec.ID != id || !rec.State.valid() {
-		return nil, fmt.Errorf("service: adopted job %s has a malformed record", id)
-	}
-	s.mu.Lock()
-	if existing := s.jobs[id]; existing != nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("service: job %s already indexed", id)
-	}
-	seq := s.nextSeq
-	s.nextSeq++
-	rec.Seq = seq
-	j := &job{id: id, seq: seq, priority: rec.Priority, events: newEventLog(), rec: rec}
-	s.jobs[id] = j
-	s.indexKeyLocked(j)
-	s.order = append(s.order, j)
-	s.mu.Unlock()
-	return j, nil
 }
 
 // persist writes the job's current record atomically (temp file + rename

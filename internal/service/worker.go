@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"acr/internal/core"
 	"acr/internal/journal"
@@ -36,26 +35,13 @@ func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j.cancel = cancel
 	preCanceled := j.cancelRequested
-	if s.fleet != nil {
-		// Claim the job before running it: lease persisted first, so a
-		// peer scanning our jobs after we die sees who held it and until
-		// when. Single-node mode skips the leased hop entirely.
-		j.rec.State = StateLeased
-		j.rec.Owner = s.fleet.cfg.Self
-		j.rec.LeaseUntilMs = s.fleet.leaseDeadline()
-	}
+	j.rec.State = StateRunning
+	j.rec.Attempts++
 	j.mu.Unlock()
 	defer cancel()
 	if preCanceled {
 		cancel()
 	}
-	if s.fleet != nil {
-		s.persistAndEvent(j, Event{Type: "state", State: StateLeased})
-	}
-	j.mu.Lock()
-	j.rec.State = StateRunning
-	j.rec.Attempts++
-	j.mu.Unlock()
 
 	s.busyWorkers.Add(1)
 	defer s.busyWorkers.Add(-1)
@@ -102,37 +88,8 @@ func (s *Server) runJob(j *job) {
 
 	w, sess, err := s.openJournal(j, p, opts)
 	if err != nil {
-		if s.fleet != nil && errors.Is(err, journal.ErrLocked) {
-			// The journal's flock is still held — this is an adopted job
-			// whose "dead" owner is actually alive on the far side of a
-			// partition (the lock travels with the renamed inode). Don't
-			// fail it: requeue and retry after a lease interval, by which
-			// time the isolated owner has finished the deterministic run
-			// or died for real. Worst case is duplicate work, never a
-			// divergent result.
-			s.requeueLocked(j)
-			return
-		}
 		s.finishFailed(j, err)
 		return
-	}
-	if s.fleet != nil {
-		// Custody record: who ran this attempt, and from whom it was
-		// adopted. Appended before the event mirror is installed, so owner
-		// records neither feed the SSE stream nor count against a chaos
-		// kill switch — replay treats them as provenance only.
-		if err := w.AppendOwner(journal.Owner{
-			Node:        s.fleet.cfg.Self,
-			Attempt:     j.snapshot().Attempts,
-			AdoptedFrom: j.snapshot().AdoptedFrom,
-		}); err != nil {
-			w.Close()
-			s.finishFailed(j, journalErr(err))
-			return
-		}
-		renewStop := make(chan struct{})
-		go s.renewLease(j, renewStop)
-		defer close(renewStop)
 	}
 	if sess != nil {
 		// Provisional: the attempt starts from a journaled session. The
@@ -191,13 +148,11 @@ func (s *Server) runJob(j *job) {
 		// raced a natural completion falls through to "done" instead.)
 		j.mu.Lock()
 		j.rec.State = StateQueued
-		j.rec.LeaseUntilMs = 0
 		j.mu.Unlock()
 		s.persistAndEvent(j, Event{Type: "state", State: StateQueued})
 	case canceled && res.Termination == "canceled":
 		j.mu.Lock()
 		j.rec.State = StateCanceled
-		j.rec.LeaseUntilMs = 0
 		j.rec.Error = "canceled by operator"
 		j.rec.Resumed = res.Resumed
 		j.rec.Result = NewResultJSON(res)
@@ -207,7 +162,6 @@ func (s *Server) runJob(j *job) {
 	default:
 		j.mu.Lock()
 		j.rec.State = StateDone
-		j.rec.LeaseUntilMs = 0
 		j.rec.Error = ""
 		j.rec.Resumed = res.Resumed
 		j.rec.Result = NewResultJSON(res)
@@ -252,29 +206,11 @@ func journalErr(err error) error {
 	return &core.RepairError{Kind: core.KindJournal, Op: "service.journal", Err: err}
 }
 
-// requeueLocked hands an adopted-but-flocked job back to queued and
-// schedules a retry one lease interval out (see the adoption notes in
-// lease.go — this is the partition, not crash, path).
-func (s *Server) requeueLocked(j *job) {
-	j.mu.Lock()
-	j.rec.State = StateQueued
-	j.rec.LeaseUntilMs = 0
-	j.mu.Unlock()
-	s.persistAndEvent(j, Event{Type: "state", State: StateQueued,
-		Error: "journal locked by previous owner; retrying after lease interval"})
-	time.AfterFunc(s.fleet.cfg.LeaseTTL, func() {
-		if j.state() == StateQueued {
-			s.queue.push(j) // no-op dispatch if the queue closed meanwhile
-		}
-	})
-}
-
 // finishFailed records a job that could not run at all.
 func (s *Server) finishFailed(j *job, err error) {
 	msg := err.Error()
 	j.mu.Lock()
 	j.rec.State = StateFailed
-	j.rec.LeaseUntilMs = 0
 	j.rec.Error = msg
 	j.mu.Unlock()
 	s.persistAndEvent(j, Event{Type: "state", State: StateFailed, Error: msg})

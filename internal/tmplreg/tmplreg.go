@@ -9,8 +9,7 @@
 //
 // Descriptors are content-addressed: each entry's digest folds into
 // core.Options.SearchDigest via the DescribedTemplate wrapper, so a
-// journaled session refuses to -resume (and the fleet refuses to dedup)
-// against a template set whose metadata changed — not merely one whose
+// journaled session refuses to -resume against a template set whose metadata changed — not merely one whose
 // names changed.
 package tmplreg
 
@@ -256,8 +255,7 @@ func (r *Registry) UniversalTemplates() []core.Template {
 
 // Digest content-addresses the whole registry: the hash of every entry's
 // descriptor digest, by sorted name. Two processes hold the same template
-// set iff their registry digests match — the fleet surfaces it in job
-// metadata.
+// set iff their registry digests match.
 func (r *Registry) Digest() string {
 	h := sha256.New()
 	for _, e := range r.List() {
