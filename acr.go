@@ -99,7 +99,7 @@ var (
 // Lint statically analyzes the case's configurations with every registered
 // analyzer — no simulation, no intents — and returns the diagnostics. This
 // is the `acr lint` entry point; the repair engine runs the same analyzers
-// internally as a localization prior (see RepairOptions.NoStaticPrior).
+// internally as a localization prior.
 func Lint(c *Case) *LintResult {
 	return analysis.Analyze(c.Topo, c.Configs, nil)
 }

@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation, plus the ablations called out in DESIGN.md. Each benchmark
 // measures the relevant operation and logs the regenerated rows/series
-// (run with -v or see cmd/acrbench for formatted output, and
-// EXPERIMENTS.md for the paper-vs-measured comparison).
+// (run with -v, see cmd/acrbench for Table 1 and Figures 1–4 as formatted
+// reports, and EXPERIMENTS.md for the paper-vs-measured comparison).
 package acr_test
 
 import (

@@ -16,12 +16,10 @@
 //	acr templates list [-json]
 //	acr templates describe [-json] <name>
 //	acr templates conform [-names a,b] [-seeds 1,2] [-max-iter 30] [-json]
-//	acr templates mine -pairs <dir> [-min-support 1] [-admit] [-json]
 //
 // templates is the CLI face of the change-template registry
-// (internal/tmplreg): list and describe the registered operators, run the
-// conformance admission harness (exit 1 when any template is rejected),
-// and mine candidate templates from historical before/after config diffs.
+// (internal/tmplreg): list and describe the registered operators, and run
+// the conformance admission harness (exit 1 when any template is rejected).
 //
 // lint exits 0 when clean, 1 when findings are at or above the -severity
 // threshold, and 2 when a configuration failed to parse.

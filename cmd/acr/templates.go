@@ -11,14 +11,13 @@ import (
 
 	"acr/internal/tmplreg"
 	"acr/internal/tmplreg/conformance"
-	"acr/internal/tmplreg/mine"
 )
 
-// runTemplates is `acr templates (list|describe|conform|mine)`: the CLI
+// runTemplates is `acr templates (list|describe|conform)`: the CLI
 // face of the change-template registry.
 func runTemplates(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: acr templates <list|describe|conform|mine> [flags]")
+		return fmt.Errorf("usage: acr templates <list|describe|conform> [flags]")
 	}
 	sub, rest := args[0], args[1:]
 	switch sub {
@@ -28,10 +27,8 @@ func runTemplates(args []string) error {
 		return runTemplatesDescribe(rest)
 	case "conform":
 		return runTemplatesConform(rest)
-	case "mine":
-		return runTemplatesMine(rest)
 	}
-	return fmt.Errorf("unknown templates subcommand %q (want list, describe, conform, or mine)", sub)
+	return fmt.Errorf("unknown templates subcommand %q (want list, describe, or conform)", sub)
 }
 
 func runTemplatesList(args []string) error {
@@ -100,8 +97,10 @@ func runTemplatesConform(args []string) error {
 		}
 		opts.Seeds = append(opts.Seeds, n)
 	}
-	if *names != "" {
-		opts.Names = strings.Split(*names, ",")
+	for _, n := range strings.Split(*names, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			opts.Names = append(opts.Names, n)
+		}
 	}
 	rep, err := conformance.Run(tmplreg.Default, opts)
 	if err != nil {
@@ -132,71 +131,6 @@ func printConformance(w io.Writer, rep *conformance.Report) {
 			fmt.Fprintf(w, "     - %s\n", r)
 		}
 	}
-}
-
-func runTemplatesMine(args []string) error {
-	fs := flag.NewFlagSet("templates mine", flag.ExitOnError)
-	asJSON := fs.Bool("json", false, "emit mined candidates as JSON")
-	pairsDir := fs.String("pairs", "", "directory of historical diffs: <pair>/{before,after}/<device>.cfg")
-	minSupport := fs.Int("min-support", 1, "pairs that must exhibit a pattern before it is mined")
-	admit := fs.Bool("admit", true, "run the conformance harness over mined candidates")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *pairsDir == "" {
-		return fmt.Errorf("usage: acr templates mine -pairs <dir> [-min-support 1] [-admit] [-json]")
-	}
-	pairs, err := mine.LoadDir(*pairsDir)
-	if err != nil {
-		return err
-	}
-	cands, err := mine.Mine(pairs, mine.Options{MinSupport: *minSupport})
-	if err != nil {
-		return err
-	}
-	type minedOut struct {
-		tmplreg.Meta
-		Support  int      `json:"support"`
-		Evidence []string `json:"evidence"`
-		Admitted bool     `json:"admitted"`
-	}
-	out := struct {
-		Pairs      int                 `json:"pairs"`
-		Candidates []minedOut          `json:"candidates"`
-		Report     *conformance.Report `json:"conformance,omitempty"`
-	}{Pairs: len(pairs)}
-
-	admitted := map[string]bool{}
-	if *admit && len(cands) > 0 {
-		names, rep, err := mine.Admit(tmplreg.Default, cands, conformance.Options{})
-		if err != nil {
-			return err
-		}
-		for _, n := range names {
-			admitted[n] = true
-		}
-		out.Report = rep
-	}
-	for _, c := range cands {
-		out.Candidates = append(out.Candidates, minedOut{
-			Meta: c.Meta, Support: c.Support, Evidence: c.Evidence, Admitted: admitted[c.Meta.Name],
-		})
-	}
-	if *asJSON {
-		return writeJSON(os.Stdout, out)
-	}
-	fmt.Printf("mined %d candidate(s) from %d pair(s)\n", len(cands), len(pairs))
-	for _, c := range out.Candidates {
-		verdict := "candidate"
-		if *admit {
-			verdict = "REJECTED"
-			if c.Admitted {
-				verdict = "ADMITTED"
-			}
-		}
-		fmt.Printf("%-9s %-28s %-45s support %d (%s)\n", verdict, c.Name, c.Class, c.Support, strings.Join(c.Evidence, ", "))
-	}
-	return nil
 }
 
 func writeJSON(w io.Writer, v any) error {

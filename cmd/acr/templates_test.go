@@ -59,3 +59,14 @@ func TestTemplatesListDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestTemplatesConformNamesTrimmed: -names trims each name and drops empty
+// ones, as -seeds does, so the unknown-template error quotes the bare
+// names rather than " no-such-a" or "".
+func TestTemplatesConformNamesTrimmed(t *testing.T) {
+	err := runTemplatesConform([]string{"-names", "no-such-b, no-such-a,"})
+	const want = `conformance: unknown template(s) "no-such-a", "no-such-b"`
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+}

@@ -4,10 +4,10 @@
 //
 // Usage:
 //
-//	acrbench -exp table1|fig1|fig2|fig3|fig4|ablations|staticprior|hypothesis|templates|all
-//	         [-size 48] [-seed 1] [-short]
-//	         [-json-templates BENCH_templates.json]
+//	acrbench -exp table1|fig1|fig2|fig3|fig4|all [-size 48] [-seed 1]
 //
+// The design ablations and the §6 role-similarity measurement are root
+// benchmarks (go test -run '^$' -bench 'Ablation|Hypothesis' -v .).
 // Performance is measured by the benchmark module in bench/ (see
 // bench/README.md), not here.
 package main
@@ -23,27 +23,14 @@ import (
 	"acr/internal/core"
 	"acr/internal/incidents"
 	"acr/internal/netcfg"
-	"acr/internal/sbfl"
 	"acr/internal/scenario"
 )
 
-// flagShort selects smaller workloads.
-var flagShort bool
-
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig1, fig2, fig3, fig4, ablations, staticprior, hypothesis, templates, all")
+	exp := flag.String("exp", "all", "experiment: table1, fig1, fig2, fig3, fig4, all")
 	size := flag.Int("size", 48, "corpus size for corpus-driven experiments")
 	seed := flag.Int64("seed", 1, "corpus seed")
-	flag.BoolVar(&flagShort, "short", false, "smaller workloads")
-	flag.StringVar(&flagJSONTemplates, "json-templates", "BENCH_templates.json", "machine-readable output path for -exp templates (empty = don't write)")
 	flag.Parse()
-	run := func(name string, f func(int, int64)) {
-		if *exp == name || *exp == "all" {
-			fmt.Printf("==== %s ====\n", name)
-			f(*size, *seed)
-			fmt.Println()
-		}
-	}
 	ran := false
 	for _, e := range []struct {
 		name string
@@ -54,15 +41,14 @@ func main() {
 		{"fig2", fig2},
 		{"fig3", fig3},
 		{"fig4", fig4},
-		{"ablations", ablations},
-		{"staticprior", staticPrior},
-		{"hypothesis", hypothesis},
-		{"templates", templatesExp},
 	} {
-		if *exp == e.name || *exp == "all" {
-			ran = true
+		if *exp != e.name && *exp != "all" {
+			continue
 		}
-		run(e.name, e.f)
+		ran = true
+		fmt.Printf("==== %s ====\n", e.name)
+		e.f(*size, *seed)
+		fmt.Println()
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "acrbench: unknown experiment %q\n", *exp)
@@ -256,113 +242,5 @@ func fig4(size int, seed int64) {
 	for _, ci := range incidents.Table1 {
 		pc := perClass[ci.Class]
 		fmt.Printf("  %-42s %d/%d\n", ci.Name, pc[0], pc[1])
-	}
-}
-
-// ablations prints the design-choice comparisons of DESIGN.md §5.
-func ablations(size int, seed int64) {
-	incs := corpus(min(size, 18), seed)
-	fmt.Println("suspiciousness formulas (ground-truth rank over corpus):")
-	for _, f := range []acr.Formula{acr.Tarantula, acr.Ochiai, acr.Jaccard, acr.DStar} {
-		top1, top5, top10 := 0, 0, 0
-		for _, inc := range incs {
-			ranks := acr.LocalizeWith(acr.IncidentCase(inc), f)
-			best := 0
-			for _, l := range inc.Scenario.FaultyLines {
-				if r := sbfl.RankOf(ranks, l); r > 0 && (best == 0 || r < best) {
-					best = r
-				}
-			}
-			if best == 1 {
-				top1++
-			}
-			if best >= 1 && best <= 5 {
-				top5++
-			}
-			if best >= 1 && best <= 10 {
-				top10++
-			}
-		}
-		fmt.Printf("  %-10s top1=%2d top5=%2d top10=%2d (of %d)\n", f.Name, top1, top5, top10, len(incs))
-	}
-	fmt.Println("generation strategy on figure2:")
-	for _, s := range []struct {
-		name string
-		st   core.Strategy
-	}{{"bruteforce", core.BruteForce}, {"evolutionary", core.Evolutionary}} {
-		res := acr.Repair(acr.Figure2Incident(), acr.RepairOptions{Strategy: s.st, Seed: 11})
-		fmt.Printf("  %-12s feasible=%v iterations=%d validated=%d\n", s.name, res.Feasible, res.Iterations, res.CandidatesValidated)
-	}
-	fmt.Println("validation mode on figure2 (prefix simulations during repair):")
-	for _, m := range []struct {
-		name string
-		full bool
-	}{{"incremental", false}, {"full", true}} {
-		res := acr.Repair(acr.Figure2Incident(), acr.RepairOptions{Strategy: core.BruteForce, FullValidation: m.full})
-		fmt.Printf("  %-12s prefix-sims=%d intent-checks=%d\n", m.name, res.PrefixSimulations, res.IntentChecks)
-	}
-	fmt.Println("baselines on figure2:")
-	mp := acr.MetaProvRepair(acr.Figure2Incident())
-	fmt.Printf("  %s\n", mp.Summary())
-	aed := acr.AEDRepair(acr.Figure2Incident(), acr.AEDOptions{})
-	fmt.Printf("  %s\n", aed.Summary())
-}
-
-// staticPrior quantifies the static-analysis localization prior: per
-// incident, a repair with the prior vs the ablated run, with the pruning
-// counters that explain the saving (candidates skipped, iterations saved).
-func staticPrior(size int, seed int64) {
-	incs := corpus(min(size, 24), seed)
-	fmt.Printf("%-34s %6s %12s %12s %10s %10s %8s\n",
-		"incident", "diags", "validated", "(no prior)", "iters", "(no prior)", "pruned")
-	totOn, totOff, saved := 0, 0, 0
-	for _, inc := range incs {
-		c := acr.IncidentCase(inc)
-		on := acr.Repair(c, acr.RepairOptions{Strategy: core.BruteForce, Seed: seed})
-		if on.BaseFailing == 0 {
-			continue // injection invisible to the intent suite
-		}
-		off := acr.Repair(c, acr.RepairOptions{Strategy: core.BruteForce, Seed: seed, NoStaticPrior: true})
-		totOn += on.CandidatesValidated
-		totOff += off.CandidatesValidated
-		saved += off.CandidatesValidated - on.CandidatesValidated
-		fmt.Printf("%-34s %6d %12d %12d %10d %10d %8d\n",
-			inc.ID, on.StaticDiagnostics, on.CandidatesValidated, off.CandidatesValidated,
-			on.Iterations, off.Iterations, on.TemplatesPrunedStatic)
-	}
-	if totOff > 0 {
-		fmt.Printf("total candidates validated: %d with prior vs %d without (%d saved, %.0f%%)\n",
-			totOn, totOff, saved, 100*float64(saved)/float64(totOff))
-	}
-	fmt.Println("\nfigure2:")
-	on := acr.Repair(acr.Figure2Incident(), acr.RepairOptions{Strategy: core.BruteForce})
-	off := acr.Repair(acr.Figure2Incident(), acr.RepairOptions{Strategy: core.BruteForce, NoStaticPrior: true})
-	fmt.Printf("  with prior:    %s", on.Summary())
-	fmt.Printf("  without prior: %s", off.Summary())
-}
-
-// hypothesis measures the §6 plastic surgery hypothesis: intra-role vs
-// inter-role configuration similarity, and the role-consensus lines a
-// deviant device lacks.
-func hypothesis(int, int64) {
-	fmt.Println("fat-tree k=6:")
-	fmt.Print(acr.AnalyzeRoles(acr.FatTreeDCN(6, acr.GenOptions{})).String())
-	fmt.Println("\nwan 8x4x3:")
-	fmt.Print(acr.AnalyzeRoles(acr.WANBackbone(8, 4, 3, acr.GenOptions{StaticOriginEvery: 2})).String())
-
-	c := acr.FatTreeDCN(4, acr.GenOptions{})
-	f := netcfg.MustParse(c.Configs["leaf1-0"])
-	next, err := (netcfg.EditSet{Device: "leaf1-0", Edits: []netcfg.Edit{
-		netcfg.DeleteLine{At: f.BGP.Networks[0].Line},
-	}}).Apply(c.Configs["leaf1-0"])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	c.Configs["leaf1-0"] = next
-	fmt.Println("\nafter deleting leaf1-0's origination, its role-consensus gaps:")
-	for _, m := range acr.MissingRoleShapes(c, "leaf1-0", 0.75) {
-		fmt.Printf("  %-40s e.g. %q (from %s, %.0f%% of peers)\n",
-			m.Normalized, m.Example, m.FromDevice, 100*m.PeerShare)
 	}
 }

@@ -227,7 +227,6 @@ var DefaultPackages = []string{
 	"internal/evalstore",
 	"internal/tmplreg",
 	"internal/tmplreg/conformance",
-	"internal/tmplreg/mine",
 }
 
 func (c *checker) pos(n ast.Node) string {

@@ -60,10 +60,11 @@ type Options struct {
 	SimOpts       bgp.Options
 	// FullValidation disables the incremental verifier (ablation).
 	FullValidation bool
-	// NoStaticPrior disables the static-analysis localization prior
-	// (ablation): no diagnostic-boosted ranking, no seeded uncovered
-	// lines, no template pruning at diagnosed lines.
-	NoStaticPrior bool
+	// noStaticPrior disables the static-analysis localization prior: no
+	// diagnostic-boosted ranking, no seeded uncovered lines, no template
+	// pruning at diagnosed lines. Only tests set it (export_test.go), to
+	// measure what the prior saves.
+	noStaticPrior bool
 
 	// --- performance ----------------------------------------------------
 
@@ -1070,7 +1071,7 @@ func newCandidate(p Problem, iv *verify.Incremental, descs []string, opts Option
 		fitness: iv.BaseReport().NumFailed(),
 		descs:   descs,
 	}
-	c.ctx = buildContext(p, iv, opts.Formula, versionRNG(opts.Seed, descs), !opts.NoStaticPrior)
+	c.ctx = buildContext(p, iv, opts.Formula, versionRNG(opts.Seed, descs), !opts.noStaticPrior)
 	return c
 }
 

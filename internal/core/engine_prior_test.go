@@ -16,7 +16,7 @@ func TestStaticPriorReducesSearch(t *testing.T) {
 	p := problemOf(s)
 
 	withPrior := core.Repair(p, core.Options{Strategy: core.BruteForce, Seed: 1})
-	without := core.Repair(p, core.Options{Strategy: core.BruteForce, Seed: 1, NoStaticPrior: true})
+	without := core.Repair(p, core.WithoutStaticPrior(core.Options{Strategy: core.BruteForce, Seed: 1}))
 
 	checkRepaired(t, p, withPrior)
 	checkRepaired(t, p, without)

@@ -15,3 +15,10 @@ func (ctx *Context) SolveList(device, list string) ([]netip.Prefix, bool, string
 	s := ctx.solveList(device, list)
 	return s.want, s.ok, s.constraints
 }
+
+// WithoutStaticPrior returns o with the static-analysis localization prior
+// turned off, for the tests that measure what the prior saves.
+func WithoutStaticPrior(o Options) Options {
+	o.noStaticPrior = true
+	return o
+}

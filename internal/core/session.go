@@ -61,14 +61,14 @@ func (o Options) SearchDigest() string {
 	// is deliberately absent too: the persistent evaluation store only
 	// substitutes disk reads for simulations without touching anything in
 	// Canonical, so a session may resume on a machine with a different
-	// -cache-dir, budget, or no store at all. "noimpact=false
-	// nodelta=false" is constant text: it keeps the digest of every option
-	// vector equal to the one written when those two ablation switches
-	// existed, so older journals and service state directories still
-	// resume.
-	fmt.Fprintf(h, "formula=%s iters=%d minsusp=%g topk=%d popcap=%d candcap=%d sample=%d strategy=%d seed=%d full=%v noprior=%v nocache=%v noimpact=false nodelta=false\n",
+	// -cache-dir, budget, or no store at all. "noprior=false",
+	// "noimpact=false" and "nodelta=false" are constant text: they keep the
+	// digest of every option vector equal to the one written when those
+	// three ablation switches were options, so older journals and service
+	// state directories still resume.
+	fmt.Fprintf(h, "formula=%s iters=%d minsusp=%g topk=%d popcap=%d candcap=%d sample=%d strategy=%d seed=%d full=%v noprior=false nocache=%v noimpact=false nodelta=false\n",
 		o.Formula.Name, o.MaxIterations, o.MinSusp, o.TopKLines, o.PopulationCap,
-		o.CandidateCap, o.SampleSize, o.Strategy, o.Seed, o.FullValidation, o.NoStaticPrior, o.NoCache)
+		o.CandidateCap, o.SampleSize, o.Strategy, o.Seed, o.FullValidation, o.NoCache)
 	for _, t := range o.Templates {
 		// Registry-resolved templates fold their full descriptor digest —
 		// name, description, error class, use-case, version, provenance —

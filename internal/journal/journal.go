@@ -243,8 +243,7 @@ const (
 	// checkpoints are observability; recovery restarts from the last
 	// checkpoint regardless, so their durability buys nothing.
 	SyncOnCheckpoint SyncMode = iota
-	// SyncAlways fsyncs every append (the durability tax acrbench's
-	// resume experiment measures).
+	// SyncAlways fsyncs every append.
 	SyncAlways
 	// SyncNever leaves flushing to the OS (benchmark baseline only).
 	SyncNever

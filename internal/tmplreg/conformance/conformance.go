@@ -2,8 +2,8 @@
 // template may sit in the registry as trusted, it must prove, on synthetic
 // incidents of its own declared error class, that it can drive fitness to
 // zero — and prove it does no harm on clean substrates. The harness is
-// what keeps the registry honest as mined and operator templates join the
-// builtin library: a template that cannot repair its class, or whose
+// what keeps the registry honest as operator templates join the builtin
+// library: a template that cannot repair its class, or whose
 // generator emits edits that do not even apply, is rejected with a
 // recorded reason.
 //
@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 
 	"acr/internal/bgp"
 	"acr/internal/core"
@@ -118,9 +120,12 @@ func Run(reg *tmplreg.Registry, opts Options) (*Report, error) {
 			}
 		}
 		if len(want) > 0 {
-			for n := range want { //acrvet:ordered
-				return nil, fmt.Errorf("conformance: unknown template %q", n)
+			var unknown []string
+			for n := range want { //acrvet:ordered — collected then sorted below
+				unknown = append(unknown, strconv.Quote(n))
 			}
+			sort.Strings(unknown)
+			return nil, fmt.Errorf("conformance: unknown template(s) %s", strings.Join(unknown, ", "))
 		}
 		entries = kept
 	}

@@ -130,10 +130,19 @@ func TestBrokenFixturesRejected(t *testing.T) {
 }
 
 // TestRunUnknownName: restricting to an unregistered template is an error,
-// not a silent skip.
+// not a silent skip, and the error names every unknown template in sorted
+// order, the same text on every run.
 func TestRunUnknownName(t *testing.T) {
 	if _, err := Run(tmplreg.NewBuiltin(), Options{Names: []string{"no-such"}}); err == nil {
 		t.Fatal("unknown name accepted")
+	}
+	names := []string{"no-such-b", "fix-peer-asn", "no-such-a"}
+	const want = `conformance: unknown template(s) "no-such-a", "no-such-b"`
+	for i := 0; i < 20; i++ {
+		_, err := Run(tmplreg.NewBuiltin(), Options{Names: names})
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: err = %v, want %s", i, err, want)
+		}
 	}
 }
 

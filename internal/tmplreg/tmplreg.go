@@ -3,9 +3,8 @@
 // is for, and where it came from. Every template is registered with a
 // descriptor — name, description, Table 1 error class, use-case, version,
 // provenance — and the engine resolves its library through the registry
-// instead of hard-coding the builtin list, so mined and operator-supplied
-// templates plug in beside the paper's nine families without touching
-// internal/core.
+// instead of hard-coding the builtin list, so operator-supplied templates
+// plug in beside the paper's nine families without touching internal/core.
 //
 // Descriptors are content-addressed: each entry's digest folds into
 // core.Options.SearchDigest via the DescribedTemplate wrapper, so a
@@ -32,16 +31,13 @@ const (
 	// Builtin templates are the paper's Table 1 library plus the §6
 	// universal operators, shipped with the engine.
 	Builtin Provenance = "builtin"
-	// Mined templates were learned from historical configuration diffs by
-	// tmplreg/mine and admitted by the conformance harness.
-	Mined Provenance = "mined"
 	// Operator templates were registered by an operator extension.
 	Operator Provenance = "operator"
 )
 
 // valid reports whether p is a recognized provenance.
 func (p Provenance) valid() bool {
-	return p == Builtin || p == Mined || p == Operator
+	return p == Builtin || p == Operator
 }
 
 // Meta is a template descriptor: everything the registry knows about a
@@ -59,7 +55,7 @@ type Meta struct {
 	// Version is bumped whenever the template's generation logic changes;
 	// it feeds the descriptor digest, so a version bump orphans journals.
 	Version string `json:"version"`
-	// Provenance is builtin, mined, or operator.
+	// Provenance is builtin or operator.
 	Provenance Provenance `json:"provenance"`
 }
 
@@ -219,8 +215,8 @@ func (r *Registry) Resolve(names ...string) ([]core.Template, error) {
 // EngineTemplates is the default repair library: the builtin Table 1
 // templates in registration order — exactly core.BuiltinTemplates order,
 // so registry resolution is trajectory-identical to the pre-registry
-// engine — each wrapped with its descriptor digest. Mined and operator
-// templates never join the default set implicitly (that would silently
+// engine — each wrapped with its descriptor digest. Operator templates
+// never join the default set implicitly (that would silently
 // change every journaled session's digest); callers opt in via Resolve.
 // Universal pseudo-class operators are likewise excluded: they are the §6
 // ablation set, selected by -universal.

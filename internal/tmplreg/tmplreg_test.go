@@ -98,6 +98,7 @@ func TestRegisterValidation(t *testing.T) {
 		{"no description", Meta{Name: tmpl.Name(), Class: tmpl.ErrorClass(), UseCase: "u", Version: "1", Provenance: Operator}},
 		{"no version", Meta{Name: tmpl.Name(), Description: "d", Class: tmpl.ErrorClass(), UseCase: "u", Provenance: Operator}},
 		{"bad provenance", Meta{Name: tmpl.Name(), Description: "d", Class: tmpl.ErrorClass(), UseCase: "u", Version: "1", Provenance: "wild"}},
+		{"mined provenance", Meta{Name: tmpl.Name(), Description: "d", Class: tmpl.ErrorClass(), UseCase: "u", Version: "1", Provenance: "mined"}},
 	}
 	for _, c := range cases {
 		if err := r.Register(c.m, tmpl); err == nil {
