@@ -37,7 +37,6 @@ func keptVersions(t *testing.T, c *acr.Case, opts acr.RepairOptions) [][]journal
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Sync = journal.SyncNever
 	var pops [][]journal.Member
 	w.Hook = func(_ int, rec *journal.Record) error {
 		if rec.Checkpoint != nil {

@@ -2,6 +2,9 @@ package chaos
 
 import (
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"acr/internal/core"
@@ -127,6 +130,47 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		if final.Terminal == nil || final.Terminal.Termination != "feasible" {
 			t.Errorf("crash@%d: final terminal = %+v", n, final.Terminal)
 		}
+	}
+}
+
+// TestOlderLayoutResumeByteIdentical: a crashed session directory in the
+// layout older engines left — wal.log beside a lock file and a
+// checkpoint.json copy of the newest checkpoint — resumes to the
+// uninterrupted run's Result.
+func TestOlderLayoutResumeByteIdentical(t *testing.T) {
+	p := figure2Problem()
+	opts := core.Options{Strategy: core.Evolutionary, Seed: 7, MaxIterations: 25}
+	straight, appends := journaledRun(t, t.TempDir(), p, opts)
+
+	dir := t.TempDir()
+	if !crashRun(t, dir, p, opts, Plan{CrashAfterAppends: appends / 2}) {
+		t.Fatal("crash point not reached")
+	}
+	sess, err := journal.Replay(dir)
+	if err != nil || sess.Checkpoint == nil {
+		t.Fatalf("replay: checkpoint %v, err %v", sess, err)
+	}
+	payload, err := json.Marshal(&journal.Record{Seq: sess.ResumeSeq, Type: journal.TypeCheckpoint, Checkpoint: sess.Checkpoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := journal.Frame(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "lock"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	res := resumeRun(t, dir, p, opts)
+	if !res.Resumed {
+		t.Fatal("older-layout session not resumed")
+	}
+	if got, want := res.Canonical(), straight.Canonical(); got != want {
+		t.Errorf("older-layout resume diverges from uninterrupted run\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }
 

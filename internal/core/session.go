@@ -120,13 +120,13 @@ func scoresFromJournal(scores []journal.Score) []sbfl.Score {
 	return out
 }
 
-func logToJournal(l IterationLog) journal.IterationLog {
-	return journal.IterationLog{Iteration: l.Iteration, Generated: l.Generated,
+func logToJournal(l IterationLog) journal.Iteration {
+	return journal.Iteration{Iteration: l.Iteration, Generated: l.Generated,
 		Validated: l.Validated, Kept: l.Kept, BestFitness: l.BestFitness,
 		Top: scoresToJournal(l.TopSuspicious)}
 }
 
-func logFromJournal(l journal.IterationLog) IterationLog {
+func logFromJournal(l journal.Iteration) IterationLog {
 	return IterationLog{Iteration: l.Iteration, Generated: l.Generated,
 		Validated: l.Validated, Kept: l.Kept, BestFitness: l.BestFitness,
 		TopSuspicious: scoresFromJournal(l.Top)}
@@ -320,10 +320,7 @@ func (j *journalSink) iteration(l IterationLog) {
 	if j == nil || j.disabled {
 		return
 	}
-	jl := logToJournal(l)
-	j.emit("journal", j.w.AppendIteration(journal.Iteration{Iteration: jl.Iteration,
-		Generated: jl.Generated, Validated: jl.Validated, Kept: jl.Kept,
-		BestFitness: jl.BestFitness, Top: jl.Top}))
+	j.emit("journal", j.w.AppendIteration(logToJournal(l)))
 }
 
 // checkpoint journals a restart point: the base snapshot (iteration 0)

@@ -1,11 +1,10 @@
 // Package journal is the durable session layer of the repair engine: an
 // append-only write-ahead journal that makes long repair runs crash-safe.
 //
-// A session lives in one directory:
+// A session is one file in its directory:
 //
 //	journaldir/
-//	  wal.log          # length-prefixed, CRC-checksummed JSON records
-//	  checkpoint.json  # the latest checkpoint, written atomically
+//	  wal.log  # length-prefixed, CRC-checksummed JSON records
 //
 // The WAL is a sequence of framed records:
 //
@@ -15,16 +14,18 @@
 // increasing sequence numbers; the first record of a session is always a
 // header. The engine appends candidate and iteration events as it works
 // and a full Checkpoint (population, best-effort state, counters, RNG-free
-// restart state) at a configurable cadence; a graceful end appends a
-// terminal record. A SIGKILL, OOM-kill, or power cut leaves at worst a
-// torn final frame, which the replayer detects (short frame or CRC
-// mismatch) and recovers past: Replay returns the state at the last valid
-// record, never a partially applied one.
+// restart state) at every iteration boundary; a graceful end appends a
+// terminal record. Header, checkpoint and terminal records are fsynced,
+// events are not: recovery restarts from the last checkpoint, so an
+// event's durability buys nothing. A SIGKILL, OOM-kill, or power cut
+// leaves at worst a torn final frame, which the replayer detects (short
+// frame or CRC mismatch) and recovers past: Replay returns the state at
+// the last valid record, never a partially applied one.
 //
-// checkpoint.json duplicates the newest checkpoint record as a single
-// framed record written with the temp-file + rename + fsync discipline, so
-// recovery has a valid checkpoint even if the WAL's own checkpoint frame
-// was the torn one.
+// A Writer holds an exclusive flock on the WAL's own descriptor. Older
+// engines also left a lock file and a checkpoint.json copy of the newest
+// checkpoint in the directory; the lock file is ignored, and Replay still
+// reads checkpoint.json so their sessions recover. Nothing writes either.
 package journal
 
 import (
@@ -116,7 +117,8 @@ type Candidate struct {
 	Refuted bool `json:"refuted,omitempty"`
 }
 
-// Iteration mirrors the engine's per-iteration log line.
+// Iteration is one entry of the engine's Result.Logs: the event appended
+// when an iteration closes, and each element of a checkpoint's Logs.
 type Iteration struct {
 	Iteration   int     `json:"iteration"`
 	Generated   int     `json:"generated"`
@@ -188,16 +190,6 @@ type ErrorEvent struct {
 	Message   string `json:"message,omitempty"`
 }
 
-// IterationLog mirrors one entry of the engine's Result.Logs.
-type IterationLog struct {
-	Iteration   int     `json:"iteration"`
-	Generated   int     `json:"generated"`
-	Validated   int     `json:"validated"`
-	Kept        int     `json:"kept"`
-	BestFitness int     `json:"bestFitness"`
-	Top         []Score `json:"top,omitempty"`
-}
-
 // Checkpoint is a complete restart point at an iteration boundary. The
 // engine derives every random stream from (seed, iteration) and
 // (seed, version descs), so no RNG state needs to be stored: restoring the
@@ -218,11 +210,11 @@ type Checkpoint struct {
 	StaticDiagnostics int `json:"staticDiagnostics"`
 	PriorSeededLines  int `json:"priorSeededLines"`
 
-	Population []Member       `json:"population"`
-	Best       *BestEffort    `json:"best,omitempty"`
-	Counters   Counters       `json:"counters"`
-	Logs       []IterationLog `json:"logs,omitempty"`
-	Errors     []ErrorEvent   `json:"errors,omitempty"`
+	Population []Member     `json:"population"`
+	Best       *BestEffort  `json:"best,omitempty"`
+	Counters   Counters     `json:"counters"`
+	Logs       []Iteration  `json:"logs,omitempty"`
+	Errors     []ErrorEvent `json:"errors,omitempty"`
 }
 
 // Terminal closes a session. Terminations "deadline" and "canceled" leave
@@ -233,22 +225,6 @@ type Terminal struct {
 	Feasible    bool   `json:"feasible"`
 }
 
-// SyncMode selects the WAL's fsync discipline.
-type SyncMode int
-
-// Sync modes.
-const (
-	// SyncOnCheckpoint (the default) fsyncs the WAL only when appending
-	// checkpoint and terminal records. Candidate/iteration events between
-	// checkpoints are observability; recovery restarts from the last
-	// checkpoint regardless, so their durability buys nothing.
-	SyncOnCheckpoint SyncMode = iota
-	// SyncAlways fsyncs every append.
-	SyncAlways
-	// SyncNever leaves flushing to the OS (benchmark baseline only).
-	SyncNever
-)
-
 // AppendHook observes every WAL append before it is written; n is the
 // 1-based append count of this Writer. The chaos harness uses it to
 // simulate crashes (by panicking or killing the process) at exact points.
@@ -258,49 +234,47 @@ type AppendHook func(n int, rec *Record) error
 // Writer appends to a session's WAL. It is not safe for concurrent use;
 // the engine is single-threaded.
 type Writer struct {
-	dir  string
-	f    *os.File
-	lock *os.File // held flock on LockPath(dir) for the Writer's lifetime
-	seq  int
-	n    int // appends through this Writer
-	Sync SyncMode
+	dir string
+	f   *os.File // the WAL, flocked for the Writer's lifetime
+	seq int
+	n   int // appends through this Writer
 	// Hook, when non-nil, runs before every append (chaos seam).
 	Hook AppendHook
 }
 
 // ErrLocked reports that another live Writer — usually another process —
-// holds a session directory's exclusive lock. Two appenders interleaving
-// frames in one WAL would corrupt it unrecoverably, so Create and Resume
-// refuse instead.
+// holds a session's exclusive lock. Two appenders interleaving frames in
+// one WAL would corrupt it unrecoverably, so Create and Resume refuse
+// instead.
 var ErrLocked = errors.New("journal: session directory locked by another writer")
 
 // WALPath returns the session's WAL file path.
 func WALPath(dir string) string { return filepath.Join(dir, "wal.log") }
 
-// CheckpointPath returns the session's atomic-checkpoint file path.
-func CheckpointPath(dir string) string { return filepath.Join(dir, "checkpoint.json") }
+// checkpointPath is the checkpoint copy older engines wrote beside the
+// WAL; Replay reads it, Create removes it, nothing writes it.
+func checkpointPath(dir string) string { return filepath.Join(dir, "checkpoint.json") }
 
-// LockPath returns the session's exclusive lock file path.
-func LockPath(dir string) string { return filepath.Join(dir, "lock") }
-
-// acquireLock takes the session directory's exclusive flock. The lock
-// belongs to the returned descriptor: it dies with the process (so a
-// SIGKILL never wedges the directory) and conflicts with every other open
-// of the same path, in-process or not.
-func acquireLock(dir string) (*os.File, error) {
-	l, err := os.OpenFile(LockPath(dir), os.O_CREATE|os.O_RDWR, 0o644)
+// openWAL opens the session's WAL and takes the exclusive flock on its
+// descriptor. The lock dies with the process (so a SIGKILL never wedges
+// the session) and conflicts with every other open of the file,
+// in-process or not. openWAL never truncates: a refused open must leave a
+// live Writer's WAL intact, so callers cut the file only once they hold
+// the lock.
+func openWAL(dir string, flag int) (*os.File, error) {
+	f, err := os.OpenFile(WALPath(dir), flag|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if err := flockExclusive(l.Fd()); err != nil {
-		l.Close()
+	if err := flockExclusive(f.Fd()); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("%w: %s", ErrLocked, dir)
 	}
-	return l, nil
+	return f, nil
 }
 
 // Create starts a fresh session in dir (creating it as needed), truncating
-// any previous session, and appends the header record. The directory's
+// any previous session, and appends the header record. The WAL's
 // exclusive lock is held until Close (or process death): a second process
 // appending to the same session would interleave frames, so Create fails
 // with ErrLocked while another Writer is live.
@@ -308,30 +282,24 @@ func Create(dir string, hdr Header) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	lock, err := acquireLock(dir)
+	f, err := openWAL(dir, os.O_CREATE)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(WALPath(dir), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-	if err != nil {
-		lock.Close()
-		return nil, err
+	w := &Writer{dir: dir, f: f}
+	if err := f.Truncate(0); err != nil {
+		return w.fail(err)
 	}
-	os.Remove(CheckpointPath(dir)) // stale checkpoint from a prior session
+	os.Remove(checkpointPath(dir)) // an older engine's copy must not lead the fresh WAL
 	// Make the WAL's existence durable before its first record: a crash
 	// right after Create must leave a replayable (if empty) directory, not
 	// a directory whose WAL the filesystem forgot.
 	if err := syncDir(dir); err != nil {
-		f.Close()
-		lock.Close()
-		return nil, err
+		return w.fail(err)
 	}
-	w := &Writer{dir: dir, f: f, lock: lock}
 	hdr.Version = Version
 	if err := w.append(Record{Type: TypeHeader, Header: &hdr}, true); err != nil {
-		f.Close()
-		lock.Close()
-		return nil, err
+		return w.fail(err)
 	}
 	return w, nil
 }
@@ -342,36 +310,34 @@ func Create(dir string, hdr Header) (*Writer, error) {
 // exists) — discarding the torn tail and any events past the checkpoint:
 // the resumed engine regenerates those events deterministically, so
 // keeping them would double-log the replayed iterations. Like Create,
-// Resume takes the directory's exclusive lock and fails with ErrLocked
+// Resume takes the WAL's exclusive lock first and fails with ErrLocked
 // while another Writer is live.
 func Resume(dir string, sess *Session) (*Writer, error) {
-	lock, err := acquireLock(dir)
+	f, err := openWAL(dir, 0)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(WALPath(dir), os.O_RDWR, 0o644)
-	if err != nil {
-		lock.Close()
-		return nil, err
-	}
-	fail := func(err error) (*Writer, error) {
-		f.Close()
-		lock.Close()
-		return nil, err
-	}
+	w := &Writer{dir: dir, f: f, seq: sess.ResumeSeq}
 	if err := f.Truncate(sess.ResumeOffset); err != nil {
-		return fail(err)
+		return w.fail(err)
 	}
 	if _, err := f.Seek(sess.ResumeOffset, 0); err != nil {
-		return fail(err)
+		return w.fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		return fail(err)
+		return w.fail(err)
 	}
-	return &Writer{dir: dir, f: f, lock: lock, seq: sess.ResumeSeq}, nil
+	return w, nil
 }
 
-// append frames and writes one record, assigning its sequence number.
+// fail closes a Writer that never became usable, releasing its lock.
+func (w *Writer) fail(err error) (*Writer, error) {
+	w.f.Close()
+	return nil, err
+}
+
+// append frames and writes one record, assigning its sequence number, and
+// fsyncs the WAL when sync is set.
 func (w *Writer) append(rec Record, sync bool) error {
 	w.n++
 	if w.Hook != nil {
@@ -388,7 +354,7 @@ func (w *Writer) append(rec Record, sync bool) error {
 	if _, err := w.f.Write(frame); err != nil {
 		return err
 	}
-	if w.Sync == SyncAlways || (sync && w.Sync != SyncNever) {
+	if sync {
 		return w.f.Sync()
 	}
 	return nil
@@ -404,17 +370,9 @@ func (w *Writer) AppendIteration(it Iteration) error {
 	return w.append(Record{Type: TypeIteration, Iteration: &it}, false)
 }
 
-// AppendCheckpoint journals a full restart point: a WAL record (fsynced)
-// plus an atomic rewrite of checkpoint.json.
+// AppendCheckpoint journals a full restart point.
 func (w *Writer) AppendCheckpoint(cp Checkpoint) error {
-	if err := w.append(Record{Type: TypeCheckpoint, Checkpoint: &cp}, true); err != nil {
-		return err
-	}
-	frame, err := encodeFrame(&Record{Seq: w.seq, Type: TypeCheckpoint, Checkpoint: &cp})
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(CheckpointPath(w.dir), frame, 0o644)
+	return w.append(Record{Type: TypeCheckpoint, Checkpoint: &cp}, true)
 }
 
 // AppendTerminal journals the session's graceful end.
@@ -430,30 +388,19 @@ func (w *Writer) Dir() string { return w.dir }
 
 // Close syncs and closes the WAL, releasing the session lock.
 func (w *Writer) Close() error {
-	defer w.unlock()
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
+	err := w.f.Sync()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	return w.f.Close()
+	return err
 }
 
-// Abandon closes the WAL descriptor without syncing and releases the
+// Abandon closes the WAL descriptor without syncing, releasing the
 // session lock — the state a process crash leaves behind (whatever reached
 // the page cache survives, nothing is flushed). In-process crash
 // simulations (internal/chaos) call it at the crash point so the directory
 // is replayable and re-lockable exactly as it would be after a real kill.
-func (w *Writer) Abandon() {
-	w.f.Close()
-	w.unlock()
-}
-
-func (w *Writer) unlock() {
-	if w.lock != nil {
-		w.lock.Close()
-		w.lock = nil
-	}
-}
+func (w *Writer) Abandon() { w.f.Close() }
 
 // encodeFrame renders one framed record.
 func encodeFrame(rec *Record) ([]byte, error) {

@@ -27,7 +27,7 @@ func testCheckpoint(iter int) Checkpoint {
 			Fitness: 2,
 		}},
 		Best: &BestEffort{Fitness: 2, Configs: map[string][]string{"A": {"x"}}},
-		Logs: []IterationLog{{Iteration: 1, Generated: 4, Validated: 4, Kept: 1, BestFitness: 2,
+		Logs: []Iteration{{Iteration: 1, Generated: 4, Validated: 4, Kept: 1, BestFitness: 2,
 			Top: []Score{{Device: "A", Line: 1, Susp: 0.5, Failed: 1, Passed: 2}}}},
 	}
 }
@@ -57,6 +57,31 @@ func writeSession(t *testing.T, dir string, iters int, terminal *Terminal) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "wal.log" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("session directory holds %v, want exactly wal.log", names)
+	}
+}
+
+// writeLegacySidecar writes checkpoint.json the way older engines did
+// after appending a checkpoint: the checkpoint record with sequence
+// number seq, framed like a WAL record.
+func writeLegacySidecar(t *testing.T, dir string, seq int, cp Checkpoint) {
+	t.Helper()
+	frame, err := encodeFrame(&Record{Seq: seq, Type: TypeCheckpoint, Checkpoint: &cp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(checkpointPath(dir), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -77,9 +102,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got := sess.Checkpoint.Population[0].Configs["A"]; len(got) != 2 || got[0] != "interface e0" {
 		t.Fatalf("population configs = %q", got)
-	}
-	if len(sess.Iterations) != 3 {
-		t.Fatalf("iterations = %d", len(sess.Iterations))
 	}
 	if sess.Terminal == nil || !sess.Terminal.Feasible {
 		t.Fatalf("terminal = %+v", sess.Terminal)
@@ -201,7 +223,7 @@ func TestTornTailRecovery(t *testing.T) {
 }
 
 // TestCheckpointFileLeadsWAL: when the WAL's checkpoint frame is the torn
-// one, the atomically written checkpoint.json still carries it.
+// one, the checkpoint.json an older engine wrote still carries it.
 func TestCheckpointFileLeadsWAL(t *testing.T) {
 	dir := t.TempDir()
 	writeSession(t, dir, 2, nil)
@@ -209,6 +231,7 @@ func TestCheckpointFileLeadsWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	writeLegacySidecar(t, dir, sess.ResumeSeq, testCheckpoint(2))
 	// Tear the WAL back to before the iteration-2 checkpoint frame while
 	// leaving checkpoint.json (which holds iteration 2) in place.
 	if err := os.Truncate(WALPath(dir), sess.ResumeOffset-10); err != nil {
@@ -230,21 +253,109 @@ func TestCheckpointFileLeadsWAL(t *testing.T) {
 // newest checkpoint must never roll the session backward.
 func TestStaleCheckpointFileIgnored(t *testing.T) {
 	dir := t.TempDir()
-	writeSession(t, dir, 1, nil)
-	stale, err := os.ReadFile(CheckpointPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
 	writeSession(t, dir, 3, nil)
-	if err := os.WriteFile(CheckpointPath(dir), stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Sequence 4 is the iteration-1 checkpoint: header, candidate,
+	// iteration, checkpoint.
+	writeLegacySidecar(t, dir, 4, testCheckpoint(1))
 	sess, err := Replay(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sess.Checkpoint.Iteration != 3 {
 		t.Fatalf("stale checkpoint.json won: iteration %d", sess.Checkpoint.Iteration)
+	}
+}
+
+// TestCorruptCheckpointFileIgnored: a checkpoint.json that leads the WAL
+// but fails its CRC, or frames a checkpoint the WAL itself would reject,
+// is never adopted.
+func TestCorruptCheckpointFileIgnored(t *testing.T) {
+	for name, write := range map[string]func(t *testing.T, dir string, seq int){
+		"flipped bit": func(t *testing.T, dir string, seq int) {
+			writeLegacySidecar(t, dir, seq, testCheckpoint(2))
+			frame, err := os.ReadFile(checkpointPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame[len(frame)-3] ^= 0x10
+			if err := os.WriteFile(checkpointPath(dir), frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"structurally invalid": func(t *testing.T, dir string, seq int) {
+			cp := testCheckpoint(2)
+			cp.Widen = 0
+			cp.Population = nil
+			writeLegacySidecar(t, dir, seq, cp)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeSession(t, dir, 2, nil)
+			sess, err := Replay(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			write(t, dir, sess.ResumeSeq)
+			// Tear the iteration-2 checkpoint frame, so only the side
+			// file could carry iteration 2.
+			if err := os.Truncate(WALPath(dir), sess.ResumeOffset-10); err != nil {
+				t.Fatal(err)
+			}
+			recovered, err := Replay(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recovered.Checkpoint == nil || recovered.Checkpoint.Iteration != 1 {
+				t.Fatalf("recovered checkpoint = %+v, want the WAL's iteration 1", recovered.Checkpoint)
+			}
+		})
+	}
+}
+
+// TestOlderLayoutDirectory: a session directory in the older layout —
+// wal.log beside a lock file and checkpoint.json — replays, resumes
+// despite the stale lock file, and loses checkpoint.json to Create.
+func TestOlderLayoutDirectory(t *testing.T) {
+	dir := t.TempDir()
+	writeSession(t, dir, 2, nil)
+	sess, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeLegacySidecar(t, dir, sess.ResumeSeq, testCheckpoint(2))
+	if err := os.WriteFile(filepath.Join(dir, "lock"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sess, err = Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Truncated || sess.Checkpoint == nil || sess.Checkpoint.Iteration != 2 {
+		t.Fatalf("older layout replayed as %+v (truncated %v)", sess.Checkpoint, sess.Truncated)
+	}
+	w, err := Resume(dir, sess)
+	if err != nil {
+		t.Fatalf("Resume beside a stale lock file: %v", err)
+	}
+	if err := w.AppendCheckpoint(testCheckpoint(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sess, err = Replay(dir); err != nil || sess.Checkpoint.Iteration != 3 || sess.Truncated {
+		t.Fatalf("resumed older layout: %+v, %v", sess, err)
+	}
+
+	w, err = Create(dir, testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if _, err := os.Stat(checkpointPath(dir)); !os.IsNotExist(err) {
+		t.Fatalf("Create left checkpoint.json behind: %v", err)
 	}
 }
 
@@ -308,29 +419,6 @@ func TestReplayNoSession(t *testing.T) {
 	}
 }
 
-func TestAtomicCheckpointFileIsFramed(t *testing.T) {
-	dir := t.TempDir()
-	writeSession(t, dir, 1, nil)
-	frame, err := os.ReadFile(CheckpointPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, _, ok := decodeFrame(frame)
-	if !ok || rec.Type != TypeCheckpoint || rec.Checkpoint == nil {
-		t.Fatalf("checkpoint.json is not a valid framed checkpoint record")
-	}
-	// A flipped bit must be detected, never deserialized.
-	frame[len(frame)-3] ^= 0x10
-	if _, _, ok := decodeFrame(frame); ok {
-		t.Fatal("corrupt checkpoint.json passed CRC")
-	}
-	// No temp files left behind by the atomic write.
-	matches, _ := filepath.Glob(filepath.Join(dir, "checkpoint.json.tmp*"))
-	if len(matches) != 0 {
-		t.Fatalf("temp files left behind: %v", matches)
-	}
-}
-
 func TestCreateTruncatesPriorSession(t *testing.T) {
 	dir := t.TempDir()
 	writeSession(t, dir, 3, &Terminal{Termination: "feasible", Feasible: true})
@@ -372,19 +460,36 @@ func TestSessionLockExcludesSecondWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := w.AppendCheckpoint(testCheckpoint(1)); err != nil {
+		t.Fatal(err)
+	}
+	live, err := os.ReadFile(WALPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A second Create on a live session must refuse: two appenders would
 	// interleave frames in one WAL.
 	if _, err := Create(dir, testHeader()); !errors.Is(err, ErrLocked) {
 		t.Fatalf("second Create: got %v, want ErrLocked", err)
 	}
-	// Resume must refuse for the same reason.
-	if err := w.AppendCheckpoint(testCheckpoint(1)); err != nil {
+	// The refusal must not have touched the live WAL: Create truncates
+	// only once it holds the lock.
+	if got, err := os.ReadFile(WALPath(dir)); err != nil || !bytes.Equal(got, live) {
+		t.Fatalf("refused Create changed the live WAL (%d bytes, was %d): %v", len(got), len(live), err)
+	}
+	// The live writer still appends after the refusal.
+	if err := w.AppendCheckpoint(testCheckpoint(2)); err != nil {
 		t.Fatal(err)
 	}
 	sess, err := Replay(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sess.Truncated || sess.Checkpoint == nil || sess.Checkpoint.Iteration != 2 {
+		t.Fatalf("live session after refused Create: checkpoint %+v, truncated %v (%s)",
+			sess.Checkpoint, sess.Truncated, sess.TruncatedReason)
+	}
+	// Resume must refuse for the same reason.
 	if _, err := Resume(dir, sess); !errors.Is(err, ErrLocked) {
 		t.Fatalf("Resume while locked: got %v, want ErrLocked", err)
 	}

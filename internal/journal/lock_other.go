@@ -2,6 +2,6 @@
 
 package journal
 
-// flockExclusive is a no-op where flock is unavailable; the lock file still
-// exists but mutual exclusion is advisory-only on such platforms.
+// flockExclusive is a no-op where flock is unavailable: there, nothing
+// stops a second Writer from opening the same WAL.
 func flockExclusive(uintptr) error { return nil }

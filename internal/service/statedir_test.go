@@ -86,7 +86,7 @@ func TestUploadedJobDirectory(t *testing.T) {
 				t.Fatal(err)
 			}
 			sort.Strings(files)
-			want := []string{"case.json", "job.json", "journal/checkpoint.json", "journal/lock", "journal/wal.log"}
+			want := []string{"case.json", "job.json", "journal/wal.log"}
 			if !reflect.DeepEqual(files, want) {
 				t.Fatalf("job directory holds %v, want %v", files, want)
 			}
