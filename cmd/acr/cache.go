@@ -9,14 +9,15 @@ import (
 	"acr/internal/evalstore"
 )
 
-// runCache administers a persistent evaluation store directory:
+// runCache administers a persistent evaluation store directory, whose
+// store.log is one append-only log of framed entries:
 //
-//	acr cache stats  -cache-dir <dir>   entry count, bytes, quarantine size
-//	acr cache verify -cache-dir <dir>   read+verify every entry; exit 1 if any fail
-//	acr cache gc     -cache-dir <dir>   enforce the byte budget, purge quarantine
+//	acr cache stats  -cache-dir <dir>   entries, bytes, evicted and corrupt frames
+//	acr cache verify -cache-dir <dir>   read+verify every frame; exit 1 if any fail
+//	acr cache gc     -cache-dir <dir>   compact the log to its intact entries within
+//	                                    the byte budget; delete an older layout's files
 //
-// All three adopt entries written by other processes (repairs, daemons)
-// since the directory was last scanned.
+// All three see every entry other processes (repairs, daemons) appended.
 func runCache(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("cache requires a subcommand: stats, verify, or gc")
@@ -48,13 +49,16 @@ func runCache(args []string) error {
 	}
 	switch sub {
 	case "stats":
+		// A fresh Store has read nothing, so its corrupt counter is the
+		// log's count of frames that fail verification.
 		s := st.Stats()
+		s.Corrupt = int64(st.Verify().Corrupt)
 		if err := emit(s); err != nil {
 			return err
 		}
 		if !*asJSON {
-			fmt.Printf("store %s: %d entries, %d bytes, %d quarantined\n",
-				st.Dir(), s.Entries, s.Bytes, s.Quarantined)
+			fmt.Printf("store %s: %d entries, %d bytes, %d evicted, %d corrupt\n",
+				*cacheDir, s.Entries, s.Bytes, s.Evicted, s.Corrupt)
 		}
 	case "verify":
 		rep := st.Verify()
@@ -62,8 +66,8 @@ func runCache(args []string) error {
 			return err
 		}
 		if !*asJSON {
-			fmt.Printf("store %s: checked %d, intact %d, corrupt %d, unreadable %d (%d bytes, %d quarantined)\n",
-				st.Dir(), rep.Checked, rep.Intact, rep.Corrupt, rep.Unreadable, rep.Bytes, rep.Quarantined)
+			fmt.Printf("store %s: checked %d, intact %d, corrupt %d, unreadable %d\n",
+				*cacheDir, rep.Checked, rep.Intact, rep.Corrupt, rep.Unreadable)
 		}
 		if rep.Corrupt+rep.Unreadable > 0 {
 			os.Exit(1)
@@ -74,8 +78,8 @@ func runCache(args []string) error {
 			return err
 		}
 		if !*asJSON {
-			fmt.Printf("store %s: %d entries, %d bytes after gc (evicted %d, purged %d quarantined, freed %d bytes)\n",
-				st.Dir(), rep.Entries, rep.Bytes, rep.Evicted, rep.Purged, rep.FreedBytes)
+			fmt.Printf("store %s: %d entries, %d bytes after gc (evicted %d, purged %d corrupt)\n",
+				*cacheDir, rep.Entries, rep.Bytes, rep.Evicted, rep.Purged)
 		}
 	default:
 		return fmt.Errorf("unknown cache subcommand %q (want stats, verify, or gc)", sub)

@@ -33,11 +33,11 @@
 // repair -cache-dir layers a persistent, corruption-tolerant evaluation
 // store under the in-memory cache: repeated repairs of the same incident
 // read fitness values from disk instead of re-simulating. The store is
-// advisory — corrupt or unreadable entries are quarantined and degrade to
-// cache misses, and the repair result is byte-identical with or without
-// it. serve opens one automatically under -state-dir; -cache-dir none
-// disables it. acr cache inspects, verifies, and compacts
-// a store directory; cache verify exits 1 when it quarantines entries.
+// advisory — corrupt or unreadable entries degrade to cache misses, and
+// the repair result is byte-identical with or without it. serve opens one
+// automatically under -state-dir; -cache-dir none disables it. acr cache
+// inspects, verifies, and compacts a store directory; cache verify exits 1
+// while the store's log holds a damaged frame.
 //
 // Builtins: figure2 (the paper's worked incident), figure2-repaired,
 // dcn4, wan. Case directories follow the format documented in
@@ -261,7 +261,7 @@ func runRepair(args []string) error {
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the repair (0 = unlimited)")
 	noCache := fs.Bool("no-cache", false, "disable the content-addressed evaluation cache (including -cache-dir)")
 	cacheDir := fs.String("cache-dir", "", "persistent evaluation store directory, shared across runs and processes (empty = in-memory only)")
-	cacheMax := fs.Int64("cache-max-bytes", 0, "persistent store byte budget (0 = 256 MiB); oldest entries evict first")
+	cacheMax := fs.Int64("cache-max-bytes", 0, "persistent store byte budget (0 = 256 MiB); a full store starts over empty")
 	differential := fs.Bool("differential", false, "replay every delta-simulated prefix and every validation against the cold path and fail the run on any divergence (soundness audit)")
 	journalDir := fs.String("journal", "", "write a crash-safe session journal to this directory")
 	resume := fs.Bool("resume", false, "resume the crashed session journaled in -journal")

@@ -25,12 +25,14 @@ type StorePlan struct {
 	// contract boundary — both degrade to "the write did not happen" — but
 	// kept separate so fault schedules can mix the two shapes.
 	ENOSPCEveryN int
-	// FlipBitEveryN flips one bit in every Nth entry after it lands on disk
-	// (0 = off): at-rest bit rot. The next read of that entry must detect
-	// the damage (CRC), quarantine it, and fall back to simulation.
+	// FlipBitEveryN flips one bit in the middle of the store's log after
+	// every Nth write (0 = off): at-rest bit rot. The next read of the
+	// damaged entry must detect it (CRC), report it corrupt, and fall back
+	// to simulation.
 	FlipBitEveryN int
-	// TornTailEveryN truncates every Nth entry to half its length after it
-	// lands (0 = off): a write torn by power loss. Detected by framing.
+	// TornTailEveryN truncates the store's log to half its length after
+	// every Nth write (0 = off): damage that shrinks the log in place. The
+	// entries lost must read as corrupt, never as another entry.
 	TornTailEveryN int
 	// SlowIO sleeps this long before every store read and write (0 = off):
 	// a pathologically slow disk. Purely a latency tax — nothing about the
@@ -131,9 +133,9 @@ func (si *StoreInjector) beforeWrite(string) error {
 	return inject
 }
 
-// afterWrite damages every Nth freshly written entry in place: the on-disk
-// state bit rot or a torn write would leave, applied right after the write
-// so the very next read must already cope.
+// afterWrite damages the store's file in place after every Nth write: the
+// on-disk state bit rot or a torn write would leave, applied right after
+// the write so the very next read must already cope.
 func (si *StoreInjector) afterWrite(path string) {
 	si.mu.Lock()
 	n := si.stats.Writes

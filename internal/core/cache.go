@@ -11,8 +11,8 @@ import (
 )
 
 // EvalStore is the persistent layer under the in-memory evaluation cache:
-// a content-addressed store of validated fitness values shared across runs
-// and processes (internal/evalstore implements it; core only
+// a store of validated fitness values shared across runs and processes,
+// keyed by evalCache.storeKey (internal/evalstore implements it; core only
 // sees the interface so the dependency points outward). The store is
 // advisory by contract — implementations must degrade every failure to a
 // miss — and its answers are consulted only for digests the in-memory
@@ -50,8 +50,11 @@ type evalCache struct {
 	cfg map[*netcfg.Config]string
 	// store is the persistent layer (nil = memory only). It is consulted
 	// only for digests missing from memory and written back only with
-	// freshly simulated fitness values.
+	// freshly simulated fitness values, under storeKey.
 	store EvalStore
+	// problem is the run's Problem.storeFingerprint: a store outlives the
+	// problem, so its keys must name the problem too.
+	problem string
 	// storeCorrupt counts store entries that failed integrity verification
 	// during this run (folded into Result.StoreCorrupt at the end).
 	storeCorrupt int
@@ -62,14 +65,14 @@ type evalCache struct {
 // NoCache also severs the persistent store: digests are never computed, so
 // nothing could be looked up or written back anyway, and the ablation must
 // measure a run with no caching of any kind.
-func newEvalCache(opts Options) *evalCache {
+func newEvalCache(p Problem, opts Options) *evalCache {
 	ec := &evalCache{
 		enabled: !opts.NoCache,
 		fitness: map[string]int{},
 		cfg:     map[*netcfg.Config]string{},
 	}
-	if ec.enabled {
-		ec.store = opts.Store
+	if ec.enabled && opts.Store != nil {
+		ec.store, ec.problem = opts.Store, p.storeFingerprint(opts.SimOpts)
 	}
 	return ec
 }
@@ -162,16 +165,23 @@ func (c *evalCache) put(d string, fitness int) {
 	}
 }
 
+// storeKey is the persistent store's key for configuration-set digest d:
+// SHA-256 over the problem fingerprint and d.
+func (c *evalCache) storeKey(d string) string {
+	sum := sha256.Sum256([]byte(c.problem + d))
+	return hex.EncodeToString(sum[:])
+}
+
 // storeGet consults the persistent store for a digest the in-memory cache
-// missed. Corrupt entries are tallied (the store has already quarantined
-// them) and reported as misses. Reads happen in proposal order, so their
+// missed. Corrupt entries are tallied (the store has already dropped them)
+// and reported as misses. Reads happen in proposal order, so their
 // sequence — and therefore any fault-injection schedule against them — is
 // identical across runs.
 func (c *evalCache) storeGet(d string) (int, bool) {
 	if c.store == nil || d == "" {
 		return 0, false
 	}
-	fit, ok, corrupt := c.store.Get(d)
+	fit, ok, corrupt := c.store.Get(c.storeKey(d))
 	if corrupt {
 		c.storeCorrupt++
 	}
@@ -186,7 +196,7 @@ func (c *evalCache) storePut(d string, fitness int) {
 	if c.store == nil || d == "" || fitness < 0 {
 		return
 	}
-	c.store.Put(d, fitness)
+	c.store.Put(c.storeKey(d), fitness)
 }
 
 // warm preloads the cache from a resumed session's journaled candidate

@@ -87,16 +87,17 @@ type Options struct {
 	// observational on a sound verifier, so it is excluded from
 	// SearchDigest.
 	Differential bool
-	// Store, when non-nil, is the persistent content-addressed evaluation
-	// store layered under the in-memory cache (internal/evalstore): digests
-	// the cache misses are looked up there before simulating, and freshly
-	// simulated fitness values are written back. Because fitness is a pure
-	// function of the configuration set, a store answer replaces only the
-	// simulation, never the decision — Canonical() output is byte-identical
-	// with a cold, warm, corrupt, or absent store. The store is therefore
-	// excluded from SearchDigest: a journaled session may resume on a
-	// machine with a different -cache-dir, a different budget, or no store
-	// at all. NoCache severs the store too.
+	// Store, when non-nil, is the persistent evaluation store layered
+	// under the in-memory cache (internal/evalstore): digests the cache
+	// misses are looked up there before simulating, and freshly simulated
+	// fitness values are written back, keyed by the problem as well as the
+	// configuration set. Because fitness is a pure function of the two, a
+	// store answer replaces only the simulation, never the decision —
+	// Canonical() output is byte-identical with a cold, warm, corrupt, or
+	// absent store. The store is therefore excluded from SearchDigest: a
+	// journaled session may resume on a machine with a different
+	// -cache-dir, a different budget, or no store at all. NoCache severs
+	// the store too.
 	Store EvalStore
 
 	// --- robustness -----------------------------------------------------
@@ -227,7 +228,7 @@ type Result struct {
 	StoreMisses int
 	// StoreCorrupt counts store entries that failed integrity verification
 	// (CRC, framing, or digest mismatch) during this run; each was
-	// quarantined by the store and degraded to a StoreMiss.
+	// reported corrupt by the store and degraded to a StoreMiss.
 	StoreCorrupt int
 
 	// --- static impact analysis -----------------------------------------
@@ -393,7 +394,7 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 
 	res := &Result{FinalConfigs: p.Configs, Termination: "iteration-cap"}
 	sink := newJournalSink(opts.Journal, res)
-	ec := newEvalCache(opts)
+	ec := newEvalCache(p, opts)
 
 	best := &bestEffort{fitness: -1}
 	finish := func(term string) *Result {

@@ -6,6 +6,7 @@ import (
 
 	"acr/internal/core"
 	"acr/internal/scenario"
+	"acr/internal/verify"
 )
 
 // fakeStore is an in-memory core.EvalStore with fault knobs, so the
@@ -169,5 +170,41 @@ func TestSearchDigestExcludesStore(t *testing.T) {
 	nocache.NoCache = true
 	if base.SearchDigest() == nocache.SearchDigest() {
 		t.Fatal("NoCache must stay inside SearchDigest")
+	}
+}
+
+// TestStoreKeyedByProblem: a store key covers the problem, not just the
+// configuration set. Figure 2 fills a store; the same configurations under
+// one more intent — isolating DCN-S from PoP-B, which contradicts the
+// reachability requirement — must then ignore those entries and match
+// their own storeless run, not inherit Figure 2's fitness values.
+func TestStoreKeyedByProblem(t *testing.T) {
+	s := scenario.Figure2()
+	p := problemOf(s)
+	opts := core.Options{Strategy: core.BruteForce}
+	st := newFakeStore()
+	filled := opts
+	filled.Store = st
+	if res := core.Repair(p, filled); !res.Feasible || st.len() == 0 {
+		t.Fatalf("populate run: %s (%d entries)", res.Summary(), st.len())
+	}
+
+	q := p
+	q.Intents = append(append([]verify.Intent(nil), p.Intents...),
+		verify.IsolationIntent("isolate-pop-b", scenario.PrefixDCNS, scenario.PrefixPoPB))
+	want := core.Repair(q, opts)
+	got := core.Repair(q, filled)
+	if got.Canonical() != want.Canonical() {
+		t.Fatalf("store filled by another problem changed the result (store hits %d)\n--- storeless ---\n%s\n--- over the store ---\n%s",
+			got.StoreHits, want.Canonical(), got.Canonical())
+	}
+
+	// The topology's name labels a case and decides nothing: the same
+	// problem under another name (an uploaded case is named after its
+	// incident) still shares the store.
+	renamed := scenario.Figure2()
+	renamed.Topo.Name = "figure2-upload"
+	if res := core.Repair(problemOf(renamed), filled); res.StoreMisses != 0 || res.StoreHits == 0 {
+		t.Fatalf("renamed topology lost the store: %s", res.Summary())
 	}
 }

@@ -48,7 +48,7 @@ func (r *Result) Report(baseConfigs map[string]*netcfg.Config) string {
 	}
 	fmt.Fprintf(&sb, "cache: %d hits, %d misses\n", r.CacheHits, r.CacheMisses)
 	if r.StoreHits+r.StoreMisses+r.StoreCorrupt > 0 {
-		fmt.Fprintf(&sb, "persistent store: %d hits, %d misses, %d corrupt entries quarantined\n",
+		fmt.Fprintf(&sb, "persistent store: %d hits, %d misses, %d corrupt entries\n",
 			r.StoreHits, r.StoreMisses, r.StoreCorrupt)
 	}
 	sb.WriteByte('\n')

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"acr/internal/bgp"
 	"acr/internal/journal"
 	"acr/internal/netcfg"
 	"acr/internal/sbfl"
@@ -25,13 +26,8 @@ func (p Problem) Digest() string {
 	h := sha256.New()
 	if p.Topo != nil {
 		fmt.Fprintf(h, "topo %s\n", p.Topo.Name)
-		for _, nd := range p.Topo.Nodes() {
-			fmt.Fprintf(h, "node %s %d %d %s %v\n", nd.Name, nd.Kind, nd.ASN, nd.RouterID, nd.Originates)
-		}
-		for _, l := range p.Topo.Links {
-			fmt.Fprintf(h, "link %s %s\n", l.A.Node, l.B.Node)
-		}
 	}
+	p.writeTopo(h)
 	devices := make([]string, 0, len(p.Configs))
 	for d := range p.Configs {
 		devices = append(devices, d)
@@ -41,10 +37,41 @@ func (p Problem) Digest() string {
 		fmt.Fprintf(h, "config %s\n", d)
 		io.WriteString(h, p.Configs[d].Text())
 	}
-	for _, in := range p.Intents {
-		fmt.Fprintf(h, "intent %+v\n", in)
-	}
+	p.writeIntents(h)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// storeFingerprint hashes what decides a configuration set's fitness
+// besides the set itself: the topology's nodes and links and the intents,
+// as Digest writes them, and the simulation's pass bound. The persistent
+// store keys entries by it together with the configuration-set digest, so
+// two problems sharing configurations never share fitness values. The
+// topology's name is left out: it labels a case (an uploaded case is
+// named after its incident) and decides nothing.
+func (p Problem) storeFingerprint(sim bgp.Options) string {
+	h := sha256.New()
+	p.writeTopo(h)
+	p.writeIntents(h)
+	fmt.Fprintf(h, "maxpasses %d\n", sim.MaxPasses)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func (p Problem) writeTopo(w io.Writer) {
+	if p.Topo == nil {
+		return
+	}
+	for _, nd := range p.Topo.Nodes() {
+		fmt.Fprintf(w, "node %s %d %d %s %v\n", nd.Name, nd.Kind, nd.ASN, nd.RouterID, nd.Originates)
+	}
+	for _, l := range p.Topo.Links {
+		fmt.Fprintf(w, "link %s %s\n", l.A.Node, l.B.Node)
+	}
+}
+
+func (p Problem) writeIntents(w io.Writer) {
+	for _, in := range p.Intents {
+		fmt.Fprintf(w, "intent %+v\n", in)
+	}
 }
 
 // SearchDigest fingerprints every option that steers the search. Options

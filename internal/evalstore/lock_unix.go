@@ -2,19 +2,18 @@
 
 package evalstore
 
-import "syscall"
+import (
+	"os"
+	"syscall"
+)
 
-// flockWait takes a blocking exclusive flock on fd. The store's write
-// sections are short (one atomic file write plus eviction bookkeeping), so
-// writers queue instead of failing: unlike the journal's session lock,
-// contention here is expected — every process sharing a cache directory
-// writes through it. The lock belongs to the open file description and dies
-// with the process, so a SIGKILL mid-write never wedges the directory.
-func flockWait(fd uintptr) error {
-	return syscall.Flock(int(fd), syscall.LOCK_EX)
-}
-
-// flockRelease drops the flock held on fd.
-func flockRelease(fd uintptr) error {
-	return syscall.Flock(int(fd), syscall.LOCK_UN)
+// flock takes a blocking exclusive flock on f and returns its release. The
+// lock dies with the process, so a SIGKILL mid-append never wedges the
+// directory. A failed lock degrades to an unserialized append, whose
+// damage verification turns into misses.
+func flock(f *os.File) (unlock func()) {
+	if syscall.Flock(int(f.Fd()), syscall.LOCK_EX) != nil {
+		return func() {}
+	}
+	return func() { syscall.Flock(int(f.Fd()), syscall.LOCK_UN) }
 }

@@ -94,51 +94,64 @@ func TestInvalidDigestsAreUnaddressable(t *testing.T) {
 	}
 }
 
-// mangle corrupts one on-disk entry in the given way and returns its path.
-func mangle(t *testing.T, s *Store, digest, how string) string {
+// logBytes returns the store's whole log.
+func logBytes(t *testing.T, s *Store) []byte {
 	t.Helper()
-	path := s.entryPath(digest)
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(s.path)
 	if err != nil {
-		t.Fatalf("read entry: %v", err)
+		t.Fatalf("read log: %v", err)
 	}
+	return data
+}
+
+// mangle damages digest's frame in the log in the given way. The frame is
+// replaced by the damaged bytes, so shapes that change its length move
+// whatever follows it.
+func mangle(t *testing.T, s *Store, digest, how string) {
+	t.Helper()
+	at, ok := s.idx[digest]
+	if !ok {
+		t.Fatalf("mangle: %s is not indexed", digest[:8])
+	}
+	data := logBytes(t, s)
+	frame := append([]byte(nil), data[at.off:at.off+at.n]...)
 	switch how {
 	case "bitflip":
-		data[len(data)-2] ^= 0x40
+		frame[len(frame)-2] ^= 0x40
 	case "torn":
-		data = data[:len(data)/2]
+		frame = frame[:len(frame)/2]
 	case "empty":
-		data = nil
+		frame = make([]byte, len(frame))
 	case "garbage":
-		data = []byte("not a frame at all")
+		frame = []byte("not a frame at all")
 	case "alias":
-		// A verbatim copy of another digest's (valid) entry: framing and
+		// A verbatim copy of another digest's (valid) frame: framing and
 		// CRC pass, the embedded digest does not.
-		other := s.entryPath(td(7777))
-		data, err = os.ReadFile(other)
-		if err != nil {
-			t.Fatalf("read alias source: %v", err)
-		}
+		other := s.idx[td(7777)]
+		frame = append([]byte(nil), data[other.off:other.off+other.n]...)
 	case "negative":
-		payload, err := journal.Frame([]byte(fmt.Sprintf(`{"digest":%q,"fitness":-5}`, digest)))
+		var err error
+		frame, err = journal.Frame([]byte(fmt.Sprintf(`{"digest":%q,"fitness":-5}`, digest)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		data = payload
 	default:
 		t.Fatalf("unknown mangle %q", how)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	out := append(append(append([]byte(nil), data[:at.off]...), frame...), data[at.off+at.n:]...)
+	if err := os.WriteFile(s.path, out, 0o644); err != nil {
 		t.Fatalf("mangle: %v", err)
 	}
-	return path
 }
 
+// TestCorruptEntriesQuarantine damages one frame of the log six ways: the
+// read reports it corrupt exactly once and drops it from the index, and
+// the digest can be stored again.
 func TestCorruptEntriesQuarantine(t *testing.T) {
 	for _, how := range []string{"bitflip", "torn", "empty", "garbage", "alias", "negative"} {
 		t.Run(how, func(t *testing.T) {
 			s := open(t, t.TempDir(), 0)
-			s.Put(td(7777), 42) // alias source
+			s.Put(td(7777), 4) // alias source, as long as the victim's frame
 			d := td(1)
 			s.Put(d, 5)
 			mangle(t, s, d, how)
@@ -147,55 +160,81 @@ func TestCorruptEntriesQuarantine(t *testing.T) {
 			if ok || !corrupt || fit != 0 {
 				t.Fatalf("corrupt Get = %d,%v,%v, want 0,false,true", fit, ok, corrupt)
 			}
-			if _, err := os.Stat(s.entryPath(d)); !os.IsNotExist(err) {
-				t.Fatal("corrupt entry still present after quarantine")
-			}
-			if _, err := os.Stat(s.quarantinePath(d)); err != nil {
-				t.Fatalf("quarantined copy missing: %v", err)
-			}
 			// A second read is a plain miss, not a second corruption.
 			if _, ok, corrupt := s.Get(d); ok || corrupt {
-				t.Fatalf("second Get after quarantine: ok=%v corrupt=%v", ok, corrupt)
+				t.Fatalf("second Get after corruption: ok=%v corrupt=%v", ok, corrupt)
 			}
-			st := s.Stats()
-			if st.Corrupt != 1 || st.Quarantined != 1 {
-				t.Fatalf("stats after quarantine: %+v", st)
+			if fit, ok, _ := s.Get(td(7777)); how != "alias" && (!ok || fit != 4) {
+				t.Fatalf("undamaged neighbour: %d,%v", fit, ok)
 			}
-			// The slot is writable again.
+			if st := s.Stats(); st.Corrupt != 1 {
+				t.Fatalf("stats after corruption: %+v", st)
+			}
+			// The slot is writable again. A fresh Store may lose frames
+			// that follow damage it cannot frame past, but never answers
+			// wrong.
 			s.Put(d, 6)
 			if fit, ok, _ := s.Get(d); !ok || fit != 6 {
-				t.Fatalf("rewrite after quarantine: %d,%v", fit, ok)
+				t.Fatalf("rewrite after corruption: %d,%v", fit, ok)
+			}
+			if fit, ok, _ := open(t, filepath.Dir(s.path), 0).Get(d); ok && fit != 6 {
+				t.Fatalf("fresh Store answered %d for the rewritten entry", fit)
 			}
 		})
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	s := open(t, t.TempDir(), 0)
+// TestGenerationReset: an append that would pass the budget starts a new,
+// empty generation. A Store still holding the old generation keeps reading
+// it intact, and once it catches up the dropped entries are misses, never
+// corruption.
+func TestGenerationReset(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, 0)
 	s.Put(td(1), 1)
 	entrySize := s.Stats().Bytes
 	if entrySize <= 0 {
 		t.Fatal("no bytes accounted")
 	}
-	// Budget for exactly three entries.
-	s.maxBytes = 3 * entrySize
+	s.maxBytes = 3 * entrySize // budget for exactly three entries
 	s.Put(td(2), 2)
 	s.Put(td(3), 3)
-	// Touch 1 so 2 becomes the least recently used.
-	if _, ok, _ := s.Get(td(1)); !ok {
-		t.Fatal("warm Get missed")
-	}
+	reader := open(t, dir, 0)
 	s.Put(td(4), 4)
-	if _, ok, _ := s.Get(td(2)); ok {
-		t.Fatal("LRU entry survived eviction")
+	if st := s.Stats(); st.Evicted != 3 || st.Entries != 1 || st.Bytes != entrySize {
+		t.Fatalf("stats after the reset: %+v", st)
 	}
-	for _, i := range []int{1, 3, 4} {
-		if _, ok, _ := s.Get(td(i)); !ok {
-			t.Fatalf("entry %d evicted out of LRU order", i)
+	for i := 1; i <= 3; i++ {
+		if _, ok, corrupt := s.Get(td(i)); ok || corrupt {
+			t.Fatalf("entry %d survived the reset: ok=%v corrupt=%v", i, ok, corrupt)
+		}
+		if fit, ok, _ := reader.Get(td(i)); !ok || fit != i {
+			t.Fatalf("old generation unreadable to a Store holding it: %d,%v", fit, ok)
 		}
 	}
-	if st := s.Stats(); st.Evicted != 1 || st.Entries != 3 {
-		t.Fatalf("stats after eviction: %+v", st)
+	if fit, ok, _ := reader.Get(td(4)); !ok || fit != 4 {
+		t.Fatalf("reader did not catch up to the new generation: %d,%v", fit, ok)
+	}
+	if _, ok, corrupt := reader.Get(td(1)); ok || corrupt {
+		t.Fatalf("evicted entry after catch-up: ok=%v corrupt=%v", ok, corrupt)
+	}
+	assertLayout(t, dir)
+}
+
+// assertLayout checks that dir holds the store's two files and nothing
+// else.
+func assertLayout(t *testing.T, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if !reflect.DeepEqual(names, []string{"store.lock", "store.log"}) {
+		t.Fatalf("cache directory holds %v, want [store.lock store.log]", names)
 	}
 }
 
@@ -240,8 +279,8 @@ func TestInjectedFaultsDegradeToMiss(t *testing.T) {
 }
 
 func TestAtRestCorruptionViaAfterWrite(t *testing.T) {
-	// The AfterWrite seam damages every entry as it lands; every read must
-	// come back as a quarantining corruption, never a wrong answer.
+	// The AfterWrite seam damages every frame as it lands; every read must
+	// come back as a corruption, never a wrong answer.
 	s := open(t, t.TempDir(), 0)
 	s.SetHooks(Hooks{AfterWrite: func(path string) {
 		data, err := os.ReadFile(path)
@@ -256,10 +295,10 @@ func TestAtRestCorruptionViaAfterWrite(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		if _, ok, corrupt := s.Get(td(i)); ok || !corrupt {
-			t.Fatalf("entry %d: ok=%v corrupt=%v, want quarantine", i, ok, corrupt)
+			t.Fatalf("entry %d: ok=%v corrupt=%v, want corruption", i, ok, corrupt)
 		}
 	}
-	if st := s.Stats(); st.Corrupt != 5 || st.Quarantined != 5 {
+	if st := s.Stats(); st.Corrupt != 5 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -270,44 +309,50 @@ func TestVerifyAndGC(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		s.Put(td(i), i)
 	}
-	mangle(t, s, td(0), "bitflip")
-	mangle(t, s, td(1), "torn")
+	mangle(t, s, td(0), "bitflip") // a middle frame
+	mangle(t, s, td(5), "torn")    // the tail
 
 	rep := s.Verify()
-	if rep.Checked != 6 || rep.Corrupt != 2 || rep.Intact != 4 || rep.Quarantined != 2 {
+	if rep.Checked != 6 || rep.Corrupt != 2 || rep.Intact != 4 || rep.Unreadable != 0 {
 		t.Fatalf("verify: %+v", rep)
 	}
-	// Verify already quarantined the bad ones; a second pass is clean.
-	if rep := s.Verify(); rep.Corrupt != 0 || rep.Checked != 4 {
-		t.Fatalf("second verify: %+v", rep)
+	// Verify modifies nothing: a second pass finds the same damage.
+	if again := s.Verify(); again != rep {
+		t.Fatalf("second verify: %+v, want %+v", again, rep)
 	}
 
 	gc := s.GC()
-	if gc.Purged != 2 || gc.Entries != 4 {
+	if gc.Purged != 2 || gc.Entries != 4 || gc.Evicted != 0 {
 		t.Fatalf("gc: %+v", gc)
 	}
-	if st := s.Stats(); st.Quarantined != 0 {
-		t.Fatalf("quarantine not emptied: %+v", st)
+	if rep := s.Verify(); rep.Corrupt != 0 || rep.Checked != 4 {
+		t.Fatalf("verify after gc: %+v", rep)
+	}
+	for i := 1; i < 5; i++ {
+		if fit, ok, _ := open(t, dir, 0).Get(td(i)); !ok || fit != i {
+			t.Fatalf("entry %d lost by gc: %d,%v", i, fit, ok)
+		}
 	}
 
-	// GC under a tight budget evicts down to it.
+	// GC under a tight budget keeps what fits, at least one entry.
 	s.maxBytes = 1
-	gc = s.GC()
-	if gc.Entries != 1 || gc.Evicted != 3 {
+	if gc = s.GC(); gc.Entries != 1 || gc.Evicted != 3 {
 		t.Fatalf("gc under budget: %+v", gc)
 	}
+	assertLayout(t, dir)
 }
 
 func TestClosedStoreIsInert(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	s.Put(td(1), 1)
+	before := len(logBytes(t, s))
 	s.Close()
 	s.Put(td(2), 2)
 	if _, ok, _ := s.Get(td(1)); ok {
 		t.Fatal("closed store answered a Get")
 	}
-	if _, err := os.Stat(s.entryPath(td(2))); !os.IsNotExist(err) {
-		t.Fatal("closed store wrote an entry")
+	if after := len(logBytes(t, s)); after != before {
+		t.Fatalf("closed store wrote: log grew from %d to %d bytes", before, after)
 	}
 }
 
@@ -373,94 +418,77 @@ func TestEvictionRaceDegradesToMiss(t *testing.T) {
 	wg.Wait()
 }
 
-func TestScanSkipsTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, 0)
-	s.Put(td(1), 1)
-	// A crashed writer's leftover temp file must not be indexed.
-	tmp := filepath.Join(dir, "entries", td(2)[:2], td(2)+".tmp123")
-	os.MkdirAll(filepath.Dir(tmp), 0o755)
-	os.WriteFile(tmp, []byte("partial"), 0o644)
-	s2 := open(t, dir, 0)
-	if st := s2.Stats(); st.Entries != 1 {
-		t.Fatalf("temp file indexed: %+v", st)
+// TestTruncatedLogNeverAliases cuts a three-entry log at every byte
+// offset. A fresh Store and one that indexed the whole log before the cut
+// must both answer each digest with its own fitness or a miss, and a
+// fresh Store must answer every frame the cut left whole.
+func TestTruncatedLogNeverAliases(t *testing.T) {
+	src := open(t, t.TempDir(), 0)
+	want := map[string]int{td(1): 10, td(2): 20, td(3): 30}
+	for _, i := range []int{1, 2, 3} {
+		src.Put(td(i), want[td(i)])
+	}
+	full := logBytes(t, src)
+	for cut := 0; cut <= len(full); cut++ {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "store.log")
+		if err := os.WriteFile(path, full, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stale := open(t, dir, 0)
+		if err := os.Truncate(path, int64(cut)); err != nil {
+			t.Fatal(err)
+		}
+		fresh := open(t, dir, 0)
+		for d, fitness := range want {
+			at := src.idx[d]
+			if fit, ok, _ := fresh.Get(d); ok != (at.off+at.n <= int64(cut)) || (ok && fit != fitness) {
+				t.Fatalf("cut %d, fresh Store: Get = %d,%v, want %d (whole frame: %v)",
+					cut, fit, ok, fitness, at.off+at.n <= int64(cut))
+			}
+			if fit, ok, _ := stale.Get(d); ok && fit != fitness {
+				t.Fatalf("cut %d, stale Store: Get = %d, want %d", cut, fit, fitness)
+			}
+		}
+		stale.Close()
+		fresh.Close()
 	}
 }
 
-// TestPutPublishesWholeEntries pins the write discipline: a Put leaves the
-// entry under its final name and nothing else — no temp file, in a shard
-// directory made on demand — and a Store opened before the write reads it
-// with no reindexing.
-func TestPutPublishesWholeEntries(t *testing.T) {
+// TestOlderLayoutMissesAndGCRemovesIt: a directory written by the older
+// one-file-per-entry layout opens as an empty store (its entries are
+// misses, not corruption), and GC deletes the old trees.
+func TestOlderLayoutMissesAndGCRemovesIt(t *testing.T) {
 	dir := t.TempDir()
-	a := open(t, dir, 0)
-	b := open(t, dir, 0)
-	if shards, _ := os.ReadDir(filepath.Join(dir, "entries")); len(shards) != 0 {
-		t.Fatalf("fresh store already has %d shard directories", len(shards))
-	}
-	var want, got []string
-	for i := 0; i < 20; i++ {
-		a.Put(td(i), i)
-		want = append(want, filepath.Join(td(i)[:2], td(i)))
-	}
-	sort.Strings(want)
-	root := filepath.Join(dir, "entries")
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		fi, err := d.Info()
-		if err != nil {
-			return err
-		}
-		if fi.Mode().Perm() != 0o644 {
-			t.Errorf("%s: mode %v, want 0644", path, fi.Mode().Perm())
-		}
-		rel, _ := filepath.Rel(root, path)
-		got = append(got, rel) // WalkDir visits in lexical order
-		return nil
-	})
+	frame, err := journal.Frame([]byte(fmt.Sprintf(`{"digest":%q,"fitness":3}`, td(1))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("entries/ holds %v, want exactly %v", got, want)
-	}
-	for i := 0; i < 20; i++ {
-		if fit, ok, corrupt := b.Get(td(i)); !ok || corrupt || fit != i {
-			t.Fatalf("second store Get(%d) = %d,%v,%v", i, fit, ok, corrupt)
+	for _, p := range []string{
+		filepath.Join(dir, "entries", td(1)[:2], td(1)),
+		filepath.Join(dir, "quarantine", td(2)),
+	} {
+		os.MkdirAll(filepath.Dir(p), 0o755)
+		if err := os.WriteFile(p, frame, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if st := a.Stats(); st.WriteErrors != 0 || st.Entries != 20 {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
-// TestFailedPublishLeavesNoTempFile: a write that cannot be renamed into
-// place is counted, forgotten, and cleans up after itself.
-func TestFailedPublishLeavesNoTempFile(t *testing.T) {
-	dir := t.TempDir()
 	s := open(t, dir, 0)
-	// A directory squatting on the entry's name makes the rename fail.
-	if err := os.MkdirAll(filepath.Join(s.entryPath(td(1)), "x"), 0o755); err != nil {
-		t.Fatal(err)
+	if _, ok, corrupt := s.Get(td(1)); ok || corrupt {
+		t.Fatalf("older-layout entry: ok=%v corrupt=%v, want a plain miss", ok, corrupt)
 	}
-	s.Put(td(1), 1)
-	if st := s.Stats(); st.WriteErrors != 1 || st.Entries != 0 {
-		t.Fatalf("stats: %+v", st)
+	s.Put(td(1), 3)
+	if gc := s.GC(); gc.Entries != 1 || gc.Purged != 0 {
+		t.Fatalf("gc: %+v", gc)
 	}
-	ents, err := os.ReadDir(filepath.Dir(s.entryPath(td(1))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 || ents[0].Name() != td(1) {
-		t.Fatalf("shard after failed Put: %v", ents)
+	assertLayout(t, dir)
+	if fit, ok, _ := s.Get(td(1)); !ok || fit != 3 {
+		t.Fatalf("entry lost by gc: %d,%v", fit, ok)
 	}
 }
 
-// BenchmarkPut is one cold evaluation-store write: a distinct digest into
-// a fresh store, so every iteration creates a file (and, for the first
-// entry of a shard, its directory).
+// BenchmarkPut is one cold evaluation-store write: a distinct digest
+// appended to a fresh store's log.
 func BenchmarkPut(b *testing.B) {
 	s, err := Open(b.TempDir(), 0)
 	if err != nil {
@@ -481,36 +509,46 @@ func BenchmarkPut(b *testing.B) {
 	}
 }
 
+// FuzzStoreRead opens arbitrary bytes as a store's log. Every Get the
+// store answers must be backed by a frame in those bytes that verifies,
+// with the digest asked for and the fitness answered.
 func FuzzStoreRead(f *testing.F) {
-	// Seed with a valid entry, a truncation, and a few classic mutations;
-	// the property is total: decodeRecord either returns a well-formed
-	// record or an error, and Get on arbitrary bytes never reports ok with
-	// a digest mismatch.
-	d := td(1)
-	payload, _ := journal.Frame([]byte(fmt.Sprintf(`{"digest":%q,"fitness":3}`, d)))
-	f.Add(payload)
-	f.Add(payload[:len(payload)/2])
+	var valid []byte
+	for i := 1; i <= 2; i++ {
+		frame, _ := journal.Frame([]byte(fmt.Sprintf(`{"digest":%q,"fitness":%d}`, td(i), i)))
+		valid = append(valid, frame...)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)*3/4])
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := decodeRecord(data)
-		if err == nil && rec.Digest == "" {
-			// Decoded clean but carries no digest: Get must still reject it.
-			_ = rec
-		}
 		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "store.log"), data, 0o644); err != nil {
+			t.Skip()
+		}
 		s, err := Open(dir, 0)
 		if err != nil {
 			t.Skip()
 		}
-		path := s.entryPath(d)
-		os.MkdirAll(filepath.Dir(path), 0o755)
-		os.WriteFile(path, data, 0o644)
-		fit, ok, _ := s.Get(d)
-		if ok {
-			rec, err := decodeRecord(data)
-			if err != nil || rec.Digest != d || rec.Fitness != fit {
-				t.Fatalf("Get accepted bytes that do not verify: fit=%d rec=%+v err=%v", fit, rec, err)
+		defer s.Close()
+		backed := map[string]map[int]bool{}
+		scan(data, func(_, _ int, rec record, intact bool) {
+			if intact {
+				if backed[rec.Digest] == nil {
+					backed[rec.Digest] = map[int]bool{}
+				}
+				backed[rec.Digest][rec.Fitness] = true
+			}
+		})
+		asked := []string{td(1), td(2)}
+		for d := range s.idx {
+			asked = append(asked, d)
+		}
+		sort.Strings(asked)
+		for _, d := range asked {
+			if fit, ok, _ := s.Get(d); ok && !backed[d][fit] {
+				t.Fatalf("Get(%s) = %d with no verifying frame behind it", d, fit)
 			}
 		}
 	})
