@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+
 	"acr/internal/core"
 	"acr/internal/service"
 )
@@ -35,11 +37,17 @@ const (
 )
 
 // exitError carries a specific process exit code up through main's single
-// error path alongside the one-line diagnostic.
+// error path, with an optional one-line diagnostic (nil err: main prints
+// nothing).
 type exitError struct {
 	code int
 	err  error
 }
 
-func (e *exitError) Error() string { return e.err.Error() }
+func (e *exitError) Error() string {
+	if e.err == nil {
+		return fmt.Sprintf("exit status %d", e.code)
+	}
+	return e.err.Error()
+}
 func (e *exitError) Unwrap() error { return e.err }

@@ -8,7 +8,7 @@
 //	acr lint     (-builtin <name> | -dir <casedir>) [-json] [-severity info]
 //	acr localize (-builtin <name> | -dir <casedir>) [-formula tarantula] [-top 15]
 //	acr repair   (-builtin <name> | -dir <casedir>) [-strategy evolutionary] [-seed 0] [-out <dir>]
-//	             [-journal <dir> [-resume]] [-no-cache] [-differential] [-o text|json]
+//	             [-journal <dir> [-resume]] [-differential] [-o text|json]
 //	             [-cache-dir <dir> [-cache-max-bytes <n>]]
 //	acr serve    -state-dir <dir> [-addr 127.0.0.1:7365] [-workers 2] [-queue-cap 64]
 //	             [-debug-addr 127.0.0.1:6060] [-cache-dir <dir>|none] [-cache-max-bytes <n>]
@@ -91,11 +91,14 @@ func main() {
 		os.Exit(2)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "acr:", err)
 		var ee *exitError
 		if errors.As(err, &ee) {
+			if ee.err != nil {
+				fmt.Fprintln(os.Stderr, "acr:", err)
+			}
 			os.Exit(ee.code)
 		}
+		fmt.Fprintln(os.Stderr, "acr:", err)
 		os.Exit(1)
 	}
 }
@@ -259,7 +262,6 @@ func runRepair(args []string) error {
 	outDir := fs.String("out", "", "write repaired case to this directory")
 	maxIter := fs.Int("max-iterations", 0, "iteration cap (default 500)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the repair (0 = unlimited)")
-	noCache := fs.Bool("no-cache", false, "disable the content-addressed evaluation cache (including -cache-dir)")
 	cacheDir := fs.String("cache-dir", "", "persistent evaluation store directory, shared across runs and processes (empty = in-memory only)")
 	cacheMax := fs.Int64("cache-max-bytes", 0, "persistent store byte budget (0 = 256 MiB); a full store starts over empty")
 	differential := fs.Bool("differential", false, "replay every delta-simulated prefix and every validation against the cold path and fail the run on any divergence (soundness audit)")
@@ -275,8 +277,7 @@ func runRepair(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := acr.RepairOptions{Seed: *seed, MaxIterations: *maxIter,
-		NoCache: *noCache, Differential: *differential}
+	opts := acr.RepairOptions{Seed: *seed, MaxIterations: *maxIter, Differential: *differential}
 	switch *strategy {
 	case "evolutionary":
 		opts.Strategy = core.Evolutionary
@@ -355,28 +356,25 @@ func runRepair(args []string) error {
 		fmt.Print(res.Report(c.Configs))
 	}
 	if *outDir != "" {
-		// Write the best-effort configs even when infeasible: a partial
-		// repair that fixes some intents is still worth inspecting.
-		configs := res.FinalConfigs
-		if configs == nil {
-			configs = res.BestEffortConfigs
+		// Write the best-effort configs, which are the repaired ones on a
+		// feasible run: a partial repair that fixes some intents is still
+		// worth inspecting.
+		s := &scenario.Scenario{Name: c.Name + "-repaired", Topo: c.Topo, Configs: res.BestEffortConfigs, Intents: c.Intents}
+		if err := caseio.Save(*outDir, s); err != nil {
+			return err
 		}
-		if configs != nil {
-			s := &scenario.Scenario{Name: c.Name + "-repaired", Topo: c.Topo, Configs: configs, Intents: c.Intents}
-			if err := caseio.Save(*outDir, s); err != nil {
-				return err
-			}
-			// In json mode stdout is the machine-readable result; keep
-			// human notes off it.
-			note := os.Stdout
-			if *output == "json" {
-				note = os.Stderr
-			}
-			fmt.Fprintf(note, "repaired case written to %s\n", *outDir)
+		// In json mode stdout is the machine-readable result; keep human
+		// notes off it.
+		note := os.Stdout
+		if *output == "json" {
+			note = os.Stderr
 		}
+		fmt.Fprintf(note, "repaired case written to %s\n", *outDir)
 	}
+	// Return the outcome rather than exit here, so the deferred journal and
+	// store Close calls run.
 	if code := repairExitCode(res); code != 0 {
-		os.Exit(code)
+		return &exitError{code: code}
 	}
 	return nil
 }

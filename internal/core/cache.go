@@ -41,7 +41,6 @@ type EvalStore interface {
 // order, which is what keeps cache state — and therefore the
 // CacheHits/CacheMisses counters — deterministic.
 type evalCache struct {
-	enabled bool
 	fitness map[string]int
 	// cfg memoizes per-config content digests by pointer. Only long-lived
 	// configurations (population members' post-edit maps share the
@@ -60,18 +59,13 @@ type evalCache struct {
 	storeCorrupt int
 }
 
-// newEvalCache builds the run's cache; disabled caches answer no lookups
-// and store nothing, so the NoCache ablation leaves both counters at zero.
-// NoCache also severs the persistent store: digests are never computed, so
-// nothing could be looked up or written back anyway, and the ablation must
-// measure a run with no caching of any kind.
+// newEvalCache builds the run's cache over opts.Store, if any.
 func newEvalCache(p Problem, opts Options) *evalCache {
 	ec := &evalCache{
-		enabled: !opts.NoCache,
 		fitness: map[string]int{},
 		cfg:     map[*netcfg.Config]string{},
 	}
-	if ec.enabled && opts.Store != nil {
+	if opts.Store != nil {
 		ec.store, ec.problem = opts.Store, p.storeFingerprint(opts.SimOpts)
 	}
 	return ec
@@ -102,26 +96,23 @@ func hashLines(lines []string) string {
 // configuration set that validating it would verify. It applies the
 // update's edits exactly the way the verifier does (verify.Incremental's
 // applyEdits: sets compose in order against the parent's configs) and
-// reports ok=false under the same conditions the verifier rejects the
+// returns "" under the same conditions the verifier rejects the
 // candidate — unknown device, out-of-range or conflicting edits — so a
 // malformed proposal can never alias the digest of a well-formed one and
-// steal its cached fitness. ok=false also when the cache is disabled.
-func (c *evalCache) digest(pr *proposal) (string, bool) {
-	if !c.enabled {
-		return "", false
-	}
+// steal its cached fitness.
+func (c *evalCache) digest(pr *proposal) string {
 	base := pr.parent.configs
 	var edited map[string]*netcfg.Config
 	for _, es := range pr.update.Edits {
 		cur, ok := edited[es.Device]
 		if !ok {
 			if cur, ok = base[es.Device]; !ok {
-				return "", false
+				return ""
 			}
 		}
 		next, err := es.Apply(cur)
 		if err != nil {
-			return "", false
+			return ""
 		}
 		if edited == nil {
 			edited = map[string]*netcfg.Config{}
@@ -143,12 +134,12 @@ func (c *evalCache) digest(pr *proposal) (string, bool) {
 		}
 		fmt.Fprintf(h, "%s\x00%s\n", d, cd)
 	}
-	return hex.EncodeToString(h.Sum(nil)), true
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // get looks a digest up.
 func (c *evalCache) get(d string) (int, bool) {
-	if !c.enabled || d == "" {
+	if d == "" {
 		return 0, false
 	}
 	fit, ok := c.fitness[d]
@@ -157,7 +148,7 @@ func (c *evalCache) get(d string) (int, bool) {
 
 // put stores a successfully validated candidate's fitness.
 func (c *evalCache) put(d string, fitness int) {
-	if !c.enabled || d == "" {
+	if d == "" {
 		return
 	}
 	if _, ok := c.fitness[d]; !ok {
@@ -213,9 +204,6 @@ func (c *evalCache) storePut(d string, fitness int) {
 // pays the crashed run's evaluations forward. Put skips digests the store
 // already holds, so re-warming an already-shared store is free.
 func (c *evalCache) warm(cands []journal.Candidate, upTo int) {
-	if !c.enabled {
-		return
-	}
 	for _, cd := range cands {
 		if cd.Iteration <= upTo && cd.Digest != "" && cd.Fitness >= 0 {
 			c.put(cd.Digest, cd.Fitness)

@@ -67,7 +67,7 @@ func NewContext(p Problem, iv *verify.Incremental, formula sbfl.Formula, rng *ra
 
 // priorWeight maps diagnostic severities to prior strength: an Error is a
 // near-certain misconfiguration, a Warning a consensus violation, an Info
-// a hint. All clear MinSusp's default (0.45) so flagged-but-uncovered
+// a hint. All clear minSusp (0.45) so flagged-but-uncovered
 // lines stay in the fix stage's scope.
 func priorWeight(s analysis.Severity) float64 {
 	switch s {

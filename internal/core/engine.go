@@ -45,15 +45,20 @@ type FaultInjector interface {
 	BeforeValidate() error
 }
 
+// The search's fixed parameters. Localization ranks lines by Tarantula
+// (sbfl.Tarantula). The widening multiplier scales topKLines, candidateCap
+// and sampleSize.
+const (
+	minSusp       = 0.45 // suspiciousness threshold
+	topKLines     = 24   // suspicious lines considered per version
+	populationCap = 8    // preserved updates carried per iteration
+	candidateCap  = 64   // validated candidates per iteration
+	sampleSize    = 16   // evolutionary: proposals sampled per member
+)
+
 // Options tunes the engine. Zero values select the paper's defaults.
 type Options struct {
-	Formula       sbfl.Formula // default Tarantula
-	MaxIterations int          // default 500 (the paper's cap)
-	MinSusp       float64      // suspiciousness threshold, default 0.45
-	TopKLines     int          // suspicious lines considered per version, default 24
-	PopulationCap int          // preserved updates carried per iteration, default 8
-	CandidateCap  int          // validated candidates per iteration, default 64
-	SampleSize    int          // evolutionary: proposals sampled per member, default 16
+	MaxIterations int // default 500 (the paper's cap)
 	Strategy      Strategy
 	Seed          int64
 	Templates     []Template
@@ -71,13 +76,6 @@ type Options struct {
 	// Deprecated: Parallelism is ignored. Candidates are validated one at
 	// a time, in proposal order, on the engine goroutine.
 	Parallelism int
-	// NoCache disables the content-addressed evaluation cache (ablation):
-	// duplicate proposals across iterations, widening rounds, and resumed
-	// sessions are re-simulated instead of answered from the cache.
-	// The setting is part of SearchDigest: a cached and an uncached run
-	// count differently, so a journaled session must resume under the
-	// same setting.
-	NoCache bool
 	// Differential audits every incremental validation against the cold
 	// path (verify.Incremental.Differential): each delta-simulated prefix
 	// is replayed against a cold simulation and each report against a
@@ -96,8 +94,7 @@ type Options struct {
 	// Canonical() output is byte-identical with a cold, warm, corrupt, or
 	// absent store. The store is therefore excluded from SearchDigest: a
 	// journaled session may resume on a machine with a different
-	// -cache-dir, a different budget, or no store at all. NoCache severs
-	// the store too.
+	// -cache-dir, a different budget, or no store at all.
 	Store EvalStore
 
 	// --- robustness -----------------------------------------------------
@@ -127,26 +124,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Formula.Fn == nil {
-		o.Formula = sbfl.Tarantula
-	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 500
-	}
-	if o.MinSusp == 0 {
-		o.MinSusp = 0.45
-	}
-	if o.TopKLines <= 0 {
-		o.TopKLines = 24
-	}
-	if o.PopulationCap <= 0 {
-		o.PopulationCap = 8
-	}
-	if o.CandidateCap <= 0 {
-		o.CandidateCap = 64
-	}
-	if o.SampleSize <= 0 {
-		o.SampleSize = 16
 	}
 	if o.Templates == nil {
 		o.Templates = templateSource()
@@ -192,7 +171,7 @@ type Result struct {
 	Logs        []IterationLog
 	// CandidatesValidated counts candidates resolved by validation —
 	// simulated or answered from the evaluation cache (it equals
-	// CacheHits+CacheMisses when the cache is enabled).
+	// CacheHits+CacheMisses).
 	CandidatesValidated int
 	// PrefixSimulations counts per-prefix control-plane runs performed by
 	// validation (the incremental verifier's and the cache's savings show
@@ -204,7 +183,7 @@ type Result struct {
 	// --- performance ----------------------------------------------------
 
 	// CacheHits counts candidates answered by the content-addressed
-	// evaluation cache without simulation (0 with Options.NoCache).
+	// evaluation cache without simulation.
 	CacheHits int
 	// CacheMisses counts candidates that were simulated and then stored.
 	CacheMisses int
@@ -508,7 +487,7 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 		}
 		if len(pop) > 0 {
 			log.TopSuspicious = append(log.TopSuspicious,
-				sbfl.Suspicious(pop[0].ctx.Ranks, 5, opts.MinSusp)...)
+				sbfl.Suspicious(pop[0].ctx.Ranks, 5, minSusp)...)
 		}
 		if len(props) == 0 {
 			if widen < 8 {
@@ -522,7 +501,7 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 			sink.iteration(log)
 			return finish("exhausted")
 		}
-		limit := opts.CandidateCap * widen
+		limit := candidateCap * widen
 		if len(props) > limit {
 			if opts.Strategy == Evolutionary {
 				rng.Shuffle(len(props), func(i, j int) { props[i], props[j] = props[j], props[i] })
@@ -658,8 +637,8 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 			}
 			return len(kept[i].parent.descs) < len(kept[j].parent.descs)
 		})
-		if len(kept) > opts.PopulationCap {
-			kept = kept[:opts.PopulationCap]
+		if len(kept) > populationCap {
+			kept = kept[:populationCap]
 		}
 		next := make([]*candidate, 0, len(kept))
 		maxFit := 0
@@ -840,10 +819,10 @@ func (b *bestEffort) writeTo(res *Result) {
 // miss and enters the cache like the simulation it replaced, so
 // CacheHits/CacheMisses — part of Canonical() — match a cold-store run and
 // only the store counters see it. digest is "" for a proposal the cache
-// cannot address (cache off, malformed edits); refuted reports that the
+// cannot address (malformed edits); refuted reports that the
 // impact analysis answered the validation without simulating.
 func evaluate(ctx context.Context, res *Result, ec *evalCache, pr *proposal, opts Options) (fitness int, digest string, refuted bool, err error) {
-	digest, _ = ec.digest(pr)
+	digest = ec.digest(pr)
 	if fit, ok := ec.get(digest); ok {
 		res.CacheHits++
 		return fit, digest, false, nil
@@ -925,7 +904,7 @@ func validateCandidate(ctx context.Context, res *Result, pr *proposal, opts Opti
 // crossovers merging disjoint-device proposals. Each template application
 // is panic-isolated: a panicking template poisons only its own proposals.
 func generate(res *Result, member *candidate, opts Options, widen int, rng *rand.Rand) []proposal {
-	sus := sbfl.Suspicious(member.ctx.Ranks, opts.TopKLines*widen, opts.MinSusp)
+	sus := sbfl.Suspicious(member.ctx.Ranks, topKLines*widen, minSusp)
 	var props []proposal
 	for _, sc := range sus {
 		tmpls := opts.Templates
@@ -956,7 +935,7 @@ func generate(res *Result, member *candidate, opts Options, widen int, rng *rand
 	}
 	if opts.Strategy == Evolutionary {
 		rng.Shuffle(len(props), func(i, j int) { props[i], props[j] = props[j], props[i] })
-		if max := opts.SampleSize * widen; len(props) > max {
+		if max := sampleSize * widen; len(props) > max {
 			props = props[:max]
 		}
 		// Crossover: merge pairs touching disjoint devices.
@@ -1072,7 +1051,7 @@ func newCandidate(p Problem, iv *verify.Incremental, descs []string, opts Option
 		fitness: iv.BaseReport().NumFailed(),
 		descs:   descs,
 	}
-	c.ctx = buildContext(p, iv, opts.Formula, versionRNG(opts.Seed, descs), !opts.noStaticPrior)
+	c.ctx = buildContext(p, iv, sbfl.Tarantula, versionRNG(opts.Seed, descs), !opts.noStaticPrior)
 	return c
 }
 

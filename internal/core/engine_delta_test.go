@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"acr/internal/core"
+	"acr/internal/journal"
 	"acr/internal/scenario"
 )
 
@@ -40,7 +41,6 @@ func TestSearchDigestGolden(t *testing.T) {
 		want string
 	}{
 		{"defaults", core.Options{}, "4e11203c04540eb565dd9dee844c30eb4e67665fcd2013f88aaa37339961dc10"},
-		{"seed 1, no cache", core.Options{Seed: 1, NoCache: true}, "c335d0a3830e35a9253b809086c0adab0f759f2209ab436935fedb75813690b3"},
 		{"full validation", core.Options{FullValidation: true}, "42dfd7271eae0da1634a89e7bd543001d1ecb99276c45d1d0842668db937eef2"},
 	} {
 		if got := c.opts.SearchDigest(); got != c.want {
@@ -50,6 +50,54 @@ func TestSearchDigestGolden(t *testing.T) {
 		if got := c.opts.SearchDigest(); got != c.want {
 			t.Errorf("%s: Differential moves SearchDigest to %s; observational replay must not split sessions", c.name, got)
 		}
+	}
+}
+
+// TestNoCacheSessionRefused: a session journaled by an older engine with
+// its evaluation cache switched off (-no-cache) counted hits and misses as
+// zero, so its checkpoints cannot continue a cached run. Its options digest
+// names a search this engine no longer runs: resume must refuse it with a
+// KindJournal error and run fresh, not mis-resume.
+func TestNoCacheSessionRefused(t *testing.T) {
+	// SearchDigest of Options{Seed: 1, NoCache: true} when the switch existed.
+	const noCacheDigest = "c335d0a3830e35a9253b809086c0adab0f759f2209ab436935fedb75813690b3"
+	p := problemOf(scenario.Figure2())
+	hdr := core.SessionHeader("no-cache", p, core.Options{Seed: 1})
+	hdr.OptionsDigest = noCacheDigest
+	dir := t.TempDir()
+	w, err := journal.Create(dir, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.Repair(p, core.Options{Seed: 1, Journal: w})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := journal.Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Terminal = nil // the process died before its terminal record
+	if sess.Checkpoint == nil || !sess.Resumable() {
+		t.Fatal("journaled session holds no resumable checkpoint")
+	}
+
+	res := core.Repair(p, core.Options{Seed: 1, Resume: sess})
+	if res.Resumed {
+		t.Fatal("resumed a session journaled with the cache off")
+	}
+	refused := false
+	for _, e := range res.Errors {
+		if e.Kind == core.KindJournal && strings.Contains(e.Err.Error(), "options digest") {
+			refused = true
+		}
+	}
+	if !refused {
+		t.Errorf("no KindJournal options-digest refusal recorded: %v", res.Errors)
+	}
+	if fresh := core.Repair(p, core.Options{Seed: 1}); res.Canonical() != fresh.Canonical() {
+		t.Errorf("refused resume diverges from a fresh run\n--- fresh ---\n%s\n--- refused ---\n%s",
+			fresh.Canonical(), res.Canonical())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"acr/internal/core"
 	"acr/internal/netcfg"
-	"acr/internal/sbfl"
 	"acr/internal/scenario"
 )
 
@@ -64,24 +63,6 @@ func TestRepairDoubleFaultWithWidening(t *testing.T) {
 	}
 }
 
-func TestRepairSmallCapsStillFeasible(t *testing.T) {
-	// Tight knobs force multiple widening rounds but must not break
-	// feasibility on the worked example.
-	s := scenario.Figure2()
-	p := problemOf(s)
-	res := core.Repair(p, core.Options{
-		Strategy:      core.BruteForce,
-		TopKLines:     2,
-		CandidateCap:  4,
-		PopulationCap: 2,
-		MaxIterations: 40,
-	})
-	if !res.Feasible {
-		t.Fatalf("tight caps infeasible: %s", res.Summary())
-	}
-	checkRepaired(t, p, res)
-}
-
 // TestRepairFullValidationEquivalent holds the incremental run to its
 // from-scratch reference: byte-identical Canonical() output, while the
 // incremental run delta-simulates and does strictly less work.
@@ -105,16 +86,6 @@ func TestRepairFullValidationEquivalent(t *testing.T) {
 		t.Errorf("incremental validation did not reduce activations: %d vs %d under full validation",
 			inc.SimActivations, full.SimActivations)
 	}
-}
-
-func TestRepairCustomFormula(t *testing.T) {
-	s := scenario.Figure2()
-	p := problemOf(s)
-	res := core.Repair(p, core.Options{Strategy: core.BruteForce, Formula: sbfl.Ochiai})
-	if !res.Feasible {
-		t.Fatalf("Ochiai-driven repair infeasible: %s", res.Summary())
-	}
-	checkRepaired(t, p, res)
 }
 
 func TestIterationLogsConsistency(t *testing.T) {

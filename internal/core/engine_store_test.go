@@ -137,25 +137,6 @@ func TestStoreFaultsAreInvisible(t *testing.T) {
 	}
 }
 
-// TestNoCacheBypassesStore: the -no-cache ablation measures a run with no
-// caching of any kind, so the persistent store must see zero traffic.
-func TestNoCacheBypassesStore(t *testing.T) {
-	s := scenario.Figure2()
-	p := problemOf(s)
-	st := newFakeStore()
-	st.m["deadbeef"] = 1 // anything in here must stay unread
-	res := core.Repair(p, core.Options{Strategy: core.BruteForce, NoCache: true, Store: st})
-	if !res.Feasible {
-		t.Fatalf("infeasible: %s", res.Summary())
-	}
-	if st.gets != 0 || st.puts != 0 {
-		t.Fatalf("NoCache run touched the store: gets=%d puts=%d", st.gets, st.puts)
-	}
-	if res.StoreHits+res.StoreMisses+res.StoreCorrupt != 0 {
-		t.Fatalf("NoCache run counted store traffic: %s", res.Summary())
-	}
-}
-
 // TestSearchDigestExcludesStore: the store is infrastructure, not search
 // steering — a journaled session must resume under a different cache
 // directory, budget, or no store at all.
@@ -165,11 +146,6 @@ func TestSearchDigestExcludesStore(t *testing.T) {
 	with.Store = newFakeStore()
 	if base.SearchDigest() != with.SearchDigest() {
 		t.Fatal("Options.Store changed SearchDigest; resume across cache configurations would refuse")
-	}
-	nocache := base
-	nocache.NoCache = true
-	if base.SearchDigest() == nocache.SearchDigest() {
-		t.Fatal("NoCache must stay inside SearchDigest")
 	}
 }
 

@@ -82,20 +82,19 @@ func (p Problem) writeIntents(w io.Writer) {
 func (o Options) SearchDigest() string {
 	o = o.withDefaults()
 	h := sha256.New()
-	// NoCache is present: it changes the hit/miss counters in Canonical,
-	// so cached and uncached sessions must not mix. Differential is
-	// absent: replay is purely observational and moves no counter. Store
-	// is deliberately absent too: the persistent evaluation store only
-	// substitutes disk reads for simulations without touching anything in
-	// Canonical, so a session may resume on a machine with a different
-	// -cache-dir, budget, or no store at all. "noprior=false",
-	// "noimpact=false" and "nodelta=false" are constant text: they keep the
-	// digest of every option vector equal to the one written when those
-	// three ablation switches were options, so older journals and service
-	// state directories still resume.
-	fmt.Fprintf(h, "formula=%s iters=%d minsusp=%g topk=%d popcap=%d candcap=%d sample=%d strategy=%d seed=%d full=%v noprior=false nocache=%v noimpact=false nodelta=false\n",
-		o.Formula.Name, o.MaxIterations, o.MinSusp, o.TopKLines, o.PopulationCap,
-		o.CandidateCap, o.SampleSize, o.Strategy, o.Seed, o.FullValidation, o.NoCache)
+	// Differential is absent: replay is purely observational and moves no
+	// counter. Store is deliberately absent too: the persistent evaluation
+	// store only substitutes disk reads for simulations without touching
+	// anything in Canonical, so a session may resume on a machine with a
+	// different -cache-dir, budget, or no store at all. Everything but
+	// iters, strategy, seed and full is constant text: the search
+	// constants, and "noprior", "nocache", "noimpact" and "nodelta" as
+	// false, keep the digest of every option vector equal to the one
+	// written when those were options, so older journals and service
+	// state directories still resume. A session journaled with the cache
+	// off hashes nocache=true and is refused.
+	fmt.Fprintf(h, "formula=tarantula iters=%d minsusp=0.45 topk=24 popcap=8 candcap=64 sample=16 strategy=%d seed=%d full=%v noprior=false nocache=false noimpact=false nodelta=false\n",
+		o.MaxIterations, o.Strategy, o.Seed, o.FullValidation)
 	for _, t := range o.Templates {
 		// Registry-resolved templates fold their full descriptor digest —
 		// name, description, error class, use-case, version, provenance —
@@ -247,7 +246,7 @@ func buildCheckpoint(res *Result, best *bestEffort, st loopState) journal.Checkp
 // restoreCheckpoint rebuilds the run from a checkpoint: counters and logs
 // into res, the best-effort tracker, and the population (each member is
 // re-verified — the only validation work a resume re-pays, bounded by
-// PopulationCap). A member whose re-verification fails or disagrees with
+// populationCap). A member whose re-verification fails or disagrees with
 // its journaled fitness is dropped (quarantine semantics); restore reports
 // ok=false when no member survives, and the caller falls back to a fresh
 // run.

@@ -10,14 +10,16 @@ import (
 	"acr/internal/scenario"
 )
 
-// rebuildWithVersion reconstructs the builtin registry in registration
-// order, bumping one template's version — the same code under a changed
-// descriptor, which must be enough to orphan a journal.
+// rebuildWithVersion reconstructs the builtin engine library in
+// registration order (List is name-sorted, and template order is part of
+// SearchDigest), bumping one template's version — the same code under a
+// changed descriptor, which must be enough to orphan a journal.
 func rebuildWithVersion(t *testing.T, name, version string) *Registry {
 	t.Helper()
 	src := NewBuiltin()
 	out := New()
-	for _, n := range src.Names() {
+	for _, tm := range src.EngineTemplates() {
+		n := tm.Name()
 		e, ok := src.Lookup(n)
 		if !ok {
 			t.Fatalf("builtin %s vanished", n)

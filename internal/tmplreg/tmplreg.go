@@ -195,29 +195,13 @@ func (r *Registry) ByClass(c errclass.Class) []Entry {
 	return out
 }
 
-// Resolve returns the named templates, wrapped with their descriptor
-// digests, in the order given. Unknown names are an error: a repair run
-// must never silently proceed with fewer templates than asked for.
-func (r *Registry) Resolve(names ...string) ([]core.Template, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]core.Template, 0, len(names))
-	for _, name := range names {
-		e, ok := r.byName[name]
-		if !ok {
-			return nil, fmt.Errorf("tmplreg: unknown template %q", name)
-		}
-		out = append(out, described{Template: e.tmpl, digest: e.Digest})
-	}
-	return out, nil
-}
-
 // EngineTemplates is the default repair library: the builtin Table 1
 // templates in registration order — exactly core.BuiltinTemplates order,
 // so registry resolution is trajectory-identical to the pre-registry
 // engine — each wrapped with its descriptor digest. Operator templates
 // never join the default set implicitly (that would silently
-// change every journaled session's digest); callers opt in via Resolve.
+// change every journaled session's digest); callers opt in by passing an
+// entry's Described() template in core.Options.Templates.
 // Universal pseudo-class operators are likewise excluded: they are the §6
 // ablation set, selected by -universal.
 func (r *Registry) EngineTemplates() []core.Template {
@@ -271,13 +255,6 @@ func (r *Registry) SetConformant(name string, ok bool) bool {
 	}
 	e.Conformant = ok
 	return true
-}
-
-// Names returns the registered names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.order...)
 }
 
 // NewBuiltin returns a fresh registry pre-populated with the builtin

@@ -111,7 +111,7 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 // TestListSortedAndLookup: List is name-sorted regardless of registration
-// order; Lookup and Resolve find entries; Resolve errors on unknowns.
+// order; Lookup finds every listed entry and nothing else.
 func TestListSortedAndLookup(t *testing.T) {
 	list := Default.List()
 	if !sort.SliceIsSorted(list, func(i, j int) bool { return list[i].Name < list[j].Name }) {
@@ -127,12 +127,13 @@ func TestListSortedAndLookup(t *testing.T) {
 	if e.Digest != e.Meta.Digest() || len(e.Digest) != 64 {
 		t.Errorf("entry digest %q inconsistent with Meta.Digest()", e.Digest)
 	}
-	ts, err := Default.Resolve("fix-peer-asn", "add-redistribute-static")
-	if err != nil || len(ts) != 2 || ts[0].Name() != "fix-peer-asn" {
-		t.Errorf("Resolve = %v, %v", ts, err)
+	for _, le := range list {
+		if got, ok := Default.Lookup(le.Name); !ok || got.Digest != le.Digest {
+			t.Errorf("Lookup %s = %+v, %v; List holds digest %s", le.Name, got, ok, le.Digest)
+		}
 	}
-	if _, err := Default.Resolve("no-such-template"); err == nil {
-		t.Error("Resolve of unknown name succeeded")
+	if _, ok := Default.Lookup("no-such-template"); ok {
+		t.Error("Lookup of unknown name succeeded")
 	}
 }
 
@@ -199,10 +200,9 @@ func TestRegistryParallelAccess(t *testing.T) {
 				r.List()
 				r.Digest()
 				r.EngineTemplates()
-				r.Lookup("fix-peer-asn")
 				r.SetConformant("fix-peer-asn", j%2 == 0)
-				if _, err := r.Resolve("fix-peer-asn"); err != nil {
-					t.Error(err)
+				if _, ok := r.Lookup("fix-peer-asn"); !ok {
+					t.Error("fix-peer-asn vanished")
 				}
 			}
 		}()
