@@ -47,10 +47,11 @@ import (
 // never create a physical link.
 //
 // Soundness is enforced downstream, not assumed here: the incremental
-// verifier cross-checks the predicted impact against the compiled network
-// (session fingerprint, origination diff) and falls back to a full
-// re-simulation on any mismatch, and a differential mode replays every
-// pruned decision against full simulation (see internal/verify).
+// verifier cross-checks the predicted impact against the derived network
+// (whether bgp.Net.Derive kept the sessions, origination diff) and falls
+// back to a full re-simulation on any mismatch, and a differential mode
+// replays every pruned decision against full simulation (see
+// internal/verify).
 
 // Impact is the over-approximate blast radius of one candidate edit set.
 // The zero value means "provably no behavioral change".
@@ -60,8 +61,9 @@ type Impact struct {
 	Broad bool
 	// SessionsMayChange reports that the edit touches session-identity
 	// inputs, so the established-session set of the new network may differ
-	// from the base. When false, the verifier treats a session-fingerprint
-	// mismatch as an analyzer defect and degrades to a full check.
+	// from the base. When false, the verifier treats a session change
+	// (bgp.Net.Derive refusing) as an analyzer defect and degrades to a
+	// full check.
 	SessionsMayChange bool
 	// Prefixes are the base-universe origination prefixes whose routes the
 	// edit can influence; only these need re-simulation.

@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 
@@ -34,7 +35,8 @@ type Session struct {
 	slot, peer int
 	// reverse is the peer's view of this session: the Session on PeerName
 	// whose PeerAddr is LocalAddr. Establishment is symmetric, so it is set
-	// for every session Compile builds; callers still guard against nil.
+	// for every session Compile and Derive build; callers still guard
+	// against nil.
 	reverse *Session
 	// plainLines, set when neither the peer's export toward this router
 	// nor this router's import attaches a policy, are the lines the traced
@@ -108,25 +110,161 @@ type Net struct {
 func Compile(t *topo.Network, files map[string]*netcfg.File) *Net {
 	n := &Net{Topo: t, Files: files, Routers: map[string]*Router{}}
 	for _, nd := range t.Nodes() {
-		f := files[nd.Name]
-		if f == nil {
-			f = &netcfg.File{Device: nd.Name}
-		}
-		r := &Router{Name: nd.Name, RID: nd.RouterID, File: f, index: len(n.Order)}
-		if f.BGP != nil {
-			r.ASN = f.BGP.ASN
-			if f.BGP.RouterID.IsValid() {
-				r.RID = f.BGP.RouterID
-			}
-		}
-		r.Statics = f.Statics
+		r := newRouter(nd, files[nd.Name], len(n.Order))
+		r.Origins = originsOf(r)
 		n.Routers[nd.Name] = r
 		n.Order = append(n.Order, nd.Name)
 		n.routers = append(n.routers, r)
 	}
-	n.resolveSessions()
-	n.resolveOrigins()
+	for _, r := range n.routers {
+		if r.File.BGP == nil {
+			continue
+		}
+		for _, adj := range n.Topo.Adjacencies(r.Name) {
+			s, fs := n.resolveSession(r, adj)
+			if fs != nil {
+				n.Failed = append(n.Failed, fs)
+			}
+			if s != nil {
+				r.Sessions = append(r.Sessions, s)
+			}
+		}
+		sortSessions(r.Sessions)
+	}
+	for _, r := range n.routers {
+		r.slotBase = n.sessions
+		n.sessions += len(r.Sessions)
+		for i, s := range r.Sessions {
+			s.slot = i
+			n.link(s)
+		}
+	}
+	n.prefixes = prefixesOf(n.routers)
 	return n
+}
+
+// Derive compiles files, a version of n's configurations that differs
+// only on the dirty devices of n's topology, and reuses what the edit
+// cannot reach. A
+// router neither dirty nor adjacent to a dirty device is n's own. A session
+// or failure with two clean ends is n's by pointer, so its reverse link
+// stays valid; only sessions with a dirty end are re-resolved, and only
+// dirty routers' origins; AllPrefixes is recollected when those moved. The
+// result equals Compile(n.Topo, files).
+//
+// Slots address adj-in rows by a session's position among its router's
+// sessions, and n's shared sessions keep theirs. When a router's
+// established peer addresses change, those positions would move: Derive
+// then compiles cold and returns false.
+func (n *Net) Derive(files map[string]*netcfg.File, dirty []string) (*Net, bool) {
+	// state[i] is 0 for an untouched router, 1 for a clean neighbour of a
+	// dirty device and 2 for a dirty one.
+	state := make([]uint8, len(n.routers))
+	for _, d := range dirty {
+		state[n.Routers[d].index] = 2
+		for _, adj := range n.Topo.Adjacencies(d) {
+			if i := n.Routers[adj.PeerNode].index; state[i] == 0 {
+				state[i] = 1
+			}
+		}
+	}
+	m := &Net{Topo: n.Topo, Files: files, Routers: make(map[string]*Router, len(n.routers)),
+		Order: n.Order, routers: make([]*Router, len(n.routers)), sessions: n.sessions,
+		Failed: make([]*FailedSession, 0, len(n.Failed))}
+	originsMoved := false // whether a dirty router's originated prefixes changed
+	for i, old := range n.routers {
+		r := old
+		switch state[i] {
+		case 1:
+			cp := *old // sessions are rebuilt below
+			r = &cp
+		case 2:
+			r = newRouter(n.Topo.Node(old.Name), files[old.Name], i)
+			r.slotBase = old.slotBase
+			r.Origins = originsOf(r)
+			originsMoved = originsMoved || !slices.EqualFunc(r.Origins, old.Origins,
+				func(a, b Origination) bool { return a.Prefix == b.Prefix })
+		}
+		m.routers[i] = r
+		m.Routers[r.Name] = r
+	}
+	rest := n.Failed // n's failures not yet passed, in Compile's order
+	for i, r := range m.routers {
+		old := n.routers[i]
+		k := 0
+		for k < len(rest) && rest[k].Router == r.Name {
+			k++
+		}
+		oldFailed := rest[:k]
+		rest = rest[k:]
+		if state[i] == 0 {
+			m.Failed = append(m.Failed, oldFailed...)
+			continue
+		}
+		if r.File.BGP != nil {
+			r.Sessions = make([]*Session, 0, len(old.Sessions))
+			for _, adj := range n.Topo.Adjacencies(r.Name) {
+				if state[i] == 1 && state[n.Routers[adj.PeerNode].index] != 2 {
+					if s := sessionTo(old.Sessions, adj.PeerAddr); s != nil {
+						r.Sessions = append(r.Sessions, s)
+					} else if fs := failedTo(oldFailed, adj.PeerAddr); fs != nil {
+						m.Failed = append(m.Failed, fs)
+					}
+					continue
+				}
+				s, fs := m.resolveSession(r, adj)
+				if fs != nil {
+					m.Failed = append(m.Failed, fs)
+				}
+				if s != nil {
+					r.Sessions = append(r.Sessions, s)
+				}
+			}
+			sortSessions(r.Sessions)
+		}
+		if len(r.Sessions) != len(old.Sessions) {
+			return Compile(n.Topo, files), false
+		}
+		for j, s := range r.Sessions {
+			if s.PeerAddr != old.Sessions[j].PeerAddr {
+				return Compile(n.Topo, files), false
+			}
+			if s != old.Sessions[j] {
+				s.slot = j
+			}
+		}
+	}
+	for i, r := range m.routers {
+		if state[i] == 0 {
+			continue
+		}
+		for j, s := range r.Sessions {
+			if s != n.routers[i].Sessions[j] {
+				m.link(s)
+			}
+		}
+	}
+	m.prefixes = n.prefixes
+	if originsMoved {
+		m.prefixes = prefixesOf(m.routers)
+	}
+	return m, true
+}
+
+// newRouter is the router a topology node compiles to from its
+// configuration, without sessions or origins; a nil file runs no BGP.
+func newRouter(nd *topo.Node, f *netcfg.File, index int) *Router {
+	if f == nil {
+		f = &netcfg.File{Device: nd.Name}
+	}
+	r := &Router{Name: nd.Name, RID: nd.RouterID, File: f, Statics: f.Statics, index: index}
+	if f.BGP != nil {
+		r.ASN = f.BGP.ASN
+		if f.BGP.RouterID.IsValid() {
+			r.RID = f.BGP.RouterID
+		}
+	}
+	return r
 }
 
 // ifaceUp reports whether the interface carrying adj on router r is
@@ -138,132 +276,147 @@ func ifaceUp(f *netcfg.File, iface string) bool {
 	return itf == nil || !itf.Shutdown
 }
 
-func (n *Net) resolveSessions() {
-	for _, name := range n.Order {
-		r := n.Routers[name]
-		if r.File.BGP == nil {
-			continue
-		}
-		for _, adj := range n.Topo.Adjacencies(name) {
-			stanza := r.File.PeerByAddr(adj.PeerAddr)
-			if stanza == nil || stanza.ASNLine == 0 {
-				continue // no session configured toward this neighbor
-			}
-			peer := n.Routers[adj.PeerNode]
-			fail := func(reason string) {
-				n.Failed = append(n.Failed, &FailedSession{
-					Router:   name,
-					PeerName: adj.PeerNode,
-					PeerAddr: adj.PeerAddr,
-					Reason:   reason,
-					Lines:    r.File.PeerSessionLines(stanza),
-				})
-			}
-			if !ifaceUp(r.File, adj.Iface) {
-				fail(fmt.Sprintf("local interface %s is shut down", adj.Iface))
-				continue
-			}
-			if peer.File.BGP == nil {
-				fail(fmt.Sprintf("neighbor %s runs no BGP", adj.PeerNode))
-				continue
-			}
-			if stanza.ASN != peer.ASN {
-				fail(fmt.Sprintf("configured as-number %d but neighbor %s is AS %d", stanza.ASN, adj.PeerNode, peer.ASN))
-				continue
-			}
-			remote := peer.File.PeerByAddr(adj.LocalAddr)
-			if remote == nil || remote.ASNLine == 0 {
-				fail(fmt.Sprintf("neighbor %s has no peer stanza for %s", adj.PeerNode, adj.LocalAddr))
-				continue
-			}
-			if remote.ASN != r.ASN {
-				fail(fmt.Sprintf("neighbor %s configures as-number %d for us but we are AS %d", adj.PeerNode, remote.ASN, r.ASN))
-				continue
-			}
-			if !ifaceUp(peer.File, adj.PeerIface) {
-				fail(fmt.Sprintf("neighbor interface %s is shut down", adj.PeerIface))
-				continue
-			}
-			r.Sessions = append(r.Sessions, &Session{
-				LocalAddr:   adj.LocalAddr,
-				PeerName:    adj.PeerNode,
-				PeerAddr:    adj.PeerAddr,
-				PeerASN:     peer.ASN,
-				PeerRID:     peer.RID,
-				LocalLines:  r.File.PeerSessionLines(stanza),
-				RemoteLines: peer.File.PeerSessionLines(remote),
-				exportPols:  r.File.EffectivePolicies(stanza, netcfg.Export),
-				importPols:  r.File.EffectivePolicies(stanza, netcfg.Import),
-				peer:        peer.index,
-			})
-		}
-		sort.Slice(r.Sessions, func(i, j int) bool {
-			return r.Sessions[i].PeerAddr.Less(r.Sessions[j].PeerAddr)
-		})
+// resolveSession resolves the session a BGP router r configures over adj:
+// the established session, the configured-but-down one and why, or neither
+// when r configures no peer toward the neighbour. The session's slot and
+// reverse link are the caller's to set.
+func (n *Net) resolveSession(r *Router, adj topo.Adjacency) (*Session, *FailedSession) {
+	stanza := r.File.PeerByAddr(adj.PeerAddr)
+	if stanza == nil || stanza.ASNLine == 0 {
+		return nil, nil // no session configured toward this neighbor
 	}
-	for _, r := range n.routers {
-		r.slotBase = n.sessions
-		n.sessions += len(r.Sessions)
-		for i, s := range r.Sessions {
-			s.slot = i
-			for _, ps := range n.routers[s.peer].Sessions {
-				if ps.PeerAddr == s.LocalAddr {
-					s.reverse = ps
-					break
-				}
-			}
-			if s.reverse != nil && len(s.reverse.exportPols) == 0 && len(s.importPols) == 0 {
-				s.plainLines = append(append(append([]netcfg.LineRef{}, s.reverse.LocalLines...), s.LocalLines...), s.RemoteLines...)
-			}
+	peer := n.Routers[adj.PeerNode]
+	fail := func(reason string) (*Session, *FailedSession) {
+		return nil, &FailedSession{
+			Router:   r.Name,
+			PeerName: adj.PeerNode,
+			PeerAddr: adj.PeerAddr,
+			Reason:   reason,
+			Lines:    r.File.PeerSessionLines(stanza),
 		}
+	}
+	if !ifaceUp(r.File, adj.Iface) {
+		return fail(fmt.Sprintf("local interface %s is shut down", adj.Iface))
+	}
+	if peer.File.BGP == nil {
+		return fail(fmt.Sprintf("neighbor %s runs no BGP", adj.PeerNode))
+	}
+	if stanza.ASN != peer.ASN {
+		return fail(fmt.Sprintf("configured as-number %d but neighbor %s is AS %d", stanza.ASN, adj.PeerNode, peer.ASN))
+	}
+	remote := peer.File.PeerByAddr(adj.LocalAddr)
+	if remote == nil || remote.ASNLine == 0 {
+		return fail(fmt.Sprintf("neighbor %s has no peer stanza for %s", adj.PeerNode, adj.LocalAddr))
+	}
+	if remote.ASN != r.ASN {
+		return fail(fmt.Sprintf("neighbor %s configures as-number %d for us but we are AS %d", adj.PeerNode, remote.ASN, r.ASN))
+	}
+	if !ifaceUp(peer.File, adj.PeerIface) {
+		return fail(fmt.Sprintf("neighbor interface %s is shut down", adj.PeerIface))
+	}
+	return &Session{
+		LocalAddr:   adj.LocalAddr,
+		PeerName:    adj.PeerNode,
+		PeerAddr:    adj.PeerAddr,
+		PeerASN:     peer.ASN,
+		PeerRID:     peer.RID,
+		LocalLines:  r.File.PeerSessionLines(stanza),
+		RemoteLines: peer.File.PeerSessionLines(remote),
+		exportPols:  r.File.EffectivePolicies(stanza, netcfg.Export),
+		importPols:  r.File.EffectivePolicies(stanza, netcfg.Import),
+		peer:        peer.index,
+	}, nil
+}
+
+// sortSessions orders a router's sessions by peer address: a session's
+// position is its slot.
+func sortSessions(ss []*Session) {
+	slices.SortFunc(ss, func(a, b *Session) int { return a.PeerAddr.Compare(b.PeerAddr) })
+}
+
+// link sets s's reverse view and, for a session whose reverse exports and
+// whose own import attach no policy, its plainLines. The peer's sessions
+// must be resolved.
+func (n *Net) link(s *Session) {
+	s.reverse = sessionTo(n.routers[s.peer].Sessions, s.LocalAddr)
+	if s.reverse != nil && len(s.reverse.exportPols) == 0 && len(s.importPols) == 0 {
+		s.plainLines = make([]netcfg.LineRef, 0, len(s.reverse.LocalLines)+len(s.LocalLines)+len(s.RemoteLines))
+		s.plainLines = append(append(append(s.plainLines, s.reverse.LocalLines...), s.LocalLines...), s.RemoteLines...)
 	}
 }
 
-func (n *Net) resolveOrigins() {
-	for _, name := range n.Order {
-		r := n.Routers[name]
-		b := r.File.BGP
-		if b == nil {
+// sessionTo returns the session among ss whose peer address is addr, or nil.
+func sessionTo(ss []*Session, addr netip.Addr) *Session {
+	for _, s := range ss {
+		if s.PeerAddr == addr {
+			return s
+		}
+	}
+	return nil
+}
+
+// failedTo returns the failure among fs whose peer address is addr, or nil.
+func failedTo(fs []*FailedSession, addr netip.Addr) *FailedSession {
+	for _, f := range fs {
+		if f.PeerAddr == addr {
+			return f
+		}
+	}
+	return nil
+}
+
+// originsOf resolves a router's originations: its network statements, then
+// its statics when it redistributes them.
+func originsOf(r *Router) []Origination {
+	b := r.File.BGP
+	if b == nil {
+		return nil
+	}
+	var out []Origination
+	for _, ns := range b.Networks {
+		if !ns.Prefix.IsValid() {
 			continue
 		}
-		for _, ns := range b.Networks {
-			if !ns.Prefix.IsValid() {
+		out = append(out, Origination{
+			Prefix: ns.Prefix,
+			Origin: OriginIGP,
+			Lines:  []netcfg.LineRef{{Device: r.Name, Line: ns.Line}},
+		})
+	}
+	if b.Redistribute != nil {
+		for _, s := range r.File.Statics {
+			if !s.Prefix.IsValid() {
 				continue
 			}
-			r.Origins = append(r.Origins, Origination{
-				Prefix: ns.Prefix,
-				Origin: OriginIGP,
-				Lines:  []netcfg.LineRef{{Device: name, Line: ns.Line}},
+			out = append(out, Origination{
+				Prefix:  s.Prefix,
+				Origin:  OriginIncomplete,
+				NextHop: s.NextHop,
+				Policy:  b.Redistribute.Policy,
+				Lines: []netcfg.LineRef{
+					{Device: r.Name, Line: s.Line},
+					{Device: r.Name, Line: b.Redistribute.Line},
+				},
 			})
 		}
-		if b.Redistribute != nil {
-			for _, s := range r.File.Statics {
-				if !s.Prefix.IsValid() {
-					continue
-				}
-				r.Origins = append(r.Origins, Origination{
-					Prefix:  s.Prefix,
-					Origin:  OriginIncomplete,
-					NextHop: s.NextHop,
-					Policy:  b.Redistribute.Policy,
-					Lines: []netcfg.LineRef{
-						{Device: name, Line: s.Line},
-						{Device: name, Line: b.Redistribute.Line},
-					},
-				})
-			}
-		}
 	}
+	return out
+}
+
+// prefixesOf returns the sorted set of the routers' originated prefixes.
+func prefixesOf(routers []*Router) []netip.Prefix {
+	var out []netip.Prefix
 	seen := map[netip.Prefix]bool{}
-	for _, name := range n.Order {
-		for _, o := range n.Routers[name].Origins {
+	for _, r := range routers {
+		for _, o := range r.Origins {
 			if !seen[o.Prefix] {
 				seen[o.Prefix] = true
-				n.prefixes = append(n.prefixes, o.Prefix)
+				out = append(out, o.Prefix)
 			}
 		}
 	}
-	sort.Slice(n.prefixes, func(i, j int) bool { return netcfg.PrefixLess(n.prefixes[i], n.prefixes[j]) })
+	sort.Slice(out, func(i, j int) bool { return netcfg.PrefixLess(out[i], out[j]) })
+	return out
 }
 
 // AllPrefixes returns every prefix originated anywhere, sorted. The

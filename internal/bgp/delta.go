@@ -20,7 +20,7 @@ import (
 // route (selection is a pure function of origins + adj-in), so skipping
 // its activation cannot lose a transition: any input change reaches it
 // through a neighbor's push, which enqueues it. Second, the caller only
-// uses delta when the session fingerprint is unchanged (see
+// uses delta when Net.Derive kept every router's established peers (see
 // verify.Incremental), so the base adj-in's session structure is the
 // candidate's session structure and stale entries can only differ in
 // route content, which the dirty-device re-derivation and forced pushes

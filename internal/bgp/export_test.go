@@ -1,7 +1,9 @@
 package bgp
 
 import (
+	"fmt"
 	"net/netip"
+	"reflect"
 
 	"acr/internal/provenance"
 )
@@ -68,4 +70,67 @@ func ReadOff(n *Net, nd *provenance.Node) bool {
 		}
 	}
 	return false
+}
+
+// NetDiff names the first way in which got differs from want, "" when it
+// does not: per router ASN, RID, index, slotBase, origins and statics; per
+// session every exported field, its policies, slot, peer, the reverse
+// session's (router, slot) — which must be got's own session there — and
+// plainLines; then Failed in order and AllPrefixes.
+func NetDiff(got, want *Net) string {
+	if !reflect.DeepEqual(got.Order, want.Order) || len(got.routers) != len(want.routers) {
+		return "router order"
+	}
+	if got.sessions != want.sessions {
+		return fmt.Sprintf("%d sessions, want %d", got.sessions, want.sessions)
+	}
+	for i, w := range want.routers {
+		g := got.routers[i]
+		switch {
+		case got.Routers[w.Name] != g:
+			return w.Name + ": Routers and Order disagree"
+		case g.Name != w.Name || g.ASN != w.ASN || g.RID != w.RID || g.index != w.index || g.slotBase != w.slotBase:
+			return fmt.Sprintf("%s: identity %d/%v/%d/%d, want %d/%v/%d/%d", w.Name, g.ASN, g.RID, g.index, g.slotBase, w.ASN, w.RID, w.index, w.slotBase)
+		case !reflect.DeepEqual(g.Origins, w.Origins):
+			return w.Name + ": origins"
+		case !reflect.DeepEqual(g.Statics, w.Statics):
+			return w.Name + ": statics"
+		case len(g.Sessions) != len(w.Sessions):
+			return fmt.Sprintf("%s: %d sessions, want %d", w.Name, len(g.Sessions), len(w.Sessions))
+		}
+		for j, ws := range w.Sessions {
+			gs := g.Sessions[j]
+			at := fmt.Sprintf("%s session %d (%v)", w.Name, j, ws.PeerAddr)
+			switch {
+			case gs.LocalAddr != ws.LocalAddr || gs.PeerName != ws.PeerName || gs.PeerAddr != ws.PeerAddr ||
+				gs.PeerASN != ws.PeerASN || gs.PeerRID != ws.PeerRID:
+				return at + ": identity"
+			case !reflect.DeepEqual(gs.LocalLines, ws.LocalLines) || !reflect.DeepEqual(gs.RemoteLines, ws.RemoteLines):
+				return at + ": lines"
+			case !reflect.DeepEqual(gs.exportPols, ws.exportPols) || !reflect.DeepEqual(gs.importPols, ws.importPols):
+				return at + ": policies"
+			case gs.slot != ws.slot || gs.peer != ws.peer:
+				return fmt.Sprintf("%s: slot %d peer %d, want %d %d", at, gs.slot, gs.peer, ws.slot, ws.peer)
+			case (gs.reverse == nil) != (ws.reverse == nil):
+				return at + ": reverse presence"
+			case ws.reverse != nil && (gs.reverse.slot != ws.reverse.slot || gs.reverse.slot >= len(got.routers[gs.peer].Sessions) ||
+				got.routers[gs.peer].Sessions[gs.reverse.slot] != gs.reverse):
+				return at + ": reverse is not the peer's session at its slot"
+			case !reflect.DeepEqual(gs.plainLines, ws.plainLines):
+				return at + ": plainLines"
+			}
+		}
+	}
+	if len(got.Failed) != len(want.Failed) {
+		return fmt.Sprintf("%d failed sessions, want %d", len(got.Failed), len(want.Failed))
+	}
+	for i, w := range want.Failed {
+		if !reflect.DeepEqual(got.Failed[i], w) {
+			return fmt.Sprintf("failed session %d (%s to %s)", i, w.Router, w.PeerName)
+		}
+	}
+	if !reflect.DeepEqual(got.AllPrefixes(), want.AllPrefixes()) {
+		return "prefixes"
+	}
+	return ""
 }

@@ -294,7 +294,7 @@ func Create(dir string, hdr Header) (*Writer, error) {
 	// Make the WAL's existence durable before its first record: a crash
 	// right after Create must leave a replayable (if empty) directory, not
 	// a directory whose WAL the filesystem forgot.
-	if err := syncDir(dir); err != nil {
+	if err := SyncDir(dir); err != nil {
 		return w.fail(err)
 	}
 	hdr.Version = Version
@@ -480,11 +480,12 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 		os.Remove(tmpName)
 		return err
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
-// syncDir fsyncs a directory so a rename into it is durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so that a rename, or a file or directory
+// created, in it is durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -171,9 +171,15 @@ func (s *store) create(req JobRequest, sc *scenario.Scenario) (*job, error) {
 }
 
 // writeJobDir creates the job's directory and its first durable files:
-// case.json for an uploaded case, then job.json.
+// case.json for an uploaded case, then job.json. The file writes fsync the
+// job's directory, and jobs/ is fsynced here, so the directory itself — and
+// with it a job already acknowledged — survives a power loss.
 func (s *store) writeJobDir(j *job, upload *caseio.Upload) error {
-	if err := os.MkdirAll(s.jobDir(j.id), 0o755); err != nil {
+	dir := s.jobDir(j.id)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if err := journal.SyncDir(filepath.Dir(dir)); err != nil {
 		return err
 	}
 	if upload != nil {

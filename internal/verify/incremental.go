@@ -84,9 +84,6 @@ type Incremental struct {
 	out     *bgp.Outcome
 	prov    *provenance.Graph
 	report  *Report
-	// sessions is sessionFingerprint(net), kept so that a check compares the
-	// candidate's established sessions against it without rebuilding it.
-	sessions string
 
 	// graph and impact are the cross-device influence graph and the static
 	// impact analyzer over the current base; both are sealed read-only
@@ -120,14 +117,14 @@ func (iv *Incremental) rebase(configs map[string]*netcfg.Config) {
 	}
 	n := bgp.Compile(iv.Topo, files)
 	out := bgp.Simulate(n, iv.SimOpts)
-	iv.install(configs, files, n, out, bgp.BuildProvenance(n, out), sessionFingerprint(n, 0))
+	iv.install(configs, files, n, out, bgp.BuildProvenance(n, out))
 }
 
 // install makes a compiled, simulated configuration version the base: it
 // verifies the intents and builds the influence graph and the impact
 // analyzer over it.
-func (iv *Incremental) install(configs map[string]*netcfg.Config, files map[string]*netcfg.File, n *bgp.Net, out *bgp.Outcome, prov *provenance.Graph, sessions string) {
-	iv.configs, iv.files, iv.net, iv.out, iv.prov, iv.sessions = configs, files, n, out, prov, sessions
+func (iv *Incremental) install(configs map[string]*netcfg.Config, files map[string]*netcfg.File, n *bgp.Net, out *bgp.Outcome, prov *provenance.Graph) {
+	iv.configs, iv.files, iv.net, iv.out, iv.prov = configs, files, n, out, prov
 	iv.report = Verify(n, out, iv.Intents)
 	iv.graph = bgp.DeviceGraphOf(n)
 	origins := map[netip.Prefix][]string{}
@@ -304,8 +301,9 @@ func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*R
 //     line-number-only shifts have no impact) to get the over-approximate
 //     impact set: affected prefixes, origination literals, dataplane
 //     devices, and whether sessions may change;
-//  2. cross-check the prediction against the compiled candidate network
-//     (session fingerprint, origination diff) — any construct the analysis
+//  2. cross-check the prediction against the candidate network derived
+//     from the base (whether Derive refused because the established
+//     sessions changed, origination diff) — any construct the analysis
 //     missed degrades the check to broad rather than going unsound;
 //  3. decide per intent whether its cached verdict can be stale; when no
 //     intent is triggered the candidate is *statically refuted*: the base
@@ -326,12 +324,11 @@ func (iv *Incremental) checkImpactCtx(ctx context.Context, edits []netcfg.EditSe
 	// configuration text changed.
 	newFiles, dirty := iv.parseChanged(newConfigs)
 	im := iv.impact.Compare(newFiles)
-	newNet := bgp.Compile(iv.Topo, newFiles)
+	newNet, sameSessions := iv.net.Derive(newFiles, dirty)
 	broad := im.Broad
 
 	// Cross-check 1: the session set must not change unless predicted.
-	fpChanged := sessionFingerprint(newNet, len(iv.sessions)) != iv.sessions
-	if !broad && !im.SessionsMayChange && fpChanged {
+	if !broad && !im.SessionsMayChange && !sameSessions {
 		broad = true
 	}
 	// Deferred session-identity changes (peer stanza presence/remote-as,
@@ -341,7 +338,7 @@ func (iv *Incremental) checkImpactCtx(ctx context.Context, edits []netcfg.EditSe
 	// behaviorally inert and contribute nothing — a wrong-value remote-as
 	// guess on a down session refutes statically instead of re-simulating
 	// the whole component.
-	if fpChanged && len(im.SessionDevices) > 0 {
+	if !sameSessions && len(im.SessionDevices) > 0 {
 		iv.impact.ExpandSessions(im)
 	}
 	// Cross-check 2: every origination entering or leaving the universe
@@ -486,11 +483,11 @@ func (iv *Incremental) checkImpactCtx(ctx context.Context, edits []netcfg.EditSe
 	simOpts.Ctx = ctx
 	newOut := &bgp.Outcome{Net: newNet, ByPrefix: map[netip.Prefix]*bgp.PrefixOutcome{}}
 	// Delta re-simulation seeds each needed prefix from the base outcome
-	// and propagates only from the dirty devices. It requires an unchanged
-	// session fingerprint: the seed state's adj-in structure must be the
-	// candidate's session structure. Broad impact is fine — broad widens
-	// which prefixes are simulated, not how each one is.
-	useDelta := !fpChanged && len(dirty) > 0
+	// and propagates only from the dirty devices. It requires the sessions
+	// Derive kept: the seed state's adj-in structure must be the candidate's
+	// session structure. Broad impact is fine — broad widens which prefixes
+	// are simulated, not how each one is.
+	useDelta := sameSessions && len(dirty) > 0
 	simulate := func(p netip.Prefix) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -645,24 +642,6 @@ func consultsPrefix(in Intent, p netip.Prefix) bool {
 	return p.Contains(in.Packet().Dst)
 }
 
-// sessionFingerprint summarizes the established-session set: two nets over
-// one topology have equal fingerprints exactly when every router
-// establishes sessions with the same peer addresses. sizeHint is the
-// expected length, 0 when unknown.
-func sessionFingerprint(n *bgp.Net, sizeHint int) string {
-	b := make([]byte, 0, sizeHint)
-	for _, name := range n.Order {
-		for _, s := range n.Routers[name].Sessions {
-			b = append(b, name...)
-			b = append(b, '-')
-			b = s.PeerAddr.AppendTo(b)
-			b = append(b, ';')
-		}
-		b = append(b, '|')
-	}
-	return string(b)
-}
-
 // FullCheck verifies the base with edits applied from scratch — no reuse.
 // It is the reference the incremental check is held to: the
 // FullValidation ablation and the Differential audit.
@@ -707,12 +686,14 @@ func (iv *Incremental) FullCheckCtx(ctx context.Context, edits []netcfg.EditSet)
 
 // Commit applies edits to the base permanently. The new base is derived
 // from the old one rather than verified from scratch: unedited devices
-// keep their parsed files; while the established sessions are unchanged,
-// each prefix is delta-simulated from its old outcome over the edited
-// devices and, where its stable state did not move, keeps the old outcome
-// and re-derives only the provenance that involves an edited device (see
-// bgp.DeltaSimulate, bgp.DeriveProvenance). A session change falls back to
-// a cold simulation and a full provenance replay. Either way the result is
+// keep their parsed files and the net is derived (bgp.Net.Derive). While
+// the established sessions are unchanged, each prefix is delta-simulated
+// from its old outcome over the edited devices and, where its stable state
+// did not move, keeps the old outcome and re-derives only the provenance
+// that involves an edited device (see bgp.DeltaSimulate,
+// bgp.DeriveProvenance). A session change, where Derive refuses and
+// compiles cold, falls back to a cold simulation and a full provenance
+// replay. Either way the result is
 // the base NewIncremental would build on the edited texts. On error the
 // base is unchanged.
 func (iv *Incremental) Commit(edits []netcfg.EditSet) error {
@@ -721,17 +702,16 @@ func (iv *Incremental) Commit(edits []netcfg.EditSet) error {
 		return err
 	}
 	files, dirty := iv.parseChanged(newConfigs)
-	n := bgp.Compile(iv.Topo, files)
-	sessions := sessionFingerprint(n, len(iv.sessions))
+	n, sameSessions := iv.net.Derive(files, dirty)
 	var out *bgp.Outcome
 	var prov *provenance.Graph
-	if sessions == iv.sessions {
+	if sameSessions {
 		out = bgp.DeltaSimulate(n, iv.out, dirty, iv.SimOpts)
 		prov = bgp.DeriveProvenance(n, out, iv.out, iv.prov, dirty)
 	} else {
 		out = bgp.Simulate(n, iv.SimOpts)
 		prov = bgp.BuildProvenance(n, out)
 	}
-	iv.install(newConfigs, files, n, out, prov, sessions)
+	iv.install(newConfigs, files, n, out, prov)
 	return nil
 }
