@@ -36,7 +36,6 @@ import (
 	"acr/internal/sbfl"
 	"acr/internal/scenario"
 	"acr/internal/service"
-	"acr/internal/tmplreg"
 	"acr/internal/topo"
 	"acr/internal/verify"
 )
@@ -120,10 +119,9 @@ var (
 	ParseConfig = netcfg.NewConfig
 	// DiffConfigs renders a unified-style diff between two versions.
 	DiffConfigs = netcfg.Diff
-	// DefaultTemplates is the Table 1 change-template library, resolved
-	// through the template registry (internal/tmplreg) so every template
-	// carries its registry descriptor.
-	DefaultTemplates = tmplreg.Default.EngineTemplates
+	// DefaultTemplates is the Table 1 change-template library in
+	// generation order.
+	DefaultTemplates = core.BuiltinTemplates
 )
 
 // Case is a complete repair problem: a network and its specification.
@@ -407,9 +405,8 @@ var MergeIntents = verify.MergeIntents
 
 // UniversalTemplates is the §6 "universal change operators" library:
 // purely syntactic operators (delete-line, copy-from-role-peer) with no
-// Table 1 history, resolved through the template registry. See the
-// ablation bench for its cost.
-var UniversalTemplates = tmplreg.Default.UniversalTemplates
+// Table 1 history. See the ablation bench for its cost.
+var UniversalTemplates = core.UniversalTemplates
 
 // RoleSimilarityReport quantifies the plastic surgery hypothesis.
 type RoleSimilarityReport = rolesim.Report

@@ -19,7 +19,6 @@ import (
 	"acr/internal/netcfg"
 	"acr/internal/sbfl"
 	"acr/internal/scenario"
-	"acr/internal/tmplreg"
 	"acr/internal/verify"
 )
 
@@ -248,7 +247,7 @@ func BenchmarkFigure4_Workflow(b *testing.B) {
 // the timer.
 func BenchmarkGenerateSweep(b *testing.B) {
 	fresh := sweepContexts()
-	tmpls := tmplreg.Default.EngineTemplates()
+	tmpls := core.BuiltinTemplates()
 	updates := 0
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -15,11 +15,9 @@
 //	acr cache    (stats|verify|gc) -cache-dir <dir> [-cache-max-bytes <n>] [-json]
 //	acr templates list [-json]
 //	acr templates describe [-json] <name>
-//	acr templates conform [-names a,b] [-seeds 1,2] [-max-iter 30] [-json]
 //
-// templates is the CLI face of the change-template registry
-// (internal/tmplreg): list and describe the registered operators, and run
-// the conformance admission harness (exit 1 when any template is rejected).
+// templates lists and describes the change-template library from its
+// catalogue (internal/tmplreg).
 //
 // lint exits 0 when clean, 1 when findings are at or above the -severity
 // threshold, and 2 when a configuration failed to parse.

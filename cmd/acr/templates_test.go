@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"acr/internal/tmplreg"
@@ -13,14 +14,13 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestTemplatesListJSONGolden pins the exact JSON of `acr templates list
-// -json` over the builtin registry: name-sorted entries, every descriptor
-// field, and the registry digest. Any change to a builtin descriptor —
-// rename, reclassification, version bump — surfaces here as a reviewed
-// diff, because the same digests decide whether journaled sessions can
-// resume.
+// -json`: name-sorted entries, every catalogue field, and the library
+// digest. Any change to a template's name, class or pinned identity
+// surfaces here as a reviewed diff, because the same identities decide
+// whether journaled sessions can resume.
 func TestTemplatesListJSONGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := templatesList(&buf, tmplreg.NewBuiltin(), true); err != nil {
+	if err := templatesList(&buf, true); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "templates_list.json")
@@ -47,7 +47,7 @@ func TestTemplatesListDeterministic(t *testing.T) {
 	var first []byte
 	for i := 0; i < 5; i++ {
 		var buf bytes.Buffer
-		if err := templatesList(&buf, tmplreg.NewBuiltin(), true); err != nil {
+		if err := templatesList(&buf, true); err != nil {
 			t.Fatal(err)
 		}
 		if first == nil {
@@ -60,13 +60,20 @@ func TestTemplatesListDeterministic(t *testing.T) {
 	}
 }
 
-// TestTemplatesConformNamesTrimmed: -names trims each name and drops empty
-// ones, as -seeds does, so the unknown-template error quotes the bare
-// names rather than " no-such-a" or "".
-func TestTemplatesConformNamesTrimmed(t *testing.T) {
-	err := runTemplatesConform([]string{"-names", "no-such-b, no-such-a,"})
-	const want = `conformance: unknown template(s) "no-such-a", "no-such-b"`
-	if err == nil || err.Error() != want {
-		t.Fatalf("err = %v, want %s", err, want)
+// TestTemplatesDescribeUnknownNamesValid: describing a template outside the
+// library fails with an error that lists every valid name.
+func TestTemplatesDescribeUnknownNamesValid(t *testing.T) {
+	var buf bytes.Buffer
+	err := runTemplatesDescribe(&buf, []string{"no-such-template"})
+	if err == nil {
+		t.Fatal("describe of an unknown template succeeded")
+	}
+	for _, e := range tmplreg.List() {
+		if !strings.Contains(err.Error(), e.Name) {
+			t.Errorf("error %q does not name %s", err, e.Name)
+		}
+	}
+	if err := runTemplatesDescribe(&buf, []string{"fix-peer-asn"}); err != nil || !strings.Contains(buf.String(), "fix-peer-asn") {
+		t.Errorf("describe fix-peer-asn = %v:\n%s", err, buf.String())
 	}
 }

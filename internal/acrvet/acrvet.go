@@ -214,10 +214,10 @@ func Run(root string, pkgs []string) ([]Finding, error) {
 // DefaultPackages is the merge-path package set CI vets: the engine, the
 // verifier, the BGP simulator (including the delta re-simulation and
 // route-interning paths), the impact/lint analyzers, the journal, the
-// persistent evaluation store, and the template registry — everything
-// whose output feeds Canonical(), the write-ahead journal, the store the
-// engine reads evaluations from, or the search digest journals resume
-// under.
+// persistent evaluation store, and the template catalogue with its
+// conformance harness — everything whose output feeds Canonical(), the
+// write-ahead journal, the store the engine reads evaluations from, the
+// search digest journals resume under, or a template's admission.
 var DefaultPackages = []string{
 	"internal/core",
 	"internal/verify",

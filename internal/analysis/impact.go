@@ -119,16 +119,6 @@ func newImpact() *Impact {
 	}
 }
 
-// Empty reports a provably behavior-preserving edit: nothing to
-// re-simulate, nothing to re-verify.
-func (im *Impact) Empty() bool {
-	return !im.Broad && !im.SessionsMayChange &&
-		len(im.Prefixes) == 0 && len(im.Literals) == 0 &&
-		len(im.DataplaneDevices) == 0 && len(im.Devices) == 0 &&
-		len(im.LocalDevices) == 0 && len(im.SessionDevices) == 0 &&
-		len(im.LocalPrefixes) == 0
-}
-
 // CoversAddr reports whether any affected prefix or literal contains addr
 // — the trigger deciding whether an intent destined there must be
 // re-verified.

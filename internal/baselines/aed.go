@@ -9,7 +9,6 @@ import (
 	"acr/internal/core"
 	"acr/internal/netcfg"
 	"acr/internal/sbfl"
-	"acr/internal/tmplreg"
 	"acr/internal/verify"
 )
 
@@ -33,7 +32,7 @@ func (o AEDOptions) withDefaults() AEDOptions {
 		o.MaxCombo = 2
 	}
 	if o.Templates == nil {
-		o.Templates = tmplreg.Default.EngineTemplates()
+		o.Templates = core.BuiltinTemplates()
 	}
 	return o
 }

@@ -10,7 +10,6 @@ import (
 	"acr/internal/incidents"
 	"acr/internal/netcfg"
 	"acr/internal/scenario"
-	"acr/internal/tmplreg"
 )
 
 // deriveOracle holds every candidate a template proposes to
@@ -93,7 +92,7 @@ func TestDeriveMatchesCompile(t *testing.T) {
 	}
 	o := &deriveOracle{t: t}
 	var templates []core.Template
-	for _, tmpl := range tmplreg.Default.EngineTemplates() {
+	for _, tmpl := range core.BuiltinTemplates() {
 		templates = append(templates, oracleTemplate{tmpl, o})
 	}
 	for _, opts := range []incidents.CorpusOptions{corpus, panel} {

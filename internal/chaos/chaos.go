@@ -252,13 +252,6 @@ func (k *KillSwitch) Hook(_ int, _ *journal.Record) error {
 	return nil
 }
 
-// Seen reports the process-wide append count observed so far.
-func (k *KillSwitch) Seen() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.seen
-}
-
 // tearWAL appends a torn frame to the WAL: a header promising a 200-byte
 // payload, a garbage checksum, and 24 bytes of debris — the on-disk shape
 // of a record cut mid-write. Best effort: a tear that cannot be written

@@ -173,14 +173,3 @@ type Template interface {
 	// (empty when the template does not apply there).
 	Generate(ctx *Context, line netcfg.LineRef) []Update
 }
-
-// DescribedTemplate is a Template resolved through the template registry
-// (internal/tmplreg): it additionally exposes the digest of its registry
-// descriptor — name, description, error class, use-case, version,
-// provenance. SearchDigest folds the descriptor digest of every described
-// template into the options fingerprint, so a journaled session refuses
-// to resume against a template set whose registry metadata changed, not just one whose names changed.
-type DescribedTemplate interface {
-	Template
-	DescriptorDigest() string
-}

@@ -128,7 +128,7 @@ func (o Options) withDefaults() Options {
 		o.MaxIterations = 500
 	}
 	if o.Templates == nil {
-		o.Templates = templateSource()
+		o.Templates = BuiltinTemplates()
 	}
 	return o
 }

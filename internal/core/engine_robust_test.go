@@ -10,7 +10,6 @@ import (
 	"acr/internal/errclass"
 	"acr/internal/netcfg"
 	"acr/internal/scenario"
-	"acr/internal/tmplreg"
 )
 
 // assertBestEffort checks the invariants every termination path must
@@ -199,7 +198,7 @@ func (panicTemplate) Generate(*core.Context, netcfg.LineRef) []core.Update {
 // TestPanickingTemplateQuarantined: a hostile template cannot kill the
 // run, and its panics are accounted.
 func TestPanickingTemplateQuarantined(t *testing.T) {
-	tmpls := append([]core.Template{panicTemplate{}}, tmplreg.Default.EngineTemplates()...)
+	tmpls := append([]core.Template{panicTemplate{}}, core.BuiltinTemplates()...)
 	res := core.Repair(problemOf(scenario.Figure2()),
 		core.Options{Strategy: core.BruteForce, Templates: tmpls})
 	if !res.Feasible {

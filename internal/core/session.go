@@ -96,12 +96,11 @@ func (o Options) SearchDigest() string {
 	fmt.Fprintf(h, "formula=tarantula iters=%d minsusp=0.45 topk=24 popcap=8 candcap=64 sample=16 strategy=%d seed=%d full=%v noprior=false nocache=false noimpact=false nodelta=false\n",
 		o.MaxIterations, o.Strategy, o.Seed, o.FullValidation)
 	for _, t := range o.Templates {
-		// Registry-resolved templates fold their full descriptor digest —
-		// name, description, error class, use-case, version, provenance —
-		// into the search fingerprint, so a resume against a registry whose metadata changed is refused even when the
-		// template names still match. Bare templates hash by name only.
-		if dt, ok := t.(DescribedTemplate); ok {
-			fmt.Fprintf(h, "template=%s %s\n", t.Name(), dt.DescriptorDigest())
+		// A library template hashes with its pinned identity, so a resume
+		// across a change to its generation logic is refused even though
+		// its name still matches. Any other template hashes by name only.
+		if d := TemplateDigest(t.Name()); d != "" {
+			fmt.Fprintf(h, "template=%s %s\n", t.Name(), d)
 		} else {
 			fmt.Fprintf(h, "template=%s\n", t.Name())
 		}

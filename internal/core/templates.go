@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"strings"
 
 	"acr/internal/errclass"
 	"acr/internal/netcfg"
@@ -12,28 +11,10 @@ import (
 	"acr/internal/verify"
 )
 
-// templateSource resolves the template library used when Options.Templates
-// is nil. The registry (internal/tmplreg) installs its resolution at init,
-// making the registry the engine's single template authority in every
-// binary that links it; the raw builtin list is the bootstrap so core
-// remains self-contained under isolated unit tests.
-var templateSource = BuiltinTemplates
-
-// SetTemplateSource installs the default template resolution. It exists
-// for internal/tmplreg (called once from its init); installing any other
-// source changes SearchDigest and therefore orphans existing journals.
-func SetTemplateSource(f func() []Template) {
-	if f != nil {
-		templateSource = f
-	}
-}
-
-// BuiltinTemplates returns the raw change-template structs: one family per
+// BuiltinTemplates returns the change-template library: one family per
 // misconfiguration class of Table 1, learned from the paper's historical
-// incident study, in the engine's canonical application order. This is the
-// bootstrap list — resolve templates through internal/tmplreg, which wraps
-// each struct with its registry descriptor, instead of calling this
-// directly.
+// incident study, in the engine's canonical application order. It is the
+// library a run uses when Options.Templates is nil.
 func BuiltinTemplates() []Template {
 	return []Template{
 		SymbolizePrefixList{},
@@ -49,6 +30,34 @@ func BuiltinTemplates() []Template {
 		CopyPolicyFromRole{},
 	}
 }
+
+// templateDigests pins the identity of every library template, Table 1's
+// and the universal operators'. SearchDigest folds a template's entry into
+// the options fingerprint, so a journal written under one generation logic
+// is refused by another: whenever a template's Generate changes what it
+// proposes, give its entry a new value (the sha256 of its name and a new
+// version will do). The values are the descriptor digests the template
+// registry used to compute, so journals written before this table still
+// resume.
+var templateDigests = map[string]string{
+	"symbolize-prefix-list":         "2b930b36994d8bfdafb2dc0b976a0d8774ddfd882b567b83820a99d36f9cd4bb",
+	"add-redistribute-static":       "1325b7aa9d340017df5a6f36d99c7102afbab2af9c6e5ca82cf8df5a349c228d",
+	"add-static-origination":        "5a1808f470fdd6208740c8d063830973038b71e153ec4e5ae80de78013360dc5",
+	"add-pbr-permit-rule":           "6193ce0f9aa425ecea1b4125825694f68ab936f523395c5e75b8ee323a5d8696",
+	"remove-pbr-rule":               "84fb658677923e700e2571766774240e9089f2a29993d1e8861fe664831ff176",
+	"add-peer-to-group":             "078896b8dcea6bce31b4c1738993d0dad84e5f75d7078ace46227db7093cd686",
+	"remove-group-membership":       "9f599da5b7cedd42bab15c408cc089595b8d41eb87a9f50a008275671a1901f7",
+	"remove-policy-attach":          "d98d16d03beee6ae4e6e20c9450ae1032aaf0b5f892d440d1cb17b0671525ebb",
+	"fix-peer-asn":                  "3bf981a0126e245dd1f6ff04e6fbb39b2d2ef64143751a378f57e84e8ee37fd0",
+	"attach-policy-like-peers":      "0b74e21b554c3ed34b2887d4b83e0f6147bb62bfed6c86e3e4e8100267ceebe9",
+	"copy-policy-from-role":         "7255e0f863ca41797eb2d57062d8d2c383d82ed4151e80f7bafffbd18bd2e44f",
+	"universal-delete-line":         "b5e8730b804c396d8f80e3694a7b63bc1fdfc17ac5ec0f16197057135fc25319",
+	"universal-copy-from-role-peer": "162cbb47edf445b2ecc87e605c23f73de1209bd0883eea7e80d2269797567670",
+}
+
+// TemplateDigest returns the pinned identity of a library template, or ""
+// for any other name.
+func TemplateDigest(name string) string { return templateDigests[name] }
 
 // --- Table 1: "Missing items in ip prefix-list" (and the Figure 2 repair) --
 
@@ -588,13 +597,4 @@ func (CopyPolicyFromRole) Generate(ctx *Context, line netcfg.LineRef) []Update {
 		}}
 	}
 	return nil
-}
-
-// templateNames renders the registry for documentation.
-func templateNames(ts []Template) string {
-	names := make([]string, len(ts))
-	for i, t := range ts {
-		names[i] = t.Name()
-	}
-	return strings.Join(names, ", ")
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"net/netip"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"acr/internal/bgp"
 	"acr/internal/errclass"
+	"acr/internal/journal"
 	"acr/internal/netcfg"
 	"acr/internal/sbfl"
 	"acr/internal/scenario"
@@ -42,8 +44,91 @@ func TestBuiltinTemplatesCoverAllClasses(t *testing.T) {
 			t.Errorf("no template for class %q", want)
 		}
 	}
-	if templateNames(ts) == "" {
-		t.Error("templateNames empty")
+}
+
+// TestTemplateDigestsPinLibrary: every library template, Table 1's and the
+// universal operators', has a distinct pinned identity, and the table pins
+// nothing else.
+func TestTemplateDigestsPinLibrary(t *testing.T) {
+	lib := append(BuiltinTemplates(), UniversalTemplates()...)
+	seen := map[string]string{}
+	for _, tm := range lib {
+		d := TemplateDigest(tm.Name())
+		if len(d) != 64 {
+			t.Errorf("%s: pinned identity %q is not a sha256", tm.Name(), d)
+		}
+		if other, dup := seen[d]; dup {
+			t.Errorf("%s and %s share the identity %s", tm.Name(), other, d)
+		}
+		seen[d] = tm.Name()
+	}
+	if len(templateDigests) != len(lib) {
+		t.Errorf("templateDigests pins %d names, the library has %d templates", len(templateDigests), len(lib))
+	}
+	if TemplateDigest("no-such-template") != "" {
+		t.Error("a name outside the library has a pinned identity")
+	}
+}
+
+// TestResumeRefusesChangedTemplateSet is the library/journal contract: a
+// session journaled under one template identity refuses to resume once a
+// template's pinned identity changes, with a KindJournal error naming the
+// digest mismatch, although names, order and the rest of the options are
+// equal. The same journal resumes cleanly under the unchanged table, so the
+// refusal is the identity and nothing else.
+func TestResumeRefusesChangedTemplateSet(t *testing.T) {
+	s := scenario.Figure2()
+	p := Problem{Topo: s.Topo, Configs: s.Configs, Intents: s.Intents}
+	opts := Options{Seed: 7, MaxIterations: 10}
+
+	// Journal only the session header: a run that died before its first
+	// checkpoint. The digest check precedes any checkpoint logic, so this
+	// is the minimal resumable artifact.
+	dir := t.TempDir()
+	w, err := journal.Create(dir, SessionHeader("template-identity", p, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := journal.Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sess.Resumable() {
+		t.Fatal("header-only session not resumable")
+	}
+
+	// Same case, seed and template names, but fix-peer-asn's generation
+	// logic changed, and with it its pinned identity.
+	const name = "fix-peer-asn"
+	pinned := templateDigests[name]
+	templateDigests[name] = strings.Repeat("0", 64)
+	resumed := opts
+	resumed.Resume = sess
+	res := RepairContext(context.Background(), p, resumed)
+	templateDigests[name] = pinned
+	if res.Resumed {
+		t.Fatal("resumed a session journaled under a different template identity")
+	}
+	found := false
+	for _, e := range res.Errors {
+		if e.Kind == KindJournal && strings.Contains(e.Err.Error(), "options digest") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("template identity mismatch not surfaced as a KindJournal digest error: %v", res.Errors)
+	}
+
+	// Control: the unchanged table resumes without complaint (the run
+	// restarts fresh, having no checkpoint, but records no journal error).
+	res = RepairContext(context.Background(), p, resumed)
+	for _, e := range res.Errors {
+		if e.Kind == KindJournal {
+			t.Errorf("unchanged template identity refused: %v", e)
+		}
 	}
 }
 

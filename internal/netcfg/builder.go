@@ -30,9 +30,6 @@ func (b *Builder) Comment(format string, args ...any) *Builder {
 	return b.Raw("# " + fmt.Sprintf(format, args...))
 }
 
-// Blank appends an empty line.
-func (b *Builder) Blank() *Builder { return b.Raw("") }
-
 // Build returns the accumulated Config.
 func (b *Builder) Build() *Config { return FromLines(b.device, b.lines) }
 

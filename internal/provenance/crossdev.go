@@ -101,11 +101,6 @@ func (g *DeviceGraph) Seal() *DeviceGraph {
 // Devices returns the device set in insertion order.
 func (g *DeviceGraph) Devices() []string { return append([]string(nil), g.order...) }
 
-// Edges returns the influence channels incident to dev.
-func (g *DeviceGraph) Edges(dev string) []DeviceEdge {
-	return append([]DeviceEdge(nil), g.edges[dev]...)
-}
-
 // components computes connected components over every edge (established or
 // not) and memoizes the result.
 func (g *DeviceGraph) components() map[string]int {

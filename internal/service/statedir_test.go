@@ -338,3 +338,31 @@ func BenchmarkSubmitUploaded(b *testing.B) {
 		}
 	}
 }
+
+// TestOptionsDigestIndependentOfLinkGraph: this package's test binary does
+// not link internal/tmplreg, and the default options must still hash, and
+// journal a daemon job, under the digest the acr binary writes: the same
+// options may not get a second journal identity from a different link
+// graph.
+func TestOptionsDigestIndependentOfLinkGraph(t *testing.T) {
+	const want = "4e11203c04540eb565dd9dee844c30eb4e67665fcd2013f88aaa37339961dc10"
+	if got := (core.Options{}).SearchDigest(); got != want {
+		t.Fatalf("Options{}.SearchDigest() = %s, want %s", got, want)
+	}
+	stateDir := t.TempDir()
+	_, ts := newTestServer(t, service.Config{StateDir: stateDir, Workers: 1})
+	job, resp := submit(t, ts, service.JobRequest{Builtin: "figure2"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d", resp.StatusCode)
+	}
+	if done := waitState(t, ts, job.ID, func(j service.Job) bool { return j.State.Terminal() }); done.State != service.StateDone {
+		t.Fatalf("state = %s (error %q), want done", done.State, done.Error)
+	}
+	sess, err := journal.Replay(filepath.Join(stateDir, "jobs", job.ID, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.Header.OptionsDigest; got != want {
+		t.Fatalf("journal header OptionsDigest = %s, want %s", got, want)
+	}
+}

@@ -24,7 +24,6 @@ type Sort uint8
 const (
 	SortPrefixSet Sort = iota // a set of prefixes
 	SortInt                   // a uint32 (AS numbers, ports)
-	SortBool                  // a boolean (delta variables in the AED baseline)
 )
 
 // Var is a typed variable.
@@ -38,9 +37,6 @@ func PrefixSetVar(name string) Var { return Var{Name: name, Sort: SortPrefixSet}
 
 // IntVar declares an integer variable.
 func IntVar(name string) Var { return Var{Name: name, Sort: SortInt} }
-
-// BoolVar declares a boolean variable.
-func BoolVar(name string) Var { return Var{Name: name, Sort: SortBool} }
 
 // Formula is a constraint over variables.
 type Formula interface {
@@ -56,32 +52,19 @@ type (
 		Var   Var
 		Value uint32
 	}
-	boolAtom  struct{ Var Var }
-	notForm   struct{ F Formula }
-	andForm   struct{ Fs []Formula }
-	orForm    struct{ Fs []Formula }
-	constForm struct{ V bool }
+	notForm struct{ F Formula }
+	andForm struct{ Fs []Formula }
 )
 
 func (a inAtom) fstring() string    { return fmt.Sprintf("%s ∈ %s", a.Prefix, a.Set.Name) }
 func (a eqIntAtom) fstring() string { return fmt.Sprintf("%s = %d", a.Var.Name, a.Value) }
-func (a boolAtom) fstring() string  { return a.Var.Name }
 func (f notForm) fstring() string   { return "¬(" + f.F.fstring() + ")" }
-func (f constForm) fstring() string {
-	if f.V {
-		return "true"
+func (f andForm) fstring() string {
+	parts := make([]string, len(f.Fs))
+	for i, sub := range f.Fs {
+		parts[i] = sub.fstring()
 	}
-	return "false"
-}
-func (f andForm) fstring() string { return join(f.Fs, " ∧ ") }
-func (f orForm) fstring() string  { return join(f.Fs, " ∨ ") }
-
-func join(fs []Formula, sep string) string {
-	parts := make([]string, len(fs))
-	for i, f := range fs {
-		parts[i] = f.fstring()
-	}
-	return "(" + strings.Join(parts, sep) + ")"
+	return "(" + strings.Join(parts, " ∧ ") + ")"
 }
 
 // String renders a formula.
@@ -93,26 +76,16 @@ func In(p netip.Prefix, set Var) Formula { return inAtom{Prefix: p.Masked(), Set
 // EqInt asserts v = value.
 func EqInt(v Var, value uint32) Formula { return eqIntAtom{Var: v, Value: value} }
 
-// IsTrue asserts a boolean variable.
-func IsTrue(v Var) Formula { return boolAtom{Var: v} }
-
 // Not negates.
 func Not(f Formula) Formula { return notForm{F: f} }
 
 // And conjoins (empty And is true).
 func And(fs ...Formula) Formula { return andForm{Fs: fs} }
 
-// Or disjoins (empty Or is false).
-func Or(fs ...Formula) Formula { return orForm{Fs: fs} }
-
-// Bool is a constant formula.
-func Bool(v bool) Formula { return constForm{V: v} }
-
 // Model is a satisfying assignment.
 type Model struct {
-	Sets  map[string][]netip.Prefix
-	Ints  map[string]uint32
-	Bools map[string]bool
+	Sets map[string][]netip.Prefix
+	Ints map[string]uint32
 }
 
 // Set returns the value of a prefix-set variable.
@@ -123,9 +96,6 @@ func (m *Model) Int(name string) (uint32, bool) {
 	v, ok := m.Ints[name]
 	return v, ok
 }
-
-// BoolVal returns the value of a boolean variable.
-func (m *Model) BoolVal(name string) bool { return m.Bools[name] }
 
 // String renders the model deterministically.
 func (m *Model) String() string {
@@ -149,14 +119,6 @@ func (m *Model) String() string {
 	sort.Strings(names)
 	for _, n := range names {
 		parts = append(parts, fmt.Sprintf("%s=%d", n, m.Ints[n]))
-	}
-	names = names[:0]
-	for n := range m.Bools {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		parts = append(parts, fmt.Sprintf("%s=%v", n, m.Bools[n]))
 	}
 	return strings.Join(parts, " ")
 }
@@ -182,7 +144,7 @@ type decision struct {
 	kind   Sort
 	set    string       // SortPrefixSet: which set variable
 	prefix netip.Prefix // SortPrefixSet: which membership
-	name   string       // SortInt/SortBool variable name
+	name   string       // SortInt variable name
 	domain []uint32     // SortInt candidates
 }
 
@@ -190,7 +152,6 @@ type decision struct {
 type assignment struct {
 	member map[string]map[netip.Prefix]int // -1 false, 0 unknown, 1 true
 	ints   map[string]int64                // -1 unassigned, else value
-	bools  map[string]int                  // -1/0/1 as member
 }
 
 // Solve finds a satisfying assignment, or reports unsatisfiability. The
@@ -210,7 +171,6 @@ func (p *Problem) SolveCounted(f Formula) (*Model, bool, int) {
 	st := &assignment{
 		member: map[string]map[netip.Prefix]int{},
 		ints:   map[string]int64{},
-		bools:  map[string]int{},
 	}
 	for _, d := range decisions {
 		switch d.kind {
@@ -221,8 +181,6 @@ func (p *Problem) SolveCounted(f Formula) (*Model, bool, int) {
 			st.member[d.set][d.prefix] = 0
 		case SortInt:
 			st.ints[d.name] = -1
-		case SortBool:
-			st.bools[d.name] = 0
 		}
 	}
 	visited := 0
@@ -258,21 +216,13 @@ func (p *Problem) SolveCounted(f Formula) (*Model, bool, int) {
 				}
 			}
 			st.ints[d.name] = -1
-		case SortBool:
-			for _, val := range []int{-1, 1} { // false first: minimal change sets
-				st.bools[d.name] = val
-				if search(i + 1) {
-					return true
-				}
-			}
-			st.bools[d.name] = 0
 		}
 		return false
 	}
 	if !search(0) {
 		return nil, false, visited
 	}
-	model := &Model{Sets: map[string][]netip.Prefix{}, Ints: map[string]uint32{}, Bools: map[string]bool{}}
+	model := &Model{Sets: map[string][]netip.Prefix{}, Ints: map[string]uint32{}}
 	for set, ms := range st.member {
 		var ps []netip.Prefix
 		for pfx, v := range ms {
@@ -293,9 +243,6 @@ func (p *Problem) SolveCounted(f Formula) (*Model, bool, int) {
 			model.Ints[name] = uint32(v)
 		}
 	}
-	for name, v := range st.bools {
-		model.Bools[name] = v == 1
-	}
 	return model, true, visited
 }
 
@@ -308,7 +255,6 @@ func (p *Problem) collectDecisions(f Formula) []decision {
 	}
 	memSeen := map[memKey]bool{}
 	intSeen := map[string]map[uint32]bool{}
-	boolSeen := map[string]bool{}
 	var order []decision
 	var walk func(Formula)
 	walk = func(f Formula) {
@@ -325,18 +271,9 @@ func (p *Problem) collectDecisions(f Formula) []decision {
 				order = append(order, decision{kind: SortInt, name: a.Var.Name})
 			}
 			intSeen[a.Var.Name][a.Value] = true
-		case boolAtom:
-			if !boolSeen[a.Var.Name] {
-				boolSeen[a.Var.Name] = true
-				order = append(order, decision{kind: SortBool, name: a.Var.Name})
-			}
 		case notForm:
 			walk(a.F)
 		case andForm:
-			for _, sub := range a.Fs {
-				walk(sub)
-			}
-		case orForm:
 			for _, sub := range a.Fs {
 				walk(sub)
 			}
@@ -373,11 +310,6 @@ const (
 
 func eval(f Formula, st *assignment) tv {
 	switch a := f.(type) {
-	case constForm:
-		if a.V {
-			return tvTrue
-		}
-		return tvFalse
 	case inAtom:
 		return tv(st.member[a.Set.Name][a.Prefix])
 	case eqIntAtom:
@@ -389,8 +321,6 @@ func eval(f Formula, st *assignment) tv {
 			return tvTrue
 		}
 		return tvFalse
-	case boolAtom:
-		return tv(st.bools[a.Var.Name])
 	case notForm:
 		return -eval(a.F, st)
 	case andForm:
@@ -399,17 +329,6 @@ func eval(f Formula, st *assignment) tv {
 			switch eval(sub, st) {
 			case tvFalse:
 				return tvFalse
-			case tvUnknown:
-				res = tvUnknown
-			}
-		}
-		return res
-	case orForm:
-		res := tvFalse
-		for _, sub := range a.Fs {
-			switch eval(sub, st) {
-			case tvTrue:
-				return tvTrue
 			case tvUnknown:
 				res = tvUnknown
 			}

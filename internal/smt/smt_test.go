@@ -31,10 +31,19 @@ func TestPaperExample(t *testing.T) {
 	}
 }
 
+// anyOf is disjunction by De Morgan: ¬(¬f1 ∧ … ∧ ¬fn).
+func anyOf(fs ...Formula) Formula {
+	neg := make([]Formula, len(fs))
+	for i, f := range fs {
+		neg[i] = Not(f)
+	}
+	return Not(And(neg...))
+}
+
 func TestMinimality(t *testing.T) {
 	v := PrefixSetVar("s")
-	// Only pA forced in; pB and pC mentioned but unconstrained positives.
-	f := And(In(pA, v), Or(In(pB, v), Not(In(pB, v))), Or(In(pC, v), Bool(true)))
+	// Only pA forced in; pB and pC mentioned but left free by tautologies.
+	f := And(In(pA, v), anyOf(In(pB, v), Not(In(pB, v))), anyOf(In(pC, v), Not(In(pC, v))))
 	model, ok := NewProblem().Solve(f)
 	if !ok {
 		t.Fatal("unsat")
@@ -53,7 +62,7 @@ func TestUnsat(t *testing.T) {
 
 func TestIntVarFromMentionedValues(t *testing.T) {
 	v := IntVar("asn")
-	f := And(Or(EqInt(v, 65001), EqInt(v, 65002)), Not(EqInt(v, 65001)))
+	f := And(anyOf(EqInt(v, 65001), EqInt(v, 65002)), Not(EqInt(v, 65001)))
 	model, ok := NewProblem().Solve(f)
 	if !ok {
 		t.Fatal("unsat")
@@ -77,41 +86,14 @@ func TestIntVarExplicitDomain(t *testing.T) {
 	}
 }
 
-func TestBoolVars(t *testing.T) {
-	a, b := BoolVar("a"), BoolVar("b")
-	f := And(Or(IsTrue(a), IsTrue(b)), Not(IsTrue(a)))
-	model, ok := NewProblem().Solve(f)
-	if !ok {
-		t.Fatal("unsat")
-	}
-	if model.BoolVal("a") || !model.BoolVal("b") {
-		t.Fatalf("model = %s, want a=false b=true", model)
-	}
-}
-
-func TestBoolMinimalChange(t *testing.T) {
-	// Free bools default to false (minimal change sets for AED-style
-	// delta variables).
-	a, b := BoolVar("a"), BoolVar("b")
-	f := Or(IsTrue(a), IsTrue(b), Bool(true))
-	model, ok := NewProblem().Solve(f)
-	if !ok {
-		t.Fatal("unsat")
-	}
-	if model.BoolVal("a") || model.BoolVal("b") {
-		t.Fatalf("model = %s, want all-false", model)
-	}
-}
-
 func TestMixedSorts(t *testing.T) {
 	s := PrefixSetVar("s")
 	asn := IntVar("asn")
-	d := BoolVar("delta")
 	f := And(
 		In(pA, s),
-		Or(EqInt(asn, 65004), EqInt(asn, 64999)),
+		anyOf(EqInt(asn, 65004), EqInt(asn, 64999)),
 		Not(EqInt(asn, 64999)),
-		Or(IsTrue(d), In(pC, s)),
+		anyOf(EqInt(asn, 64999), In(pC, s)),
 	)
 	model, ok := NewProblem().Solve(f)
 	if !ok {
@@ -120,13 +102,9 @@ func TestMixedSorts(t *testing.T) {
 	if got, _ := model.Int("asn"); got != 65004 {
 		t.Errorf("asn = %d", got)
 	}
-	// delta=false branch requires pC in s; false-first bool ordering
-	// combined with exclude-first membership: membership decision for pC
-	// comes first in the decision order, so the solver lands on the
-	// assignment with pC excluded and delta=true... either way the formula
-	// holds; just assert satisfaction semantics.
-	if !(model.BoolVal("delta") || containsPrefix(model.Set("s"), pC)) {
-		t.Errorf("disjunction unsatisfied in model %s", model)
+	// asn ≠ 64999 leaves pC ∈ s as the only way to hold the last clause.
+	if got := model.Set("s"); len(got) != 2 || got[0] != pA || got[1] != pC {
+		t.Errorf("s = %v, want [10.70.0.0/16 20.0.0.0/16]", got)
 	}
 }
 
@@ -175,14 +153,10 @@ func TestQuickModelsSatisfy(t *testing.T) {
 	prefixes := []netip.Prefix{pA, pB, pC, netip.MustParsePrefix("30.0.0.0/8")}
 	gen := func(rng *rand.Rand, depth int) Formula {
 		if depth <= 0 || rng.Intn(3) == 0 {
-			switch rng.Intn(3) {
-			case 0:
+			if rng.Intn(2) == 0 {
 				return In(prefixes[rng.Intn(len(prefixes))], PrefixSetVar("s"))
-			case 1:
-				return EqInt(IntVar("x"), uint32(rng.Intn(3)+1))
-			default:
-				return IsTrue(BoolVar("b"))
 			}
+			return EqInt(IntVar("x"), uint32(rng.Intn(3)+1))
 		}
 		switch rng.Intn(3) {
 		case 0:
@@ -190,7 +164,7 @@ func TestQuickModelsSatisfy(t *testing.T) {
 		case 1:
 			return And(genHelper(rng, depth-1), genHelper(rng, depth-1))
 		default:
-			return Or(genHelper(rng, depth-1), genHelper(rng, depth-1))
+			return anyOf(genHelper(rng, depth-1), genHelper(rng, depth-1))
 		}
 	}
 	genHelper = gen
@@ -211,18 +185,14 @@ func TestQuickModelsSatisfy(t *testing.T) {
 var genHelper func(rng *rand.Rand, depth int) Formula
 
 // evalModel evaluates strictly under a complete model (absent memberships
-// and bools are false; absent ints equal nothing).
+// are false; absent ints equal nothing).
 func evalModel(f Formula, m *Model) bool {
 	switch a := f.(type) {
-	case constForm:
-		return a.V
 	case inAtom:
 		return containsPrefix(m.Set(a.Set.Name), a.Prefix)
 	case eqIntAtom:
 		v, ok := m.Int(a.Var.Name)
 		return ok && v == a.Value
-	case boolAtom:
-		return m.BoolVal(a.Var.Name)
 	case notForm:
 		return !evalModel(a.F, m)
 	case andForm:
@@ -232,20 +202,13 @@ func evalModel(f Formula, m *Model) bool {
 			}
 		}
 		return true
-	case orForm:
-		for _, sub := range a.Fs {
-			if evalModel(sub, m) {
-				return true
-			}
-		}
-		return false
 	}
 	return false
 }
 
 // Property: Solve is deterministic.
 func TestQuickDeterministic(t *testing.T) {
-	f := And(In(pA, PrefixSetVar("s")), Or(In(pB, PrefixSetVar("s")), In(pC, PrefixSetVar("s"))))
+	f := And(In(pA, PrefixSetVar("s")), anyOf(In(pB, PrefixSetVar("s")), In(pC, PrefixSetVar("s"))))
 	m1, ok1 := NewProblem().Solve(f)
 	m2, ok2 := NewProblem().Solve(f)
 	if ok1 != ok2 || m1.String() != m2.String() {

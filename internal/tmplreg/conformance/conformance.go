@@ -1,11 +1,10 @@
 // Package conformance is the template admission harness: before a change
-// template may sit in the registry as trusted, it must prove, on synthetic
-// incidents of its own declared error class, that it can drive fitness to
-// zero — and prove it does no harm on clean substrates. The harness is
-// what keeps the registry honest as operator templates join the builtin
-// library: a template that cannot repair its class, or whose
-// generator emits edits that do not even apply, is rejected with a
-// recorded reason.
+// template may join the library, it must prove, on synthetic incidents of
+// its own declared error class, that it can drive fitness to zero — and
+// prove it does no harm on clean substrates. A template that cannot repair
+// its class, or whose generator emits edits that do not even apply, is
+// rejected with a recorded reason. Its tests run the harness over the whole
+// library and over deliberately broken fixtures.
 //
 // Two checks per template:
 //
@@ -36,7 +35,6 @@ import (
 	"acr/internal/netcfg"
 	"acr/internal/sbfl"
 	"acr/internal/scenario"
-	"acr/internal/tmplreg"
 	"acr/internal/verify"
 )
 
@@ -46,8 +44,8 @@ type Options struct {
 	Seeds []int64
 	// MaxIterations bounds each single-template repair run (default 30).
 	MaxIterations int
-	// Names restricts the run to specific templates (default: all
-	// registered).
+	// Names restricts the run to the named templates (default: all
+	// given).
 	Names []string
 	// Corpus sizes the incident substrates (zero values take the corpus
 	// defaults: WAN 6/4/3, fat-tree k=4).
@@ -66,57 +64,36 @@ func (o Options) withDefaults() Options {
 
 // TemplateResult is one template's conformance verdict.
 type TemplateResult struct {
-	Name       string             `json:"name"`
-	Class      errclass.Class     `json:"class"`
-	Provenance tmplreg.Provenance `json:"provenance"`
+	Name  string
+	Class errclass.Class
 	// Attempts and Repaired count the power check's visible incident runs
 	// and how many reached fitness zero (both zero for universal
 	// pseudo-class operators).
-	Attempts int `json:"attempts"`
-	Repaired int `json:"repaired"`
+	Attempts int
+	Repaired int
 	// CleanOK reports the clean-hands check passed; GenerateErrors lists
 	// sweep failures (panics, inapplicable edits), capped at 5.
-	CleanOK        bool     `json:"cleanOK"`
-	GenerateErrors []string `json:"generateErrors,omitempty"`
+	CleanOK        bool
+	GenerateErrors []string
 	// Conformant is the admission verdict; Reasons explains a rejection.
-	Conformant bool     `json:"conformant"`
-	Reasons    []string `json:"reasons,omitempty"`
+	Conformant bool
+	Reasons    []string
 }
 
-// Report is a full conformance run.
-type Report struct {
-	RegistryDigest string           `json:"registryDigest"`
-	Results        []TemplateResult `json:"results"`
-}
-
-// Rejected returns the names of non-conformant templates, sorted.
-func (r *Report) Rejected() []string {
-	var out []string
-	for _, tr := range r.Results {
-		if !tr.Conformant {
-			out = append(out, tr.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Run checks every selected template in the registry and records each
-// verdict back into it via SetConformant. Results are ordered by template
-// name.
-func Run(reg *tmplreg.Registry, opts Options) (*Report, error) {
+// Run checks every selected template of tmpls. Results are ordered by
+// template name.
+func Run(tmpls []core.Template, opts Options) ([]TemplateResult, error) {
 	opts = opts.withDefaults()
-	entries := reg.List()
 	if len(opts.Names) > 0 {
 		want := map[string]bool{}
 		for _, n := range opts.Names {
 			want[n] = true
 		}
-		var kept []tmplreg.Entry
-		for _, e := range entries {
-			if want[e.Name] {
-				kept = append(kept, e)
-				delete(want, e.Name)
+		var kept []core.Template
+		for _, t := range tmpls {
+			if want[t.Name()] {
+				kept = append(kept, t)
+				delete(want, t.Name())
 			}
 		}
 		if len(want) > 0 {
@@ -127,17 +104,16 @@ func Run(reg *tmplreg.Registry, opts Options) (*Report, error) {
 			sort.Strings(unknown)
 			return nil, fmt.Errorf("conformance: unknown template(s) %s", strings.Join(unknown, ", "))
 		}
-		entries = kept
+		tmpls = kept
 	}
 
 	sub := newSubstrates(opts)
-	rep := &Report{RegistryDigest: reg.Digest()}
-	for _, e := range entries {
-		tr := checkTemplate(e, sub, opts)
-		reg.SetConformant(e.Name, tr.Conformant)
-		rep.Results = append(rep.Results, tr)
+	out := make([]TemplateResult, len(tmpls))
+	for i, t := range tmpls {
+		out[i] = checkTemplate(t, sub, opts)
 	}
-	return rep, nil
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
 }
 
 // substrates caches the clean networks every template is swept over.
@@ -166,14 +142,13 @@ func newSubstrates(opts Options) *substrates {
 	}
 }
 
-func checkTemplate(e tmplreg.Entry, sub *substrates, opts Options) TemplateResult {
-	tr := TemplateResult{Name: e.Name, Class: e.Class, Provenance: e.Provenance}
-	tmpl := e.Described()
+func checkTemplate(tmpl core.Template, sub *substrates, opts Options) TemplateResult {
+	tr := TemplateResult{Name: tmpl.Name(), Class: tmpl.ErrorClass()}
 
 	// Power: repair incidents of the declared class with this template
 	// alone. Each (variant, seed) pair injects with its own deterministic
 	// rng so runs are independent and reproducible.
-	if ic, ok := incidents.ByClass(e.Class); ok {
+	if ic, ok := incidents.ByClass(tr.Class); ok {
 		for v := 0; v < incidents.Variants(ic); v++ {
 			for _, seed := range opts.Seeds {
 				inc, err := incidents.InjectVariant(ic, v, opts.Corpus, rand.New(rand.NewSource(seed)))
@@ -196,13 +171,13 @@ func checkTemplate(e tmplreg.Entry, sub *substrates, opts Options) TemplateResul
 			}
 		}
 		if tr.Attempts == 0 {
-			tr.Reasons = append(tr.Reasons, "no visible incident of class "+string(e.Class)+" could be injected")
+			tr.Reasons = append(tr.Reasons, "no visible incident of class "+string(tr.Class)+" could be injected")
 		} else if tr.Repaired == 0 {
 			tr.Reasons = append(tr.Reasons,
 				fmt.Sprintf("cannot drive fitness to zero on its own class (%d incidents attempted)", tr.Attempts))
 		}
-	} else if e.Class.Table1() {
-		tr.Reasons = append(tr.Reasons, "declared class has no injector: "+string(e.Class))
+	} else if tr.Class.Table1() {
+		tr.Reasons = append(tr.Reasons, "declared class has no injector: "+string(tr.Class))
 	}
 
 	// Clean hands, part 1: the engine on a clean substrate must come back

@@ -8,25 +8,29 @@ import (
 	"acr/internal/errclass"
 	"acr/internal/incidents"
 	"acr/internal/netcfg"
-	"acr/internal/tmplreg"
 )
 
 // quick keeps test runs fast: one seed, modest iteration budget.
 var quick = Options{Seeds: []int64{1}, MaxIterations: 30}
 
+// library is every template the engine ships: Table 1's and the universal
+// operators.
+func library() []core.Template {
+	return append(core.BuiltinTemplates(), core.UniversalTemplates()...)
+}
+
 // TestAllBuiltinsConform is the acceptance gate: every builtin template —
 // the nine Table 1 families (11 structs) and the two universal operators —
-// passes conformance, and the verdicts land in the registry.
+// passes conformance.
 func TestAllBuiltinsConform(t *testing.T) {
-	reg := tmplreg.NewBuiltin()
-	rep, err := Run(reg, quick)
+	results, err := Run(library(), quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 13 {
-		t.Fatalf("checked %d templates, want 13", len(rep.Results))
+	if len(results) != 13 {
+		t.Fatalf("checked %d templates, want 13", len(results))
 	}
-	for _, tr := range rep.Results {
+	for _, tr := range results {
 		if !tr.Conformant {
 			t.Errorf("%s (%s): not conformant: %v %v", tr.Name, tr.Class, tr.Reasons, tr.GenerateErrors)
 			continue
@@ -34,13 +38,6 @@ func TestAllBuiltinsConform(t *testing.T) {
 		if tr.Class.Table1() && (tr.Attempts == 0 || tr.Repaired == 0) {
 			t.Errorf("%s: power check did not run (%d/%d)", tr.Name, tr.Repaired, tr.Attempts)
 		}
-		e, ok := reg.Lookup(tr.Name)
-		if !ok || !e.Conformant {
-			t.Errorf("%s: verdict not recorded in registry", tr.Name)
-		}
-	}
-	if rep.RegistryDigest != reg.Digest() {
-		t.Error("report does not carry the registry digest")
 	}
 }
 
@@ -79,34 +76,20 @@ func (panickyTemplate) Generate(ctx *core.Context, line netcfg.LineRef) []core.U
 }
 
 // TestBrokenFixturesRejected: malformed-edit, powerless, and panicking
-// templates are all refused admission, each with a reason, while builtins
-// in the same registry still pass.
+// templates are all refused admission, each with a reason, while a builtin
+// checked in the same run still passes.
 func TestBrokenFixturesRejected(t *testing.T) {
-	reg := tmplreg.NewBuiltin()
-	for _, f := range []core.Template{brokenTemplate{}, uselessTemplate{}, panickyTemplate{}} {
-		err := reg.Register(tmplreg.Meta{
-			Name:        f.Name(),
-			Description: "deliberately broken conformance fixture",
-			Class:       f.ErrorClass(),
-			UseCase:     "harness rejection test",
-			Version:     "0.0.1",
-			Provenance:  tmplreg.Operator,
-		}, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := Run(reg, Options{
-		Seeds:         quick.Seeds,
-		MaxIterations: quick.MaxIterations,
-		Names:         []string{"fixture-broken-edit", "fixture-useless", "fixture-panicky", "fix-peer-asn"},
-	})
+	results, err := Run([]core.Template{brokenTemplate{}, uselessTemplate{}, panickyTemplate{}, core.FixPeerASN{}}, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
 	verdicts := map[string]TemplateResult{}
-	for _, tr := range rep.Results {
+	var rejected []string
+	for _, tr := range results {
 		verdicts[tr.Name] = tr
+		if !tr.Conformant {
+			rejected = append(rejected, tr.Name)
+		}
 	}
 	if tr := verdicts["fixture-broken-edit"]; tr.Conformant || len(tr.GenerateErrors) == 0 {
 		t.Errorf("broken-edit fixture admitted: %+v", tr)
@@ -120,26 +103,22 @@ func TestBrokenFixturesRejected(t *testing.T) {
 	if tr := verdicts["fix-peer-asn"]; !tr.Conformant {
 		t.Errorf("builtin rejected alongside fixtures: %+v", tr)
 	}
-	if e, _ := reg.Lookup("fixture-broken-edit"); e.Conformant {
-		t.Error("rejection not recorded in registry")
-	}
-	got := rep.Rejected()
-	if len(got) != 3 {
-		t.Errorf("Rejected() = %v", got)
+	if len(rejected) != 3 {
+		t.Errorf("rejected %v, want the three fixtures", rejected)
 	}
 }
 
-// TestRunUnknownName: restricting to an unregistered template is an error,
-// not a silent skip, and the error names every unknown template in sorted
-// order, the same text on every run.
+// TestRunUnknownName: restricting to a template the run was not given is
+// an error, not a silent skip, and the error names every unknown template
+// in sorted order, the same text on every run.
 func TestRunUnknownName(t *testing.T) {
-	if _, err := Run(tmplreg.NewBuiltin(), Options{Names: []string{"no-such"}}); err == nil {
+	if _, err := Run(library(), Options{Names: []string{"no-such"}}); err == nil {
 		t.Fatal("unknown name accepted")
 	}
 	names := []string{"no-such-b", "fix-peer-asn", "no-such-a"}
 	const want = `conformance: unknown template(s) "no-such-a", "no-such-b"`
 	for i := 0; i < 20; i++ {
-		_, err := Run(tmplreg.NewBuiltin(), Options{Names: names})
+		_, err := Run(library(), Options{Names: names})
 		if err == nil || err.Error() != want {
 			t.Fatalf("run %d: err = %v, want %s", i, err, want)
 		}
@@ -152,13 +131,12 @@ func TestRunUnknownName(t *testing.T) {
 // template. A class missing any leg would silently degrade the
 // localize–fix–validate loop.
 func TestEveryClassFullyCovered(t *testing.T) {
-	reg := tmplreg.NewBuiltin()
-	rep, err := Run(reg, quick)
+	results, err := Run(library(), quick)
 	if err != nil {
 		t.Fatal(err)
 	}
 	conformant := map[errclass.Class]int{}
-	for _, tr := range rep.Results {
+	for _, tr := range results {
 		if tr.Conformant {
 			conformant[tr.Class]++
 		}

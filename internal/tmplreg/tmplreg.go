@@ -1,15 +1,8 @@
-// Package tmplreg is the change-template registry: the single authority
-// over which change operators the repair engine may apply, what each one
-// is for, and where it came from. Every template is registered with a
-// descriptor — name, description, Table 1 error class, use-case, version,
-// provenance — and the engine resolves its library through the registry
-// instead of hard-coding the builtin list, so operator-supplied templates
-// plug in beside the paper's nine families without touching internal/core.
-//
-// Descriptors are content-addressed: each entry's digest folds into
-// core.Options.SearchDigest via the DescribedTemplate wrapper, so a
-// journaled session refuses to -resume against a template set whose metadata changed — not merely one whose
-// names changed.
+// Package tmplreg is the catalogue of the change-template library: what
+// each template does and when an operator would reach for it. The library
+// itself, its generation order and each template's pinned identity belong
+// to internal/core; this package only describes them, so nothing here
+// steers a search or keys a journal.
 package tmplreg
 
 import (
@@ -17,261 +10,121 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"sync"
+	"strings"
 
 	"acr/internal/core"
 	"acr/internal/errclass"
 )
 
-// Provenance records where a template came from.
-type Provenance string
-
-// The recognized provenances.
-const (
-	// Builtin templates are the paper's Table 1 library plus the §6
-	// universal operators, shipped with the engine.
-	Builtin Provenance = "builtin"
-	// Operator templates were registered by an operator extension.
-	Operator Provenance = "operator"
-)
-
-// valid reports whether p is a recognized provenance.
-func (p Provenance) valid() bool {
-	return p == Builtin || p == Operator
-}
-
-// Meta is a template descriptor: everything the registry knows about a
-// change operator besides its code.
-type Meta struct {
-	// Name is the unique registry key; it must equal Template.Name().
+// Entry describes one library template.
+type Entry struct {
 	Name string `json:"name"`
 	// Description is a one-line summary of the edit the template makes.
 	Description string `json:"description"`
-	// Class is the Table 1 error class the template repairs (or a
-	// universal pseudo-class); it must equal Template.ErrorClass().
+	// Class is the Table 1 error class the template repairs, or a
+	// universal pseudo-class.
 	Class errclass.Class `json:"class"`
 	// UseCase says when an operator would reach for this template.
 	UseCase string `json:"useCase"`
-	// Version is bumped whenever the template's generation logic changes;
-	// it feeds the descriptor digest, so a version bump orphans journals.
-	Version string `json:"version"`
-	// Provenance is builtin or operator.
-	Provenance Provenance `json:"provenance"`
-}
-
-// Digest content-addresses the descriptor: 64 hex characters over every
-// Meta field. Two registries agree on a template iff the digests match.
-func (m Meta) Digest() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "name=%s\ndescription=%s\nclass=%s\nusecase=%s\nversion=%s\nprovenance=%s\n",
-		m.Name, m.Description, m.Class, m.UseCase, m.Version, m.Provenance)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// validate rejects descriptors that would corrupt the registry.
-func (m Meta) validate(t core.Template) error {
-	switch {
-	case m.Name == "":
-		return fmt.Errorf("tmplreg: empty template name")
-	case t == nil:
-		return fmt.Errorf("tmplreg: %s: nil template", m.Name)
-	case t.Name() != m.Name:
-		return fmt.Errorf("tmplreg: descriptor name %q != Template.Name() %q", m.Name, t.Name())
-	case t.ErrorClass() != m.Class:
-		return fmt.Errorf("tmplreg: %s: descriptor class %q != Template.ErrorClass() %q", m.Name, m.Class, t.ErrorClass())
-	case m.Description == "":
-		return fmt.Errorf("tmplreg: %s: empty description", m.Name)
-	case m.Version == "":
-		return fmt.Errorf("tmplreg: %s: empty version", m.Name)
-	case !m.Provenance.valid():
-		return fmt.Errorf("tmplreg: %s: unknown provenance %q", m.Name, m.Provenance)
-	}
-	return nil
-}
-
-// Entry is one registered template with its descriptor and conformance
-// status.
-type Entry struct {
-	Meta
-	// Digest is the descriptor digest (denormalized for -json output).
+	// Digest is the template's pinned identity, core.TemplateDigest.
 	Digest string `json:"digest"`
-	// Conformant reports whether the conformance harness admitted this
-	// template in this process (false until a conform run marks it).
-	Conformant bool `json:"conformant"`
-
-	tmpl core.Template
 }
 
-// Template returns the registered change operator.
-func (e Entry) Template() core.Template { return e.tmpl }
+// text is a template's display text: description and use-case.
+type text struct{ description, useCase string }
 
-// Described wraps the entry's template with its descriptor digest, making
-// it a core.DescribedTemplate whose identity folds into SearchDigest.
-func (e Entry) Described() core.Template {
-	return described{Template: e.tmpl, digest: e.Digest}
+// catalogue holds the display text of every library template, by name.
+var catalogue = map[string]text{
+	"symbolize-prefix-list": {
+		"Replace a prefix-list's entries with an SMT-solved set satisfying the failing and passing reachability constraints",
+		"A prefix-list filters traffic an intent requires, or admits traffic an intent forbids"},
+	"add-redistribute-static": {
+		"Insert a redistribute-static line into the bgp block of a device whose static route covers a failing destination",
+		"A static route exists but is never announced because redistribution was dropped"},
+	"add-static-origination": {
+		"Insert a static route (solved over the failing destinations originating at the device) next to existing redistribution",
+		"Redistribution is configured but the static route it should announce was deleted"},
+	"add-pbr-permit-rule": {
+		"Insert a permit rule for the failing flow ahead of the PBR rule that drops or redirects it",
+		"A PBR policy redirects or drops traffic an intent requires to pass"},
+	"remove-pbr-rule": {
+		"Delete an entire PBR rule block whose redirect captures a failing flow",
+		"A leftover redirect rule (e.g. a scrubber detour) still captures production traffic"},
+	"add-peer-to-group": {
+		"Insert a group-membership line for an ungrouped peer, one candidate per existing group",
+		"A BGP peer lost its peer-group membership and with it the group's policies"},
+	"remove-group-membership": {
+		"Delete a peer's group-membership line",
+		"A peer was added to a group whose policies it must not inherit"},
+	"remove-policy-attach": {
+		"Delete a route-policy attachment from a peer group",
+		"A route map that should have been dis-enabled is still attached and filters valid routes"},
+	"fix-peer-asn": {
+		"Rewrite a peer's remote AS number to the SMT-solved value matching the neighbor's actual AS",
+		"An eBGP session stays down because the configured remote AS is wrong"},
+	"attach-policy-like-peers": {
+		"Attach a locally defined route policy to a group, mirroring same-role devices",
+		"A group lost a policy attachment its role peers still carry"},
+	"copy-policy-from-role": {
+		"Reconstruct a missing route-policy definition by copying it from a same-role device",
+		"A dangling attach references a policy whose definition was deleted"},
+	"universal-delete-line": {
+		"Delete any single line covered by a failing test",
+		"§6 universal ablation: the history-free \"this statement is wrong, drop it\" operator"},
+	"universal-copy-from-role-peer": {
+		"Insert, verbatim, lines a quorum of same-role devices carry but this device lacks",
+		"§6 universal ablation: the naive plastic-surgery operator, parameters and all"},
 }
 
-// described decorates a Template with its registry descriptor digest. It
-// delegates Name/ErrorClass/Generate untouched, so a registry-resolved
-// library is behaviorally identical to the raw structs.
-type described struct {
-	core.Template
-	digest string
-}
-
-// DescriptorDigest implements core.DescribedTemplate.
-func (d described) DescriptorDigest() string { return d.digest }
-
-// Registry is a set of registered templates. The zero value is unusable;
-// call New. A Registry is safe for concurrent use.
-type Registry struct {
-	mu     sync.RWMutex
-	order  []string // registration order — the engine's application order
-	byName map[string]*Entry
-}
-
-// New returns an empty registry.
-func New() *Registry {
-	return &Registry{byName: map[string]*Entry{}}
-}
-
-// Register adds a template under its descriptor. It rejects duplicate
-// names and descriptors that disagree with the template's own Name or
-// ErrorClass, so registry metadata can never drift from the code.
-func (r *Registry) Register(m Meta, t core.Template) error {
-	if err := m.validate(t); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.byName[m.Name]; dup {
-		return fmt.Errorf("tmplreg: template %q already registered", m.Name)
-	}
-	r.order = append(r.order, m.Name)
-	r.byName[m.Name] = &Entry{Meta: m, Digest: m.Digest(), tmpl: t}
-	return nil
-}
-
-// MustRegister is Register, panicking on error — for package init blocks.
-func (r *Registry) MustRegister(m Meta, t core.Template) {
-	if err := r.Register(m, t); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup returns the entry registered under name.
-func (r *Registry) Lookup(name string) (Entry, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.byName[name]
-	if !ok {
-		return Entry{}, false
-	}
-	return *e, true
-}
-
-// List returns every entry sorted by name — the deterministic order every
-// human-facing surface (acr templates list, -json goldens) uses.
-func (r *Registry) List() []Entry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Entry, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, *r.byName[name])
+// List returns the entry of every library template, Table 1's and the
+// universal operators', sorted by name: the order every human-facing
+// surface uses.
+func List() []Entry {
+	lib := append(core.BuiltinTemplates(), core.UniversalTemplates()...)
+	out := make([]Entry, len(lib))
+	for i, t := range lib {
+		c := catalogue[t.Name()]
+		out[i] = Entry{Name: t.Name(), Description: c.description, Class: t.ErrorClass(),
+			UseCase: c.useCase, Digest: core.TemplateDigest(t.Name())}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// ByClass returns the entries declaring the given error class, sorted by
-// name.
-func (r *Registry) ByClass(c errclass.Class) []Entry {
-	var out []Entry
-	for _, e := range r.List() {
-		if e.Class == c {
-			out = append(out, e)
+// Get returns the entry of the named template. The error names the valid
+// templates.
+func Get(name string) (Entry, error) {
+	list := List()
+	names := make([]string, len(list))
+	for i, e := range list {
+		if e.Name == name {
+			return e, nil
 		}
+		names[i] = e.Name
 	}
-	return out
+	return Entry{}, fmt.Errorf("unknown template %q; valid templates: %s", name, strings.Join(names, ", "))
 }
 
-// EngineTemplates is the default repair library: the builtin Table 1
-// templates in registration order — exactly core.BuiltinTemplates order,
-// so registry resolution is trajectory-identical to the pre-registry
-// engine — each wrapped with its descriptor digest. Operator templates
-// never join the default set implicitly (that would silently
-// change every journaled session's digest); callers opt in by passing an
-// entry's Described() template in core.Options.Templates.
-// Universal pseudo-class operators are likewise excluded: they are the §6
-// ablation set, selected by -universal.
-func (r *Registry) EngineTemplates() []core.Template {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []core.Template
-	for _, name := range r.order {
-		e := r.byName[name]
-		if e.Provenance == Builtin && e.Class.Table1() {
-			out = append(out, described{Template: e.tmpl, digest: e.Digest})
-		}
-	}
-	return out
-}
-
-// UniversalTemplates is the §6 ablation library: the universal
-// pseudo-class operators in registration order, wrapped with their
-// descriptor digests.
-func (r *Registry) UniversalTemplates() []core.Template {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []core.Template
-	for _, name := range r.order {
-		e := r.byName[name]
-		if !e.Class.Table1() {
-			out = append(out, described{Template: e.tmpl, digest: e.Digest})
-		}
-	}
-	return out
-}
-
-// Digest content-addresses the whole registry: the hash of every entry's
-// descriptor digest, by sorted name. Two processes hold the same template
-// set iff their registry digests match.
-func (r *Registry) Digest() string {
+// Digest content-addresses the library: the hash of every template's
+// pinned identity, by sorted name.
+func Digest() string {
 	h := sha256.New()
-	for _, e := range r.List() {
+	for _, e := range List() {
 		fmt.Fprintf(h, "%s %s\n", e.Name, e.Digest)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// SetConformant records a conformance verdict for a named template. It
-// reports false when the name is not registered.
-func (r *Registry) SetConformant(name string, ok bool) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, found := r.byName[name]
-	if !found {
-		return false
-	}
-	e.Conformant = ok
-	return true
-}
+// Default hands out core's library, for callers that name it through the
+// catalogue.
+var Default library
 
-// NewBuiltin returns a fresh registry pre-populated with the builtin
-// library — an isolated copy of Default's initial state, for harness runs
-// and tests that record verdicts without touching the process registry.
-func NewBuiltin() *Registry {
-	r := New()
-	registerBuiltins(r)
-	return r
-}
+type library struct{}
 
-// Default is the process-wide registry, pre-populated with the builtin
-// library. Its EngineTemplates feed core.Options.Templates whenever a
-// binary linking this package leaves Templates nil.
-var Default = New()
+// EngineTemplates returns core.BuiltinTemplates: the Table 1 library in
+// generation order.
+func (library) EngineTemplates() []core.Template { return core.BuiltinTemplates() }
 
-func init() {
-	registerBuiltins(Default)
-	core.SetTemplateSource(Default.EngineTemplates)
-}
+// UniversalTemplates returns core.UniversalTemplates: the §6 ablation
+// library in generation order.
+func (library) UniversalTemplates() []core.Template { return core.UniversalTemplates() }

@@ -14,7 +14,6 @@ import (
 	"acr/internal/provenance"
 	"acr/internal/sbfl"
 	"acr/internal/scenario"
-	"acr/internal/tmplreg"
 	"acr/internal/verify"
 )
 
@@ -117,7 +116,7 @@ func sweepContexts() func() *core.Context {
 func TestGenerateSweepAllocBudget(t *testing.T) {
 	const budget = 4429
 	fresh := sweepContexts()
-	tmpls := tmplreg.Default.EngineTemplates()
+	tmpls := core.BuiltinTemplates()
 	if generateSweep(fresh(), tmpls) == 0 {
 		t.Fatal("the sweep proposed nothing; the budget is vacuous")
 	}
