@@ -30,7 +30,6 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -41,52 +40,26 @@ import (
 	"acr/internal/verify"
 )
 
-// Load reads a case directory.
+// Load reads a case directory: the files of an Upload named after the
+// directory, decoded and validated by FromUpload.
 func Load(dir string) (*scenario.Scenario, error) {
-	topoText, err := os.ReadFile(filepath.Join(dir, "topology.txt"))
-	if err != nil {
-		return nil, err
-	}
-	t, err := ParseTopology(filepath.Base(dir), string(topoText))
-	if err != nil {
-		return nil, fmt.Errorf("topology.txt: %w", err)
-	}
-	intentText, err := os.ReadFile(filepath.Join(dir, "intents.txt"))
-	if err != nil {
-		return nil, err
-	}
-	intents, err := ParseIntents(string(intentText))
-	if err != nil {
-		return nil, fmt.Errorf("intents.txt: %w", err)
-	}
-	configs := map[string]*netcfg.Config{}
-	entries, err := os.ReadDir(filepath.Join(dir, "configs"))
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".cfg") {
-			continue
-		}
-		device := strings.TrimSuffix(e.Name(), ".cfg")
-		if t.Node(device) == nil {
-			return nil, fmt.Errorf("configs/%s: device not in topology", e.Name())
-		}
-		text, err := os.ReadFile(filepath.Join(dir, "configs", e.Name()))
+	u := Upload{Name: filepath.Base(dir), Configs: map[string]string{}}
+	for name, text := range map[string]*string{"topology.txt": &u.Topology, "intents.txt": &u.Intents} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
 		}
-		configs[device] = netcfg.NewConfig(device, string(text))
+		*text = string(data)
 	}
-	if len(configs) == 0 {
-		return nil, errors.New("no configs/*.cfg files")
+	paths, _ := filepath.Glob(filepath.Join(dir, "configs", "*.cfg"))
+	for _, path := range paths {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		u.Configs[strings.TrimSuffix(filepath.Base(path), ".cfg")] = string(text)
 	}
-	return &scenario.Scenario{
-		Name:    filepath.Base(dir),
-		Topo:    t,
-		Configs: configs,
-		Intents: intents,
-	}, nil
+	return FromUpload(u)
 }
 
 // Save writes a case directory (creating it as needed). Every file is
@@ -97,24 +70,44 @@ func Save(dir string, s *scenario.Scenario) error {
 	if err := os.MkdirAll(filepath.Join(dir, "configs"), 0o755); err != nil {
 		return err
 	}
-	if err := journal.WriteFileAtomic(filepath.Join(dir, "topology.txt"), []byte(FormatTopology(s.Topo)), 0o644); err != nil {
-		return err
+	files := map[string]string{"topology.txt": FormatTopology(s.Topo), "intents.txt": FormatIntents(s.Intents)}
+	for d, c := range s.Configs {
+		files[filepath.Join("configs", d+".cfg")] = c.Text()
 	}
-	if err := journal.WriteFileAtomic(filepath.Join(dir, "intents.txt"), []byte(FormatIntents(s.Intents)), 0o644); err != nil {
-		return err
-	}
-	devices := make([]string, 0, len(s.Configs))
-	for d := range s.Configs {
-		devices = append(devices, d)
-	}
-	sort.Strings(devices)
-	for _, d := range devices {
-		path := filepath.Join(dir, "configs", d+".cfg")
-		if err := journal.WriteFileAtomic(path, []byte(s.Configs[d].Text()), 0o644); err != nil {
+	for name, text := range files {
+		if err := writeFileAtomic(filepath.Join(dir, name), []byte(text)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeFileAtomic writes data to path with the temp-file + rename + fsync
+// discipline: a crash at any point leaves either the old file or the new
+// one, never a torn mix.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return journal.SyncDir(filepath.Dir(path))
 }
 
 // Upload is the wire form of a user-supplied case — the JSON body the
@@ -253,20 +246,12 @@ func FormatTopology(t *topo.Network) string {
 	return sb.String()
 }
 
+// parseKind inverts topo.Kind's String.
 func parseKind(s string) (topo.Kind, error) {
-	switch s {
-	case "backbone":
-		return topo.Backbone, nil
-	case "pop":
-		return topo.PoP, nil
-	case "dcn":
-		return topo.DCN, nil
-	case "spine":
-		return topo.Spine, nil
-	case "leaf":
-		return topo.Leaf, nil
-	case "core":
-		return topo.Core, nil
+	for k := topo.Backbone; k <= topo.Core; k++ {
+		if k.String() == s {
+			return k, nil
+		}
 	}
 	return 0, fmt.Errorf("unknown node kind %q", s)
 }

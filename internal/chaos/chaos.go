@@ -118,12 +118,9 @@ type Injector struct {
 	plan  Plan
 	rng   *rand.Rand
 	stats Stats
-	// wal is the journal's WAL path, captured by WireJournal so a torn
-	// tail can be written at the crash point.
-	wal string
-	// writer is the wired journal writer, abandoned (descriptor and
-	// session lock released, nothing synced) when a simulated in-process
-	// crash fires — the state a real process death leaves behind.
+	// writer is the wired journal writer: a torn tail goes to its file,
+	// and it is abandoned (lock released, nothing synced) when a simulated
+	// in-process crash fires, as a real process death would leave it.
 	writer *journal.Writer
 }
 
@@ -149,7 +146,6 @@ func (i *Injector) Wire(opts core.Options) core.Options {
 // WireJournal installs the crash-point seam on a journal writer.
 func (i *Injector) WireJournal(w *journal.Writer) {
 	i.mu.Lock()
-	i.wal = journal.WALPath(w.Dir())
 	i.writer = w
 	i.mu.Unlock()
 	w.Hook = i.JournalHook
@@ -179,23 +175,19 @@ func (i *Injector) JournalHook(n int, _ *journal.Record) error {
 	if crash {
 		i.stats.CrashesInjected++
 	}
-	torn, kill, wal, w := i.plan.CrashTornTail, i.plan.CrashKill, i.wal, i.writer
+	torn, kill, w := i.plan.CrashTornTail, i.plan.CrashKill, i.writer
 	appended := i.plan.CrashAfterAppends
 	i.mu.Unlock()
 	if !crash {
 		return nil
 	}
-	if torn && wal != "" {
-		tearWAL(wal)
+	if torn && w != nil {
+		tearWAL(w.Path())
 	}
 	if kill {
 		// A real SIGKILL: no deferred functions, no recovery — the
 		// strongest possible crash for end-to-end resume tests.
-		if p, err := os.FindProcess(os.Getpid()); err == nil {
-			p.Kill()
-			// Kill is asynchronous; do not let the engine race ahead.
-			select {}
-		}
+		killSelf()
 	}
 	if w != nil {
 		// Release the WAL descriptor and session lock the way process
@@ -217,21 +209,21 @@ type KillSwitch struct {
 	after int
 	seen  int
 	fired bool
-	// kill is the crash action, overridable by tests; the default SIGKILLs
-	// this process.
-	kill func()
 }
 
 // NewKillSwitch arms a switch that kills the process on append number
 // after+1 (so exactly `after` records across all writers reach the WALs,
 // mirroring Plan.CrashAfterAppends). after <= 0 disarms it.
 func NewKillSwitch(after int) *KillSwitch {
-	return &KillSwitch{after: after, kill: func() {
-		if p, err := os.FindProcess(os.Getpid()); err == nil {
-			p.Kill()
-			select {} // Kill is asynchronous; never let the caller race ahead
-		}
-	}}
+	return &KillSwitch{after: after}
+}
+
+// killSelf SIGKILLs this process.
+func killSelf() {
+	if p, err := os.FindProcess(os.Getpid()); err == nil {
+		p.Kill()
+		select {} // Kill is asynchronous; never let the caller race ahead
+	}
 }
 
 // Hook is the journal.AppendHook to install on every writer the process
@@ -244,10 +236,9 @@ func (k *KillSwitch) Hook(_ int, _ *journal.Record) error {
 	if fire {
 		k.fired = true
 	}
-	kill := k.kill
 	k.mu.Unlock()
 	if fire {
-		kill()
+		killSelf()
 	}
 	return nil
 }
@@ -288,12 +279,8 @@ func (i *Injector) PrefixHook(p netip.Prefix) {
 	if inject {
 		i.stats.PanicsInjected++
 	}
-	delay := i.plan.DelayPerSim
 	i.mu.Unlock()
-
-	if delay > 0 {
-		time.Sleep(delay)
-	}
+	time.Sleep(i.plan.DelayPerSim) // the plan is immutable; a zero sleep returns at once
 	if inject {
 		panic(PanicValue{Sim: n, Prefix: p})
 	}

@@ -101,11 +101,8 @@ func (si *StoreInjector) beforeRead(string) error {
 	if inject {
 		si.stats.ReadErrsInjected++
 	}
-	delay := si.plan.SlowIO
 	si.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
+	time.Sleep(si.plan.SlowIO) // the plan is immutable; a zero sleep returns at once
 	if inject {
 		return StoreError{Op: "read", N: n}
 	}
@@ -125,11 +122,8 @@ func (si *StoreInjector) beforeWrite(string) error {
 	if inject != nil {
 		si.stats.WriteErrsInjected++
 	}
-	delay := si.plan.SlowIO
 	si.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
+	time.Sleep(si.plan.SlowIO)
 	return inject
 }
 

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -32,6 +33,23 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(clean)
 	f.Add(clean[:len(clean)-7])
 	f.Add(append(clean, clean...))
+	// Job records before the header, between events and after the
+	// terminal.
+	jobs, err := CreateFile(filepath.Join(f.TempDir(), "j.wal"), map[string]string{"state": "queued"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	jobs.AppendHeader(Header{Case: "fuzz", CaseDigest: "c", OptionsDigest: "o", Seed: 1})
+	jobs.AppendJob(map[string]string{"state": "running"}, false)
+	jobs.AppendCandidate(Candidate{Iteration: 1, Desc: "d <&>", Fitness: 1})
+	jobs.AppendTerminal(Terminal{Termination: "feasible", Feasible: true})
+	jobs.AppendJob(map[string]string{"state": "done"}, true)
+	jobs.Close()
+	withJobs, err := os.ReadFile(jobs.Path())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withJobs)
 	f.Add([]byte{})
 	f.Add([]byte("\x00\x00\x00\x05\xff\xff\xff\xff{}j"))
 

@@ -1,39 +1,36 @@
 // Package journal is the durable session layer of the repair engine: an
 // append-only write-ahead journal that makes long repair runs crash-safe.
 //
-// A session is one file in its directory:
-//
-//	journaldir/
-//	  wal.log  # length-prefixed, CRC-checksummed JSON records
-//
-// The WAL is a sequence of framed records:
+// A CLI session is one file, dir/wal.log (Create, Resume and Replay take
+// the directory); a daemon job is one file of its own (CreateFile,
+// OpenFile and LastJob take its path). Either is a sequence of frames,
 //
 //	[4-byte big-endian payload length][4-byte big-endian CRC-32C][payload]
 //
-// The payload is one JSON-encoded Record. Records carry monotonically
-// increasing sequence numbers; the first record of a session is always a
-// header. The engine appends candidate and iteration events as it works
-// and a full Checkpoint (population, best-effort state, counters, RNG-free
-// restart state) at every iteration boundary; a graceful end appends a
-// terminal record. Header, checkpoint and terminal records are fsynced,
-// events are not: recovery restarts from the last checkpoint, so an
-// event's durability buys nothing. A SIGKILL, OOM-kill, or power cut
-// leaves at worst a torn final frame, which the replayer detects (short
-// frame or CRC mismatch) and recovers past: Replay returns the state at
-// the last valid record, never a partially applied one.
+// each payload one JSON Record with a sequence number one above the last.
+// A session opens with a header; the engine appends candidate and
+// iteration events, a full Checkpoint at every iteration boundary, and a
+// terminal record at a graceful end. Header, checkpoint and terminal
+// records are fsynced, events are not: recovery restarts from the last
+// checkpoint. Job records, the daemon's own state, may sit anywhere. A
+// SIGKILL, OOM-kill, or power cut leaves at worst a torn final frame,
+// which replay detects (short frame or CRC mismatch) and stops before:
+// it returns the state at the last valid record, never a partial one.
 //
-// A Writer holds an exclusive flock on the WAL's own descriptor. Older
-// engines also left a lock file and a checkpoint.json copy of the newest
-// checkpoint in the directory; the lock file is ignored, and Replay still
-// reads checkpoint.json so their sessions recover. Nothing writes either.
+// A Writer holds an exclusive flock on the file's own descriptor. Older
+// engines also left a lock file, which is ignored, and a checkpoint.json
+// copy of the newest checkpoint, which Replay still reads. Nothing writes
+// either.
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -68,6 +65,9 @@ const (
 	// the header, naming the node that ran the attempt. Replay skips it;
 	// nothing writes it.
 	TypeOwner Type = "owner"
+	// TypeJob is the embedding program's own record (the daemon's job
+	// record), opaque to the journal: replay collects it wherever it sits.
+	TypeJob Type = "job"
 )
 
 // Record is the WAL envelope. Exactly one payload field matching Type is
@@ -84,6 +84,7 @@ type Record struct {
 	// Owner is TypeOwner's payload, kept undecoded: frames reject unknown
 	// fields, so it stays for older WALs to replay.
 	Owner json.RawMessage `json:"owner,omitempty"`
+	Job   json.RawMessage `json:"job,omitempty"`
 }
 
 // Header identifies the session. Resume refuses to continue a session
@@ -225,124 +226,158 @@ type Terminal struct {
 	Feasible    bool   `json:"feasible"`
 }
 
-// AppendHook observes every WAL append before it is written; n is the
-// 1-based append count of this Writer. The chaos harness uses it to
-// simulate crashes (by panicking or killing the process) at exact points.
-// A non-nil error aborts the append.
+// AppendHook observes every engine record before it is appended; n is its
+// 1-based count in this Writer. The chaos harness uses it to crash at
+// exact points. A non-nil error aborts the append.
 type AppendHook func(n int, rec *Record) error
 
-// Writer appends to a session's WAL. It is not safe for concurrent use;
+// Writer appends to a journal file. It is not safe for concurrent use;
 // the engine is single-threaded.
 type Writer struct {
-	dir string
-	f   *os.File // the WAL, flocked for the Writer's lifetime
-	seq int
-	n   int // appends through this Writer
-	// Hook, when non-nil, runs before every append (chaos seam).
+	path  string
+	f     *os.File // flocked for the Writer's lifetime
+	seq   int
+	n     int  // engine records appended through this Writer
+	dirty bool // appended to since the last fsync
+	// Hook, when non-nil, runs before every engine record (chaos seam).
 	Hook AppendHook
 }
 
-// ErrLocked reports that another live Writer — usually another process —
-// holds a session's exclusive lock. Two appenders interleaving frames in
-// one WAL would corrupt it unrecoverably, so Create and Resume refuse
-// instead.
+// ErrLocked reports that another live Writer, usually in another process,
+// holds a journal's exclusive lock.
 var ErrLocked = errors.New("journal: session directory locked by another writer")
 
-// WALPath returns the session's WAL file path.
+// WALPath returns the WAL file path of the session directory dir.
 func WALPath(dir string) string { return filepath.Join(dir, "wal.log") }
 
 // checkpointPath is the checkpoint copy older engines wrote beside the
 // WAL; Replay reads it, Create removes it, nothing writes it.
 func checkpointPath(dir string) string { return filepath.Join(dir, "checkpoint.json") }
 
-// openWAL opens the session's WAL and takes the exclusive flock on its
-// descriptor. The lock dies with the process (so a SIGKILL never wedges
-// the session) and conflicts with every other open of the file,
-// in-process or not. openWAL never truncates: a refused open must leave a
-// live Writer's WAL intact, so callers cut the file only once they hold
-// the lock.
-func openWAL(dir string, flag int) (*os.File, error) {
-	f, err := os.OpenFile(WALPath(dir), flag|os.O_RDWR, 0o644)
+// open opens the file at path under an exclusive flock on its descriptor,
+// which dies with the process and conflicts with every other open of the
+// file. open never truncates: callers cut the file only once they hold
+// the lock, so a refused open leaves a live Writer's file intact.
+func open(path string, flag int) (*Writer, error) {
+	f, err := os.OpenFile(path, flag|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	if err := flockExclusive(f.Fd()); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("%w: %s", ErrLocked, dir)
+		return nil, fmt.Errorf("%w: %s", ErrLocked, path)
 	}
-	return f, nil
+	return &Writer{path: path, f: f}, nil
 }
 
 // Create starts a fresh session in dir (creating it as needed), truncating
-// any previous session, and appends the header record. The WAL's
-// exclusive lock is held until Close (or process death): a second process
-// appending to the same session would interleave frames, so Create fails
-// with ErrLocked while another Writer is live.
+// any previous session, and appends the header record. The WAL's lock is
+// held until Close or process death: Create fails with ErrLocked while
+// another Writer is live, since two appenders would interleave frames.
 func Create(dir string, hdr Header) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	f, err := openWAL(dir, os.O_CREATE)
+	os.Remove(checkpointPath(dir)) // an older engine's copy must not lead the fresh WAL
+	hdr.Version = Version
+	return create(WALPath(dir), Record{Type: TypeHeader, Header: &hdr})
+}
+
+// CreateFile starts a journal file at path, truncating whatever it held,
+// with one job record carrying v. The lock is held until Close.
+func CreateFile(path string, v any) (*Writer, error) {
+	payload, err := marshal(v)
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{dir: dir, f: f}
-	if err := f.Truncate(0); err != nil {
-		return w.fail(err)
+	return create(path, Record{Type: TypeJob, Job: payload})
+}
+
+// create opens the file at path under its lock, empties it, and appends
+// first, fsynced. The directory is fsynced before the record: a crash
+// right after must leave a replayable (if empty) file, not one the
+// filesystem forgot.
+func create(path string, first Record) (*Writer, error) {
+	w, err := open(path, os.O_CREATE)
+	if err != nil {
+		return nil, err
 	}
-	os.Remove(checkpointPath(dir)) // an older engine's copy must not lead the fresh WAL
-	// Make the WAL's existence durable before its first record: a crash
-	// right after Create must leave a replayable (if empty) directory, not
-	// a directory whose WAL the filesystem forgot.
-	if err := SyncDir(dir); err != nil {
-		return w.fail(err)
+	err = w.f.Truncate(0)
+	if err == nil {
+		err = SyncDir(filepath.Dir(path))
 	}
-	hdr.Version = Version
-	if err := w.append(Record{Type: TypeHeader, Header: &hdr}, true); err != nil {
-		return w.fail(err)
+	if err == nil {
+		err = w.append(first, true)
+	}
+	if err != nil {
+		w.f.Close()
+		return nil, err
 	}
 	return w, nil
 }
 
 // Resume reopens a session's WAL for appending after the given replayed
-// session. The WAL is truncated to the end of the record the session
-// resumes from — the last valid checkpoint (or the header when none
-// exists) — discarding the torn tail and any events past the checkpoint:
-// the resumed engine regenerates those events deterministically, so
-// keeping them would double-log the replayed iterations. Like Create,
-// Resume takes the WAL's exclusive lock first and fails with ErrLocked
-// while another Writer is live.
+// session, rewound to its resume point: the resumed engine regenerates
+// the events past the last checkpoint, so keeping them would double-log
+// them. Like Create, Resume fails with ErrLocked while another Writer is
+// live.
 func Resume(dir string, sess *Session) (*Writer, error) {
-	f, err := openWAL(dir, 0)
+	w, err := open(WALPath(dir), 0)
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{dir: dir, f: f, seq: sess.ResumeSeq}
-	if err := f.Truncate(sess.ResumeOffset); err != nil {
-		return w.fail(err)
-	}
-	if _, err := f.Seek(sess.ResumeOffset, 0); err != nil {
-		return w.fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return w.fail(err)
+	if err := w.Rewind(sess.ResumeOffset, sess.ResumeSeq); err != nil {
+		w.f.Close()
+		return nil, err
 	}
 	return w, nil
 }
 
-// fail closes a Writer that never became usable, releasing its lock.
-func (w *Writer) fail(err error) (*Writer, error) {
-	w.f.Close()
-	return nil, err
+// OpenFile opens the journal file at path under its lock, creating it
+// when absent, replays it, and cuts it back to its last valid record.
+// Unlike Replay's, its session may lack a header.
+func OpenFile(path string) (*Writer, *Session, error) {
+	w, err := open(path, os.O_CREATE)
+	if err != nil {
+		return nil, nil, err
+	}
+	data, err := io.ReadAll(w.f)
+	sess := replay(data)
+	w.seq = sess.Records
+	if err == nil && sess.end < sess.WALBytes {
+		err = w.Rewind(sess.end, sess.Records)
+	}
+	if err != nil {
+		w.f.Close()
+		return nil, nil, err
+	}
+	return w, sess, nil
+}
+
+// Rewind cuts the file back to offset, a record boundary a replay
+// reported, and numbers the next append seq+1: ResumeOffset and ResumeSeq
+// resume a session, HeaderOffset and HeaderSeq-1 start it over.
+func (w *Writer) Rewind(offset int64, seq int) error {
+	if err := w.f.Truncate(offset); err != nil {
+		return err
+	}
+	if _, err := w.f.Seek(offset, io.SeekStart); err != nil {
+		return err
+	}
+	w.seq, w.dirty = seq, false
+	return w.f.Sync()
 }
 
 // append frames and writes one record, assigning its sequence number, and
-// fsyncs the WAL when sync is set.
+// fsyncs the file when sync is set. Engine records count as appends and
+// pass the hook first; job records do neither.
 func (w *Writer) append(rec Record, sync bool) error {
-	w.n++
-	if w.Hook != nil {
-		if err := w.Hook(w.n, &rec); err != nil {
-			return err
+	if rec.Type != TypeJob {
+		w.n++
+		if w.Hook != nil {
+			if err := w.Hook(w.n, &rec); err != nil {
+				return err
+			}
 		}
 	}
 	w.seq++
@@ -354,10 +389,17 @@ func (w *Writer) append(rec Record, sync bool) error {
 	if _, err := w.f.Write(frame); err != nil {
 		return err
 	}
+	w.dirty = !sync
 	if sync {
 		return w.f.Sync()
 	}
 	return nil
+}
+
+// AppendHeader opens a session: hdr, stamped with the format version.
+func (w *Writer) AppendHeader(hdr Header) error {
+	hdr.Version = Version
+	return w.append(Record{Type: TypeHeader, Header: &hdr}, true)
 }
 
 // AppendCandidate journals one validated candidate.
@@ -380,35 +422,74 @@ func (w *Writer) AppendTerminal(t Terminal) error {
 	return w.append(Record{Type: TypeTerminal, Terminal: &t}, true)
 }
 
-// Appends reports how many records this Writer has appended.
+// AppendSession copies what a replayed session resumes from: its header,
+// its candidates up to its checkpoint, and the checkpoint.
+func (w *Writer) AppendSession(sess *Session) error {
+	err := w.AppendHeader(*sess.Header)
+	for _, c := range sess.Candidates {
+		if err == nil && sess.Checkpoint != nil && c.Iteration <= sess.Checkpoint.Iteration {
+			err = w.AppendCandidate(c)
+		}
+	}
+	if err == nil && sess.Checkpoint != nil {
+		err = w.AppendCheckpoint(*sess.Checkpoint)
+	}
+	return err
+}
+
+// AppendJob appends a job record carrying v, fsynced when sync is set.
+func (w *Writer) AppendJob(v any, sync bool) error {
+	payload, err := marshal(v)
+	if err != nil {
+		return err
+	}
+	return w.append(Record{Type: TypeJob, Job: payload}, sync)
+}
+
+// Appends reports how many engine records this Writer has appended.
 func (w *Writer) Appends() int { return w.n }
 
-// Dir returns the session directory.
-func (w *Writer) Dir() string { return w.dir }
+// Path returns the journal file's path.
+func (w *Writer) Path() string { return w.path }
 
-// Close syncs and closes the WAL, releasing the session lock.
+// Close closes the file, releasing its lock, after an fsync if an append
+// since the last one left something to flush.
 func (w *Writer) Close() error {
-	err := w.f.Sync()
+	var err error
+	if w.dirty {
+		err = w.f.Sync()
+	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// Abandon closes the WAL descriptor without syncing, releasing the
-// session lock — the state a process crash leaves behind (whatever reached
-// the page cache survives, nothing is flushed). In-process crash
-// simulations (internal/chaos) call it at the crash point so the directory
-// is replayable and re-lockable exactly as it would be after a real kill.
+// Abandon closes the file without syncing, releasing its lock: the state
+// a process crash leaves behind. In-process crash simulations
+// (internal/chaos) call it at the crash point.
 func (w *Writer) Abandon() { w.f.Close() }
 
 // encodeFrame renders one framed record.
 func encodeFrame(rec *Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+	payload, err := marshal(rec)
 	if err != nil {
 		return nil, err
 	}
 	return Frame(payload)
+}
+
+// marshal encodes v as JSON without HTML escaping, which would write each
+// '<', '>' and '&' as six bytes: any upload the daemon admits must fit one
+// frame.
+func marshal(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), nil
 }
 
 // Frame wraps an arbitrary payload in the WAL's on-disk framing —
@@ -446,41 +527,6 @@ func Unframe(b []byte) ([]byte, error) {
 		return nil, fmt.Errorf("journal: frame CRC mismatch (stored %08x, computed %08x)", want, got)
 	}
 	return payload, nil
-}
-
-// WriteFileAtomic writes data to path with the temp-file + rename + fsync
-// discipline: a crash at any point leaves either the old file or the new
-// one, never a torn mix.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Chmod(perm); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return SyncDir(dir)
 }
 
 // SyncDir fsyncs a directory so that a rename, or a file or directory

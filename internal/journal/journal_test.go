@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -79,7 +80,7 @@ func writeLegacySidecar(t *testing.T, dir string, seq int, cp Checkpoint) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(checkpointPath(dir), frame, 0o644); err != nil {
+	if err := os.WriteFile(checkpointPath(dir), frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -596,5 +597,113 @@ func TestOwnerRecordsReplay(t *testing.T) {
 	}
 	if sess2.Checkpoint == nil || sess2.Checkpoint.Iteration != 2 || sess2.ResumeSeq != 5 {
 		t.Fatalf("resumed checkpoint = %+v at seq %d, want iteration 2 at seq 5", sess2.Checkpoint, sess2.ResumeSeq)
+	}
+}
+
+// TestJobRecordsNeverMoveResume: job records replay wherever they sit —
+// before the header, between events, after the terminal — and neither
+// move the resume point nor reach the append hook. Rewinding to the
+// resume point or to the header drops the job records past it.
+func TestJobRecordsNeverMoveResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	w, err := CreateFile(path, "queued")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := 0
+	w.Hook = func(int, *Record) error { hooked++; return nil }
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(w.AppendHeader(testHeader()))
+	must(w.AppendJob("running", false))
+	must(w.AppendCandidate(Candidate{Iteration: 1, Desc: "c", Fitness: 2}))
+	must(w.AppendCheckpoint(testCheckpoint(1)))
+	must(w.AppendJob("between", false))
+	must(w.AppendCandidate(Candidate{Iteration: 2, Desc: "c", Fitness: 1}))
+	must(w.AppendTerminal(Terminal{Termination: "canceled"}))
+	must(w.AppendJob("queued again", true))
+	if hooked != 5 || w.Appends() != 5 {
+		t.Fatalf("hook ran %d times over %d appends, want 5 each: job records must bypass both", hooked, w.Appends())
+	}
+	must(w.Close())
+
+	jobs := func(sess *Session) (out []string) {
+		for _, raw := range sess.Jobs {
+			var s string
+			if err := json.Unmarshal(raw, &s); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, s)
+		}
+		return out
+	}
+	replayFile := func() *Session {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		must(err)
+		return replay(data)
+	}
+	lastJob := func() string {
+		t.Helper()
+		raw, err := LastJob(path)
+		must(err)
+		return jobs(&Session{Jobs: []json.RawMessage{raw}})[0]
+	}
+	sess := replayFile()
+	if got, want := jobs(sess), []string{"queued", "running", "between", "queued again"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("job records %q, want %q", got, want)
+	}
+	// LastJob stops at a torn tail, as replay does.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	must(err)
+	f.Write([]byte("\x00\x00\x00\x50torn"))
+	f.Close()
+	if got := lastJob(); got != "queued again" {
+		t.Fatalf("LastJob = %q, want the last job record", got)
+	}
+	if sess.Truncated || sess.Records != 9 || sess.Terminal == nil || len(sess.Candidates) != 2 {
+		t.Fatalf("replayed %d records (truncated %v: %s), terminal %+v, %d candidates",
+			sess.Records, sess.Truncated, sess.TruncatedReason, sess.Terminal, len(sess.Candidates))
+	}
+	// Sequence 5 is the checkpoint: job, header, job, candidate, checkpoint.
+	if sess.ResumeSeq != 5 || sess.HeaderSeq != 2 || sess.Checkpoint.Iteration != 1 {
+		t.Fatalf("resume seq %d, header seq %d, checkpoint %d; want 5, 2, 1", sess.ResumeSeq, sess.HeaderSeq, sess.Checkpoint.Iteration)
+	}
+	data, err := os.ReadFile(path)
+	must(err)
+	if again, err := ReplayBytes(data[:sess.ResumeOffset]); err != nil || again.ResumeOffset != sess.ResumeOffset {
+		t.Fatalf("resume prefix replays as %+v, %v", again, err)
+	}
+
+	w, sess, err = OpenFile(path)
+	must(err)
+	must(w.Rewind(sess.ResumeOffset, sess.ResumeSeq))
+	must(w.AppendJob("resumed", false))
+	must(w.Close())
+	sess = replayFile()
+	if got, want := jobs(sess), []string{"queued", "running", "resumed"}; !reflect.DeepEqual(got, want) || sess.Truncated || lastJob() != "resumed" {
+		t.Fatalf("after resume: job records %q (truncated %v), want %q", got, sess.Truncated, want)
+	}
+
+	w, sess, err = OpenFile(path)
+	must(err)
+	must(w.Rewind(sess.HeaderOffset, sess.HeaderSeq-1))
+	must(w.Close())
+	sess = replayFile()
+	if got := jobs(sess); sess.Header != nil || !reflect.DeepEqual(got, []string{"queued"}) {
+		t.Fatalf("after a rewind to the header: header %+v, job records %q", sess.Header, got)
+	}
+
+	// A session directory whose WAL holds job records only has no session.
+	dir := t.TempDir()
+	w, err = CreateFile(WALPath(dir), "queued")
+	must(err)
+	must(w.Close())
+	if _, err := Replay(dir); err != ErrNoSession {
+		t.Fatalf("WAL of job records only: err = %v, want ErrNoSession", err)
 	}
 }

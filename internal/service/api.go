@@ -30,6 +30,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"acr/internal/caseio"
@@ -56,13 +57,7 @@ func (s JobState) Terminal() bool {
 
 // valid reports whether s is a known state (used when loading job records
 // a hostile or future process may have written).
-func (s JobState) valid() bool {
-	switch s {
-	case StateQueued, StateRunning, StateDone, StateFailed, StateCanceled:
-		return true
-	}
-	return false
-}
+func (s JobState) valid() bool { return slices.Contains(allStates, s) }
 
 // allStates is every state in lifecycle order (the /varz jobs_<state>
 // gauge set).
@@ -115,9 +110,9 @@ func (r *JobRequest) Options() (core.Options, time.Duration, error) {
 	return opts, time.Duration(ns), nil
 }
 
-// Job is the wire (and on-disk) form of one repair job. The same record is
-// returned by GET /v1/repairs/{id} and persisted as job.json in the job's
-// state subdirectory; a daemon reboot reconstructs its world from these.
+// Job is the wire (and on-disk) form of one repair job: GET
+// /v1/repairs/{id} returns it, each transition appends it to the job's
+// journal file, and a reboot rebuilds its world from the last in each.
 type Job struct {
 	ID       string   `json:"id"`
 	Seq      int      `json:"seq"`
@@ -285,19 +280,14 @@ func ExitCode(res *core.Result) int {
 	}
 }
 
+// outcomes names the exit-code classes.
+var outcomes = map[int]string{ExitFeasible: "feasible", ExitImproved: "improved",
+	ExitNoProgress: "no-progress", ExitDeadline: "deadline", ExitResumedFeasible: "feasible-after-resume"}
+
 // Outcome names an exit-code class for humans and JSON.
 func Outcome(code int) string {
-	switch code {
-	case ExitFeasible:
-		return "feasible"
-	case ExitImproved:
-		return "improved"
-	case ExitNoProgress:
-		return "no-progress"
-	case ExitDeadline:
-		return "deadline"
-	case ExitResumedFeasible:
-		return "feasible-after-resume"
+	if name, ok := outcomes[code]; ok {
+		return name
 	}
 	return fmt.Sprintf("exit-%d", code)
 }

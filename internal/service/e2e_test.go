@@ -78,8 +78,13 @@ func runDaemon() error {
 	if err != nil {
 		return err
 	}
-	if err := journal.WriteFileAtomic(filepath.Join(stateDir, "addr"),
-		[]byte(ln.Addr().String()), 0o644); err != nil {
+	// Publish the address with a rename, so the parent never reads it
+	// half-written.
+	addr := filepath.Join(stateDir, "addr")
+	if err := os.WriteFile(addr+".tmp", []byte(ln.Addr().String()), 0o644); err != nil {
+		return err
+	}
+	if err := os.Rename(addr+".tmp", addr); err != nil {
 		return err
 	}
 	srv.Start()
@@ -154,7 +159,7 @@ func TestDaemonSIGKILLResume(t *testing.T) {
 	}
 	seeds := []int64{1, 2, 3}
 	// Seed 3 travels as an uploaded case, so the reboot re-materializes it
-	// from the job's case.json; the other two are rebuilt builtins.
+	// from the job's first record; the other two are rebuilt builtins.
 	request := func(seed int64) service.JobRequest {
 		if seed == 3 {
 			u := caseio.ToUpload(scenario.Figure2())

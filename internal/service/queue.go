@@ -1,8 +1,9 @@
 package service
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -18,8 +19,8 @@ type queue struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	cap      int
-	items    jobHeap
-	reserved int // admission slots claimed by in-flight submissions
+	items    []*job // in pop order: priority desc, seq asc
+	reserved int    // admission slots claimed by in-flight submissions
 	closed   bool
 }
 
@@ -34,9 +35,17 @@ func newQueue(capacity int) *queue {
 // restart must never drop them because the cap shrank).
 func (q *queue) push(j *job) {
 	q.mu.Lock()
-	heap.Push(&q.items, j)
-	q.cond.Signal()
+	q.insertLocked(j)
 	q.mu.Unlock()
+}
+
+// insertLocked files j in pop order and wakes one popper.
+func (q *queue) insertLocked(j *job) {
+	i, _ := slices.BinarySearchFunc(q.items, j, func(a, b *job) int {
+		return cmp.Or(cmp.Compare(b.priority, a.priority), cmp.Compare(a.seq, b.seq))
+	})
+	q.items = slices.Insert(q.items, i, j)
+	q.cond.Signal()
 }
 
 // reserve claims one admission slot ahead of the (fallible, slow) work of
@@ -48,7 +57,7 @@ func (q *queue) reserve() error {
 	if q.closed {
 		return errors.New("service: shutting down")
 	}
-	if q.cap > 0 && q.items.Len()+q.reserved >= q.cap {
+	if q.cap > 0 && len(q.items)+q.reserved >= q.cap {
 		return ErrQueueFull
 	}
 	q.reserved++
@@ -59,8 +68,7 @@ func (q *queue) reserve() error {
 func (q *queue) pushReserved(j *job) {
 	q.mu.Lock()
 	q.reserved--
-	heap.Push(&q.items, j)
-	q.cond.Signal()
+	q.insertLocked(j)
 	q.mu.Unlock()
 }
 
@@ -77,33 +85,33 @@ func (q *queue) unreserve() {
 func (q *queue) pop() (j *job, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.items.Len() == 0 && !q.closed {
+	for len(q.items) == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if q.closed || q.items.Len() == 0 {
+	if q.closed {
 		return nil, false
 	}
-	return heap.Pop(&q.items).(*job), true
+	j = q.items[0]
+	q.items = q.items[1:]
+	return j, true
 }
 
 // remove pulls a queued job out (cancellation before a worker claims it).
 func (q *queue) remove(id string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for i, j := range q.items {
-		if j.id == id {
-			heap.Remove(&q.items, i)
-			return true
-		}
+	i := slices.IndexFunc(q.items, func(j *job) bool { return j.id == id })
+	if i >= 0 {
+		q.items = slices.Delete(q.items, i, i+1)
 	}
-	return false
+	return i >= 0
 }
 
 // depth reports the queued-job count (admission headroom, /varz).
 func (q *queue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.items.Len()
+	return len(q.items)
 }
 
 // close stops admission and wakes every blocked pop.
@@ -112,26 +120,4 @@ func (q *queue) close() {
 	q.closed = true
 	q.mu.Unlock()
 	q.cond.Broadcast()
-}
-
-// jobHeap orders by (priority desc, seq asc). Only the queue touches it,
-// under the queue's lock.
-type jobHeap []*job
-
-func (h jobHeap) Len() int { return len(h) }
-func (h jobHeap) Less(i, j int) bool {
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
-	}
-	return h[i].seq < h[j].seq
-}
-func (h jobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*job)) }
-func (h *jobHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -20,8 +19,8 @@ import (
 
 // Config sizes and wires a Server.
 type Config struct {
-	// StateDir is the daemon's persistence root; every job lives in a
-	// subdirectory with its journal, so the daemon survives SIGKILL.
+	// StateDir is the daemon's persistence root; every job is one journal
+	// file under jobs/, so the daemon survives SIGKILL.
 	StateDir string
 	// Workers is the worker-pool size (<=0 means 1).
 	Workers int
@@ -58,9 +57,7 @@ type Server struct {
 	cancelAll context.CancelFunc
 	wg        sync.WaitGroup
 
-	mu       sync.Mutex
-	started  bool
-	draining bool
+	started, draining atomic.Bool
 
 	// ready gates /healthz (readiness): false while the daemon is still
 	// recovering journaled jobs on boot or once it starts draining, so
@@ -117,16 +114,12 @@ func New(cfg Config) (*Server, error) {
 
 // Start requeues recovered jobs and launches the worker pool.
 func (s *Server) Start() {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
+	if s.started.Swap(true) {
 		return
 	}
-	s.started = true
-	s.mu.Unlock()
 	// Recovered jobs bypass admission control: they were admitted once.
 	for _, j := range s.store.list() {
-		if j.state() == StateQueued {
+		if j.snapshot().State == StateQueued {
 			s.queue.push(j)
 		}
 	}
@@ -142,13 +135,9 @@ func (s *Server) Start() {
 // engine checkpoint, journaled as resumable, and persisted back to
 // "queued". It returns when every worker has exited or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if s.draining.Swap(true) {
 		return nil
 	}
-	s.draining = true
-	s.mu.Unlock()
 	s.ready.Store(false)
 
 	s.queue.close()
@@ -162,23 +151,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	done := make(chan struct{})
 	go func() { s.wg.Wait(); close(done) }()
+	// Once the pool has drained, the evaluation store goes inert: late
+	// stragglers see misses, never errors.
+	defer func() {
+		if s.evalStore != nil {
+			s.evalStore.Close()
+		}
+	}()
 	select {
 	case <-done:
-		s.closeEvalStore()
 		return nil
 	case <-ctx.Done():
 		s.cancelAll() // hard-cancel stragglers; journals stay resumable
 		<-done
-		s.closeEvalStore()
 		return ctx.Err()
-	}
-}
-
-// closeEvalStore marks the persistent evaluation store inert after the
-// worker pool has drained; late stragglers see misses, never errors.
-func (s *Server) closeEvalStore() {
-	if s.evalStore != nil {
-		s.evalStore.Close()
 	}
 }
 
@@ -255,16 +241,11 @@ func (s *Server) Cancel(id string) (Job, error) {
 	j.mu.Lock()
 	state := j.rec.State
 	switch {
-	case state.Terminal():
-		rec := j.rec
+	case state.Terminal(): // idempotent
 		j.mu.Unlock()
-		return rec, nil // idempotent
 	case state == StateQueued && s.queue.remove(id):
-		j.rec.State = StateCanceled
-		j.rec.Error = "canceled by operator"
 		j.mu.Unlock()
-		s.persistAndEvent(j, Event{Type: "state", State: StateCanceled, Error: "canceled by operator"})
-		j.events.close()
+		s.transition(j, nil, StateCanceled, "canceled by operator", nil)
 	default:
 		// Running, or popped by a worker a moment ago: flag the request
 		// and fire the context if the worker already installed one.
@@ -349,8 +330,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jobs := []Job{}
-	for _, j := range s.store.list() {
-		rec := j.snapshot()
+	for _, rec := range s.Jobs() {
 		if filter == "" || rec.State == filter {
 			jobs = append(jobs, rec)
 		}
@@ -359,9 +339,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if j := s.store.get(id); j != nil {
-		writeJSON(w, http.StatusOK, j.snapshot())
+	if job, ok := s.Job(r.PathValue("id")); ok {
+		writeJSON(w, http.StatusOK, job)
 		return
 	}
 	writeErr(w, &apiError{http.StatusNotFound, "no such job"})
@@ -431,11 +410,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // jobs on boot, or draining for shutdown. Load balancers key off this. Liveness is /livez.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if !s.ready.Load() {
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
 		status, reason := "booting", "recovering journaled jobs"
-		if draining {
+		if s.draining.Load() {
 			status, reason = "draining", "shutting down; queued jobs persist for the next boot"
 		}
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
@@ -460,42 +436,29 @@ func (s *Server) handleLivez(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "alive"})
 }
 
-// handleVarz serves expvar-style counters. The map is rebuilt per request
-// from live state and is deliberately unpublished (no expvar.Publish):
-// publishing is process-global and would collide across test servers.
+// handleVarz serves the daemon's counters as one JSON object, rebuilt per
+// request from live state.
 func (s *Server) handleVarz(w http.ResponseWriter, _ *http.Request) {
-	byState := map[JobState]int{}
-	for _, j := range s.store.list() {
-		byState[j.state()]++
+	m := map[string]int64{
+		"queue_depth":          int64(s.queue.depth()),
+		"workers":              int64(s.cfg.Workers),
+		"workers_busy":         s.busyWorkers.Load(),
+		"candidates_validated": s.candidatesValidated.Load(),
+		"panics_quarantined":   s.panicsQuarantined.Load(),
+		"delta_reused":         s.deltaReused.Load(),
+		"delta_resimulated":    s.deltaResimulated.Load(),
+		"sim_activations":      s.simActivations.Load(),
 	}
-	m := new(expvar.Map).Init()
 	for _, st := range allStates {
-		v := new(expvar.Int)
-		v.Set(int64(byState[st]))
-		m.Set("jobs_"+string(st), v)
+		m["jobs_"+string(st)] = 0
 	}
-	set := func(name string, val int64) {
-		v := new(expvar.Int)
-		v.Set(val)
-		m.Set(name, v)
+	for _, j := range s.store.list() {
+		m["jobs_"+string(j.snapshot().State)]++
 	}
-	set("queue_depth", int64(s.queue.depth()))
-	set("workers", int64(s.cfg.Workers))
-	set("workers_busy", s.busyWorkers.Load())
-	set("candidates_validated", s.candidatesValidated.Load())
-	set("panics_quarantined", s.panicsQuarantined.Load())
-	set("delta_reused", s.deltaReused.Load())
-	set("delta_resimulated", s.deltaResimulated.Load())
-	set("sim_activations", s.simActivations.Load())
 	if s.evalStore != nil {
 		st := s.evalStore.Stats()
-		set("store_hits", st.Hits)
-		set("store_misses", st.Misses)
-		set("store_corrupt", st.Corrupt)
-		set("store_evicted", st.Evicted)
-		set("store_bytes", st.Bytes)
+		m["store_hits"], m["store_misses"], m["store_corrupt"] = st.Hits, st.Misses, st.Corrupt
+		m["store_evicted"], m["store_bytes"] = st.Evicted, st.Bytes
 	}
-	w.Header().Set("Content-Type", "application/json")
-	// expvar.Map renders itself as a JSON object.
-	fmt.Fprintln(w, m.String())
+	writeJSON(w, http.StatusOK, m)
 }

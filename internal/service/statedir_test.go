@@ -1,17 +1,19 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io/fs"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -43,9 +45,24 @@ func caseDigest(sc *scenario.Scenario) string {
 	return core.SessionHeader(sc.Name, p, core.Options{}).CaseDigest
 }
 
-// TestUploadedJobDirectory pins what a served job leaves on disk — the
-// inode budget — and that case.json reloads to the case that was submitted:
-// same decoder, so the same journal case digest.
+// replayJobFile replays the session in a job's file.
+func replayJobFile(t *testing.T, stateDir, id string) *journal.Session {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(stateDir, "jobs", id+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := journal.ReplayBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// TestUploadedJobDirectory pins what a served job leaves on disk — one
+// file, the inode budget — and that the upload in its first record reloads
+// to the case that was submitted: same decoder, so the same journal case
+// digest as the session header the file also holds.
 func TestUploadedJobDirectory(t *testing.T) {
 	for name, class := range map[string]incidents.ErrorClass{
 		"wan":     incidents.MissingRedistribution,
@@ -63,8 +80,8 @@ func TestUploadedJobDirectory(t *testing.T) {
 			if done.State != service.StateDone {
 				t.Fatalf("state = %s (error %q), want done", done.State, done.Error)
 			}
-			// The record turns terminal in memory before its last job.json
-			// write; the event stream closes after it.
+			// The record turns terminal in memory before its done record
+			// is appended; the event stream closes after it.
 			events, err := http.Get(ts.URL + "/v1/repairs/" + job.ID + "/events")
 			if err != nil {
 				t.Fatal(err)
@@ -72,52 +89,99 @@ func TestUploadedJobDirectory(t *testing.T) {
 			readSSE(t, events.Body)
 			events.Body.Close()
 
-			jobDir := filepath.Join(stateDir, "jobs", job.ID)
-			var files []string
-			err = filepath.WalkDir(jobDir, func(path string, d fs.DirEntry, err error) error {
-				if err != nil || d.IsDir() {
+			// Every entry under the state directory, directories marked
+			// with a trailing slash: no per-job directory, one file.
+			var entries []string
+			err = filepath.WalkDir(stateDir, func(path string, d fs.DirEntry, err error) error {
+				if err != nil || path == stateDir {
 					return err
 				}
-				rel, _ := filepath.Rel(jobDir, path)
-				files = append(files, filepath.ToSlash(rel))
+				rel, _ := filepath.Rel(stateDir, path)
+				if d.IsDir() {
+					rel += "/"
+				}
+				entries = append(entries, filepath.ToSlash(rel))
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sort.Strings(files)
-			want := []string{"case.json", "job.json", "journal/wal.log"}
-			if !reflect.DeepEqual(files, want) {
-				t.Fatalf("job directory holds %v, want %v", files, want)
+			if want := []string{"jobs/", "jobs/" + job.ID + ".wal"}; !reflect.DeepEqual(entries, want) {
+				t.Fatalf("state directory holds %v, want %v", entries, want)
 			}
 
-			data, err := os.ReadFile(filepath.Join(jobDir, "case.json"))
-			if err != nil {
-				t.Fatal(err)
+			sess := replayJobFile(t, stateDir, job.ID)
+			if sess.Truncated || len(sess.Jobs) == 0 {
+				t.Fatalf("job file replays truncated %v (%s) with %d job records", sess.Truncated, sess.TruncatedReason, len(sess.Jobs))
 			}
-			var stored caseio.Upload
-			if err := json.Unmarshal(data, &stored); err != nil {
-				t.Fatalf("case.json: %v", err)
+			var first struct {
+				Upload *caseio.Upload `json:"upload"`
 			}
-			reloaded, err := caseio.FromUpload(stored)
+			if err := json.Unmarshal(sess.Jobs[0], &first); err != nil || first.Upload == nil {
+				t.Fatalf("first job record carries no upload: %v", err)
+			}
+			reloaded, err := caseio.FromUpload(*first.Upload)
 			if err != nil {
-				t.Fatalf("case.json does not decode: %v", err)
+				t.Fatalf("stored upload does not decode: %v", err)
 			}
 			submitted, err := caseio.FromUpload(*upload)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got, want := caseDigest(reloaded), caseDigest(submitted); got != want {
-				t.Fatalf("case.json digests %s, the submitted case %s", got, want)
-			}
-			sess, err := journal.Replay(filepath.Join(jobDir, "journal"))
-			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("stored upload digests %s, the submitted case %s", got, want)
 			}
 			if got, want := sess.Header.CaseDigest, caseDigest(submitted); got != want {
 				t.Fatalf("journal header digests %s, the submitted case %s", got, want)
 			}
 		})
+	}
+}
+
+// TestLargestUploadFitsOneRecord: any body handleSubmit admits fits the
+// job's first record. The body is at the 4 MiB limit, and its config text
+// is '<' and invalid UTF-8: decoding turns each invalid byte into a
+// three-byte U+FFFD, and HTML escaping would write each '<' as six bytes,
+// which together would pass the journal's 16 MiB frame limit.
+func TestLargestUploadFitsOneRecord(t *testing.T) {
+	const limit = 4 << 20
+	upload := caseio.ToUpload(scenario.Figure2())
+	upload.Configs["A"] = "@FILL@"
+	body, err := json.Marshal(service.JobRequest{Case: &upload, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := bytes.Repeat([]byte("<\xff"), limit/2)
+	fill = fill[:limit-len(body)+len("@FILL@")]
+	body = bytes.Replace(body, []byte("@FILL@"), fill, 1)
+	if len(body) != limit {
+		t.Fatalf("body is %d bytes, want %d", len(body), limit)
+	}
+
+	// Neither daemon starts its workers: the job stays queued.
+	stateDir := t.TempDir()
+	srv, err := service.New(service.Config{StateDir: stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	resp, err := http.Post(ts.URL+"/v1/repairs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job service.Job
+	json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	ts.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit at the body limit = %d, want 202", resp.StatusCode)
+	}
+	rebooted, err := service.New(service.Config{StateDir: stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := rebooted.Job(job.ID); !ok || got.State != service.StateQueued || got.Case != upload.Name {
+		t.Fatalf("rebooted daemon lists %+v (found %v), want %s queued", got, ok, job.ID)
 	}
 }
 
@@ -160,10 +224,7 @@ func TestLegacyCaseDirectoryResumes(t *testing.T) {
 	if old.Result.CanonicalSHA256 != fresh.Result.CanonicalSHA256 {
 		t.Fatalf("legacy canonical sha %s != fresh %s", old.Result.CanonicalSHA256, fresh.Result.CanonicalSHA256)
 	}
-	oldSess, err := journal.Replay(filepath.Join(legacyDir, "journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	oldSess := replayJobFile(t, stateDir, "j000001")
 	if got, want := oldSess.Header.CaseDigest, caseDigest(sc); got != want {
 		t.Fatalf("legacy job journaled case digest %s, the upload digests %s", got, want)
 	}
@@ -173,6 +234,88 @@ func TestLegacyCaseDirectoryResumes(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(legacyDir, "case", "topology.txt")); err != nil {
 		t.Fatalf("legacy case directory disturbed: %v", err)
+	}
+}
+
+// TestStateDirV1Boots boots testdata/statedir-v1, a state directory an
+// older daemon wrote with a directory per job: j000001 is done, its result
+// in job.json; j000002 is a queued upload in case.json; j000003 is a
+// queued job of a daemon from before case.json, its case a case/
+// directory. The done job lists with its stored result, the queued jobs
+// finish as fresh submissions of the same requests do, and no file of the
+// older layout changes.
+func TestStateDirV1Boots(t *testing.T) {
+	stateDir := t.TempDir()
+	legacy := map[string][]byte{}
+	src := filepath.Join("testdata", "statedir-v1")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		legacy[rel] = data
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(stateDir, rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(stateDir, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored service.Job
+	if err := json.Unmarshal(legacy[filepath.Join("jobs", "j000001", "job.json")], &stored); err != nil {
+		t.Fatal(err)
+	}
+	var uploaded caseio.Upload
+	if err := json.Unmarshal(legacy[filepath.Join("jobs", "j000002", "case.json")], &uploaded); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := caseio.Load(filepath.Join(src, "jobs", "j000003", "case"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Name = "legacy-dir"
+	fromDir := caseio.ToUpload(sc)
+
+	_, ts := newTestServer(t, service.Config{StateDir: stateDir, Workers: 1})
+	if got := getJob(t, ts, "j000001"); got.State != service.StateDone || !reflect.DeepEqual(got, stored) {
+		t.Fatalf("done job lists as %+v, stored %+v", got, stored)
+	}
+	for id, req := range map[string]service.JobRequest{
+		"j000002": {Case: &uploaded, Seed: 3},
+		"j000003": {Case: &fromDir, Seed: 5},
+	} {
+		old := waitState(t, ts, id, func(j service.Job) bool { return j.State.Terminal() })
+		fresh, resp := submit(t, ts, req)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("fresh submit of %s = %d", id, resp.StatusCode)
+		}
+		fresh = waitState(t, ts, fresh.ID, func(j service.Job) bool { return j.State.Terminal() })
+		if old.State != service.StateDone || fresh.State != service.StateDone {
+			t.Fatalf("%s = %s (error %q), fresh submission %s (error %q), want both done", id, old.State, old.Error, fresh.State, fresh.Error)
+		}
+		if old.Result.CanonicalSHA256 != fresh.Result.CanonicalSHA256 {
+			t.Fatalf("%s canonical sha %s, fresh submission %s", id, old.Result.CanonicalSHA256, fresh.Result.CanonicalSHA256)
+		}
+	}
+	for rel, want := range legacy {
+		if got, err := os.ReadFile(filepath.Join(stateDir, rel)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("older-layout file %s changed: %v", rel, err)
+		}
+	}
+	err = filepath.WalkDir(stateDir, func(path string, d fs.DirEntry, err error) error {
+		rel, _ := filepath.Rel(stateDir, path)
+		if err == nil && !d.IsDir() && legacy[rel] == nil && filepath.Ext(rel) != ".wal" {
+			err = fmt.Errorf("new file %s beside the older layout", rel)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -240,24 +383,34 @@ func TestOlderJobRecordsResume(t *testing.T) {
 	}
 }
 
-// TestCrashBeforeJobRecordIsSkipped: a crash between the case.json write
-// and the first job.json leaves a directory with a case and no record.
-// Boot skips it, and the next submission — which is handed the same
-// sequential id — takes the directory over.
+// TestCrashBeforeJobRecordIsSkipped: a crash inside Submit leaves a job
+// file whose first record is torn. Boot skips it, and the next submission
+// — which is handed the same sequential id — takes the file over.
 func TestCrashBeforeJobRecordIsSkipped(t *testing.T) {
 	stateDir := t.TempDir()
-	orphan := filepath.Join(stateDir, "jobs", "j000001")
-	if err := os.MkdirAll(orphan, 0o755); err != nil {
+	orphan := filepath.Join(stateDir, "jobs", "j000001.wal")
+	if err := os.MkdirAll(filepath.Dir(orphan), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	stale, _ := json.Marshal(unsatisfiableUpload(t))
-	if err := os.WriteFile(filepath.Join(orphan, "case.json"), stale, 0o644); err != nil {
+	w, err := journal.CreateFile(orphan, map[string]any{
+		"job":    service.Job{ID: "j000001", Seq: 1, State: service.StateQueued, Case: "unsat"},
+		"upload": unsatisfiableUpload(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	info, err := os.Stat(orphan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(orphan, info.Size()-5); err != nil {
 		t.Fatal(err)
 	}
 
 	srv, ts := newTestServer(t, service.Config{StateDir: stateDir, Workers: 1})
 	if jobs := srv.Jobs(); len(jobs) != 0 {
-		t.Fatalf("boot indexed %d jobs from a record-less directory", len(jobs))
+		t.Fatalf("boot indexed %d jobs from a file without a job record", len(jobs))
 	}
 	upload := caseio.ToUpload(scenario.Figure2())
 	job, resp := submit(t, ts, service.JobRequest{Case: &upload, Seed: 7})
@@ -269,26 +422,26 @@ func TestCrashBeforeJobRecordIsSkipped(t *testing.T) {
 	}
 	done := waitState(t, ts, job.ID, func(j service.Job) bool { return j.State.Terminal() })
 	// The stale case is unsatisfiable; a feasible result means the new
-	// submission's case.json replaced it.
+	// submission's record replaced it.
 	if done.State != service.StateDone || done.Result == nil || !done.Result.Feasible {
 		t.Fatalf("job = %s, result %+v, want done and feasible", done.State, done.Result)
 	}
 }
 
 // TestFailedPersistLeavesNothingBehind: a submission whose first durable
-// write fails is a 500 that leaves no job directory, holds no admission
-// slot, and does not get in the way of the next one.
+// write fails is a 500 that leaves no job file, holds no admission slot,
+// and does not get in the way of the next one.
 func TestFailedPersistLeavesNothingBehind(t *testing.T) {
 	stateDir := t.TempDir()
-	// A directory where case.json must be renamed to makes the write fail.
-	doomed := filepath.Join(stateDir, "jobs", "j000001")
-	if err := os.MkdirAll(filepath.Join(doomed, "case.json"), 0o755); err != nil {
+	// A directory where the job's file must be created makes the write fail.
+	doomed := filepath.Join(stateDir, "jobs", "j000001.wal")
+	if err := os.MkdirAll(doomed, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	srv, ts := newTestServer(t, service.Config{StateDir: stateDir, Workers: 1, QueueCap: 1})
 	upload := caseio.ToUpload(scenario.Figure2())
 	if _, resp := submit(t, ts, service.JobRequest{Case: &upload, Seed: 7}); resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("submit over an unwritable case.json = %d, want 500", resp.StatusCode)
+		t.Fatalf("submit over an unwritable job file = %d, want 500", resp.StatusCode)
 	}
 	if _, err := os.Stat(doomed); !os.IsNotExist(err) {
 		t.Fatalf("failed submission left %s behind: %v", doomed, err)
@@ -308,8 +461,8 @@ func TestFailedPersistLeavesNothingBehind(t *testing.T) {
 }
 
 // BenchmarkSubmitUploaded is the daemon's whole per-job path for one WAN
-// corpus incident: decode, admission, case.json and job.json, the journal,
-// the engine and the terminal record — submit to done, one job at a time.
+// corpus incident: decode, admission, the job's file, the engine and the
+// done record — submit to done, one job at a time.
 func BenchmarkSubmitUploaded(b *testing.B) {
 	srv, err := service.New(service.Config{StateDir: b.TempDir(), Workers: 1})
 	if err != nil {
@@ -358,10 +511,7 @@ func TestOptionsDigestIndependentOfLinkGraph(t *testing.T) {
 	if done := waitState(t, ts, job.ID, func(j service.Job) bool { return j.State.Terminal() }); done.State != service.StateDone {
 		t.Fatalf("state = %s (error %q), want done", done.State, done.Error)
 	}
-	sess, err := journal.Replay(filepath.Join(stateDir, "jobs", job.ID, "journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := replayJobFile(t, stateDir, job.ID)
 	if got := sess.Header.OptionsDigest; got != want {
 		t.Fatalf("journal header OptionsDigest = %s, want %s", got, want)
 	}

@@ -8,7 +8,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"acr/internal/caseio"
@@ -16,24 +18,25 @@ import (
 	"acr/internal/scenario"
 )
 
-// Store layout, one directory per job under the daemon's -state-dir:
+// Store layout under the daemon's -state-dir: one journal file per job,
+// statedir/jobs/<id>.wal, holding the job's engine session and, among its
+// records, the daemon's job records. The first carries the wire Job and
+// the upload (none for builtins); each lifecycle transition appends
+// another. Boot keeps each file's last job record and requeues jobs found
+// queued or running; a running job's session resumes from its last
+// checkpoint.
 //
-//	statedir/jobs/<id>/
-//	  case.json  # the uploaded case in its wire form, caseio.Upload (absent for builtins)
-//	  job.json   # the wire Job record, written atomically on every transition
-//	  journal/   # the crash-safe session journal of the job's engine run
+// By code reading, an uploaded job that runs once creates one inode, makes
+// no rename and no mkdir, and costs at most 5 fsyncs plus one per
+// checkpoint: the first record and jobs/ (both before Submit answers 202),
+// the session header, the engine's terminal record and the done record.
+// The running record is not synced; losing it costs a rerun to the same
+// result.
 //
-// Each of case.json and job.json is one journal.WriteFileAtomic; case.json
-// is written once at submit and read back through caseio.FromUpload, the
-// decoder that accepted the submission, so a reloaded case digests the same
-// as the submitted one. (Daemons before case.json wrote a case/ directory
-// with caseio.Save; loadCase still reads one, nothing writes one.)
-//
-// job.json is the recovery index: a rebooted daemon scans these, keeps
-// terminal jobs for listing, and requeues every job found queued or
-// running (running means the previous process died mid-run; the journal
-// directory lets the next attempt resume from the last checkpoint instead
-// of restarting the search).
+// Older daemons kept jobs/<id>/ with job.json, case.json (before that, a
+// caseio.Save case/ directory) and journal/wal.log. Boot still lists those
+// jobs. A live one is copied into its own file on its first attempt
+// (migrate), and its directory is never read or written again.
 
 // job is one repair job: the persisted wire record plus runtime-only
 // state (cancellation, event stream). rec is guarded by mu; id, seq,
@@ -51,6 +54,7 @@ type job struct {
 	// picking the job up; runJob honors it as soon as it has a context.
 	cancelRequested bool
 	drained         bool // shutdown drain, not operator cancel
+	legacy          bool // booted from an older daemon's directory (boot and worker only)
 }
 
 // snapshot returns a copy of the wire record.
@@ -58,13 +62,6 @@ func (j *job) snapshot() Job {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.rec
-}
-
-// state returns the current lifecycle state.
-func (j *job) state() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.rec.State
 }
 
 // store owns the state directory and the in-memory job index.
@@ -77,10 +74,17 @@ type store struct {
 	nextSeq int
 }
 
-// retiredLiveStates are live states older daemons also wrote to job.json.
-// Each meant the job had not finished, so a record carrying one boots as
-// queued, like one left running.
+// retiredLiveStates are live states older daemons also wrote: each boots
+// as queued, like a job left running.
 var retiredLiveStates = map[JobState]bool{"leased": true, "orphaned": true, "adopted": true}
+
+// logRecord is the payload of a job record: the wire Job and, in the
+// first record only, the upload. That record leaves Job.Case to the
+// upload's name, so that any upload the API admits fits one frame.
+type logRecord struct {
+	Job    Job            `json:"job"`
+	Upload *caseio.Upload `json:"upload,omitempty"`
+}
 
 // openStore loads (or initializes) a state directory. Jobs found queued or
 // running are normalized to queued; the caller enqueues them.
@@ -95,47 +99,63 @@ func openStore(root string) (*store, error) {
 		return nil, err
 	}
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
+		id, isLog := strings.CutSuffix(e.Name(), ".wal")
+		if old := s.jobs[id]; isLog == e.IsDir() || old != nil && !old.legacy {
+			continue // not a job, or one whose file supersedes its directory
 		}
-		data, err := os.ReadFile(filepath.Join(jobsDir, e.Name(), "job.json"))
-		if err != nil {
-			// A job dir without a readable record (crash between MkdirAll or
-			// the case.json write and the first atomic job.json write) holds
-			// nothing worth recovering: skip it rather than refuse to boot.
-			continue
-		}
-		var rec Job
-		if err := json.Unmarshal(data, &rec); err != nil || rec.ID != e.Name() {
+		// A file without a complete job record (a crash inside Submit)
+		// holds nothing worth recovering: skip it rather than refuse to
+		// boot, and let the next submission reuse its id.
+		rec, err := currentRecord(filepath.Join(jobsDir, e.Name()), isLog)
+		if err != nil || rec.ID != id {
 			continue
 		}
 		switch {
 		case rec.State == StateRunning || retiredLiveStates[rec.State]:
-			// The previous process died mid-run: the journal under the job
-			// dir carries the checkpointed search. Requeue for resume.
+			// The previous process died mid-run: requeue for resume.
 			rec.State = StateQueued
 		case !rec.State.valid():
 			continue
 		}
-		j := &job{id: rec.ID, seq: rec.Seq, priority: rec.Priority, events: newEventLog(), rec: rec}
+		j := &job{id: rec.ID, seq: rec.Seq, priority: rec.Priority, events: newEventLog(), rec: rec, legacy: !isLog}
 		j.events.append(Event{Type: "state", State: rec.State, Error: rec.Error})
 		if rec.State.Terminal() {
 			j.events.close()
 		}
 		s.jobs[j.id] = j
+		s.nextSeq = max(s.nextSeq, rec.Seq+1)
+	}
+	for _, j := range s.jobs {
 		s.order = append(s.order, j)
-		if rec.Seq >= s.nextSeq {
-			s.nextSeq = rec.Seq + 1
-		}
 	}
 	sort.Slice(s.order, func(i, k int) bool { return s.order[i].seq < s.order[k].seq })
 	return s, nil
 }
 
-// create allocates, persists, and indexes a new queued job. An uploaded
-// case is written to the job's case.json as submitted, before job.json, so
-// a rebooted daemon can re-materialize it; a failed write removes the job
-// directory again.
+// currentRecord reads a job's record: the last job record of its file, or
+// an older daemon's job.json.
+func currentRecord(path string, isLog bool) (Job, error) {
+	var r logRecord
+	if !isLog {
+		data, err := os.ReadFile(filepath.Join(path, "job.json"))
+		if err == nil {
+			err = json.Unmarshal(data, &r.Job)
+		}
+		return r.Job, err
+	}
+	last, err := journal.LastJob(path)
+	if err != nil || last == nil {
+		return r.Job, fs.ErrNotExist
+	}
+	err = json.Unmarshal(last, &r)
+	if r.Upload != nil && r.Job.Case == "" {
+		r.Job.Case = r.Upload.Name
+	}
+	return r.Job, err
+}
+
+// create allocates, persists, and indexes a new queued job: its file,
+// holding the first job record. A failed write removes the file again.
 func (s *store) create(req JobRequest, sc *scenario.Scenario) (*job, error) {
 	s.mu.Lock()
 	seq := s.nextSeq
@@ -154,13 +174,19 @@ func (s *store) create(req JobRequest, sc *scenario.Scenario) (*job, error) {
 		MaxIterations:  req.MaxIterations,
 		TimeoutSeconds: req.TimeoutSeconds,
 	}
-	j := &job{id: rec.ID, seq: seq, priority: req.Priority, events: newEventLog(), rec: rec}
-	if err := s.writeJobDir(j, req.Case); err != nil {
-		// Sequential ids never repeat, so nothing would ever reuse or
-		// collect a half-written directory.
-		os.RemoveAll(s.jobDir(j.id))
+	first := logRecord{Job: rec, Upload: req.Case}
+	if req.Case != nil && req.Case.Name == rec.Case {
+		first.Job.Case = ""
+	}
+	w, err := journal.CreateFile(s.path(rec.ID), first)
+	if err == nil {
+		err = w.Close()
+	}
+	if err != nil {
+		os.Remove(s.path(rec.ID))
 		return nil, err
 	}
+	j := &job{id: rec.ID, seq: seq, priority: req.Priority, events: newEventLog(), rec: rec}
 	j.events.append(Event{Type: "state", State: StateQueued})
 
 	s.mu.Lock()
@@ -170,44 +196,88 @@ func (s *store) create(req JobRequest, sc *scenario.Scenario) (*job, error) {
 	return j, nil
 }
 
-// writeJobDir creates the job's directory and its first durable files:
-// case.json for an uploaded case, then job.json. The file writes fsync the
-// job's directory, and jobs/ is fsynced here, so the directory itself — and
-// with it a job already acknowledged — survives a power loss.
-func (s *store) writeJobDir(j *job, upload *caseio.Upload) error {
-	dir := s.jobDir(j.id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+// open opens the job's file for an attempt and loads its case: a builtin
+// is rebuilt (generation is deterministic), an upload is decoded from the
+// first job record as the submission was. A live job of an older daemon
+// is first copied into a file of its own.
+func (s *store) open(j *job) (*journal.Writer, *journal.Session, *scenario.Scenario, error) {
+	if j.legacy {
+		if err := s.migrate(j); err != nil {
+			return nil, nil, nil, fmt.Errorf("migrate: %w", err)
+		}
+		j.legacy = false
 	}
-	if err := journal.SyncDir(filepath.Dir(dir)); err != nil {
-		return err
+	w, sess, err := journal.OpenFile(s.path(j.id))
+	if err != nil {
+		return nil, nil, nil, journalErr(err)
 	}
-	if upload != nil {
-		data, err := json.Marshal(upload)
+	var first logRecord
+	if len(sess.Jobs) > 0 {
+		err = json.Unmarshal(sess.Jobs[0], &first)
+	}
+	var sc *scenario.Scenario
+	switch rec := j.snapshot(); {
+	case rec.Builtin != "":
+		sc, err = builtinScenario(rec.Builtin)
+	case err == nil && first.Upload == nil:
+		err = errors.New("no upload in the job's first record")
+	case err == nil:
+		sc, err = caseio.FromUpload(*first.Upload)
+	}
+	if err != nil {
+		w.Close()
+		return nil, nil, nil, fmt.Errorf("load case: %w", err)
+	}
+	return w, sess, sc, nil
+}
+
+// migrate copies a live job of an older daemon into a file of its own:
+// its record, its case as an upload, and its session's resume state when
+// the session can still resume. Its directory is only read.
+func (s *store) migrate(j *job) error {
+	dir := filepath.Join(s.root, "jobs", j.id)
+	first := logRecord{Job: j.snapshot()}
+	if first.Job.Builtin == "" {
+		u, err := legacyUpload(dir, first.Job.Case)
 		if err != nil {
 			return err
 		}
-		if err := journal.WriteFileAtomic(s.casePath(j.id), data, 0o644); err != nil {
-			return err
-		}
+		first.Upload = &u
 	}
-	return s.persist(j)
-}
-
-// persist writes the job's current record atomically (temp file + rename
-// + parent-dir fsync), so a crash at any point leaves the previous record
-// or the new one, never a torn mix.
-func (s *store) persist(j *job) error {
-	data, err := json.MarshalIndent(j.snapshot(), "", "  ")
+	w, err := journal.CreateFile(s.path(j.id), first)
 	if err != nil {
 		return err
 	}
-	return journal.WriteFileAtomic(filepath.Join(s.jobDir(j.id), "job.json"), data, 0o644)
+	if sess, rerr := journal.Replay(filepath.Join(dir, "journal")); rerr == nil && sess.Resumable() {
+		err = w.AppendSession(sess)
+	}
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-func (s *store) jobDir(id string) string     { return filepath.Join(s.root, "jobs", id) }
-func (s *store) casePath(id string) string   { return filepath.Join(s.jobDir(id), "case.json") }
-func (s *store) journalDir(id string) string { return filepath.Join(s.jobDir(id), "journal") }
+// legacyUpload reads an older daemon's upload: case.json, or the earlier
+// caseio.Save directory, whose load names the case "case" and so gets the
+// submitted name back.
+func legacyUpload(dir, name string) (u caseio.Upload, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, "case.json"))
+	if errors.Is(err, fs.ErrNotExist) {
+		sc, err := caseio.Load(filepath.Join(dir, "case"))
+		if err != nil {
+			return u, err
+		}
+		sc.Name = name
+		return caseio.ToUpload(sc), nil
+	}
+	if err == nil {
+		err = json.Unmarshal(data, &u)
+	}
+	return u, err
+}
+
+// path is the job's journal file.
+func (s *store) path(id string) string { return filepath.Join(s.root, "jobs", id+".wal") }
 
 // get looks a job up by id.
 func (s *store) get(id string) *job {
@@ -220,41 +290,7 @@ func (s *store) get(id string) *job {
 func (s *store) list() []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*job, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
-// loadCase re-materializes the job's repair case: builtins are rebuilt
-// (generation is deterministic), uploads are decoded from the job's
-// case.json exactly as the submission was.
-func (s *store) loadCase(j *job) (*scenario.Scenario, error) {
-	rec := j.snapshot()
-	if rec.Builtin != "" {
-		return builtinScenario(rec.Builtin)
-	}
-	data, err := os.ReadFile(s.casePath(j.id))
-	if errors.Is(err, fs.ErrNotExist) {
-		// State directory written before case.json: the case is a
-		// caseio.Save directory. Directory loads name the case (and its
-		// topology) after the directory ("case"); restore the submitted
-		// name so the journal's case digest still matches.
-		sc, lerr := caseio.Load(filepath.Join(s.jobDir(j.id), "case"))
-		if lerr != nil {
-			return nil, fmt.Errorf("%w (legacy case dir: %v)", err, lerr)
-		}
-		sc.Name = rec.Case
-		sc.Topo.Name = rec.Case
-		return sc, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var u caseio.Upload
-	if err := json.Unmarshal(data, &u); err != nil {
-		return nil, fmt.Errorf("case.json: %w", err)
-	}
-	return caseio.FromUpload(u)
+	return slices.Clone(s.order)
 }
 
 // builtinScenario maps the builtin names the CLI accepts to generated

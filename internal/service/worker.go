@@ -2,8 +2,7 @@ package service
 
 import (
 	"context"
-	"errors"
-	"fmt"
+	"strings"
 
 	"acr/internal/core"
 	"acr/internal/journal"
@@ -21,10 +20,10 @@ func (s *Server) workerLoop() {
 	}
 }
 
-// runJob executes one repair job end to end: transition to running, load
-// the case, create or resume the job's journal, drive the engine, and
-// record the terminal state (or hand the job back to "queued" when a
-// shutdown drain interrupted it).
+// runJob executes one repair job end to end: transition to running, open
+// the job's file and load its case, create or resume its session, drive
+// the engine, and record the terminal state (or hand the job back to
+// "queued" when a shutdown drain interrupted it).
 func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	if j.rec.State.Terminal() {
@@ -49,23 +48,19 @@ func (s *Server) runJob(j *job) {
 	// A job popped in the instant before Shutdown closed the queue is
 	// invisible to the drain loop (it was still "queued" then); pick the
 	// drain up here so it checkpoints and requeues like the rest.
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.draining.Load() {
 		j.mu.Lock()
 		j.drained = true
 		j.mu.Unlock()
 		cancel()
 	}
 
-	s.persistAndEvent(j, Event{Type: "state", State: StateRunning})
-
-	sc, err := s.store.loadCase(j)
+	w, sess, sc, err := s.store.open(j)
 	if err != nil {
-		s.finishFailed(j, fmt.Errorf("load case: %w", err))
+		s.transition(j, nil, StateFailed, err.Error(), nil)
 		return
 	}
+	defer w.Close()
 	rec := j.snapshot()
 	req := JobRequest{
 		Seed:           rec.Seed,
@@ -75,7 +70,7 @@ func (s *Server) runJob(j *job) {
 	}
 	opts, timeout, err := req.Options()
 	if err != nil {
-		s.finishFailed(j, err)
+		s.transition(j, w, StateFailed, err.Error(), nil)
 		return
 	}
 	// Wire the shared persistent evaluation store under this job's cache.
@@ -85,21 +80,9 @@ func (s *Server) runJob(j *job) {
 		opts.Store = s.evalStore
 	}
 	p := core.Problem{Topo: sc.Topo, Configs: sc.Configs, Intents: sc.Intents}
-
-	w, sess, err := s.openJournal(j, p, opts)
-	if err != nil {
-		s.finishFailed(j, err)
+	if err := s.startSession(j, w, sess, p, &opts); err != nil {
+		s.transition(j, w, StateFailed, journalErr(err).Error(), nil)
 		return
-	}
-	if sess != nil {
-		// Provisional: the attempt starts from a journaled session. The
-		// terminal update replaces this with the engine's own Resumed flag
-		// (false when the journal held no checkpoint to restore — a fresh
-		// run under the same seed IS the continuation then).
-		j.mu.Lock()
-		j.rec.Resumed = true
-		j.mu.Unlock()
-		opts.Resume = sess
 	}
 	// Mirror the journal stream onto the job's SSE event log, after any
 	// configured hook (the chaos kill switch in crash tests) has had its
@@ -127,7 +110,6 @@ func (s *Server) runJob(j *job) {
 		defer cancelTimeout()
 	}
 	res := core.RepairContext(ctx, p, opts)
-	w.Close()
 
 	s.candidatesValidated.Add(int64(res.CandidatesValidated))
 	s.panicsQuarantined.Add(int64(res.CandidatesPanicked))
@@ -146,58 +128,43 @@ func (s *Server) runJob(j *job) {
 		// "canceled" terminal. Hand the job back to the queue state so the
 		// next boot resumes it; keep the event stream open. (A drain that
 		// raced a natural completion falls through to "done" instead.)
-		j.mu.Lock()
-		j.rec.State = StateQueued
-		j.mu.Unlock()
-		s.persistAndEvent(j, Event{Type: "state", State: StateQueued})
+		s.transition(j, w, StateQueued, "", nil)
 	case canceled && res.Termination == "canceled":
-		j.mu.Lock()
-		j.rec.State = StateCanceled
-		j.rec.Error = "canceled by operator"
-		j.rec.Resumed = res.Resumed
-		j.rec.Result = NewResultJSON(res)
-		j.mu.Unlock()
-		s.persistAndEvent(j, Event{Type: "state", State: StateCanceled, Error: "canceled by operator"})
-		j.events.close()
+		s.transition(j, w, StateCanceled, "canceled by operator", res)
 	default:
-		j.mu.Lock()
-		j.rec.State = StateDone
-		j.rec.Error = ""
-		j.rec.Resumed = res.Resumed
-		j.rec.Result = NewResultJSON(res)
-		j.mu.Unlock()
-		s.persistAndEvent(j, Event{Type: "state", State: StateDone})
-		j.events.close()
+		s.transition(j, w, StateDone, "", res)
 	}
 }
 
-// openJournal creates the job's journal session, or resumes it when the
-// directory holds a live one for the same case and search (the previous
-// daemon died or drained mid-run); a non-nil sess means resume. A
-// non-resumable leftover session — e.g. a crash landed between the
-// terminal append and the job.json update — is truncated and rerun: the
-// engine is deterministic, so the rerun reproduces the same result.
-func (s *Server) openJournal(j *job, p core.Problem, opts core.Options) (w *journal.Writer, sess *journal.Session, err error) {
-	dir := s.store.journalDir(j.id)
-	hdr := core.SessionHeader(j.snapshot().Case, p, opts)
-	sess, err = journal.Replay(dir)
-	if err == nil && sess.Resumable() && sess.Records > 0 &&
-		sess.Header.CaseDigest == hdr.CaseDigest &&
+// startSession readies the job's session for an attempt and records the
+// job running. A live session of the same case and search resumes from
+// its last checkpoint; any other leftover (say, a session cut off before
+// the job's done record) is cut back to its header and rerun to the same
+// result. Both cuts precede the running record, so no engine record that
+// a resumed run regenerates sits before a job record.
+func (s *Server) startSession(j *job, w *journal.Writer, sess *journal.Session, p core.Problem, opts *core.Options) error {
+	hdr := core.SessionHeader(j.snapshot().Case, p, *opts)
+	var err error
+	if sess.Header != nil && sess.Resumable() && sess.Header.CaseDigest == hdr.CaseDigest &&
 		sess.Header.OptionsDigest == hdr.OptionsDigest {
-		w, err = journal.Resume(dir, sess)
-		if err != nil {
-			return nil, nil, journalErr(err)
-		}
-		return w, sess, nil
+		// Provisional: the terminal update replaces this with the engine's
+		// own Resumed flag (false when there was no checkpoint to restore).
+		j.mu.Lock()
+		j.rec.Resumed = true
+		j.mu.Unlock()
+		opts.Resume = sess
+		err = w.Rewind(sess.ResumeOffset, sess.ResumeSeq)
+	} else if sess.Header != nil {
+		err = w.Rewind(sess.HeaderOffset, sess.HeaderSeq-1)
 	}
-	if err != nil && !errors.Is(err, journal.ErrNoSession) {
-		return nil, nil, journalErr(err)
-	}
-	w, err = journal.Create(dir, hdr)
 	if err != nil {
-		return nil, nil, journalErr(err)
+		return err
 	}
-	return w, nil, nil
+	s.transition(j, w, StateRunning, "", nil)
+	if opts.Resume != nil {
+		return nil
+	}
+	return w.AppendHeader(hdr)
 }
 
 // journalErr wraps journal-layer failures in the engine's error taxonomy
@@ -206,32 +173,35 @@ func journalErr(err error) error {
 	return &core.RepairError{Kind: core.KindJournal, Op: "service.journal", Err: err}
 }
 
-// finishFailed records a job that could not run at all.
-func (s *Server) finishFailed(j *job, err error) {
-	msg := err.Error()
+// transition moves the job to state, with msg as its error and, if res
+// is non-nil, the engine's result; appends the job's record through w (if
+// nil, the file is opened for the one append), fsynced unless running; and
+// publishes the state event, closing a terminal job's stream. A failed
+// append is not fatal, since the in-memory state is right: the event says.
+func (s *Server) transition(j *job, w *journal.Writer, state JobState, msg string, res *core.Result) {
 	j.mu.Lock()
-	j.rec.State = StateFailed
-	j.rec.Error = msg
+	j.rec.State, j.rec.Error = state, msg
+	if res != nil {
+		j.rec.Resumed, j.rec.Result = res.Resumed, NewResultJSON(res)
+	}
+	rec := j.rec
 	j.mu.Unlock()
-	s.persistAndEvent(j, Event{Type: "state", State: StateFailed, Error: msg})
-	j.events.close()
-}
-
-// persistAndEvent writes the job record (atomically) and publishes a
-// lifecycle event. Persistence errors are not fatal to the run — the
-// in-memory state is still right — but they are surfaced on the stream.
-func (s *Server) persistAndEvent(j *job, e Event) {
-	if err := s.store.persist(j); err != nil {
-		e.Error = joinErr(e.Error, fmt.Sprintf("persist: %v", err))
+	var err error
+	if w == nil {
+		if w, _, err = journal.OpenFile(s.store.path(j.id)); err == nil {
+			defer w.Close()
+		}
 	}
-	j.events.append(e)
-}
-
-func joinErr(a, b string) string {
-	if a == "" {
-		return b
+	if err == nil {
+		err = w.AppendJob(logRecord{Job: rec}, state != StateRunning)
 	}
-	return a + "; " + b
+	if err != nil {
+		msg = strings.TrimPrefix(msg+"; persist: "+err.Error(), "; ")
+	}
+	j.events.append(Event{Type: "state", State: state, Error: msg})
+	if state.Terminal() {
+		j.events.close()
+	}
 }
 
 // recordEvent maps a journal record to its SSE mirror.
