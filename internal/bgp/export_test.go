@@ -72,6 +72,18 @@ func ReadOff(n *Net, nd *provenance.Node) bool {
 	return false
 }
 
+// PolicySite reports whether nd, an import or a rejection, derives over a
+// session with a policy at either end: its receiving session has no
+// plainLines. An export suppression sits at the sender, whose session's
+// reverse is the receiving one.
+func PolicySite(n *Net, nd *provenance.Node) bool {
+	s := sessionTo(n.Routers[nd.Router].Sessions, nd.Peer)
+	if s != nil && nd.Kind == provenance.Rejection && nd.Route == nil {
+		s = s.reverse
+	}
+	return s != nil && s.plainLines == nil
+}
+
 // NetDiff names the first way in which got differs from want, "" when it
 // does not: per router ASN, RID, index, slotBase, origins and statics; per
 // session every exported field, its policies, slot, peer, the reverse

@@ -17,10 +17,10 @@ import (
 // across phases are deduplicated, so a flapping prefix's graph is the
 // union of the derivations of all its cycle states.
 //
-// An accepted import over a session without policies at either end is not
-// replayed but read off a converged outcome's AdjIn: its route is the
-// adj-in slot and its lines are the session lines alone (plainLines), which
-// is all the traced replay of a policy-free hop would record.
+// A converged outcome with an AdjIn determines most of its section, which
+// therefore stores only the originations and the sites of sessions with a
+// policy at either end; implicitSites regenerates the rest on demand, with
+// the IDs, parents, routes and lines the traced replay gives.
 func BuildProvenance(n *Net, out *Outcome) *provenance.Graph {
 	return DeriveProvenance(n, out, nil, nil, nil)
 }
@@ -30,8 +30,8 @@ func BuildProvenance(n *Net, out *Outcome) *provenance.Graph {
 // outcome replays, against n's files, only the originations at dirty
 // routers and the sessions with a dirty router at either end — export
 // lines live on the sender, import lines on the receiver, and an edit
-// renumbers both — and copies every other node from base's section: it
-// involves no dirty router, so it is what the replay would produce. A
+// renumbers both — and copies every other stored node from base's section:
+// it involves no dirty router, so it is what the replay would produce. A
 // prefix whose outcome moved is replayed in full. The result equals
 // BuildProvenance(n, out) node for node.
 func DeriveProvenance(n *Net, out, base *Outcome, baseProv *provenance.Graph, dirty []string) *provenance.Graph {
@@ -39,8 +39,17 @@ func DeriveProvenance(n *Net, out, base *Outcome, baseProv *provenance.Graph, di
 	for _, d := range dirty {
 		dirtySet[d] = true
 	}
-	sites := len(n.Order) + n.sessions // a selection per router, a node per session
-	space := n.LineSpace               // built on a section's first line query
+	// A traced section stores a selection per router, a node per session and
+	// an origination or two; an implicit one only the policy-session nodes.
+	traced, stored := tracedHint(n), 2
+	for _, r := range n.routers {
+		for _, s := range r.Sessions {
+			if s.plainLines == nil {
+				stored++
+			}
+		}
+	}
+	space := n.LineSpace // built on a section's first line query
 	sections := make([]*provenance.Section, 0, len(n.AllPrefixes()))
 	bests, sel := make([]*Route, len(n.routers)), make([]int, len(n.routers))
 	for _, p := range n.AllPrefixes() {
@@ -48,7 +57,7 @@ func DeriveProvenance(n *Net, out, base *Outcome, baseProv *provenance.Graph, di
 		if po == nil {
 			continue
 		}
-		b := sectionBuilder{n: n, prefix: p, dirty: dirtySet, adj: po.AdjIn, bests: bests, sel: sel, hint: sites + 2}
+		b := sectionBuilder{n: n, prefix: p, dirty: dirtySet, bests: bests, sel: sel, hint: traced}
 		if base != nil && po.Converged && po == base.ByPrefix[p] {
 			b.from = baseProv.Section(p)
 		}
@@ -56,7 +65,12 @@ func DeriveProvenance(n *Net, out, base *Outcome, baseProv *provenance.Graph, di
 		if len(phases) > 1 {
 			b.ids = map[nodeKey]int{}
 		}
-		b.sec = provenance.NewSection(p, space, b.hint)
+		var implicit provenance.Implicit
+		if po.Converged && po.AdjIn != nil {
+			b.implicit, b.hint = true, stored
+			implicit = newImplicitSites(n, po)
+		}
+		b.sec = provenance.NewSection(p, space, b.hint, implicit)
 		for _, phase := range phases {
 			b.replay(phase)
 		}
@@ -91,17 +105,21 @@ type sectionBuilder struct {
 	// ids deduplicates derivations across phases; nil for a converged
 	// prefix, whose single phase visits every site once.
 	ids map[nodeKey]int
+	// implicit is set when the section has an implicitSites part: its
+	// selections and policy-free session sites are reserved, not stored.
+	implicit bool
 
 	// from, when non-nil, is the section of the version n was derived from,
-	// for the same outcome: nodes that involve no dirty router are copied
-	// from it in step with the replay, cur being the next one to consider.
+	// for the same outcome: stored nodes that involve no dirty router are
+	// copied from it in step with the replay, cur being the next one to
+	// consider.
 	from  *provenance.Section
 	cur   int
 	dirty map[string]bool
 
 	// adj is the outcome's AdjIn, which accepted imports over policy-free
-	// sessions are read off; nil for a flapping prefix or an outcome
-	// without one.
+	// sessions are read off when an implicit part regenerates its section;
+	// nil otherwise.
 	adj [][]*Route
 
 	// bests and sel index a phase by router position: its best routes and
@@ -109,14 +127,14 @@ type sectionBuilder struct {
 	bests []*Route
 	sel   []int
 	// mem holds the routes the replayed exports make, ints the parent
-	// lists. hint bounds a converged section's nodes and parent links: a
-	// selection per router, a node per session, and an origination or two.
+	// lists. hint bounds a converged section's stored nodes and parent
+	// links.
 	mem  arena
 	ints []int
 	hint int
 }
 
-// add appends nd unless, on a flapping prefix, an earlier phase derived it
+// add stores nd unless, on a flapping prefix, an earlier phase derived it
 // already; route is the route the derivation processed, rendered only for
 // that dedup.
 func (b *sectionBuilder) add(route *Route, nd provenance.Node) int {
@@ -132,7 +150,8 @@ func (b *sectionBuilder) add(route *Route, nd provenance.Node) int {
 	return id
 }
 
-// addParent records parent as a parent of node id.
+// addParent records parent as a parent of node id, which a section
+// without an implicit part stores at index id.
 func (b *sectionBuilder) addParent(id, parent int) {
 	nd := b.sec.Node(id)
 	switch {
@@ -152,18 +171,27 @@ func (b *sectionBuilder) parent(id int) []int {
 	return p
 }
 
+// selected reports whether rt, derived at router i, is the route the phase
+// selects there, which makes its node a parent of a stored selection. The
+// phases of a flapping prefix are compared by value; an implicit section
+// stores no selection.
+func (b *sectionBuilder) selected(i int, rt *Route) bool {
+	return !b.implicit && sameRoute(b.bests[i], rt)
+}
+
 // reusable reports whether the nodes of a site involving routers x and y
 // (x == y for an origination) are copied from b.from instead of replayed.
 func (b *sectionBuilder) reusable(x, y string) bool {
 	return b.from != nil && !b.dirty[x] && !b.dirty[y]
 }
 
-// next returns the next node of b.from that the derived section copies — it
-// is no selection (those are rebuilt: they carry no lines) and involves no
-// dirty router — without consuming it, or nil.
+// next returns the next stored node of b.from that the derived section
+// copies — it is no selection (those are rebuilt: they carry no lines) and
+// involves no dirty router — without consuming it, or nil.
 func (b *sectionBuilder) next() *provenance.Node {
-	for ; b.cur < b.from.Len(); b.cur++ {
-		nd := b.from.Node(b.cur)
+	stored := b.from.Stored()
+	for ; b.cur < len(stored); b.cur++ {
+		nd := &stored[b.cur]
 		if nd.Kind != provenance.Selection && !b.dirty[nd.Router] && !b.dirty[nd.PeerRouter] {
 			return nd
 		}
@@ -190,20 +218,16 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 	// advertising neighbor's selection as a parent.
 	for i, r := range n.routers {
 		name := r.Name
-		best := bests[i]
-		local := -1 // the origination best was selected from
-		selected := func(rt *Route) bool {
-			return best != nil && best.Src == SrcLocal && sameRoute(rt, best)
-		}
+		local := -1 // the origination a stored selection was selected from
 		if b.reusable(name, name) {
 			for nd := b.next(); nd != nil && nd.Kind == provenance.Origination && nd.Router == name; nd = b.next() {
 				id := b.copyNode(nd, nil)
-				if selected(nd.Route.(*Route)) {
+				if b.selected(i, nd.Route.(*Route)) {
 					local = id
 				}
 			}
 		} else {
-			first := b.sec.Len()
+			first := len(b.sec.Stored())
 			for _, o := range r.Origins {
 				if o.Prefix != prefix {
 					continue
@@ -216,13 +240,17 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 				id := b.add(rt, provenance.Node{
 					Kind: provenance.Origination, Router: name, Route: rt, Lines: tr.refs,
 				})
-				if selected(rt) {
+				if b.selected(i, rt) {
 					local = id
 				}
 			}
 		}
 		sel[i] = -1
-		if best != nil {
+		switch best := bests[i]; {
+		case best == nil:
+		case b.implicit:
+			sel[i] = b.sec.Reserve()
+		default:
 			sel[i] = b.add(best, provenance.Node{
 				Kind: provenance.Selection, Router: name, Route: best,
 			})
@@ -234,19 +262,17 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 	// Import / rejection derivations: replay each established session.
 	for i, r := range n.routers {
 		name := r.Name
-		best := bests[i]
 		for _, s := range r.Sessions {
 			nbBest := bests[s.peer]
 			nbSess := s.reverse
 			if nbBest == nil || nbSess == nil {
 				continue
 			}
-			parents := b.parent(sel[s.peer])
-			// An accepted import is a parent of the receiver's selection
-			// when it is the route selected.
-			selected := func(in *Route) bool {
-				return best != nil && best.Src == SrcPeer && sameRoute(best, in)
+			if b.implicit && s.plainLines != nil {
+				b.sec.Reserve() // an import or an AS-path loop rejection
+				continue
 			}
+			parents := b.parent(sel[s.peer])
 			if b.reusable(name, s.PeerName) {
 				nd := b.next()
 				atReceiver := nd != nil && nd.Router == name && nd.Peer == s.PeerAddr
@@ -255,7 +281,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 					panic("bgp: the parent version's provenance section is out of step with the replay of " + prefix.String())
 				}
 				id := b.copyNode(nd, parents)
-				if nd.Kind == provenance.Import && selected(nd.Route.(*Route)) {
+				if nd.Kind == provenance.Import && b.selected(i, nd.Route.(*Route)) {
 					b.addParent(sel[i], id)
 				}
 				continue
@@ -265,7 +291,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 					Kind: provenance.Import, Router: name, Peer: s.PeerAddr, PeerRouter: s.PeerName,
 					Route: in, Lines: s.plainLines, Parents: parents,
 				})
-				if selected(in) {
+				if b.selected(i, in) {
 					b.addParent(sel[i], id)
 				}
 				continue
@@ -293,7 +319,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 				Kind: provenance.Import, Router: name, Peer: s.PeerAddr, PeerRouter: s.PeerName,
 				Route: in, Lines: imTr.refs, Parents: parents,
 			})
-			if selected(in) {
+			if b.selected(i, in) {
 				b.addParent(sel[i], id)
 			}
 		}
@@ -310,16 +336,75 @@ func (b *sectionBuilder) plainImport(i int, s *Session) *Route {
 	return b.adj[i][s.slot]
 }
 
-// originated reports whether a node from first on already originates rt:
-// a router configured with the same origination twice derives it once.
+// originated reports whether a stored node from index first on already
+// originates rt: a router configured with the same origination twice
+// derives it once.
 func (b *sectionBuilder) originated(first int, rt *Route) bool {
-	for id := first; id < b.sec.Len(); id++ {
-		if nd := b.sec.Node(id); nd.Kind == provenance.Origination && sameRoute(nd.Route.(*Route), rt) {
+	stored := b.sec.Stored()
+	for k := first; k < len(stored); k++ {
+		if nd := &stored[k]; nd.Kind == provenance.Origination && sameRoute(nd.Route.(*Route), rt) {
 			return true
 		}
 	}
 	return false
 }
+
+// implicitSites is the implicit part of the section of a converged outcome
+// po with an AdjIn: the derivations that po and the net n determine, which
+// the section does not store. They are every selection and every site of a
+// session without policies whose sender has a best. Such an export cannot
+// fail and such an import fails only on an AS-path loop, so the site is
+// the import the adj-in slot holds, with the session's plainLines, or, the
+// slot being empty, the loop rejection of the sender's best, with the
+// sender's session lines.
+type implicitSites struct {
+	n  *Net
+	po *PrefixOutcome
+	// bests are po's best routes by router position.
+	bests []*Route
+}
+
+// newImplicitSites returns the implicit part of po's section.
+func newImplicitSites(n *Net, po *PrefixOutcome) *implicitSites {
+	bests := make([]*Route, len(n.routers))
+	for i, r := range n.routers {
+		bests[i] = po.Final[r.Name]
+	}
+	return &implicitSites{n: n, po: po, bests: bests}
+}
+
+// AddLines adds the lines of the implicit session sites; selections have
+// none.
+func (im *implicitSites) AddLines(set *netcfg.LineSet) {
+	for i, r := range im.n.routers {
+		for _, s := range r.Sessions {
+			switch {
+			case s.plainLines == nil || s.reverse == nil || im.bests[s.peer] == nil:
+			case im.po.AdjIn[i][s.slot] != nil:
+				set.Add(s.plainLines...)
+			default:
+				set.Add(s.reverse.LocalLines...)
+			}
+		}
+	}
+}
+
+// Nodes replays the section's only phase, storing every derivation, which
+// gives the nodes the section stores as well as the implicit ones. The
+// accepted imports over policy-free sessions are read off the adj-in.
+func (im *implicitSites) Nodes() []provenance.Node {
+	n := im.n
+	b := sectionBuilder{n: n, prefix: im.po.Prefix, adj: im.po.AdjIn, hint: tracedHint(n),
+		bests: make([]*Route, len(n.routers)), sel: make([]int, len(n.routers))}
+	b.sec = provenance.NewSection(b.prefix, n.LineSpace, b.hint, nil)
+	b.replay(im.po.Final)
+	return b.sec.Stored()
+}
+
+// tracedHint bounds the nodes and parent links of a converged section that
+// stores every derivation: a selection per router, a node per session, and
+// an origination or two.
+func tracedHint(n *Net) int { return len(n.Order) + n.sessions + 2 }
 
 // MissingOriginLines computes negative provenance for a prefix that has no
 // derivation at all — typically a missing origination (the paper's most

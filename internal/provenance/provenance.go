@@ -6,6 +6,11 @@
 // spectrum-based fault localization consumes is built from slices of this
 // graph, and the MetaProv baseline's search space is its set of leaf
 // configuration predicates.
+//
+// A graph stores only the derivations its outcome cannot regenerate. The
+// rest of a section is its Implicit part, which yields those derivations
+// on demand: their lines when the section is sealed, the nodes themselves
+// when a reader walks the section.
 package provenance
 
 import (
@@ -69,8 +74,9 @@ type RouteInfo interface {
 	Via() string
 }
 
-// Node is one derivation of its Section's prefix. Its ID is its index in
-// the section.
+// Node is one derivation of its Section's prefix. Its ID is its position
+// in the section's ID order, which counts the implicit derivations too; a
+// stored node does not hold it.
 type Node struct {
 	Kind   Kind
 	Router string
@@ -109,11 +115,13 @@ func (n *Node) Detail() string {
 	return n.Kind.String()
 }
 
-// Section holds the derivations of one prefix. It is append-only while it
-// is being built and immutable afterwards, which is what lets a
-// configuration version copy nodes out of it into the versions derived
-// from it, and verify.Incremental clones, which callers may check on
-// concurrently, share a whole graph.
+// Section holds the derivations of one prefix: the stored nodes and, when
+// the section has one, an Implicit part that regenerates the others. Node
+// IDs count both, in the order the section was built. The section is
+// append-only while it is being built and immutable afterwards, which is
+// what lets a configuration version copy stored nodes out of it into the
+// versions derived from it, and verify.Incremental clones, which callers
+// may check on concurrently, share a whole graph.
 //
 // The first line query seals the section: it sets, once under sealOnce,
 // the bits of its derivations' lines in a LineSet over the version's line
@@ -121,7 +129,11 @@ func (n *Node) Detail() string {
 // immutable set. Add on a sealed section panics.
 type Section struct {
 	prefix netip.Prefix
-	nodes  []Node
+	// nodes are the stored derivations in ID order, n the number of
+	// derivations, implicit ones included.
+	nodes    []Node
+	n        int
+	implicit Implicit
 	// space yields the line space of the version the section belongs to.
 	space func() *netcfg.LineSpace
 
@@ -129,13 +141,26 @@ type Section struct {
 	lines    netcfg.LineSet // over space(); the zero LineSet until sealed
 }
 
-// NewSection returns an empty section for prefix p of the version whose
-// line space space yields, with room for sizeHint nodes.
-func NewSection(p netip.Prefix, space func() *netcfg.LineSpace, sizeHint int) *Section {
-	return &Section{prefix: p, space: space, nodes: make([]Node, 0, sizeHint)}
+// Implicit is the part of a section its outcome regenerates instead of
+// storing: in internal/bgp, a converged prefix's selections and its
+// derivations over sessions without policies. Its nodes have IDs among the
+// stored ones; Section.Reserve numbers them while the section is built.
+type Implicit interface {
+	// AddLines adds the lines of the implicit derivations to set.
+	AddLines(set *netcfg.LineSet)
+	// Nodes returns every derivation of the section in ID order, the
+	// stored ones included.
+	Nodes() []Node
 }
 
-// Add appends a node and returns its ID. It panics once a line query has
+// NewSection returns an empty section for prefix p of the version whose
+// line space space yields, with room for sizeHint stored nodes. implicit,
+// when non-nil, is the part of the section that is not stored.
+func NewSection(p netip.Prefix, space func() *netcfg.LineSpace, sizeHint int, implicit Implicit) *Section {
+	return &Section{prefix: p, space: space, nodes: make([]Node, 0, sizeHint), implicit: implicit}
+}
+
+// Add stores a node and returns its ID. It panics once a line query has
 // sealed the section: the set the readers share would silently miss the
 // node.
 func (s *Section) Add(n Node) int {
@@ -143,19 +168,41 @@ func (s *Section) Add(n Node) int {
 		panic("provenance: Add on a section sealed by a line query")
 	}
 	s.nodes = append(s.nodes, n)
-	return len(s.nodes) - 1
+	s.n++
+	return s.n - 1
 }
 
-// Len reports the number of nodes.
-func (s *Section) Len() int { return len(s.nodes) }
+// Reserve returns the ID of the next derivation, one the implicit part
+// regenerates.
+func (s *Section) Reserve() int {
+	s.n++
+	return s.n - 1
+}
+
+// Len reports the number of nodes, implicit ones included.
+func (s *Section) Len() int { return s.n }
+
+// Stored returns the stored nodes in ID order. The slice is the section's:
+// callers must not modify it.
+func (s *Section) Stored() []Node { return s.nodes }
 
 // Node returns the node with the given ID, or nil. While the section is
-// still being built the pointer is valid only until the next Add.
+// still being built the pointer is valid only until the next Add. On a
+// section with an implicit part, every call regenerates the section's
+// nodes.
 func (s *Section) Node(id int) *Node {
-	if id < 0 || id >= len(s.nodes) {
+	if id < 0 || id >= s.n {
 		return nil
 	}
-	return &s.nodes[id]
+	return &s.all()[id]
+}
+
+// all returns every node in ID order.
+func (s *Section) all() []Node {
+	if s.implicit == nil {
+		return s.nodes
+	}
+	return s.implicit.Nodes()
 }
 
 // LineSet returns the set of configuration lines the section's derivations
@@ -164,11 +211,13 @@ func (s *Section) Node(id int) *Node {
 // to it.
 func (s *Section) LineSet() netcfg.LineSet {
 	s.sealOnce.Do(func() {
-		set := s.space().NewSet()
+		s.lines = s.space().NewSet()
 		for i := range s.nodes {
-			set.Add(s.nodes[i].Lines...)
+			s.lines.Add(s.nodes[i].Lines...)
 		}
-		s.lines = set
+		if s.implicit != nil {
+			s.implicit.AddLines(&s.lines)
+		}
 	})
 	return s.lines
 }
@@ -214,9 +263,10 @@ func (g *Graph) ForPrefix(p netip.Prefix) []*Node {
 	if s == nil {
 		return nil
 	}
-	out := make([]*Node, len(s.nodes))
-	for i := range s.nodes {
-		out[i] = &s.nodes[i]
+	nodes := s.all()
+	out := make([]*Node, len(nodes))
+	for i := range nodes {
+		out[i] = &nodes[i]
 	}
 	return out
 }

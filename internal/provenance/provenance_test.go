@@ -24,7 +24,7 @@ func space() *netcfg.LineSpace { return sampleSpace }
 // rejection for p1, plus an unrelated origination for p2. The sections are
 // returned unsealed so a test can add to them before building its graph.
 func buildSample() (s1, s2 *Section, ids map[string]int) {
-	s1, s2 = NewSection(p1, space, 8), NewSection(p2, space, 0)
+	s1, s2 = NewSection(p1, space, 8, nil), NewSection(p2, space, 0, nil)
 	ids = map[string]int{}
 	ids["origA"] = s1.Add(Node{Kind: Origination, Router: "A", Lines: []netcfg.LineRef{lr("A", 5)}})
 	ids["selA"] = s1.Add(Node{Kind: Selection, Router: "A", Parents: []int{ids["origA"]}})
@@ -56,7 +56,7 @@ func TestAddAssignsSequentialIDs(t *testing.T) {
 
 func TestForPrefixSeparation(t *testing.T) {
 	s1, s2, _ := buildSample()
-	g := NewGraph(s1, s2, NewSection(netip.MustParsePrefix("30.0.0.0/8"), space, 0))
+	g := NewGraph(s1, s2, NewSection(netip.MustParsePrefix("30.0.0.0/8"), space, 0, nil))
 	if got := len(g.ForPrefix(p1)); got != 5 {
 		t.Errorf("ForPrefix(p1) = %d nodes, want 5", got)
 	}
@@ -122,7 +122,7 @@ func TestLinesAtDeviceIsTheDeviceRun(t *testing.T) {
 // section without lines seals like any other.
 func TestAddAfterLineQueryPanics(t *testing.T) {
 	_, s2, _ := buildSample()
-	empty := NewSection(p1, space, 0)
+	empty := NewSection(p1, space, 0, nil)
 	empty.Add(Node{Kind: Selection, Router: "A"}) // unsealed: fine
 	s2.Add(Node{Kind: Selection, Router: "A"})
 	NewGraph(s2).LinesForPrefix(p2)
@@ -144,7 +144,7 @@ func TestAddAfterLineQueryPanics(t *testing.T) {
 // device — would drop out of the sealed set, so the seal panics and names it.
 func TestSealPanicsOutsideTheLineSpace(t *testing.T) {
 	for _, bad := range []netcfg.LineRef{lr("A", 10), lr("B", 0), lr("Q", 1)} {
-		s := NewSection(p1, space, 1)
+		s := NewSection(p1, space, 1, nil)
 		s.Add(Node{Kind: Origination, Router: "A", Lines: []netcfg.LineRef{lr("A", 1), bad}})
 		func() {
 			defer func() {
@@ -161,7 +161,7 @@ func TestSealPanicsOutsideTheLineSpace(t *testing.T) {
 // prefix; a second would shadow the first's nodes.
 func TestNewGraphRejectsTwoSectionsForOnePrefix(t *testing.T) {
 	s1, _, _ := buildSample()
-	dup := NewSection(p1, space, 1)
+	dup := NewSection(p1, space, 1, nil)
 	dup.Add(Node{Kind: Selection, Router: "A"})
 	defer func() {
 		if recover() == nil {
@@ -203,5 +203,43 @@ func TestKindStrings(t *testing.T) {
 			t.Errorf("Kind %d has bad or duplicate name %q", k, s)
 		}
 		seen[s] = true
+	}
+}
+
+// fakeImplicit is the implicit part of a section that stores A's
+// origination and C's import and reserves B's selection between them: it
+// regenerates all three, the selection with line 2 of B.
+type fakeImplicit struct{}
+
+func (fakeImplicit) AddLines(set *netcfg.LineSet) { set.Add(lr("B", 2)) }
+
+func (fakeImplicit) Nodes() []Node {
+	return []Node{
+		{Kind: Origination, Router: "A", Lines: []netcfg.LineRef{lr("A", 5)}},
+		{Kind: Selection, Router: "B", Lines: []netcfg.LineRef{lr("B", 2)}},
+		{Kind: Import, Router: "C", Lines: []netcfg.LineRef{lr("C", 1)}, Parents: []int{1}},
+	}
+}
+
+// TestImplicitPartReservesIDs: a reserved ID sits between the stored nodes
+// in Len, Node and ForPrefix read the implicit part, and its lines are
+// sealed with the stored ones'.
+func TestImplicitPartReservesIDs(t *testing.T) {
+	s := NewSection(p1, space, 2, fakeImplicit{})
+	orig := s.Add(Node{Kind: Origination, Router: "A", Lines: []netcfg.LineRef{lr("A", 5)}})
+	sel := s.Reserve()
+	imp := s.Add(Node{Kind: Import, Router: "C", Lines: []netcfg.LineRef{lr("C", 1)}, Parents: []int{sel}})
+	if orig != 0 || sel != 1 || imp != 2 || s.Len() != 3 || len(s.Stored()) != 2 {
+		t.Fatalf("IDs %d %d %d, Len %d, %d stored; want 0 1 2, 3, 2", orig, sel, imp, s.Len(), len(s.Stored()))
+	}
+	g := NewGraph(s)
+	if n := g.ForPrefix(p1); g.Len() != 3 || len(n) != 3 || n[1].Router != "B" || n[2].Router != "C" {
+		t.Fatalf("ForPrefix = %d nodes of %d, want A, B, C", len(n), g.Len())
+	}
+	if n := s.Node(sel); n == nil || n.Kind != Selection || n.Router != "B" {
+		t.Errorf("Node(%d) = %+v, want B's selection", sel, n)
+	}
+	if got := g.LinesForPrefix(p1); len(got) != 3 || got[1] != lr("B", 2) {
+		t.Errorf("LinesForPrefix = %v, want A:5, B:2, C:1", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -167,7 +168,9 @@ func wanPreserves(t testing.TB) (scratch, derived func() *core.Context) {
 // text key), 5,084 derived; 13,301 and 4,532 once a hop copies a route
 // once and policy-free imports are read off the converged adj-in; 7,358
 // and 2,568 once hops copy into a per-prefix arena, the state digest is
-// kept on write and parent lists are carved per section.
+// kept on write and parent lists are carved per section; 7,198 and 2,022
+// before, 6,826 and 1,948 after a converged section stopped storing its
+// selections and policy-free session sites.
 func TestPreserveAllocBudget(t *testing.T) {
 	const scratchBudget = 9000
 	scratch, derived := wanPreserves(t)
@@ -194,7 +197,9 @@ func TestPreserveAllocBudget(t *testing.T) {
 // imports read off the converged adj-in instead of replayed, 22,533. With
 // hops copying routes and paths into a per-prefix arena, the digest kept
 // on write, snapshots as slices and parent lists carved per section, it
-// measures 3,324. The budget is a quarter of 22,533.
+// measured 3,324, later 2,803; with a converged section storing only its
+// originations and policy-session sites, 1,866. The budget is a quarter of
+// 22,533.
 func TestSimulateAllocBudget(t *testing.T) {
 	const budget = 22533 / 4
 	s := scenario.DCN(6, scenario.GenOptions{})
@@ -214,5 +219,32 @@ func TestSimulateAllocBudget(t *testing.T) {
 	}
 	if got > budget {
 		t.Errorf("a cold base version on fat-tree k=6 allocates %.0f times, budget %d", got, budget)
+	}
+}
+
+// TestProvenanceBytesBudget is the byte budget on a base version's
+// provenance: BuildProvenance of the k=10 fat-tree (126 devices, 56,300
+// nodes), measured as the growth of runtime.MemStats.TotalAlloc per call.
+// With a stored node for every derivation it allocated 11.07 MB. The
+// budget is a quarter of that.
+func TestProvenanceBytesBudget(t *testing.T) {
+	const budget = 11.07e6 / 4
+	s := scenario.DCN(10, scenario.GenOptions{})
+	n := bgp.Compile(s.Topo, s.Files())
+	out := bgp.Simulate(n, bgp.Options{})
+	if bgp.BuildProvenance(n, out).Len() == 0 {
+		t.Fatal("no provenance derived; the budget is vacuous")
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		bgp.BuildProvenance(n, out)
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("BuildProvenance on fat-tree k=10: %.2f MB per call, budget %.2f MB", got/1e6, budget/1e6)
+	if got > budget {
+		t.Errorf("BuildProvenance on fat-tree k=10 allocates %.2f MB per call, budget %.2f MB", got/1e6, budget/1e6)
 	}
 }
