@@ -8,7 +8,7 @@
 //	acr lint     (-builtin <name> | -dir <casedir>) [-json] [-severity info]
 //	acr localize (-builtin <name> | -dir <casedir>) [-formula tarantula] [-top 15]
 //	acr repair   (-builtin <name> | -dir <casedir>) [-strategy evolutionary] [-seed 0] [-out <dir>]
-//	             [-journal <dir> [-resume]] [-differential] [-o text|json]
+//	             [-journal <dir> [-resume]] [-o text|json]
 //	             [-cache-dir <dir> [-cache-max-bytes <n>]]
 //	acr serve    -state-dir <dir> [-addr 127.0.0.1:7365] [-workers 2] [-queue-cap 64]
 //	             [-debug-addr 127.0.0.1:6060] [-cache-dir <dir>|none] [-cache-max-bytes <n>]
@@ -262,7 +262,6 @@ func runRepair(args []string) error {
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the repair (0 = unlimited)")
 	cacheDir := fs.String("cache-dir", "", "persistent evaluation store directory, shared across runs and processes (empty = in-memory only)")
 	cacheMax := fs.Int64("cache-max-bytes", 0, "persistent store byte budget (0 = 256 MiB); a full store starts over empty")
-	differential := fs.Bool("differential", false, "replay every delta-simulated prefix and every validation against the cold path and fail the run on any divergence (soundness audit)")
 	journalDir := fs.String("journal", "", "write a crash-safe session journal to this directory")
 	resume := fs.Bool("resume", false, "resume the crashed session journaled in -journal")
 	crashAfter := fs.Int("crash-after-appends", 0, "testing hook: SIGKILL this process after N journal appends")
@@ -275,7 +274,7 @@ func runRepair(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := acr.RepairOptions{Seed: *seed, MaxIterations: *maxIter, Differential: *differential}
+	opts := acr.RepairOptions{Seed: *seed, MaxIterations: *maxIter}
 	switch *strategy {
 	case "evolutionary":
 		opts.Strategy = core.Evolutionary

@@ -12,6 +12,7 @@ import (
 	"acr/internal/incidents"
 	"acr/internal/journal"
 	"acr/internal/netcfg"
+	"acr/internal/oracle"
 	"acr/internal/sbfl"
 	"acr/internal/scenario"
 	"acr/internal/verify"
@@ -227,8 +228,9 @@ func (ct *commitTally) add(parent, child *verify.Incremental) {
 // wan-large panel; all 120 corpus incidents unless -short — and rebuilds
 // every version the engine kept the way the engine does, by committing on a
 // clone of the parent's (itself committed) verifier; each must equal the
-// verifier built from scratch on the same texts. The full sweep is a step
-// of the delta-soundness CI job.
+// verifier built from scratch on the same texts, and every prefix of its
+// outcome must pass the reference simulator (oracle.Tally.Reference). The
+// full sweep is a step of the soundness CI job.
 func TestCommitMatchesScratch(t *testing.T) {
 	type search struct {
 		c    *acr.Case
@@ -256,6 +258,7 @@ func TestCommitMatchesScratch(t *testing.T) {
 	}
 
 	var tally commitTally
+	var ref oracle.Tally
 	deepest := 0
 	for name, s := range searches {
 		key := func(descs []string) string { return strings.Join(descs, "\x00") }
@@ -274,6 +277,9 @@ func TestCommitMatchesScratch(t *testing.T) {
 				}
 				child := commitTo(t, label, parent, m.Configs)
 				sameVerifier(t, label, child, verify.NewIncremental(s.c.Topo, configsOf(m.Configs), s.c.Intents, bgp.Options{}))
+				if err := ref.Reference(child.BaseOutcome()); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
 				if got := child.BaseReport().NumFailed(); got != m.Fitness {
 					t.Fatalf("%s: %d failing intents, the engine journaled %d", label, got, m.Fitness)
 				}
@@ -283,10 +289,10 @@ func TestCommitMatchesScratch(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d searches, %d kept versions (deepest chain %d): %d prefixes kept the parent's outcome, %d moved",
-		len(searches), tally.versions, deepest, tally.kept, tally.moved)
-	if tally.kept == 0 || tally.moved == 0 || deepest < 3 {
-		t.Errorf("the sweep is vacuous: %d kept prefixes, %d moved, deepest chain %d", tally.kept, tally.moved, deepest)
+	t.Logf("%d searches, %d kept versions (deepest chain %d): %d prefixes kept the parent's outcome, %d moved; reference-checked %d converged and %d flapping prefixes",
+		len(searches), tally.versions, deepest, tally.kept, tally.moved, ref.Converged, ref.Flapping)
+	if tally.kept == 0 || tally.moved == 0 || deepest < 3 || ref.Converged == 0 {
+		t.Errorf("the sweep is vacuous: %d kept prefixes, %d moved, deepest chain %d, %d reference-checked", tally.kept, tally.moved, deepest, ref.Converged)
 	}
 }
 

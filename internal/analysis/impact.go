@@ -49,9 +49,9 @@ import (
 // Soundness is enforced downstream, not assumed here: the incremental
 // verifier cross-checks the predicted impact against the derived network
 // (whether bgp.Net.Derive kept the sessions, origination diff) and falls
-// back to a full re-simulation on any mismatch, and a differential mode
-// replays every pruned decision against full simulation (see
-// internal/verify).
+// back to a full re-simulation on any mismatch; the soundness audit
+// (internal/oracle, TestSoundnessAudit) holds every pruned decision to a
+// from-scratch check.
 
 // Impact is the over-approximate blast radius of one candidate edit set.
 // The zero value means "provably no behavioral change".

@@ -23,9 +23,9 @@ import (
 // the delta path re-activates every router the field can influence (the
 // dirty set is per-device, so per-device fields are covered; anything
 // with cross-device reach needs explicit handling), and (c) adds the
-// field to the inventory below. The differential corpus sweep
-// (TestDifferentialCorpus) would eventually catch a missed field too, but only if the corpus happens to
-// exercise it; this guard catches it at compile-adjacent time.
+// field to the inventory below. The soundness audit (TestSoundnessAudit)
+// would eventually catch a missed field too, but only if the corpus happens
+// to exercise it; this guard catches it at compile-adjacent time.
 func TestImpactCoversASTSurface(t *testing.T) {
 	known := []string{
 		"ApplyClause.ASN",

@@ -26,9 +26,9 @@ import (
 // route content, which the dirty-device re-derivation and forced pushes
 // rewrite. The one caveat is multi-stability: a network with several
 // fixpoints could converge to a different one when started warm. The
-// -differential mode, FuzzDeltaSim, and the corpus byte-identity gate
-// against full validation exist to catch that class; every divergence
-// found is a bug.
+// soundness audit (internal/oracle: TestSoundnessAudit, FuzzDeltaSim) and
+// the corpus byte-identity gate against full validation exist to catch
+// that class; every divergence found is a bug.
 
 // DeltaSimulate is Simulate for a net n that differs from base's only in
 // the configuration of the dirty routers and establishes the same sessions

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -70,21 +69,18 @@ type Options struct {
 	// pruning at diagnosed lines. Only tests set it (export_test.go), to
 	// measure what the prior saves.
 	noStaticPrior bool
+	// audit, when non-nil, runs after every successful incremental check
+	// on the verifier and edits it checked; an error drops the candidate
+	// like any validator error. Only tests set it (export_test.go), to
+	// audit each validated candidate against the references in
+	// internal/oracle. It observes the run and is not in SearchDigest.
+	audit func(context.Context, *verify.Incremental, []netcfg.EditSet) error
 
 	// --- performance ----------------------------------------------------
 
 	// Deprecated: Parallelism is ignored. Candidates are validated one at
 	// a time, in proposal order, on the engine goroutine.
 	Parallelism int
-	// Differential audits every incremental validation against the cold
-	// path (verify.Incremental.Differential): each delta-simulated prefix
-	// is replayed against a cold simulation and each report against a
-	// from-scratch full check. A disagreement ends the run with
-	// termination "delta-divergence" or "impact-divergence" — the
-	// soundness enforcement mode the soundness CI job runs under. Purely
-	// observational on a sound verifier, so it is excluded from
-	// SearchDigest.
-	Differential bool
 	// Store, when non-nil, is the persistent evaluation store layered
 	// under the in-memory cache (internal/evalstore): digests the cache
 	// misses are looked up there before simulating, and freshly simulated
@@ -539,27 +535,6 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 					res.Logs = append(res.Logs, log)
 					return abort()
 				}
-				var dv *verify.DivergenceError
-				if errors.As(err, &dv) {
-					// The impact analysis was caught pruning unsoundly.
-					// Continuing would search on corrupted fitness data;
-					// fail the run and surface the minimized repro.
-					endBatch()
-					res.recordError(&RepairError{Kind: KindImpactDivergence, Op: "validate", Candidate: pr.update.Desc, Err: dv})
-					res.Logs = append(res.Logs, log)
-					sink.iteration(log)
-					return finish("impact-divergence")
-				}
-				var dde *verify.DeltaDivergenceError
-				if errors.As(err, &dde) {
-					// The delta simulator reached a fixpoint a cold
-					// simulation would not; same terminal treatment.
-					endBatch()
-					res.recordError(&RepairError{Kind: KindDeltaDivergence, Op: "validate", Candidate: pr.update.Desc, Err: dde})
-					res.Logs = append(res.Logs, log)
-					sink.iteration(log)
-					return finish("delta-divergence")
-				}
 				continue // malformed or quarantined candidate
 			}
 			res.CandidatesValidated++
@@ -880,6 +855,9 @@ func validateCandidate(ctx context.Context, res *Result, pr *proposal, opts Opti
 		rep, stats, err = iv.FullCheckCtx(ctx, pr.update.Edits)
 	} else {
 		rep, stats, err = iv.CheckCtx(ctx, pr.update.Edits)
+		if err == nil && opts.audit != nil {
+			err = opts.audit(ctx, iv, pr.update.Edits)
+		}
 		if err == nil {
 			switch {
 			case stats.Refuted:
@@ -1021,7 +999,6 @@ func preserve(res *Result, descs []string, build func() (*candidate, error)) (c 
 func scratchVersion(p Problem, configs map[string]*netcfg.Config, descs []string, opts Options) func() (*candidate, error) {
 	return func() (*candidate, error) {
 		iv := verify.NewIncremental(p.Topo, configs, p.Intents, opts.SimOpts)
-		iv.Differential = opts.Differential
 		return newCandidate(p, iv, descs, opts), nil
 	}
 }

@@ -32,8 +32,7 @@ func TestDeltaCountersExcludedFromCanonical(t *testing.T) {
 // TestSearchDigestGolden pins SearchDigest to the values written before
 // the impact and delta ablation switches were removed (they hash as their
 // constant false), so journals and service state directories written
-// then still resume. Differential moves
-// nothing and is excluded.
+// then still resume.
 func TestSearchDigestGolden(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -45,10 +44,6 @@ func TestSearchDigestGolden(t *testing.T) {
 	} {
 		if got := c.opts.SearchDigest(); got != c.want {
 			t.Errorf("%s: SearchDigest() = %s, want %s", c.name, got, c.want)
-		}
-		c.opts.Differential = true
-		if got := c.opts.SearchDigest(); got != c.want {
-			t.Errorf("%s: Differential moves SearchDigest to %s; observational replay must not split sessions", c.name, got)
 		}
 	}
 }
@@ -98,22 +93,5 @@ func TestNoCacheSessionRefused(t *testing.T) {
 	if fresh := core.Repair(p, core.Options{Seed: 1}); res.Canonical() != fresh.Canonical() {
 		t.Errorf("refused resume diverges from a fresh run\n--- fresh ---\n%s\n--- refused ---\n%s",
 			fresh.Canonical(), res.Canonical())
-	}
-}
-
-// TestDifferentialFigure2 runs the engine with Differential on:
-// every delta-simulated prefix is replayed against a cold simulation and
-// every report against a full check inside the validation, and any
-// divergence terminates the run. A clean pass on the worked incident is
-// the smoke version of the corpus-wide soundness CI job.
-func TestDifferentialFigure2(t *testing.T) {
-	p := problemOf(scenario.Figure2())
-	res := core.Repair(p, core.Options{Strategy: core.BruteForce, Differential: true})
-	if res.Termination == "delta-divergence" || res.Termination == "impact-divergence" {
-		t.Fatalf("incremental validation diverged from the cold path:\n%s", res.Summary())
-	}
-	want := core.Repair(p, core.Options{Strategy: core.BruteForce})
-	if res.Canonical() != want.Canonical() {
-		t.Error("Differential changed the result; replay must be observational")
 	}
 }

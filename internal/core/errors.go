@@ -21,16 +21,6 @@ const (
 	// KindValidation: a candidate was structurally invalid (conflicting or
 	// out-of-range edits). Expected during search; never fatal.
 	KindValidation ErrorKind = "validation"
-	// KindImpactDivergence: differential mode caught the static impact
-	// analysis pruning unsoundly — a pruned verdict disagreed with the
-	// full simulation. Terminal: the run stops so the analysis defect is
-	// fixed instead of silently corrupting the search.
-	KindImpactDivergence ErrorKind = "impact-divergence"
-	// KindDeltaDivergence: differential mode caught the delta BGP
-	// simulator reaching a different fixpoint than a cold full simulation
-	// for some prefix. Terminal for the same reason as impact divergences:
-	// every verdict downstream of the bad outcome is suspect.
-	KindDeltaDivergence ErrorKind = "delta-divergence"
 	// KindJournal: the write-ahead journal could not be appended to or a
 	// checkpoint could not be restored. Durability degrades (journaling is
 	// disabled for the rest of the run, or a population member is dropped

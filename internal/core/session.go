@@ -82,11 +82,10 @@ func (p Problem) writeIntents(w io.Writer) {
 func (o Options) SearchDigest() string {
 	o = o.withDefaults()
 	h := sha256.New()
-	// Differential is absent: replay is purely observational and moves no
-	// counter. Store is deliberately absent too: the persistent evaluation
-	// store only substitutes disk reads for simulations without touching
-	// anything in Canonical, so a session may resume on a machine with a
-	// different -cache-dir, budget, or no store at all. Everything but
+	// Store is deliberately absent: the persistent evaluation store only
+	// substitutes disk reads for simulations without touching anything in
+	// Canonical, so a session may resume on a machine with a different
+	// -cache-dir, budget, or no store at all. Everything but
 	// iters, strategy, seed and full is constant text: the search
 	// constants, and "noprior", "nocache", "noimpact" and "nodelta" as
 	// false, keep the digest of every option vector equal to the one

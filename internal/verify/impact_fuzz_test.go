@@ -1,7 +1,7 @@
 package verify_test
 
 import (
-	"errors"
+	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -9,6 +9,7 @@ import (
 
 	"acr/internal/bgp"
 	"acr/internal/netcfg"
+	"acr/internal/oracle"
 	"acr/internal/scenario"
 	"acr/internal/verify"
 )
@@ -16,13 +17,11 @@ import (
 // fuzzBases lazily builds the two base verifiers the fuzzers mutate
 // against: the Figure 2 incident (small, every intent kind) and a WAN
 // with transit/leaf structure (exercises leaf-local slices).
-// Both run with Differential on. Check never mutates the verifier, so one
-// instance per base serves every fuzz iteration.
+// Check never mutates the verifier, so one instance per base serves every
+// fuzz iteration.
 var fuzzBases = sync.OnceValue(func() []*verify.Incremental {
 	mk := func(s *scenario.Scenario) *verify.Incremental {
-		iv := verify.NewIncremental(s.Topo, s.Configs, s.Intents, bgp.Options{})
-		iv.Differential = true
-		return iv
+		return verify.NewIncremental(s.Topo, s.Configs, s.Intents, bgp.Options{})
 	}
 	return []*verify.Incremental{
 		mk(scenario.Figure2()),
@@ -31,11 +30,10 @@ var fuzzBases = sync.OnceValue(func() []*verify.Incremental {
 })
 
 // FuzzImpactSet throws arbitrary single-line edits — replacements with
-// attacker-chosen text, deletions, insertions — at the impact analysis
-// with differential mode on: every pruned validation is replayed against a
-// from-scratch full simulation, so any fuzz input whose impact set is too
-// narrow surfaces as a DivergenceError here instead of a wrong repair in
-// production. Inputs the parser rejects outright are fine (the engine
+// attacker-chosen text, deletions, insertions — at the impact analysis and
+// audits each check (oracle.Audit): its verdicts are held to a from-scratch
+// compile, simulation and verification, so any fuzz input whose impact set
+// is too narrow fails here instead of as a wrong repair in production. Inputs the parser rejects outright are fine (the engine
 // discards unparseable candidates the same way); what must never happen
 // is a *parseable* edit whose pruned verdicts differ from the full ones.
 func FuzzImpactSet(f *testing.F) {
@@ -44,13 +42,12 @@ func FuzzImpactSet(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint16(9), " peer 10.1.0.1 as-number 65099")
 	f.Add(uint8(1), uint8(2), uint16(1), " apply as-path 65000")
 	f.Add(uint8(0), uint8(2), uint16(7), " permit 0.0.0.0/0 le 32")
-	f.Fuzz(checkDifferential)
+	f.Fuzz(checkAudited)
 }
 
-// checkDifferential applies one fuzzed single-line edit to a fuzz base
-// and fails on either Differential divergence, or on verdicts that differ
-// from a from-scratch FullCheck.
-func checkDifferential(t *testing.T, base, op uint8, line uint16, text string) {
+// checkAudited applies one fuzzed single-line edit to a fuzz base and
+// fails when oracle.Audit finds the check diverging from its references.
+func checkAudited(t *testing.T, base, op uint8, line uint16, text string) {
 	if strings.ContainsRune(text, '\n') {
 		// A config line is one line by construction; the engine's
 		// templates never emit embedded newlines.
@@ -83,23 +80,12 @@ func checkDifferential(t *testing.T, base, op uint8, line uint16, text string) {
 	}
 	edits := []netcfg.EditSet{{Device: dev, Edits: []netcfg.Edit{edit}}}
 
-	rep, _, err := iv.Check(edits)
-	if err != nil {
-		var dv *verify.DivergenceError
-		var dde *verify.DeltaDivergenceError
-		if errors.As(err, &dv) || errors.As(err, &dde) {
-			t.Fatalf("incremental check diverged from the cold path: %v", err)
-		}
+	if _, _, err := iv.Check(edits); err != nil {
 		// Parse/apply failure: the candidate is discarded, nothing to
 		// cross-check.
 		return
 	}
-	full, err := iv.FullCheck(edits)
-	if err != nil {
-		t.Fatalf("Check accepted edits FullCheck rejects: %v", err)
-	}
-	if !reportsEqual(rep, full) {
-		t.Fatalf("pruned and full verdicts disagree for %v:\npruned:\n%s\nfull:\n%s",
-			edits, rep.Summary(), full.Summary())
+	if err := oracle.Audit(context.Background(), iv, edits); err != nil {
+		t.Fatalf("incremental check diverged from its references: %v", err)
 	}
 }

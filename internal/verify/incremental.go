@@ -2,7 +2,6 @@ package verify
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/netip"
 
@@ -68,15 +67,6 @@ type Incremental struct {
 	Topo    *topo.Network
 	Intents []Intent
 	SimOpts bgp.Options
-
-	// Differential audits every check against the cold path (`acr repair
-	// -differential`): each delta-simulated prefix is replayed against a
-	// cold simulation of that prefix, failing the check with a
-	// *DeltaDivergenceError when the outcomes differ, and the whole report
-	// is replayed against FullCheckCtx, failing it with a *DivergenceError
-	// when any intent verdict differs. Either error carries a minimized
-	// reproduction.
-	Differential bool
 
 	configs map[string]*netcfg.Config
 	files   map[string]*netcfg.File
@@ -263,39 +253,7 @@ func (iv *Incremental) Check(edits []netcfg.EditSet) (*Report, Stats, error) {
 // so a deadline interrupts validation mid-candidate. On cancellation it
 // returns the context's error and no report.
 //
-// The static impact analysis scopes the work and delta re-simulation
-// answers the prefixes it leaves (see checkImpactCtx). With Differential
-// set, both are audited against the cold path: a disagreement returns a
-// *DeltaDivergenceError or a *DivergenceError with a minimized
-// reproduction attached.
-func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*Report, Stats, error) {
-	rep, stats, err := iv.checkImpactCtx(ctx, edits)
-	if !iv.Differential {
-		return rep, stats, err
-	}
-	var dde *DeltaDivergenceError
-	if errors.As(err, &dde) {
-		// A delta divergence surfaces from deep inside the per-prefix loop;
-		// attach the minimized reproduction before it propagates.
-		dde.Edits = iv.minimizeDivergence(ctx, edits, iv.deltaDiverges)
-		return rep, stats, err
-	}
-	if err != nil {
-		return rep, stats, err
-	}
-	full, _, err := iv.FullCheckCtx(ctx, edits)
-	if err != nil {
-		return nil, stats, err
-	}
-	if d := reportsDiverge(rep, full); d != nil {
-		d.Refuted = stats.Refuted
-		d.Edits = iv.minimizeDivergence(ctx, edits, iv.reportDiverges)
-		return nil, stats, d
-	}
-	return rep, stats, nil
-}
-
-// checkImpactCtx verifies edits scoped by the static impact analysis:
+// The check is scoped by the static impact analysis:
 //
 //  1. diff the candidate's parsed ASTs against the base (semantic diff —
 //     line-number-only shifts have no impact) to get the over-approximate
@@ -310,9 +268,10 @@ func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*R
 //     verdicts stand and zero prefixes are simulated;
 //  4. otherwise simulate only the affected prefixes some triggered intent
 //     actually consults (covering-prefix containment for flow intents,
-//     exact-key lookup for global ones); untouched prefixes reuse the base
-//     outcome, and prefixes nobody will read are skipped outright.
-func (iv *Incremental) checkImpactCtx(ctx context.Context, edits []netcfg.EditSet) (*Report, Stats, error) {
+//     exact-key lookup for global ones), by delta re-simulation from the
+//     base outcome where Derive kept the sessions; untouched prefixes reuse
+//     the base outcome, and prefixes nobody will read are skipped outright.
+func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*Report, Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
@@ -466,7 +425,7 @@ func (iv *Incremental) checkImpactCtx(ctx context.Context, edits []netcfg.EditSe
 	// observes a changed leaf device, whose base outcome for p carries a
 	// stale local FIB, or it observes a leaf at which p changed. That last
 	// slice is leaf-local: delta over the edited devices re-derives the
-	// leaf's entry and stops one hop later (DESIGN.md §13).
+	// leaf's entry and stops one hop later (DESIGN.md §12).
 	simNeeded := func(p netip.Prefix) bool {
 		for i, in := range iv.Intents {
 			if !reverify[i] {
@@ -494,15 +453,6 @@ func (iv *Incremental) checkImpactCtx(ctx context.Context, edits []netcfg.EditSe
 		}
 		if useDelta {
 			if po, ok := bgp.DeltaSimulatePrefix(newNet, iv.out.ByPrefix[p], dirty, p, simOpts); ok {
-				if iv.Differential {
-					full := bgp.SimulatePrefix(newNet, p, simOpts)
-					if full.Canceled {
-						return ctx.Err()
-					}
-					if dev, dk, fk := deltaOutcomesDiverge(po, full, newNet.Order); dev != "" {
-						return &DeltaDivergenceError{Prefix: p, Device: dev, Delta: dk, Full: fk}
-					}
-				}
 				newOut.ByPrefix[p] = po
 				stats.PrefixesDelta++
 				stats.Activations += po.Activations
@@ -643,8 +593,7 @@ func consultsPrefix(in Intent, p netip.Prefix) bool {
 }
 
 // FullCheck verifies the base with edits applied from scratch — no reuse.
-// It is the reference the incremental check is held to: the
-// FullValidation ablation and the Differential audit.
+// It is the FullValidation ablation's validator.
 func (iv *Incremental) FullCheck(edits []netcfg.EditSet) (*Report, error) {
 	rep, _, err := iv.FullCheckCtx(context.Background(), edits)
 	return rep, err

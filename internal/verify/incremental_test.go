@@ -9,6 +9,7 @@ import (
 
 	"acr/internal/bgp"
 	"acr/internal/netcfg"
+	"acr/internal/oracle"
 	"acr/internal/scenario"
 	"acr/internal/verify"
 )
@@ -133,11 +134,10 @@ func TestIncrementalDetectsNewViolation(t *testing.T) {
 // the PoPs read exactly those prefixes. Such a slice goes through delta
 // re-simulation over the edited router, like any other simulated prefix:
 // no cold simulation, no fallback, verdicts equal to a full check, and a
-// clean Differential audit.
+// clean audit (oracle.Audit).
 func TestLeafLocalSliceAnsweredByDelta(t *testing.T) {
 	s := scenario.WAN(6, 3, 2, scenario.GenOptions{})
 	iv := newIV(t, s)
-	iv.Differential = true
 	attach := "route-policy " + scenario.WANPolicyNoLeak + " export"
 	var edits []netcfg.EditSet
 	for _, d := range iv.BaseNet().Order {
@@ -173,6 +173,9 @@ func TestLeafLocalSliceAnsweredByDelta(t *testing.T) {
 	}
 	if rep.NumFailed() == 0 {
 		t.Errorf("removing the DCN-isolation export policy leaked nothing:\n%s", rep.Summary())
+	}
+	if err := oracle.Audit(context.Background(), iv, edits); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -1,18 +1,25 @@
 package acr_test
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	acr "acr"
+	"acr/internal/bgp"
+	"acr/internal/netcfg"
+	"acr/internal/oracle"
+	"acr/internal/verify"
 )
 
-// TestDifferentialCorpus is the incremental verifier's soundness
-// regression net: every corpus incident is repaired with Differential on,
-// so every prefix the delta propagation answers is replayed against a cold
-// simulation and every scoped validation (statically refuted candidates
-// included) against a from-scratch full check. Any disagreement terminates
-// the run with "delta-divergence" or "impact-divergence". In -short mode a
-// sample runs; the full 120-incident sweep is the soundness CI job.
+// TestDifferentialCorpus holds every repair the public API reports on the
+// seed-1 corpus to references outside the engine: the edits turning the
+// broken configurations into the repaired ones are audited with
+// oracle.Audit on a verifier built from the case (incremental verdicts
+// against a from-scratch check, delta re-simulation against a cold one, the
+// cold outcome against the reference simulator), and a feasible repair must
+// pass every intent. In -short mode a sample runs. The per-candidate audit
+// of every search is TestSoundnessAudit in internal/core.
 func TestDifferentialCorpus(t *testing.T) {
 	size := 120
 	if testing.Short() {
@@ -22,25 +29,41 @@ func TestDifferentialCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refuted, scoped, broad, reused, fallbacks := 0, 0, 0, 0, 0
+	var tally oracle.Tally
+	feasible := 0
 	for _, inc := range incs {
-		r := acr.RunIncident(inc, acr.RepairOptions{Differential: true})
-		if r.Termination == "impact-divergence" || r.Termination == "delta-divergence" {
-			t.Errorf("%s: %s", inc.ID, r.Termination)
+		c := acr.IncidentCase(inc)
+		res := acr.Repair(c, acr.RepairOptions{})
+		iv := verify.NewIncremental(c.Topo, c.Configs, c.Intents, bgp.Options{})
+		var edits []netcfg.EditSet
+		for _, d := range iv.BaseNet().Order {
+			from, to := c.Configs[d].Lines(), res.FinalConfigs[d].Lines()
+			if reflect.DeepEqual(from, to) {
+				continue
+			}
+			es := editsBetween(d, from, to)
+			if got, err := es.Apply(c.Configs[d]); err != nil || !reflect.DeepEqual(got.Lines(), to) {
+				t.Fatalf("%s: the edit script for %s does not reproduce the repair (%v)", inc.ID, d, err)
+			}
+			edits = append(edits, es)
 		}
-		refuted += r.StaticallyRefuted
-		scoped += r.ImpactScoped
-		broad += r.ImpactBroad
-		reused += r.DeltaReused
-		fallbacks += r.DeltaResimulated
+		if res.Feasible != (len(edits) > 0) {
+			t.Errorf("%s: feasible=%v with %d devices edited", inc.ID, res.Feasible, len(edits))
+		}
+		if len(edits) == 0 {
+			continue
+		}
+		feasible++
+		if err := tally.Audit(context.Background(), iv, edits); err != nil {
+			t.Errorf("%s: %v", inc.ID, err)
+		}
+		if rep, _, err := iv.CheckCtx(context.Background(), edits); err != nil || rep.NumFailed() != 0 {
+			t.Errorf("%s: the reported repair does not pass every intent (err %v)", inc.ID, err)
+		}
 	}
-	t.Logf("%d incidents: %d candidates statically refuted, %d impact-scoped, %d broad; %d prefixes answered by delta, %d fell back to cold simulation",
-		len(incs), refuted, scoped, broad, reused, fallbacks)
-	if refuted+scoped == 0 {
-		t.Error("impact analysis never pruned anything across the corpus; the report replay is vacuous")
-	}
-	if reused == 0 {
-		t.Error("delta propagation never answered a prefix across the corpus; the per-prefix replay is vacuous")
+	t.Logf("%d incidents, %d repaired: %+v", len(incs), feasible, tally)
+	if feasible == 0 || tally.DeltaReplayed == 0 || tally.Converged == 0 {
+		t.Errorf("the audit is vacuous: %d repairs, %+v", feasible, tally)
 	}
 }
 
