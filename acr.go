@@ -69,8 +69,6 @@ type (
 	RepairError = core.RepairError
 	// ErrorKind classifies a RepairError.
 	ErrorKind = core.ErrorKind
-	// FaultInjector is the chaos seam of the repair engine.
-	FaultInjector = core.FaultInjector
 	// Template is one change-operator family.
 	Template = core.Template
 	// SimOptions tunes control-plane simulation.

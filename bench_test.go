@@ -415,29 +415,6 @@ func BenchmarkAblation_Strategy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_IncrementalValidationInRepair measures the whole
-// engine with and without incremental validation (§3.2 observation 3).
-func BenchmarkAblation_IncrementalValidationInRepair(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		full bool
-	}{{"incremental", false}, {"full-validation", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var sims int
-			for i := 0; i < b.N; i++ {
-				res := acr.Repair(acr.Figure2Incident(), acr.RepairOptions{
-					Strategy: core.BruteForce, FullValidation: tc.full,
-				})
-				if !res.Feasible {
-					b.Fatal("infeasible")
-				}
-				sims = res.PrefixSimulations
-			}
-			b.ReportMetric(float64(sims), "prefix-sims")
-		})
-	}
-}
-
 // BenchmarkAblation_TemplatesVsAtomic restricts the operator library to the
 // "atomic-only" subset (deletions and single-line value fixes; no
 // history-derived templates) and measures repair success on a corpus.

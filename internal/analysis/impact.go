@@ -66,12 +66,13 @@ type Impact struct {
 	// full check.
 	SessionsMayChange bool
 	// Prefixes are the base-universe origination prefixes whose routes the
-	// edit can influence; only these need re-simulation.
+	// edit can influence, every changed literal in the universe included;
+	// only these need re-simulation.
 	Prefixes map[netip.Prefix]bool
 	// Literals are origination prefixes the edit adds or removes (network
-	// statements, redistributed statics): prefixes that may enter or leave
-	// the universe, so intents whose destination they cover must be
-	// re-verified even though the prefix has no base outcome.
+	// statements, redistributed statics): the prefixes that may enter or
+	// leave the universe. The verifier degrades to a full check when one
+	// that does is not predicted here.
 	Literals map[netip.Prefix]bool
 	// DataplaneDevices are devices whose forwarding decisions may change
 	// independently of any route (statics, PBR, interface bindings).
@@ -117,23 +118,6 @@ func newImpact() *Impact {
 		SessionDevices:   map[string]bool{},
 		LocalPrefixes:    map[string]map[netip.Prefix]bool{},
 	}
-}
-
-// CoversAddr reports whether any affected prefix or literal contains addr
-// — the trigger deciding whether an intent destined there must be
-// re-verified.
-func (im *Impact) CoversAddr(addr netip.Addr) bool {
-	for p := range im.Prefixes { //acrvet:ordered
-		if p.Contains(addr) {
-			return true
-		}
-	}
-	for p := range im.Literals { //acrvet:ordered
-		if p.Contains(addr) {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders the impact compactly for logs and stats.
@@ -587,14 +571,16 @@ func (a *ImpactAnalyzer) policyScope(im *Impact, dev string, f *netcfg.File, nam
 }
 
 // originScope marks a changed origination: universe prefixes overlapping
-// lit must re-simulate, and lit itself is recorded so intents destined
-// inside a prefix that enters or leaves the universe re-verify.
+// lit within dev's component must re-simulate, and so must lit itself
+// wherever it is originated, because dev starting or stopping to originate
+// it changes its routes in dev's component. lit is recorded so a prefix
+// entering or leaving the universe is predicted.
 func (a *ImpactAnalyzer) originScope(im *Impact, dev string, lit netip.Prefix) {
 	if !lit.IsValid() {
 		return
 	}
 	for _, p := range a.universe {
-		if p.Overlaps(lit) && a.compPrefixes[dev][p] {
+		if p.Overlaps(lit) && (a.compPrefixes[dev][p] || p == lit) {
 			im.Prefixes[p] = true
 		}
 	}

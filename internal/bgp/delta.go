@@ -98,7 +98,7 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 	if opts.PrefixHook != nil {
 		opts.PrefixHook(prefix)
 	}
-	maxPasses := opts.maxPasses(n)
+	bound := maxPasses(n)
 
 	// Seed the state from the base outcome, copy-on-write: best is a fresh
 	// slice, clean routers' adj rows stay shared with the immutable base
@@ -152,7 +152,7 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 	// topology order; a router re-enters the frontier only when a push
 	// changed its adj-in. Quiet frontier = converged.
 	for pass := 1; slices.Contains(pending, true); pass++ {
-		if pass > maxPasses || opts.canceled() {
+		if pass > bound || opts.canceled() {
 			return nil, false
 		}
 		for i, r := range n.routers {

@@ -161,7 +161,7 @@ func TestMaxPassesBound(t *testing.T) {
 	bn, _, _ := overrideGadget(t)
 	// With a tiny pass budget the cycle cannot be detected; the outcome
 	// must still report non-convergence with a bounded tail.
-	po := SimulatePrefix(bn, netip.MustParsePrefix("10.0.0.0/16"), Options{MaxPasses: 3})
+	po := simulatePrefix(bn, netip.MustParsePrefix("10.0.0.0/16"), Options{}, 3)
 	if po.Converged {
 		t.Fatal("converged under flapping gadget")
 	}

@@ -134,11 +134,6 @@ func (o *Outcome) FlappingPrefixes() []netip.Prefix {
 
 // Options tunes simulation.
 type Options struct {
-	// MaxPasses bounds activation passes per prefix; 0 means automatic
-	// (2×routers+20, minimum 32). A prefix that neither converges nor
-	// revisits a state within the bound is reported as not converged with
-	// the tail of observed states as its Cycle.
-	MaxPasses int
 	// Ctx, when non-nil, is checked cooperatively between activation
 	// passes and between prefixes; on cancellation the simulation stops
 	// early and the outcome is marked Canceled. Callers that set a
@@ -151,12 +146,10 @@ type Options struct {
 	PrefixHook func(netip.Prefix)
 }
 
-// maxPasses is the activation-pass bound for net n: MaxPasses, or the
-// automatic bound when it is unset.
-func (o Options) maxPasses(n *Net) int {
-	if o.MaxPasses > 0 {
-		return o.MaxPasses
-	}
+// maxPasses bounds the activation passes per prefix on net n. A prefix that
+// neither converges nor revisits a state within the bound is reported as
+// not converged with the tail of observed states as its Cycle.
+func maxPasses(n *Net) int {
 	return max(2*len(n.Order)+20, 32)
 }
 
@@ -314,16 +307,20 @@ func (n *Net) snapshot(best []*Route) map[string]*Route {
 // session — BGP has no sender-side split horizon for eBGP; receivers rely
 // on AS-path loop detection, applied inside processImport.
 func SimulatePrefix(n *Net, prefix netip.Prefix, opts Options) *PrefixOutcome {
+	return simulatePrefix(n, prefix, opts, maxPasses(n))
+}
+
+// simulatePrefix is SimulatePrefix under an explicit pass bound.
+func simulatePrefix(n *Net, prefix netip.Prefix, opts Options, bound int) *PrefixOutcome {
 	if opts.PrefixHook != nil {
 		opts.PrefixHook(prefix)
 	}
-	maxPasses := opts.maxPasses(n)
 	st := newPrefixState(n)
 	var hashes []uint64  // state digest after each pass
 	var snaps [][]*Route // best routes after each pass
 	acts := 0
 
-	for pass := 1; pass <= maxPasses; pass++ {
+	for pass := 1; pass <= bound; pass++ {
 		if opts.canceled() {
 			return &PrefixOutcome{Prefix: prefix, Canceled: true, Passes: pass, Activations: acts}
 		}
@@ -348,9 +345,9 @@ func SimulatePrefix(n *Net, prefix netip.Prefix, opts Options) *PrefixOutcome {
 		snaps = append(snaps, slices.Clone(st.best))
 	}
 	// Bound hit without repeat: report the tail as the observed unstable
-	// behavior. This indicates maxPasses is too small for the topology.
+	// behavior. This indicates the bound is too small for the topology.
 	tail := snaps[max(len(snaps)-8, 0):]
-	return &PrefixOutcome{Prefix: prefix, Converged: false, Passes: maxPasses, Cycle: n.snapshots(tail), Activations: acts}
+	return &PrefixOutcome{Prefix: prefix, Converged: false, Passes: bound, Cycle: n.snapshots(tail), Activations: acts}
 }
 
 // snapshots maps snapshot over a sequence of states.

@@ -1,9 +1,9 @@
 // Package chaos is a deterministic fault-injection harness for the repair
 // pipeline. It wraps the engine's two resilience seams — the per-prefix
-// simulation hook (bgp.Options.PrefixHook) and the validation boundary
-// (core.Options.Chaos) — with seeded fault plans: panics on the Nth
-// prefix simulation, injected delays that trip a context deadline, and
-// validator errors, each of which drops the candidate it hits.
+// simulation hook (bgp.Options.PrefixHook) and the journal-append hook —
+// with seeded fault plans: panics on the Nth prefix simulation, each of
+// which drops the candidate it hits, injected delays that trip a context
+// deadline, and crashes after the Nth journal append.
 //
 // Plans are deterministic given their Seed and the engine's own
 // determinism, so a chaos failure reproduces exactly. Typical use:
@@ -42,13 +42,6 @@ type Plan struct {
 	// DelayPerSim sleeps this long at the start of every per-prefix
 	// simulation — the knob for tripping deadlines mid-validation.
 	DelayPerSim time.Duration
-	// ValidateErrorEveryN fails every Nth validator invocation at the
-	// engine boundary with a ValidateError (0 = off). The engine drops
-	// the candidate being validated.
-	ValidateErrorEveryN int
-	// MaxValidateErrors caps the total injected validator errors
-	// (0 = unlimited).
-	MaxValidateErrors int
 
 	// --- crash points (journal seam) ------------------------------------
 
@@ -73,11 +66,6 @@ type Stats struct {
 	Simulations int
 	// PanicsInjected counts panics raised into the simulator.
 	PanicsInjected int
-	// ValidateCalls counts validator invocations observed at the engine
-	// boundary.
-	ValidateCalls int
-	// ValidateErrorsInjected counts validator errors handed to the engine.
-	ValidateErrorsInjected int
 	// JournalAppends counts journal appends observed.
 	JournalAppends int
 	// CrashesInjected counts simulated crashes raised at the journal seam
@@ -97,17 +85,6 @@ type PanicValue struct {
 // String renders the panic value.
 func (v PanicValue) String() string {
 	return fmt.Sprintf("chaos: injected panic on simulation %d (prefix %s)", v.Sim, v.Prefix)
-}
-
-// ValidateError is an injected validator fault.
-type ValidateError struct {
-	// Call is the 1-based validator-invocation count at injection time.
-	Call int
-}
-
-// Error implements error.
-func (e ValidateError) Error() string {
-	return fmt.Sprintf("chaos: injected verifier error on call %d", e.Call)
 }
 
 // Injector executes a Plan. It is safe for concurrent use; its counters
@@ -130,13 +107,11 @@ func New(plan Plan) *Injector {
 }
 
 // Wire installs the injector into repair options: the simulator seam
-// (every per-prefix simulation the engine or its verifier performs), the
-// validation boundary, and — when the options carry a journal writer —
-// the journal-append seam for crash-point injection. It returns the
-// modified options.
+// (every per-prefix simulation the engine or its verifier performs) and,
+// when the options carry a journal writer, the journal-append seam for
+// crash-point injection. It returns the modified options.
 func (i *Injector) Wire(opts core.Options) core.Options {
 	opts.SimOpts.PrefixHook = i.PrefixHook
-	opts.Chaos = i
 	if opts.Journal != nil {
 		i.WireJournal(opts.Journal)
 	}
@@ -284,22 +259,6 @@ func (i *Injector) PrefixHook(p netip.Prefix) {
 	if inject {
 		panic(PanicValue{Sim: n, Prefix: p})
 	}
-}
-
-// BeforeValidate is the engine-boundary seam (core.FaultInjector): it may
-// return a ValidateError per plan, which drops the candidate.
-func (i *Injector) BeforeValidate() error {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.stats.ValidateCalls++
-	n := i.stats.ValidateCalls
-	if i.plan.ValidateErrorEveryN > 0 && n%i.plan.ValidateErrorEveryN == 0 {
-		if i.plan.MaxValidateErrors == 0 || i.stats.ValidateErrorsInjected < i.plan.MaxValidateErrors {
-			i.stats.ValidateErrorsInjected++
-			return ValidateError{Call: n}
-		}
-	}
-	return nil
 }
 
 // Stats returns a snapshot of the injection counters.

@@ -66,7 +66,7 @@ func newEvalCache(p Problem, opts Options) *evalCache {
 		cfg:     map[*netcfg.Config]string{},
 	}
 	if opts.Store != nil {
-		ec.store, ec.problem = opts.Store, p.storeFingerprint(opts.SimOpts)
+		ec.store, ec.problem = opts.Store, p.storeFingerprint()
 	}
 	return ec
 }

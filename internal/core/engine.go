@@ -33,17 +33,6 @@ const (
 	BruteForce
 )
 
-// FaultInjector is the test seam at the engine's validation boundary.
-// Production runs leave Options.Chaos nil; the chaos harness
-// (internal/chaos) implements this to inject validator errors, and tests
-// use it to count validator invocations.
-type FaultInjector interface {
-	// BeforeValidate runs before each validator invocation and may return
-	// an error to inject. Like any validator error, an injected one drops
-	// its candidate: validation is deterministic, so nothing is retried.
-	BeforeValidate() error
-}
-
 // The search's fixed parameters. Localization ranks lines by Tarantula
 // (sbfl.Tarantula). The widening multiplier scales topKLines, candidateCap
 // and sampleSize.
@@ -62,8 +51,6 @@ type Options struct {
 	Seed          int64
 	Templates     []Template
 	SimOpts       bgp.Options
-	// FullValidation disables the incremental verifier (ablation).
-	FullValidation bool
 	// noStaticPrior disables the static-analysis localization prior: no
 	// diagnostic-boosted ranking, no seeded uncovered lines, no template
 	// pruning at diagnosed lines. Only tests set it (export_test.go), to
@@ -92,12 +79,6 @@ type Options struct {
 	// journaled session may resume on a machine with a different
 	// -cache-dir, a different budget, or no store at all.
 	Store EvalStore
-
-	// --- robustness -----------------------------------------------------
-
-	// Chaos, when non-nil, injects faults at the validation boundary
-	// (testing only). The run's deadline is RepairContext's context.
-	Chaos FaultInjector
 
 	// --- durability -----------------------------------------------------
 
@@ -208,9 +189,9 @@ type Result struct {
 
 	// --- static impact analysis -----------------------------------------
 	//
-	// Work counters of the candidate impact analysis (all 0 with
-	// Options.FullValidation). Like PrefixSimulations they
-	// measure effort, not trajectory, and are excluded from Canonical().
+	// Work counters of the candidate impact analysis. Like
+	// PrefixSimulations they measure effort, not trajectory, and are
+	// excluded from Canonical().
 
 	// StaticallyRefuted counts candidates whose impact set was disjoint
 	// from every intent's dependencies: answered with the parent's
@@ -226,10 +207,10 @@ type Result struct {
 
 	// --- delta re-simulation --------------------------------------------
 	//
-	// Work counters of the delta BGP simulator (all 0 with
-	// Options.FullValidation). Like the impact counters they measure
-	// effort, not trajectory, and are excluded from Canonical(): a delta
-	// run and a FullValidation run decide identically.
+	// Work counters of the delta BGP simulator. Like the impact counters
+	// they measure effort, not trajectory, and are excluded from
+	// Canonical(): a delta re-simulation and a cold one decide
+	// identically.
 
 	// DeltaReused counts prefix evaluations answered by delta
 	// re-simulation: seeded from the parent outcome, only the edit's wave
@@ -825,17 +806,11 @@ func evaluate(ctx context.Context, res *Result, ec *evalCache, pr *proposal, opt
 
 // validateCandidate validates one candidate on its parent's verifier, with
 // panic quarantine. Any error drops the candidate: a malformed edit, a
-// panic, or a fault injected through Options.Chaos. The verifier is
-// deterministic, so a retry would only re-run the same failure. Work
-// counters and panics go to res.
+// panic, or a failed audit. The verifier is deterministic, so a retry would
+// only re-run the same failure. Work counters and panics go to res.
 func validateCandidate(ctx context.Context, res *Result, pr *proposal, opts Options) (rep *verify.Report, stats verify.Stats, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, verify.Stats{}, err
-	}
-	if opts.Chaos != nil {
-		if err := opts.Chaos.BeforeValidate(); err != nil {
-			return nil, verify.Stats{}, err
-		}
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -851,22 +826,18 @@ func validateCandidate(ctx context.Context, res *Result, pr *proposal, opts Opti
 		}
 	}()
 	iv := pr.parent.iv
-	if opts.FullValidation {
-		rep, stats, err = iv.FullCheckCtx(ctx, pr.update.Edits)
-	} else {
-		rep, stats, err = iv.CheckCtx(ctx, pr.update.Edits)
-		if err == nil && opts.audit != nil {
-			err = opts.audit(ctx, iv, pr.update.Edits)
-		}
-		if err == nil {
-			switch {
-			case stats.Refuted:
-				res.StaticallyRefuted++
-			case stats.Broad:
-				res.ImpactBroad++
-			default:
-				res.ImpactScoped++
-			}
+	rep, stats, err = iv.CheckCtx(ctx, pr.update.Edits)
+	if err == nil && opts.audit != nil {
+		err = opts.audit(ctx, iv, pr.update.Edits)
+	}
+	if err == nil {
+		switch {
+		case stats.Refuted:
+			res.StaticallyRefuted++
+		case stats.Broad:
+			res.ImpactBroad++
+		default:
+			res.ImpactScoped++
 		}
 	}
 	res.PrefixSimulations += stats.PrefixesSimulated

@@ -11,8 +11,8 @@ import (
 
 // TestDeltaCountersExcludedFromCanonical pins the exclusion contract:
 // DeltaReused/DeltaResimulated/SimActivations are work counters, so
-// mutating them must not move a byte of Canonical() — otherwise a delta
-// run could never match its FullValidation reference byte for byte.
+// mutating them must not move a byte of Canonical() — otherwise a run's
+// result would depend on how much of it delta re-simulation answered.
 func TestDeltaCountersExcludedFromCanonical(t *testing.T) {
 	p := problemOf(scenario.Figure2())
 	res := core.Repair(p, core.Options{Strategy: core.BruteForce})
@@ -29,10 +29,10 @@ func TestDeltaCountersExcludedFromCanonical(t *testing.T) {
 	}
 }
 
-// TestSearchDigestGolden pins SearchDigest to the values written before
-// the impact and delta ablation switches were removed (they hash as their
-// constant false), so journals and service state directories written
-// then still resume.
+// TestSearchDigestGolden pins SearchDigest to the value written before the
+// full-validation, impact and delta ablation switches were removed (they
+// hash as their constant false), so journals and service state directories
+// written then still resume.
 func TestSearchDigestGolden(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -40,7 +40,6 @@ func TestSearchDigestGolden(t *testing.T) {
 		want string
 	}{
 		{"defaults", core.Options{}, "4e11203c04540eb565dd9dee844c30eb4e67665fcd2013f88aaa37339961dc10"},
-		{"full validation", core.Options{FullValidation: true}, "42dfd7271eae0da1634a89e7bd543001d1ecb99276c45d1d0842668db937eef2"},
 	} {
 		if got := c.opts.SearchDigest(); got != c.want {
 			t.Errorf("%s: SearchDigest() = %s, want %s", c.name, got, c.want)
@@ -55,10 +54,24 @@ func TestSearchDigestGolden(t *testing.T) {
 // KindJournal error and run fresh, not mis-resume.
 func TestNoCacheSessionRefused(t *testing.T) {
 	// SearchDigest of Options{Seed: 1, NoCache: true} when the switch existed.
-	const noCacheDigest = "c335d0a3830e35a9253b809086c0adab0f759f2209ab436935fedb75813690b3"
+	refusesRetiredDigest(t, "c335d0a3830e35a9253b809086c0adab0f759f2209ab436935fedb75813690b3")
+}
+
+// TestFullValidationSessionRefused: a session journaled with the retired
+// full-validation ablation is refused the same way.
+func TestFullValidationSessionRefused(t *testing.T) {
+	// SearchDigest of Options{FullValidation: true} when the switch existed.
+	refusesRetiredDigest(t, "42dfd7271eae0da1634a89e7bd543001d1ecb99276c45d1d0842668db937eef2")
+}
+
+// refusesRetiredDigest journals a Figure 2 run under options digest digest,
+// then resumes it: the resume must be refused with a KindJournal error and
+// match a fresh run.
+func refusesRetiredDigest(t *testing.T, digest string) {
+	t.Helper()
 	p := problemOf(scenario.Figure2())
-	hdr := core.SessionHeader("no-cache", p, core.Options{Seed: 1})
-	hdr.OptionsDigest = noCacheDigest
+	hdr := core.SessionHeader("retired", p, core.Options{Seed: 1})
+	hdr.OptionsDigest = digest
 	dir := t.TempDir()
 	w, err := journal.Create(dir, hdr)
 	if err != nil {
@@ -79,7 +92,7 @@ func TestNoCacheSessionRefused(t *testing.T) {
 
 	res := core.Repair(p, core.Options{Seed: 1, Resume: sess})
 	if res.Resumed {
-		t.Fatal("resumed a session journaled with the cache off")
+		t.Fatal("resumed a session journaled under a retired option")
 	}
 	refused := false
 	for _, e := range res.Errors {

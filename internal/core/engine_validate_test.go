@@ -1,13 +1,18 @@
 package core_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"acr/internal/core"
+	"acr/internal/errclass"
 	"acr/internal/incidents"
+	"acr/internal/netcfg"
 	"acr/internal/scenario"
+	"acr/internal/verify"
 )
 
 // corpusSlice is the 8-incident, seed-3 corpus slice as repair problems,
@@ -116,32 +121,24 @@ func TestEvalCacheInvariants(t *testing.T) {
 	}
 }
 
-// validateCounter is a FaultInjector that injects nothing and counts the
-// validator invocations it sees.
-type validateCounter struct{ calls int }
-
-func (c *validateCounter) BeforeValidate() error {
-	c.calls++
-	return nil
-}
-
 // TestValidationStopsAtFeasible pins what the engine simulates: exactly
 // the candidates it accounts as simulated — in-memory misses the store did
-// not answer — plus the quarantined ones. A candidate answered by the
-// cache or the store is never validated, and neither is anything proposed
-// after the feasible candidate of the last iteration. (A malformed
-// proposal would be validated too, uncounted; these inputs propose none.)
+// not answer. A candidate answered by the cache or the store is never
+// validated, and neither is anything proposed after the feasible candidate
+// of the last iteration; one whose edits do not apply fails its check and
+// is neither cached nor counted. The audit hook counts the successful
+// checks.
 func TestValidationStopsAtFeasible(t *testing.T) {
 	check := func(name string, p core.Problem, opts core.Options) *core.Result {
 		t.Helper()
-		vc := &validateCounter{}
-		opts.Chaos = vc
-		res := core.Repair(p, opts)
-		want := res.CacheMisses - res.StoreHits + res.CandidatesPanicked
-		if vc.calls != want {
-			t.Errorf("%s: %d validator calls, want %d (misses=%d storeHits=%d quarantined=%d)\n%s",
-				name, vc.calls, want, res.CacheMisses, res.StoreHits,
-				res.CandidatesPanicked, res.Summary())
+		calls := 0
+		res := core.Repair(p, core.WithAudit(opts, func(context.Context, *verify.Incremental, []netcfg.EditSet) error {
+			calls++
+			return nil
+		}))
+		if want := res.CacheMisses - res.StoreHits; calls != want {
+			t.Errorf("%s: %d validator calls, want %d (misses=%d storeHits=%d)\n%s",
+				name, calls, want, res.CacheMisses, res.StoreHits, res.Summary())
 		}
 		return res
 	}
@@ -149,6 +146,10 @@ func TestValidationStopsAtFeasible(t *testing.T) {
 	bf := core.Options{Strategy: core.BruteForce}
 	if res := check("figure2", p, bf); !res.Feasible {
 		t.Fatalf("figure2: infeasible: %s", res.Summary())
+	}
+	lib := core.Options{Strategy: core.BruteForce, Templates: append([]core.Template{outOfRange{}}, core.BuiltinTemplates()...)}
+	if res := check("figure2 with out-of-range", p, lib); !res.Feasible {
+		t.Fatalf("figure2 with out-of-range: infeasible: %s", res.Summary())
 	}
 	// Over a warm store every in-memory miss is a store hit: nothing is
 	// simulated at all.
@@ -162,5 +163,37 @@ func TestValidationStopsAtFeasible(t *testing.T) {
 	ids, ps := corpusSlice(t)
 	for i, p := range ps {
 		check(ids[i], p, core.Options{Seed: 11, MaxIterations: 20})
+	}
+}
+
+// outOfRange is a template whose every candidate deletes a line past the
+// end of its device's configuration: the verifier cannot apply it.
+type outOfRange struct{}
+
+func (outOfRange) Name() string               { return "out-of-range" }
+func (outOfRange) ErrorClass() errclass.Class { return errclass.UniversalSyntactic }
+func (outOfRange) Generate(ctx *core.Context, line netcfg.LineRef) []core.Update {
+	return []core.Update{{
+		Edits: []netcfg.EditSet{{Device: line.Device, Edits: []netcfg.Edit{netcfg.DeleteLine{At: 1 << 20}}}},
+		Desc:  fmt.Sprintf("delete %s line %d", line.Device, 1<<20),
+	}}
+}
+
+// TestValidatorErrorDropsCandidate: a candidate the verifier rejects with
+// an error is dropped, uncounted and uncached. With only the out-of-range
+// template the search validates nothing and exhausts from the base.
+func TestValidatorErrorDropsCandidate(t *testing.T) {
+	p := problemOf(scenario.Figure2())
+	res := core.Repair(p, core.Options{Strategy: core.BruteForce, Templates: []core.Template{outOfRange{}}})
+	generated := 0
+	for _, lg := range res.Logs {
+		generated += lg.Generated
+	}
+	if generated == 0 || res.CandidatesValidated != 0 || res.CacheMisses != 0 || res.CandidatesPanicked != 0 {
+		t.Fatalf("generated %d, validated %d, misses %d, panicked %d; want only generated",
+			generated, res.CandidatesValidated, res.CacheMisses, res.CandidatesPanicked)
+	}
+	if res.Termination != "exhausted" || res.Improved || res.BestEffortFitness != res.BaseFailing {
+		t.Fatalf("want exhausted at the base: %s", res.Summary())
 	}
 }

@@ -108,11 +108,10 @@ func (r *Result) Canonical() string {
 	// PrefixSimulations/IntentChecks, the impact-analysis counters and the
 	// delta counters (DeltaReused/DeltaResimulated/SimActivations) are
 	// deliberately absent: they measure how much work validation did, not
-	// what it decided. The incremental path and FullValidation — which
-	// re-parses, recompiles, cold-simulates every prefix and re-verifies
-	// every intent — agree on every fitness, and therefore on everything
-	// in this string, while doing very different amounts of simulation;
-	// TestIncrementalMatchesFullValidation is how tests enforce that.
+	// what it decided. Every verdict the incremental path returns equals a
+	// from-scratch check's, so the fitness values, and everything in this
+	// string, do not depend on how much was simulated; TestSoundnessAudit
+	// is how tests enforce that.
 	fmt.Fprintf(&sb, "validated=%d\n", r.CandidatesValidated)
 	fmt.Fprintf(&sb, "static: diags=%d seeded=%d pruned=%d\n",
 		r.StaticDiagnostics, r.PriorSeededLines, r.TemplatesPrunedStatic)

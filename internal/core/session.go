@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"acr/internal/bgp"
 	"acr/internal/journal"
 	"acr/internal/netcfg"
 	"acr/internal/sbfl"
@@ -43,16 +42,17 @@ func (p Problem) Digest() string {
 
 // storeFingerprint hashes what decides a configuration set's fitness
 // besides the set itself: the topology's nodes and links and the intents,
-// as Digest writes them, and the simulation's pass bound. The persistent
-// store keys entries by it together with the configuration-set digest, so
-// two problems sharing configurations never share fitness values. The
-// topology's name is left out: it labels a case (an uploaded case is
-// named after its incident) and decides nothing.
-func (p Problem) storeFingerprint(sim bgp.Options) string {
+// as Digest writes them. The persistent store keys entries by it together
+// with the configuration-set digest, so two problems sharing
+// configurations never share fitness values. The topology's name is left
+// out: it labels a case (an uploaded case is named after its incident) and
+// decides nothing. "maxpasses 0" is constant text: it keeps every key
+// equal to the one written when the pass bound was an option.
+func (p Problem) storeFingerprint() string {
 	h := sha256.New()
 	p.writeTopo(h)
 	p.writeIntents(h)
-	fmt.Fprintf(h, "maxpasses %d\n", sim.MaxPasses)
+	io.WriteString(h, "maxpasses 0\n")
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -86,14 +86,14 @@ func (o Options) SearchDigest() string {
 	// substitutes disk reads for simulations without touching anything in
 	// Canonical, so a session may resume on a machine with a different
 	// -cache-dir, budget, or no store at all. Everything but
-	// iters, strategy, seed and full is constant text: the search
-	// constants, and "noprior", "nocache", "noimpact" and "nodelta" as
+	// iters, strategy and seed is constant text: the search constants,
+	// and "full", "noprior", "nocache", "noimpact" and "nodelta" as
 	// false, keep the digest of every option vector equal to the one
 	// written when those were options, so older journals and service
 	// state directories still resume. A session journaled with the cache
-	// off hashes nocache=true and is refused.
-	fmt.Fprintf(h, "formula=tarantula iters=%d minsusp=0.45 topk=24 popcap=8 candcap=64 sample=16 strategy=%d seed=%d full=%v noprior=false nocache=false noimpact=false nodelta=false\n",
-		o.MaxIterations, o.Strategy, o.Seed, o.FullValidation)
+	// off or with full validation hashes true there and is refused.
+	fmt.Fprintf(h, "formula=tarantula iters=%d minsusp=0.45 topk=24 popcap=8 candcap=64 sample=16 strategy=%d seed=%d full=false noprior=false nocache=false noimpact=false nodelta=false\n",
+		o.MaxIterations, o.Strategy, o.Seed)
 	for _, t := range o.Templates {
 		// A library template hashes with its pinned identity, so a resume
 		// across a change to its generation logic is refused even though

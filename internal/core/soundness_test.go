@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"acr/internal/core"
@@ -14,15 +15,21 @@ import (
 
 // TestSoundnessAudit audits every candidate the engine validates with
 // oracle.Audit: Figure 2 under brute force, the seed-1 120-incident corpus
-// (12 incidents in -short mode) and the wan-large panel. Each check's
-// verdicts are held to a from-scratch verification, every prefix delta
-// re-simulation answers to a cold simulation, and every prefix of the cold
-// outcome to the reference simulator, which shares no code with
-// internal/bgp. A divergence fails the test with a minimized repro.
+// (12 incidents in -short mode), its first 40 incidents (12) with a
+// loop-free and a blackhole-free intent for every originated prefix, and
+// the wan-large panel. Each check's verdicts are held to a from-scratch
+// verification, every prefix delta re-simulation answers to a cold
+// simulation, and every prefix of the cold outcome to the reference
+// simulator, which shares no code with internal/bgp. A divergence fails
+// the test with a minimized repro.
+//
+// The from-scratch checks also price validation without reuse: the engine
+// must evaluate at least 3x fewer prefixes than they simulate, and delta
+// re-simulation must answer at least 90% of the prefixes it simulates.
 func TestSoundnessAudit(t *testing.T) {
-	size := 120
+	size, global := 120, 40
 	if testing.Short() {
-		size = 12
+		size, global = 12, 12
 	}
 	corpus, err := incidents.GenerateCorpus(incidents.CorpusOptions{Size: size, Seed: 1})
 	if err != nil {
@@ -38,16 +45,19 @@ func TestSoundnessAudit(t *testing.T) {
 		s    *scenario.Scenario
 		opts core.Options
 	}
-	groups := [][]search{{{"figure2", scenario.Figure2(), core.Options{Strategy: core.BruteForce}}}, nil, nil}
-	for _, inc := range corpus {
+	groups := [][]search{{{"figure2", scenario.Figure2(), core.Options{Strategy: core.BruteForce}}}, nil, nil, nil}
+	for i, inc := range corpus {
 		groups[1] = append(groups[1], search{"corpus/" + inc.ID, inc.Scenario, core.Options{}})
+		if i < global {
+			groups[2] = append(groups[2], search{"global/" + inc.ID, withGlobalIntents(inc.Scenario), core.Options{}})
+		}
 	}
 	for _, inc := range panel {
-		groups[2] = append(groups[2], search{"wan/" + inc.ID, inc.Scenario, core.Options{MaxIterations: 6}})
+		groups[3] = append(groups[3], search{"wan/" + inc.ID, inc.Scenario, core.Options{MaxIterations: 6}})
 	}
 
 	var tally oracle.Tally
-	refuted, scoped, broad := 0, 0, 0
+	refuted, scoped, broad, cold, delta := 0, 0, 0, 0, 0
 	for _, group := range groups {
 		before, r0, s0 := tally, refuted, scoped
 		for _, s := range group {
@@ -55,6 +65,8 @@ func TestSoundnessAudit(t *testing.T) {
 			refuted += res.StaticallyRefuted
 			scoped += res.ImpactScoped
 			broad += res.ImpactBroad
+			cold += res.PrefixSimulations
+			delta += res.DeltaReused
 		}
 		t.Logf("%s and %d more: %d candidates audited (%d statically refuted, %d impact-scoped); %d prefixes delta-replayed; reference-checked %d converged and %d flapping prefixes",
 			group[0].name, len(group)-1, tally.Candidates-before.Candidates, refuted-r0, scoped-s0,
@@ -67,6 +79,27 @@ func TestSoundnessAudit(t *testing.T) {
 	if tally.Candidates == 0 || tally.DeltaReplayed == 0 || tally.Converged == 0 || tally.Flapping == 0 {
 		t.Errorf("the audit is vacuous: %+v", tally)
 	}
+	evaluated := cold + delta
+	t.Logf("prefixes evaluated: %d from scratch, %d by the engine (%d cold, %d by delta): %.2fx",
+		tally.Scratch, evaluated, cold, delta, float64(tally.Scratch)/float64(max(evaluated, 1)))
+	if tally.Scratch < 3*evaluated {
+		t.Errorf("the engine evaluates %d prefixes, over a third of the %d from scratch", evaluated, tally.Scratch)
+	}
+	if share := float64(delta) / float64(max(evaluated, 1)); share < 0.9 {
+		t.Errorf("delta re-simulation answers %.3f of the simulated prefixes, want at least 0.9", share)
+	}
+}
+
+// withGlobalIntents returns s with a loop-free and a blackhole-free intent
+// added for every prefix its topology originates.
+func withGlobalIntents(s *scenario.Scenario) *scenario.Scenario {
+	s = s.Clone()
+	for i, p := range s.Topo.AllOriginated() {
+		s.Intents = append(s.Intents,
+			verify.LoopFreeIntent(fmt.Sprintf("loopfree-%d", i), p),
+			verify.BlackholeFreeIntent(fmt.Sprintf("blackholefree-%d", i), p))
+	}
+	return s
 }
 
 // TestDifferentialFigure2 audits every candidate a brute-force search of

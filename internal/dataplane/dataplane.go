@@ -268,6 +268,7 @@ func forwardTo(n *bgp.Net, router string, nh netip.Addr, what string, res *Trace
 // SamplePacket draws a deterministic representative packet for a flow from
 // src prefix to dst prefix: the .1 host address on each side, TCP to port
 // 80. This is the paper's "sample a packet from its header space" (§4.1).
+// A zero prefix (a global intent has no source) samples the zero address.
 func SamplePacket(src, dst netip.Prefix) Packet {
 	return Packet{
 		Src:     hostAddr(src),
@@ -279,6 +280,9 @@ func SamplePacket(src, dst netip.Prefix) Packet {
 }
 
 func hostAddr(p netip.Prefix) netip.Addr {
+	if !p.IsValid() {
+		return netip.Addr{}
+	}
 	a := p.Masked().Addr().As4()
 	a[3] |= 1
 	return netip.AddrFrom4(a)

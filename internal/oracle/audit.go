@@ -17,6 +17,9 @@ import (
 type Tally struct {
 	// Candidates counts audited candidates.
 	Candidates int
+	// Scratch counts prefixes the from-scratch checks simulated: what
+	// validating the candidates without reuse costs.
+	Scratch int
 	// DeltaReplayed counts prefixes delta-simulated and held to a cold
 	// simulation.
 	DeltaReplayed int
@@ -99,6 +102,7 @@ func (t *Tally) audit(ctx context.Context, iv *verify.Incremental, edits []netcf
 	if cold.Canceled() {
 		return "", ctx.Err()
 	}
+	t.Scratch += len(n.AllPrefixes())
 	full := verify.Verify(n, cold, iv.Intents)
 	if len(full.Verdicts) != len(rep.Verdicts) {
 		return "", fmt.Errorf("check returned %d verdicts for %d intents", len(rep.Verdicts), len(full.Verdicts))

@@ -505,7 +505,10 @@ func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*R
 // under the given impact set:
 //
 //   - an affected prefix, or a prefix entering/leaving the universe,
-//     covers the intent's destination (control-plane trigger);
+//     covers the intent's destination (control-plane trigger). This
+//     covers every changed origination literal too: a literal in the base
+//     universe is in im.Prefixes, one entering or leaving the universe is
+//     affected, and one in neither originates nothing before or after;
 //   - a device whose forwarding decisions may change appears on the
 //     intent's base traces — global intents keep only a capped sample of
 //     failing traces, so any dataplane change re-triggers them;
@@ -516,9 +519,6 @@ func (iv *Incremental) impactTriggers(base Verdict, in Intent, im *analysis.Impa
 		if p.Contains(pkt.Dst) {
 			return true
 		}
-	}
-	if im.CoversAddr(pkt.Dst) {
-		return true
 	}
 	if len(im.DataplaneDevices) > 0 {
 		switch in.Kind {
@@ -593,7 +593,7 @@ func consultsPrefix(in Intent, p netip.Prefix) bool {
 }
 
 // FullCheck verifies the base with edits applied from scratch — no reuse.
-// It is the FullValidation ablation's validator.
+// It is the AED baseline's validator and the §3.2 ablation's reference.
 func (iv *Incremental) FullCheck(edits []netcfg.EditSet) (*Report, error) {
 	rep, _, err := iv.FullCheckCtx(context.Background(), edits)
 	return rep, err

@@ -11,6 +11,7 @@ import (
 	"acr/internal/netcfg"
 	"acr/internal/oracle"
 	"acr/internal/scenario"
+	"acr/internal/topo"
 	"acr/internal/verify"
 )
 
@@ -296,4 +297,42 @@ func TestIncrementalInsertNewOrigination(t *testing.T) {
 		t.Errorf("new origination not simulated: %s", stats)
 	}
 	_ = iv
+}
+
+// TestOriginationJoinsOtherComponent: on a network of two components, X1–Y1
+// and X2–Y2, Y2 originates 10.9.0.0/16 and a blackhole-free intent guards
+// it. Y1 then starts originating the same prefix. It was in the universe
+// already, but only the other component originated it, so the edit must
+// still mark it affected: X1 now holds a route toward it, and Y1, which
+// does not own the prefix, blackholes it.
+func TestOriginationJoinsOtherComponent(t *testing.T) {
+	pfx := netip.MustParsePrefix("10.9.0.0/16")
+	nw := topo.New("split")
+	nw.AddNode("X1", topo.Backbone, 65001, netip.MustParseAddr("1.0.0.1"))
+	nw.AddNode("Y1", topo.Backbone, 65002, netip.MustParseAddr("1.0.0.2"))
+	nw.AddNode("X2", topo.Backbone, 65003, netip.MustParseAddr("1.0.0.3"))
+	nw.AddNode("Y2", topo.Backbone, 65004, netip.MustParseAddr("1.0.0.4")).Originates = []netip.Prefix{pfx}
+	nw.Connect("X1", "Y1")
+	nw.Connect("X2", "Y2")
+	configs := map[string]*netcfg.Config{
+		"X1": netcfg.NewConfig("X1", "bgp 65001\n peer 172.16.0.2 as-number 65002\n"),
+		"Y1": netcfg.NewConfig("Y1", "bgp 65002\n peer 172.16.0.1 as-number 65001\n"),
+		"X2": netcfg.NewConfig("X2", "bgp 65003\n peer 172.16.0.6 as-number 65004\n"),
+		"Y2": netcfg.NewConfig("Y2", "bgp 65004\n peer 172.16.0.5 as-number 65003\n network 10.9.0.0/16\n"),
+	}
+	iv := verify.NewIncremental(nw, configs, []verify.Intent{verify.BlackholeFreeIntent("bh", pfx)}, bgp.Options{})
+	if iv.BaseReport().NumFailed() != 0 {
+		t.Fatalf("base fails:\n%s", iv.BaseReport().Summary())
+	}
+	edits := []netcfg.EditSet{{Device: "Y1", Edits: []netcfg.Edit{netcfg.InsertBefore{At: 3, Text: " network 10.9.0.0/16"}}}}
+	rep, stats, err := iv.Check(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.NumFailed() != 1 {
+		t.Errorf("the check passes Y1's origination (%s):\n%s", stats, rep.Summary())
+	}
+	if err := oracle.Audit(context.Background(), iv, edits); err != nil {
+		t.Error(err)
+	}
 }
