@@ -2,6 +2,7 @@ package acr_test
 
 import (
 	"fmt"
+	"net/netip"
 	"reflect"
 	"strings"
 	"testing"
@@ -209,8 +210,10 @@ func sameVerifier(t *testing.T, label string, got, want *verify.Incremental) {
 }
 
 // commitTally counts, over the commits a test made, the prefixes that kept
-// the parent's outcome (partial provenance replay) and those that did not.
-type commitTally struct{ versions, kept, moved int }
+// the parent's outcome (partial provenance replay) and those that did not,
+// and the traced verdicts that stood from the parent (they share its
+// traces) and those checked again.
+type commitTally struct{ versions, kept, moved, reused, reverified int }
 
 func (ct *commitTally) add(parent, child *verify.Incremental) {
 	ct.versions++
@@ -219,6 +222,15 @@ func (ct *commitTally) add(parent, child *verify.Incremental) {
 			ct.kept++
 		} else {
 			ct.moved++
+		}
+	}
+	for i, v := range child.BaseReport().Verdicts {
+		switch pv := parent.BaseReport().Verdicts[i]; {
+		case len(v.Traces) == 0:
+		case len(pv.Traces) > 0 && &v.Traces[0] == &pv.Traces[0]:
+			ct.reused++
+		default:
+			ct.reverified++
 		}
 	}
 }
@@ -289,10 +301,13 @@ func TestCommitMatchesScratch(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d searches, %d kept versions (deepest chain %d): %d prefixes kept the parent's outcome, %d moved; reference-checked %d converged and %d flapping prefixes",
-		len(searches), tally.versions, deepest, tally.kept, tally.moved, ref.Converged, ref.Flapping)
+	t.Logf("%d searches, %d kept versions (deepest chain %d): %d prefixes kept the parent's outcome, %d moved; %d traced verdicts reused, %d re-verified; reference-checked %d converged and %d flapping prefixes",
+		len(searches), tally.versions, deepest, tally.kept, tally.moved, tally.reused, tally.reverified, ref.Converged, ref.Flapping)
 	if tally.kept == 0 || tally.moved == 0 || deepest < 3 || ref.Converged == 0 {
 		t.Errorf("the sweep is vacuous: %d kept prefixes, %d moved, deepest chain %d, %d reference-checked", tally.kept, tally.moved, deepest, ref.Converged)
+	}
+	if tally.reused == 0 || tally.reverified == 0 {
+		t.Errorf("Commit's verdict reuse is untested: %d traced verdicts reused, %d re-verified", tally.reused, tally.reverified)
 	}
 }
 
@@ -366,4 +381,70 @@ func TestCommitChainAndSessionChange(t *testing.T) {
 	step("session up", down, netcfg.EditSet{Device: "A", Edits: []netcfg.Edit{
 		netcfg.InsertBefore{At: peerLine, Text: v3.BaseConfigs()["A"].Line(peerLine)},
 	}})
+}
+
+// TestCommitReverifiesReachedVerdicts: Commit keeps a parent's flow verdict
+// when its covering prefix's outcome did not move and its traces visit no
+// edited device, and checks global intents again. On the repaired Figure 2
+// with loop-free and blackhole-free intents added, S gains a null0 static
+// toward PoP-A's prefix. S redistributes no statics, so every prefix keeps
+// its outcome, yet the flow through S and the blackhole-freedom of that
+// prefix now fail: the first is caught only by its trace visiting S, the
+// second only by global intents always being checked. Deleting the static
+// must restore both. Then B originates a /24 of PoP-A's prefix, which
+// leaves the /16's outcome alone but covers the flow's destination more
+// specifically: the flow must be checked against the new prefix.
+func TestCommitReverifiesReachedVerdicts(t *testing.T) {
+	s := scenario.Figure2Correct()
+	intents := append([]verify.Intent(nil), s.Intents...)
+	for _, p := range []netip.Prefix{scenario.PrefixPoPA, scenario.PrefixPoPB, scenario.PrefixDCNS} {
+		intents = append(intents, verify.LoopFreeIntent("lf-"+p.String(), p), verify.BlackholeFreeIntent("bh-"+p.String(), p))
+	}
+	scratch := func(cfgs map[string]*netcfg.Config) *verify.Incremental {
+		return verify.NewIncremental(s.Topo, cfgs, intents, bgp.Options{})
+	}
+	base := scratch(s.Configs)
+	if base.BaseReport().NumFailed() != 0 {
+		t.Fatalf("the repaired Figure 2 fails:\n%s", base.BaseReport().Summary())
+	}
+	null0 := netcfg.EditSet{Device: "S", Edits: []netcfg.Edit{netcfg.InsertBefore{
+		At: s.Configs["S"].NumLines() + 1, Text: "ip route static " + scenario.PrefixPoPA.String() + " null0"}}}
+	blackholed := base.Clone()
+	if err := blackholed.Commit([]netcfg.EditSet{null0}); err != nil {
+		t.Fatal(err)
+	}
+	cfgs := blackholed.BaseConfigs()
+	sameVerifier(t, "null0 on S", blackholed, scratch(cfgs))
+	for p, po := range blackholed.BaseOutcome().ByPrefix {
+		if po != base.BaseOutcome().ByPrefix[p] {
+			t.Errorf("%v moved; the static was to leave every outcome alone", p)
+		}
+	}
+	for _, id := range []string{"reach-pop-a", "bh-" + scenario.PrefixPoPA.String()} {
+		if v := blackholed.BaseReport().ByID(id); v == nil || v.Pass {
+			t.Errorf("%s passes with a null0 static on S:\n%s", id, blackholed.BaseReport().Summary())
+		}
+	}
+	restored := blackholed.Clone()
+	if err := restored.Commit([]netcfg.EditSet{{Device: "S", Edits: []netcfg.Edit{netcfg.DeleteLine{At: cfgs["S"].NumLines()}}}}); err != nil {
+		t.Fatal(err)
+	}
+	sameVerifier(t, "null0 deleted", restored, scratch(restored.BaseConfigs()))
+	if n := restored.BaseReport().NumFailed(); n != 0 {
+		t.Errorf("%d intents fail once the static is gone:\n%s", n, restored.BaseReport().Summary())
+	}
+
+	specific := netip.PrefixFrom(scenario.PrefixPoPA.Addr(), 24)
+	hijacked := restored.Clone()
+	if err := hijacked.Commit([]netcfg.EditSet{{Device: "B", Edits: []netcfg.Edit{netcfg.InsertBefore{
+		At: 2, Text: " network " + specific.String()}}}}); err != nil {
+		t.Fatal(err)
+	}
+	sameVerifier(t, "B originates "+specific.String(), hijacked, scratch(hijacked.BaseConfigs()))
+	if po := hijacked.BaseOutcome().ByPrefix[scenario.PrefixPoPA]; po != restored.BaseOutcome().ByPrefix[scenario.PrefixPoPA] {
+		t.Errorf("%v moved; the origination was to leave it alone", scenario.PrefixPoPA)
+	}
+	if v := hijacked.BaseReport().ByID("reach-pop-a"); v == nil || v.Pass || v.Prefix != specific {
+		t.Errorf("reach-pop-a is not checked against %v:\n%s", specific, hijacked.BaseReport().Summary())
+	}
 }

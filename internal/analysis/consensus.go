@@ -115,22 +115,29 @@ var MissingPeerGroup = &Analyzer{
 			return keys[i].remote < keys[j].remote
 		})
 		for _, k := range keys {
+			// The witnesses on other devices are the kind's counts less the
+			// observation's own device's.
 			obs := byKinds[k]
+			type tally struct{ grouped, ungrouped int }
+			var all tally
+			byDevice := map[string]tally{}
+			for _, w := range obs {
+				t := byDevice[w.device]
+				if w.grouped {
+					all.grouped++
+					t.grouped++
+				} else {
+					all.ungrouped++
+					t.ungrouped++
+				}
+				byDevice[w.device] = t
+			}
 			for _, o := range obs {
 				if o.grouped || o.peer.ASNLine <= 0 {
 					continue
 				}
-				groupedOthers, ungroupedOthers := 0, 0
-				for _, w := range obs {
-					if w.device == o.device {
-						continue
-					}
-					if w.grouped {
-						groupedOthers++
-					} else {
-						ungroupedOthers++
-					}
-				}
+				own := byDevice[o.device]
+				groupedOthers, ungroupedOthers := all.grouped-own.grouped, all.ungrouped-own.ungrouped
 				if groupedOthers >= 2 && ungroupedOthers == 0 {
 					p.Report(Diagnostic{
 						Line:     netcfg.LineRef{Device: o.device, Line: o.peer.ASNLine},

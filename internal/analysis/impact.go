@@ -195,10 +195,10 @@ type ImpactAnalyzer struct {
 	origins  map[netip.Prefix][]string
 	graph    *provenance.DeviceGraph
 
-	// compPrefixes memoizes, per device, which universe prefixes are
-	// originated inside that device's connected component — the set a
-	// component-wide change can influence. Precomputed eagerly so Compare
-	// stays lock-free.
+	// compPrefixes maps each device to the universe prefixes originated
+	// inside its connected component — the set a component-wide change can
+	// influence. The devices of one component share one set. Precomputed
+	// eagerly so Compare stays lock-free.
 	compPrefixes map[string]map[netip.Prefix]bool
 
 	// leaf marks non-transit devices (at most one session neighbor): their
@@ -239,23 +239,34 @@ func NewImpactAnalyzer(base map[string]*netcfg.File, universe []netip.Prefix, or
 			}
 		}
 	}
-	for _, dev := range graph.Devices() {
-		a.leaf[dev] = !graph.Transit(dev)
-		m := map[netip.Prefix]bool{}
-		for _, p := range a.universe {
-			devs := origins[p]
-			if len(devs) == 0 {
-				m[p] = true // unknown origin: conservatively in scope
-				continue
+	// One set per component: a prefix is in a component's set when one of
+	// its origins is in the component. A prefix with no known origin, or
+	// one originated outside the graph, is conservatively in every set.
+	sets := make([]map[netip.Prefix]bool, graph.NumComponents())
+	for c := range sets {
+		sets[c] = map[netip.Prefix]bool{}
+	}
+	for _, p := range a.universe {
+		devs := origins[p]
+		everywhere := len(devs) == 0
+		for _, d := range devs {
+			c, ok := graph.Component(d)
+			if !ok {
+				everywhere = true
+				break
 			}
-			for _, d := range devs {
-				if graph.SameComponent(dev, d) {
-					m[p] = true
-					break
-				}
+			sets[c][p] = true
+		}
+		if everywhere {
+			for _, m := range sets {
+				m[p] = true
 			}
 		}
-		a.compPrefixes[dev] = m
+	}
+	for _, dev := range graph.Devices() {
+		a.leaf[dev] = !graph.Transit(dev)
+		c, _ := graph.Component(dev)
+		a.compPrefixes[dev] = sets[c]
 	}
 	return a
 }

@@ -102,6 +102,8 @@ type Net struct {
 
 	spaceOnce sync.Once
 	space     *netcfg.LineSpace // see LineSpace
+	// spans are the routers' spans in space, by position in Order.
+	spans [][2]int
 }
 
 // Compile resolves configurations against the topology. Configurations
@@ -433,6 +435,10 @@ func (n *Net) LineSpace() *netcfg.LineSpace {
 			numLines[r.Name] = r.File.NumLines
 		}
 		n.space = netcfg.NewLineSpace(numLines)
+		n.spans = make([][2]int, len(n.routers))
+		for i, r := range n.routers {
+			n.spans[i][0], n.spans[i][1] = n.space.Span(r.Name)
+		}
 	})
 	return n.space
 }

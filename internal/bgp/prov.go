@@ -374,16 +374,25 @@ func newImplicitSites(n *Net, po *PrefixOutcome) *implicitSites {
 }
 
 // AddLines adds the lines of the implicit session sites; selections have
-// none.
+// none. Each session's lines are added by device, with the span the net
+// recorded for it: the plainLines of an accepted import are the peer's
+// LocalLines, the router's own LocalLines and its RemoteLines, which are
+// the peer's.
 func (im *implicitSites) AddLines(set *netcfg.LineSet) {
+	im.n.LineSpace() // records the spans
+	spans := im.n.spans
 	for i, r := range im.n.routers {
+		own := spans[i]
 		for _, s := range r.Sessions {
+			peer := spans[s.peer]
 			switch {
 			case s.plainLines == nil || s.reverse == nil || im.bests[s.peer] == nil:
 			case im.po.AdjIn[i][s.slot] != nil:
-				set.Add(s.plainLines...)
+				set.AddSpan(peer[0], peer[1], s.reverse.LocalLines)
+				set.AddSpan(own[0], own[1], s.LocalLines)
+				set.AddSpan(peer[0], peer[1], s.RemoteLines)
 			default:
-				set.Add(s.reverse.LocalLines...)
+				set.AddSpan(peer[0], peer[1], s.reverse.LocalLines)
 			}
 		}
 	}

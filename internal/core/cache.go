@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"acr/internal/journal"
 	"acr/internal/netcfg"
@@ -84,9 +85,11 @@ func (c *evalCache) configDigest(cfg *netcfg.Config) string {
 
 func hashLines(lines []string) string {
 	h := sha256.New()
+	var buf []byte // "<len>:<line>", reused across lines
 	for _, ln := range lines {
-		fmt.Fprintf(h, "%d:", len(ln))
-		h.Write([]byte(ln))
+		buf = strconv.AppendInt(buf[:0], int64(len(ln)), 10)
+		buf = append(append(buf, ':'), ln...)
+		h.Write(buf)
 	}
 	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:])

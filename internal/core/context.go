@@ -55,6 +55,8 @@ type Context struct {
 
 	// listSolves is solveList's memo, keyed by (device, list).
 	listSolves map[[2]string]listSolve
+	// roles is nodesOfKind's memo: the topology's nodes by kind.
+	roles map[topo.Kind][]*topo.Node
 }
 
 // NewContext exposes context construction to the baselines and tools that
@@ -134,6 +136,19 @@ func buildContext(p Problem, iv *verify.Incremental, formula sbfl.Formula, rng *
 		}
 	}
 	return ctx
+}
+
+// nodesOfKind returns the topology's nodes of kind k in topology order,
+// grouping every node by kind on first use. Like listSolves, the memo is
+// the generating goroutine's.
+func (ctx *Context) nodesOfKind(k topo.Kind) []*topo.Node {
+	if ctx.roles == nil {
+		ctx.roles = map[topo.Kind][]*topo.Node{}
+		for _, nd := range ctx.Topo.Nodes() {
+			ctx.roles[nd.Kind] = append(ctx.roles[nd.Kind], nd)
+		}
+	}
+	return ctx.roles[k]
 }
 
 // FailingVerdicts returns the failing verdicts of this version.

@@ -547,10 +547,10 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 			res.FinalConfigs = final
 			res.Applied = append(append([]string{}, pr.parent.descs...), pr.update.Desc)
 			for d, c := range final {
-				// Compare by text, not pointer: a resumed run's configs
-				// are rebuilt from the checkpoint and never share
+				// Compare by text, not only by pointer: a resumed run's
+				// configs are rebuilt from the checkpoint and never share
 				// pointers with p.Configs.
-				if c.Text() != p.Configs[d].Text() {
+				if !c.SameText(p.Configs[d]) {
 					res.Diffs = append(res.Diffs, netcfg.Diff(p.Configs[d], c))
 				}
 			}

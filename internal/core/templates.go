@@ -496,8 +496,8 @@ func (AttachPolicyLikePeers) Generate(ctx *Context, line netcfg.LineRef) []Updat
 	}
 	seen := map[string]bool{}
 	var out []Update
-	for _, other := range ctx.Topo.Nodes() {
-		if other.Name == line.Device || other.Kind != kind {
+	for _, other := range ctx.nodesOfKind(kind) {
+		if other.Name == line.Device {
 			continue
 		}
 		of := ctx.Files[other.Name]
@@ -553,8 +553,8 @@ func (CopyPolicyFromRole) Generate(ctx *Context, line netcfg.LineRef) []Update {
 	}
 	kind := ctx.Topo.Node(line.Device).Kind
 	cfg := ctx.Configs[line.Device]
-	for _, other := range ctx.Topo.Nodes() {
-		if other.Name == line.Device || other.Kind != kind {
+	for _, other := range ctx.nodesOfKind(kind) {
+		if other.Name == line.Device {
 			continue
 		}
 		of := ctx.Files[other.Name]

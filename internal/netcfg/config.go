@@ -3,6 +3,7 @@ package netcfg
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -84,6 +85,20 @@ func (c *Config) Lines() []string {
 
 // Text renders the whole document.
 func (c *Config) Text() string { return strings.Join(c.lines, "\n") + "\n" }
+
+// SameText reports whether c and o render the same Text, without rendering
+// them when they are one document or hold the same lines. Documents whose
+// lines differ are rendered and compared: lines holding a newline can
+// still join to the same text.
+func (c *Config) SameText(o *Config) bool {
+	if c == o {
+		return true
+	}
+	if slices.Equal(c.lines, o.lines) {
+		return true
+	}
+	return c.Text() == o.Text()
+}
 
 // Refs returns a LineRef for every line in the document.
 func (c *Config) Refs() []LineRef {

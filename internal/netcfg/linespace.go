@@ -89,12 +89,22 @@ func (ls LineSet) Has(l LineRef) bool {
 // Add puts lines into the set. It panics on a line outside the space: the
 // set would silently drop it.
 func (ls *LineSet) Add(lines ...LineRef) {
-	dev, lo, hi := "", 0, 0 // the last device seen and its span
-	for i, l := range lines {
-		if i == 0 || l.Device != dev {
-			dev = l.Device
-			lo, hi = ls.space.Span(dev)
+	for len(lines) > 0 {
+		run := 1 // lines[:run] are on one device
+		for run < len(lines) && lines[run].Device == lines[0].Device {
+			run++
 		}
+		lo, hi := ls.space.Span(lines[0].Device)
+		ls.AddSpan(lo, hi, lines[:run])
+		lines = lines[run:]
+	}
+}
+
+// AddSpan puts lines of one device into the set, given the device's span
+// [lo, hi) in the space: a caller that knows the span saves Add its
+// lookup. It panics on a line outside the span.
+func (ls *LineSet) AddSpan(lo, hi int, lines []LineRef) {
+	for _, l := range lines {
 		id := lo + l.Line - 1
 		if l.Line < 1 || id >= hi {
 			panic(fmt.Sprintf("netcfg: line %s is outside the line space", l))

@@ -60,6 +60,7 @@ type DeviceGraph struct {
 	order []string
 	edges map[string][]DeviceEdge
 	comp  map[string]int // device -> connected-component id; built lazily
+	ncomp int            // the number of components comp numbers
 }
 
 // NewDeviceGraph returns a graph over the given devices (insertion order
@@ -89,9 +90,9 @@ func (g *DeviceGraph) AddEdge(e DeviceEdge) {
 }
 
 // Seal precomputes the component index so subsequent read-only queries
-// (SameComponent, Reachable) are safe for concurrent use — clones of the
-// incremental verifier, which callers may check on concurrently, share one
-// sealed graph.
+// (Component, SameComponent, Reachable) are safe for concurrent use —
+// clones of the incremental verifier, which callers may check on
+// concurrently, share one sealed graph.
 // Call it after the last AddEdge; it returns the receiver for chaining.
 func (g *DeviceGraph) Seal() *DeviceGraph {
 	g.components()
@@ -127,8 +128,22 @@ func (g *DeviceGraph) components() map[string]int {
 		}
 		next++
 	}
-	g.comp = comp
+	g.comp, g.ncomp = comp, next
 	return comp
+}
+
+// Component returns dev's connected-component id, in [0, NumComponents):
+// components are numbered in the order of their first device. ok is false
+// for a device outside the graph.
+func (g *DeviceGraph) Component(dev string) (id int, ok bool) {
+	id, ok = g.components()[dev]
+	return id, ok
+}
+
+// NumComponents reports the number of connected components.
+func (g *DeviceGraph) NumComponents() int {
+	g.components()
+	return g.ncomp
 }
 
 // SameComponent reports whether a change on device a can, through any

@@ -27,8 +27,8 @@ func lineDelete(t *testing.T, s *scenario.Scenario, device, prefix string) []net
 // from the list its PoP-facing export policy denies; on DCN(4) the last
 // leaf stops originating its prefix. Compiling every router per check cost
 // 549 and 632 allocations; deriving the net from the base (bgp.Net.Derive)
-// measures 292 and 128. The budgets, 365 and 160, are the derived counts
-// with 25 % headroom.
+// measures 292 and 128. The budgets, 321 and 140, are those counts with
+// 10 % headroom.
 func TestCheckAllocBudget(t *testing.T) {
 	wan, dcn := scenario.WAN(6, 4, 3, scenario.GenOptions{}), scenario.DCN(4, scenario.GenOptions{})
 	wanFirst, dcnNodes := wan.Topo.Nodes()[0].Name, dcn.Topo.Nodes()
@@ -37,8 +37,8 @@ func TestCheckAllocBudget(t *testing.T) {
 		edits  []netcfg.EditSet
 		budget float64
 	}{
-		{wan, lineDelete(t, wan, wanFirst, "ip prefix-list DCN_PREFIXES index 30"), 365},
-		{dcn, lineDelete(t, dcn, dcnNodes[len(dcnNodes)-1].Name, " network "), 160},
+		{wan, lineDelete(t, wan, wanFirst, "ip prefix-list DCN_PREFIXES index 30"), 321},
+		{dcn, lineDelete(t, dcn, dcnNodes[len(dcnNodes)-1].Name, " network "), 140},
 	} {
 		iv := newIV(t, tc.s)
 		_, stats, err := iv.Check(tc.edits)

@@ -7,7 +7,6 @@ import (
 
 	"acr/internal/analysis"
 	"acr/internal/bgp"
-	"acr/internal/dataplane"
 	"acr/internal/netcfg"
 	"acr/internal/provenance"
 	"acr/internal/topo"
@@ -81,6 +80,10 @@ type Incremental struct {
 	graph  *provenance.DeviceGraph
 	impact *analysis.ImpactAnalyzer
 
+	// probes are the intents' sampled packets and injection points, by
+	// position in Intents: computed once, shared by clones.
+	probes []probe
+
 	// batch, when non-nil, memoizes candidate parses across the sibling
 	// checks of one batch (BeginBatch/EndBatch): sibling candidates that
 	// produce the same post-edit text on a device share one parsed
@@ -94,7 +97,10 @@ type parseKey struct{ device, text string }
 
 // NewIncremental verifies the base configuration fully.
 func NewIncremental(t *topo.Network, configs map[string]*netcfg.Config, intents []Intent, opts bgp.Options) *Incremental {
-	iv := &Incremental{Topo: t, Intents: intents, SimOpts: opts}
+	iv := &Incremental{Topo: t, Intents: intents, SimOpts: opts, probes: make([]probe, len(intents))}
+	for i, in := range intents {
+		iv.probes[i] = probeOf(t, in)
+	}
 	iv.rebase(configs)
 	return iv
 }
@@ -107,15 +113,52 @@ func (iv *Incremental) rebase(configs map[string]*netcfg.Config) {
 	}
 	n := bgp.Compile(iv.Topo, files)
 	out := bgp.Simulate(n, iv.SimOpts)
-	iv.install(configs, files, n, out, bgp.BuildProvenance(n, out))
+	iv.install(configs, files, n, out, bgp.BuildProvenance(n, out), iv.verify(n, out, false, nil))
 }
 
-// install makes a compiled, simulated configuration version the base: it
-// verifies the intents and builds the influence graph and the impact
-// analyzer over it.
-func (iv *Incremental) install(configs map[string]*netcfg.Config, files map[string]*netcfg.File, n *bgp.Net, out *bgp.Outcome, prov *provenance.Graph) {
-	iv.configs, iv.files, iv.net, iv.out, iv.prov = configs, files, n, out, prov
-	iv.report = Verify(n, out, iv.Intents)
+// verify checks the intents against a version's outcome. With reuse, the
+// version is derived from the base with its sessions kept and only the
+// dirty devices edited, and a flow verdict of the base stands when nothing
+// it read moved: its covering prefix and that prefix's outcome (DeltaSimulate
+// keeps the base's outcome where the stable state did not move) and the
+// files of the routers its traces visit. Global intents are always checked.
+func (iv *Incremental) verify(n *bgp.Net, out *bgp.Outcome, reuse bool, dirty []string) *Report {
+	rep := &Report{Verdicts: make([]Verdict, len(iv.Intents))}
+	for i, in := range iv.Intents {
+		if reuse && iv.verdictStands(&iv.report.Verdicts[i], iv.probes[i], out, dirty) {
+			rep.Verdicts[i] = iv.report.Verdicts[i]
+			continue
+		}
+		rep.Verdicts[i] = checkIntent(n, out, in, iv.probes[i])
+	}
+	return rep
+}
+
+// verdictStands reports whether base verdict v holds unchanged on out, a
+// version derived from the base as verify's reuse describes.
+func (iv *Incremental) verdictStands(v *Verdict, pr probe, out *bgp.Outcome, dirty []string) bool {
+	switch v.Intent.Kind {
+	case Reachability, Isolation, Waypoint:
+	default:
+		return false
+	}
+	if p, po := coveringOutcome(out, pr.pkt.Dst); p != v.Prefix || po != iv.out.ByPrefix[p] {
+		return false
+	}
+	for _, tr := range v.Traces {
+		for _, d := range dirty {
+			if tr.Visits(d) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// install makes a compiled, simulated and verified configuration version
+// the base, and builds the influence graph and the impact analyzer over it.
+func (iv *Incremental) install(configs map[string]*netcfg.Config, files map[string]*netcfg.File, n *bgp.Net, out *bgp.Outcome, prov *provenance.Graph, report *Report) {
+	iv.configs, iv.files, iv.net, iv.out, iv.prov, iv.report = configs, files, n, out, prov, report
 	iv.graph = bgp.DeviceGraphOf(n)
 	origins := map[netip.Prefix][]string{}
 	for _, name := range n.Order {
@@ -352,7 +395,7 @@ func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*R
 	localWatch := make([]bool, len(iv.Intents))
 	if !broad && len(im.LocalDevices) > 0 {
 		for i, in := range iv.Intents {
-			localWatch[i] = iv.observesLocalDevices(iv.report.Verdicts[i], in, im)
+			localWatch[i] = iv.observesLocalDevices(iv.report.Verdicts[i], in, iv.probes[i], im)
 		}
 	}
 
@@ -364,7 +407,7 @@ func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*R
 		leafObs = make([]map[string]bool, len(iv.Intents))
 		for i, in := range iv.Intents {
 			for d := range im.LocalPrefixes { //acrvet:ordered — builds a set
-				if iv.observesDevice(iv.report.Verdicts[i], in, d) {
+				if iv.observesDevice(iv.report.Verdicts[i], in, iv.probes[i], d) {
 					if leafObs[i] == nil {
 						leafObs[i] = map[string]bool{}
 					}
@@ -379,7 +422,7 @@ func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*R
 		}
 		for d := range leafObs[i] { //acrvet:ordered — any-match boolean
 			for p := range im.LocalPrefixes[d] { //acrvet:ordered — any-match boolean
-				if consultsPrefix(in, p) {
+				if consultsPrefix(in, iv.probes[i], p) {
 					return true
 				}
 			}
@@ -404,7 +447,7 @@ func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*R
 	any := false
 	for i, in := range iv.Intents {
 		if broad || localWatch[i] || localTriggers(i, in) ||
-			iv.impactTriggers(iv.report.Verdicts[i], in, im, affected, editedLines) {
+			iv.impactTriggers(iv.report.Verdicts[i], in, iv.probes[i], im, affected, editedLines) {
 			reverify[i] = true
 			any = true
 		}
@@ -431,7 +474,7 @@ func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*R
 			if !reverify[i] {
 				continue
 			}
-			if consultsPrefix(in, p) && (affected[p] || localWatch[i] || readsLeafLocal(i, p)) {
+			if consultsPrefix(in, iv.probes[i], p) && (affected[p] || localWatch[i] || readsLeafLocal(i, p)) {
 				return true
 			}
 		}
@@ -495,7 +538,7 @@ func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*R
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
-		rep.Verdicts[i] = checkIntent(newNet, newOut, in)
+		rep.Verdicts[i] = checkIntent(newNet, newOut, in, iv.probes[i])
 		stats.IntentsReverified++
 	}
 	return rep, stats, nil
@@ -513,10 +556,9 @@ func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*R
 //     intent's base traces — global intents keep only a capped sample of
 //     failing traces, so any dataplane change re-triggers them;
 //   - as a belt: an edit touches a line the base traces executed.
-func (iv *Incremental) impactTriggers(base Verdict, in Intent, im *analysis.Impact, affected map[netip.Prefix]bool, edited map[netcfg.LineRef]bool) bool {
-	pkt := in.Packet()
+func (iv *Incremental) impactTriggers(base Verdict, in Intent, pr probe, im *analysis.Impact, affected map[netip.Prefix]bool, edited map[netcfg.LineRef]bool) bool {
 	for p := range affected { //acrvet:ordered
-		if p.Contains(pkt.Dst) {
+		if p.Contains(pr.pkt.Dst) {
 			return true
 		}
 	}
@@ -551,9 +593,9 @@ func (iv *Incremental) impactTriggers(base Verdict, in Intent, im *analysis.Impa
 // depends only on state the leaf cannot influence (non-leaf FIBs for
 // prefixes the leaf does not originate; leaf-originated prefixes are in
 // the affected set and trigger through the ordinary prefix channel).
-func (iv *Incremental) observesLocalDevices(base Verdict, in Intent, im *analysis.Impact) bool {
+func (iv *Incremental) observesLocalDevices(base Verdict, in Intent, pr probe, im *analysis.Impact) bool {
 	for dev := range im.LocalDevices { //acrvet:ordered — any-match boolean
-		if iv.observesDevice(base, in, dev) {
+		if iv.observesDevice(base, in, pr, dev) {
 			return true
 		}
 	}
@@ -564,12 +606,12 @@ func (iv *Incremental) observesLocalDevices(base Verdict, in Intent, im *analysi
 // global intents always do (they trace from every router holding a
 // route), a flow intent when it is injected there or its base traces
 // visit it.
-func (iv *Incremental) observesDevice(base Verdict, in Intent, dev string) bool {
+func (iv *Incremental) observesDevice(base Verdict, in Intent, pr probe, dev string) bool {
 	switch in.Kind {
 	case LoopFree, BlackholeFree:
 		return true
 	}
-	if from := dataplane.InjectionPoint(iv.Topo, in.Packet().Src); from == dev {
+	if pr.from == dev {
 		return true
 	}
 	for _, tr := range base.Traces {
@@ -584,12 +626,12 @@ func (iv *Incremental) observesDevice(base Verdict, in Intent, dev string) bool 
 // outcome: flow intents read any ByPrefix key covering their destination
 // (the longest is selected, but any covering key is potentially it),
 // global intents read their DstPrefix key exactly.
-func consultsPrefix(in Intent, p netip.Prefix) bool {
+func consultsPrefix(in Intent, pr probe, p netip.Prefix) bool {
 	switch in.Kind {
 	case LoopFree, BlackholeFree:
 		return p == in.DstPrefix
 	}
-	return p.Contains(in.Packet().Dst)
+	return p.Contains(pr.pkt.Dst)
 }
 
 // FullCheck verifies the base with edits applied from scratch — no reuse.
@@ -640,9 +682,10 @@ func (iv *Incremental) FullCheckCtx(ctx context.Context, edits []netcfg.EditSet)
 // from its old outcome over the edited devices and, where its stable state
 // did not move, keeps the old outcome and re-derives only the provenance
 // that involves an edited device (see bgp.DeltaSimulate,
-// bgp.DeriveProvenance). A session change, where Derive refuses and
-// compiles cold, falls back to a cold simulation and a full provenance
-// replay. Either way the result is
+// bgp.DeriveProvenance); a flow verdict that read nothing the edit moved
+// stands, and every other intent is checked again. A session change, where
+// Derive refuses and compiles cold, falls back to a cold simulation, a full
+// provenance replay and a check of every intent. Either way the result is
 // the base NewIncremental would build on the edited texts. On error the
 // base is unchanged.
 func (iv *Incremental) Commit(edits []netcfg.EditSet) error {
@@ -661,6 +704,6 @@ func (iv *Incremental) Commit(edits []netcfg.EditSet) error {
 		out = bgp.Simulate(n, iv.SimOpts)
 		prov = bgp.BuildProvenance(n, out)
 	}
-	iv.install(newConfigs, files, n, out, prov)
+	iv.install(newConfigs, files, n, out, prov, iv.verify(n, out, sameSessions, dirty))
 	return nil
 }

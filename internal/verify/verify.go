@@ -9,6 +9,7 @@ import (
 	"acr/internal/bgp"
 	"acr/internal/dataplane"
 	"acr/internal/netcfg"
+	"acr/internal/topo"
 )
 
 // Verdict is the result of checking one intent.
@@ -107,9 +108,22 @@ func (r *Report) Summary() string {
 func Verify(n *bgp.Net, out *bgp.Outcome, intents []Intent) *Report {
 	rep := &Report{}
 	for _, in := range intents {
-		rep.Verdicts = append(rep.Verdicts, checkIntent(n, out, in))
+		rep.Verdicts = append(rep.Verdicts, checkIntent(n, out, in, probeOf(n.Topo, in)))
 	}
 	return rep
+}
+
+// probe is what checking an intent reads besides the network state: its
+// sampled packet and the router that packet is injected at ("" when no
+// node owns the source). Both depend only on the intent and the topology.
+type probe struct {
+	pkt  dataplane.Packet
+	from string
+}
+
+func probeOf(t *topo.Network, in Intent) probe {
+	pkt := in.Packet()
+	return probe{pkt: pkt, from: dataplane.InjectionPoint(t, pkt.Src)}
 }
 
 // coveringOutcome finds the originated prefix covering addr (longest
@@ -125,20 +139,22 @@ func coveringOutcome(out *bgp.Outcome, addr netip.Addr) (netip.Prefix, *bgp.Pref
 	return best, bestPO
 }
 
-func checkIntent(n *bgp.Net, out *bgp.Outcome, in Intent) Verdict {
+func checkIntent(n *bgp.Net, out *bgp.Outcome, in Intent, pr probe) Verdict {
 	switch in.Kind {
 	case Reachability, Isolation, Waypoint:
-		return checkFlow(n, out, in)
+		return checkFlow(n, out, in, pr)
 	case LoopFree, BlackholeFree:
 		return checkGlobal(n, out, in)
 	}
 	return Verdict{Intent: in, Pass: false, Reason: "unknown intent kind"}
 }
 
-func checkFlow(n *bgp.Net, out *bgp.Outcome, in Intent) Verdict {
+// checkFlow traces a flow intent's packet in every phase of the outcome of
+// the prefix covering its destination. The verdict reads nothing else: that
+// outcome, the files of the routers the traces visit, and the topology.
+func checkFlow(n *bgp.Net, out *bgp.Outcome, in Intent, pr probe) Verdict {
 	v := Verdict{Intent: in}
-	pkt := in.Packet()
-	from := dataplane.InjectionPoint(n.Topo, pkt.Src)
+	pkt, from := pr.pkt, pr.from
 	if from == "" {
 		v.Pass = in.Kind == Isolation
 		v.Reason = fmt.Sprintf("no injection point for source %s", pkt.Src)

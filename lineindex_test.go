@@ -198,10 +198,10 @@ func TestPreserveAllocBudget(t *testing.T) {
 // hops copying routes and paths into a per-prefix arena, the digest kept
 // on write, snapshots as slices and parent lists carved per section, it
 // measured 3,324, later 2,803; with a converged section storing only its
-// originations and policy-session sites, 1,866. The budget is a quarter of
-// 22,533.
+// originations and policy-session sites, 1,868. The budget is 1,868 with
+// 10 % headroom.
 func TestSimulateAllocBudget(t *testing.T) {
-	const budget = 22533 / 4
+	const budget = 1868 * 11 / 10
 	s := scenario.DCN(6, scenario.GenOptions{})
 	files := s.Files()
 	var nodes int
