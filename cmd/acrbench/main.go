@@ -134,7 +134,7 @@ func fig2(int, int64) {
 	rep := acr.Verify(c)
 	fmt.Printf("incident: %d/%d intents failing\n", rep.NumFailed(), len(rep.Verdicts))
 	for _, v := range rep.Failed() {
-		fmt.Printf("  FAIL %s: %s\n", v.Intent, v.Reason)
+		fmt.Printf("  FAIL %s: %s\n", v.Intent, v.Reason())
 	}
 	out, err := acr.Simulate(c)
 	if err != nil {

@@ -75,7 +75,7 @@ func runIncident(c *acr.Case) {
 	rep := acr.Verify(c)
 	fmt.Printf("failing intents: %d\n", rep.NumFailed())
 	for _, v := range rep.Failed() {
-		fmt.Printf("  FAIL %s: %s\n", v.Intent, v.Reason)
+		fmt.Printf("  FAIL %s: %s\n", v.Intent, v.Reason())
 	}
 	res := acr.Repair(c, acr.RepairOptions{})
 	if !res.Feasible {

@@ -42,7 +42,7 @@ func main() {
 	report := acr.Verify(c)
 	fmt.Printf("\nafter the misconfiguration, %d intents fail:\n", report.NumFailed())
 	for _, v := range report.Failed() {
-		fmt.Printf("  FAIL %s (%s)\n", v.Intent, v.Reason)
+		fmt.Printf("  FAIL %s (%s)\n", v.Intent, v.Reason())
 	}
 
 	// 2. Localize: the suspicious lines point at pop1.

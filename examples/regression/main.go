@@ -42,7 +42,7 @@ func main() {
 	rep := acr.Verify(augmented)
 	fmt.Printf("the differential suite sees:  %d failing intents\n", rep.NumFailed())
 	for _, v := range rep.Failed() {
-		fmt.Printf("  FAIL %s (%s)\n", v.Intent, v.Reason)
+		fmt.Printf("  FAIL %s (%s)\n", v.Intent, v.Reason())
 	}
 
 	// Localize and repair against the augmented suite.

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"net/netip"
 	"sort"
 
 	"acr/internal/netcfg"
@@ -274,10 +275,10 @@ var PrefixListConsistency = &Analyzer{
 				if len(devs) < 3 {
 					continue
 				}
-				shapes := map[string]map[string][]string{} // shape key -> dev set (sorted later)
+				shapes := map[entryContent]map[string][]string{} // shape -> dev set (sorted later)
 				for _, dev := range devs {
 					for _, e := range p.File(dev).PrefixListEntries(name) {
-						key := entryKey(e)
+						key := contentOf(e)
 						if shapes[key] == nil {
 							shapes[key] = map[string][]string{}
 						}
@@ -286,13 +287,13 @@ var PrefixListConsistency = &Analyzer{
 				}
 				for _, dev := range devs {
 					var missing []string
-					for key, on := range shapes {
+					for key, on := range shapes { //acrvet:ordered — collected then sorted below
 						if _, ok := on[dev]; ok {
 							continue
 						}
 						others := len(on)
 						if others >= 2 && others*4 >= (len(devs)-1)*3 {
-							missing = append(missing, key)
+							missing = append(missing, key.String())
 						}
 					}
 					if len(missing) == 0 {
@@ -314,14 +315,25 @@ var PrefixListConsistency = &Analyzer{
 	},
 }
 
-// entryKey is the content identity of a prefix-list entry: action, masked
-// prefix, and bounds — the Index is layout, not meaning.
-func entryKey(e *netcfg.PrefixList) string {
+// entryContent is the content identity of a prefix-list entry: action,
+// masked prefix, and bounds — the Index is layout, not meaning.
+type entryContent struct {
+	permit bool
+	prefix netip.Prefix
+	ge, le int
+}
+
+func contentOf(e *netcfg.PrefixList) entryContent {
+	return entryContent{e.Permit, e.Prefix.Masked(), e.GE, e.LE}
+}
+
+// String renders the content in findings: "permit 10.0.0.0/8 ge=0 le=24".
+func (s entryContent) String() string {
 	action := "deny"
-	if e.Permit {
+	if s.permit {
 		action = "permit"
 	}
-	return sprintf("%s %s ge=%d le=%d", action, e.Prefix.Masked(), e.GE, e.LE)
+	return sprintf("%s %s ge=%d le=%d", action, s.prefix, s.ge, s.le)
 }
 
 // listAnchorLines returns where a finding about the named list should

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 
@@ -904,24 +905,20 @@ func (a *ImpactAnalyzer) diffDataplane(im *Impact, dev string, f0, f1 *netcfg.Fi
 			markStatic(s)
 		}
 	}
-	if encodePBR(f0) != encodePBR(f1) {
+	if !eqPBR(f0.PBRPolicies, f1.PBRPolicies) {
 		im.DataplaneDevices[dev] = true
 	}
+	// An interface's forwarding face is its address and PBR binding; one
+	// present in only one version always differs.
 	i0 := ifacesByName(f0)
 	i1 := ifacesByName(f1)
-	ifKey := func(i *netcfg.Interface) string {
-		if i == nil {
-			return "-"
-		}
-		return fmt.Sprintf("%s|%s", i.Addr, i.PBRPolicy)
-	}
 	for name, a0 := range i0 { //acrvet:ordered — sets flags, emits nothing
-		if ifKey(a0) != ifKey(i1[name]) {
+		if x1 := i1[name]; x1 == nil || !samePrefix(a0.Addr, x1.Addr) || a0.PBRPolicy != x1.PBRPolicy {
 			im.DataplaneDevices[dev] = true
 		}
 	}
-	for name, a1 := range i1 { //acrvet:ordered — sets flags, emits nothing
-		if i0[name] == nil && ifKey(a1) != ifKey(nil) {
+	for name := range i1 { //acrvet:ordered — sets flags, emits nothing
+		if i0[name] == nil {
 			im.DataplaneDevices[dev] = true
 		}
 	}
@@ -1091,10 +1088,23 @@ type entryEnc struct {
 	entry *netcfg.PrefixList
 }
 
-func encodeEntries(es []*netcfg.PrefixList) map[string]*entryEnc {
-	m := map[string]*entryEnc{}
+// entryIdentity is what the prefix-list diff compares of an entry: every
+// field but its line, the prefix unmasked.
+type entryIdentity struct {
+	index  int
+	permit bool
+	prefix netip.Prefix
+	ge, le int
+}
+
+func identityOf(e *netcfg.PrefixList) entryIdentity {
+	return entryIdentity{e.Index, e.Permit, canonPrefix(e.Prefix), e.GE, e.LE}
+}
+
+func encodeEntries(es []*netcfg.PrefixList) map[entryIdentity]*entryEnc {
+	m := make(map[entryIdentity]*entryEnc, len(es))
 	for _, e := range es {
-		k := fmt.Sprintf("%d|%v|%s|%d|%d", e.Index, e.Permit, e.Prefix, e.GE, e.LE)
+		k := identityOf(e)
 		if m[k] == nil {
 			m[k] = &entryEnc{entry: e}
 		}
@@ -1102,6 +1112,18 @@ func encodeEntries(es []*netcfg.PrefixList) map[string]*entryEnc {
 	}
 	return m
 }
+
+// canonPrefix maps every invalid prefix to the zero Prefix, so prefixes
+// compare equal exactly when their String forms do.
+func canonPrefix(p netip.Prefix) netip.Prefix {
+	if !p.IsValid() {
+		return netip.Prefix{}
+	}
+	return p
+}
+
+// samePrefix reports whether a and b render the same String.
+func samePrefix(a, b netip.Prefix) bool { return canonPrefix(a) == canonPrefix(b) }
 
 type staticKey struct {
 	prefix  netip.Prefix
@@ -1117,32 +1139,30 @@ func staticSet(f *netcfg.File) map[staticKey]int {
 	return m
 }
 
-func encodePBR(f *netcfg.File) string {
-	var sb strings.Builder
-	for _, p := range f.PBRPolicies {
-		fmt.Fprintf(&sb, "pbr %q\n", p.Name)
-		for _, r := range p.Rules {
-			fmt.Fprintf(&sb, " rule %d permit=%v", r.Index, r.Permit)
-			if r.MatchSource != nil {
-				fmt.Fprintf(&sb, " src=%s", r.MatchSource.Prefix)
-			}
-			if r.MatchDest != nil {
-				fmt.Fprintf(&sb, " dst=%s", r.MatchDest.Prefix)
-			}
-			if r.MatchProto != nil {
-				fmt.Fprintf(&sb, " proto=%s", r.MatchProto.Proto)
-			}
-			if r.MatchDstPort != nil {
-				fmt.Fprintf(&sb, " port=%d", r.MatchDstPort.Port)
-			}
-			if r.ApplyNextHop != nil {
-				fmt.Fprintf(&sb, " nh=%s", r.ApplyNextHop.NextHop)
-			}
-			if r.ApplyDrop != nil {
-				sb.WriteString(" drop")
-			}
-			sb.WriteByte('\n')
-		}
+// eqPBR reports whether two PBR sections forward alike: the same policies
+// in the same order with the same rules, line numbers aside.
+func eqPBR(a, b []*netcfg.PBRPolicy) bool {
+	return slices.EqualFunc(a, b, func(x, y *netcfg.PBRPolicy) bool {
+		return x.Name == y.Name && slices.EqualFunc(x.Rules, y.Rules, eqPBRRule)
+	})
+}
+
+func eqPBRRule(x, y *netcfg.PBRRule) bool {
+	if x.Index != y.Index || x.Permit != y.Permit || (x.ApplyDrop == nil) != (y.ApplyDrop == nil) {
+		return false
 	}
-	return sb.String()
+	return eqOpt(x.MatchSource, y.MatchSource, func(a, b *netcfg.PrefixMatch) bool { return samePrefix(a.Prefix, b.Prefix) }) &&
+		eqOpt(x.MatchDest, y.MatchDest, func(a, b *netcfg.PrefixMatch) bool { return samePrefix(a.Prefix, b.Prefix) }) &&
+		eqOpt(x.MatchProto, y.MatchProto, func(a, b *netcfg.ProtoMatch) bool { return a.Proto == b.Proto }) &&
+		eqOpt(x.MatchDstPort, y.MatchDstPort, func(a, b *netcfg.PortMatch) bool { return a.Port == b.Port }) &&
+		eqOpt(x.ApplyNextHop, y.ApplyNextHop, func(a, b *netcfg.NextHopApply) bool { return a.NextHop == b.NextHop })
+}
+
+// eqOpt compares two optional clauses: both absent, or both present and
+// equal under eq.
+func eqOpt[T any](a, b *T, eq func(a, b *T) bool) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return eq(a, b)
 }

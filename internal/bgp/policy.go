@@ -73,17 +73,22 @@ func evalPolicy(f *netcfg.File, name string, r *Route, tr *lineRefs) (*Route, bo
 // when the whole node matches (the trace is rebuilt on success so partial
 // matches leave nothing behind).
 func nodeMatches(f *netcfg.File, n *netcfg.RoutePolicy, r *Route, tr *lineRefs) bool {
-	var local lineRefs
+	var local *lineRefs // nil, tracing nothing, when the caller traces nothing
+	if tr != nil {
+		local = &lineRefs{}
+	}
 	for _, m := range n.Matches {
 		switch m.Kind {
 		case netcfg.MatchIPPrefix:
 			local.add(f.Device, m.Line)
-			if !matchPrefixList(f, m.PrefixList, r.Prefix, &local) {
+			if !matchPrefixList(f, m.PrefixList, r.Prefix, local) {
 				return false
 			}
 		}
 	}
-	tr.addRefs(local.refs)
+	if local != nil {
+		tr.addRefs(local.refs)
+	}
 	return true
 }
 

@@ -3,8 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sort"
+	"hash"
 	"strconv"
 
 	"acr/internal/journal"
@@ -78,82 +77,60 @@ func (c *evalCache) configDigest(cfg *netcfg.Config) string {
 	if d, ok := c.cfg[cfg]; ok {
 		return d
 	}
-	d := hashLines(cfg.Lines())
+	d := hashLines(cfg)
 	c.cfg[cfg] = d
 	return d
 }
 
-func hashLines(lines []string) string {
+func hashLines(cfg *netcfg.Config) string {
 	h := sha256.New()
 	var buf []byte // "<len>:<line>", reused across lines
-	for _, ln := range lines {
+	for i := 1; i <= cfg.NumLines(); i++ {
+		ln := cfg.Line(i)
 		buf = strconv.AppendInt(buf[:0], int64(len(ln)), 10)
 		buf = append(append(buf, ':'), ln...)
 		h.Write(buf)
 	}
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:])
+	return hexSum(h)
+}
+
+// hexSum renders h's sum in hex.
+func hexSum(h hash.Hash) string {
+	var sum [sha256.Size]byte
+	var text [2 * sha256.Size]byte
+	hex.Encode(text[:], h.Sum(sum[:0]))
+	return string(text[:])
 }
 
 // digest computes the content address of a proposal: the digest of the
-// configuration set that validating it would verify. It applies the
-// update's edits exactly the way the verifier does (verify.Incremental's
-// applyEdits: sets compose in order against the parent's configs) and
-// returns "" under the same conditions the verifier rejects the
-// candidate — unknown device, out-of-range or conflicting edits — so a
-// malformed proposal can never alias the digest of a well-formed one and
-// steal its cached fitness.
-func (c *evalCache) digest(pr *proposal) string {
-	base := pr.parent.configs
-	var edited map[string]*netcfg.Config
-	for _, es := range pr.update.Edits {
-		cur, ok := edited[es.Device]
-		if !ok {
-			if cur, ok = base[es.Device]; !ok {
-				return ""
-			}
-		}
-		next, err := es.Apply(cur)
-		if err != nil {
-			return ""
-		}
-		if edited == nil {
-			edited = map[string]*netcfg.Config{}
-		}
-		edited[es.Device] = next
-	}
-	devices := make([]string, 0, len(base))
-	for d := range base {
-		devices = append(devices, d)
-	}
-	sort.Strings(devices)
+// configuration set validating it verifies, configs, which is its
+// parent's configurations with the update's edits applied
+// (verify.Incremental.Apply). Devices configs shares with the parent hash
+// from the memo; an edited device is hashed and dropped.
+func (c *evalCache) digest(parent *candidate, configs map[string]*netcfg.Config) string {
 	h := sha256.New()
-	for _, d := range devices {
+	var buf []byte // "<device>\x00<config digest>\n", reused across devices
+	for _, d := range parent.devices {
 		var cd string
-		if cfg, ok := edited[d]; ok {
-			cd = hashLines(cfg.Lines()) // transient: not worth memoizing
+		if cfg := configs[d]; cfg == parent.configs[d] {
+			cd = c.configDigest(cfg)
 		} else {
-			cd = c.configDigest(base[d])
+			cd = hashLines(cfg) // transient: not worth memoizing
 		}
-		fmt.Fprintf(h, "%s\x00%s\n", d, cd)
+		buf = append(append(append(append(buf[:0], d...), 0), cd...), '\n')
+		h.Write(buf)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hexSum(h)
 }
 
 // get looks a digest up.
 func (c *evalCache) get(d string) (int, bool) {
-	if d == "" {
-		return 0, false
-	}
 	fit, ok := c.fitness[d]
 	return fit, ok
 }
 
 // put stores a successfully validated candidate's fitness.
 func (c *evalCache) put(d string, fitness int) {
-	if d == "" {
-		return
-	}
 	if _, ok := c.fitness[d]; !ok {
 		c.fitness[d] = fitness
 	}
@@ -172,7 +149,7 @@ func (c *evalCache) storeKey(d string) string {
 // sequence — and therefore any fault-injection schedule against them — is
 // identical across runs.
 func (c *evalCache) storeGet(d string) (int, bool) {
-	if c.store == nil || d == "" {
+	if c.store == nil {
 		return 0, false
 	}
 	fit, ok, corrupt := c.store.Get(c.storeKey(d))
@@ -187,7 +164,7 @@ func (c *evalCache) storeGet(d string) (int, bool) {
 
 // storePut writes a simulated fitness through to the persistent store.
 func (c *evalCache) storePut(d string, fitness int) {
-	if c.store == nil || d == "" || fitness < 0 {
+	if c.store == nil || fitness < 0 {
 		return
 	}
 	c.store.Put(c.storeKey(d), fitness)

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -311,6 +312,9 @@ func (r *Result) Summary() string {
 // verification/localization state built on them.
 type candidate struct {
 	configs map[string]*netcfg.Config
+	// devices are the keys of configs, sorted: the order the evaluation
+	// cache digests a configuration set in.
+	devices []string
 	iv      *verify.Incremental
 	ctx     *Context
 	fitness int
@@ -450,14 +454,12 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 
 		// --- Fix: generate candidates from every preserved update --------
 		var props []proposal
-		seen := map[string]bool{}
+		var seen signatures
 		for _, member := range pop {
 			mProps := generate(res, member, opts, widen, rng)
 			log.Generated += len(mProps)
 			for _, pr := range mProps {
-				key := signature(member, pr.update)
-				if !seen[key] {
-					seen[key] = true
+				if seen.add(member, pr.update) {
 					props = append(props, pr)
 				}
 			}
@@ -774,11 +776,17 @@ func (b *bestEffort) writeTo(res *Result) {
 // store answer replaces only the simulation: it is accounted as a cache
 // miss and enters the cache like the simulation it replaced, so
 // CacheHits/CacheMisses — part of Canonical() — match a cold-store run and
-// only the store counters see it. digest is "" for a proposal the cache
-// cannot address (malformed edits); refuted reports that the
-// impact analysis answered the validation without simulating.
+// only the store counters see it. A proposal whose edits do not apply is
+// an error, neither digested nor checked; refuted reports that the impact
+// analysis answered the validation without simulating.
 func evaluate(ctx context.Context, res *Result, ec *evalCache, pr *proposal, opts Options) (fitness int, digest string, refuted bool, err error) {
-	digest = ec.digest(pr)
+	// The edits are applied once: the digest hashes the configuration set
+	// a cache miss then checks.
+	configs, err := pr.parent.iv.Apply(pr.update.Edits)
+	if err != nil {
+		return 0, "", false, err
+	}
+	digest = ec.digest(pr.parent, configs)
 	if fit, ok := ec.get(digest); ok {
 		res.CacheHits++
 		return fit, digest, false, nil
@@ -787,28 +795,27 @@ func evaluate(ctx context.Context, res *Result, ec *evalCache, pr *proposal, opt
 	if stored {
 		res.StoreHits++
 	} else {
-		rep, stats, err := validateCandidate(ctx, res, pr, opts)
+		rep, stats, err := validateCandidate(ctx, res, pr, configs, opts)
 		if err != nil {
 			return 0, digest, false, err
 		}
 		fitness, refuted = rep.NumFailed(), stats.Refuted
-		if digest != "" && ec.store != nil {
+		if ec.store != nil {
 			res.StoreMisses++
 			ec.storePut(digest, fitness)
 		}
 	}
-	if digest != "" {
-		res.CacheMisses++
-		ec.put(digest, fitness)
-	}
+	res.CacheMisses++
+	ec.put(digest, fitness)
 	return fitness, digest, refuted, nil
 }
 
-// validateCandidate validates one candidate on its parent's verifier, with
-// panic quarantine. Any error drops the candidate: a malformed edit, a
-// panic, or a failed audit. The verifier is deterministic, so a retry would
-// only re-run the same failure. Work counters and panics go to res.
-func validateCandidate(ctx context.Context, res *Result, pr *proposal, opts Options) (rep *verify.Report, stats verify.Stats, err error) {
+// validateCandidate validates one candidate, configs being its edits
+// applied, on its parent's verifier, with panic quarantine. Any error
+// drops the candidate: a panic or a failed audit. The verifier is
+// deterministic, so a retry would only re-run the same failure. Work
+// counters and panics go to res.
+func validateCandidate(ctx context.Context, res *Result, pr *proposal, configs map[string]*netcfg.Config, opts Options) (rep *verify.Report, stats verify.Stats, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, verify.Stats{}, err
 	}
@@ -826,7 +833,7 @@ func validateCandidate(ctx context.Context, res *Result, pr *proposal, opts Opti
 		}
 	}()
 	iv := pr.parent.iv
-	rep, stats, err = iv.CheckCtx(ctx, pr.update.Edits)
+	rep, stats, err = iv.CheckApplied(ctx, configs, pr.update.Edits)
 	if err == nil && opts.audit != nil {
 		err = opts.audit(ctx, iv, pr.update.Edits)
 	}
@@ -999,6 +1006,10 @@ func newCandidate(p Problem, iv *verify.Incremental, descs []string, opts Option
 		fitness: iv.BaseReport().NumFailed(),
 		descs:   descs,
 	}
+	for d := range c.configs {
+		c.devices = append(c.devices, d)
+	}
+	sort.Strings(c.devices)
 	c.ctx = buildContext(p, iv, sbfl.Tarantula, versionRNG(opts.Seed, descs), !opts.noStaticPrior)
 	return c
 }
@@ -1019,15 +1030,42 @@ func applyUpdate(configs map[string]*netcfg.Config, up Update) map[string]*netcf
 	return out
 }
 
-// signature canonically identifies a proposal for dedup.
-func signature(parent *candidate, up Update) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%p|", parent)
-	sets := append([]netcfg.EditSet{}, up.Edits...)
-	sort.Slice(sets, func(i, j int) bool { return sets[i].Device < sets[j].Device })
-	for _, es := range sets {
-		sb.WriteString(es.String())
-		sb.WriteByte(';')
+// signatures deduplicates one iteration's proposals: two are the same when
+// they share a parent and their edit sets, ordered by device, are equal.
+// Proposals are bucketed by parent and first edit, then compared set by set.
+type signatures map[signatureKey][][]netcfg.EditSet
+
+type signatureKey struct {
+	parent *candidate
+	device string
+	first  netcfg.Edit
+}
+
+// add records up as a proposal of parent and reports whether it was new.
+func (s *signatures) add(parent *candidate, up Update) bool {
+	sets := up.Edits
+	byDevice := func(i, j int) bool { return sets[i].Device < sets[j].Device }
+	if !sort.SliceIsSorted(sets, byDevice) {
+		sets = append([]netcfg.EditSet(nil), sets...)
+		sort.Slice(sets, byDevice)
 	}
-	return sb.String()
+	key := signatureKey{parent: parent}
+	if len(sets) > 0 {
+		key.device = sets[0].Device
+		if len(sets[0].Edits) > 0 {
+			key.first = sets[0].Edits[0]
+		}
+	}
+	for _, prev := range (*s)[key] {
+		if slices.EqualFunc(prev, sets, func(a, b netcfg.EditSet) bool {
+			return a.Device == b.Device && slices.Equal(a.Edits, b.Edits)
+		}) {
+			return false
+		}
+	}
+	if *s == nil {
+		*s = signatures{}
+	}
+	(*s)[key] = append((*s)[key], sets)
+	return true
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
 
@@ -46,9 +45,9 @@ func solveListValue(ctx *Context, device, listName string) listSolve {
 	if f == nil {
 		return listSolve{}
 	}
-	entryLines := map[int]bool{}
+	var entryLines []int
 	for _, e := range f.PrefixListEntries(listName) {
-		entryLines[e.Line] = true
+		entryLines = append(entryLines, e.Line)
 	}
 	attachLines := attachLinesForList(f, listName)
 	if len(attachLines) == 0 && len(entryLines) == 0 {
@@ -81,11 +80,11 @@ func solveListValue(ctx *Context, device, listName string) listSolve {
 	var conj []smt.Formula
 	anyFailing := false
 	for _, p := range prefixes {
-		ran, matched := false, false
-		for _, l := range ctx.Prov.LinesAtDevice(p, device) {
-			ran = ran || attachLines[l.Line]
-			matched = matched || entryLines[l.Line]
+		var lines netcfg.LineSet // the lines p's derivations executed
+		if sec := ctx.Prov.Section(p); sec != nil {
+			lines = sec.LineSet()
 		}
+		ran, matched := hasAny(lines, device, attachLines), hasAny(lines, device, entryLines)
 		if !ran && !matched {
 			continue
 		}
@@ -113,7 +112,7 @@ func solveListValue(ctx *Context, device, listName string) listSolve {
 // attachLinesForList returns the lines of every policy attachment (and
 // redistribute statement) on this device whose policy matches against the
 // named list.
-func attachLinesForList(f *netcfg.File, listName string) map[int]bool {
+func attachLinesForList(f *netcfg.File, listName string) []int {
 	policies := map[string]bool{}
 	for _, p := range f.Policies {
 		for _, m := range p.Matches {
@@ -122,27 +121,37 @@ func attachLinesForList(f *netcfg.File, listName string) map[int]bool {
 			}
 		}
 	}
-	out := map[int]bool{}
+	var out []int
 	if f.BGP != nil {
 		for _, pe := range f.BGP.Peers {
 			for _, a := range pe.Policies {
 				if policies[a.Policy] {
-					out[a.Line] = true
+					out = append(out, a.Line)
 				}
 			}
 		}
 		for _, g := range f.BGP.Groups {
 			for _, a := range g.Policies {
 				if policies[a.Policy] {
-					out[a.Line] = true
+					out = append(out, a.Line)
 				}
 			}
 		}
 		if f.BGP.Redistribute != nil && policies[f.BGP.Redistribute.Policy] {
-			out[f.BGP.Redistribute.Line] = true
+			out = append(out, f.BGP.Redistribute.Line)
 		}
 	}
 	return out
+}
+
+// hasAny reports whether set holds one of device's lines.
+func hasAny(set netcfg.LineSet, device string, lines []int) bool {
+	for _, l := range lines {
+		if set.Has(netcfg.LineRef{Device: device, Line: l}) {
+			return true
+		}
+	}
+	return false
 }
 
 // rewriteListEdits turns a solved membership into line edits: existing
@@ -150,8 +159,8 @@ func attachLinesForList(f *netcfg.File, listName string) map[int]bool {
 // entries are deleted, and missing ones are inserted after the last entry.
 func rewriteListEdits(f *netcfg.File, listName string, want []netip.Prefix) []netcfg.Edit {
 	entries := f.PrefixListEntries(listName)
-	var edits []netcfg.Edit
 	n := len(entries)
+	edits := make([]netcfg.Edit, 0, max(len(want), n))
 	for i, p := range want {
 		if i < n {
 			e := entries[i]
@@ -266,10 +275,13 @@ func attachedPolicyAt(f *netcfg.File, line int) string {
 	return ""
 }
 
-// describeEdits renders an update description.
+// describeEdits renders an update description: "template @ device:line",
+// then " (detail)" unless detail is empty.
 func describeEdits(template string, anchor netcfg.LineRef, detail string) string {
-	if detail == "" {
-		return fmt.Sprintf("%s @ %s", template, anchor)
+	var buf [128]byte
+	b := anchor.AppendTo(append(append(buf[:0], template...), " @ "...))
+	if detail != "" {
+		b = append(append(append(b, " ("...), detail...), ')')
 	}
-	return fmt.Sprintf("%s @ %s (%s)", template, anchor, detail)
+	return string(b)
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
+	"strconv"
 
 	"acr/internal/errclass"
 	"acr/internal/netcfg"
@@ -184,7 +184,7 @@ func (AddStaticOrigination) Generate(ctx *Context, line netcfg.LineRef) []Update
 		}
 		out = append(out, Update{
 			Edits: []netcfg.EditSet{{Device: line.Device, Edits: []netcfg.Edit{
-				netcfg.InsertBefore{At: cfg.NumLines() + 1, Text: fmt.Sprintf("ip route static %s null0", dst)},
+				netcfg.InsertBefore{At: cfg.NumLines() + 1, Text: "ip route static " + dst.String() + " null0"},
 			}}},
 			Desc: describeEdits("add-static-origination["+dst.String()+"]", line, ""),
 		})
@@ -252,13 +252,13 @@ func (AddPBRPermitRule) Generate(ctx *Context, line netcfg.LineRef) []Update {
 		}
 		dst := v.Intent.DstPrefix.Masked()
 		rule := []netcfg.Edit{
-			netcfg.InsertBefore{At: pol.Line + 1, Text: fmt.Sprintf(" rule %d permit", idx)},
-			netcfg.InsertBefore{At: pol.Line + 1, Text: fmt.Sprintf("  match destination %s", dst)},
+			netcfg.InsertBefore{At: pol.Line + 1, Text: " rule " + strconv.Itoa(idx) + " permit"},
+			netcfg.InsertBefore{At: pol.Line + 1, Text: "  match destination " + dst.String()},
 		}
 		if v.Intent.DstPort != 0 {
-			rule = append(rule, netcfg.InsertBefore{At: pol.Line + 1, Text: fmt.Sprintf("  match dst-port %d", v.Intent.DstPort)})
+			rule = append(rule, netcfg.InsertBefore{At: pol.Line + 1, Text: "  match dst-port " + strconv.Itoa(int(v.Intent.DstPort))})
 		}
-		rule = append(rule, netcfg.InsertBefore{At: pol.Line + 1, Text: fmt.Sprintf("  apply next-hop %s", nh)})
+		rule = append(rule, netcfg.InsertBefore{At: pol.Line + 1, Text: "  apply next-hop " + nh.String()})
 		out = append(out, Update{
 			Edits: []netcfg.EditSet{{Device: line.Device, Edits: rule}},
 			Desc:  describeEdits("add-pbr-permit-rule["+dst.String()+"]", line, "via "+v.Intent.Via),
@@ -300,7 +300,7 @@ func (RemovePBRRule) Generate(ctx *Context, line netcfg.LineRef) []Update {
 			}
 			return []Update{{
 				Edits: []netcfg.EditSet{{Device: line.Device, Edits: edits}},
-				Desc:  describeEdits(fmt.Sprintf("remove-pbr-rule[%d]", r.Index), line, ""),
+				Desc:  describeEdits("remove-pbr-rule["+strconv.Itoa(r.Index)+"]", line, ""),
 			}}
 		}
 	}
@@ -338,7 +338,7 @@ func (AddPeerToGroup) Generate(ctx *Context, line netcfg.LineRef) []Update {
 	for _, g := range f.BGP.Groups {
 		out = append(out, Update{
 			Edits: []netcfg.EditSet{{Device: line.Device, Edits: []netcfg.Edit{
-				netcfg.InsertBefore{At: line.Line + 1, Text: fmt.Sprintf(" peer %s group %s", peer.Addr, g.Name)},
+				netcfg.InsertBefore{At: line.Line + 1, Text: " peer " + peer.Addr.String() + " group " + g.Name},
 			}}},
 			Desc: describeEdits("add-peer-to-group["+g.Name+"]", line, ""),
 		})
@@ -452,9 +452,9 @@ func (FixPeerASN) Generate(ctx *Context, line netcfg.LineRef) []Update {
 	asn, _ := model.Int("asn")
 	return []Update{{
 		Edits: []netcfg.EditSet{{Device: line.Device, Edits: []netcfg.Edit{
-			netcfg.ReplaceLine{At: line.Line, Text: fmt.Sprintf(" peer %s as-number %d", peer.Addr, asn)},
+			netcfg.ReplaceLine{At: line.Line, Text: " peer " + peer.Addr.String() + " as-number " + strconv.FormatUint(uint64(asn), 10)},
 		}}},
-		Desc: describeEdits(fmt.Sprintf("fix-peer-asn[%d]", asn), line, ""),
+		Desc: describeEdits("fix-peer-asn["+strconv.FormatUint(uint64(asn), 10)+"]", line, ""),
 	}}
 }
 

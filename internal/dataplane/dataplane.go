@@ -65,11 +65,61 @@ type TraceResult struct {
 	// point; the final element is where the packet was delivered, dropped,
 	// blackholed, or where the loop closed.
 	Path []string
-	// Reason is a human-readable explanation for non-delivery.
-	Reason string
 	// Lines are the dataplane configuration lines executed (PBR and static
 	// routes); control-plane lines come from provenance.
 	Lines []netcfg.LineRef
+
+	// why is what ends a non-delivered trace; Reason renders it.
+	why reason
+}
+
+// reason records why a trace was not delivered: a code and the operands
+// its text names. The router is where the trace ended.
+type reason struct {
+	code   reasonCode
+	router string
+	what   string       // the next-hop kind, for the next-hop codes
+	prefix netip.Prefix // noAttachment: the originated prefix
+	addr   netip.Addr   // the destination, or the unusable next hop
+}
+
+type reasonCode uint8
+
+const (
+	noReason reasonCode = iota
+	forwardingLoop
+	ttlExceeded
+	pbrDrop
+	noAttachment
+	staticNull0
+	noRoute
+	invalidNextHop
+	foreignNextHop
+)
+
+// Reason is a human-readable explanation for non-delivery ("" for a
+// delivered trace). It is rendered on each call.
+func (t *TraceResult) Reason() string {
+	w := t.why
+	switch w.code {
+	case forwardingLoop:
+		return "forwarding loop at " + w.router
+	case ttlExceeded:
+		return "TTL exceeded"
+	case pbrDrop:
+		return "PBR drop at " + w.router
+	case noAttachment:
+		return fmt.Sprintf("%s originates %s but has no attachment for %s", w.router, w.prefix, w.addr)
+	case staticNull0:
+		return "static null0 at " + w.router
+	case noRoute:
+		return fmt.Sprintf("no route for %s at %s", w.addr, w.router)
+	case invalidNextHop:
+		return fmt.Sprintf("invalid %s at %s", w.what, w.router)
+	case foreignNextHop:
+		return fmt.Sprintf("%s %s at %s is not a connected neighbor", w.what, w.addr, w.router)
+	}
+	return ""
 }
 
 // PathString renders the path as "A -> B -> C".
@@ -93,23 +143,30 @@ const maxTTL = 64
 // is that covering prefix (invalid when the destination is in no
 // originated prefix — statics may still forward it).
 func Trace(n *bgp.Net, routes map[string]*bgp.Route, prefix netip.Prefix, pkt Packet, from string) *TraceResult {
-	res := &TraceResult{}
-	type hop struct {
-		router  string
-		ingress string
-	}
-	visited := map[hop]bool{}
+	// The result and room for a short path are one allocation.
+	buf := &struct {
+		res  TraceResult
+		path [8]string
+	}{}
+	res := &buf.res
+	res.Path = buf.path[:0]
+	// ingresses[i] is the interface the packet entered res.Path[i] on: a
+	// hop seen before closes a loop.
+	var ingressBuf [16]string
+	ingresses := ingressBuf[:0]
 	cur := from
 	ingress := ""
 	for ttl := 0; ttl < maxTTL; ttl++ {
-		res.Path = append(res.Path, cur)
-		h := hop{cur, ingress}
-		if visited[h] {
-			res.Outcome = Looped
-			res.Reason = fmt.Sprintf("forwarding loop at %s", cur)
-			return res
+		for i, r := range res.Path {
+			if r == cur && ingresses[i] == ingress {
+				res.Path = append(res.Path, cur)
+				res.Outcome = Looped
+				res.why = reason{code: forwardingLoop, router: cur}
+				return res
+			}
 		}
-		visited[h] = true
+		res.Path = append(res.Path, cur)
+		ingresses = append(ingresses, ingress)
 
 		next, nextIngress, done := step(n, routes, prefix, pkt, cur, ingress, res)
 		if done {
@@ -118,7 +175,7 @@ func Trace(n *bgp.Net, routes map[string]*bgp.Route, prefix netip.Prefix, pkt Pa
 		cur, ingress = next, nextIngress
 	}
 	res.Outcome = Looped
-	res.Reason = "TTL exceeded"
+	res.why = reason{code: ttlExceeded}
 	return res
 }
 
@@ -138,7 +195,7 @@ func step(n *bgp.Net, routes map[string]*bgp.Route, prefix netip.Prefix, pkt Pac
 					switch disp {
 					case Dropped:
 						res.Outcome = Dropped
-						res.Reason = fmt.Sprintf("PBR drop at %s", router)
+						res.why = reason{code: pbrDrop, router: router}
 						return "", "", true
 					default:
 						return forwardTo(n, router, nh, "PBR next-hop", res)
@@ -182,7 +239,7 @@ func step(n *bgp.Net, routes map[string]*bgp.Route, prefix netip.Prefix, pkt Pac
 			// Originated here but the destination is not locally attached:
 			// the router advertises a prefix it cannot deliver.
 			res.Outcome = Blackholed
-			res.Reason = fmt.Sprintf("%s originates %s but has no attachment for %s", router, prefix, pkt.Dst)
+			res.why = reason{code: noAttachment, router: router, prefix: prefix, addr: pkt.Dst}
 			return "", "", true
 		}
 		return forwardTo(n, router, rt.NextHop, "BGP next-hop", res)
@@ -190,13 +247,13 @@ func step(n *bgp.Net, routes map[string]*bgp.Route, prefix netip.Prefix, pkt Pac
 		res.Lines = append(res.Lines, netcfg.LineRef{Device: router, Line: bestStatic.Line})
 		if bestStatic.Null0 {
 			res.Outcome = Blackholed
-			res.Reason = fmt.Sprintf("static null0 at %s", router)
+			res.why = reason{code: staticNull0, router: router}
 			return "", "", true
 		}
 		return forwardTo(n, router, bestStatic.NextHop, "static next-hop", res)
 	default:
 		res.Outcome = Blackholed
-		res.Reason = fmt.Sprintf("no route for %s at %s", pkt.Dst, router)
+		res.why = reason{code: noRoute, router: router, addr: pkt.Dst}
 		return "", "", true
 	}
 }
@@ -252,7 +309,7 @@ func ruleMatches(rule *netcfg.PBRRule, pkt Packet) bool {
 func forwardTo(n *bgp.Net, router string, nh netip.Addr, what string, res *TraceResult) (string, string, bool) {
 	if !nh.IsValid() {
 		res.Outcome = Blackholed
-		res.Reason = fmt.Sprintf("invalid %s at %s", what, router)
+		res.why = reason{code: invalidNextHop, router: router, what: what}
 		return "", "", true
 	}
 	for _, adj := range n.Topo.Adjacencies(router) {
@@ -261,7 +318,7 @@ func forwardTo(n *bgp.Net, router string, nh netip.Addr, what string, res *Trace
 		}
 	}
 	res.Outcome = Blackholed
-	res.Reason = fmt.Sprintf("%s %s at %s is not a connected neighbor", what, nh, router)
+	res.why = reason{code: foreignNextHop, router: router, what: what, addr: nh}
 	return "", "", true
 }
 

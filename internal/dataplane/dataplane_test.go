@@ -74,7 +74,7 @@ func TestTraceDelivered(t *testing.T) {
 	pkt := SamplePacket(netip.MustParsePrefix("10.1.0.0/16"), netip.MustParsePrefix("10.2.0.0/16"))
 	res := Trace(n, routes, pre, pkt, "SRC")
 	if res.Outcome != Delivered {
-		t.Fatalf("outcome = %s (%s), want delivered; path %s", res.Outcome, res.Reason, res.PathString())
+		t.Fatalf("outcome = %s (%s), want delivered; path %s", res.Outcome, res.Reason(), res.PathString())
 	}
 	if res.PathString() != "SRC -> M -> DST" {
 		t.Errorf("path = %s", res.PathString())
@@ -128,7 +128,7 @@ func TestTraceStaticLongerPrefixWins(t *testing.T) {
 		t.Errorf("/24 packet: outcome = %s, want blackholed", res.Outcome)
 	}
 	if res := Trace(n, routes, pre, outPkt, "SRC"); res.Outcome != Delivered {
-		t.Errorf("/16 packet: outcome = %s (%s), want delivered", res.Outcome, res.Reason)
+		t.Errorf("/16 packet: outcome = %s (%s), want delivered", res.Outcome, res.Reason())
 	}
 }
 
@@ -180,7 +180,7 @@ func TestTracePBRRedirectAndDrop(t *testing.T) {
 	way := Packet{Src: netip.MustParseAddr("10.1.0.1"), Dst: netip.MustParseAddr("10.2.0.1"), Proto: "tcp", DstPort: 443}
 	res = Trace(n, routes, pre, way, "SRC")
 	if res.Outcome != Delivered {
-		t.Fatalf("port 443: outcome = %s (%s), path %s", res.Outcome, res.Reason, res.PathString())
+		t.Fatalf("port 443: outcome = %s (%s), path %s", res.Outcome, res.Reason(), res.PathString())
 	}
 	if !res.Visits("W") {
 		t.Errorf("port 443 skipped waypoint: %s", res.PathString())
@@ -250,7 +250,7 @@ func TestTraceForwardingLoop(t *testing.T) {
 	pkt := Packet{Src: netip.MustParseAddr("10.1.0.1"), Dst: netip.MustParseAddr("10.9.0.1"), Proto: "tcp", DstPort: 80}
 	res := Trace(n, nil, netip.Prefix{}, pkt, "X")
 	if res.Outcome != Looped {
-		t.Fatalf("outcome = %s (%s), want looped; path %s", res.Outcome, res.Reason, res.PathString())
+		t.Fatalf("outcome = %s (%s), want looped; path %s", res.Outcome, res.Reason(), res.PathString())
 	}
 	// Forwarding state is (router, ingress), so the loop closes when Y is
 	// revisited with the same ingress interface.
@@ -346,7 +346,7 @@ func TestTraceFlappingPhases(t *testing.T) {
 	for _, phase := range po.Phases() {
 		res := Trace(n, phase, pre, pkt, "DS")
 		if res.Outcome != Looped {
-			t.Errorf("phase outcome = %s (%s), want looped; path %s", res.Outcome, res.Reason, res.PathString())
+			t.Errorf("phase outcome = %s (%s), want looped; path %s", res.Outcome, res.Reason(), res.PathString())
 			continue
 		}
 		loops++

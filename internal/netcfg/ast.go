@@ -1,8 +1,10 @@
 package netcfg
 
 import (
+	"cmp"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // File is the parsed form of one device's configuration. Every node records
@@ -20,6 +22,61 @@ type File struct {
 	Statics     []*StaticRoute
 	PBRPolicies []*PBRPolicy
 	Interfaces  []*Interface
+
+	// lists and policies are PrefixLists and Policies sorted by name, then
+	// by index or node, stable on file order: the index the lookup helpers
+	// below search. Parse builds them once; a File is not modified after
+	// Parse returns, so they need no lock.
+	lists    []*PrefixList
+	policies []*RoutePolicy
+}
+
+// index builds the lookup indexes over the parsed file: the sorted lists
+// and policies, and each peer's session lines.
+func (f *File) index() {
+	f.lists = slices.Clone(f.PrefixLists)
+	slices.SortStableFunc(f.lists, func(a, b *PrefixList) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name), cmp.Compare(a.Index, b.Index))
+	})
+	f.policies = slices.Clone(f.Policies)
+	slices.SortStableFunc(f.policies, func(a, b *RoutePolicy) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name), cmp.Compare(a.Node, b.Node))
+	})
+	if f.BGP == nil {
+		return
+	}
+	lines := make([]LineRef, 0, 3*len(f.BGP.Peers))
+	for _, p := range f.BGP.Peers {
+		start := len(lines)
+		if p.ASNLine > 0 {
+			lines = append(lines, LineRef{f.Device, p.ASNLine})
+		}
+		if p.GroupLine > 0 {
+			lines = append(lines, LineRef{f.Device, p.GroupLine})
+		}
+		if p.Group != "" {
+			if g := f.GroupByName(p.Group); g != nil {
+				lines = append(lines, LineRef{f.Device, g.Line})
+			}
+		}
+		if len(lines) > start {
+			p.sessionLines = lines[start:len(lines):len(lines)]
+		}
+	}
+}
+
+// named returns the run of s whose names equal name, s being sorted by
+// name, capacity-clipped so that appending to it copies.
+func named[T any](s []T, nameOf func(T) string, name string) []T {
+	i, ok := slices.BinarySearchFunc(s, name, func(x T, name string) int { return strings.Compare(nameOf(x), name) })
+	if !ok {
+		return nil
+	}
+	j := i + 1
+	for j < len(s) && nameOf(s[j]) == name {
+		j++
+	}
+	return s[i:j:j]
 }
 
 // BGPBlock is the `bgp <asn>` block.
@@ -51,6 +108,9 @@ type Peer struct {
 	Group     string
 	GroupLine int // 0 when the peer is not in a group
 	Policies  []*PolicyAttach
+
+	// sessionLines are what PeerSessionLines returns, built by Parse.
+	sessionLines []LineRef
 }
 
 // PolicyAttach records a `... route-policy <name> (import|export)` line.
@@ -250,29 +310,17 @@ type Interface struct {
 // --- lookup helpers -------------------------------------------------------
 
 // PrefixListEntries returns the entries of the named prefix list in
-// ascending index order (stable on line number for equal indexes).
+// ascending index order (stable on line number for equal indexes). The
+// slice is the file's own index, read-only: appending to it copies.
 func (f *File) PrefixListEntries(name string) []*PrefixList {
-	var out []*PrefixList
-	for _, e := range f.PrefixLists {
-		if e.Name == name {
-			out = append(out, e)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
+	return named(f.lists, func(e *PrefixList) string { return e.Name }, name)
 }
 
 // PolicyNodes returns the nodes of the named route-policy in ascending node
-// order.
+// order (stable on line number for equal nodes). The slice is the file's
+// own index, read-only: appending to it copies.
 func (f *File) PolicyNodes(name string) []*RoutePolicy {
-	var out []*RoutePolicy
-	for _, p := range f.Policies {
-		if p.Name == name {
-			out = append(out, p)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
+	return named(f.policies, func(p *RoutePolicy) string { return p.Name }, name)
 }
 
 // PBRPolicy returns the named PBR policy, or nil.
@@ -346,23 +394,10 @@ func (f *File) EffectivePolicies(p *Peer, d Direction) []*PolicyAttach {
 }
 
 // PeerSessionLines returns the LineRefs that establish the session with
-// peer p: its as-number line and, when grouped, the group membership line
-// and the group declaration line. Provenance tags route imports with these.
-func (f *File) PeerSessionLines(p *Peer) []LineRef {
-	var out []LineRef
-	if p.ASNLine > 0 {
-		out = append(out, LineRef{f.Device, p.ASNLine})
-	}
-	if p.GroupLine > 0 {
-		out = append(out, LineRef{f.Device, p.GroupLine})
-	}
-	if p.Group != "" {
-		if g := f.GroupByName(p.Group); g != nil {
-			out = append(out, LineRef{f.Device, g.Line})
-		}
-	}
-	return out
-}
+// peer p, one of f's peers: its as-number line and, when grouped, the group
+// membership line and the group declaration line. Provenance tags route
+// imports with these. The slice is read-only and capacity-clipped.
+func (f *File) PeerSessionLines(p *Peer) []LineRef { return p.sessionLines }
 
 // --- reference-resolution helpers ------------------------------------------
 //

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -17,7 +18,16 @@ type LineRef struct {
 }
 
 // String renders the reference as "device:line".
-func (r LineRef) String() string { return fmt.Sprintf("%s:%d", r.Device, r.Line) }
+func (r LineRef) String() string {
+	var buf [48]byte
+	return string(r.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String form of r to b.
+func (r LineRef) AppendTo(b []byte) []byte {
+	b = append(append(b, r.Device...), ':')
+	return strconv.AppendInt(b, int64(r.Line), 10)
+}
 
 // Less orders references by device name, then line number.
 func (r LineRef) Less(o LineRef) bool {
@@ -111,7 +121,8 @@ func (c *Config) Refs() []LineRef {
 
 // Edit is a single line-level change to a Config.
 type Edit interface {
-	// apply mutates the line slice in place and returns the new slice.
+	// apply returns lines with the edit applied, in a new slice: it never
+	// writes to lines, which may be a Config's own.
 	apply(lines []string) ([]string, error)
 	// anchor is the 1-based line this edit is keyed on, used to order
 	// edits within an EditSet.
@@ -140,7 +151,7 @@ func (e InsertBefore) apply(lines []string) ([]string, error) {
 	return out, nil
 }
 
-func (e InsertBefore) String() string { return fmt.Sprintf("insert@%d %q", e.At, e.Text) }
+func (e InsertBefore) String() string { return editString("insert@", e.At, e.Text, true) }
 
 // DeleteLine removes the 1-based line At.
 type DeleteLine struct {
@@ -159,7 +170,7 @@ func (e DeleteLine) apply(lines []string) ([]string, error) {
 	return out, nil
 }
 
-func (e DeleteLine) String() string { return fmt.Sprintf("delete@%d", e.At) }
+func (e DeleteLine) String() string { return editString("delete@", e.At, "", false) }
 
 // ReplaceLine substitutes the text of the 1-based line At.
 type ReplaceLine struct {
@@ -179,7 +190,18 @@ func (e ReplaceLine) apply(lines []string) ([]string, error) {
 	return out, nil
 }
 
-func (e ReplaceLine) String() string { return fmt.Sprintf("replace@%d %q", e.At, e.Text) }
+func (e ReplaceLine) String() string { return editString("replace@", e.At, e.Text, true) }
+
+// editString renders an edit as its verb, its anchor and, with quote, its
+// text as a Go string literal: "replace@7 \"text\"".
+func editString(verb string, at int, text string, quote bool) string {
+	var buf [96]byte
+	b := strconv.AppendInt(append(buf[:0], verb...), int64(at), 10)
+	if quote {
+		b = strconv.AppendQuote(append(b, ' '), text)
+	}
+	return string(b)
+}
 
 // EditSet is an ordered set of edits against one base document. All line
 // numbers refer to the ORIGINAL document; Apply sorts edits bottom-up so
@@ -210,7 +232,7 @@ func (s EditSet) Apply(c *Config) (*Config, error) {
 	sort.SliceStable(idx, func(a, b int) bool {
 		return s.Edits[idx[a]].anchor() > s.Edits[idx[b]].anchor()
 	})
-	lines := c.Lines()
+	lines := c.lines // each apply copies, so c is never written
 	// Same-anchor inserts must apply in declaration order; after the stable
 	// descending sort they are adjacent and in declaration order already,
 	// but applying the first insert shifts nothing at the same anchor (we
@@ -230,7 +252,7 @@ func (s EditSet) Apply(c *Config) (*Config, error) {
 		}
 		a = b + 1
 	}
-	return FromLines(c.Device, lines), nil
+	return &Config{Device: c.Device, lines: lines}, nil
 }
 
 func (s EditSet) validate() error {
@@ -254,11 +276,17 @@ func (s EditSet) validate() error {
 
 // String renders the edit set for reports.
 func (s EditSet) String() string {
-	parts := make([]string, len(s.Edits))
+	var sb strings.Builder
+	sb.WriteString(s.Device)
+	sb.WriteByte('{')
 	for i, e := range s.Edits {
-		parts[i] = e.String()
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(e.String())
 	}
-	return fmt.Sprintf("%s{%s}", s.Device, strings.Join(parts, ", "))
+	sb.WriteByte('}')
+	return sb.String()
 }
 
 // Diff renders a minimal unified-style diff between two configurations of

@@ -1,7 +1,9 @@
 package netcfg
 
 import (
+	"fmt"
 	"math/rand"
+	"net/netip"
 	"reflect"
 	"strings"
 	"testing"
@@ -216,5 +218,67 @@ func TestQuickReplacePreservesCount(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTextMatchesFmt holds the text built with strconv and appends to the
+// fmt forms it replaced, byte for byte, including invalid prefixes, quoted
+// and non-ASCII text, negative numbers and empty edit sets.
+func TestTextMatchesFmt(t *testing.T) {
+	for _, r := range []LineRef{{"A", 1}, {"spine0-0", 1234}, {"", -3}} {
+		if got, want := r.String(), fmt.Sprintf("%s:%d", r.Device, r.Line); got != want {
+			t.Errorf("LineRef.String() = %q, want %q", got, want)
+		}
+	}
+	for _, text := range []string{"", " peer 10.0.0.2 as-number 65001", `quote " and \ backslash`, "tab\tnewline\n", "ünïcode ∈", "\xff"} {
+		for _, e := range []Edit{InsertBefore{At: 7, Text: text}, ReplaceLine{At: -1, Text: text}, DeleteLine{At: 12}} {
+			var want string
+			switch e := e.(type) {
+			case InsertBefore:
+				want = fmt.Sprintf("insert@%d %q", e.At, e.Text)
+			case ReplaceLine:
+				want = fmt.Sprintf("replace@%d %q", e.At, e.Text)
+			case DeleteLine:
+				want = fmt.Sprintf("delete@%d", e.At)
+			}
+			if got := e.String(); got != want {
+				t.Errorf("%T.String() = %q, want %q", e, got, want)
+			}
+		}
+	}
+	for _, es := range []EditSet{{Device: "A"}, {Device: "B", Edits: []Edit{DeleteLine{At: 2}, InsertBefore{At: 3, Text: `x "y"`}}}} {
+		parts := make([]string, len(es.Edits))
+		for i, e := range es.Edits {
+			parts[i] = e.String()
+		}
+		if got, want := es.String(), fmt.Sprintf("%s{%s}", es.Device, strings.Join(parts, ", ")); got != want {
+			t.Errorf("EditSet.String() = %q, want %q", got, want)
+		}
+	}
+	for _, c := range []struct {
+		p      netip.Prefix
+		ge, le int
+	}{
+		{netip.MustParsePrefix("10.1.0.0/16"), 0, 0},
+		{netip.MustParsePrefix("10.1.2.3/16"), 17, 24},
+		{netip.Prefix{}, 0, 32},
+		{netip.MustParsePrefix("2001:db8::/32"), -1, 0},
+	} {
+		for _, permit := range []bool{true, false} {
+			action := "deny"
+			if permit {
+				action = "permit"
+			}
+			want := fmt.Sprintf("ip prefix-list %s index %d %s %s", "DCN_PREFIXES", 30, action, c.p)
+			if c.ge > 0 {
+				want += fmt.Sprintf(" ge %d", c.ge)
+			}
+			if c.le > 0 {
+				want += fmt.Sprintf(" le %d", c.le)
+			}
+			if got := FormatPrefixListEntry("DCN_PREFIXES", 30, permit, c.p, c.ge, c.le); got != want {
+				t.Errorf("FormatPrefixListEntry = %q, want %q", got, want)
+			}
+		}
 	}
 }

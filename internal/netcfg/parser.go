@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // ParseError describes one syntactic problem found while parsing.
@@ -24,6 +25,7 @@ func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Ref, e.Msg)
 func Parse(c *Config) (*File, error) {
 	p := &parser{cfg: c, file: &File{Device: c.Device, NumLines: c.NumLines()}}
 	p.run()
+	p.file.index()
 	if len(p.errs) == 0 {
 		return p.file, nil
 	}
@@ -49,6 +51,32 @@ type parser struct {
 	file *File
 	errs []*ParseError
 	pos  int // 0-based index into lines
+	// top and body are reused for the fields of a top-level line and of a
+	// block's body line: neither outlives the line it splits.
+	top, body []string
+}
+
+// split returns the whitespace-separated fields of s, as strings.Fields
+// does, in *buf's storage.
+func split(buf *[]string, s string) []string {
+	f := (*buf)[:0]
+	start := -1
+	for i, r := range s {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			f = append(f, s[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		f = append(f, s[start:])
+	}
+	*buf = f
+	return f
 }
 
 func (p *parser) errorf(line int, format string, args ...any) {
@@ -87,7 +115,7 @@ func (p *parser) run() {
 			p.pos++
 			continue
 		}
-		fields := strings.Fields(content)
+		fields := split(&p.top, content)
 		switch fields[0] {
 		case "bgp":
 			p.parseBGP(fields, line)
@@ -195,7 +223,7 @@ func (p *parser) parseBGP(fields []string, line int) {
 	for _, i := range body {
 		_, content := p.indent(i)
 		ln := i + 1
-		f := strings.Fields(content)
+		f := split(&p.body, content)
 		switch f[0] {
 		case "router-id":
 			if len(f) != 2 {
@@ -360,7 +388,7 @@ func (p *parser) parseRoutePolicy(fields []string, line int) {
 	for _, i := range body {
 		_, content := p.indent(i)
 		ln := i + 1
-		f := strings.Fields(content)
+		f := split(&p.body, content)
 		switch f[0] {
 		case "match":
 			if len(f) == 3 && f[1] == "ip-prefix" {
@@ -512,7 +540,7 @@ func (p *parser) parsePBR(fields []string, line int) {
 	for _, i := range body {
 		ind, content := p.indent(i)
 		ln := i + 1
-		f := strings.Fields(content)
+		f := split(&p.body, content)
 		if ind == 1 {
 			if f[0] != "rule" || len(f) != 3 {
 				p.errorf(ln, "usage: rule <n> (permit|deny)")
@@ -577,7 +605,7 @@ func (p *parser) parseInterface(fields []string, line int) {
 	for _, i := range body {
 		_, content := p.indent(i)
 		ln := i + 1
-		f := strings.Fields(content)
+		f := split(&p.body, content)
 		switch {
 		case len(f) == 3 && f[0] == "ip" && f[1] == "address":
 			pf, err := netip.ParsePrefix(f[2])

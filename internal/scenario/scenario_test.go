@@ -224,7 +224,7 @@ func TestDCNWaypointActuallyTraverses(t *testing.T) {
 			continue
 		}
 		if !v.Pass {
-			t.Fatalf("waypoint intent failed: %s (%s)", v.Intent, v.Reason)
+			t.Fatalf("waypoint intent failed: %s (%s)", v.Intent, v.Reason())
 		}
 		for _, tr := range v.Traces {
 			if !tr.Visits("scrubber") {
@@ -282,7 +282,7 @@ func TestWANIsolationEnforced(t *testing.T) {
 	}
 	for _, v := range rep.Failed() {
 		if v.Intent.Kind != verify.Isolation {
-			t.Errorf("unexpected non-isolation failure: %s (%s)", v.Intent, v.Reason)
+			t.Errorf("unexpected non-isolation failure: %s (%s)", v.Intent, v.Reason())
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -40,7 +41,8 @@ func IntVar(name string) Var { return Var{Name: name, Sort: SortInt} }
 
 // Formula is a constraint over variables.
 type Formula interface {
-	fstring() string
+	// appendTo appends the formula's text to b.
+	appendTo(b []byte) []byte
 }
 
 type (
@@ -56,19 +58,37 @@ type (
 	andForm struct{ Fs []Formula }
 )
 
-func (a inAtom) fstring() string    { return fmt.Sprintf("%s ∈ %s", a.Prefix, a.Set.Name) }
-func (a eqIntAtom) fstring() string { return fmt.Sprintf("%s = %d", a.Var.Name, a.Value) }
-func (f notForm) fstring() string   { return "¬(" + f.F.fstring() + ")" }
-func (f andForm) fstring() string {
-	parts := make([]string, len(f.Fs))
-	for i, sub := range f.Fs {
-		parts[i] = sub.fstring()
+func (a inAtom) appendTo(b []byte) []byte {
+	if a.Prefix.IsValid() {
+		b = a.Prefix.AppendTo(b)
+	} else {
+		b = append(b, "invalid Prefix"...) // as Prefix.String renders it
 	}
-	return "(" + strings.Join(parts, " ∧ ") + ")"
+	return append(append(b, " ∈ "...), a.Set.Name...)
+}
+
+func (a eqIntAtom) appendTo(b []byte) []byte {
+	return strconv.AppendUint(append(append(b, a.Var.Name...), " = "...), uint64(a.Value), 10)
+}
+
+func (f notForm) appendTo(b []byte) []byte { return append(f.F.appendTo(append(b, "¬("...)), ')') }
+
+func (f andForm) appendTo(b []byte) []byte {
+	b = append(b, '(')
+	for i, sub := range f.Fs {
+		if i > 0 {
+			b = append(b, " ∧ "...)
+		}
+		b = sub.appendTo(b)
+	}
+	return append(b, ')')
 }
 
 // String renders a formula.
-func String(f Formula) string { return f.fstring() }
+func String(f Formula) string {
+	var buf [256]byte
+	return string(f.appendTo(buf[:0]))
+}
 
 // In asserts prefix ∈ set.
 func In(p netip.Prefix, set Var) Formula { return inAtom{Prefix: p.Masked(), Set: set} }

@@ -26,9 +26,10 @@ func lineDelete(t *testing.T, s *scenario.Scenario, device, prefix string) []net
 // fixed one-device edit. On WAN(6,4,3) the first router loses a DCN prefix
 // from the list its PoP-facing export policy denies; on DCN(4) the last
 // leaf stops originating its prefix. Compiling every router per check cost
-// 549 and 632 allocations; deriving the net from the base (bgp.Net.Derive)
-// measures 292 and 128. The budgets, 321 and 140, are those counts with
-// 10 % headroom.
+// 549 and 632 allocations; deriving the net from the base (bgp.Net.Derive),
+// 292 and 128; with reasons kept as codes, traces in one allocation and
+// typed impact keys, 149 and 84. The budgets are those counts with 10 %
+// headroom.
 func TestCheckAllocBudget(t *testing.T) {
 	wan, dcn := scenario.WAN(6, 4, 3, scenario.GenOptions{}), scenario.DCN(4, scenario.GenOptions{})
 	wanFirst, dcnNodes := wan.Topo.Nodes()[0].Name, dcn.Topo.Nodes()
@@ -37,8 +38,8 @@ func TestCheckAllocBudget(t *testing.T) {
 		edits  []netcfg.EditSet
 		budget float64
 	}{
-		{wan, lineDelete(t, wan, wanFirst, "ip prefix-list DCN_PREFIXES index 30"), 321},
-		{dcn, lineDelete(t, dcn, dcnNodes[len(dcnNodes)-1].Name, " network "), 140},
+		{wan, lineDelete(t, wan, wanFirst, "ip prefix-list DCN_PREFIXES index 30"), 163},
+		{dcn, lineDelete(t, dcn, dcnNodes[len(dcnNodes)-1].Name, " network "), 92},
 	} {
 		iv := newIV(t, tc.s)
 		_, stats, err := iv.Check(tc.edits)

@@ -264,8 +264,11 @@ func (iv *Incremental) parseChanged(newConfigs map[string]*netcfg.Config) (files
 	return files, dirty
 }
 
-// applyEdits produces the candidate configuration map.
-func (iv *Incremental) applyEdits(edits []netcfg.EditSet) (map[string]*netcfg.Config, error) {
+// Apply returns the base configurations with edits applied in order: the
+// configuration set CheckApplied verifies. Devices no edit names keep the
+// base's documents. It fails on an edit set for an unknown device or one
+// EditSet.Apply rejects.
+func (iv *Incremental) Apply(edits []netcfg.EditSet) (map[string]*netcfg.Config, error) {
 	out := make(map[string]*netcfg.Config, len(iv.configs))
 	for d, c := range iv.configs { //acrvet:ordered
 		out[d] = c
@@ -291,10 +294,21 @@ func (iv *Incremental) Check(edits []netcfg.EditSet) (*Report, Stats, error) {
 	return iv.CheckCtx(context.Background(), edits)
 }
 
-// CheckCtx is Check with cooperative cancellation: the context is checked
-// between per-prefix simulations and threaded into the simulation passes,
-// so a deadline interrupts validation mid-candidate. On cancellation it
-// returns the context's error and no report.
+// CheckCtx is Check with cooperative cancellation: Apply, then
+// CheckApplied.
+func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*Report, Stats, error) {
+	newConfigs, err := iv.Apply(edits)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return iv.CheckApplied(ctx, newConfigs, edits)
+}
+
+// CheckApplied checks newConfigs, the configuration set Apply(edits)
+// returned, against the base. The context is checked between per-prefix
+// simulations and threaded into the simulation passes, so a deadline
+// interrupts validation mid-candidate. On cancellation it returns the
+// context's error and no report.
 //
 // The check is scoped by the static impact analysis:
 //
@@ -314,12 +328,8 @@ func (iv *Incremental) Check(edits []netcfg.EditSet) (*Report, Stats, error) {
 //     exact-key lookup for global ones), by delta re-simulation from the
 //     base outcome where Derive kept the sessions; untouched prefixes reuse
 //     the base outcome, and prefixes nobody will read are skipped outright.
-func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*Report, Stats, error) {
+func (iv *Incremental) CheckApplied(ctx context.Context, newConfigs map[string]*netcfg.Config, edits []netcfg.EditSet) (*Report, Stats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
-	}
-	newConfigs, err := iv.applyEdits(edits)
-	if err != nil {
 		return nil, Stats{}, err
 	}
 	// dirty is the set for delta re-simulation: exactly the devices whose
@@ -648,7 +658,7 @@ func (iv *Incremental) FullCheckCtx(ctx context.Context, edits []netcfg.EditSet)
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
-	newConfigs, err := iv.applyEdits(edits)
+	newConfigs, err := iv.Apply(edits)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -689,7 +699,7 @@ func (iv *Incremental) FullCheckCtx(ctx context.Context, edits []netcfg.EditSet)
 // the base NewIncremental would build on the edited texts. On error the
 // base is unchanged.
 func (iv *Incremental) Commit(edits []netcfg.EditSet) error {
-	newConfigs, err := iv.applyEdits(edits)
+	newConfigs, err := iv.Apply(edits)
 	if err != nil {
 		return err
 	}

@@ -16,7 +16,6 @@ import (
 type Verdict struct {
 	Intent Intent
 	Pass   bool
-	Reason string
 	// Prefix is the originated prefix the intent's destination resolved
 	// to (its control-plane dependency); invalid when none covers it.
 	Prefix netip.Prefix
@@ -25,6 +24,75 @@ type Verdict struct {
 	// Traces holds one dataplane trace per control-plane phase for flow
 	// intents (per phase and router for global intents, capped).
 	Traces []*dataplane.TraceResult
+
+	// why is what Reason renders: a code and its operands.
+	why reason
+}
+
+// reason records why a verdict came out as it did, for Reason to render:
+// most checks are of candidates whose report is read only for NumFailed.
+type reason struct {
+	code reasonCode
+	// fail is the trace the text describes: the last failing phase's
+	// trace of a flow intent, the last bad trace of a global one.
+	fail *dataplane.TraceResult
+	// delivered of phases phases delivered; looped reports a looping phase.
+	delivered, phases int
+	looped            bool
+}
+
+type reasonCode uint8
+
+const (
+	noReason reasonCode = iota
+	unknownKind
+	noInjectionPoint
+	failedPhase   // the fail trace's own text
+	notIsolated   // delivered in some phase
+	flapping      // the covering prefix did not converge
+	notOriginated // a global intent's prefix is not originated (passes)
+	badTrace      // a global intent's bad trace, from its first router
+)
+
+// Reason explains the verdict: why it fails, or "prefix not originated"
+// for a global intent that passes for that reason; "" otherwise. It is
+// rendered on each call.
+func (v *Verdict) Reason() string {
+	w := v.why
+	switch w.code {
+	case unknownKind:
+		return "unknown intent kind"
+	case noInjectionPoint:
+		return fmt.Sprintf("no injection point for source %s", v.Intent.Packet().Src)
+	case failedPhase:
+		return v.failReason()
+	case notIsolated:
+		return fmt.Sprintf("delivered in %d/%d phases, must be isolated", w.delivered, w.phases)
+	case flapping:
+		r := fmt.Sprintf("route flapping for %s; %d/%d phases deliver", v.Prefix, w.delivered, w.phases)
+		if w.looped {
+			r += "; " + v.failReason()
+		}
+		return r
+	case notOriginated:
+		return "prefix not originated"
+	case badTrace:
+		return "from " + w.fail.Path[0] + ": " + w.fail.Reason()
+	}
+	return ""
+}
+
+// failReason describes a flow intent's failing trace: a delivered one
+// bypassed the waypoint, a looping one shows its path.
+func (v *Verdict) failReason() string {
+	tr := v.why.fail
+	switch tr.Outcome {
+	case dataplane.Delivered:
+		return fmt.Sprintf("path %s bypasses waypoint %s", tr.PathString(), v.Intent.Via)
+	case dataplane.Looped:
+		return tr.Reason() + " (" + tr.PathString() + ")"
+	}
+	return tr.Reason()
 }
 
 // Lines returns every dataplane configuration line the verdict's traces
@@ -97,7 +165,7 @@ func (r *Report) Summary() string {
 		}
 		fmt.Fprintf(&sb, "%s  %s", status, v.Intent)
 		if !v.Pass {
-			fmt.Fprintf(&sb, "  (%s)", v.Reason)
+			fmt.Fprintf(&sb, "  (%s)", v.Reason())
 		}
 		sb.WriteByte('\n')
 	}
@@ -127,13 +195,16 @@ func probeOf(t *topo.Network, in Intent) probe {
 }
 
 // coveringOutcome finds the originated prefix covering addr (longest
-// match) and its outcome.
+// match) among those out holds an outcome for, and its outcome. It scans
+// the net's prefix list, a superset of out's keys.
 func coveringOutcome(out *bgp.Outcome, addr netip.Addr) (netip.Prefix, *bgp.PrefixOutcome) {
 	var best netip.Prefix
 	var bestPO *bgp.PrefixOutcome
-	for p, po := range out.ByPrefix { //acrvet:ordered
+	for _, p := range out.Net.AllPrefixes() {
 		if p.Contains(addr) && (!best.IsValid() || p.Bits() > best.Bits()) {
-			best, bestPO = p, po
+			if po, ok := out.ByPrefix[p]; ok {
+				best, bestPO = p, po
+			}
 		}
 	}
 	return best, bestPO
@@ -146,7 +217,7 @@ func checkIntent(n *bgp.Net, out *bgp.Outcome, in Intent, pr probe) Verdict {
 	case LoopFree, BlackholeFree:
 		return checkGlobal(n, out, in)
 	}
-	return Verdict{Intent: in, Pass: false, Reason: "unknown intent kind"}
+	return Verdict{Intent: in, Pass: false, why: reason{code: unknownKind}}
 }
 
 // checkFlow traces a flow intent's packet in every phase of the outcome of
@@ -157,7 +228,7 @@ func checkFlow(n *bgp.Net, out *bgp.Outcome, in Intent, pr probe) Verdict {
 	pkt, from := pr.pkt, pr.from
 	if from == "" {
 		v.Pass = in.Kind == Isolation
-		v.Reason = fmt.Sprintf("no injection point for source %s", pkt.Src)
+		v.why.code = noInjectionPoint
 		return v
 	}
 	prefix, po := coveringOutcome(out, pkt.Dst)
@@ -169,47 +240,46 @@ func checkFlow(n *bgp.Net, out *bgp.Outcome, in Intent, pr probe) Verdict {
 	} else {
 		phases = []map[string]*bgp.Route{nil} // statics may still deliver
 	}
-	delivered, looped := 0, 0
 	visitsVia := true
-	var failReason string
+	w := reason{phases: len(phases)}
 	for _, ph := range phases {
 		tr := dataplane.Trace(n, ph, prefix, pkt, from)
 		v.Traces = append(v.Traces, tr)
 		switch tr.Outcome {
 		case dataplane.Delivered:
-			delivered++
+			w.delivered++
 			if in.Via != "" && !tr.Visits(in.Via) {
 				visitsVia = false
-				failReason = fmt.Sprintf("path %s bypasses waypoint %s", tr.PathString(), in.Via)
+				w.fail = tr
 			}
 		case dataplane.Looped:
-			looped++
-			failReason = tr.Reason + " (" + tr.PathString() + ")"
+			w.looped = true
+			w.fail = tr
 		default:
-			failReason = tr.Reason
+			w.fail = tr
 		}
 	}
 	switch in.Kind {
 	case Isolation:
-		if delivered == 0 {
+		if w.delivered == 0 {
 			v.Pass = true
 		} else {
-			v.Reason = fmt.Sprintf("delivered in %d/%d phases, must be isolated", delivered, len(phases))
+			w.code = notIsolated
 		}
 	case Reachability, Waypoint:
 		switch {
 		case v.Flapping:
-			v.Reason = fmt.Sprintf("route flapping for %s; %d/%d phases deliver", prefix, delivered, len(phases))
-			if looped > 0 {
-				v.Reason += fmt.Sprintf("; %s", failReason)
-			}
-		case delivered != len(phases):
-			v.Reason = failReason
+			w.code = flapping
+		case w.delivered != len(phases):
+			w.code = failedPhase
 		case in.Kind == Waypoint && !visitsVia:
-			v.Reason = failReason
+			w.code = failedPhase
 		default:
 			v.Pass = true
 		}
+	}
+	if !v.Pass {
+		v.why = w
 	}
 	return v
 }
@@ -226,11 +296,12 @@ func checkGlobal(n *bgp.Net, out *bgp.Outcome, in Intent) Verdict {
 		// Nothing routes toward it: trivially loop-free; blackhole-freedom
 		// is judged by reachability intents, not here.
 		v.Pass = true
-		v.Reason = "prefix not originated"
+		v.why.code = notOriginated
 		return v
 	}
 	v.Flapping = !po.Converged
 	pkt := dataplane.SamplePacket(prefix, prefix) // src unused below
+	v.Pass = true
 	for _, ph := range po.Phases() {
 		names := make([]string, 0, len(ph))
 		for name := range ph {
@@ -245,15 +316,10 @@ func checkGlobal(n *bgp.Net, out *bgp.Outcome, in Intent) Verdict {
 				if len(v.Traces) < globalTraceCap {
 					v.Traces = append(v.Traces, tr)
 				}
-				v.Reason = fmt.Sprintf("from %s: %s", name, tr.Reason)
+				v.Pass = false
+				v.why = reason{code: badTrace, fail: tr}
 			}
 		}
-	}
-	v.Pass = v.Reason == ""
-	if v.Pass && v.Flapping && in.Kind == LoopFree {
-		// A flap without a loop phase is still unstable, but that is
-		// reachability's concern; loop-freedom judges loops only.
-		v.Reason = ""
 	}
 	return v
 }

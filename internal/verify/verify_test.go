@@ -86,7 +86,7 @@ func TestIsolationVerdicts(t *testing.T) {
 		if v.Intent.Kind == verify.Isolation {
 			sawIsolation = true
 			if !v.Pass {
-				t.Errorf("isolation intent failed in correct WAN: %s (%s)", v.Intent, v.Reason)
+				t.Errorf("isolation intent failed in correct WAN: %s (%s)", v.Intent, v.Reason())
 			}
 		}
 	}

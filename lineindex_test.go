@@ -109,13 +109,15 @@ func sweepContexts() func() *core.Context {
 	}
 }
 
-// TestGenerateSweepAllocBudget is ROADMAP item 1's allocation budget on
-// generation. Before the provenance line index and the per-(device, list)
-// solve memo, one sweep over the WAN base cost 44,294 allocations. The
-// budget is a tenth of that, and it is charged the construction of a
-// fresh Context as well, so no run benefits from an earlier run's memo.
+// TestGenerateSweepAllocBudget is the allocation budget on generation,
+// charged the construction of a fresh Context as well, so no run benefits
+// from an earlier run's memo. Before the provenance line index and the
+// per-(device, list) solve memo, one sweep over the WAN base cost 44,294
+// allocations; after, 3,280; with per-file indexes, text built without fmt
+// and solve constraints read off the sealed line sets, 1,044. The budget is
+// 1,044 with 10 % headroom.
 func TestGenerateSweepAllocBudget(t *testing.T) {
-	const budget = 4429
+	const budget = 1044 * 11 / 10
 	fresh := sweepContexts()
 	tmpls := core.BuiltinTemplates()
 	if generateSweep(fresh(), tmpls) == 0 {
@@ -170,9 +172,12 @@ func wanPreserves(t testing.TB) (scratch, derived func() *core.Context) {
 // and 2,568 once hops copy into a per-prefix arena, the state digest is
 // kept on write and parent lists are carved per section; 7,198 and 2,022
 // before, 6,826 and 1,948 after a converged section stopped storing its
-// selections and policy-free session sites.
+// selections and policy-free session sites; 6,700 and 1,440 before, 3,119
+// and 948 after per-file indexes, reasons kept as codes, traces in one
+// allocation and untraced policy matches collecting no lines. The scratch
+// budget is 3,119 with 10 % headroom.
 func TestPreserveAllocBudget(t *testing.T) {
-	const scratchBudget = 9000
+	const scratchBudget = 3119 * 11 / 10
 	scratch, derived := wanPreserves(t)
 	if s, d := scratch(), derived(); s.Report.NumFailed() != 0 || d.Report.NumFailed() != 0 {
 		t.Fatalf("the repaired WAN fails %d intents from scratch, %d derived; want 0", s.Report.NumFailed(), d.Report.NumFailed())
@@ -198,10 +203,11 @@ func TestPreserveAllocBudget(t *testing.T) {
 // hops copying routes and paths into a per-prefix arena, the digest kept
 // on write, snapshots as slices and parent lists carved per section, it
 // measured 3,324, later 2,803; with a converged section storing only its
-// originations and policy-session sites, 1,868. The budget is 1,868 with
-// 10 % headroom.
+// originations and policy-session sites, 1,868; with each peer's session
+// lines built once by Parse rather than per session, 1,434. The budget is
+// 1,434 with 10 % headroom.
 func TestSimulateAllocBudget(t *testing.T) {
-	const budget = 1868 * 11 / 10
+	const budget = 1434 * 11 / 10
 	s := scenario.DCN(6, scenario.GenOptions{})
 	files := s.Files()
 	var nodes int
