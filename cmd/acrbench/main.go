@@ -237,7 +237,7 @@ func fig4(size int, seed int64) {
 	fmt.Printf("localization: top1=%d top5=%d top10=%d of %d\n", agg.Top1, agg.Top5, agg.Top10, agg.Visible)
 	fmt.Printf("effort: mean iterations=%.2f, mean candidates validated=%.1f\n", agg.MeanIterations, agg.MeanValidated)
 	fmt.Printf("robustness: improved-only=%d timed-out=%d candidates-panicked=%d\n",
-		agg.Improved, agg.TimedOut, agg.CandidatesPanicked)
+		agg.Improved, agg.TimedOut, agg.Panicked)
 	fmt.Println("per-class repair rate:")
 	for _, ci := range incidents.Table1 {
 		pc := perClass[ci.Class]

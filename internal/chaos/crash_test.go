@@ -81,7 +81,8 @@ func resumeRun(t *testing.T, dir string, p core.Problem, opts core.Options) *cor
 // SIGKILLed (simulated) after any number of journal appends — including
 // with a torn final write — resumes to a Result byte-identical to the
 // uninterrupted run with the same seed. No validated candidate is lost,
-// no iteration or counter is double-counted.
+// no iteration or counter is double-counted: the work counters Canonical()
+// leaves out are compared too.
 func TestCrashResumeByteIdentical(t *testing.T) {
 	p := figure2Problem()
 	opts := core.Options{Strategy: core.Evolutionary, Seed: 7, MaxIterations: 25}
@@ -118,6 +119,9 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		if got := res.Canonical(); got != want {
 			t.Errorf("crash@%d (torn=%v): resumed result diverges from uninterrupted run\n--- want ---\n%s\n--- got ---\n%s",
 				n, torn, want, got)
+		}
+		if res.Counters != straight.Counters {
+			t.Errorf("crash@%d (torn=%v): resumed counters %+v, uninterrupted %+v", n, torn, res.Counters, straight.Counters)
 		}
 		// The resumed session's journal must now be clean and closed.
 		final, err := journal.Replay(dir)
@@ -174,41 +178,56 @@ func TestOlderLayoutResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCrashResumeCorpus repeats the invariant over a corpus slice:
+// TestCrashResumeCorpus repeats the invariant over corpus slices:
 // different misconfiguration classes exercise different templates,
-// populations, and widen/stagnation paths.
+// populations, and widen/stagnation paths. Single faults end in their
+// first iteration, so they resume only from the base checkpoint, whose
+// counters are zero; double faults take several iterations and resume
+// from checkpoints that already carry work.
 func TestCrashResumeCorpus(t *testing.T) {
-	incs, err := incidents.GenerateCorpus(incidents.CorpusOptions{Size: 6, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tested := 0
-	for _, inc := range incs {
-		if tested >= 3 {
-			break
+	later := 0 // resumes from a checkpoint past the base one
+	for _, share := range []float64{0, 1} {
+		incs, err := incidents.GenerateCorpus(incidents.CorpusOptions{Size: 6, Seed: 5, DoubleFaultShare: share})
+		if err != nil {
+			t.Fatal(err)
 		}
-		p := core.Problem{Topo: inc.Scenario.Topo, Configs: inc.Scenario.Configs, Intents: inc.Scenario.Intents}
-		opts := core.Options{Seed: 11, MaxIterations: 20}
-		straight, appends := journaledRun(t, t.TempDir(), p, opts)
-		if straight.BaseFailing == 0 || appends < 4 {
-			continue // injection invisible to the intent suite
-		}
-		tested++
-		want := straight.Canonical()
-		for _, n := range []int{2, appends - 1} {
-			dir := t.TempDir()
-			if !crashRun(t, dir, p, opts, Plan{CrashAfterAppends: n, CrashTornTail: true}) {
-				t.Fatalf("%s: crash point %d not reached", inc.ID, n)
+		tested := 0
+		for _, inc := range incs {
+			if tested >= 3 {
+				break
 			}
-			res := resumeRun(t, dir, p, opts)
-			if got := res.Canonical(); got != want {
-				t.Errorf("%s crash@%d: resumed result diverges\n--- want ---\n%s\n--- got ---\n%s",
-					inc.ID, n, want, got)
+			p := core.Problem{Topo: inc.Scenario.Topo, Configs: inc.Scenario.Configs, Intents: inc.Scenario.Intents}
+			opts := core.Options{Seed: 11, MaxIterations: 20}
+			straight, appends := journaledRun(t, t.TempDir(), p, opts)
+			if straight.BaseFailing == 0 || appends < 4 {
+				continue // injection invisible to the intent suite
+			}
+			tested++
+			want := straight.Canonical()
+			for _, n := range []int{2, appends - 1} {
+				dir := t.TempDir()
+				if !crashRun(t, dir, p, opts, Plan{CrashAfterAppends: n, CrashTornTail: true}) {
+					t.Fatalf("%s: crash point %d not reached", inc.ID, n)
+				}
+				res := resumeRun(t, dir, p, opts)
+				if res.ResumedFrom > 0 {
+					later++
+				}
+				if got := res.Canonical(); got != want {
+					t.Errorf("%s crash@%d: resumed result diverges\n--- want ---\n%s\n--- got ---\n%s",
+						inc.ID, n, want, got)
+				}
+				if res.Counters != straight.Counters {
+					t.Errorf("%s crash@%d: resumed counters %+v, uninterrupted %+v", inc.ID, n, res.Counters, straight.Counters)
+				}
 			}
 		}
+		if tested == 0 {
+			t.Fatalf("no visible incidents in corpus slice (double-fault share %g)", share)
+		}
 	}
-	if tested == 0 {
-		t.Fatal("no visible incidents in corpus slice")
+	if later == 0 {
+		t.Fatal("no run resumed past its base checkpoint")
 	}
 }
 

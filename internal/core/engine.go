@@ -147,24 +147,11 @@ type Result struct {
 	// (S = ∅), "iteration-cap", "deadline", or "canceled".
 	Termination string
 	Logs        []IterationLog
-	// CandidatesValidated counts candidates resolved by validation —
-	// simulated or answered from the evaluation cache (it equals
-	// CacheHits+CacheMisses).
-	CandidatesValidated int
-	// PrefixSimulations counts per-prefix control-plane runs performed by
-	// validation (the incremental verifier's and the cache's savings show
-	// up here).
-	PrefixSimulations int
-	// IntentChecks counts intent re-verifications.
-	IntentChecks int
 
-	// --- performance ----------------------------------------------------
-
-	// CacheHits counts candidates answered by the content-addressed
-	// evaluation cache without simulation.
-	CacheHits int
-	// CacheMisses counts candidates that were simulated and then stored.
-	CacheMisses int
+	// Counters are the run's work counters, each documented on
+	// journal.Counters; a checkpoint carries them and a resume restores
+	// them.
+	journal.Counters
 
 	// --- persistent evaluation store ------------------------------------
 	//
@@ -188,44 +175,6 @@ type Result struct {
 	// reported corrupt by the store and degraded to a StoreMiss.
 	StoreCorrupt int
 
-	// --- static impact analysis -----------------------------------------
-	//
-	// Work counters of the candidate impact analysis. Like
-	// PrefixSimulations they measure effort, not trajectory, and are
-	// excluded from Canonical().
-
-	// StaticallyRefuted counts candidates whose impact set was disjoint
-	// from every intent's dependencies: answered with the parent's
-	// verdicts at zero prefix simulations.
-	StaticallyRefuted int
-	// ImpactScoped counts candidates validated against a proper impact
-	// slice (neither refuted nor broad).
-	ImpactScoped int
-	// ImpactBroad counts candidates where the impact analysis — or the
-	// compiled-network cross-check guarding it — degraded to a full
-	// re-simulation.
-	ImpactBroad int
-
-	// --- delta re-simulation --------------------------------------------
-	//
-	// Work counters of the delta BGP simulator. Like the impact counters
-	// they measure effort, not trajectory, and are excluded from
-	// Canonical(): a delta re-simulation and a cold one decide
-	// identically.
-
-	// DeltaReused counts prefix evaluations answered by delta
-	// re-simulation: seeded from the parent outcome, only the edit's wave
-	// of routers re-activated.
-	DeltaReused int
-	// DeltaResimulated counts prefix evaluations where the delta path
-	// refused the shortcut (non-converged base, new origination, pass
-	// bound) and a cold simulation ran instead.
-	DeltaResimulated int
-	// SimActivations totals router activations across every prefix
-	// simulation of the run — the device·prefix work unit the delta
-	// benchmark's ≥5× reduction target is measured in.
-	SimActivations int
-
 	// --- static-analysis prior ------------------------------------------
 
 	// StaticDiagnostics counts the static-analysis findings on the base
@@ -234,9 +183,6 @@ type Result struct {
 	// PriorSeededLines counts statically flagged lines not covered by any
 	// sampled test that the prior injected into the base ranking.
 	PriorSeededLines int
-	// TemplatesPrunedStatic counts template applications skipped because
-	// the anchor line carried a diagnostic of a different error class.
-	TemplatesPrunedStatic int
 
 	// --- robustness -----------------------------------------------------
 
@@ -254,9 +200,6 @@ type Result struct {
 	BestEffortApplied []string
 	// Improved reports BestEffortFitness < BaseFailing.
 	Improved bool
-	// CandidatesPanicked counts candidates quarantined because a template,
-	// parser edit, or simulator panicked while processing them.
-	CandidatesPanicked int
 	// Errors collects classified failures (capped; counters above are
 	// complete).
 	Errors []*RepairError
@@ -275,33 +218,12 @@ type Result struct {
 // Summary renders the result for CLI reports.
 func (r *Result) Summary() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "feasible=%v termination=%s iterations=%d baseFailing=%d validated=%d\n",
-		r.Feasible, r.Termination, r.Iterations, r.BaseFailing, r.CandidatesValidated)
+	fmt.Fprintf(&sb, "feasible=%v termination=%s iterations=%d baseFailing=%d\n",
+		r.Feasible, r.Termination, r.Iterations, r.BaseFailing)
 	if !r.Feasible {
 		fmt.Fprintf(&sb, "  best-effort: fitness=%d improved=%v\n", r.BestEffortFitness, r.Improved)
 	}
-	if r.CandidatesPanicked > 0 {
-		fmt.Fprintf(&sb, "  quarantined: panicked=%d\n", r.CandidatesPanicked)
-	}
-	if r.CacheHits+r.CacheMisses > 0 {
-		fmt.Fprintf(&sb, "  cache: hits=%d misses=%d\n", r.CacheHits, r.CacheMisses)
-	}
-	if r.StoreHits+r.StoreMisses+r.StoreCorrupt > 0 {
-		fmt.Fprintf(&sb, "  store: hits=%d misses=%d corrupt=%d\n",
-			r.StoreHits, r.StoreMisses, r.StoreCorrupt)
-	}
-	if r.StaticallyRefuted+r.ImpactScoped+r.ImpactBroad > 0 {
-		fmt.Fprintf(&sb, "  impact: refuted=%d scoped=%d broad=%d\n",
-			r.StaticallyRefuted, r.ImpactScoped, r.ImpactBroad)
-	}
-	if r.DeltaReused+r.DeltaResimulated+r.SimActivations > 0 {
-		fmt.Fprintf(&sb, "  delta: reused=%d resimulated=%d activations=%d\n",
-			r.DeltaReused, r.DeltaResimulated, r.SimActivations)
-	}
-	if r.StaticDiagnostics > 0 {
-		fmt.Fprintf(&sb, "  static prior: diagnostics=%d seededLines=%d templatesPruned=%d\n",
-			r.StaticDiagnostics, r.PriorSeededLines, r.TemplatesPrunedStatic)
-	}
+	r.writeCounters(&sb, "  ")
 	for _, a := range r.Applied {
 		fmt.Fprintf(&sb, "  applied: %s\n", a)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,28 +30,8 @@ func (r *Result) Report(baseConfigs map[string]*netcfg.Config) string {
 			fmt.Fprintf(&sb, "best effort: no improvement over the base configuration\n")
 		}
 	}
-	if r.CandidatesPanicked > 0 {
-		fmt.Fprintf(&sb, "quarantined: %d panicked\n", r.CandidatesPanicked)
-	}
-	if r.StaticDiagnostics > 0 {
-		fmt.Fprintf(&sb, "static analysis: %d diagnostics, %d uncovered lines seeded, %d template applications pruned\n",
-			r.StaticDiagnostics, r.PriorSeededLines, r.TemplatesPrunedStatic)
-	}
-	fmt.Fprintf(&sb, "iterations: %d  candidates validated: %d  prefix simulations: %d  intent checks: %d\n",
-		r.Iterations, r.CandidatesValidated, r.PrefixSimulations, r.IntentChecks)
-	if r.StaticallyRefuted+r.ImpactScoped+r.ImpactBroad > 0 {
-		fmt.Fprintf(&sb, "impact analysis: %d statically refuted, %d scoped, %d broad\n",
-			r.StaticallyRefuted, r.ImpactScoped, r.ImpactBroad)
-	}
-	if r.DeltaReused+r.DeltaResimulated+r.SimActivations > 0 {
-		fmt.Fprintf(&sb, "delta simulation: %d prefixes reused, %d resimulated, %d router activations\n",
-			r.DeltaReused, r.DeltaResimulated, r.SimActivations)
-	}
-	fmt.Fprintf(&sb, "cache: %d hits, %d misses\n", r.CacheHits, r.CacheMisses)
-	if r.StoreHits+r.StoreMisses+r.StoreCorrupt > 0 {
-		fmt.Fprintf(&sb, "persistent store: %d hits, %d misses, %d corrupt entries\n",
-			r.StoreHits, r.StoreMisses, r.StoreCorrupt)
-	}
+	fmt.Fprintf(&sb, "iterations: %d\n", r.Iterations)
+	r.writeCounters(&sb, "")
 	sb.WriteByte('\n')
 
 	if len(r.Logs) > 0 {
@@ -91,6 +72,37 @@ func (r *Result) Report(baseConfigs map[string]*netcfg.Config) string {
 		}
 	}
 	return sb.String()
+}
+
+// writeCounters renders the run's counters for Summary and Report, one
+// group to a line after indent; a group whose counters are all zero is
+// left out.
+func (r *Result) writeCounters(sb *strings.Builder, indent string) {
+	type counter struct {
+		name string
+		n    int
+	}
+	for _, g := range []struct {
+		name     string
+		counters []counter
+	}{
+		{"validation", []counter{{"candidates", r.CandidatesValidated}, {"prefixSimulations", r.PrefixSimulations}, {"intentChecks", r.IntentChecks}}},
+		{"cache", []counter{{"hits", r.CacheHits}, {"misses", r.CacheMisses}}},
+		{"store", []counter{{"hits", r.StoreHits}, {"misses", r.StoreMisses}, {"corrupt", r.StoreCorrupt}}},
+		{"impact", []counter{{"refuted", r.StaticallyRefuted}, {"scoped", r.ImpactScoped}, {"broad", r.ImpactBroad}}},
+		{"delta", []counter{{"reused", r.DeltaReused}, {"resimulated", r.DeltaResimulated}, {"activations", r.SimActivations}}},
+		{"static prior", []counter{{"diagnostics", r.StaticDiagnostics}, {"seededLines", r.PriorSeededLines}, {"templatesPruned", r.TemplatesPrunedStatic}}},
+		{"quarantined", []counter{{"panicked", r.CandidatesPanicked}}},
+	} {
+		if !slices.ContainsFunc(g.counters, func(c counter) bool { return c.n != 0 }) {
+			continue
+		}
+		sb.WriteString(indent + g.name + ":")
+		for _, c := range g.counters {
+			fmt.Fprintf(sb, " %s=%d", c.name, c.n)
+		}
+		sb.WriteByte('\n')
+	}
 }
 
 // Canonical renders every deterministic field of the Result — the fixed

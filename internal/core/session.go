@@ -197,21 +197,7 @@ func buildCheckpoint(res *Result, best *bestEffort, st loopState) journal.Checkp
 		BaseFailing:       res.BaseFailing,
 		StaticDiagnostics: res.StaticDiagnostics,
 		PriorSeededLines:  res.PriorSeededLines,
-		Counters: journal.Counters{
-			CandidatesValidated:   res.CandidatesValidated,
-			PrefixSimulations:     res.PrefixSimulations,
-			IntentChecks:          res.IntentChecks,
-			TemplatesPrunedStatic: res.TemplatesPrunedStatic,
-			CandidatesPanicked:    res.CandidatesPanicked,
-			CacheHits:             res.CacheHits,
-			CacheMisses:           res.CacheMisses,
-			StaticallyRefuted:     res.StaticallyRefuted,
-			ImpactScoped:          res.ImpactScoped,
-			ImpactBroad:           res.ImpactBroad,
-			DeltaReused:           res.DeltaReused,
-			DeltaResimulated:      res.DeltaResimulated,
-			SimActivations:        res.SimActivations,
-		},
+		Counters:          journal.CheckpointCounters{Counters: res.Counters},
 	}
 	for _, m := range st.pop {
 		cp.Population = append(cp.Population, journal.Member{
@@ -253,19 +239,7 @@ func restoreCheckpoint(res *Result, best *bestEffort, p Problem, opts Options, c
 	res.StaticDiagnostics = cp.StaticDiagnostics
 	res.PriorSeededLines = cp.PriorSeededLines
 	res.Iterations = cp.Iteration
-	res.CandidatesValidated = cp.Counters.CandidatesValidated
-	res.PrefixSimulations = cp.Counters.PrefixSimulations
-	res.IntentChecks = cp.Counters.IntentChecks
-	res.TemplatesPrunedStatic = cp.Counters.TemplatesPrunedStatic
-	res.CandidatesPanicked = cp.Counters.CandidatesPanicked
-	res.CacheHits = cp.Counters.CacheHits
-	res.CacheMisses = cp.Counters.CacheMisses
-	res.StaticallyRefuted = cp.Counters.StaticallyRefuted
-	res.ImpactScoped = cp.Counters.ImpactScoped
-	res.ImpactBroad = cp.Counters.ImpactBroad
-	res.DeltaReused = cp.Counters.DeltaReused
-	res.DeltaResimulated = cp.Counters.DeltaResimulated
-	res.SimActivations = cp.Counters.SimActivations
+	res.Counters = cp.Counters.Counters
 	res.Logs = nil
 	for _, l := range cp.Logs {
 		res.Logs = append(res.Logs, logFromJournal(l))

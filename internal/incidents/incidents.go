@@ -311,11 +311,11 @@ type Stats struct {
 	Top1, Top5, Top10 int
 	MeanIterations    float64
 	MeanValidated     float64
-	// Improved counts infeasible-but-improved runs; CandidatesPanicked
-	// sums the engine's quarantine tally over the corpus.
-	Improved           int
-	CandidatesPanicked int
-	TimedOut           int // runs ending on "deadline" or "canceled"
+	// Improved counts infeasible-but-improved runs; Panicked sums the
+	// runs' CandidatesPanicked over the corpus.
+	Improved int
+	Panicked int
+	TimedOut int // runs ending on "deadline" or "canceled"
 }
 
 // Aggregate computes corpus statistics. Incidents whose injection caused
@@ -338,7 +338,7 @@ func Aggregate(results []*RunResult) Stats {
 		if r.Termination == "deadline" || r.Termination == "canceled" {
 			s.TimedOut++
 		}
-		s.CandidatesPanicked += r.CandidatesPanicked
+		s.Panicked += r.CandidatesPanicked
 		switch {
 		case r.LocalizationRank == 1:
 			s.Top1++

@@ -156,27 +156,71 @@ type BestEffort struct {
 	Applied []string            `json:"applied,omitempty"`
 }
 
-// Counters snapshots the run's cumulative counters, so a resumed run's
-// totals equal the uninterrupted run's.
+// Counters are the run's cumulative work counters: the engine's
+// core.Result embeds them, every checkpoint carries them (so a resumed
+// run's totals equal the uninterrupted run's), and the job API and
+// `acr repair -o json` serialise them under these keys. A counter is
+// added here and nowhere else.
+//
+// Only CandidatesValidated, TemplatesPrunedStatic, CandidatesPanicked,
+// CacheHits and CacheMisses enter Result.Canonical(). The rest measure how
+// much work validation did, not what it decided: a delta re-simulation and
+// a cold one, a scoped check and a full one, decide identically.
 type Counters struct {
-	CandidatesValidated   int `json:"candidatesValidated"`
-	PrefixSimulations     int `json:"prefixSimulations"`
-	IntentChecks          int `json:"intentChecks"`
+	// CandidatesValidated counts candidates resolved by validation —
+	// simulated or answered from the evaluation cache (it equals
+	// CacheHits+CacheMisses).
+	CandidatesValidated int `json:"candidatesValidated"`
+	// PrefixSimulations counts per-prefix control-plane runs performed by
+	// validation (the incremental verifier's and the cache's savings show
+	// up here).
+	PrefixSimulations int `json:"prefixSimulations"`
+	// IntentChecks counts intent re-verifications.
+	IntentChecks int `json:"intentChecks"`
+	// TemplatesPrunedStatic counts template applications skipped because
+	// the anchor line carried a diagnostic of a different error class.
 	TemplatesPrunedStatic int `json:"templatesPrunedStatic"`
-	CandidatesPanicked    int `json:"candidatesPanicked"`
-	CacheHits             int `json:"cacheHits,omitempty"`
-	CacheMisses           int `json:"cacheMisses,omitempty"`
-	StaticallyRefuted     int `json:"staticallyRefuted,omitempty"`
-	ImpactScoped          int `json:"impactScoped,omitempty"`
-	ImpactBroad           int `json:"impactBroad,omitempty"`
-	DeltaReused           int `json:"deltaReused,omitempty"`
-	DeltaResimulated      int `json:"deltaResimulated,omitempty"`
-	SimActivations        int `json:"simActivations,omitempty"`
+	// CandidatesPanicked counts candidates quarantined because a template,
+	// parser edit, or simulator panicked while processing them.
+	CandidatesPanicked int `json:"candidatesPanicked"`
+	// CacheHits counts candidates answered by the content-addressed
+	// evaluation cache without simulation.
+	CacheHits int `json:"cacheHits,omitempty"`
+	// CacheMisses counts candidates that were simulated and then stored.
+	CacheMisses int `json:"cacheMisses,omitempty"`
+	// StaticallyRefuted counts candidates whose impact set was disjoint
+	// from every intent's dependencies: answered with the parent's
+	// verdicts at zero prefix simulations.
+	StaticallyRefuted int `json:"staticallyRefuted,omitempty"`
+	// ImpactScoped counts candidates validated against a proper impact
+	// slice (neither refuted nor broad).
+	ImpactScoped int `json:"impactScoped,omitempty"`
+	// ImpactBroad counts candidates where the impact analysis — or the
+	// compiled-network cross-check guarding it — degraded to a full
+	// re-simulation.
+	ImpactBroad int `json:"impactBroad,omitempty"`
+	// DeltaReused counts prefix evaluations answered by delta
+	// re-simulation: seeded from the parent outcome, only the edit's wave
+	// of routers re-activated.
+	DeltaReused int `json:"deltaReused,omitempty"`
+	// DeltaResimulated counts prefix evaluations where the delta path
+	// refused the shortcut (non-converged base, new origination, pass
+	// bound) and a cold simulation ran instead.
+	DeltaResimulated int `json:"deltaResimulated,omitempty"`
+	// SimActivations totals router activations across every prefix
+	// simulation of the run — the device·prefix work unit delta
+	// re-simulation saves.
+	SimActivations int `json:"simActivations,omitempty"`
+}
 
-	// LeafDerivations, CandidatesTimedOut and ValidationRetries are
-	// read-only: older engines wrote them, and frames reject unknown
-	// fields, so they stay for their checkpoints to decode. They are read
-	// and ignored; nothing writes them.
+// CheckpointCounters is Counters as a checkpoint carries them.
+//
+// LeafDerivations, CandidatesTimedOut and ValidationRetries are read-only:
+// older engines wrote them, and frames reject unknown fields, so they stay
+// for their checkpoints to decode. They are read and ignored; nothing
+// writes them.
+type CheckpointCounters struct {
+	Counters
 	LeafDerivations    int `json:"leafDerivations,omitempty"`
 	CandidatesTimedOut int `json:"candidatesTimedOut,omitempty"`
 	ValidationRetries  int `json:"validationRetries,omitempty"`
@@ -211,11 +255,11 @@ type Checkpoint struct {
 	StaticDiagnostics int `json:"staticDiagnostics"`
 	PriorSeededLines  int `json:"priorSeededLines"`
 
-	Population []Member     `json:"population"`
-	Best       *BestEffort  `json:"best,omitempty"`
-	Counters   Counters     `json:"counters"`
-	Logs       []Iteration  `json:"logs,omitempty"`
-	Errors     []ErrorEvent `json:"errors,omitempty"`
+	Population []Member           `json:"population"`
+	Best       *BestEffort        `json:"best,omitempty"`
+	Counters   CheckpointCounters `json:"counters"`
+	Logs       []Iteration        `json:"logs,omitempty"`
+	Errors     []ErrorEvent       `json:"errors,omitempty"`
 }
 
 // Terminal closes a session. Terminations "deadline" and "canceled" leave

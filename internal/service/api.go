@@ -35,6 +35,7 @@ import (
 
 	"acr/internal/caseio"
 	"acr/internal/core"
+	"acr/internal/journal"
 )
 
 // JobState is one point of the job lifecycle.
@@ -155,24 +156,14 @@ type ResultJSON struct {
 	Iterations  int `json:"iterations"`
 	BaseFailing int `json:"baseFailing"`
 
-	CandidatesValidated   int `json:"candidatesValidated"`
-	PrefixSimulations     int `json:"prefixSimulations"`
-	IntentChecks          int `json:"intentChecks"`
-	StaticallyRefuted     int `json:"staticallyRefuted,omitempty"`
-	ImpactScoped          int `json:"impactScoped,omitempty"`
-	ImpactBroad           int `json:"impactBroad,omitempty"`
-	StaticDiagnostics     int `json:"staticDiagnostics,omitempty"`
-	PriorSeededLines      int `json:"priorSeededLines,omitempty"`
-	TemplatesPrunedStatic int `json:"templatesPrunedStatic,omitempty"`
-	CandidatesPanicked    int `json:"candidatesPanicked,omitempty"`
-	CacheHits             int `json:"cacheHits,omitempty"`
-	CacheMisses           int `json:"cacheMisses,omitempty"`
-	StoreHits             int `json:"storeHits,omitempty"`
-	StoreMisses           int `json:"storeMisses,omitempty"`
-	StoreCorrupt          int `json:"storeCorrupt,omitempty"`
-	DeltaReused           int `json:"deltaReused,omitempty"`
-	DeltaResimulated      int `json:"deltaResimulated,omitempty"`
-	SimActivations        int `json:"simActivations,omitempty"`
+	// Counters are the engine's work counters under their checkpoint keys
+	// (encoding/json flattens the embedded struct).
+	journal.Counters
+	StaticDiagnostics int `json:"staticDiagnostics,omitempty"`
+	PriorSeededLines  int `json:"priorSeededLines,omitempty"`
+	StoreHits         int `json:"storeHits,omitempty"`
+	StoreMisses       int `json:"storeMisses,omitempty"`
+	StoreCorrupt      int `json:"storeCorrupt,omitempty"`
 
 	Applied []string `json:"applied,omitempty"`
 	Diffs   []string `json:"diffs,omitempty"`
@@ -204,24 +195,12 @@ func NewResultJSON(res *core.Result) *ResultJSON {
 		Iterations:  res.Iterations,
 		BaseFailing: res.BaseFailing,
 
-		CandidatesValidated:   res.CandidatesValidated,
-		PrefixSimulations:     res.PrefixSimulations,
-		IntentChecks:          res.IntentChecks,
-		StaticallyRefuted:     res.StaticallyRefuted,
-		ImpactScoped:          res.ImpactScoped,
-		ImpactBroad:           res.ImpactBroad,
-		StaticDiagnostics:     res.StaticDiagnostics,
-		PriorSeededLines:      res.PriorSeededLines,
-		TemplatesPrunedStatic: res.TemplatesPrunedStatic,
-		CandidatesPanicked:    res.CandidatesPanicked,
-		CacheHits:             res.CacheHits,
-		CacheMisses:           res.CacheMisses,
-		StoreHits:             res.StoreHits,
-		StoreMisses:           res.StoreMisses,
-		StoreCorrupt:          res.StoreCorrupt,
-		DeltaReused:           res.DeltaReused,
-		DeltaResimulated:      res.DeltaResimulated,
-		SimActivations:        res.SimActivations,
+		Counters:          res.Counters,
+		StaticDiagnostics: res.StaticDiagnostics,
+		PriorSeededLines:  res.PriorSeededLines,
+		StoreHits:         res.StoreHits,
+		StoreMisses:       res.StoreMisses,
+		StoreCorrupt:      res.StoreCorrupt,
 
 		Applied: res.Applied,
 		Diffs:   res.Diffs,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -310,8 +311,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, &apiError{http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err)})
+	err := dec.Decode(&req)
+	if err == nil {
+		// The body is one JSON value: anything after it but white space
+		// is refused, not ignored.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("more than one JSON value")
+		}
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, &apiError{code, fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
 	job, err := s.Submit(req)

@@ -173,6 +173,56 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitOneJSONValue: a submission body is exactly one JSON value.
+// Trailing garbage or a second object is a 400 and queues no job.
+func TestSubmitOneJSONValue(t *testing.T) {
+	srv, ts := newTestServer(t, service.Config{Workers: 1})
+	for _, body := range []string{
+		`{"builtin":"figure2"}garbage`,
+		`{"builtin":"figure2"} {"builtin":"nonsense"}`,
+		`{"builtin":"figure2"}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/repairs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if jobs := srv.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused bodies queued %d jobs", len(jobs))
+	}
+	// Trailing white space is not a second value.
+	resp, err := http.Post(ts.URL+"/v1/repairs", "application/json", strings.NewReader("{\"builtin\":\"figure2\"}\n \t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit with trailing white space = %d, want 202", resp.StatusCode)
+	}
+}
+
+// TestSubmitOversizedBody413: a body over the 4 MiB cap is refused as
+// too large, not as malformed, and queues no job.
+func TestSubmitOversizedBody413(t *testing.T) {
+	srv, ts := newTestServer(t, service.Config{Workers: 1})
+	body := `{"builtin":"figure2","case":{"name":"` + strings.Repeat("x", 5<<20) + `"}}`
+	resp, err := http.Post(ts.URL+"/v1/repairs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("5 MiB body = %d, want 413", resp.StatusCode)
+	}
+	if jobs := srv.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized body queued %d jobs", len(jobs))
+	}
+}
+
 // TestSubmitTimeoutSeconds: timeoutSeconds bounds the job's run. A 1ns
 // budget ends Figure 2 on "deadline"; a negative budget, and one whose
 // nanoseconds overflow an int64, are refused with 400.
