@@ -158,9 +158,10 @@ func sameVerifier(t *testing.T, label string, got, want *verify.Incremental) {
 			if len(g.AdjIn[i]) != len(w.AdjIn[i]) {
 				t.Fatalf("%s: %v at %s: %d adj-in slots, scratch %d", label, p, name, len(g.AdjIn[i]), len(w.AdjIn[i]))
 			}
-			for j, rt := range w.AdjIn[i] {
-				if routeID(g.AdjIn[i][j]) != routeID(rt) {
-					t.Fatalf("%s: %v at %s, session slot %d: %s, scratch %s", label, p, name, j, routeID(g.AdjIn[i][j]), routeID(rt))
+			for j := range w.AdjIn[i] {
+				gr, wr := routeID(g.AdjInAt(got.BaseNet(), i, j)), routeID(w.AdjInAt(want.BaseNet(), i, j))
+				if gr != wr {
+					t.Fatalf("%s: %v at %s, session slot %d: %s, scratch %s", label, p, name, j, gr, wr)
 				}
 			}
 		}

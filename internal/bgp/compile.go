@@ -17,9 +17,11 @@ import (
 type Session struct {
 	LocalAddr netip.Addr
 	PeerName  string
-	PeerAddr  netip.Addr
-	PeerASN   uint32
-	PeerRID   netip.Addr
+	// ident holds PeerAddr and PeerRID, the peer's address and router ID,
+	// and NextHop, which is PeerAddr: it is the ident of the routes learned
+	// over the session.
+	ident
+	PeerASN uint32
 	// LocalLines are the config lines on this router establishing the
 	// session; RemoteLines the peer's counterpart lines. Both are tagged on
 	// import derivations so coverage reaches the session predicates of both
@@ -45,6 +47,12 @@ type Session struct {
 	plainLines []netcfg.LineRef
 }
 
+// stamp gives rt, a route the caller owns, the ident of the routes learned
+// over s.
+func (s *Session) stamp(rt *Route) {
+	rt.ident = &s.ident
+}
+
 // FailedSession records a configured-but-down session and why. The repair
 // pipeline uses these as negative provenance: a failing test's coverage
 // includes the lines of sessions that should have carried its routes.
@@ -63,6 +71,9 @@ type Origination struct {
 	NextHop netip.Addr // static next hop; invalid for network statements
 	Policy  string     // redistribute policy, "" when none
 	Lines   []netcfg.LineRef
+	// id is the ident of the route it originates: next hop NextHop, the
+	// router's own ID.
+	id *ident
 }
 
 // Router is one compiled router.
@@ -96,6 +107,8 @@ type Net struct {
 	// routers is Routers in Order order; sessions counts their Sessions.
 	routers  []*Router
 	sessions int
+	// rids are the routers' IDs by position. Read-only: outcomes share it.
+	rids []netip.Addr
 
 	// prefixes is every originated prefix, sorted; see AllPrefixes.
 	prefixes []netip.Prefix
@@ -142,6 +155,10 @@ func Compile(t *topo.Network, files map[string]*netcfg.File) *Net {
 		}
 	}
 	n.prefixes = prefixesOf(n.routers)
+	n.rids = make([]netip.Addr, len(n.routers))
+	for i, r := range n.routers {
+		n.rids[i] = r.RID
+	}
 	return n
 }
 
@@ -172,8 +189,9 @@ func (n *Net) Derive(files map[string]*netcfg.File, dirty []string) (*Net, bool)
 	}
 	m := &Net{Topo: n.Topo, Files: files, Routers: make(map[string]*Router, len(n.routers)),
 		Order: n.Order, routers: make([]*Router, len(n.routers)), sessions: n.sessions,
-		Failed: make([]*FailedSession, 0, len(n.Failed))}
+		Failed: make([]*FailedSession, 0, len(n.Failed)), rids: n.rids}
 	originsMoved := false // whether a dirty router's originated prefixes changed
+	ridMoved := false     // whether m.rids is m's own copy of n's
 	for i, old := range n.routers {
 		r := old
 		switch state[i] {
@@ -186,6 +204,12 @@ func (n *Net) Derive(files map[string]*netcfg.File, dirty []string) (*Net, bool)
 			r.Origins = originsOf(r)
 			originsMoved = originsMoved || !slices.EqualFunc(r.Origins, old.Origins,
 				func(a, b Origination) bool { return a.Prefix == b.Prefix })
+			if r.RID != old.RID {
+				if !ridMoved {
+					m.rids, ridMoved = slices.Clone(n.rids), true
+				}
+				m.rids[i] = r.RID
+			}
 		}
 		m.routers[i] = r
 		m.Routers[r.Name] = r
@@ -319,9 +343,8 @@ func (n *Net) resolveSession(r *Router, adj topo.Adjacency) (*Session, *FailedSe
 	return &Session{
 		LocalAddr:   adj.LocalAddr,
 		PeerName:    adj.PeerNode,
-		PeerAddr:    adj.PeerAddr,
+		ident:       ident{NextHop: adj.PeerAddr, PeerAddr: adj.PeerAddr, PeerRID: peer.RID},
 		PeerASN:     peer.ASN,
-		PeerRID:     peer.RID,
 		LocalLines:  r.File.PeerSessionLines(stanza),
 		RemoteLines: peer.File.PeerSessionLines(remote),
 		exportPols:  r.File.EffectivePolicies(stanza, netcfg.Export),
@@ -383,6 +406,7 @@ func originsOf(r *Router) []Origination {
 			Prefix: ns.Prefix,
 			Origin: OriginIGP,
 			Lines:  []netcfg.LineRef{{Device: r.Name, Line: ns.Line}},
+			id:     &ident{PeerRID: r.RID},
 		})
 	}
 	if b.Redistribute != nil {
@@ -399,6 +423,7 @@ func originsOf(r *Router) []Origination {
 					{Device: r.Name, Line: s.Line},
 					{Device: r.Name, Line: b.Redistribute.Line},
 				},
+				id: &ident{NextHop: s.NextHop, PeerRID: r.RID},
 			})
 		}
 	}

@@ -15,11 +15,13 @@ import (
 // keep their base state by structural sharing — their route pointers are
 // carried into the candidate outcome untouched.
 //
-// Soundness rests on two facts. First, a router whose configuration and
-// whose entire adj-RIB-in are unchanged recomputes exactly the same best
-// route (selection is a pure function of origins + adj-in), so skipping
-// its activation cannot lose a transition: any input change reaches it
-// through a neighbor's push, which enqueues it. Second, the caller only
+// Soundness rests on two facts. First, a router whose configuration, whose
+// entire adj-RIB-in and whose neighbors' router IDs are unchanged
+// recomputes exactly the same best route (selection is a pure function of
+// origins, adj-in and the sessions' identities), so skipping its
+// activation cannot lose a transition: an adj-in change reaches it through
+// a neighbor's push, which enqueues it, and a moved router ID enqueues the
+// moved router's receivers. Second, the caller only
 // uses delta when Net.Derive kept every router's established peers (see
 // verify.Incremental), so the base adj-in's session structure is the
 // candidate's session structure and stale entries can only differ in
@@ -34,9 +36,10 @@ import (
 // the configuration of the dirty routers and establishes the same sessions
 // (the DeltaSimulatePrefix precondition): every prefix is re-simulated from
 // its base outcome, cold where base has none, did not converge, or the
-// delta run refuses. A prefix whose stable state — Final and AdjIn on every
-// router — came out equal to base's keeps base's *PrefixOutcome, so the
-// caller recognises an unmoved prefix by pointer.
+// delta run refuses. A prefix whose stable state — Final, AdjIn and the
+// router IDs its sessions resolve AdjIn with — came out equal to base's
+// keeps base's *PrefixOutcome, so the caller recognises an unmoved prefix by
+// pointer.
 func DeltaSimulate(n *Net, base *Outcome, dirty []string, opts Options) *Outcome {
 	out := &Outcome{Net: n, ByPrefix: make(map[netip.Prefix]*PrefixOutcome, len(base.ByPrefix))}
 	for _, p := range n.AllPrefixes() {
@@ -58,9 +61,10 @@ func DeltaSimulate(n *Net, base *Outcome, dirty []string, opts Options) *Outcome
 }
 
 // sameStableState reports whether two outcomes converged to the same
-// routes, best and adj-in, on every router.
+// routes, best and adj-in, on every router, under the same router IDs.
 func sameStableState(a, b *PrefixOutcome, order []string) bool {
-	if a == nil || b == nil || !a.Converged || !b.Converged || len(a.AdjIn) != len(b.AdjIn) {
+	if a == nil || b == nil || !a.Converged || !b.Converged || len(a.AdjIn) != len(b.AdjIn) ||
+		!sameRIDs(a.rids, b.rids) {
 		return false
 	}
 	for i, name := range order {
@@ -74,6 +78,15 @@ func sameStableState(a, b *PrefixOutcome, order []string) bool {
 		}
 	}
 	return true
+}
+
+// sameRIDs reports whether two outcomes' router IDs agree; nil (an outcome
+// no simulation made) agrees with nothing.
+func sameRIDs(a, b []netip.Addr) bool {
+	if a == nil || b == nil || len(a) != len(b) {
+		return false
+	}
+	return &a[0] == &b[0] || slices.Equal(a, b)
 }
 
 // DeltaSimulatePrefix re-simulates one prefix for net n (the candidate
@@ -104,12 +117,12 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 	// slice, clean routers' adj rows stay shared with the immutable base
 	// until their first write.
 	st := &prefixState{
-		best:  make([]*Route, len(n.routers)),
+		best:  make([]held, len(n.routers)),
 		adj:   make([][]*Route, len(n.routers)),
 		owned: make([]bool, len(n.routers)),
 	}
 	for i, r := range n.routers {
-		st.best[i] = base.Final[r.Name]
+		st.best[i] = held{rt: base.Final[r.Name]}
 		switch {
 		case dirtyAt[i]:
 			st.adj[i] = make([]*Route, len(r.Sessions))
@@ -128,23 +141,33 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 	for i, r := range n.routers {
 		if dirtyAt[i] {
 			for _, ls := range r.Sessions {
-				st.adj[i][ls.slot] = n.hop(ls.reverse, st.best[ls.peer], &st.mem)
+				e := export{n: n, from: n.routers[ls.peer], best: st.best[ls.peer].rt, mem: &st.mem}
+				st.adj[i][ls.slot] = e.over(ls.reverse)
 			}
 		}
 	}
 
 	// Phase 2: force-activate the dirty routers. Forcing runs the push
 	// loop even when the best route is unchanged, because a changed
-	// EXPORT policy (or origination attribute, or router ID stamped by
-	// the neighbor's import) alters what neighbors hear without moving
-	// the local best. Receivers whose adj-in actually changed form the
-	// first frontier.
+	// EXPORT policy (or origination attribute) alters what neighbors hear
+	// without moving the local best. Receivers whose adj-in actually
+	// changed form the first frontier, and so does every receiver of a
+	// router whose ID moved: an adj-in slot holds no identity, so the new
+	// ID reaches the receiver's tie-break through its session, not a push.
 	acts := 0
 	pending, next := make([]bool, len(n.routers)), make([]bool, len(n.routers))
 	for i, r := range n.routers {
-		if dirtyAt[i] {
-			acts++
-			n.activate(st, r, prefix, true, pending)
+		if !dirtyAt[i] {
+			continue
+		}
+		acts++
+		n.activate(st, r, prefix, true, pending)
+		if len(base.rids) != len(n.rids) || base.rids[i] != n.rids[i] {
+			for _, s := range r.Sessions {
+				if s.reverse != nil {
+					pending[s.peer] = true
+				}
+			}
 		}
 	}
 
@@ -165,5 +188,5 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 		clear(next)
 	}
 	return &PrefixOutcome{Prefix: prefix, Converged: true, Passes: base.Passes,
-		Final: n.snapshot(st.best), AdjIn: st.adj, Activations: acts}, true
+		Final: n.snapshot(st.best, &st.mem), AdjIn: st.adj, Activations: acts, rids: n.rids}, true
 }

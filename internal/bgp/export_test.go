@@ -27,13 +27,16 @@ func TracedProvenance(n *Net, out *Outcome) *provenance.Graph {
 }
 
 // rehash is the state digest recomputed from scratch: Σ term over every
-// slot of st, best i at slot i and adj[i][j] at len(routers)+slotBase+j.
+// slot of st, best i at slot i and adj[i][j] at len(routers)+slotBase+j,
+// every advertisement hashed anew.
 func (st *prefixState) rehash(n *Net) uint64 {
 	var h uint64
 	for i, r := range n.routers {
-		h += term(i, st.best[i])
+		h += bestTerm(i, st.best[i])
 		for j, rt := range st.adj[i] {
-			h += term(len(n.routers)+r.slotBase+j, rt)
+			if rt != nil {
+				h += adjTerm(len(n.routers)+r.slotBase+j, rt, advHash(rt))
+			}
 		}
 	}
 	return h
@@ -86,9 +89,10 @@ func PolicySite(n *Net, nd *provenance.Node) bool {
 
 // NetDiff names the first way in which got differs from want, "" when it
 // does not: per router ASN, RID, index, slotBase, origins and statics; per
-// session every exported field, its policies, slot, peer, the reverse
-// session's (router, slot) — which must be got's own session there — and
-// plainLines; then Failed in order and AllPrefixes.
+// session every exported field, its ident, its policies, slot, peer, the
+// reverse session's (router, slot) — which must be got's own session there
+// — and plainLines; then Failed in order, AllPrefixes and the router IDs
+// outcomes share.
 func NetDiff(got, want *Net) string {
 	if !reflect.DeepEqual(got.Order, want.Order) || len(got.routers) != len(want.routers) {
 		return "router order"
@@ -115,7 +119,7 @@ func NetDiff(got, want *Net) string {
 			at := fmt.Sprintf("%s session %d (%v)", w.Name, j, ws.PeerAddr)
 			switch {
 			case gs.LocalAddr != ws.LocalAddr || gs.PeerName != ws.PeerName || gs.PeerAddr != ws.PeerAddr ||
-				gs.PeerASN != ws.PeerASN || gs.PeerRID != ws.PeerRID:
+				gs.PeerASN != ws.PeerASN || gs.PeerRID != ws.PeerRID || gs.NextHop != ws.NextHop:
 				return at + ": identity"
 			case !reflect.DeepEqual(gs.LocalLines, ws.LocalLines) || !reflect.DeepEqual(gs.RemoteLines, ws.RemoteLines):
 				return at + ": lines"
@@ -143,6 +147,9 @@ func NetDiff(got, want *Net) string {
 	}
 	if !reflect.DeepEqual(got.AllPrefixes(), want.AllPrefixes()) {
 		return "prefixes"
+	}
+	if !reflect.DeepEqual(got.rids, want.rids) {
+		return "router IDs"
 	}
 	return ""
 }

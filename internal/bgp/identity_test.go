@@ -38,11 +38,17 @@ func randomIdentityRoute(rng *rand.Rand) *Route {
 		LocalPref: uint32(rng.Intn(2)) * 100,
 		MED:       uint32(rng.Intn(2)),
 		Origin:    RouteOrigin(rng.Intn(2) * 2),
-		NextHop:   pick(),
 		Src:       SourceKind(rng.Intn(2)),
-		PeerAddr:  pick(),
-		PeerRID:   pick(),
+		ident:     &ident{NextHop: pick(), PeerAddr: pick(), PeerRID: pick()},
 	}
+}
+
+// detached returns a copy of r with an ident of its own, which the caller
+// may write through: a route shares its ident with its source's routes.
+func detached(r *Route) *Route {
+	cp, id := *r, *r.ident
+	cp.ident = &id
+	return &cp
 }
 
 // TestSameRouteMatchesKey is the property the value identity rests on:
@@ -54,7 +60,7 @@ func TestSameRouteMatchesKey(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		a, b := randomIdentityRoute(rng), randomIdentityRoute(rng)
 		if rng.Intn(2) == 0 { // a near twin: a with one field of b
-			twin := *a
+			twin := detached(a)
 			switch rng.Intn(8) {
 			case 0:
 				twin.Prefix = b.Prefix
@@ -74,13 +80,13 @@ func TestSameRouteMatchesKey(t *testing.T) {
 				twin.PeerAddr = b.PeerAddr
 			}
 			twin.PeerRID = b.PeerRID
-			b = &twin
+			b = twin
 		}
-		sameRID := *b
+		sameRID := detached(b)
 		sameRID.PeerRID = a.PeerRID
 		keys := a.Key() == b.Key()
-		if got := sameRoute(a, &sameRID); got != keys {
-			t.Fatalf("sameRoute = %v but keys equal = %v:\n a %+v\n b %+v", got, keys, a, &sameRID)
+		if got := sameRoute(a, sameRID); got != keys {
+			t.Fatalf("sameRoute = %v but keys equal = %v:\n a %+v\n b %+v", got, keys, a, sameRID)
 		}
 		if want := keys && a.PeerRID == b.PeerRID; sameRoute(a, b) != want || sameRoute(b, a) != want {
 			t.Fatalf("sameRoute = %v, want %v with the router IDs compared:\n a %+v\n b %+v", !want, want, a, b)
@@ -101,9 +107,12 @@ func TestSameRouteMatchesKey(t *testing.T) {
 // TestStateHashCoversRouteFields flips every compared field of every best
 // and adj-in route of a mid-run state, one at a time: each flip must move
 // the digest recomputed over the slots and restoring it must bring the
-// digest back, and so must withdrawing the route from its slot. Value-equal
-// copies in every slot must not. The unset address, ::, ::80, an IPv4
-// address and its 4-in-6 twin must all digest apart in every address field.
+// digest back, and so must withdrawing the route from its slot. A best is
+// flipped on the route it resolves to, so restoring it also checks that a
+// best held with its session digests as its resolved copy. Value-equal
+// copies in every slot must not move the digest. The unset address, ::,
+// ::80, an IPv4 address and its 4-in-6 twin must all digest apart in every
+// address field.
 func TestStateHashCoversRouteFields(t *testing.T) {
 	n, _, _ := overrideGadget(t)
 	p := netip.MustParsePrefix("10.0.0.0/16")
@@ -143,7 +152,7 @@ func TestStateHashCoversRouteFields(t *testing.T) {
 			if field == "ASPath element" && len(orig.ASPath) == 0 {
 				continue
 			}
-			cp := orig.clone()
+			cp := detached(orig)
 			flip(cp)
 			if sameRoute(cp, orig) {
 				continue // e.g. the successor of an unset address is unset
@@ -161,10 +170,10 @@ func TestStateHashCoversRouteFields(t *testing.T) {
 	}
 	routes := 0
 	for i, name := range n.Order {
-		if best := st.best[i]; best != nil {
+		if best := st.best[i]; best.rt != nil {
 			routes++
-			check("best of "+name, best, func(r *Route) { st.best[i] = r })
-			st.best[i] = nil
+			check("best of "+name, best.resolve(nil), func(r *Route) { st.best[i] = held{rt: r} })
+			st.best[i] = held{}
 			if st.rehash(n) == base {
 				t.Errorf("withdrawing the best of %s does not change the state hash", name)
 			}
@@ -207,15 +216,15 @@ func TestStateHashCoversRouteFields(t *testing.T) {
 		{{}, netip.MustParseAddr("::")},
 		{netip.MustParseAddr("1.2.3.4"), netip.MustParseAddr("::ffff:1.2.3.4")},
 	}
-	at := slices.IndexFunc(st.best, func(r *Route) bool { return r != nil })
+	at := slices.IndexFunc(st.best, func(b held) bool { return b.rt != nil })
 	orig := st.best[at]
 	for field, set := range setters { //acrvet:ordered — independent checks
 		for _, pair := range pairs {
 			var digests [2]uint64
 			for k, a := range pair {
-				cp := orig.clone()
+				cp := detached(orig.resolve(nil))
 				set(cp, a)
-				st.best[at] = cp
+				st.best[at] = held{rt: cp}
 				digests[k] = st.rehash(n)
 			}
 			if digests[0] == digests[1] {
@@ -228,8 +237,8 @@ func TestStateHashCoversRouteFields(t *testing.T) {
 	// Replace every best and adj-in route with a value-equal copy, in a
 	// fresh row: same state, same hash.
 	for i, row := range st.adj {
-		if st.best[i] != nil {
-			st.best[i] = st.best[i].clone()
+		if st.best[i].rt != nil {
+			st.best[i] = held{rt: detached(st.best[i].resolve(nil))}
 		}
 		if len(row) != len(n.routers[i].Sessions) {
 			t.Fatalf("%s has %d adj-in slots for %d sessions", n.Order[i], len(row), len(n.routers[i].Sessions))

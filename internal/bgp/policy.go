@@ -112,9 +112,10 @@ func applyPolicies(f *netcfg.File, attaches []*netcfg.PolicyAttach, r *Route, tr
 // session s at router r: AS-path loop detection first (standard BGP loop
 // prevention — checked on the path as received, BEFORE import policy,
 // which is why `apply as-path overwrite` on a previous hop can defeat it),
-// then import policies. On acceptance the returned route carries the
-// session's next hop, peer identity, and the default local preference
-// unless a policy set one.
+// then import policies. On acceptance the returned route is the
+// advertisement as imported: learned, with the default local preference
+// unless a policy set one. Its next hop, peer address and router ID stay
+// unset; s supplies them (Session.stamp).
 //
 // adv must be processExport's fresh copy: the import finishes it in place
 // (or a policy's copy of it), so a caller that still needs the advertisement
@@ -134,9 +135,6 @@ func processImport(r *Router, s *Session, adv *Route, tr *lineRefs) (*Route, boo
 		return nil, false, reasonImportDeny
 	}
 	res.Src = SrcPeer
-	res.PeerAddr = s.PeerAddr
-	res.PeerRID = s.PeerRID
-	res.NextHop = s.PeerAddr
 	return res, true, ""
 }
 
@@ -164,9 +162,7 @@ func processExport(r *Router, s *Session, best *Route, tr *lineRefs, a *arena) (
 	out.ASPath = path
 	out.LocalPref = 0
 	out.Src = SrcPeer
-	out.PeerAddr = netip.Addr{}
-	out.PeerRID = netip.Addr{}
-	out.NextHop = netip.Addr{}
+	out.ident = unset
 	return out, true
 }
 
@@ -178,9 +174,8 @@ func originRoute(r *Router, o Origination, tr *lineRefs) (*Route, bool) {
 		ASPath:    nil,
 		LocalPref: DefaultLocalPref,
 		Origin:    o.Origin,
-		NextHop:   o.NextHop,
 		Src:       SrcLocal,
-		PeerRID:   r.RID,
+		ident:     o.id,
 	}
 	if o.Policy != "" {
 		return evalPolicy(r.File, o.Policy, rt, tr)

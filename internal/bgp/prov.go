@@ -118,8 +118,8 @@ type sectionBuilder struct {
 	dirty map[string]bool
 
 	// adj is the outcome's AdjIn, which accepted imports over policy-free
-	// sessions are read off when an implicit part regenerates its section;
-	// nil otherwise.
+	// sessions are read off, resolved through their sessions, when an
+	// implicit part regenerates its section; nil otherwise.
 	adj [][]*Route
 
 	// bests and sel index a phase by router position: its best routes and
@@ -315,6 +315,7 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 				})
 				continue
 			}
+			s.stamp(in) // the import's own copy
 			id := b.add(in, provenance.Node{
 				Kind: provenance.Import, Router: name, Peer: s.PeerAddr, PeerRouter: s.PeerName,
 				Route: in, Lines: imTr.refs, Parents: parents,
@@ -327,13 +328,13 @@ func (b *sectionBuilder) replay(phase map[string]*Route) {
 }
 
 // plainImport returns the route router i accepted over its policy-free
-// session s, read off the converged adj-in, or nil when the import must be
-// replayed.
+// session s, read off the converged adj-in and resolved through s, or nil
+// when the import must be replayed.
 func (b *sectionBuilder) plainImport(i int, s *Session) *Route {
 	if b.adj == nil || s.plainLines == nil {
 		return nil
 	}
-	return b.adj[i][s.slot]
+	return held{b.adj[i][s.slot], s}.resolve(&b.mem)
 }
 
 // originated reports whether a stored node from index first on already

@@ -48,23 +48,39 @@ const (
 	SrcPeer                    // learned from a neighbor
 )
 
-// Route is one BGP route as held in a router's Adj-RIB-In or Loc-RIB.
-// A route is immutable once processImport, processExport or originRoute
-// returns it, and routes are compared by value (sameRoute), never by
-// identity. processExport and originRoute write only to copies they make;
-// processImport finishes in place the advertisement processExport copied
-// for it, so a hop copies a route once (twice when a policy rewrites it).
+// Route is one BGP route. A route is immutable once processImport,
+// processExport, originRoute or an arena hands it out, and routes are
+// compared by value (sameRoute), never by identity. processExport and
+// originRoute write only to copies they make; processImport finishes in
+// place the advertisement processExport copied for it, so a hop copies a
+// route once (twice when a policy rewrites it).
+//
+// A route's next hop, peer address and router ID (NextHop, PeerAddr and
+// PeerRID, read through the embedded ident) are shared with every route of
+// the same source: built once per Session and once per Origination, never
+// written through. A resolved route carries its
+// source's: originations, Final, Cycle and provenance nodes hold resolved
+// routes. An adj-in slot holds the advertisement as imported, whose ident
+// is unset: the session at the slot supplies it (held,
+// PrefixOutcome.AdjInAt), so every policy-free session a best route crosses
+// shares one route.
 type Route struct {
 	Prefix    netip.Prefix
 	ASPath    []uint32
 	LocalPref uint32
 	MED       uint32
 	Origin    RouteOrigin
+	Src       SourceKind
+	*ident
+}
+
+// ident is who a route came from. Every route the package hands out points
+// at one; an advertisement points at unset, the shared zero value.
+type ident struct {
 	// NextHop is the address packets are forwarded to: the advertising
 	// peer's interface address for learned routes, the static next hop for
 	// redistributed statics, or invalid for locally attached prefixes.
 	NextHop netip.Addr
-	Src     SourceKind
 	// PeerAddr is the advertising neighbor (SrcPeer only).
 	PeerAddr netip.Addr
 	// PeerRID is the advertising neighbor's router ID, used in best-path
@@ -72,14 +88,17 @@ type Route struct {
 	PeerRID netip.Addr
 }
 
+// unset is the ident of an advertisement: nothing stamped yet.
+var unset = &ident{}
+
 // DefaultLocalPref is the local preference assigned when no policy sets one.
 const DefaultLocalPref = 100
 
-// clone returns a mutable copy. The AS path is shared, not copied: every
-// mutation site (policy overwrite/prepend, the export prepend) replaces
-// the slice with a freshly built one rather than writing through it, so
-// structural sharing is safe and the hot path stops allocating a slice
-// per clone.
+// clone returns a mutable copy. The AS path and the ident are shared, not
+// copied: every mutation site (policy overwrite/prepend, the export
+// prepend, a stamp) replaces the slice or pointer with a freshly built one
+// rather than writing through it, so structural sharing is safe and the
+// hot path stops allocating a slice per clone.
 func (r *Route) clone() *Route {
 	cp := *r
 	return &cp
@@ -95,11 +114,31 @@ type arena struct {
 	words  []uint32
 }
 
+// route returns a fresh route out of the arena.
+func (a *arena) route() *Route {
+	return &carve(&a.routes, 1, min(max(2*cap(a.routes), 4), 256))[0]
+}
+
 // clone is r.clone() out of the arena.
 func (a *arena) clone(r *Route) *Route {
-	cp := carve(&a.routes, 1, min(max(2*cap(a.routes), 4), 256))
-	cp[0] = *r
-	return &cp[0]
+	cp := a.route()
+	*cp = *r
+	return cp
+}
+
+// imported is best as the receiver of a session without a policy at either
+// end holds it: the export's prepend of the sender's AS and the import's
+// default local preference, learned, with the identity the slot's session
+// supplies left unset. It is what processExport and processImport make of
+// best over such a session, built in one step.
+func (a *arena) imported(asn uint32, best *Route) *Route {
+	path := a.path(len(best.ASPath) + 1)
+	path[0] = asn
+	copy(path[1:], best.ASPath)
+	rt := a.route()
+	*rt = Route{Prefix: best.Prefix, ASPath: path, LocalPref: DefaultLocalPref,
+		MED: best.MED, Origin: best.Origin, Src: SrcPeer, ident: unset}
+	return rt
 }
 
 // path returns a fresh AS path of n words out of the arena.
@@ -124,17 +163,62 @@ func carve[T any](chunk *[]T, n, next int) []T {
 // sameRoute is the one route-equality predicate: every field that can
 // influence future behavior — the fields Key renders, plus the advertising
 // router ID. Key omits PeerRID because within one net the adj-in slot
-// determines it, but a delta run mixes base-net routes into candidate-net
-// slots, where a router-ID edit would otherwise leave a key-equal,
-// RID-stale entry in place and corrupt tie-breaking. A nil and an empty
-// AS path are the same path.
+// determines it, but a delta run seeds a candidate net's state with a base
+// net's resolved best routes, where a router-ID edit would otherwise leave a
+// key-equal, RID-stale best in place and corrupt tie-breaking. A nil and an
+// empty AS path are the same path.
 func sameRoute(a, b *Route) bool {
-	if a == b || a == nil || b == nil {
-		return a == b
-	}
+	return a == b || sameHeld(held{rt: a}, held{rt: b})
+}
+
+// sameAttrs reports whether a and b, both non-nil, agree on every field
+// but their idents.
+func sameAttrs(a, b *Route) bool {
 	return a.Prefix == b.Prefix && a.LocalPref == b.LocalPref && a.MED == b.MED &&
-		a.Origin == b.Origin && a.Src == b.Src && a.NextHop == b.NextHop &&
-		a.PeerAddr == b.PeerAddr && a.PeerRID == b.PeerRID && slices.Equal(a.ASPath, b.ASPath)
+		a.Origin == b.Origin && a.Src == b.Src && slices.Equal(a.ASPath, b.ASPath)
+}
+
+// held is a route as a prefix's state holds it: the route and, for one
+// learned over a session, the session whose adj-in slot it sits in, which
+// supplies its ident. via is nil for a resolved route: an origination, or a
+// best a delta run seeds from its base outcome's Final. A zero held is no
+// route.
+type held struct {
+	rt  *Route
+	via *Session
+}
+
+// id is the ident of the route h resolves to.
+func (h held) id() *ident {
+	if h.via != nil {
+		return &h.via.ident
+	}
+	return h.rt.ident
+}
+
+// sameHeld is sameRoute over the routes a and b resolve to.
+func sameHeld(a, b held) bool {
+	if a.rt == nil || b.rt == nil {
+		return a.rt == b.rt
+	}
+	x, y := a.id(), b.id()
+	return (a.rt == b.rt || sameAttrs(a.rt, b.rt)) && (x == y || *x == *y)
+}
+
+// resolve returns the route h resolves to: h.rt itself when resolved, else
+// a copy carved from a (allocated when a is nil) with the session's ident.
+func (h held) resolve(a *arena) *Route {
+	if h.rt == nil || h.via == nil {
+		return h.rt
+	}
+	var cp *Route
+	if a != nil {
+		cp = a.clone(h.rt)
+	} else {
+		cp = h.rt.clone()
+	}
+	h.via.stamp(cp)
+	return cp
 }
 
 // HasAS reports whether asn appears in the route's AS path.
@@ -222,32 +306,39 @@ func appendAddr(b []byte, a netip.Addr) []byte {
 //
 // b may be nil, in which case a wins.
 func Better(a, b *Route) bool {
-	if b == nil {
+	return better(held{rt: a}, held{rt: b})
+}
+
+// better is Better over the routes a and b resolve to.
+func better(a, b held) bool {
+	if b.rt == nil {
 		return true
 	}
-	if a == nil {
+	if a.rt == nil {
 		return false
 	}
-	if a.LocalPref != b.LocalPref {
-		return a.LocalPref > b.LocalPref
+	ar, br := a.rt, b.rt
+	if ar.LocalPref != br.LocalPref {
+		return ar.LocalPref > br.LocalPref
 	}
-	if a.Src != b.Src {
-		return a.Src == SrcLocal
+	if ar.Src != br.Src {
+		return ar.Src == SrcLocal
 	}
-	if len(a.ASPath) != len(b.ASPath) {
-		return len(a.ASPath) < len(b.ASPath)
+	if len(ar.ASPath) != len(br.ASPath) {
+		return len(ar.ASPath) < len(br.ASPath)
 	}
-	if a.Origin != b.Origin {
-		return a.Origin < b.Origin
+	if ar.Origin != br.Origin {
+		return ar.Origin < br.Origin
 	}
-	if a.MED != b.MED {
-		return a.MED < b.MED
+	if ar.MED != br.MED {
+		return ar.MED < br.MED
 	}
-	if a.PeerRID != b.PeerRID {
-		return a.PeerRID.Less(b.PeerRID)
+	x, y := a.id(), b.id()
+	if x.PeerRID != y.PeerRID {
+		return x.PeerRID.Less(y.PeerRID)
 	}
-	if a.PeerAddr != b.PeerAddr {
-		return a.PeerAddr.Less(b.PeerAddr)
+	if x.PeerAddr != y.PeerAddr {
+		return x.PeerAddr.Less(y.PeerAddr)
 	}
 	return false
 }

@@ -15,9 +15,11 @@ func mkRoute(mod func(*Route)) *Route {
 		ASPath:    []uint32{1, 2},
 		LocalPref: DefaultLocalPref,
 		Src:       SrcPeer,
-		PeerAddr:  netip.MustParseAddr("172.16.0.1"),
-		PeerRID:   netip.MustParseAddr("1.0.0.9"),
-		NextHop:   netip.MustParseAddr("172.16.0.1"),
+		ident: &ident{
+			PeerAddr: netip.MustParseAddr("172.16.0.1"),
+			PeerRID:  netip.MustParseAddr("1.0.0.9"),
+			NextHop:  netip.MustParseAddr("172.16.0.1"),
+		},
 	}
 	if mod != nil {
 		mod(r)

@@ -32,11 +32,13 @@ type PrefixOutcome struct {
 	// the router has no route). Nil when not converged.
 	Final map[string]*Route
 	// AdjIn is the stable adj-RIB-in at convergence: AdjIn[i][j] is the
-	// post-import route the router at Net.Order position i holds from the
-	// peer of its session j, nil when none. Retained so delta
-	// re-simulation can seed a candidate's fixpoint from it and provenance
-	// can read accepted imports off it. Nil when not converged. Immutable
-	// like the rest of the outcome.
+	// advertisement as imported that the router at Net.Order position i
+	// holds from the peer of its session j, nil when none. Its next hop,
+	// peer address and router ID are unset: AdjInAt resolves a slot through
+	// the session at it. Retained so delta re-simulation can seed a
+	// candidate's fixpoint from it and provenance can read accepted imports
+	// off it. Nil when not converged. Immutable like the rest of the
+	// outcome.
 	AdjIn [][]*Route
 	// Cycle holds the repeating sequence of best-route maps when the
 	// prefix flaps: the control plane visits these states forever. Nil
@@ -46,6 +48,17 @@ type PrefixOutcome struct {
 	// outcome: the unit of simulation work the delta benchmark compares.
 	// Observational only — never part of Canonical() or verdicts.
 	Activations int
+	// rids are the router IDs, by position, of the net the outcome is the
+	// fixpoint of: the identities its learned routes were selected under.
+	// Shared with the net, read-only.
+	rids []netip.Addr
+}
+
+// AdjInAt returns the route router i holds in adj-in slot j of n's version
+// of a converged outcome, resolved through n's session at that slot, or nil
+// when the slot is empty. The route is a fresh copy.
+func (po *PrefixOutcome) AdjInAt(n *Net, i, j int) *Route {
+	return held{po.AdjIn[i][j], n.routers[i].Sessions[j]}.resolve(nil)
 }
 
 // Phases returns the dataplane-relevant states: the single final state
@@ -164,22 +177,23 @@ func (o Options) canceled() bool {
 // re-simulation sound — the DNA-style validator exploits that.
 func Simulate(n *Net, opts Options) *Outcome {
 	out := &Outcome{Net: n, ByPrefix: map[netip.Prefix]*PrefixOutcome{}}
+	var sc coldScratch
 	for _, p := range n.AllPrefixes() {
 		if opts.canceled() {
 			out.ByPrefix[p] = &PrefixOutcome{Prefix: p, Canceled: true}
 			continue
 		}
-		out.ByPrefix[p] = SimulatePrefix(n, p, opts)
+		out.ByPrefix[p] = sc.run(n, p, opts, maxPasses(n))
 	}
 	return out
 }
 
 // prefixState is the full dynamic state of one prefix's computation,
 // indexed by router position in the Net's Order: best[i] is the router's
-// selected route, adj[i][j] the post-import route it holds from the peer of
-// its session j.
+// selected route, adj[i][j] the advertisement as imported it holds from the
+// peer of its session j, which supplies the rest of its identity.
 type prefixState struct {
-	best []*Route
+	best []held
 	adj  [][]*Route
 	// owned, when non-nil, marks the adj rows this state may write; the
 	// others are shared with a base outcome and copied on first write.
@@ -195,14 +209,41 @@ type prefixState struct {
 }
 
 func newPrefixState(n *Net) *prefixState {
+	return new(coldScratch).state(n)
+}
+
+// coldScratch is the memory a cold run uses only while it runs, which
+// Simulate reuses from prefix to prefix: the state's best routes and slot
+// terms, and the digest and best routes after each pass.
+type coldScratch struct {
+	best    []held
+	contrib []uint64
+	hashes  []uint64
+	snaps   []held // pass after pass, len(Order) each
+}
+
+// state returns a cold state for n with empty slots, its best routes and
+// terms in sc's memory.
+func (sc *coldScratch) state(n *Net) *prefixState {
 	k := len(n.routers)
-	slots := make([]*Route, k+n.sessions)
-	st := &prefixState{best: slots[:k:k], adj: make([][]*Route, k), contrib: make([]uint64, k+n.sessions)}
-	slots = slots[k:]
+	sc.best, sc.contrib = zeroed(sc.best, k), zeroed(sc.contrib, k+n.sessions)
+	slots := make([]*Route, n.sessions)
+	st := &prefixState{best: sc.best, adj: make([][]*Route, k), contrib: sc.contrib}
 	for i, r := range n.routers {
 		st.adj[i], slots = slots[:len(r.Sessions):len(r.Sessions)], slots[len(r.Sessions):]
 	}
 	return st
+}
+
+// zeroed returns s resized to n zero elements, reallocated only when too
+// small.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // row returns router i's adj row for writing.
@@ -214,39 +255,81 @@ func (st *prefixState) row(i int) []*Route {
 	return st.adj[i]
 }
 
-// setBest installs rt as router i's best route.
-func (st *prefixState) setBest(i int, rt *Route) {
-	st.best[i] = rt
-	st.digest(i, rt)
-}
-
-// setAdj installs rt in router r's adj-in slot j.
-func (st *prefixState) setAdj(r *Router, j int, rt *Route) {
-	st.row(r.index)[j] = rt
-	st.digest(len(st.best)+r.slotBase+j, rt)
-}
-
-// digest moves h by slot k's change of term.
-func (st *prefixState) digest(k int, rt *Route) {
-	if st.contrib == nil {
-		return
+// setBest installs b as router i's best route.
+func (st *prefixState) setBest(i int, b held) {
+	st.best[i] = b
+	if st.contrib != nil {
+		st.digest(i, bestTerm(i, b))
 	}
-	t := term(k, rt)
+}
+
+// setAdj installs rt, whose hash (advHash) is rh, in router r's adj-in
+// slot j. A delta run, which never hashes, passes 0.
+func (st *prefixState) setAdj(r *Router, j int, rt *Route, rh uint64) {
+	st.row(r.index)[j] = rt
+	if k := len(st.best) + r.slotBase + j; st.contrib != nil {
+		st.digest(k, adjTerm(k, rt, rh))
+	}
+}
+
+// digest moves h to slot k's new term t.
+func (st *prefixState) digest(k int, t uint64) {
 	st.h += t - st.contrib[k]
 	st.contrib[k] = t
 }
 
-// term is slot k's share of the state digest while it holds rt: zero for
-// an empty slot, else a hash of k and every field that can influence
-// future transitions. Summing terms lets a write re-hash one slot, not the
-// state, and puts no order on the slots beyond their numbers.
-func term(k int, rt *Route) uint64 {
+// A slot's term is its share of the state digest: zero while it is empty,
+// else a hash of its number and of every field of the route it resolves to
+// that can influence future transitions. Summing terms lets a write re-hash
+// one slot, not the state, and puts no order on the slots beyond their
+// numbers. An adj-in slot's session is fixed by its number, so its term
+// mixes only the advertisement's hash, which is computed once however many
+// slots share the advertisement; a best slot's term also mixes the identity
+// its session or route supplies.
+
+// bestTerm is best slot i's term while it holds b.
+func bestTerm(i int, b held) uint64 {
+	if b.rt == nil {
+		return 0
+	}
+	return slotTerm(i, routeHash(b.rt, b.id()))
+}
+
+// adjTerm is adj-in slot k's term while it holds rt, whose hash is rh.
+func adjTerm(k int, rt *Route, rh uint64) uint64 {
 	if rt == nil {
 		return 0
 	}
+	return slotTerm(k, rh)
+}
+
+// advHash is rt's hash as an adj-in slot holds it, its own (unset) ident
+// included.
+func advHash(rt *Route) uint64 {
+	return routeHash(rt, rt.ident)
+}
+
+// routeHash hashes every field sameRoute compares of rt with ident id.
+func routeHash(rt *Route, id *ident) uint64 {
+	var h stateHash
+	h.word(1 | uint64(rt.Origin)<<8 | uint64(rt.Src)<<16 | uint64(len(rt.ASPath))<<32)
+	h.word(uint64(rt.LocalPref)<<32 | uint64(rt.MED))
+	for _, a := range rt.ASPath {
+		h.word(uint64(a))
+	}
+	h.addr(rt.Prefix.Addr())
+	h.word(uint64(int64(rt.Prefix.Bits())))
+	h.addr(id.NextHop)
+	h.addr(id.PeerAddr)
+	h.addr(id.PeerRID)
+	return uint64(h)
+}
+
+// slotTerm mixes slot number k with the hash rh of what the slot holds.
+func slotTerm(k int, rh uint64) uint64 {
 	var h stateHash
 	h.word(uint64(k))
-	h.route(rt)
+	h.word(rh)
 	return uint64(h)
 }
 
@@ -274,27 +357,13 @@ func (h *stateHash) addr(a netip.Addr) {
 	h.word(binary.BigEndian.Uint64(b[8:]))
 }
 
-// route mixes every field sameRoute compares.
-func (h *stateHash) route(r *Route) {
-	h.word(1 | uint64(r.Origin)<<8 | uint64(r.Src)<<16 | uint64(len(r.ASPath))<<32)
-	h.word(uint64(r.LocalPref)<<32 | uint64(r.MED))
-	for _, a := range r.ASPath {
-		h.word(uint64(a))
-	}
-	h.addr(r.Prefix.Addr())
-	h.word(uint64(int64(r.Prefix.Bits())))
-	h.addr(r.NextHop)
-	h.addr(r.PeerAddr)
-	h.addr(r.PeerRID)
-}
-
 // snapshot returns best routes indexed by router position as a router
-// name → route map.
-func (n *Net) snapshot(best []*Route) map[string]*Route {
+// name → route map, resolving learned ones with copies carved from a.
+func (n *Net) snapshot(best []held, a *arena) map[string]*Route {
 	snap := make(map[string]*Route, len(n.Order))
-	for i, r := range best {
-		if r != nil {
-			snap[n.Order[i]] = r
+	for i, b := range best {
+		if b.rt != nil {
+			snap[n.Order[i]] = b.resolve(a)
 		}
 	}
 	return snap
@@ -312,12 +381,18 @@ func SimulatePrefix(n *Net, prefix netip.Prefix, opts Options) *PrefixOutcome {
 
 // simulatePrefix is SimulatePrefix under an explicit pass bound.
 func simulatePrefix(n *Net, prefix netip.Prefix, opts Options, bound int) *PrefixOutcome {
+	return new(coldScratch).run(n, prefix, opts, bound)
+}
+
+// run is simulatePrefix in sc's memory.
+func (sc *coldScratch) run(n *Net, prefix netip.Prefix, opts Options, bound int) *PrefixOutcome {
 	if opts.PrefixHook != nil {
 		opts.PrefixHook(prefix)
 	}
-	st := newPrefixState(n)
-	var hashes []uint64  // state digest after each pass
-	var snaps [][]*Route // best routes after each pass
+	st := sc.state(n)
+	hashes, snaps := sc.hashes[:0], sc.snaps[:0]
+	defer func() { sc.hashes, sc.snaps = hashes, snaps }()
+	k := len(n.routers)
 	acts := 0
 
 	for pass := 1; pass <= bound; pass++ {
@@ -335,45 +410,50 @@ func simulatePrefix(n *Net, prefix netip.Prefix, opts Options, bound int) *Prefi
 			// The state is stable; hand the adj-RIB-in over to the outcome
 			// (st is dead from here) so delta re-simulation can seed from it.
 			return &PrefixOutcome{Prefix: prefix, Converged: true, Passes: pass,
-				Final: n.snapshot(st.best), AdjIn: st.adj, Activations: acts}
+				Final: n.snapshot(st.best, &st.mem), AdjIn: st.adj, Activations: acts, rids: n.rids}
 		}
 		if first := slices.Index(hashes, st.h); first >= 0 {
 			// States after passes first..pass-1 repeat forever.
-			return &PrefixOutcome{Prefix: prefix, Converged: false, Passes: pass, Cycle: n.snapshots(snaps[first:]), Activations: acts}
+			return &PrefixOutcome{Prefix: prefix, Converged: false, Passes: pass,
+				Cycle: n.snapshots(snaps[first*k:], &st.mem), Activations: acts, rids: n.rids}
 		}
 		hashes = append(hashes, st.h)
-		snaps = append(snaps, slices.Clone(st.best))
+		snaps = append(snaps, st.best...)
 	}
 	// Bound hit without repeat: report the tail as the observed unstable
 	// behavior. This indicates the bound is too small for the topology.
-	tail := snaps[max(len(snaps)-8, 0):]
-	return &PrefixOutcome{Prefix: prefix, Converged: false, Passes: bound, Cycle: n.snapshots(tail), Activations: acts}
+	tail := snaps[max(len(hashes)-8, 0)*k:]
+	return &PrefixOutcome{Prefix: prefix, Converged: false, Passes: bound,
+		Cycle: n.snapshots(tail, &st.mem), Activations: acts, rids: n.rids}
 }
 
-// snapshots maps snapshot over a sequence of states.
-func (n *Net) snapshots(states [][]*Route) []map[string]*Route {
-	out := make([]map[string]*Route, len(states))
-	for i, best := range states {
-		out[i] = n.snapshot(best)
+// snapshots maps snapshot over a sequence of states laid end to end,
+// len(Order) best routes each.
+func (n *Net) snapshots(states []held, a *arena) []map[string]*Route {
+	k := len(n.routers)
+	out := make([]map[string]*Route, len(states)/k)
+	for i := range out {
+		out[i] = n.snapshot(states[i*k:(i+1)*k], a)
 	}
 	return out
 }
 
 // selectBest runs the decision process at router r: its originations of
-// prefix and everything in its adj-RIB-in.
-func (st *prefixState) selectBest(r *Router, prefix netip.Prefix) *Route {
-	var best *Route
+// prefix and everything in its adj-RIB-in, each slot's route identified by
+// the session at the slot.
+func (st *prefixState) selectBest(r *Router, prefix netip.Prefix) held {
+	var best held
 	for _, o := range r.Origins {
 		if o.Prefix != prefix {
 			continue
 		}
-		if rt, ok := originRoute(r, o, nil); ok && Better(rt, best) {
-			best = rt
+		if rt, ok := originRoute(r, o, nil); ok && better(held{rt: rt}, best) {
+			best = held{rt: rt}
 		}
 	}
-	for _, rt := range st.adj[r.index] {
-		if rt != nil && Better(rt, best) {
-			best = rt
+	for j, rt := range st.adj[r.index] {
+		if c := (held{rt, r.Sessions[j]}); rt != nil && better(c, best) {
+			best = c
 		}
 	}
 	return best
@@ -382,42 +462,71 @@ func (st *prefixState) selectBest(r *Router, prefix netip.Prefix) *Route {
 // activate recomputes router r's best route for prefix and, when it
 // changed or force is set, pushes it (or its withdrawal) over every
 // session, marking in frontier, when non-nil, each neighbor whose adj-in
-// changed. Reports whether the best changed.
+// changed. Reports whether the best changed. The sessions without a policy
+// at either end share one advertisement, hashed once.
 func (n *Net) activate(st *prefixState, r *Router, prefix netip.Prefix, force bool, frontier []bool) bool {
 	best := st.selectBest(r, prefix)
-	changed := !sameRoute(best, st.best[r.index])
+	changed := !sameHeld(best, st.best[r.index])
 	if !changed && !force {
 		return false
 	}
 	st.setBest(r.index, best)
+	ex := export{n: n, from: r, best: best.rt, mem: &st.mem}
+	var last *Route // the route rh hashes
+	var rh uint64
 	for _, s := range r.Sessions {
 		if s.reverse == nil {
 			continue
 		}
-		if next := n.hop(s, best, &st.mem); !sameRoute(st.adj[s.peer][s.reverse.slot], next) {
-			st.setAdj(n.routers[s.peer], s.reverse.slot, next)
-			if frontier != nil {
-				frontier[s.peer] = true
-			}
+		next := ex.over(s)
+		if sameRoute(st.adj[s.peer][s.reverse.slot], next) {
+			continue
+		}
+		if next != last && next != nil && st.contrib != nil {
+			last, rh = next, advHash(next)
+		}
+		st.setAdj(n.routers[s.peer], s.reverse.slot, next, rh)
+		if frontier != nil {
+			frontier[s.peer] = true
 		}
 	}
 	return changed
 }
 
-// hop carries best over session s, from s's router to its peer: the route
-// the peer's adj-in holds for it, or nil when there is nothing to carry or
-// export policy, loop detection or import policy drops it. The route is
-// carved from arena a.
-func (n *Net) hop(s *Session, best *Route, a *arena) *Route {
-	if best == nil || s == nil || s.reverse == nil {
+// export carries router from's best route over its sessions. The sessions
+// without a policy at either end share shared, built on first use.
+type export struct {
+	n      *Net
+	from   *Router
+	best   *Route
+	mem    *arena
+	shared *Route
+}
+
+// over returns the route the peer of from's session s holds for best in
+// its adj-in slot, or nil when there is nothing to carry or export policy,
+// loop detection or import policy drops it. A loop rejection over a
+// policy-free session builds nothing.
+func (e *export) over(s *Session) *Route {
+	if e.best == nil || s == nil || s.reverse == nil {
 		return nil
 	}
-	adv, ok := processExport(n.routers[s.reverse.peer], s, best, nil, a)
-	if !ok {
+	to := e.n.routers[s.peer]
+	if s.reverse.plainLines == nil {
+		adv, ok := processExport(e.from, s, e.best, nil, e.mem)
+		if !ok {
+			return nil
+		}
+		in, _, _ := processImport(to, s.reverse, adv, nil)
+		return in
+	}
+	if to.ASN == e.from.ASN || e.best.HasAS(to.ASN) {
 		return nil
 	}
-	in, _, _ := processImport(n.routers[s.peer], s.reverse, adv, nil)
-	return in
+	if e.shared == nil {
+		e.shared = e.mem.imported(e.from.ASN, e.best)
+	}
+	return e.shared
 }
 
 // Describe renders a compact multi-line report of an outcome, used by the

@@ -213,6 +213,23 @@ type Counters struct {
 	SimActivations int `json:"simActivations,omitempty"`
 }
 
+// Add adds every counter of d to c.
+func (c *Counters) Add(d Counters) {
+	c.CandidatesValidated += d.CandidatesValidated
+	c.PrefixSimulations += d.PrefixSimulations
+	c.IntentChecks += d.IntentChecks
+	c.TemplatesPrunedStatic += d.TemplatesPrunedStatic
+	c.CandidatesPanicked += d.CandidatesPanicked
+	c.CacheHits += d.CacheHits
+	c.CacheMisses += d.CacheMisses
+	c.StaticallyRefuted += d.StaticallyRefuted
+	c.ImpactScoped += d.ImpactScoped
+	c.ImpactBroad += d.ImpactBroad
+	c.DeltaReused += d.DeltaReused
+	c.DeltaResimulated += d.DeltaResimulated
+	c.SimActivations += d.SimActivations
+}
+
 // CheckpointCounters is Counters as a checkpoint carries them.
 //
 // LeafDerivations, CandidatesTimedOut and ValidationRetries are read-only:

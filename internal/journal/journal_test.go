@@ -707,3 +707,20 @@ func TestJobRecordsNeverMoveResume(t *testing.T) {
 		t.Fatalf("WAL of job records only: err = %v, want ErrNoSession", err)
 	}
 }
+
+// TestCountersAdd: Add sums every counter, so a counter added to Counters
+// and left out of Add fails here.
+func TestCountersAdd(t *testing.T) {
+	var c, d Counters
+	cv, dv := reflect.ValueOf(&c).Elem(), reflect.ValueOf(&d).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		cv.Field(i).SetInt(int64(i + 1))
+		dv.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	c.Add(d)
+	for i := 0; i < cv.NumField(); i++ {
+		if got, want := cv.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("%s = %d after Add, want %d", cv.Type().Field(i).Name, got, want)
+		}
+	}
+}

@@ -126,24 +126,25 @@ func (t *Tally) audit(ctx context.Context, iv *verify.Incremental, edits []netcf
 			continue
 		}
 		t.DeltaReplayed++
-		if d := fixpointDiff(po, cold.ByPrefix[p], n.Order); d != "" {
+		if d := fixpointDiff(dn, n, po, cold.ByPrefix[p]); d != "" {
 			return fmt.Sprintf("delta re-simulation of %s: %s", p, d), nil
 		}
 	}
 	return "", nil
 }
 
-// fixpointDiff describes where a delta outcome and a cold one of the same
-// prefix disagree on the stable state, "" when cold converged to delta's
-// best routes and adj-RIB-in on every router.
-func fixpointDiff(delta, cold *bgp.PrefixOutcome, order []string) string {
+// fixpointDiff describes where a delta outcome on net dn and a cold one of
+// the same prefix on net cn disagree on the stable state, "" when cold
+// converged to delta's best routes and adj-RIB-in on every router. Each
+// adj-in slot is resolved through its own net's session there.
+func fixpointDiff(dn, cn *bgp.Net, delta, cold *bgp.PrefixOutcome) string {
 	switch {
 	case cold == nil:
 		return "the cold simulation has no such prefix"
 	case !cold.Converged:
 		return fmt.Sprintf("delta converged, the cold simulation flaps (cycle of %d states)", len(cold.Cycle))
 	}
-	for i, d := range order {
+	for i, d := range cn.Order {
 		if a, b := fromBGP(delta.Final[d]), fromBGP(cold.Final[d]); !equal(a, b) {
 			return fmt.Sprintf("best at %s: delta %v, cold %v", d, a, b)
 		}
@@ -151,7 +152,7 @@ func fixpointDiff(delta, cold *bgp.PrefixOutcome, order []string) string {
 			return fmt.Sprintf("adj-RIB-in at %s: delta %d sessions, cold %d", d, len(delta.AdjIn[i]), len(cold.AdjIn[i]))
 		}
 		for j := range delta.AdjIn[i] {
-			if a, b := fromBGP(delta.AdjIn[i][j]), fromBGP(cold.AdjIn[i][j]); !equal(a, b) {
+			if a, b := fromBGP(delta.AdjInAt(dn, i, j)), fromBGP(cold.AdjInAt(cn, i, j)); !equal(a, b) {
 				return fmt.Sprintf("adj-RIB-in slot %d at %s: delta %v, cold %v", j, d, a, b)
 			}
 		}

@@ -65,12 +65,11 @@ type Server struct {
 	// load balancers stop routing to a daemon that cannot admit.
 	ready atomic.Bool
 
-	busyWorkers         atomic.Int64
-	candidatesValidated atomic.Int64
-	panicsQuarantined   atomic.Int64
-	deltaReused         atomic.Int64
-	deltaResimulated    atomic.Int64
-	simActivations      atomic.Int64
+	busyWorkers atomic.Int64
+	// counters totals the work counters of every job a worker finished,
+	// under countersMu.
+	countersMu sync.Mutex
+	counters   journal.Counters
 
 	startedAt time.Time
 }
@@ -454,15 +453,26 @@ func (s *Server) handleLivez(w http.ResponseWriter, _ *http.Request) {
 // handleVarz serves the daemon's counters as one JSON object, rebuilt per
 // request from live state.
 func (s *Server) handleVarz(w http.ResponseWriter, _ *http.Request) {
+	s.countersMu.Lock()
+	c := s.counters
+	s.countersMu.Unlock()
 	m := map[string]int64{
-		"queue_depth":          int64(s.queue.depth()),
-		"workers":              int64(s.cfg.Workers),
-		"workers_busy":         s.busyWorkers.Load(),
-		"candidates_validated": s.candidatesValidated.Load(),
-		"panics_quarantined":   s.panicsQuarantined.Load(),
-		"delta_reused":         s.deltaReused.Load(),
-		"delta_resimulated":    s.deltaResimulated.Load(),
-		"sim_activations":      s.simActivations.Load(),
+		"queue_depth":             int64(s.queue.depth()),
+		"workers":                 int64(s.cfg.Workers),
+		"workers_busy":            s.busyWorkers.Load(),
+		"candidates_validated":    int64(c.CandidatesValidated),
+		"prefix_simulations":      int64(c.PrefixSimulations),
+		"intent_checks":           int64(c.IntentChecks),
+		"templates_pruned_static": int64(c.TemplatesPrunedStatic),
+		"panics_quarantined":      int64(c.CandidatesPanicked),
+		"cache_hits":              int64(c.CacheHits),
+		"cache_misses":            int64(c.CacheMisses),
+		"statically_refuted":      int64(c.StaticallyRefuted),
+		"impact_scoped":           int64(c.ImpactScoped),
+		"impact_broad":            int64(c.ImpactBroad),
+		"delta_reused":            int64(c.DeltaReused),
+		"delta_resimulated":       int64(c.DeltaResimulated),
+		"sim_activations":         int64(c.SimActivations),
 	}
 	for _, st := range allStates {
 		m["jobs_"+string(st)] = 0

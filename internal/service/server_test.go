@@ -448,7 +448,10 @@ func TestEventsSSEOrdering(t *testing.T) {
 func TestHealthzAndVarz(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{Workers: 3})
 	job, _ := submit(t, ts, service.JobRequest{Builtin: "figure2", Seed: 7})
-	waitState(t, ts, job.ID, func(j service.Job) bool { return j.State.Terminal() })
+	done := waitState(t, ts, job.ID, func(j service.Job) bool { return j.State.Terminal() })
+	if done.Result == nil {
+		t.Fatalf("job %s ended %s without a result", done.ID, done.State)
+	}
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -477,6 +480,31 @@ func TestHealthzAndVarz(t *testing.T) {
 	}
 	if varz["candidates_validated"] == 0 {
 		t.Fatalf("varz candidates_validated = 0: %v", varz)
+	}
+	// One job ran: every work counter on /varz is that job's.
+	c := done.Result.Counters
+	want := map[string]int{
+		"candidates_validated":    c.CandidatesValidated,
+		"prefix_simulations":      c.PrefixSimulations,
+		"intent_checks":           c.IntentChecks,
+		"templates_pruned_static": c.TemplatesPrunedStatic,
+		"panics_quarantined":      c.CandidatesPanicked,
+		"cache_hits":              c.CacheHits,
+		"cache_misses":            c.CacheMisses,
+		"statically_refuted":      c.StaticallyRefuted,
+		"impact_scoped":           c.ImpactScoped,
+		"impact_broad":            c.ImpactBroad,
+		"delta_reused":            c.DeltaReused,
+		"delta_resimulated":       c.DeltaResimulated,
+		"sim_activations":         c.SimActivations,
+	}
+	if n := reflect.TypeOf(c).NumField(); len(want) != n {
+		t.Fatalf("the test checks %d counters of %d", len(want), n)
+	}
+	for key, n := range want { //acrvet:ordered — independent checks
+		if got, ok := varz[key]; !ok || got != int64(n) {
+			t.Errorf("varz %s = %d (present %v), the job's counter is %d", key, got, ok, n)
+		}
 	}
 }
 

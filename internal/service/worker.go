@@ -111,11 +111,9 @@ func (s *Server) runJob(j *job) {
 	}
 	res := core.RepairContext(ctx, p, opts)
 
-	s.candidatesValidated.Add(int64(res.CandidatesValidated))
-	s.panicsQuarantined.Add(int64(res.CandidatesPanicked))
-	s.deltaReused.Add(int64(res.DeltaReused))
-	s.deltaResimulated.Add(int64(res.DeltaResimulated))
-	s.simActivations.Add(int64(res.SimActivations))
+	s.countersMu.Lock()
+	s.counters.Add(res.Counters)
+	s.countersMu.Unlock()
 
 	j.mu.Lock()
 	drained := j.drained

@@ -254,3 +254,30 @@ func TestProvenanceBytesBudget(t *testing.T) {
 		t.Errorf("BuildProvenance on fat-tree k=10 allocates %.2f MB per call, budget %.2f MB", got/1e6, budget/1e6)
 	}
 }
+
+// TestSimulateBytesBudget is the byte budget on a base version's control
+// plane: one cold Simulate of the clean k=10 fat-tree (126 devices),
+// measured as the growth of runtime.MemStats.TotalAlloc per call. With a
+// copy of the sender's best route in every receiving session's adj-in slot
+// it allocated 10.63 MB; sessions without a policy at either end now share
+// one advertisement per activation. The budget is 40% of the old figure.
+func TestSimulateBytesBudget(t *testing.T) {
+	const budget = 10.63e6 * 0.4
+	s := scenario.DCN(10, scenario.GenOptions{})
+	n := bgp.Compile(s.Topo, s.Files())
+	if !bgp.Simulate(n, bgp.Options{}).Converged() {
+		t.Fatal("the fat-tree did not converge")
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		bgp.Simulate(n, bgp.Options{})
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("Simulate on fat-tree k=10: %.2f MB per call, budget %.2f MB", got/1e6, budget/1e6)
+	if got > budget {
+		t.Errorf("Simulate on fat-tree k=10 allocates %.2f MB per call, budget %.2f MB", got/1e6, budget/1e6)
+	}
+}
