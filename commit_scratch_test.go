@@ -178,21 +178,17 @@ func sameVerifier(t *testing.T, label string, got, want *verify.Incremental) {
 
 	gp, wp := got.BaseProvenance(), want.BaseProvenance()
 	if gp.Len() != wp.Len() || !reflect.DeepEqual(gp.Prefixes(), wp.Prefixes()) {
-		t.Fatalf("%s: provenance has %d nodes over %v, scratch %d over %v", label, gp.Len(), gp.Prefixes(), wp.Len(), wp.Prefixes())
+		t.Fatalf("%s: provenance has %d derivations over %v, scratch %d over %v", label, gp.Len(), gp.Prefixes(), wp.Len(), wp.Prefixes())
 	}
 	for _, p := range wp.Prefixes() {
-		gn, wn := gp.ForPrefix(p), wp.ForPrefix(p)
-		if len(gn) != len(wn) {
-			t.Fatalf("%s: %v has %d derivations, scratch %d", label, p, len(gn), len(wn))
+		gs, ws := gp.Section(p).Stored(), wp.Section(p).Stored()
+		if len(gs) != len(ws) || gp.Section(p).Len() != wp.Section(p).Len() {
+			t.Fatalf("%s: %v stores %d of %d derivations, scratch %d of %d", label, p, len(gs), gp.Section(p).Len(), len(ws), wp.Section(p).Len())
 		}
-		for i, w := range wn {
-			g := gn[i]
-			if g.Kind != w.Kind || g.Router != w.Router || g.Peer != w.Peer ||
-				g.PeerRouter != w.PeerRouter || g.Reason != w.Reason || g.Detail() != w.Detail() ||
-				!sameLines(g.Lines, w.Lines) || !reflect.DeepEqual(g.Parents, w.Parents) {
-				t.Fatalf("%s: %v derivation %d:\n  %s %s/%s %q lines=%v parents=%v\nscratch\n  %s %s/%s %q lines=%v parents=%v", label, p, i,
-					g.Kind, g.Router, g.PeerRouter, g.Detail(), g.Lines, g.Parents,
-					w.Kind, w.Router, w.PeerRouter, w.Detail(), w.Lines, w.Parents)
+		for i, w := range ws {
+			if g := gs[i]; g.Router != w.Router || g.Peer != w.Peer || g.PeerRouter != w.PeerRouter || !sameLines(g.Lines, w.Lines) {
+				t.Fatalf("%s: %v site %d:\n  %s/%s %v lines=%v\nscratch\n  %s/%s %v lines=%v", label, p, i,
+					g.Router, g.PeerRouter, g.Peer, g.Lines, w.Router, w.PeerRouter, w.Peer, w.Lines)
 			}
 		}
 		if g, w := gp.LinesForPrefix(p), wp.LinesForPrefix(p); !sameLines(g, w) {

@@ -79,7 +79,7 @@ func TestDeltaExportPolicyOnlyChange(t *testing.T) {
 	cand := tb.compile(t)
 
 	po := assertDeltaMatchesCold(t, cand, base.ByPrefix[p], []string{"X"}, p)
-	if r := po.Final["Y"]; r == nil || r.PathString() != "[65001 65001 65001 64500]" {
+	if r := po.Final["Y"]; r == nil || !slices.Equal(r.ASPath, []uint32{65001, 65001, 65001, 64500}) {
 		t.Errorf("Y best after delta = %+v, want twice-prepended path", r)
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"testing"
 
 	"acr/internal/provenance"
+	"acr/internal/topo"
 )
 
 // Reverse exposes a session's reverse view to the external tests.
@@ -24,6 +26,20 @@ func TracedProvenance(n *Net, out *Outcome) *provenance.Graph {
 		}
 	}
 	return BuildProvenance(n, bare)
+}
+
+// ASReuseChain compiles the chain A–B–C in which A and C share AS 65001
+// and A originates 10.0.0.0/16. C rejects B's route on an AS-path loop and
+// has none of its own, so only that rejection executes B's session lines
+// toward C.
+func ASReuseChain(t *testing.T) *Net {
+	net := topo.New("as-reuse")
+	net.AddNode("A", topo.PoP, 65001, netip.MustParseAddr("1.0.0.1")).Originates = []netip.Prefix{netip.MustParsePrefix("10.0.0.0/16")}
+	net.AddNode("B", topo.Backbone, 65002, netip.MustParseAddr("1.0.0.2"))
+	net.AddNode("C", topo.PoP, 65001, netip.MustParseAddr("1.0.0.3"))
+	net.Connect("A", "B")
+	net.Connect("B", "C")
+	return newTestNet(net).compile(t)
 }
 
 // rehash is the state digest recomputed from scratch: Σ term over every
@@ -59,32 +75,6 @@ func StateDigests(n *Net, p netip.Prefix, passes int) (kept, scratch []uint64) {
 		}
 	}
 	return kept, scratch
-}
-
-// ReadOff reports whether node nd is an import read off the adj-in: its
-// lines are its session's shared plainLines, not a traced copy.
-func ReadOff(n *Net, nd *provenance.Node) bool {
-	if nd.Kind != provenance.Import || len(nd.Lines) == 0 {
-		return false
-	}
-	for _, s := range n.Routers[nd.Router].Sessions {
-		if s.PeerAddr == nd.Peer {
-			return len(s.plainLines) > 0 && &s.plainLines[0] == &nd.Lines[0]
-		}
-	}
-	return false
-}
-
-// PolicySite reports whether nd, an import or a rejection, derives over a
-// session with a policy at either end: its receiving session has no
-// plainLines. An export suppression sits at the sender, whose session's
-// reverse is the receiving one.
-func PolicySite(n *Net, nd *provenance.Node) bool {
-	s := sessionTo(n.Routers[nd.Router].Sessions, nd.Peer)
-	if s != nil && nd.Kind == provenance.Rejection && nd.Route == nil {
-		s = s.reverse
-	}
-	return s != nil && s.plainLines == nil
 }
 
 // NetDiff names the first way in which got differs from want, "" when it

@@ -286,8 +286,8 @@ func TestPolicyPipelineNeverMutatesInput(t *testing.T) {
 	if !po.Converged || po.Final["Y"] == nil {
 		t.Fatalf("the chain did not converge with a route at Y: %+v", po)
 	}
-	if got := po.Final["Y"].PathString(); got != "[64999 65001 65001 65001 65001]" {
-		t.Fatalf("Y's path = %s; the policies under test did not run", got)
+	if got := po.Final["Y"].ASPath; !slices.Equal(got, []uint32{64999, 65001, 65001, 65001, 65001}) {
+		t.Fatalf("Y's path = %v; the policies under test did not run", got)
 	}
 
 	type frozen struct {
@@ -328,7 +328,7 @@ func TestPolicyPipelineNeverMutatesInput(t *testing.T) {
 					t.Errorf("processExport at %s made a path of len %d and cap %d", name, len(sent), cap(sent))
 				}
 				sentWas := append([]uint32(nil), sent...)
-				in, ok, _ := processImport(n.Routers[s.PeerName], s.reverse, adv, tr)
+				in, ok := processImport(n.Routers[s.PeerName], s.reverse, adv, tr)
 				unchanged("the hop from "+name+" to "+s.PeerName, best, was)
 				if !slices.Equal(sent, sentWas) {
 					t.Errorf("processImport at %s wrote through the advertisement's AS path: %v, was %v", s.PeerName, sent, sentWas)
@@ -383,9 +383,9 @@ func TestReverseSessionNilGuard(t *testing.T) {
 	if !po.Converged || po.Final["X"] == nil || po.Final["Y"] != nil {
 		t.Fatalf("one-sided X→Y: converged=%v X=%v Y=%v; want X routed, Y not", po.Converged, po.Final["X"], po.Final["Y"])
 	}
-	for _, nd := range BuildProvenance(n, out).ForPrefix(p) {
-		if nd.Router == "Y" || nd.PeerRouter == "Y" {
-			t.Errorf("provenance derives a %v between %s and %s over a one-sided session", nd.Kind, nd.Router, nd.PeerRouter)
+	for _, site := range TracedProvenance(n, out).Section(p).Stored() {
+		if site.Router == "Y" || site.PeerRouter == "Y" {
+			t.Errorf("provenance derives between %s and %s over a one-sided session", site.Router, site.PeerRouter)
 		}
 	}
 	if dpo, ok := DeltaSimulatePrefix(n, base.ByPrefix[p], []string{"X", "Y"}, p, Options{}); !ok || dpo.Final["Y"] != nil {

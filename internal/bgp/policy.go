@@ -119,23 +119,21 @@ func applyPolicies(f *netcfg.File, attaches []*netcfg.PolicyAttach, r *Route, tr
 //
 // adv must be processExport's fresh copy: the import finishes it in place
 // (or a policy's copy of it), so a caller that still needs the advertisement
-// as sent passes a clone. A loop rejection leaves adv untouched.
-//
-// The boolean reports acceptance; reason distinguishes loop rejection from
-// policy denial for negative provenance.
-func processImport(r *Router, s *Session, adv *Route, tr *lineRefs) (*Route, bool, string) {
+// as sent passes a clone. A loop rejection leaves adv untouched. The
+// boolean reports acceptance.
+func processImport(r *Router, s *Session, adv *Route, tr *lineRefs) (*Route, bool) {
 	if adv.HasAS(r.ASN) {
-		return nil, false, reasonLoop
+		return nil, false
 	}
 	adv.LocalPref = DefaultLocalPref
 	tr.addRefs(s.LocalLines)
 	tr.addRefs(s.RemoteLines)
 	res, ok := applyPolicies(r.File, s.importPols, adv, tr)
 	if !ok {
-		return nil, false, reasonImportDeny
+		return nil, false
 	}
 	res.Src = SrcPeer
-	return res, true, ""
+	return res, true
 }
 
 // processExport models the send side: export policies, then the sender

@@ -2,11 +2,10 @@ package bgp
 
 import (
 	"net/netip"
-	"strings"
+	"slices"
 	"testing"
 
 	"acr/internal/netcfg"
-	"acr/internal/provenance"
 )
 
 func TestProvenanceChainCoverage(t *testing.T) {
@@ -47,81 +46,36 @@ func TestProvenanceChainCoverage(t *testing.T) {
 	}
 }
 
-func TestProvenanceNodeKinds(t *testing.T) {
-	net := chainNet()
-	bn := newTestNet(net).compile(t)
+// TestProvenanceChainSites: on the chain O–X–Y the traced replay stores
+// O's origination, with no peer and O's network statement, and a site per
+// session whose sender has a best — imports at X and Y, AS-path loop
+// rejections at O and X — and counts the three selections besides. The
+// converged section stores only the origination, with the same count.
+func TestProvenanceChainSites(t *testing.T) {
+	bn := newTestNet(chainNet()).compile(t)
 	out := Simulate(bn, Options{})
-	g := BuildProvenance(bn, out)
 	p := netip.MustParsePrefix("10.0.0.0/16")
-	kinds := map[provenance.Kind]int{}
-	for _, n := range g.ForPrefix(p) {
-		kinds[n.Kind]++
-		// Details are rendered on demand from the route the node keeps.
-		switch d := n.Detail(); {
-		case n.Kind == provenance.Origination && d != "originates []":
-			t.Errorf("origination detail = %q", d)
-		case n.Kind == provenance.Selection && n.Router == "O" && d != "selects [] via local":
-			t.Errorf("O's selection detail = %q", d)
-		case n.Kind == provenance.Import && !(strings.HasPrefix(d, "imports [") && strings.HasSuffix(d, " from "+n.PeerRouter)):
-			t.Errorf("import detail = %q", d)
-		case n.Kind == provenance.Rejection && !strings.HasSuffix(d, " from "+n.PeerRouter+": as-path loop"):
-			t.Errorf("rejection detail = %q", d)
-		}
-	}
-	if kinds[provenance.Origination] != 1 {
-		t.Errorf("originations = %d, want 1", kinds[provenance.Origination])
-	}
-	if kinds[provenance.Selection] != 3 {
-		t.Errorf("selections = %d, want 3 (O, X, Y)", kinds[provenance.Selection])
-	}
-	if kinds[provenance.Import] < 2 {
-		t.Errorf("imports = %d, want >= 2", kinds[provenance.Import])
-	}
-	// Y's advertisement back to X carries X's own AS → a rejection node.
-	if kinds[provenance.Rejection] < 1 {
-		t.Errorf("rejections = %d, want >= 1 (loop prevention)", kinds[provenance.Rejection])
-	}
-}
-
-func TestProvenanceSelectionParents(t *testing.T) {
-	net := chainNet()
-	bn := newTestNet(net).compile(t)
-	out := Simulate(bn, Options{})
-	g := BuildProvenance(bn, out)
-	p := netip.MustParsePrefix("10.0.0.0/16")
-	// Y's selection must trace (transitively) back to O's origination.
-	ySel := -1
-	for id, n := range g.ForPrefix(p) {
-		if n.Kind == provenance.Selection && n.Router == "Y" {
-			ySel = id
-		}
-	}
-	if ySel < 0 {
-		t.Fatal("no selection node for Y")
-	}
-	// Walk the ancestor closure of Y's selection within the prefix's section.
-	sec := g.Section(p)
-	seen := map[int]bool{}
-	foundOrig, leafLines := false, 0
-	for stack := []int{ySel}; len(stack) > 0; {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] {
+	traced, sec := TracedProvenance(bn, out).Section(p), BuildProvenance(bn, out).Section(p)
+	want := []string{"O", "O<X", "X<O", "X<Y", "Y<X"} // router<peer router
+	var got []string
+	for _, site := range traced.Stored() {
+		if !site.Peer.IsValid() {
+			got = append(got, site.Router)
 			continue
 		}
-		seen[id] = true
-		n := sec.Node(id)
-		if n.Kind == provenance.Origination && n.Router == "O" {
-			foundOrig = true
+		if s := sessionTo(bn.Routers[site.Router].Sessions, site.Peer); s == nil || s.PeerName != site.PeerRouter {
+			t.Errorf("the site at %s from %s names no session of %s", site.Router, site.PeerRouter, site.Router)
 		}
-		leafLines += len(n.Lines)
-		stack = append(stack, n.Parents...)
+		got = append(got, site.Router+"<"+site.PeerRouter)
 	}
-	if !foundOrig {
-		t.Errorf("Y's provenance slice does not reach O's origination; slice has %d nodes", len(seen))
+	if !slices.Equal(got, want) {
+		t.Errorf("traced sites %v, want %v", got, want)
 	}
-	if leafLines == 0 {
-		t.Error("no config lines in Y's provenance slice")
+	if st := traced.Stored(); len(st) == 0 || !slices.Equal(st[0].Lines, bn.Routers["O"].Origins[0].Lines) {
+		t.Errorf("O's origination site does not carry its network statement")
+	}
+	if traced.Len() != len(want)+3 || sec.Len() != traced.Len() || len(sec.Stored()) != 1 {
+		t.Errorf("Len %d (converged %d with %d stored), want %d (1 stored)", traced.Len(), sec.Len(), len(sec.Stored()), len(want)+3)
 	}
 }
 
@@ -153,20 +107,5 @@ func TestProvenancePolicyLinesTraced(t *testing.T) {
 		if !lines[c] {
 			t.Errorf("coverage missing policy line %v", c)
 		}
-	}
-}
-
-func TestProvenanceDedupAcrossPhases(t *testing.T) {
-	bn, _, _ := overrideGadget(t)
-	out := Simulate(bn, Options{})
-	g := BuildProvenance(bn, out)
-	p := netip.MustParsePrefix("10.0.0.0/16")
-	seen := map[string]bool{}
-	for _, n := range g.ForPrefix(p) {
-		key := n.Kind.String() + "|" + n.Router + "|" + n.Peer.String() + "|" + n.Detail()
-		if seen[key] {
-			t.Errorf("duplicate derivation: %s", key)
-		}
-		seen[key] = true
 	}
 }

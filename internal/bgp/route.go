@@ -21,11 +21,9 @@
 package bgp
 
 import (
-	"fmt"
 	"net/netip"
 	"slices"
 	"strconv"
-	"strings"
 
 	"acr/internal/netcfg"
 )
@@ -58,12 +56,11 @@ const (
 // A route's next hop, peer address and router ID (NextHop, PeerAddr and
 // PeerRID, read through the embedded ident) are shared with every route of
 // the same source: built once per Session and once per Origination, never
-// written through. A resolved route carries its
-// source's: originations, Final, Cycle and provenance nodes hold resolved
-// routes. An adj-in slot holds the advertisement as imported, whose ident
-// is unset: the session at the slot supplies it (held,
-// PrefixOutcome.AdjInAt), so every policy-free session a best route crosses
-// shares one route.
+// written through. A resolved route carries its source's: originations,
+// Final and Cycle hold resolved routes. An adj-in slot holds the
+// advertisement as imported, whose ident is unset: the session at the slot
+// supplies it (held, PrefixOutcome.AdjInAt), so every policy-free session a
+// best route crosses shares one route.
 type Route struct {
 	Prefix    netip.Prefix
 	ASPath    []uint32
@@ -140,6 +137,10 @@ func (a *arena) imported(asn uint32, best *Route) *Route {
 		MED: best.MED, Origin: best.Origin, Src: SrcPeer, ident: unset}
 	return rt
 }
+
+// reset empties the arena's chunks for reuse: every route and path it
+// handed out must be dead.
+func (a *arena) reset() { a.routes, a.words = a.routes[:0], a.words[:0] }
 
 // path returns a fresh AS path of n words out of the arena.
 func (a *arena) path(n int) []uint32 {
@@ -231,29 +232,10 @@ func (r *Route) HasAS(asn uint32) bool {
 	return false
 }
 
-// PathString renders the AS path for reports, e.g. "[65001 65002]".
-func (r *Route) PathString() string {
-	parts := make([]string, len(r.ASPath))
-	for i, a := range r.ASPath {
-		parts[i] = fmt.Sprint(a)
-	}
-	return "[" + strings.Join(parts, " ") + "]"
-}
-
-// Via names where the route was learned: "local", or the advertising
-// peer's address.
-func (r *Route) Via() string {
-	if r.Src == SrcLocal {
-		return "local"
-	}
-	return r.PeerAddr.String()
-}
-
 // Key renders the route's canonical text: every field sameRoute compares
-// except PeerRID. It is rendered on demand and not stored — diagnostics and
-// the provenance dedup of a flapping prefix are its only readers; the
-// simulator compares routes with sameRoute. TestBuildKeyFormat pins the
-// format.
+// except PeerRID. It is rendered on demand and not stored, for tests and
+// diagnostics; the simulator compares routes with sameRoute.
+// TestBuildKeyFormat pins the format.
 func (r *Route) Key() string {
 	b := make([]byte, 0, 96)
 	if r.Prefix.IsValid() {

@@ -106,7 +106,7 @@ func TestSelectBestDeterministic(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		rand.New(rand.NewSource(int64(i))).Shuffle(len(rs), func(a, b int) { rs[a], rs[b] = rs[b], rs[a] })
 		if got := SelectBest(rs); got != want {
-			t.Fatalf("SelectBest order-dependent: got %v", got.PathString())
+			t.Fatalf("SelectBest order-dependent: got %v", got.ASPath)
 		}
 	}
 	if SelectBest(nil) != nil {
@@ -117,7 +117,7 @@ func TestSelectBestDeterministic(t *testing.T) {
 func TestHasAS(t *testing.T) {
 	r := mkRoute(nil)
 	if !r.HasAS(2) || r.HasAS(3) {
-		t.Errorf("HasAS wrong for path %v", r.PathString())
+		t.Errorf("HasAS wrong for path %v", r.ASPath)
 	}
 }
 

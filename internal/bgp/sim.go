@@ -517,7 +517,7 @@ func (e *export) over(s *Session) *Route {
 		if !ok {
 			return nil
 		}
-		in, _, _ := processImport(to, s.reverse, adv, nil)
+		in, _ := processImport(to, s.reverse, adv, nil)
 		return in
 	}
 	if to.ASN == e.from.ASN || e.best.HasAS(to.ASN) {

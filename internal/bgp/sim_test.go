@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"testing"
 
@@ -102,10 +103,10 @@ func TestChainPropagation(t *testing.T) {
 	if rO == nil || rO.Src != SrcLocal {
 		t.Fatalf("O best = %+v, want local origination", rO)
 	}
-	if rX == nil || rX.PathString() != "[64500]" {
+	if rX == nil || !slices.Equal(rX.ASPath, []uint32{64500}) {
 		t.Fatalf("X best = %+v, want path [64500]", rX)
 	}
-	if rY == nil || rY.PathString() != "[65001 64500]" {
+	if rY == nil || !slices.Equal(rY.ASPath, []uint32{65001, 64500}) {
 		t.Fatalf("Y best = %+v, want path [65001 64500]", rY)
 	}
 	if rY.NextHop != bnAddr(net, "Y", "X") {
@@ -328,7 +329,7 @@ func TestLoopPreventionRejectsOwnAS(t *testing.T) {
 	for name, r := range po.Final {
 		asn := bn.Routers[name].ASN
 		if r.Src == SrcPeer && r.HasAS(asn) {
-			t.Errorf("%s selected a route containing its own AS: %s", name, r.PathString())
+			t.Errorf("%s selected a route containing its own AS: %v", name, r.ASPath)
 		}
 	}
 }
@@ -512,7 +513,7 @@ func TestRedistributeStatic(t *testing.T) {
 		t.Fatalf("X best = %+v, want local incomplete", x)
 	}
 	y := po.Final["Y"]
-	if y == nil || y.PathString() != "[65001]" {
+	if y == nil || !slices.Equal(y.ASPath, []uint32{65001}) {
 		t.Fatalf("Y best = %+v, want [65001]", y)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"acr/internal/netcfg"
 )
 
-// This file extends the per-prefix derivation DAG with a device-level
+// This file extends the per-prefix provenance with a device-level
 // influence graph: which routers can affect which other routers' routing
 // state, and through which configuration lines. The per-prefix Graph
 // answers "which lines did this route execute"; the DeviceGraph answers

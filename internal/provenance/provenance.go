@@ -1,16 +1,15 @@
-// Package provenance records route-derivation graphs: which advertisement
-// was derived from which, and — crucially for this paper — which lines of
-// configuration each derivation "executed". It plays the role of network
-// provenance systems like Y! [Wu et al., SIGCOMM '14] and of configuration
-// coverage à la NetCov [Xu et al., NSDI '23]: the coverage matrix that
-// spectrum-based fault localization consumes is built from slices of this
-// graph, and the MetaProv baseline's search space is its set of leaf
-// configuration predicates.
+// Package provenance records, per prefix, which lines of configuration the
+// route derivations of one configuration version executed. It plays the
+// role of network provenance systems like Y! [Wu et al., SIGCOMM '14] and
+// of configuration coverage à la NetCov [Xu et al., NSDI '23], reduced to
+// what spectrum-based fault localization reads: a test's row of the
+// coverage matrix starts from its prefix's lines, and the MetaProv
+// baseline's search space is the lines of the failing tests' prefixes.
 //
-// A graph stores only the derivations its outcome cannot regenerate. The
-// rest of a section is its Implicit part, which yields those derivations
-// on demand: their lines when the section is sealed, the nodes themselves
-// when a reader walks the section.
+// A section stores the derivation sites its outcome cannot regenerate:
+// where each derivation happened and the lines it executed. The rest of a
+// section is its Implicit part, which adds the other derivations' lines
+// when the section is sealed.
 package provenance
 
 import (
@@ -22,104 +21,22 @@ import (
 	"acr/internal/netcfg"
 )
 
-// Kind classifies a derivation node.
-type Kind uint8
-
-// Derivation kinds.
-const (
-	// Origination: a router injects a prefix into BGP (network statement or
-	// static redistribution).
-	Origination Kind = iota
-	// Import: a router accepts a neighbor's advertisement (after import
-	// policy), deriving a candidate route.
-	Import
-	// Rejection: a router drops a neighbor's advertisement (loop check or
-	// policy deny). Negative provenance — why a route is absent.
-	Rejection
-	// Selection: a router selects a best route among candidates.
-	Selection
-	// StaticInstall: a static route installed into the FIB.
-	StaticInstall
-	// PBRApply: a PBR rule steered a packet.
-	PBRApply
-)
-
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case Origination:
-		return "origination"
-	case Import:
-		return "import"
-	case Rejection:
-		return "rejection"
-	case Selection:
-		return "selection"
-	case StaticInstall:
-		return "static-install"
-	case PBRApply:
-		return "pbr-apply"
-	}
-	return "unknown"
-}
-
-// RouteInfo is what a node's description needs of the route it concerns.
-// bgp.Route implements it; storing the route itself instead of a rendered
-// string is what lets Detail be produced on demand.
-type RouteInfo interface {
-	// PathString renders the AS path, e.g. "[65001 65002]".
-	PathString() string
-	// Via names where the route was learned: "local" or the advertising
-	// peer's address.
-	Via() string
-}
-
-// Node is one derivation of its Section's prefix. Its ID is its position
-// in the section's ID order, which counts the implicit derivations too; a
-// stored node does not hold it.
-type Node struct {
-	Kind   Kind
-	Router string
-	// Peer is the address of the session's other end for Import/Rejection
-	// nodes, PeerRouter that end's device.
-	Peer       netip.Addr
+// Site is a stored derivation of its Section's prefix: an origination at
+// Router, which has no peer, or the processing of an advertisement over the
+// session between Router and PeerRouter, Peer being the address of the
+// session's other end. Lines are the configuration lines it executed.
+type Site struct {
+	Router     string
 	PeerRouter string
-	// Route is the route originated, selected, imported or rejected; nil
-	// for an export suppression, which has no advertisement to show.
-	Route RouteInfo
-	// Reason says why a Rejection dropped the route.
-	Reason string
-	// Lines are the configuration lines this derivation executed.
-	Lines []netcfg.LineRef
-	// Parents are the IDs of the derivations of the same section this one
-	// was derived from (e.g. an Import's parent is the neighbor's
-	// Selection).
-	Parents []int
+	Peer       netip.Addr
+	Lines      []netcfg.LineRef
 }
 
-// Detail renders a short human-readable description for reports.
-func (n *Node) Detail() string {
-	switch n.Kind {
-	case Origination:
-		return "originates " + n.Route.PathString()
-	case Selection:
-		return fmt.Sprintf("selects %s via %s", n.Route.PathString(), n.Route.Via())
-	case Import:
-		return fmt.Sprintf("imports %s from %s", n.Route.PathString(), n.PeerRouter)
-	case Rejection:
-		if n.Route == nil {
-			return n.Reason
-		}
-		return fmt.Sprintf("rejects %s from %s: %s", n.Route.PathString(), n.PeerRouter, n.Reason)
-	}
-	return n.Kind.String()
-}
-
-// Section holds the derivations of one prefix: the stored nodes and, when
-// the section has one, an Implicit part that regenerates the others. Node
-// IDs count both, in the order the section was built. The section is
+// Section holds the derivations of one prefix: the stored sites, the
+// number of derivations, and, when the section has one, an Implicit part
+// that adds the lines of the derivations it does not store. The section is
 // append-only while it is being built and immutable afterwards, which is
-// what lets a configuration version copy stored nodes out of it into the
+// what lets a configuration version copy stored sites out of it into the
 // versions derived from it, and verify.Incremental clones, which callers
 // may check on concurrently, share a whole graph.
 //
@@ -129,9 +46,9 @@ func (n *Node) Detail() string {
 // immutable set. Add on a sealed section panics.
 type Section struct {
 	prefix netip.Prefix
-	// nodes are the stored derivations in ID order, n the number of
-	// derivations, implicit ones included.
-	nodes    []Node
+	// sites are the stored derivations in build order, n the number of
+	// derivations, unstored ones included.
+	sites    []Site
 	n        int
 	implicit Implicit
 	// space yields the line space of the version the section belongs to.
@@ -141,69 +58,38 @@ type Section struct {
 	lines    netcfg.LineSet // over space(); the zero LineSet until sealed
 }
 
-// Implicit is the part of a section its outcome regenerates instead of
-// storing: in internal/bgp, a converged prefix's selections and its
-// derivations over sessions without policies. Its nodes have IDs among the
-// stored ones; Section.Reserve numbers them while the section is built.
-type Implicit interface {
-	// AddLines adds the lines of the implicit derivations to set.
-	AddLines(set *netcfg.LineSet)
-	// Nodes returns every derivation of the section in ID order, the
-	// stored ones included.
-	Nodes() []Node
-}
+// Implicit adds to set the lines of the derivations a section does not
+// store because its outcome determines them: in internal/bgp, a converged
+// prefix's derivations over sessions without policies.
+type Implicit func(set *netcfg.LineSet)
 
 // NewSection returns an empty section for prefix p of the version whose
-// line space space yields, with room for sizeHint stored nodes. implicit,
+// line space space yields, with room for sizeHint stored sites. implicit,
 // when non-nil, is the part of the section that is not stored.
 func NewSection(p netip.Prefix, space func() *netcfg.LineSpace, sizeHint int, implicit Implicit) *Section {
-	return &Section{prefix: p, space: space, nodes: make([]Node, 0, sizeHint), implicit: implicit}
+	return &Section{prefix: p, space: space, sites: make([]Site, 0, sizeHint), implicit: implicit}
 }
 
-// Add stores a node and returns its ID. It panics once a line query has
-// sealed the section: the set the readers share would silently miss the
-// node.
-func (s *Section) Add(n Node) int {
+// Add stores a derivation. It panics once a line query has sealed the
+// section: the set the readers share would silently miss the site.
+func (s *Section) Add(site Site) {
 	if s.lines.Space() != nil {
 		panic("provenance: Add on a section sealed by a line query")
 	}
-	s.nodes = append(s.nodes, n)
+	s.sites = append(s.sites, site)
 	s.n++
-	return s.n - 1
 }
 
-// Reserve returns the ID of the next derivation, one the implicit part
-// regenerates.
-func (s *Section) Reserve() int {
-	s.n++
-	return s.n - 1
-}
+// Count records a derivation the section does not store: a selection,
+// which executes no line, or a derivation of the implicit part.
+func (s *Section) Count() { s.n++ }
 
-// Len reports the number of nodes, implicit ones included.
+// Len reports the number of derivations, unstored ones included.
 func (s *Section) Len() int { return s.n }
 
-// Stored returns the stored nodes in ID order. The slice is the section's:
-// callers must not modify it.
-func (s *Section) Stored() []Node { return s.nodes }
-
-// Node returns the node with the given ID, or nil. While the section is
-// still being built the pointer is valid only until the next Add. On a
-// section with an implicit part, every call regenerates the section's
-// nodes.
-func (s *Section) Node(id int) *Node {
-	if id < 0 || id >= s.n {
-		return nil
-	}
-	return &s.all()[id]
-}
-
-// all returns every node in ID order.
-func (s *Section) all() []Node {
-	if s.implicit == nil {
-		return s.nodes
-	}
-	return s.implicit.Nodes()
-}
+// Stored returns the stored sites in build order. The slice is the
+// section's: callers must not modify it.
+func (s *Section) Stored() []Site { return s.sites }
 
 // LineSet returns the set of configuration lines the section's derivations
 // executed — the coverage a test over its prefix contributes to the SBFL
@@ -212,11 +98,11 @@ func (s *Section) all() []Node {
 func (s *Section) LineSet() netcfg.LineSet {
 	s.sealOnce.Do(func() {
 		s.lines = s.space().NewSet()
-		for i := range s.nodes {
-			s.lines.Add(s.nodes[i].Lines...)
+		for i := range s.sites {
+			s.lines.Add(s.sites[i].Lines...)
 		}
 		if s.implicit != nil {
-			s.implicit.AddLines(&s.lines)
+			s.implicit(&s.lines)
 		}
 	})
 	return s.lines
@@ -226,16 +112,16 @@ func (s *Section) LineSet() netcfg.LineSet {
 // executed, deduplicated and sorted by (device, line).
 func (s *Section) Lines() []netcfg.LineRef { return s.LineSet().Refs() }
 
-// Graph is the derivation DAG of one configuration version: one Section
-// per prefix, fixed at construction.
+// Graph is the provenance of one configuration version: one Section per
+// prefix, fixed at construction.
 type Graph struct {
-	sections map[netip.Prefix]*Section
-	nodes    int
+	sections    map[netip.Prefix]*Section
+	derivations int
 }
 
 // NewGraph returns the graph made of the given sections, at most one per
-// prefix. Sections without nodes are left out, so Prefixes lists exactly
-// the prefixes with a derivation.
+// prefix. Sections without derivations are left out, so Prefixes lists
+// exactly the prefixes with a derivation.
 func NewGraph(sections ...*Section) *Graph {
 	g := &Graph{sections: make(map[netip.Prefix]*Section, len(sections))}
 	for _, s := range sections {
@@ -246,30 +132,16 @@ func NewGraph(sections ...*Section) *Graph {
 			panic(fmt.Sprintf("provenance: two sections for prefix %s", s.prefix))
 		}
 		g.sections[s.prefix] = s
-		g.nodes += s.Len()
+		g.derivations += s.Len()
 	}
 	return g
 }
 
-// Len reports the number of nodes.
-func (g *Graph) Len() int { return g.nodes }
+// Len reports the number of derivations.
+func (g *Graph) Len() int { return g.derivations }
 
 // Section returns prefix p's section, or nil when p has no derivation.
 func (g *Graph) Section(p netip.Prefix) *Section { return g.sections[p] }
-
-// ForPrefix returns all derivations concerning prefix p, in insertion order.
-func (g *Graph) ForPrefix(p netip.Prefix) []*Node {
-	s := g.sections[p]
-	if s == nil {
-		return nil
-	}
-	nodes := s.all()
-	out := make([]*Node, len(nodes))
-	for i := range nodes {
-		out[i] = &nodes[i]
-	}
-	return out
-}
 
 // Prefixes returns every prefix with at least one derivation, sorted.
 func (g *Graph) Prefixes() []netip.Prefix {
@@ -288,21 +160,4 @@ func (g *Graph) LinesForPrefix(p netip.Prefix) []netcfg.LineRef {
 		return s.Lines()
 	}
 	return nil
-}
-
-// LinesAtDevice returns the lines of LinesForPrefix(p) that belong to one
-// device, sorted by line number: the sealed set's bits in the device's
-// span of the line space.
-func (g *Graph) LinesAtDevice(p netip.Prefix, device string) []netcfg.LineRef {
-	s := g.sections[p]
-	if s == nil {
-		return nil
-	}
-	set := s.LineSet()
-	lo, hi := set.Space().Span(device)
-	var out []netcfg.LineRef
-	for id := set.Next(lo); id >= 0 && id < hi; id = set.Next(id + 1) {
-		out = append(out, netcfg.LineRef{Device: device, Line: id - lo + 1})
-	}
-	return out
 }

@@ -89,8 +89,8 @@ func TestCloneCommitIndependence(t *testing.T) {
 	}
 }
 
-// TestCloneSharedLineIndexRace has clones of one verifier reach the base
-// provenance graph's line indexes for the first time concurrently: readers
+// TestCloneSharedLineIndexRace has clones of one verifier seal the base
+// provenance graph's line sets for the first time concurrently: readers
 // query them directly while checkers run the incremental check and the
 // from-scratch FullCheck. Nothing touches the graph before the goroutines
 // start, so under -race this covers the build itself, and every result
@@ -99,15 +99,9 @@ func TestCloneSharedLineIndexRace(t *testing.T) {
 	s := scenario.Figure2()
 	edits := scenario.Figure2PaperRepair()
 	serial := newIV(t, s)
-	type site struct {
-		prefix netip.Prefix
-		device string
-	}
-	wantLines := map[site]int{}
+	wantLines := map[netip.Prefix][]netcfg.LineRef{}
 	for _, p := range serial.BaseProvenance().Prefixes() {
-		for _, d := range serial.BaseNet().Order {
-			wantLines[site{p, d}] = len(serial.BaseProvenance().LinesAtDevice(p, d))
-		}
+		wantLines[p] = serial.BaseProvenance().LinesForPrefix(p)
 	}
 	want, _, err := serial.Check(edits)
 	if err != nil {
@@ -127,10 +121,14 @@ func TestCloneSharedLineIndexRace(t *testing.T) {
 			if w%3 == 0 {
 				g := cl.BaseProvenance()
 				for _, p := range g.Prefixes() {
-					for _, d := range cl.BaseNet().Order {
-						if got, want := len(g.LinesAtDevice(p, d)), wantLines[site{p, d}]; got != want {
-							t.Errorf("reader %d: %d lines of %v at %s, want %d", w, got, p, d, want)
+					set := g.Section(p).LineSet()
+					for _, l := range wantLines[p] {
+						if !set.Has(l) {
+							t.Errorf("reader %d: the set of %v lacks %v", w, p, l)
 						}
+					}
+					if got := g.LinesForPrefix(p); !reflect.DeepEqual(got, wantLines[p]) {
+						t.Errorf("reader %d: %d lines of %v, want %d", w, len(got), p, len(wantLines[p]))
 					}
 				}
 				return

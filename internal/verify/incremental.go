@@ -175,10 +175,10 @@ func (iv *Incremental) install(configs map[string]*netcfg.Config, files map[stri
 // the base is installed: the parsed files, the compiled bgp.Net, the
 // simulation Outcome and its per-prefix outcomes, the provenance graph and
 // the base report are built once and only ever read afterward (the
-// graph's line indexes build themselves on first read, under sync.Once;
+// graph's line sets seal themselves on first read, under sync.Once;
 // CheckCtx constructs fresh maps for candidate state and reuses base
 // entries by pointer; Commit reads the old base — and shares per-prefix
-// outcomes, provenance nodes and parsed files with it — but builds the new
+// outcomes, provenance sites and parsed files with it — but builds the new
 // one in fresh maps and installs it wholesale). Clone therefore only
 // copies the top-level map headers, so a Commit on one clone can never be
 // observed, even partially, by checks running on another.
@@ -235,7 +235,7 @@ func (iv *Incremental) BaseOutcome() *bgp.Outcome { return iv.out }
 // BaseNet returns the compiled base network.
 func (iv *Incremental) BaseNet() *bgp.Net { return iv.net }
 
-// BaseProvenance returns the base derivation graph.
+// BaseProvenance returns the base version's provenance.
 func (iv *Incremental) BaseProvenance() *provenance.Graph { return iv.prov }
 
 // BaseConfigs returns the base configuration documents.

@@ -36,17 +36,32 @@ func indexCases(t *testing.T) map[string]*acr.Case {
 	return cases
 }
 
-// definitionalLines is the oracle for the sealed line index: filter the
-// prefix's derivations' lines to one device (all devices when device is
-// empty), deduplicate, sort.
-func definitionalLines(g *provenance.Graph, p netip.Prefix, device string) []netcfg.LineRef {
+// tracedProvenance is bgp.BuildProvenance with every session replayed
+// through the traced export→import pipeline: the outcomes are handed over
+// without their AdjIn, so no section has an implicit part and every
+// derivation is stored as a site with its lines.
+func tracedProvenance(n *bgp.Net, out *bgp.Outcome) *provenance.Graph {
+	bare := &bgp.Outcome{Net: out.Net, ByPrefix: make(map[netip.Prefix]*bgp.PrefixOutcome, len(out.ByPrefix))}
+	for p, po := range out.ByPrefix {
+		cp := *po
+		cp.AdjIn = nil
+		bare.ByPrefix[p] = &cp
+	}
+	return bgp.BuildProvenance(n, bare)
+}
+
+// definitionalLines is the oracle for a prefix's sealed line set: the
+// lines of the sites traced stores for p, deduplicated and sorted.
+func definitionalLines(traced *provenance.Graph, p netip.Prefix) []netcfg.LineRef {
 	seen := map[netcfg.LineRef]bool{}
 	var out []netcfg.LineRef
-	for _, n := range g.ForPrefix(p) {
-		for _, l := range n.Lines {
-			if (device == "" || l.Device == device) && !seen[l] {
-				seen[l] = true
-				out = append(out, l)
+	if sec := traced.Section(p); sec != nil {
+		for _, site := range sec.Stored() {
+			for _, l := range site.Lines {
+				if !seen[l] {
+					seen[l] = true
+					out = append(out, l)
+				}
 			}
 		}
 	}
@@ -54,30 +69,40 @@ func definitionalLines(g *provenance.Graph, p netip.Prefix, device string) []net
 	return out
 }
 
-// TestLineIndexMatchesDefinition compares the provenance graph's sealed
-// index with the definitional filter-and-sort for every (verdict prefix,
-// device).
+// TestLineIndexMatchesDefinition compares each verdict prefix's sealed
+// line set with the definitional union of the traced replay's site lines:
+// LinesForPrefix renders it, and Has, which the prefix-list solve asks per
+// (device, line), answers it for every line of every device.
 func TestLineIndexMatchesDefinition(t *testing.T) {
 	for name, c := range indexCases(t) {
 		iv := verify.NewIncremental(c.Topo, c.Configs, c.Intents, bgp.Options{})
-		g := iv.BaseProvenance()
-		pairs := 0
+		g, traced := iv.BaseProvenance(), tracedProvenance(iv.BaseNet(), iv.BaseOutcome())
+		asked := 0
 		for _, v := range iv.BaseReport().Verdicts {
-			if !v.Prefix.IsValid() {
+			sec := g.Section(v.Prefix)
+			if !v.Prefix.IsValid() || sec == nil {
 				continue
 			}
-			if got, want := g.LinesForPrefix(v.Prefix), definitionalLines(g, v.Prefix, ""); !sameLines(got, want) {
+			want := definitionalLines(traced, v.Prefix)
+			if got := g.LinesForPrefix(v.Prefix); !sameLines(got, want) {
 				t.Fatalf("%s: LinesForPrefix(%v) = %v, want %v", name, v.Prefix, got, want)
 			}
+			in := map[netcfg.LineRef]bool{}
+			for _, l := range want {
+				in[l] = true
+			}
+			set := sec.LineSet()
 			for _, device := range iv.BaseNet().Order {
-				pairs++
-				if got, want := g.LinesAtDevice(v.Prefix, device), definitionalLines(g, v.Prefix, device); !sameLines(got, want) {
-					t.Fatalf("%s: LinesAtDevice(%v, %s) = %v, want %v", name, v.Prefix, device, got, want)
+				for line := 1; line <= len(iv.BaseConfigs()[device].Lines()); line++ {
+					asked++
+					if l := (netcfg.LineRef{Device: device, Line: line}); set.Has(l) != in[l] {
+						t.Fatalf("%s: the set of %v answers Has(%v) = %v", name, v.Prefix, l, !in[l])
+					}
 				}
 			}
 		}
-		if pairs == 0 {
-			t.Fatalf("%s: no (verdict prefix, device) pair to compare", name)
+		if asked == 0 {
+			t.Fatalf("%s: no (verdict prefix, line) pair to compare", name)
 		}
 	}
 }
@@ -128,15 +153,10 @@ func TestGenerateSweepAllocBudget(t *testing.T) {
 	}
 }
 
-// wanPreserves returns the two ways to preserve the version that repairs
-// the WAN base (the deleted prefix-list entry put back): from scratch on its
-// texts, as the base version and a resumed population are, and derived from
-// the base's verifier, as the engine preserves a kept candidate. Each
-// builds the verifier and its localization Context.
-func wanPreserves(t testing.TB) (scratch, derived func() *core.Context) {
-	c, fixed := wanBase(), acr.WANBackbone(12, 8, 6, acr.GenOptions{StaticOriginEvery: 1, FullIsolation: true})
-	var edits []netcfg.EditSet
-	for d, cfg := range c.Configs {
+// wanRepair returns the WAN base, its repair and the edits between them.
+func wanRepair(t testing.TB) (base, fixed *acr.Case, edits []netcfg.EditSet) {
+	base, fixed = wanBase(), acr.WANBackbone(12, 8, 6, acr.GenOptions{StaticOriginEvery: 1, FullIsolation: true})
+	for d, cfg := range base.Configs {
 		if from, to := cfg.Lines(), fixed.Configs[d].Lines(); !reflect.DeepEqual(from, to) {
 			edits = append(edits, editsBetween(d, from, to))
 		}
@@ -144,6 +164,16 @@ func wanPreserves(t testing.TB) (scratch, derived func() *core.Context) {
 	if len(edits) != 1 {
 		t.Fatalf("the WAN base differs from its repair on %d devices, want 1", len(edits))
 	}
+	return base, fixed, edits
+}
+
+// wanPreserves returns the two ways to preserve the version that repairs
+// the WAN base (the deleted prefix-list entry put back): from scratch on its
+// texts, as the base version and a resumed population are, and derived from
+// the base's verifier, as the engine preserves a kept candidate. Each
+// builds the verifier and its localization Context.
+func wanPreserves(t testing.TB) (scratch, derived func() *core.Context) {
+	c, fixed, edits := wanRepair(t)
 	p := core.Problem{Topo: c.Topo, Configs: c.Configs, Intents: c.Intents}
 	base := verify.NewIncremental(p.Topo, p.Configs, p.Intents, bgp.Options{})
 	context := func(iv *verify.Incremental) *core.Context {
@@ -174,10 +204,12 @@ func wanPreserves(t testing.TB) (scratch, derived func() *core.Context) {
 // before, 6,826 and 1,948 after a converged section stopped storing its
 // selections and policy-free session sites; 6,700 and 1,440 before, 3,119
 // and 948 after per-file indexes, reasons kept as codes, traces in one
-// allocation and untraced policy matches collecting no lines. The scratch
-// budget is 3,119 with 10 % headroom.
+// allocation and untraced policy matches collecting no lines; 2,936 and
+// 940 before, 2,545 and 840 after stored sites stopped holding routes and
+// their lines were carved per version. The scratch budget is 2,545 with
+// 10 % headroom.
 func TestPreserveAllocBudget(t *testing.T) {
-	const scratchBudget = 3119 * 11 / 10
+	const scratchBudget = 2545 * 11 / 10
 	scratch, derived := wanPreserves(t)
 	if s, d := scratch(), derived(); s.Report.NumFailed() != 0 || d.Report.NumFailed() != 0 {
 		t.Fatalf("the repaired WAN fails %d intents from scratch, %d derived; want 0", s.Report.NumFailed(), d.Report.NumFailed())
@@ -204,10 +236,11 @@ func TestPreserveAllocBudget(t *testing.T) {
 // on write, snapshots as slices and parent lists carved per section, it
 // measured 3,324, later 2,803; with a converged section storing only its
 // originations and policy-session sites, 1,868; with each peer's session
-// lines built once by Parse rather than per session, 1,434. The budget is
-// 1,434 with 10 % headroom.
+// lines built once by Parse rather than per session, 1,434; with stored
+// sites holding no route and their lines carved per version, 1,212. The
+// budget is 1,212 with 10 % headroom.
 func TestSimulateAllocBudget(t *testing.T) {
-	const budget = 1434 * 11 / 10
+	const budget = 1212 * 11 / 10
 	s := scenario.DCN(6, scenario.GenOptions{})
 	files := s.Files()
 	var nodes int
@@ -230,11 +263,13 @@ func TestSimulateAllocBudget(t *testing.T) {
 
 // TestProvenanceBytesBudget is the byte budget on a base version's
 // provenance: BuildProvenance of the k=10 fat-tree (126 devices, 56,300
-// nodes), measured as the growth of runtime.MemStats.TotalAlloc per call.
-// With a stored node for every derivation it allocated 11.07 MB. The
-// budget is a quarter of that.
+// derivations), measured as the growth of runtime.MemStats.TotalAlloc per
+// call. With a stored node for every derivation it allocated 11.07 MB;
+// with nodes stored only for originations and policy sessions, 0.086 MB;
+// with sites holding no route and their lines carved per version,
+// 0.033 MB. The budget is 0.033 MB with 10 % headroom.
 func TestProvenanceBytesBudget(t *testing.T) {
-	const budget = 11.07e6 / 4
+	const budget = 0.033e6 * 1.1
 	s := scenario.DCN(10, scenario.GenOptions{})
 	n := bgp.Compile(s.Topo, s.Files())
 	out := bgp.Simulate(n, bgp.Options{})
@@ -249,9 +284,47 @@ func TestProvenanceBytesBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("BuildProvenance on fat-tree k=10: %.2f MB per call, budget %.2f MB", got/1e6, budget/1e6)
+	t.Logf("BuildProvenance on fat-tree k=10: %.3f MB per call, budget %.3f MB", got/1e6, budget/1e6)
 	if got > budget {
-		t.Errorf("BuildProvenance on fat-tree k=10 allocates %.2f MB per call, budget %.2f MB", got/1e6, budget/1e6)
+		t.Errorf("BuildProvenance on fat-tree k=10 allocates %.3f MB per call, budget %.3f MB", got/1e6, budget/1e6)
+	}
+}
+
+// TestDeriveProvenanceBytesBudget is the byte budget on provenance over
+// sessions with policies: on the WAN base (26 devices, an export policy
+// toward the PoPs on every backbone router), BuildProvenance of the base plus the DeriveProvenance of the
+// Commit that repairs it, measured as the growth of
+// runtime.MemStats.TotalAlloc per pair. With a node per derivation holding
+// its route, parents and rejection reason it allocated 0.152 MB; with sites
+// holding no route and their lines carved per version, 0.078 MB. The
+// budget is 0.078 MB with 10 % headroom.
+func TestDeriveProvenanceBytesBudget(t *testing.T) {
+	const budget = 0.078e6 * 1.1
+	c, _, edits := wanRepair(t)
+	base := verify.NewIncremental(c.Topo, c.Configs, c.Intents, bgp.Options{})
+	iv := base.Clone()
+	if err := iv.Commit(edits); err != nil {
+		t.Fatal(err)
+	}
+	bn, bout, n, out := base.BaseNet(), base.BaseOutcome(), iv.BaseNet(), iv.BaseOutcome()
+	dirty := []string{edits[0].Device}
+	pair := func() *provenance.Graph {
+		return bgp.DeriveProvenance(n, out, bout, bgp.BuildProvenance(bn, bout), dirty)
+	}
+	if pair().Len() != iv.BaseProvenance().Len() {
+		t.Fatal("the derived provenance is not the committed version's; the budget measures something else")
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		pair()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("BuildProvenance + DeriveProvenance on the WAN base: %.3f MB per pair, budget %.3f MB", got/1e6, budget/1e6)
+	if got > budget {
+		t.Errorf("BuildProvenance + DeriveProvenance on the WAN base allocates %.3f MB per pair, budget %.3f MB", got/1e6, budget/1e6)
 	}
 }
 

@@ -47,15 +47,16 @@ type definitionalRow struct {
 	lines map[netcfg.LineRef]bool
 }
 
-// definitionalSpectrum builds the spectrum with maps, reading the
-// derivations node by node; it shares no code with the line sets.
-func definitionalSpectrum(n *bgp.Net, g *provenance.Graph, rep *verify.Report) []definitionalRow {
+// definitionalSpectrum builds the spectrum with maps, reading the sites of
+// traced, a graph that stores every derivation, one by one; it shares no
+// code with the line sets.
+func definitionalSpectrum(n *bgp.Net, traced *provenance.Graph, rep *verify.Report) []definitionalRow {
 	var rows []definitionalRow
 	for _, v := range rep.Verdicts {
 		lines := map[netcfg.LineRef]bool{}
-		if v.Prefix.IsValid() {
-			for _, nd := range g.ForPrefix(v.Prefix) {
-				for _, l := range nd.Lines {
+		if sec := traced.Section(v.Prefix); v.Prefix.IsValid() && sec != nil {
+			for _, site := range sec.Stored() {
+				for _, l := range site.Lines {
 					lines[l] = true
 				}
 			}
@@ -149,7 +150,7 @@ func TestSpectrumMatchesDefinition(t *testing.T) {
 	for name, c := range cases {
 		iv := verify.NewIncremental(c.Topo, c.Configs, c.Intents, bgp.Options{})
 		m := coverage.Build(iv.BaseNet(), iv.BaseProvenance(), iv.BaseReport())
-		rows := definitionalSpectrum(iv.BaseNet(), iv.BaseProvenance(), iv.BaseReport())
+		rows := definitionalSpectrum(iv.BaseNet(), tracedProvenance(iv.BaseNet(), iv.BaseOutcome()), iv.BaseReport())
 		if len(m.Tests) != len(rows) {
 			t.Fatalf("%s: %d rows, the definition has %d", name, len(m.Tests), len(rows))
 		}
