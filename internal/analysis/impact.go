@@ -10,7 +10,7 @@ import (
 	"strings"
 
 	"acr/internal/netcfg"
-	"acr/internal/provenance"
+	"acr/internal/topo"
 )
 
 // This file implements the candidate impact analysis: a static dataflow
@@ -40,8 +40,8 @@ import (
 //     addresses) never touch the control plane: they scope to the edited
 //     device's forwarding decisions only.
 //
-// Cross-device propagation is bounded by the provenance DeviceGraph
-// (internal/provenance): BGP routes travel only over adjacencies, so a
+// Cross-device propagation is bounded by the topology's influence graph
+// (topo.InfluenceGraph): BGP routes travel only over adjacencies, so a
 // device's connected component is a sound influence bound. The component
 // relation is computed over *all* adjacencies — configured or not —
 // because an edit can bring a session up where none exists today, but can
@@ -79,9 +79,6 @@ type Impact struct {
 	// independently of any route (statics, PBR, interface bindings).
 	// Intents whose traces visit one must be re-verified.
 	DataplaneDevices map[string]bool
-	// Devices is the control-plane influence closure: every device whose
-	// routing state the edit can reach through session edges.
-	Devices map[string]bool
 	// LocalDevices are leaf (non-transit) devices whose control plane
 	// changed: every prefix routed in their component may change, but only
 	// as observed *at* these devices — the rest of the network sees a
@@ -114,7 +111,6 @@ func newImpact() *Impact {
 		Prefixes:         map[netip.Prefix]bool{},
 		Literals:         map[netip.Prefix]bool{},
 		DataplaneDevices: map[string]bool{},
-		Devices:          map[string]bool{},
 		LocalDevices:     map[string]bool{},
 		SessionDevices:   map[string]bool{},
 		LocalPrefixes:    map[string]map[netip.Prefix]bool{},
@@ -130,8 +126,8 @@ func (im *Impact) String() string {
 	for _, m := range im.LocalPrefixes { //acrvet:ordered — counts only
 		localpfx += len(m)
 	}
-	return fmt.Sprintf("prefixes=%d literals=%d dataplane=%d devices=%d locals=%d gated=%d localpfx=%d sessions=%v",
-		len(im.Prefixes), len(im.Literals), len(im.DataplaneDevices), len(im.Devices),
+	return fmt.Sprintf("prefixes=%d literals=%d dataplane=%d locals=%d gated=%d localpfx=%d sessions=%v",
+		len(im.Prefixes), len(im.Literals), len(im.DataplaneDevices),
 		len(im.LocalDevices), len(im.SessionDevices), localpfx, im.SessionsMayChange)
 }
 
@@ -164,7 +160,6 @@ func (im *Impact) Digest() string {
 	writePrefixes("prefixes", im.Prefixes)
 	writePrefixes("literals", im.Literals)
 	writeDevices("dataplane", im.DataplaneDevices)
-	writeDevices("devices", im.Devices)
 	writeDevices("locals", im.LocalDevices)
 	writeDevices("gated", im.SessionDevices)
 	leaves := make([]string, 0, len(im.LocalPrefixes))
@@ -194,19 +189,12 @@ type ImpactAnalyzer struct {
 	base     map[string]*netcfg.File
 	universe []netip.Prefix
 	origins  map[netip.Prefix][]string
-	graph    *provenance.DeviceGraph
+	graph    *topo.InfluenceGraph
 
-	// compPrefixes maps each device to the universe prefixes originated
-	// inside its connected component — the set a component-wide change can
-	// influence. The devices of one component share one set. Precomputed
-	// eagerly so Compare stays lock-free.
-	compPrefixes map[string]map[netip.Prefix]bool
-
-	// leaf marks non-transit devices (at most one session neighbor): their
-	// control-plane changes reach other devices only through prefixes they
-	// originate, because re-advertisements back toward the single neighbor
-	// are dropped by AS-path loop detection.
-	leaf map[string]bool
+	// compSets holds, by component id, the universe prefixes originated
+	// inside the component — the set a component-wide change can influence
+	// (see compPrefixes). Precomputed eagerly so Compare stays lock-free.
+	compSets []map[netip.Prefix]bool
 
 	// addrOwner maps an interface address to the device owning it in the
 	// base, resolving peer-stanza addresses to the session's remote end.
@@ -217,16 +205,15 @@ type ImpactAnalyzer struct {
 
 // NewImpactAnalyzer indexes a verified base: its parsed files, the
 // origination universe (prefix → originating devices), and the
-// cross-device influence graph.
-func NewImpactAnalyzer(base map[string]*netcfg.File, universe []netip.Prefix, origins map[netip.Prefix][]string, graph *provenance.DeviceGraph) *ImpactAnalyzer {
+// topology's influence graph.
+func NewImpactAnalyzer(base map[string]*netcfg.File, universe []netip.Prefix, origins map[netip.Prefix][]string, graph *topo.InfluenceGraph) *ImpactAnalyzer {
 	a := &ImpactAnalyzer{
-		base:         base,
-		universe:     append([]netip.Prefix(nil), universe...),
-		origins:      origins,
-		graph:        graph,
-		compPrefixes: map[string]map[netip.Prefix]bool{},
-		leaf:         map[string]bool{},
-		addrOwner:    map[netip.Addr]string{},
+		base:      base,
+		universe:  append([]netip.Prefix(nil), universe...),
+		origins:   origins,
+		graph:     graph,
+		compSets:  make([]map[netip.Prefix]bool, graph.NumComponents()),
+		addrOwner: map[netip.Addr]string{},
 	}
 	bdevs := make([]string, 0, len(base))
 	for d := range base { //acrvet:ordered — collected then sorted below
@@ -243,9 +230,8 @@ func NewImpactAnalyzer(base map[string]*netcfg.File, universe []netip.Prefix, or
 	// One set per component: a prefix is in a component's set when one of
 	// its origins is in the component. A prefix with no known origin, or
 	// one originated outside the graph, is conservatively in every set.
-	sets := make([]map[netip.Prefix]bool, graph.NumComponents())
-	for c := range sets {
-		sets[c] = map[netip.Prefix]bool{}
+	for c := range a.compSets {
+		a.compSets[c] = map[netip.Prefix]bool{}
 	}
 	for _, p := range a.universe {
 		devs := origins[p]
@@ -256,20 +242,25 @@ func NewImpactAnalyzer(base map[string]*netcfg.File, universe []netip.Prefix, or
 				everywhere = true
 				break
 			}
-			sets[c][p] = true
+			a.compSets[c][p] = true
 		}
 		if everywhere {
-			for _, m := range sets {
+			for _, m := range a.compSets {
 				m[p] = true
 			}
 		}
 	}
-	for _, dev := range graph.Devices() {
-		a.leaf[dev] = !graph.Transit(dev)
-		c, _ := graph.Component(dev)
-		a.compPrefixes[dev] = sets[c]
-	}
 	return a
+}
+
+// compPrefixes returns the universe prefixes originated inside dev's
+// component, shared by the component's devices; nil for a device outside
+// the graph.
+func (a *ImpactAnalyzer) compPrefixes(dev string) map[netip.Prefix]bool {
+	if c, ok := a.graph.Component(dev); ok {
+		return a.compSets[c]
+	}
+	return nil
 }
 
 // Compare diffs the candidate's parsed files against the base and returns
@@ -300,20 +291,11 @@ func (a *ImpactAnalyzer) Compare(newFiles map[string]*netcfg.File) *Impact {
 
 // --- scope helpers --------------------------------------------------------
 
-// componentScope marks every prefix originated in dev's component and
-// every device reachable from dev: the widest sound scope for a
-// control-plane change on dev.
+// componentScope marks every prefix originated in dev's component: the
+// widest sound scope for a control-plane change on dev.
 func (a *ImpactAnalyzer) componentScope(im *Impact, dev string) {
-	for p := range a.compPrefixes[dev] { //acrvet:ordered
+	for p := range a.compPrefixes(dev) { //acrvet:ordered
 		im.Prefixes[p] = true
-	}
-	reach := a.graph.Reachable(dev)
-	if len(reach) == 0 {
-		im.Devices[dev] = true
-		return
-	}
-	for _, d := range reach {
-		im.Devices[d] = true
 	}
 }
 
@@ -328,7 +310,7 @@ func (a *ImpactAnalyzer) componentScope(im *Impact, dev string) {
 // Transit-ness is a topology property: edits can reconfigure sessions but
 // never create physical links, so it is stable under any candidate.
 func (a *ImpactAnalyzer) controlScope(im *Impact, dev string) {
-	if !a.leaf[dev] {
+	if a.graph.Transit(dev) {
 		a.componentScope(im, dev)
 		return
 	}
@@ -341,7 +323,6 @@ func (a *ImpactAnalyzer) controlScope(im *Impact, dev string) {
 		}
 	}
 	im.LocalDevices[dev] = true
-	im.Devices[dev] = true
 }
 
 // sessionChange marks a change to session-identity inputs on dev whose
@@ -473,7 +454,7 @@ func (a *ImpactAnalyzer) attachDeltaScope(im *Impact, dev string, f0 *netcfg.Fil
 func (a *ImpactAnalyzer) attachesScope(im *Impact, dev string, f *netcfg.File, attaches []*netcfg.PolicyAttach, remotes []string) {
 	leafOnly := len(remotes) > 0
 	for _, r := range remotes {
-		if !a.leaf[r] {
+		if a.graph.Transit(r) {
 			leafOnly = false
 			break
 		}
@@ -503,7 +484,6 @@ func (a *ImpactAnalyzer) attachesScope(im *Impact, dev string, f *netcfg.File, a
 		}
 		a.policyScope(im, dev, f, at.Policy)
 	}
-	im.Devices[dev] = true
 }
 
 // policyMatchSet collects the universe prefixes the policy's
@@ -512,6 +492,7 @@ func (a *ImpactAnalyzer) attachesScope(im *Impact, dev string, f *netcfg.File, a
 // clauses): the caller must fall back to full policy scope.
 func (a *ImpactAnalyzer) policyMatchSet(dev string, f *netcfg.File, name string) (map[netip.Prefix]bool, bool) {
 	set := map[netip.Prefix]bool{}
+	comp := a.compPrefixes(dev)
 	for _, n := range f.PolicyNodes(name) {
 		if n.Permit && len(n.Applies) == 0 {
 			continue
@@ -522,7 +503,7 @@ func (a *ImpactAnalyzer) policyMatchSet(dev string, f *netcfg.File, name string)
 		for _, mc := range n.Matches {
 			for _, e := range f.PrefixListEntries(mc.PrefixList) {
 				for _, p := range a.universe {
-					if e.Matches(p) && a.compPrefixes[dev][p] {
+					if e.Matches(p) && comp[p] {
 						set[p] = true
 					}
 				}
@@ -549,20 +530,6 @@ func (a *ImpactAnalyzer) originatedByAny(p netip.Prefix, devs []string) bool {
 	return false
 }
 
-// attachListScope scopes a policy-attachment change: evalPolicy accepts
-// routes matched by no node unchanged (implicit permit), so attaching,
-// detaching, or swapping policies affects exactly the prefixes some node
-// of an involved policy can match — resolved against the file version the
-// attachment refers into. An undefined policy is a no-op permit (zero
-// scope); a node without match clauses accepts everything (full control
-// scope, via nodeScope).
-func (a *ImpactAnalyzer) attachListScope(im *Impact, dev string, f *netcfg.File, attaches []*netcfg.PolicyAttach) {
-	for _, at := range attaches {
-		a.policyScope(im, dev, f, at.Policy)
-	}
-	im.Devices[dev] = true
-}
-
 // policyScope marks the prefixes the policy as a whole can alter. A route
 // changes only when the first node matching it is a deny or carries apply
 // clauses; a permit node without applies passes the route through
@@ -579,7 +546,6 @@ func (a *ImpactAnalyzer) policyScope(im *Impact, dev string, f *netcfg.File, nam
 		}
 		a.nodeScope(im, dev, n, f)
 	}
-	im.Devices[dev] = true
 }
 
 // originScope marks a changed origination: universe prefixes overlapping
@@ -591,24 +557,24 @@ func (a *ImpactAnalyzer) originScope(im *Impact, dev string, lit netip.Prefix) {
 	if !lit.IsValid() {
 		return
 	}
+	comp := a.compPrefixes(dev)
 	for _, p := range a.universe {
-		if p.Overlaps(lit) && (a.compPrefixes[dev][p] || p == lit) {
+		if p.Overlaps(lit) && (comp[p] || p == lit) {
 			im.Prefixes[p] = true
 		}
 	}
 	im.Literals[lit] = true
-	im.Devices[dev] = true
 }
 
 // matchedScope marks the universe prefixes accepted by one prefix-list
 // entry, within dev's component.
 func (a *ImpactAnalyzer) matchedScope(im *Impact, dev string, e *netcfg.PrefixList) {
+	comp := a.compPrefixes(dev)
 	for _, p := range a.universe {
-		if e.Matches(p) && a.compPrefixes[dev][p] {
+		if e.Matches(p) && comp[p] {
 			im.Prefixes[p] = true
 		}
 	}
-	im.Devices[dev] = true
 }
 
 // --- per-device semantic diff ---------------------------------------------
@@ -778,7 +744,6 @@ func (a *ImpactAnalyzer) diffOriginations(im *Impact, dev string, f0, f1 *netcfg
 		for _, s := range f1.Statics {
 			a.originScope(im, dev, s.Prefix)
 		}
-		im.Devices[dev] = true
 	}
 }
 
@@ -843,7 +808,6 @@ func (a *ImpactAnalyzer) nodeScope(im *Impact, dev string, n *netcfg.RoutePolicy
 			a.matchedScope(im, dev, e)
 		}
 	}
-	im.Devices[dev] = true
 }
 
 // diffPrefixLists diffs prefix-list entries as per-name multisets. A

@@ -36,13 +36,15 @@ func twoComponents() (*topo.Network, map[string]*netcfg.Config) {
 	}
 }
 
-// TestComponentPrefixesMatchDefinition: the analyzer computes one prefix set
-// per connected component and lets the component's devices share it. Each
-// device's set must equal the per-device definition: a universe prefix is
-// in scope when it has no known origin or one of its origins is in the
-// device's component (DeviceGraph.SameComponent). On the two-component
-// network the universe also gets a prefix with no origin and one whose
-// origin is outside the graph, both in scope everywhere.
+// TestComponentPrefixesMatchDefinition: the influence graph and the
+// per-component prefix sets the analyzer builds from it must equal their
+// definitions over topo.Adjacencies. A device's component is what a
+// breadth-first search over adjacencies reaches from it; a device is
+// transit when it has at least two distinct adjacent nodes; and a universe
+// prefix is in a device's set when it has no known origin or one of its
+// origins is in the device's component or outside the network. On the
+// two-component network the universe also gets a prefix with no origin and
+// one whose origin is outside the network, both in scope everywhere.
 func TestComponentPrefixesMatchDefinition(t *testing.T) {
 	type tc struct {
 		name    string
@@ -67,7 +69,7 @@ func TestComponentPrefixesMatchDefinition(t *testing.T) {
 			files[d], _ = netcfg.Parse(cfg)
 		}
 		n := bgp.Compile(c.nw, files)
-		graph := bgp.DeviceGraphOf(n)
+		graph := topo.NewInfluenceGraph(c.nw)
 		universe := append([]netip.Prefix(nil), n.AllPrefixes()...)
 		origins := map[netip.Prefix][]string{}
 		for _, name := range n.Order {
@@ -81,11 +83,41 @@ func TestComponentPrefixesMatchDefinition(t *testing.T) {
 				origins[p] = devs
 			}
 		}
-		if c.extra != nil && graph.NumComponents() != 2 {
-			t.Fatalf("%s: %d components, want 2", c.name, graph.NumComponents())
+		if _, ok := graph.Component("ghost"); ok || !graph.Transit("ghost") {
+			t.Fatalf("%s: a device outside the network must have no component and be transit", c.name)
 		}
 		a := analysis.NewImpactAnalyzer(files, universe, origins, graph)
-		for _, dev := range graph.Devices() {
+		comps, leaves := 0, 0
+		for i, nd := range c.nw.Nodes() {
+			dev := nd.Name
+			comp := componentOf(c.nw, dev)
+			id, ok := graph.Component(dev)
+			if !ok || id < 0 || id >= graph.NumComponents() {
+				t.Fatalf("%s: %s has component %d (ok=%v) of %d", c.name, dev, id, ok, graph.NumComponents())
+			}
+			first := true
+			for j, other := range c.nw.Nodes() {
+				oid, _ := graph.Component(other.Name)
+				if (oid == id) != comp[other.Name] {
+					t.Fatalf("%s: %s and %s share a component in the graph: %v, by search: %v", c.name, dev, other.Name, oid == id, comp[other.Name])
+				}
+				first = first && (j >= i || !comp[other.Name])
+			}
+			if first {
+				comps++
+			}
+			peers := map[string]bool{}
+			for _, adj := range c.nw.Adjacencies(dev) {
+				if adj.PeerNode != dev {
+					peers[adj.PeerNode] = true
+				}
+			}
+			if got, want := graph.Transit(dev), len(peers) >= 2; got != want {
+				t.Fatalf("%s: Transit(%s) = %v, %s has %d distinct neighbours", c.name, dev, got, dev, len(peers))
+			}
+			if len(peers) < 2 {
+				leaves++
+			}
 			want := map[netip.Prefix]bool{}
 			for _, p := range universe {
 				devs := origins[p]
@@ -94,7 +126,7 @@ func TestComponentPrefixesMatchDefinition(t *testing.T) {
 					continue
 				}
 				for _, d := range devs {
-					if graph.SameComponent(dev, d) {
+					if comp[d] || c.nw.Node(d) == nil {
 						want[p] = true
 						break
 					}
@@ -105,8 +137,29 @@ func TestComponentPrefixesMatchDefinition(t *testing.T) {
 				t.Fatalf("%s: %s's component prefixes are %v, the definition gives %v", c.name, dev, sortedPrefixes(got), sortedPrefixes(want))
 			}
 		}
-		t.Logf("%s: %d devices in %d components, %d universe prefixes", c.name, len(graph.Devices()), graph.NumComponents(), len(universe))
+		if graph.NumComponents() != comps {
+			t.Fatalf("%s: %d components, search finds %d", c.name, graph.NumComponents(), comps)
+		}
+		if c.extra != nil && comps != 2 {
+			t.Fatalf("%s: %d components, want 2", c.name, comps)
+		}
+		t.Logf("%s: %d devices (%d leaves) in %d components, %d universe prefixes", c.name, c.nw.NumNodes(), leaves, comps, len(universe))
 	}
+}
+
+// componentOf is the set of devices a breadth-first search over nw's
+// adjacencies reaches from dev, dev included.
+func componentOf(nw *topo.Network, dev string) map[string]bool {
+	seen := map[string]bool{dev: true}
+	for queue := []string{dev}; len(queue) > 0; queue = queue[1:] {
+		for _, adj := range nw.Adjacencies(queue[0]) {
+			if !seen[adj.PeerNode] {
+				seen[adj.PeerNode] = true
+				queue = append(queue, adj.PeerNode)
+			}
+		}
+	}
+	return seen
 }
 
 func sortedPrefixes(m map[netip.Prefix]bool) []netip.Prefix {

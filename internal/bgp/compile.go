@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"fmt"
 	"net/netip"
 	"slices"
 	"sort"
@@ -23,11 +22,10 @@ type Session struct {
 	ident
 	PeerASN uint32
 	// LocalLines are the config lines on this router establishing the
-	// session; RemoteLines the peer's counterpart lines. Both are tagged on
-	// import derivations so coverage reaches the session predicates of both
-	// ends.
-	LocalLines  []netcfg.LineRef
-	RemoteLines []netcfg.LineRef
+	// session. The traced export→import of an advertisement adds the
+	// sender's (reverse.LocalLines) and then the receiver's, so coverage
+	// reaches the session predicates of both ends.
+	LocalLines []netcfg.LineRef
 	// exportPols and importPols are the policy attachments of the local
 	// peer statement in each direction, resolved once at Compile.
 	exportPols, importPols []*netcfg.PolicyAttach
@@ -43,7 +41,7 @@ type Session struct {
 	// plainLines, set when neither the peer's export toward this router
 	// nor this router's import attaches a policy, are the lines the traced
 	// export→import of an accepted advertisement yields: the peer's
-	// LocalLines, then LocalLines, then RemoteLines. Shared read-only.
+	// LocalLines, then LocalLines. Shared read-only.
 	plainLines []netcfg.LineRef
 }
 
@@ -53,14 +51,13 @@ func (s *Session) stamp(rt *Route) {
 	rt.ident = &s.ident
 }
 
-// FailedSession records a configured-but-down session and why. The repair
+// FailedSession records a configured-but-down session. The repair
 // pipeline uses these as negative provenance: a failing test's coverage
 // includes the lines of sessions that should have carried its routes.
 type FailedSession struct {
 	Router   string
 	PeerName string
 	PeerAddr netip.Addr
-	Reason   string
 	Lines    []netcfg.LineRef
 }
 
@@ -118,6 +115,11 @@ type Net struct {
 	// spans are the routers' spans in space, by position in Order.
 	spans [][2]int
 }
+
+// DeviceGraphOf returns the influence graph of n's topology. The verifier
+// builds it from the topology directly; this form stays for the benchmark
+// harness, which calls it on a compiled base.
+func DeviceGraphOf(n *Net) *topo.InfluenceGraph { return topo.NewInfluenceGraph(n.Topo) }
 
 // Compile resolves configurations against the topology. Configurations
 // that fail to parse entirely are treated as empty (their router runs no
@@ -303,7 +305,7 @@ func ifaceUp(f *netcfg.File, iface string) bool {
 }
 
 // resolveSession resolves the session a BGP router r configures over adj:
-// the established session, the configured-but-down one and why, or neither
+// the established session, the configured-but-down one, or neither
 // when r configures no peer toward the neighbour. The session's slot and
 // reverse link are the caller's to set.
 func (n *Net) resolveSession(r *Router, adj topo.Adjacency) (*Session, *FailedSession) {
@@ -312,44 +314,20 @@ func (n *Net) resolveSession(r *Router, adj topo.Adjacency) (*Session, *FailedSe
 		return nil, nil // no session configured toward this neighbor
 	}
 	peer := n.Routers[adj.PeerNode]
-	fail := func(reason string) (*Session, *FailedSession) {
-		return nil, &FailedSession{
-			Router:   r.Name,
-			PeerName: adj.PeerNode,
-			PeerAddr: adj.PeerAddr,
-			Reason:   reason,
-			Lines:    r.File.PeerSessionLines(stanza),
-		}
-	}
-	if !ifaceUp(r.File, adj.Iface) {
-		return fail(fmt.Sprintf("local interface %s is shut down", adj.Iface))
-	}
-	if peer.File.BGP == nil {
-		return fail(fmt.Sprintf("neighbor %s runs no BGP", adj.PeerNode))
-	}
-	if stanza.ASN != peer.ASN {
-		return fail(fmt.Sprintf("configured as-number %d but neighbor %s is AS %d", stanza.ASN, adj.PeerNode, peer.ASN))
-	}
-	remote := peer.File.PeerByAddr(adj.LocalAddr)
-	if remote == nil || remote.ASNLine == 0 {
-		return fail(fmt.Sprintf("neighbor %s has no peer stanza for %s", adj.PeerNode, adj.LocalAddr))
-	}
-	if remote.ASN != r.ASN {
-		return fail(fmt.Sprintf("neighbor %s configures as-number %d for us but we are AS %d", adj.PeerNode, remote.ASN, r.ASN))
-	}
-	if !ifaceUp(peer.File, adj.PeerIface) {
-		return fail(fmt.Sprintf("neighbor interface %s is shut down", adj.PeerIface))
+	remote := peer.File.PeerByAddr(adj.LocalAddr) // nil when the peer runs no BGP
+	if stanza.ASN != peer.ASN || remote == nil || remote.ASNLine == 0 || remote.ASN != r.ASN ||
+		!ifaceUp(r.File, adj.Iface) || !ifaceUp(peer.File, adj.PeerIface) {
+		return nil, &FailedSession{Router: r.Name, PeerName: adj.PeerNode, PeerAddr: adj.PeerAddr, Lines: r.File.PeerSessionLines(stanza)}
 	}
 	return &Session{
-		LocalAddr:   adj.LocalAddr,
-		PeerName:    adj.PeerNode,
-		ident:       ident{NextHop: adj.PeerAddr, PeerAddr: adj.PeerAddr, PeerRID: peer.RID},
-		PeerASN:     peer.ASN,
-		LocalLines:  r.File.PeerSessionLines(stanza),
-		RemoteLines: peer.File.PeerSessionLines(remote),
-		exportPols:  r.File.EffectivePolicies(stanza, netcfg.Export),
-		importPols:  r.File.EffectivePolicies(stanza, netcfg.Import),
-		peer:        peer.index,
+		LocalAddr:  adj.LocalAddr,
+		PeerName:   adj.PeerNode,
+		ident:      ident{NextHop: adj.PeerAddr, PeerAddr: adj.PeerAddr, PeerRID: peer.RID},
+		PeerASN:    peer.ASN,
+		LocalLines: r.File.PeerSessionLines(stanza),
+		exportPols: r.File.EffectivePolicies(stanza, netcfg.Export),
+		importPols: r.File.EffectivePolicies(stanza, netcfg.Import),
+		peer:       peer.index,
 	}, nil
 }
 
@@ -365,8 +343,8 @@ func sortSessions(ss []*Session) {
 func (n *Net) link(s *Session) {
 	s.reverse = sessionTo(n.routers[s.peer].Sessions, s.LocalAddr)
 	if s.reverse != nil && len(s.reverse.exportPols) == 0 && len(s.importPols) == 0 {
-		s.plainLines = make([]netcfg.LineRef, 0, len(s.reverse.LocalLines)+len(s.LocalLines)+len(s.RemoteLines))
-		s.plainLines = append(append(append(s.plainLines, s.reverse.LocalLines...), s.LocalLines...), s.RemoteLines...)
+		s.plainLines = make([]netcfg.LineRef, 0, len(s.reverse.LocalLines)+len(s.LocalLines))
+		s.plainLines = append(append(s.plainLines, s.reverse.LocalLines...), s.LocalLines...)
 	}
 }
 

@@ -127,7 +127,6 @@ func processImport(r *Router, s *Session, adv *Route, tr *lineRefs) (*Route, boo
 	}
 	adv.LocalPref = DefaultLocalPref
 	tr.addRefs(s.LocalLines)
-	tr.addRefs(s.RemoteLines)
 	res, ok := applyPolicies(r.File, s.importPols, adv, tr)
 	if !ok {
 		return nil, false

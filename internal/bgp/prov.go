@@ -222,10 +222,9 @@ func (b *sectionBuilder) trace(r *Router, s *Session, best *Route) provenance.Si
 // whose sender has a best (sends, by router position), which po and the
 // net n determine. Such an export cannot fail and executes the sender's
 // session lines; such an import fails only on an AS-path loop, and when
-// the adj-in slot holds it, it also executes the receiver's session lines
-// (plainLines adds the sender's a second time, as RemoteLines). Each
-// session's lines are added by device, with the span the net recorded for
-// it.
+// the adj-in slot holds it, it also executes the receiver's session lines.
+// Each session's lines are added by device, with the span the net recorded
+// for it.
 func implicitLines(n *Net, po *PrefixOutcome, sends []bool) provenance.Implicit {
 	return func(set *netcfg.LineSet) {
 		n.LineSpace() // records the spans

@@ -82,7 +82,7 @@ func TestJournalGolden(t *testing.T) {
 func TestReportGolden(t *testing.T) {
 	const (
 		wantReports = "16548981494273d6ba8321eba3d86d656864fc6fb6b025a1c7c1480adbb6d0c5"
-		wantImpacts = "490f130d505b6bcf39b37e0871d124a26b81cdc967097ed34072ec1eb3e93bf7"
+		wantImpacts = "327cc3bbd70a8c7e9fd47b7162837fe85af9be449f25eabdc6d1d4d2c88f8ccf"
 	)
 	corpus, err := incidents.GenerateCorpus(incidents.CorpusOptions{Seed: 1})
 	if err != nil {

@@ -89,6 +89,45 @@ func TestCloneCommitIndependence(t *testing.T) {
 	}
 }
 
+// TestInfluenceGraphBuiltOnce: the influence graph depends on the topology
+// alone, so NewIncremental builds it once and every clone and every Commit
+// keeps that one graph. Both kinds of Commit are covered: the paper repair
+// keeps the sessions (Derive reuses the base), and re-numbering A's peer
+// toward B takes the A–B session down, so Derive compiles cold.
+func TestInfluenceGraphBuiltOnce(t *testing.T) {
+	s := scenario.Figure2()
+	iv := newIV(t, s)
+	g := iv.Graph()
+	if g == nil {
+		t.Fatal("NewIncremental built no influence graph")
+	}
+	cl := iv.Clone()
+	if cl.Graph() != g {
+		t.Fatal("Clone holds another influence graph")
+	}
+	sessions := func() int { return len(cl.BaseNet().Routers["A"].Sessions) }
+	before := sessions()
+	if err := cl.Commit(scenario.Figure2PaperRepair()); err != nil {
+		t.Fatal(err)
+	}
+	if sessions() != before {
+		t.Fatalf("the paper repair moved A's sessions: %d, was %d", sessions(), before)
+	}
+	if cl.Graph() != g {
+		t.Fatal("a session-preserving Commit rebuilt the influence graph")
+	}
+	down := []netcfg.EditSet{{Device: "A", Edits: []netcfg.Edit{netcfg.ReplaceLine{At: 3, Text: " peer 172.16.0.2 as-number 65099"}}}}
+	if err := cl.Commit(down); err != nil {
+		t.Fatal(err)
+	}
+	if sessions() != before-1 {
+		t.Fatalf("A has %d sessions after its peer toward B was re-numbered, want %d", sessions(), before-1)
+	}
+	if cl.Graph() != g || iv.Graph() != g {
+		t.Fatal("a session-changing Commit rebuilt the influence graph")
+	}
+}
+
 // TestCloneSharedLineIndexRace has clones of one verifier seal the base
 // provenance graph's line sets for the first time concurrently: readers
 // query them directly while checkers run the incremental check and the

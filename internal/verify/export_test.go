@@ -1,6 +1,9 @@
 package verify
 
-import "acr/internal/dataplane"
+import (
+	"acr/internal/dataplane"
+	"acr/internal/topo"
+)
 
 // Probes returns the sampled packets and injection points the verifier
 // memoized, by intent.
@@ -11,3 +14,6 @@ func (iv *Incremental) Probes() (pkts []dataplane.Packet, froms []string) {
 	}
 	return pkts, froms
 }
+
+// Graph returns the topology's influence graph the verifier holds.
+func (iv *Incremental) Graph() *topo.InfluenceGraph { return iv.graph }

@@ -74,14 +74,15 @@ type Incremental struct {
 	prov    *provenance.Graph
 	report  *Report
 
-	// graph and impact are the cross-device influence graph and the static
-	// impact analyzer over the current base; both are sealed read-only
-	// after rebase and shared by reference across clones.
-	graph  *provenance.DeviceGraph
+	// impact is the static impact analyzer over the current base, read-only
+	// once installed and shared by reference across clones.
 	impact *analysis.ImpactAnalyzer
 
-	// probes are the intents' sampled packets and injection points, by
-	// position in Intents: computed once, shared by clones.
+	// graph is the topology's influence graph, and probes are the intents'
+	// sampled packets and injection points, by position in Intents: both
+	// depend on the topology alone, so they are computed once in
+	// NewIncremental and shared by clones and every Commit.
+	graph  *topo.InfluenceGraph
 	probes []probe
 
 	// batch, when non-nil, memoizes candidate parses across the sibling
@@ -97,7 +98,7 @@ type parseKey struct{ device, text string }
 
 // NewIncremental verifies the base configuration fully.
 func NewIncremental(t *topo.Network, configs map[string]*netcfg.Config, intents []Intent, opts bgp.Options) *Incremental {
-	iv := &Incremental{Topo: t, Intents: intents, SimOpts: opts, probes: make([]probe, len(intents))}
+	iv := &Incremental{Topo: t, Intents: intents, SimOpts: opts, graph: topo.NewInfluenceGraph(t), probes: make([]probe, len(intents))}
 	for i, in := range intents {
 		iv.probes[i] = probeOf(t, in)
 	}
@@ -156,10 +157,9 @@ func (iv *Incremental) verdictStands(v *Verdict, pr probe, out *bgp.Outcome, dir
 }
 
 // install makes a compiled, simulated and verified configuration version
-// the base, and builds the influence graph and the impact analyzer over it.
+// the base, and builds the impact analyzer over it.
 func (iv *Incremental) install(configs map[string]*netcfg.Config, files map[string]*netcfg.File, n *bgp.Net, out *bgp.Outcome, prov *provenance.Graph, report *Report) {
 	iv.configs, iv.files, iv.net, iv.out, iv.prov, iv.report = configs, files, n, out, prov, report
-	iv.graph = bgp.DeviceGraphOf(n)
 	origins := map[netip.Prefix][]string{}
 	for _, name := range n.Order {
 		for _, o := range n.Routers[name].Origins {
