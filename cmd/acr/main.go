@@ -52,9 +52,9 @@ import (
 
 	"acr"
 	"acr/internal/caseio"
-	"acr/internal/chaos"
 	"acr/internal/core"
 	"acr/internal/evalstore"
+	"acr/internal/journal"
 	"acr/internal/sbfl"
 	"acr/internal/scenario"
 	"acr/internal/service"
@@ -252,6 +252,10 @@ func runLocalize(args []string) error {
 	return nil
 }
 
+// repairJournalHook is installed on repair's journal writer. Only tests
+// set it, to crash a journaled run at a chosen append.
+var repairJournalHook journal.AppendHook
+
 func runRepair(args []string) error {
 	fs := flag.NewFlagSet("repair", flag.ExitOnError)
 	builtin, dir := caseFlags(fs)
@@ -264,7 +268,6 @@ func runRepair(args []string) error {
 	cacheMax := fs.Int64("cache-max-bytes", 0, "persistent store byte budget (0 = 256 MiB); a full store starts over empty")
 	journalDir := fs.String("journal", "", "write a crash-safe session journal to this directory")
 	resume := fs.Bool("resume", false, "resume the crashed session journaled in -journal")
-	crashAfter := fs.Int("crash-after-appends", 0, "testing hook: SIGKILL this process after N journal appends")
 	output := fs.String("o", "text", "output format: text (human report) or json (the service API's result schema)")
 	fs.Parse(args)
 	if *output != "text" && *output != "json" {
@@ -323,13 +326,8 @@ func runRepair(args []string) error {
 			return err
 		}
 		defer w.Close()
+		w.Hook = repairJournalHook
 		opts.Journal = w
-	}
-	if *crashAfter > 0 {
-		if *journalDir == "" {
-			return fmt.Errorf("-crash-after-appends requires -journal")
-		}
-		opts = chaos.New(chaos.Plan{CrashAfterAppends: *crashAfter, CrashKill: true}).Wire(opts)
 	}
 	ctx := context.Background()
 	if *timeout > 0 {

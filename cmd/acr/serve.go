@@ -13,8 +13,6 @@ import (
 	"syscall"
 	"time"
 
-	"acr/internal/chaos"
-	"acr/internal/journal"
 	"acr/internal/service"
 )
 
@@ -32,8 +30,6 @@ func runServe(args []string) error {
 	queueCap := fs.Int("queue-cap", service.DefaultQueueCap, "queued-job cap; a full queue answers 429")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget before hard cancel")
-	killAfter := fs.Int("kill-after-appends", 0, "testing hook: SIGKILL the daemon after N journal appends across all jobs")
-	holdUntil := fs.String("hold-until", "", "testing hook: block journal appends until this file exists")
 	cacheDir := fs.String("cache-dir", "", "persistent evaluation store directory (default <state-dir>/evalstore; \"none\" disables)")
 	cacheMax := fs.Int64("cache-max-bytes", 0, "persistent store byte budget (0 = 256 MiB)")
 	fs.Parse(args)
@@ -54,33 +50,6 @@ func runServe(args []string) error {
 		cfg.CacheDir = *cacheDir
 	}
 	cfg.CacheMaxBytes = *cacheMax
-	var hooks []journal.AppendHook
-	if *holdUntil != "" {
-		// Crash tests submit a batch and then release it, so the kill
-		// switch below cannot fire before the batch is fully submitted.
-		hold := *holdUntil
-		hooks = append(hooks, func(int, *journal.Record) error {
-			for {
-				if _, err := os.Stat(hold); err == nil {
-					return nil
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-		})
-	}
-	if *killAfter > 0 {
-		hooks = append(hooks, chaos.NewKillSwitch(*killAfter).Hook)
-	}
-	if len(hooks) > 0 {
-		cfg.JournalHook = func(n int, rec *journal.Record) error {
-			for _, h := range hooks {
-				if err := h(n, rec); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
 	srv, err := service.New(cfg)
 	if err != nil {
 		return &exitError{exitServeState, err}

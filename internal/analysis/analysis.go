@@ -189,26 +189,6 @@ func (r *Result) Filter(min Severity) []Diagnostic {
 	return out
 }
 
-// MaxSeverity returns the highest severity present (0 when clean).
-func (r *Result) MaxSeverity() Severity {
-	var max Severity
-	for _, d := range r.Diagnostics {
-		if d.Severity > max {
-			max = d.Severity
-		}
-	}
-	return max
-}
-
-// ByLine indexes the diagnostics by line.
-func (r *Result) ByLine() map[netcfg.LineRef][]Diagnostic {
-	out := map[netcfg.LineRef][]Diagnostic{}
-	for _, d := range r.Diagnostics {
-		out[d.Line] = append(out[d.Line], d)
-	}
-	return out
-}
-
 // Format renders the diagnostics at or above min severity in compiler
 // style, one per line, followed by a summary line.
 func (r *Result) Format(min Severity) string {

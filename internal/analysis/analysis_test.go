@@ -269,15 +269,9 @@ func TestResultFilterAndFormat(t *testing.T) {
 	if n := len(res.Filter(analysis.Error)); n != len(res.Diagnostics) {
 		t.Errorf("all Figure 2 findings are errors; Filter(Error) kept %d of %d", n, len(res.Diagnostics))
 	}
-	if res.MaxSeverity() != analysis.Error {
-		t.Errorf("MaxSeverity = %v", res.MaxSeverity())
-	}
 	out := res.Format(analysis.Info)
 	if !strings.Contains(out, "shadowed-prefix-list") || !strings.Contains(out, "finding(s)") {
 		t.Errorf("Format output unexpected:\n%s", out)
-	}
-	if len(res.ByLine()) != len(res.Diagnostics) {
-		t.Errorf("ByLine lost lines")
 	}
 }
 

@@ -5,8 +5,10 @@
 // which drops the candidate it hits, injected delays that trip a context
 // deadline, and crashes after the Nth journal append.
 //
-// Plans are deterministic given their Seed and the engine's own
-// determinism, so a chaos failure reproduces exactly. Typical use:
+// Only tests import it (TestImportGuard): the acr binary and the daemon
+// carry no fault injection. Plans are deterministic given their Seed and
+// the engine's own determinism, so a chaos failure reproduces exactly.
+// Typical use:
 //
 //	inj := chaos.New(chaos.Plan{Seed: 1, PanicEveryN: 10})
 //	res := core.RepairContext(ctx, problem, inj.Wire(core.Options{}))
@@ -173,8 +175,8 @@ func (i *Injector) JournalHook(n int, _ *journal.Record) error {
 }
 
 // KillSwitch is the daemon-scale crash point: a single counter shared by
-// every journal writer of a multi-job process (the `acr serve` worker
-// pool), SIGKILLing the whole process once the total number of appends —
+// every journal writer of a multi-job process (a daemon's worker pool),
+// SIGKILLing the whole process once the total number of appends —
 // across all jobs, in whatever order the pool interleaves them — reaches
 // its budget. Unlike Plan.CrashAfterAppends, which crashes one engine run,
 // the KillSwitch takes down a daemon mid-flight so recovery tests can

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"strconv"
-	"strings"
 )
 
 // Builder constructs well-formed configurations programmatically. Topology
@@ -296,129 +295,4 @@ func FormatPeerPolicyLine(target string, policy string, d Direction) string {
 // line (with bgp-block indentation).
 func FormatGroupPolicyLine(group, policy string, d Direction) string {
 	return " peer-group " + group + " route-policy " + policy + " " + d.String()
-}
-
-// Canonical reformats a parsed configuration back to canonical text. The
-// parser tolerates extra whitespace; Canonical is the fixed-point form. It
-// is primarily exercised by round-trip tests: Parse(Canonical(f)) must
-// equal Parse of the original for all well-formed inputs.
-func Canonical(f *File) string {
-	var sb strings.Builder
-	if f.BGP != nil {
-		fmt.Fprintf(&sb, "bgp %d\n", f.BGP.ASN)
-		if f.BGP.RouterID.IsValid() {
-			fmt.Fprintf(&sb, " router-id %s\n", f.BGP.RouterID)
-		}
-		for _, g := range f.BGP.Groups {
-			if g.External {
-				fmt.Fprintf(&sb, " peer-group %s external\n", g.Name)
-			} else {
-				fmt.Fprintf(&sb, " peer-group %s\n", g.Name)
-			}
-		}
-		for _, p := range f.BGP.Peers {
-			if p.ASNLine > 0 {
-				fmt.Fprintf(&sb, " peer %s as-number %d\n", p.Addr, p.ASN)
-			}
-			if p.Group != "" {
-				fmt.Fprintf(&sb, " peer %s group %s\n", p.Addr, p.Group)
-			}
-			for _, a := range p.Policies {
-				fmt.Fprintf(&sb, " peer %s route-policy %s %s\n", p.Addr, a.Policy, a.Direction)
-			}
-		}
-		for _, g := range f.BGP.Groups {
-			for _, a := range g.Policies {
-				fmt.Fprintf(&sb, " peer-group %s route-policy %s %s\n", g.Name, a.Policy, a.Direction)
-			}
-		}
-		for _, n := range f.BGP.Networks {
-			fmt.Fprintf(&sb, " network %s\n", n.Prefix)
-		}
-		if f.BGP.Redistribute != nil {
-			if f.BGP.Redistribute.Policy != "" {
-				fmt.Fprintf(&sb, " redistribute static route-policy %s\n", f.BGP.Redistribute.Policy)
-			} else {
-				fmt.Fprintf(&sb, " redistribute static\n")
-			}
-		}
-	}
-	for _, rp := range f.Policies {
-		action := "deny"
-		if rp.Permit {
-			action = "permit"
-		}
-		fmt.Fprintf(&sb, "route-policy %s %s node %d\n", rp.Name, action, rp.Node)
-		for _, m := range rp.Matches {
-			fmt.Fprintf(&sb, " match ip-prefix %s\n", m.PrefixList)
-		}
-		for _, a := range rp.Applies {
-			switch a.Kind {
-			case ApplyASPathOverwrite:
-				fmt.Fprintf(&sb, " apply as-path overwrite %d\n", a.ASN)
-			case ApplyASPathPrepend:
-				if a.Count == 1 {
-					fmt.Fprintf(&sb, " apply as-path prepend %d\n", a.ASN)
-				} else {
-					fmt.Fprintf(&sb, " apply as-path prepend %d %d\n", a.ASN, a.Count)
-				}
-			case ApplyLocalPref:
-				fmt.Fprintf(&sb, " apply local-preference %d\n", a.Value)
-			case ApplyMED:
-				fmt.Fprintf(&sb, " apply med %d\n", a.Value)
-			}
-		}
-	}
-	for _, e := range f.PrefixLists {
-		sb.WriteString(FormatPrefixListEntry(e.Name, e.Index, e.Permit, e.Prefix, e.GE, e.LE))
-		sb.WriteByte('\n')
-	}
-	for _, s := range f.Statics {
-		if s.Null0 {
-			fmt.Fprintf(&sb, "ip route static %s null0\n", s.Prefix)
-		} else {
-			fmt.Fprintf(&sb, "ip route static %s next-hop %s\n", s.Prefix, s.NextHop)
-		}
-	}
-	for _, pol := range f.PBRPolicies {
-		fmt.Fprintf(&sb, "pbr policy %s\n", pol.Name)
-		for _, r := range pol.Rules {
-			action := "deny"
-			if r.Permit {
-				action = "permit"
-			}
-			fmt.Fprintf(&sb, " rule %d %s\n", r.Index, action)
-			if r.MatchSource != nil {
-				fmt.Fprintf(&sb, "  match source %s\n", r.MatchSource.Prefix)
-			}
-			if r.MatchDest != nil {
-				fmt.Fprintf(&sb, "  match destination %s\n", r.MatchDest.Prefix)
-			}
-			if r.MatchProto != nil {
-				fmt.Fprintf(&sb, "  match protocol %s\n", r.MatchProto.Proto)
-			}
-			if r.MatchDstPort != nil {
-				fmt.Fprintf(&sb, "  match dst-port %d\n", r.MatchDstPort.Port)
-			}
-			if r.ApplyNextHop != nil {
-				fmt.Fprintf(&sb, "  apply next-hop %s\n", r.ApplyNextHop.NextHop)
-			}
-			if r.ApplyDrop != nil {
-				fmt.Fprintf(&sb, "  apply drop\n")
-			}
-		}
-	}
-	for _, itf := range f.Interfaces {
-		fmt.Fprintf(&sb, "interface %s\n", itf.Name)
-		if itf.Addr.IsValid() {
-			fmt.Fprintf(&sb, " ip address %s\n", itf.Addr)
-		}
-		if itf.PBRPolicy != "" {
-			fmt.Fprintf(&sb, " pbr policy %s\n", itf.PBRPolicy)
-		}
-		if itf.Shutdown {
-			fmt.Fprintf(&sb, " shutdown\n")
-		}
-	}
-	return sb.String()
 }

@@ -171,16 +171,3 @@ func TestFormatHelpers(t *testing.T) {
 		t.Errorf("FormatPeerPolicyLine = %q", got)
 	}
 }
-
-func TestCanonicalParsesBack(t *testing.T) {
-	f := MustParse(NewConfig("A", routerAText))
-	canon := Canonical(f)
-	f2, err := Parse(NewConfig("A", canon))
-	if err != nil {
-		t.Fatalf("Canonical output does not parse: %v\n%s", err, canon)
-	}
-	if f2.BGP.ASN != f.BGP.ASN || len(f2.BGP.Peers) != len(f.BGP.Peers) ||
-		len(f2.Policies) != len(f.Policies) || len(f2.PrefixLists) != len(f.PrefixLists) {
-		t.Error("canonical round trip changed structure")
-	}
-}

@@ -182,27 +182,6 @@ func TestQuickInsertDeleteIdentity(t *testing.T) {
 	}
 }
 
-// Property: parse(Canonical(parse(x))) produces the same Canonical text —
-// canonicalization is a fixed point.
-func TestQuickCanonicalFixedPoint(t *testing.T) {
-	f := func(seed int64) bool {
-		cfg := randomConfig(rand.New(rand.NewSource(seed)))
-		ast, err := Parse(cfg)
-		if err != nil {
-			return false // randomConfig must produce well-formed text
-		}
-		canon := Canonical(ast)
-		ast2, err := Parse(NewConfig(cfg.Device, canon))
-		if err != nil {
-			return false
-		}
-		return Canonical(ast2) == canon
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: EditSet with a single ReplaceLine preserves line count.
 func TestQuickReplacePreservesCount(t *testing.T) {
 	f := func(seed int64, n uint8) bool {

@@ -43,7 +43,10 @@ func runDaemon() error {
 	stateDir := os.Getenv("ACR_SERVICE_STATE")
 	killAfter, _ := strconv.Atoi(os.Getenv("ACR_SERVICE_KILL_AFTER"))
 	holdFile := os.Getenv("ACR_SERVICE_HOLD")
-	cfg := service.Config{StateDir: stateDir, Workers: 2}
+	// The persistent evaluation store is on, at the directory `acr serve`
+	// uses by default, so the kill lands on a daemon with the store open
+	// and the reboot reopens what the killed process wrote.
+	cfg := service.Config{StateDir: stateDir, Workers: 2, CacheDir: filepath.Join(stateDir, "evalstore")}
 	var hooks []journal.AppendHook
 	if holdFile != "" {
 		// Hold every append until the parent says go, so it can finish
@@ -61,14 +64,14 @@ func runDaemon() error {
 		hooks = append(hooks, chaos.NewKillSwitch(killAfter).Hook)
 	}
 	if len(hooks) > 0 {
-		cfg.JournalHook = func(n int, rec *journal.Record) error {
+		cfg = service.WithJournalHook(cfg, func(n int, rec *journal.Record) error {
 			for _, h := range hooks {
 				if err := h(n, rec); err != nil {
 					return err
 				}
 			}
 			return nil
-		}
+		})
 	}
 	srv, err := service.New(cfg)
 	if err != nil {
@@ -198,10 +201,31 @@ func TestDaemonSIGKILLResume(t *testing.T) {
 		job := postJob(t, addr1, request(seed))
 		ids[seed] = job.ID
 	}
+	// Each job is one file: the upload travels in the first record of
+	// jobs/<id>.wal, and no job has a directory.
+	jobsDir := filepath.Join(stateDir, "jobs")
+	if fi, err := os.Stat(filepath.Join(jobsDir, ids[3]+".wal")); err != nil || fi.Size() == 0 {
+		t.Errorf("uploaded job %s has no non-empty jobs/%s.wal (%v)", ids[3], ids[3], err)
+	}
+	entries, err := os.ReadDir(jobsDir)
+	if err != nil {
+		t.Error(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			t.Errorf("jobs/ holds a directory %s", e.Name())
+		}
+	}
+	for _, name := range []string{"store.lock", "store.log"} {
+		if _, err := os.Stat(filepath.Join(stateDir, "evalstore", name)); err != nil {
+			t.Errorf("daemon opened no evaluation store: %v", err)
+		}
+	}
 	if err := os.WriteFile(holdFile, []byte("go"), 0o644); err != nil {
+		cmd1.Process.Kill()
 		t.Fatal(err)
 	}
-	err := cmd1.Wait()
+	err = cmd1.Wait()
 	if err == nil {
 		t.Fatal("daemon exited cleanly; expected SIGKILL")
 	}

@@ -28,10 +28,6 @@ type Config struct {
 	// QueueCap bounds the queued-job count for admission control
 	// (<=0 means DefaultQueueCap). A full queue answers 429 + Retry-After.
 	QueueCap int
-	// JournalHook, when non-nil, is installed on every job's journal
-	// writer before the event mirror — the seam crash tests use to SIGKILL
-	// the daemon after N appends (chaos.KillSwitch) or to block appends.
-	JournalHook journal.AppendHook
 	// CacheDir, when non-empty, opens a persistent evaluation store there
 	// and wires it under every job's in-memory cache, so repeated and
 	// duplicate incidents are answered from disk instead of re-simulated.
@@ -41,6 +37,11 @@ type Config struct {
 	CacheDir string
 	// CacheMaxBytes bounds the store (<=0 means evalstore.DefaultMaxBytes).
 	CacheMaxBytes int64
+
+	// journalHook, when non-nil, runs on every job's journal append before
+	// the event mirror. Only tests set it (WithJournalHook), to SIGKILL the
+	// daemon after N appends or to hold appends.
+	journalHook journal.AppendHook
 }
 
 // DefaultQueueCap is the admission-control bound when Config leaves

@@ -256,7 +256,7 @@ func TestBackpressure429(t *testing.T) {
 		}
 	}()
 	hook := func(int, *journal.Record) error { <-release; return nil }
-	_, ts := newTestServer(t, service.Config{Workers: 1, QueueCap: 1, JournalHook: hook})
+	_, ts := newTestServer(t, service.WithJournalHook(service.Config{Workers: 1, QueueCap: 1}, hook))
 
 	unsat := unsatisfiableUpload(t)
 	// Job A occupies the lone worker (blocked on its first journal append).
@@ -303,7 +303,7 @@ func TestBackpressure429(t *testing.T) {
 func TestCancelMidRun(t *testing.T) {
 	release := make(chan struct{})
 	hook := func(int, *journal.Record) error { <-release; return nil }
-	_, ts := newTestServer(t, service.Config{Workers: 1, JournalHook: hook})
+	_, ts := newTestServer(t, service.WithJournalHook(service.Config{Workers: 1}, hook))
 
 	job, _ := submit(t, ts, service.JobRequest{Case: unsatisfiableUpload(t), Seed: 1, MaxIterations: 100000})
 	waitState(t, ts, job.ID, func(j service.Job) bool { return j.State == service.StateRunning })
@@ -583,7 +583,7 @@ func TestAdmissionRaceAtCapacity(t *testing.T) {
 		}
 	}()
 	hook := func(int, *journal.Record) error { <-release; return nil }
-	_, ts := newTestServer(t, service.Config{Workers: 1, QueueCap: 2, JournalHook: hook})
+	_, ts := newTestServer(t, service.WithJournalHook(service.Config{Workers: 1, QueueCap: 2}, hook))
 
 	// Occupy the lone worker (the job parks at its first engine append),
 	// then one of the two queue slots.
@@ -673,7 +673,7 @@ func TestShutdownDrainRequeuesAndResumes(t *testing.T) {
 		checkpointed = checkpointed || r.Type == journal.TypeCheckpoint
 		return nil
 	}
-	srv1, err := service.New(service.Config{StateDir: stateDir, Workers: 1, JournalHook: hook})
+	srv1, err := service.New(service.WithJournalHook(service.Config{StateDir: stateDir, Workers: 1}, hook))
 	if err != nil {
 		t.Fatal(err)
 	}

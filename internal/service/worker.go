@@ -84,11 +84,11 @@ func (s *Server) runJob(j *job) {
 		s.transition(j, w, StateFailed, journalErr(err).Error(), nil)
 		return
 	}
-	// Mirror the journal stream onto the job's SSE event log, after any
-	// configured hook (the chaos kill switch in crash tests) has had its
-	// chance to take the process down first — exactly the order a real
-	// crash interleaves durability and observability.
-	hook := s.cfg.JournalHook
+	// Mirror the journal stream onto the job's SSE event log, after the
+	// test hook (a kill switch in crash tests) has had its chance to take
+	// the process down first — exactly the order a real crash interleaves
+	// durability and observability.
+	hook := s.cfg.journalHook
 	w.Hook = func(n int, r *journal.Record) error {
 		if hook != nil {
 			if err := hook(n, r); err != nil {

@@ -124,7 +124,3 @@ type library struct{}
 // EngineTemplates returns core.BuiltinTemplates: the Table 1 library in
 // generation order.
 func (library) EngineTemplates() []core.Template { return core.BuiltinTemplates() }
-
-// UniversalTemplates returns core.UniversalTemplates: the §6 ablation
-// library in generation order.
-func (library) UniversalTemplates() []core.Template { return core.UniversalTemplates() }
