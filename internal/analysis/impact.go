@@ -87,22 +87,6 @@ type Impact struct {
 	// injected there, flows whose base traces visit it) must re-verify with
 	// fresh simulations of the prefixes they consult.
 	LocalDevices map[string]bool
-	// SessionDevices are devices with a *deferred* session-identity change:
-	// inputs that influence behavior only through which sessions establish
-	// (peer stanza presence and remote-as, interface shutdown). The scope
-	// decision is postponed to the verifier, which compiles the candidate
-	// anyway: if the established-session set equals the base's, the change
-	// was behaviorally inert and contributes nothing; otherwise the
-	// verifier calls ExpandSessions to widen to full control scope.
-	SessionDevices map[string]bool
-	// LocalPrefixes records prefixes affected only as observed *at* one
-	// leaf device: an export-policy delta on a transit router toward a
-	// non-transit peer changes what that peer hears and nothing else (its
-	// re-advertisements die to AS-path loop detection, and it originates
-	// none of these prefixes). The verifier re-derives just the leaf's
-	// entry of the base outcome instead of running a full prefix
-	// simulation, and only intents observing the leaf re-verify.
-	LocalPrefixes map[string]map[netip.Prefix]bool
 }
 
 // newImpact returns an empty, fully allocated impact set.
@@ -112,8 +96,6 @@ func newImpact() *Impact {
 		Literals:         map[netip.Prefix]bool{},
 		DataplaneDevices: map[string]bool{},
 		LocalDevices:     map[string]bool{},
-		SessionDevices:   map[string]bool{},
-		LocalPrefixes:    map[string]map[netip.Prefix]bool{},
 	}
 }
 
@@ -122,13 +104,9 @@ func (im *Impact) String() string {
 	if im.Broad {
 		return "broad"
 	}
-	localpfx := 0
-	for _, m := range im.LocalPrefixes { //acrvet:ordered — counts only
-		localpfx += len(m)
-	}
-	return fmt.Sprintf("prefixes=%d literals=%d dataplane=%d locals=%d gated=%d localpfx=%d sessions=%v",
+	return fmt.Sprintf("prefixes=%d literals=%d dataplane=%d locals=%d sessions=%v",
 		len(im.Prefixes), len(im.Literals), len(im.DataplaneDevices),
-		len(im.LocalDevices), len(im.SessionDevices), localpfx, im.SessionsMayChange)
+		len(im.LocalDevices), im.SessionsMayChange)
 }
 
 // Digest returns a canonical SHA-256 of the impact set. Two candidates
@@ -161,15 +139,6 @@ func (im *Impact) Digest() string {
 	writePrefixes("literals", im.Literals)
 	writeDevices("dataplane", im.DataplaneDevices)
 	writeDevices("locals", im.LocalDevices)
-	writeDevices("gated", im.SessionDevices)
-	leaves := make([]string, 0, len(im.LocalPrefixes))
-	for d := range im.LocalPrefixes { //acrvet:ordered — collected then sorted below
-		leaves = append(leaves, d)
-	}
-	sort.Strings(leaves)
-	for _, d := range leaves {
-		writePrefixes("localpfx "+d, im.LocalPrefixes[d])
-	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -195,12 +164,6 @@ type ImpactAnalyzer struct {
 	// inside the component — the set a component-wide change can influence
 	// (see compPrefixes). Precomputed eagerly so Compare stays lock-free.
 	compSets []map[netip.Prefix]bool
-
-	// addrOwner maps an interface address to the device owning it in the
-	// base, resolving peer-stanza addresses to the session's remote end.
-	// Valid for candidates too: the verifier falls back to a full check
-	// whenever the established-session set deviates from the base.
-	addrOwner map[netip.Addr]string
 }
 
 // NewImpactAnalyzer indexes a verified base: its parsed files, the
@@ -208,24 +171,11 @@ type ImpactAnalyzer struct {
 // topology's influence graph.
 func NewImpactAnalyzer(base map[string]*netcfg.File, universe []netip.Prefix, origins map[netip.Prefix][]string, graph *topo.InfluenceGraph) *ImpactAnalyzer {
 	a := &ImpactAnalyzer{
-		base:      base,
-		universe:  append([]netip.Prefix(nil), universe...),
-		origins:   origins,
-		graph:     graph,
-		compSets:  make([]map[netip.Prefix]bool, graph.NumComponents()),
-		addrOwner: map[netip.Addr]string{},
-	}
-	bdevs := make([]string, 0, len(base))
-	for d := range base { //acrvet:ordered — collected then sorted below
-		bdevs = append(bdevs, d)
-	}
-	sort.Strings(bdevs)
-	for _, d := range bdevs {
-		for _, i := range base[d].Interfaces {
-			if i.Addr.IsValid() {
-				a.addrOwner[i.Addr.Addr()] = d
-			}
-		}
+		base:     base,
+		universe: append([]netip.Prefix(nil), universe...),
+		origins:  origins,
+		graph:    graph,
+		compSets: make([]map[netip.Prefix]bool, graph.NumComponents()),
 	}
 	// One set per component: a prefix is in a component's set when one of
 	// its origins is in the component. A prefix with no known origin, or
@@ -325,209 +275,23 @@ func (a *ImpactAnalyzer) controlScope(im *Impact, dev string) {
 	im.LocalDevices[dev] = true
 }
 
-// sessionChange marks a change to session-identity inputs on dev whose
-// influence is not limited to session establishment (BGP block presence,
-// the device ASN — which feeds AS-path prepending and loop rejection —
-// and duplicate-stanza resolution): full control scope, immediately.
+// sessionChange marks a change to session-identity inputs on dev (BGP
+// block presence, the device ASN, peer stanza presence and remote-as,
+// interface shutdown): the established-session set may change, so the
+// change gets full control scope.
 func (a *ImpactAnalyzer) sessionChange(im *Impact, dev string) {
 	im.SessionsMayChange = true
 	a.controlScope(im, dev)
 }
 
-// sessionGate records a deferred session-identity change on dev: the
-// changed inputs (peer stanza presence, its remote-as value, interface
-// shutdown) feed nothing in the simulator but the session-establishment
-// predicates, so their behavioral effect is fully captured by whether the
-// established-session set changes — which the verifier observes for free
-// when it compiles the candidate. No scope is added here; the verifier
-// calls ExpandSessions exactly when the session set differs. A candidate
-// that, say, rewrites a down session's remote-as to another wrong value
-// keeps the session down and is provably inert on this channel.
-func (a *ImpactAnalyzer) sessionGate(im *Impact, dev string) {
-	im.SessionsMayChange = true
-	im.SessionDevices[dev] = true
-}
-
-// ExpandSessions widens every deferred session device to full control
-// scope. The verifier calls it after compiling the candidate, exactly when
-// the established-session set differs from the base's; when the set is
-// unchanged the deferred inputs were behaviorally inert and contribute no
-// scope at all.
-func (a *ImpactAnalyzer) ExpandSessions(im *Impact) {
-	devs := make([]string, 0, len(im.SessionDevices))
-	for d := range im.SessionDevices { //acrvet:ordered — collected then sorted below
-		devs = append(devs, d)
-	}
-	sort.Strings(devs)
-	for _, d := range devs {
-		a.controlScope(im, d)
-	}
-}
-
-// attachScope scopes an attachment change on peer stanza s — present as s0
-// in the base file and s1 in the candidate — by diffing the effective
-// per-direction policy chains the simulator will evaluate. Only the chains'
-// delta is scoped; policies common to both versions act identically on any
-// route the rest of the analysis leaves unscoped, so they drop out. The
-// affected session is the stanza's own, so export-side deltas can localize
-// to its remote end when that end is a leaf.
-func (a *ImpactAnalyzer) attachScope(im *Impact, dev string, f0 *netcfg.File, s0 *netcfg.Peer, f1 *netcfg.File, s1 *netcfg.Peer) {
-	var remotes []string
-	if r := a.addrOwner[s0.Addr]; r != "" {
-		remotes = []string{r}
-	}
-	for _, d := range []netcfg.Direction{netcfg.Import, netcfg.Export} {
-		a.attachDeltaScope(im, dev, f0, f0.EffectivePolicies(s0, d), f1, f1.EffectivePolicies(s1, d), remotes)
-	}
-}
-
-// attachDeltaScope scopes the difference between two policy chains. A route
-// r is processed identically by both chains if every policy acting
-// non-trivially on r (matching a non-transparent node) is common to both
-// chains in the same relative order: deleting r's no-op policies from each
-// chain leaves the same sequence. So when the common attachments preserve
-// their relative order, only the symmetric difference needs scoping; a
-// reorder of common elements falls back to scoping both chains whole
-// (duplicate applies — e.g. double prepend — make even a repeated common
-// policy order-sensitive, which the multiset pairing handles).
-func (a *ImpactAnalyzer) attachDeltaScope(im *Impact, dev string, f0 *netcfg.File, eff0 []*netcfg.PolicyAttach, f1 *netcfg.File, eff1 []*netcfg.PolicyAttach, remotes []string) {
-	key := func(at *netcfg.PolicyAttach) string {
-		return at.Policy + "\x00" + string(rune(at.Direction))
-	}
-	count1 := map[string]int{}
-	for _, at := range eff1 {
-		count1[key(at)]++
-	}
-	// Pair each eff0 element with an eff1 occurrence (multiset
-	// intersection); unpaired elements form the v0 side of the delta.
-	var common0 []string
-	var delta0 []*netcfg.PolicyAttach
-	for _, at := range eff0 {
-		k := key(at)
-		if count1[k] > 0 {
-			count1[k]--
-			common0 = append(common0, k)
-		} else {
-			delta0 = append(delta0, at)
-		}
-	}
-	count0 := map[string]int{}
-	for _, at := range eff0 {
-		count0[key(at)]++
-	}
-	var common1 []string
-	var delta1 []*netcfg.PolicyAttach
-	for _, at := range eff1 {
-		k := key(at)
-		if count0[k] > 0 {
-			count0[k]--
-			common1 = append(common1, k)
-		} else {
-			delta1 = append(delta1, at)
-		}
-	}
-	ordered := len(common0) == len(common1)
-	for i := range common0 {
-		if !ordered || common0[i] != common1[i] {
-			ordered = false
-			break
-		}
-	}
-	if !ordered {
-		a.attachesScope(im, dev, f0, eff0, remotes)
-		a.attachesScope(im, dev, f1, eff1, remotes)
-		return
-	}
-	a.attachesScope(im, dev, f0, delta0, remotes)
-	a.attachesScope(im, dev, f1, delta1, remotes)
-}
-
-// attachesScope scopes a set of delta attachments. Export-direction
-// attachments whose affected sessions all terminate at leaf remotes
-// localize: what the delta policies can match changes only as observed at
-// those leaves (their re-advertisements die to AS-path loop detection), so
-// the matched prefixes go to LocalPrefixes instead of the global set —
-// except prefixes a remote itself originates, whose best-route flip at the
-// leaf could alter what it re-exports, and prefixes with unknown origin.
-// Import-direction deltas change the edited (transit) device's own RIB and
-// stay global.
-func (a *ImpactAnalyzer) attachesScope(im *Impact, dev string, f *netcfg.File, attaches []*netcfg.PolicyAttach, remotes []string) {
-	leafOnly := len(remotes) > 0
-	for _, r := range remotes {
-		if a.graph.Transit(r) {
-			leafOnly = false
-			break
-		}
-	}
+// attachesScope scopes a changed attachment list whole: every prefix each
+// attached policy can alter, in the file version the list lives in. The
+// caller passes the old and the new list; policies common to both are
+// scoped too, which costs precision only when the two lists share one.
+func (a *ImpactAnalyzer) attachesScope(im *Impact, dev string, f *netcfg.File, attaches []*netcfg.PolicyAttach) {
 	for _, at := range attaches {
-		if leafOnly && at.Direction == netcfg.Export {
-			if set, ok := a.policyMatchSet(dev, f, at.Policy); ok {
-				ps := make([]netip.Prefix, 0, len(set))
-				for p := range set { //acrvet:ordered — collected then sorted below
-					ps = append(ps, p)
-				}
-				sortPrefixes(ps)
-				for _, p := range ps {
-					if a.originatedByAny(p, remotes) {
-						im.Prefixes[p] = true
-						continue
-					}
-					for _, r := range remotes {
-						if im.LocalPrefixes[r] == nil {
-							im.LocalPrefixes[r] = map[netip.Prefix]bool{}
-						}
-						im.LocalPrefixes[r][p] = true
-					}
-				}
-				continue
-			}
-		}
 		a.policyScope(im, dev, f, at.Policy)
 	}
-}
-
-// policyMatchSet collects the universe prefixes the policy's
-// non-transparent nodes can match, resolved in file f and bounded by dev's
-// component. ok is false when some node matches everything (no match
-// clauses): the caller must fall back to full policy scope.
-func (a *ImpactAnalyzer) policyMatchSet(dev string, f *netcfg.File, name string) (map[netip.Prefix]bool, bool) {
-	set := map[netip.Prefix]bool{}
-	comp := a.compPrefixes(dev)
-	for _, n := range f.PolicyNodes(name) {
-		if n.Permit && len(n.Applies) == 0 {
-			continue
-		}
-		if len(n.Matches) == 0 {
-			return nil, false
-		}
-		for _, mc := range n.Matches {
-			for _, e := range f.PrefixListEntries(mc.PrefixList) {
-				for _, p := range a.universe {
-					if e.Matches(p) && comp[p] {
-						set[p] = true
-					}
-				}
-			}
-		}
-	}
-	return set, true
-}
-
-// originatedByAny reports whether any of the devices originates p in the
-// base. An unknown origin set is conservatively treated as originated.
-func (a *ImpactAnalyzer) originatedByAny(p netip.Prefix, devs []string) bool {
-	owners := a.origins[p]
-	if len(owners) == 0 {
-		return true
-	}
-	for _, o := range owners {
-		for _, d := range devs {
-			if o == d {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // policyScope marks the prefixes the policy as a whole can alter. A route
@@ -614,18 +378,20 @@ func (a *ImpactAnalyzer) diffSessionIdentity(im *Impact, dev string, f0, f1 *net
 		for addr, s0 := range p0 { //acrvet:ordered — sets flags, emits nothing
 			s1 := p1[addr]
 			if s1 == nil || s0.ASN != s1.ASN || (s0.ASNLine == 0) != (s1.ASNLine == 0) {
-				a.sessionGate(im, dev)
+				a.sessionChange(im, dev)
 			} else if s0.Group != s1.Group || !eqAttaches(s0.Policies, s1.Policies) {
 				// Same session predicates, different effective policies:
-				// routes matched by no node of any involved policy pass
-				// through unchanged, so scope to what the chains' delta
-				// matches.
-				a.attachScope(im, dev, f0, s0, f1, s1)
+				// routes matched by no node of either chain pass through
+				// unchanged, so scope to what the two chains match.
+				for _, d := range []netcfg.Direction{netcfg.Import, netcfg.Export} {
+					a.attachesScope(im, dev, f0, f0.EffectivePolicies(s0, d))
+					a.attachesScope(im, dev, f1, f1.EffectivePolicies(s1, d))
+				}
 			}
 		}
 		for addr := range p1 { //acrvet:ordered — sets flags, emits nothing
 			if p0[addr] == nil {
-				a.sessionGate(im, dev)
+				a.sessionChange(im, dev)
 			}
 		}
 	}
@@ -636,13 +402,13 @@ func (a *ImpactAnalyzer) diffSessionIdentity(im *Impact, dev string, f0, f1 *net
 	shut := func(i *netcfg.Interface) bool { return i != nil && i.Shutdown }
 	for name, a0 := range i0 { //acrvet:ordered — sets flags, emits nothing
 		if shut(a0) != shut(i1[name]) {
-			a.sessionGate(im, dev)
+			a.sessionChange(im, dev)
 			im.DataplaneDevices[dev] = true
 		}
 	}
 	for name, a1 := range i1 { //acrvet:ordered — sets flags, emits nothing
 		if i0[name] == nil && shut(a1) {
-			a.sessionGate(im, dev)
+			a.sessionChange(im, dev)
 			im.DataplaneDevices[dev] = true
 		}
 	}
@@ -672,48 +438,19 @@ func (a *ImpactAnalyzer) diffRouteSelection(im *Impact, dev string, f0, f1 *netc
 		switch {
 		case x1 == nil:
 			// Group removed: member peers lose exactly its policies.
-			a.attachesScope(im, dev, f0, x0.Policies, a.groupRemotes(name, f0, f1))
+			a.attachesScope(im, dev, f0, x0.Policies)
 		case x0.External != x1.External:
 			a.controlScope(im, dev)
 		case !eqAttaches(x0.Policies, x1.Policies):
-			// Member peers' chains share the peer-attach prefix and this
-			// group's suffix; only the suffix delta needs scoping.
-			a.attachDeltaScope(im, dev, f0, x0.Policies, f1, x1.Policies, a.groupRemotes(name, f0, f1))
+			a.attachesScope(im, dev, f0, x0.Policies)
+			a.attachesScope(im, dev, f1, x1.Policies)
 		}
 	}
 	for name, x1 := range g1 { //acrvet:ordered — sets flags, emits nothing
 		if g0[name] == nil {
-			a.attachesScope(im, dev, f1, x1.Policies, a.groupRemotes(name, f0, f1))
+			a.attachesScope(im, dev, f1, x1.Policies)
 		}
 	}
-}
-
-// groupRemotes resolves the remote devices of every session whose chain
-// includes group name — its member peers in either file version. A nil
-// return (no members, or a peer address the base cannot place) disables
-// export-side localization for the group's delta.
-func (a *ImpactAnalyzer) groupRemotes(name string, f0, f1 *netcfg.File) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range []*netcfg.File{f0, f1} {
-		if f.BGP == nil {
-			continue
-		}
-		for _, p := range f.BGP.Peers {
-			if p.Group != name {
-				continue
-			}
-			r := a.addrOwner[p.Addr]
-			if r == "" {
-				return nil
-			}
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
-			}
-		}
-	}
-	return out
 }
 
 // diffOriginations covers network statements and the redistribute

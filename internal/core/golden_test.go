@@ -28,12 +28,12 @@ import (
 func TestJournalGolden(t *testing.T) {
 	want := map[string]string{
 		"inc-000-Peer":   "eaf0766ff0e74709ec2cf6dee5b99919d64a6a97f9bd392f6985e36c9405fe55",
-		"inc-001-Peer":   "0d551aa04632b64c80a2f4c7e4a2eb184758e83222db822c27deae0bac2316b6",
+		"inc-001-Peer":   "a1a4d383039dcf73bb3a6e674d9a6665f7610d01449a4391340d7c3ac88718a1",
 		"inc-002-Route":  "8a40f0fa67853824aecae2fd50b99fe5fddab73e96ceda166fc054e085109adb",
 		"inc-003-Policy": "6a2911d33cc2f7b53d7b305324d6f3d09691a0ab5ae698d1f47e71acb77b6e75",
 		"inc-005-PBR":    "b095256497b9bd48809dce7c68a057c2308f9eec89c904047040ded9a4438f9a",
-		"inc-007-Policy": "6a500fb003e0d1d291b6b747383ca3df0f5d8c9b41d7de62a886fdcdf93d82df",
-		"inc-060-Policy": "00ea47873ac6c85cd5a0f4bd7d66deeaf772a243b706f25cbd4727e625476f16",
+		"inc-007-Policy": "13983c044bf0ee4cc030390f465fd3e6acb7e140a17d62a50673ecee3d177218",
+		"inc-060-Policy": "8620ca1c342072669ab6d8307d31b9f5dc12815fb332a704659afe2dd24e47ed",
 	}
 	corpus, err := incidents.GenerateCorpus(incidents.CorpusOptions{Seed: 1})
 	if err != nil {
@@ -82,7 +82,7 @@ func TestJournalGolden(t *testing.T) {
 func TestReportGolden(t *testing.T) {
 	const (
 		wantReports = "16548981494273d6ba8321eba3d86d656864fc6fb6b025a1c7c1480adbb6d0c5"
-		wantImpacts = "327cc3bbd70a8c7e9fd47b7162837fe85af9be449f25eabdc6d1d4d2c88f8ccf"
+		wantImpacts = "251e27f77eebb0b4cb7451f2b89162029b32c25fbcc79b1467a4c4d6c20a70ab"
 	)
 	corpus, err := incidents.GenerateCorpus(incidents.CorpusOptions{Seed: 1})
 	if err != nil {

@@ -11,14 +11,23 @@ import (
 	"testing"
 )
 
-// TestImportGuard keeps the oracle independent and out of the product: no
-// non-test file in the module imports this package, and the reference
-// simulator imports nothing of the module but netcfg and topo, and nothing
-// outside the standard library.
+// testOnly lists the module's test-only packages, each with the directory
+// whose non-test files may import it: no other non-test file may, so the
+// acr binary and the daemon carry neither the reference simulator nor
+// crash hooks.
+var testOnly = []struct{ pkg, allowed string }{
+	{"acr/internal/oracle", "internal/oracle"},
+	{"acr/internal/chaos", "internal/chaos"},
+}
+
+// TestImportGuard walks the module's non-test files once. It enforces
+// testOnly, and keeps the reference simulator independent: refsim.go
+// imports nothing of the module but netcfg and topo, and nothing outside
+// the standard library.
 func TestImportGuard(t *testing.T) {
 	const root = "../.."
 	fset := token.NewFileSet()
-	scanned, sawRefsim := 0, false
+	scanned, sawRefsim, sawMain := 0, false, false
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -40,13 +49,18 @@ func TestImportGuard(t *testing.T) {
 			return err
 		}
 		scanned++
-		refsim := filepath.ToSlash(path) == root+"/internal/oracle/refsim.go"
+		rel := strings.TrimPrefix(filepath.ToSlash(path), root+"/")
+		refsim := rel == "internal/oracle/refsim.go"
 		sawRefsim = sawRefsim || refsim
+		sawMain = sawMain || rel == "cmd/acr/main.go"
 		for _, imp := range f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
+			for _, g := range testOnly {
+				if p == g.pkg && !strings.HasPrefix(rel, g.allowed+"/") {
+					t.Errorf("%s imports the test-only %s", path, p)
+				}
+			}
 			switch {
-			case p == "acr/internal/oracle":
-				t.Errorf("%s imports the test-only oracle", path)
 			case refsim && strings.HasPrefix(p, "acr/") && p != "acr/internal/netcfg" && p != "acr/internal/topo":
 				t.Errorf("refsim.go imports %s; the reference may use only netcfg and topo", p)
 			case refsim && strings.Contains(strings.Split(p, "/")[0], "."):
@@ -58,7 +72,7 @@ func TestImportGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sawRefsim || scanned < 50 {
-		t.Fatalf("scanned %d files (refsim.go seen: %v): the guard is vacuous", scanned, sawRefsim)
+	if !sawRefsim || !sawMain || scanned < 50 {
+		t.Fatalf("scanned %d files (refsim.go seen: %v, cmd/acr/main.go seen: %v): the guard is vacuous", scanned, sawRefsim, sawMain)
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 // fuzzBases lazily builds the two base verifiers the fuzzers mutate
 // against: the Figure 2 incident (small, every intent kind) and a WAN
-// with transit/leaf structure (exercises leaf-local slices).
+// with transit/leaf structure (exercises the leaf control-plane scope).
 // Check never mutates the verifier, so one instance per base serves every
 // fuzz iteration.
 var fuzzBases = sync.OnceValue(func() []*verify.Incremental {

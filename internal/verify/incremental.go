@@ -20,8 +20,8 @@ type Stats struct {
 	// PrefixesSimulated counts prefixes simulated cold, delta fallbacks
 	// included.
 	PrefixesSimulated int
-	// Deprecated: PrefixesDerived is always zero. Leaf-local slices are
-	// answered by delta re-simulation and counted in PrefixesDelta.
+	// Deprecated: PrefixesDerived is always zero; every simulated prefix
+	// counts in PrefixesSimulated or PrefixesDelta.
 	PrefixesDerived int
 	// PrefixesDelta counts prefixes answered by delta re-simulation
 	// (bgp.DeltaSimulatePrefix): seeded from the base outcome, only the
@@ -343,16 +343,6 @@ func (iv *Incremental) CheckApplied(ctx context.Context, newConfigs map[string]*
 	if !broad && !im.SessionsMayChange && !sameSessions {
 		broad = true
 	}
-	// Deferred session-identity changes (peer stanza presence/remote-as,
-	// interface shutdown) influence behavior only through which sessions
-	// establish. The compile above already decided that: expand them to
-	// full control scope when the session set changed; otherwise they were
-	// behaviorally inert and contribute nothing — a wrong-value remote-as
-	// guess on a down session refutes statically instead of re-simulating
-	// the whole component.
-	if !sameSessions && len(im.SessionDevices) > 0 {
-		iv.impact.ExpandSessions(im)
-	}
 	// Cross-check 2: every origination entering or leaving the universe
 	// must have been predicted as a literal (or already-affected prefix).
 	affected := make(map[netip.Prefix]bool, len(im.Prefixes))
@@ -409,54 +399,10 @@ func (iv *Incremental) CheckApplied(ctx context.Context, newConfigs map[string]*
 		}
 	}
 
-	// leafObs[i] lists the LocalPrefixes leaves intent i observes: only
-	// those intents can see a leaf-local change, and only for the prefixes
-	// held locally at an observed leaf.
-	var leafObs []map[string]bool
-	if !broad && len(im.LocalPrefixes) > 0 {
-		leafObs = make([]map[string]bool, len(iv.Intents))
-		for i, in := range iv.Intents {
-			for d := range im.LocalPrefixes { //acrvet:ordered — builds a set
-				if iv.observesDevice(iv.report.Verdicts[i], in, iv.probes[i], d) {
-					if leafObs[i] == nil {
-						leafObs[i] = map[string]bool{}
-					}
-					leafObs[i][d] = true
-				}
-			}
-		}
-	}
-	localTriggers := func(i int, in Intent) bool {
-		if leafObs == nil || leafObs[i] == nil {
-			return false
-		}
-		for d := range leafObs[i] { //acrvet:ordered — any-match boolean
-			for p := range im.LocalPrefixes[d] { //acrvet:ordered — any-match boolean
-				if consultsPrefix(in, iv.probes[i], p) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	// readsLeafLocal reports whether intent i observes a leaf at which
-	// prefix p changed (im.LocalPrefixes).
-	readsLeafLocal := func(i int, p netip.Prefix) bool {
-		if leafObs == nil {
-			return false
-		}
-		for d := range leafObs[i] { //acrvet:ordered — any-match boolean
-			if im.LocalPrefixes[d][p] {
-				return true
-			}
-		}
-		return false
-	}
-
 	reverify := make([]bool, len(iv.Intents))
 	any := false
 	for i, in := range iv.Intents {
-		if broad || localWatch[i] || localTriggers(i, in) ||
+		if broad || localWatch[i] ||
 			iv.impactTriggers(iv.report.Verdicts[i], in, iv.probes[i], im, affected, editedLines) {
 			reverify[i] = true
 			any = true
@@ -474,17 +420,15 @@ func (iv *Incremental) CheckApplied(ctx context.Context, newConfigs map[string]*
 	// triggered intent reads its outcome (flow intents read the longest
 	// ByPrefix key covering their destination — any covering key is
 	// potentially selected — global intents read their DstPrefix key
-	// exactly), and either the prefix itself is affected, or the reader
+	// exactly), and either the prefix itself is affected or the reader
 	// observes a changed leaf device, whose base outcome for p carries a
-	// stale local FIB, or it observes a leaf at which p changed. That last
-	// slice is leaf-local: delta over the edited devices re-derives the
-	// leaf's entry and stops one hop later (DESIGN.md §12).
+	// stale local FIB.
 	simNeeded := func(p netip.Prefix) bool {
 		for i, in := range iv.Intents {
 			if !reverify[i] {
 				continue
 			}
-			if consultsPrefix(in, iv.probes[i], p) && (affected[p] || localWatch[i] || readsLeafLocal(i, p)) {
+			if consultsPrefix(in, iv.probes[i], p) && (affected[p] || localWatch[i]) {
 				return true
 			}
 		}
@@ -604,29 +548,18 @@ func (iv *Incremental) impactTriggers(base Verdict, in Intent, pr probe, im *ana
 // prefixes the leaf does not originate; leaf-originated prefixes are in
 // the affected set and trigger through the ordinary prefix channel).
 func (iv *Incremental) observesLocalDevices(base Verdict, in Intent, pr probe, im *analysis.Impact) bool {
-	for dev := range im.LocalDevices { //acrvet:ordered — any-match boolean
-		if iv.observesDevice(base, in, pr, dev) {
-			return true
-		}
-	}
-	return false
-}
-
-// observesDevice reports whether an intent reads routing state at dev:
-// global intents always do (they trace from every router holding a
-// route), a flow intent when it is injected there or its base traces
-// visit it.
-func (iv *Incremental) observesDevice(base Verdict, in Intent, pr probe, dev string) bool {
 	switch in.Kind {
 	case LoopFree, BlackholeFree:
 		return true
 	}
-	if pr.from == dev {
-		return true
-	}
-	for _, tr := range base.Traces {
-		if tr.Visits(dev) {
+	for dev := range im.LocalDevices { //acrvet:ordered — any-match boolean
+		if pr.from == dev {
 			return true
+		}
+		for _, tr := range base.Traces {
+			if tr.Visits(dev) {
+				return true
+			}
 		}
 	}
 	return false

@@ -3,10 +3,12 @@ package verify_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net/netip"
 	"strings"
 	"testing"
 
+	"acr/internal/analysis"
 	"acr/internal/bgp"
 	"acr/internal/netcfg"
 	"acr/internal/oracle"
@@ -129,14 +131,13 @@ func TestIncrementalDetectsNewViolation(t *testing.T) {
 	}
 }
 
-// TestLeafLocalSliceAnsweredByDelta: detaching a backbone router's export
-// policy toward its PoP group changes the DCN prefixes only as heard at
-// those PoPs (a leaf-local slice), and the isolation intents injected at
-// the PoPs read exactly those prefixes. Such a slice goes through delta
-// re-simulation over the edited router, like any other simulated prefix:
-// no cold simulation, no fallback, verdicts equal to a full check, and a
-// clean audit (oracle.Audit).
-func TestLeafLocalSliceAnsweredByDelta(t *testing.T) {
+// TestPoPExportDetachAnsweredByDelta: detaching a backbone router's export
+// policy toward its PoP group scopes the DCN prefixes the policy matches,
+// like any policy delta, and the isolation intents injected at the PoPs
+// read those prefixes. They are answered by delta re-simulation over the
+// edited router alone: no cold simulation, no fallback, verdicts equal to
+// a full check, and a clean audit (oracle.Audit).
+func TestPoPExportDetachAnsweredByDelta(t *testing.T) {
 	s := scenario.WAN(6, 3, 2, scenario.GenOptions{})
 	iv := newIV(t, s)
 	attach := "route-policy " + scenario.WANPolicyNoLeak + " export"
@@ -160,7 +161,7 @@ func TestLeafLocalSliceAnsweredByDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Refuted || stats.Broad || stats.PrefixesDelta < 1 || stats.PrefixesSimulated != 0 || stats.DeltaFallbacks != 0 {
-		t.Fatalf("leaf-local slice not answered by delta alone: %s", stats)
+		t.Fatalf("export detach not answered by delta alone: %s", stats)
 	}
 	if want := fmt.Sprintf("simulated 0/%d prefixes cold (delta=%d),", stats.PrefixesTotal, stats.PrefixesDelta); !strings.HasPrefix(stats.String(), want) {
 		t.Errorf("stats render %q, want prefix %q", stats, want)
@@ -174,6 +175,79 @@ func TestLeafLocalSliceAnsweredByDelta(t *testing.T) {
 	}
 	if rep.NumFailed() == 0 {
 		t.Errorf("removing the DCN-isolation export policy leaked nothing:\n%s", rep.Summary())
+	}
+	if err := oracle.Audit(context.Background(), iv, edits); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPoPRouterIDEditScopedToLeaf pins the leaf control-plane scope: a
+// router-id edit on a WAN PoP, a leaf, reaches the rest of the network
+// only through the prefixes the PoP originates, so the impact set holds
+// exactly those prefixes and LocalDevices = {PoP}, not the component's
+// prefixes. The check must equal the full check and pass oracle.Audit.
+func TestPoPRouterIDEditScopedToLeaf(t *testing.T) {
+	s := scenario.WAN(6, 3, 2, scenario.GenOptions{})
+	iv := newIV(t, s)
+	var pop string
+	for _, nd := range s.Topo.Nodes() {
+		if nd.Kind == topo.PoP {
+			pop = nd.Name
+			break
+		}
+	}
+	cfg := s.Configs[pop]
+	var edits []netcfg.EditSet
+	for l := 1; l <= cfg.NumLines(); l++ {
+		if strings.HasPrefix(strings.TrimSpace(cfg.Line(l)), "router-id ") {
+			edits = []netcfg.EditSet{{Device: pop, Edits: []netcfg.Edit{netcfg.ReplaceLine{At: l, Text: " router-id 9.9.9.9"}}}}
+		}
+	}
+	if edits == nil {
+		t.Fatalf("%s has no router-id line", pop)
+	}
+
+	n := iv.BaseNet()
+	origins := map[netip.Prefix][]string{}
+	own := map[netip.Prefix]bool{}
+	for _, name := range n.Order {
+		for _, o := range n.Routers[name].Origins {
+			origins[o.Prefix] = append(origins[o.Prefix], name)
+			own[o.Prefix] = own[o.Prefix] || name == pop
+		}
+	}
+	maps.DeleteFunc(own, func(_ netip.Prefix, mine bool) bool { return !mine })
+	a := analysis.NewImpactAnalyzer(iv.BaseFiles(), n.AllPrefixes(), origins, topo.NewInfluenceGraph(s.Topo))
+	newConfigs, err := iv.Apply(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := maps.Clone(iv.BaseFiles())
+	files[pop], _ = netcfg.Parse(newConfigs[pop])
+	im := a.Compare(files)
+	if im.Broad || im.SessionsMayChange || len(own) == 0 || len(own) == len(n.AllPrefixes()) {
+		t.Fatalf("impact %s; want a scoped, session-preserving change (%d own of %d prefixes)", im, len(own), len(n.AllPrefixes()))
+	}
+	if !maps.Equal(im.Prefixes, own) {
+		t.Errorf("Prefixes = %v, want %s's originations %v", im.Prefixes, pop, own)
+	}
+	if !maps.Equal(im.LocalDevices, map[string]bool{pop: true}) {
+		t.Errorf("LocalDevices = %v, want {%s}", im.LocalDevices, pop)
+	}
+
+	rep, stats, err := iv.Check(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Broad {
+		t.Errorf("leaf router-id edit checked broad: %s", stats)
+	}
+	full, err := iv.FullCheck(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reportsEqual(rep, full) {
+		t.Fatalf("incremental and full reports disagree:\ninc:\n%s\nfull:\n%s", rep.Summary(), full.Summary())
 	}
 	if err := oracle.Audit(context.Background(), iv, edits); err != nil {
 		t.Error(err)
