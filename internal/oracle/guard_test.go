@@ -1,78 +1,29 @@
 package oracle
 
 import (
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// testOnly lists the module's test-only packages, each with the directory
-// whose non-test files may import it: no other non-test file may, so the
-// acr binary and the daemon carry neither the reference simulator nor
-// crash hooks.
-var testOnly = []struct{ pkg, allowed string }{
-	{"acr/internal/oracle", "internal/oracle"},
-	{"acr/internal/chaos", "internal/chaos"},
-}
-
-// TestImportGuard walks the module's non-test files once. It enforces
-// testOnly, and keeps the reference simulator independent: refsim.go
-// imports nothing of the module but netcfg and topo, and nothing outside
-// the standard library.
+// TestImportGuard keeps the oracle out of the product and the reference
+// simulator independent: refsim.go imports nothing of the module but
+// netcfg and topo, and nothing outside the standard library.
 func TestImportGuard(t *testing.T) {
-	const root = "../.."
-	fset := token.NewFileSet()
-	scanned, sawRefsim, sawMain := 0, false, false
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	const refsim = "internal/oracle/refsim.go"
+	bad, err := ImportViolations("../..", "acr/internal/oracle", refsim, func(rel, p string) string {
+		switch {
+		case rel != refsim:
+		case strings.HasPrefix(p, "acr/") && p != "acr/internal/netcfg" && p != "acr/internal/topo":
+			return "refsim.go imports " + p + "; the reference may use only netcfg and topo"
+		case strings.Contains(strings.Split(p, "/")[0], "."):
+			return "refsim.go imports " + p + ", outside the standard library"
 		}
-		if d.IsDir() {
-			if path == root {
-				return nil
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir // another module, fixtures, tooling
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		scanned++
-		rel := strings.TrimPrefix(filepath.ToSlash(path), root+"/")
-		refsim := rel == "internal/oracle/refsim.go"
-		sawRefsim = sawRefsim || refsim
-		sawMain = sawMain || rel == "cmd/acr/main.go"
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			for _, g := range testOnly {
-				if p == g.pkg && !strings.HasPrefix(rel, g.allowed+"/") {
-					t.Errorf("%s imports the test-only %s", path, p)
-				}
-			}
-			switch {
-			case refsim && strings.HasPrefix(p, "acr/") && p != "acr/internal/netcfg" && p != "acr/internal/topo":
-				t.Errorf("refsim.go imports %s; the reference may use only netcfg and topo", p)
-			case refsim && strings.Contains(strings.Split(p, "/")[0], "."):
-				t.Errorf("refsim.go imports %s, outside the standard library", p)
-			}
-		}
-		return nil
+		return ""
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sawRefsim || !sawMain || scanned < 50 {
-		t.Fatalf("scanned %d files (refsim.go seen: %v, cmd/acr/main.go seen: %v): the guard is vacuous", scanned, sawRefsim, sawMain)
+	for _, msg := range bad {
+		t.Error(msg)
 	}
 }
