@@ -380,14 +380,14 @@ func TestCommitChainAndSessionChange(t *testing.T) {
 	}})
 }
 
-// TestCommitReverifiesReachedVerdicts: Commit keeps a parent's flow verdict
-// when its covering prefix's outcome did not move and its traces visit no
-// edited device, and checks global intents again. On the repaired Figure 2
-// with loop-free and blackhole-free intents added, S gains a null0 static
-// toward PoP-A's prefix. S redistributes no statics, so every prefix keeps
-// its outcome, yet the flow through S and the blackhole-freedom of that
-// prefix now fail: the first is caught only by its trace visiting S, the
-// second only by global intents always being checked. Deleting the static
+// TestCommitReverifiesReachedVerdicts: Commit keeps a parent's verdict
+// when nothing it read moved, and decides it again when something did. On
+// the repaired Figure 2 with loop-free and blackhole-free intents added, S
+// gains a null0 static toward PoP-A's prefix. S redistributes no statics,
+// so every prefix keeps its outcome, yet the flow through S and the
+// blackhole-freedom of that prefix now fail: the first is caught only by
+// its trace visiting S, whose forwarding changed, the second only by that
+// dataplane change reaching every global intent. Deleting the static
 // must restore both. Then B originates a /24 of PoP-A's prefix, which
 // leaves the /16's outcome alone but covers the flow's destination more
 // specifically: the flow must be checked against the new prefix.

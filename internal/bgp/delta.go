@@ -32,32 +32,29 @@ import (
 // the corpus byte-identity gate against full validation exist to catch
 // that class; every divergence found is a bug.
 
-// DeltaSimulate is Simulate for a net n that differs from base's only in
-// the configuration of the dirty routers and establishes the same sessions
-// (the DeltaSimulatePrefix precondition): every prefix is re-simulated from
-// its base outcome, cold where base has none, did not converge, or the
-// delta run refuses. A prefix whose stable state — Final, AdjIn and the
-// router IDs its sessions resolve AdjIn with — came out equal to base's
-// keeps base's *PrefixOutcome, so the caller recognises an unmoved prefix by
-// pointer.
-func DeltaSimulate(n *Net, base *Outcome, dirty []string, opts Options) *Outcome {
-	out := &Outcome{Net: n, ByPrefix: make(map[netip.Prefix]*PrefixOutcome, len(base.ByPrefix))}
-	for _, p := range n.AllPrefixes() {
-		if opts.canceled() {
-			out.ByPrefix[p] = &PrefixOutcome{Prefix: p, Canceled: true}
-			continue
-		}
-		old := base.ByPrefix[p]
-		po, ok := DeltaSimulatePrefix(n, old, dirty, p, opts)
-		if !ok {
-			po = SimulatePrefix(n, p, opts)
-		}
-		if sameStableState(po, old, n.Order) {
-			po = old
-		}
-		out.ByPrefix[p] = po
+// ResimulatePrefix is the one per-prefix step of a version derived from a
+// base: n is the version's net, base the base's outcome for prefix, and
+// dirty the routers whose configuration changed. With a base, n must
+// establish the base's sessions (the DeltaSimulatePrefix precondition): the
+// prefix is delta-simulated from base, cold where the delta run refuses,
+// and an outcome whose stable state — Final, AdjIn and the router IDs its
+// sessions resolve AdjIn with — came out equal to base's is base itself, so
+// the caller recognises an unmoved prefix by pointer. Without one it is
+// SimulatePrefix. acts counts the run's activations, which an outcome
+// handed back as base does not carry; delta reports whether the delta run
+// answered.
+func ResimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix netip.Prefix, opts Options) (po *PrefixOutcome, acts int, delta bool) {
+	if base != nil {
+		po, delta = DeltaSimulatePrefix(n, base, dirty, prefix, opts)
 	}
-	return out
+	if !delta {
+		po = SimulatePrefix(n, prefix, opts)
+	}
+	acts = po.Activations
+	if base != nil && sameStableState(po, base, n.Order) {
+		po = base
+	}
+	return po, acts, delta
 }
 
 // sameStableState reports whether two outcomes converged to the same

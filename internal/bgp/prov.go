@@ -25,15 +25,16 @@ func BuildProvenance(n *Net, out *Outcome) *provenance.Graph {
 	return DeriveProvenance(n, out, nil, nil, nil)
 }
 
-// DeriveProvenance is BuildProvenance for out = DeltaSimulate(n, base,
-// dirty), given baseProv, the graph of base. A prefix that kept base's
-// outcome replays, against n's files, only the originations at dirty
-// routers and the sessions with a dirty router at either end — export
-// lines live on the sender, import lines on the receiver, and an edit
-// renumbers both — and copies every other stored site from base's section:
-// it involves no dirty router, so it is what the replay would produce. A
-// prefix whose outcome moved is replayed in full. The result equals
-// BuildProvenance(n, out) site for site.
+// DeriveProvenance is BuildProvenance for out, the outcome of a version
+// derived from base with base's sessions kept and the dirty routers edited,
+// every prefix re-simulated by ResimulatePrefix, given baseProv, the graph
+// of base. A prefix that kept base's outcome replays, against n's files,
+// only the originations at dirty routers and the sessions with a dirty
+// router at either end — export lines live on the sender, import lines on
+// the receiver, and an edit renumbers both — and copies every other stored
+// site from base's section: it involves no dirty router, so it is what the
+// replay would produce. A prefix whose outcome moved is replayed in full.
+// The result equals BuildProvenance(n, out) site for site.
 func DeriveProvenance(n *Net, out, base *Outcome, baseProv *provenance.Graph, dirty []string) *provenance.Graph {
 	dirtySet := make(map[string]bool, len(dirty))
 	for _, d := range dirty {

@@ -191,7 +191,10 @@ func TestAllPrefixesSharedReadOnly(t *testing.T) {
 	baseOut := bgp.Simulate(base, bgp.Options{})
 	baseProv := bgp.BuildProvenance(base, baseOut)
 	dirty := []string{"A", "C"}
-	out := bgp.DeltaSimulate(n, baseOut, dirty, bgp.Options{})
+	out := &bgp.Outcome{Net: n, ByPrefix: map[netip.Prefix]*bgp.PrefixOutcome{}}
+	for _, p := range n.AllPrefixes() {
+		out.ByPrefix[p], _, _ = bgp.ResimulatePrefix(n, baseOut.ByPrefix[p], dirty, p, bgp.Options{})
+	}
 	bgp.DeriveProvenance(n, out, baseOut, baseProv, dirty)
 	bgp.Simulate(n, bgp.Options{})
 	got := n.AllPrefixes()

@@ -17,7 +17,7 @@ import (
 // immutable: the incremental verifier shares base outcomes by pointer
 // across candidate checks, across verifier clones, which callers may check
 // on concurrently (verify.Incremental.Clone), and across derived versions
-// (DeltaSimulate carries unmoved routes and whole outcomes into the next
+// (ResimulatePrefix carries unmoved routes and whole outcomes into the next
 // version) — so nothing may mutate one in place, and nothing caches on a
 // Route.
 type PrefixOutcome struct {

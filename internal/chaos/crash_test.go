@@ -3,8 +3,10 @@ package chaos
 import (
 	"context"
 	"encoding/json"
+	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"acr/internal/core"
@@ -228,6 +230,71 @@ func TestCrashResumeCorpus(t *testing.T) {
 	}
 	if later == 0 {
 		t.Fatal("no run resumed past its base checkpoint")
+	}
+}
+
+// cancelRun runs a journaled repair whose context is canceled at the start
+// of its k-th per-prefix simulation, leaving dir as a drained job or a
+// repair cut by its timeout leaves it.
+func cancelRun(t *testing.T, dir string, p core.Problem, opts core.Options, k int) *core.Result {
+	t.Helper()
+	w, err := journal.Create(dir, core.SessionHeader("crash-test", p, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sims := 0
+	opts.Journal = w
+	opts.SimOpts.PrefixHook = func(netip.Prefix) {
+		if sims++; sims == k {
+			cancel()
+		}
+	}
+	return core.RepairContext(ctx, p, opts)
+}
+
+// TestCancelResumeByteIdentical: a run canceled mid-simulation resumes
+// from its journal to the uninterrupted run's result and counters. The
+// points cut inc-000-Policy (a double fault, 188 per-prefix simulations)
+// at its base verification, inside its first candidate checks, during the
+// last preservation of an iteration (84–86: a checkpoint written after
+// that cut would hold a member scored on canceled outcomes, or none) and
+// near its end.
+func TestCancelResumeByteIdentical(t *testing.T) {
+	incs, err := incidents.GenerateCorpus(incidents.CorpusOptions{Size: 12, Seed: 5, DoubleFaultShare: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(incs, func(inc *incidents.Incident) bool { return inc.ID == "inc-000-Policy" })
+	if i < 0 {
+		t.Fatal("inc-000-Policy is not in the corpus")
+	}
+	s := incs[i].Scenario
+	p := core.Problem{Topo: s.Topo, Configs: s.Configs, Intents: s.Intents}
+	opts := core.Options{Seed: 11, MaxIterations: 20}
+	straight, _ := journaledRun(t, t.TempDir(), p, opts)
+	want := straight.Canonical()
+	total := 0
+	counted := opts
+	counted.SimOpts.PrefixHook = func(netip.Prefix) { total++ }
+	core.Repair(p, counted)
+	if total != 188 {
+		t.Fatalf("the uninterrupted run simulates %d prefixes, the points assume 188", total)
+	}
+	for _, k := range []int{1, 20, 84, 85, 86, 187} {
+		dir := t.TempDir()
+		if res := cancelRun(t, dir, p, opts, k); res.Termination != "canceled" {
+			t.Fatalf("cancel@%d: the run ended %q", k, res.Termination)
+		}
+		res := resumeRun(t, dir, p, opts)
+		if got := res.Canonical(); got != want {
+			t.Errorf("cancel@%d: resumed result diverges from uninterrupted run\n--- want ---\n%s\n--- got ---\n%s", k, want, got)
+		}
+		if res.Counters != straight.Counters {
+			t.Errorf("cancel@%d: resumed counters %+v, uninterrupted %+v", k, res.Counters, straight.Counters)
+		}
 	}
 }
 

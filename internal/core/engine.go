@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -536,10 +537,12 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 				maxFit = c.fitness
 			}
 		}
+		if _, ok := interrupted(); ok {
+			// A cut during the last preservation left that member out:
+			// checkpointing this population would resume a different search.
+			return abort()
+		}
 		if len(next) == 0 {
-			if _, ok := interrupted(); ok {
-				return abort()
-			}
 			if widen < 8 {
 				widen *= 2
 				endIteration()
@@ -887,8 +890,12 @@ func preserve(res *Result, descs []string, build func() (*candidate, error)) (c 
 	}()
 	c, err := build()
 	if err != nil {
-		res.recordError(&RepairError{Kind: KindValidation, Op: "preserve",
-			Candidate: strings.Join(descs, " + "), Err: err})
+		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			// A preservation the run's context cut is no invalid candidate:
+			// the caller aborts the run.
+			res.recordError(&RepairError{Kind: KindValidation, Op: "preserve",
+				Candidate: strings.Join(descs, " + "), Err: err})
+		}
 		return nil
 	}
 	return c

@@ -27,13 +27,13 @@ import (
 // so a change to how the engine builds that text shows here.
 func TestJournalGolden(t *testing.T) {
 	want := map[string]string{
-		"inc-000-Peer":   "eaf0766ff0e74709ec2cf6dee5b99919d64a6a97f9bd392f6985e36c9405fe55",
-		"inc-001-Peer":   "a1a4d383039dcf73bb3a6e674d9a6665f7610d01449a4391340d7c3ac88718a1",
+		"inc-000-Peer":   "4890f9a5489c485bec632b2a8f652869cf2646bc92bd4838142b64ab1504cae4",
+		"inc-001-Peer":   "aa520c0178e684e17feb8cca64e1540b776f9b3ff489fc8ae2b6077d027c6237",
 		"inc-002-Route":  "8a40f0fa67853824aecae2fd50b99fe5fddab73e96ceda166fc054e085109adb",
 		"inc-003-Policy": "6a2911d33cc2f7b53d7b305324d6f3d09691a0ab5ae698d1f47e71acb77b6e75",
 		"inc-005-PBR":    "b095256497b9bd48809dce7c68a057c2308f9eec89c904047040ded9a4438f9a",
-		"inc-007-Policy": "13983c044bf0ee4cc030390f465fd3e6acb7e140a17d62a50673ecee3d177218",
-		"inc-060-Policy": "8620ca1c342072669ab6d8307d31b9f5dc12815fb332a704659afe2dd24e47ed",
+		"inc-007-Policy": "44ea004f8b61b2d73d344493435ed618f581c13caccad2a1f0341f2111acac23",
+		"inc-060-Policy": "6bcd65a6eece3840262c7c65a570ba707ea374b6f8a4ea459de26afc4e7b7bab",
 	}
 	corpus, err := incidents.GenerateCorpus(incidents.CorpusOptions{Seed: 1})
 	if err != nil {

@@ -2,6 +2,8 @@ package verify_test
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -87,5 +89,44 @@ func checkAudited(t *testing.T, base, op uint8, line uint16, text string) {
 	}
 	if err := oracle.Audit(context.Background(), iv, edits); err != nil {
 		t.Fatalf("incremental check diverged from its references: %v", err)
+	}
+	committed := iv.Clone()
+	if err := committed.Commit(edits); err != nil {
+		t.Fatalf("commit of a checked edit: %v", err)
+	}
+	sameBase(t, fmt.Sprintf("%s %v", dev, edit), committed)
+}
+
+// sameBase fails unless committed, a verifier Commit advanced, holds the
+// base NewIncremental builds on its texts: every verdict's pass and reason,
+// and every prefix's convergence and stable routes.
+func sameBase(t *testing.T, label string, committed *verify.Incremental) {
+	t.Helper()
+	want := verify.NewIncremental(committed.Topo, committed.BaseConfigs(), committed.Intents, committed.SimOpts)
+	for i, w := range want.BaseReport().Verdicts {
+		if g := committed.BaseReport().Verdicts[i]; g.Pass != w.Pass || g.Reason() != w.Reason() {
+			t.Fatalf("%s: committed %s pass=%v %q, from scratch pass=%v %q", label, w.Intent.ID, g.Pass, g.Reason(), w.Pass, w.Reason())
+		}
+	}
+	prefixes := want.BaseNet().AllPrefixes()
+	if g := committed.BaseNet().AllPrefixes(); !slices.Equal(g, prefixes) {
+		t.Fatalf("%s: committed prefixes %v, from scratch %v", label, g, prefixes)
+	}
+	key := func(r *bgp.Route) string {
+		if r == nil {
+			return "-"
+		}
+		return r.Key() + " rid " + r.PeerRID.String()
+	}
+	for _, p := range prefixes {
+		g, w := committed.BaseOutcome().ByPrefix[p], want.BaseOutcome().ByPrefix[p]
+		if g.Converged != w.Converged {
+			t.Fatalf("%s: %v converged=%v, from scratch %v", label, p, g.Converged, w.Converged)
+		}
+		for _, d := range want.BaseNet().Order {
+			if key(g.Final[d]) != key(w.Final[d]) {
+				t.Fatalf("%s: %v at %s: committed %s, from scratch %s", label, p, d, key(g.Final[d]), key(w.Final[d]))
+			}
+		}
 	}
 }

@@ -24,8 +24,8 @@ type Stats struct {
 	// counts in PrefixesSimulated or PrefixesDelta.
 	PrefixesDerived int
 	// PrefixesDelta counts prefixes answered by delta re-simulation
-	// (bgp.DeltaSimulatePrefix): seeded from the base outcome, only the
-	// edit's wave of routers re-activated.
+	// (bgp.ResimulatePrefix): seeded from the base outcome, only the edit's
+	// wave of routers re-activated.
 	PrefixesDelta int
 	// DeltaFallbacks counts prefixes where the delta path refused the
 	// shortcut (non-converged base, pass bound) and a cold simulation ran.
@@ -38,9 +38,10 @@ type Stats struct {
 	// Broad marks a change the impact analysis could not scope (e.g. a
 	// session set it did not predict), forcing full re-verification.
 	Broad bool
-	// Refuted marks a candidate the static impact analysis proved unable
-	// to influence any intent: the base verdicts were returned with zero
-	// simulations and zero re-verifications.
+	// Refuted marks a candidate that was not broad and needed neither a
+	// simulation nor a verdict decided again: the static impact set left
+	// no intent anything to read that could have moved, and the base
+	// verdicts were returned.
 	Refuted bool
 }
 
@@ -60,8 +61,9 @@ func (s Stats) String() string {
 
 // Incremental is a DNA-style incremental verifier. It holds a verified
 // base configuration; Check evaluates candidate edit sets against that
-// base, re-simulating only affected prefixes and re-checking only affected
-// intents. Commit advances the base to an accepted candidate.
+// base, re-simulating only affected prefixes and deciding again only the
+// verdicts whose inputs moved. Commit advances the base to an accepted
+// candidate by the same derivation.
 type Incremental struct {
 	Topo    *topo.Network
 	Intents []Intent
@@ -114,46 +116,11 @@ func (iv *Incremental) rebase(configs map[string]*netcfg.Config) {
 	}
 	n := bgp.Compile(iv.Topo, files)
 	out := bgp.Simulate(n, iv.SimOpts)
-	iv.install(configs, files, n, out, bgp.BuildProvenance(n, out), iv.verify(n, out, false, nil))
-}
-
-// verify checks the intents against a version's outcome. With reuse, the
-// version is derived from the base with its sessions kept and only the
-// dirty devices edited, and a flow verdict of the base stands when nothing
-// it read moved: its covering prefix and that prefix's outcome (DeltaSimulate
-// keeps the base's outcome where the stable state did not move) and the
-// files of the routers its traces visit. Global intents are always checked.
-func (iv *Incremental) verify(n *bgp.Net, out *bgp.Outcome, reuse bool, dirty []string) *Report {
 	rep := &Report{Verdicts: make([]Verdict, len(iv.Intents))}
 	for i, in := range iv.Intents {
-		if reuse && iv.verdictStands(&iv.report.Verdicts[i], iv.probes[i], out, dirty) {
-			rep.Verdicts[i] = iv.report.Verdicts[i]
-			continue
-		}
 		rep.Verdicts[i] = checkIntent(n, out, in, iv.probes[i])
 	}
-	return rep
-}
-
-// verdictStands reports whether base verdict v holds unchanged on out, a
-// version derived from the base as verify's reuse describes.
-func (iv *Incremental) verdictStands(v *Verdict, pr probe, out *bgp.Outcome, dirty []string) bool {
-	switch v.Intent.Kind {
-	case Reachability, Isolation, Waypoint:
-	default:
-		return false
-	}
-	if p, po := coveringOutcome(out, pr.pkt.Dst); p != v.Prefix || po != iv.out.ByPrefix[p] {
-		return false
-	}
-	for _, tr := range v.Traces {
-		for _, d := range dirty {
-			if tr.Visits(d) {
-				return false
-			}
-		}
-	}
-	return true
+	iv.install(configs, files, n, out, bgp.BuildProvenance(n, out), rep)
 }
 
 // install makes a compiled, simulated and verified configuration version
@@ -305,234 +272,260 @@ func (iv *Incremental) CheckCtx(ctx context.Context, edits []netcfg.EditSet) (*R
 }
 
 // CheckApplied checks newConfigs, the configuration set Apply(edits)
-// returned, against the base. The context is checked between per-prefix
-// simulations and threaded into the simulation passes, so a deadline
-// interrupts validation mid-candidate. On cancellation it returns the
-// context's error and no report.
-//
-// The check is scoped by the static impact analysis:
-//
-//  1. diff the candidate's parsed ASTs against the base (semantic diff —
-//     line-number-only shifts have no impact) to get the over-approximate
-//     impact set: affected prefixes, origination literals, dataplane
-//     devices, and whether sessions may change;
-//  2. cross-check the prediction against the candidate network derived
-//     from the base (whether Derive refused because the established
-//     sessions changed, origination diff) — any construct the analysis
-//     missed degrades the check to broad rather than going unsound;
-//  3. decide per intent whether its cached verdict can be stale; when no
-//     intent is triggered the candidate is *statically refuted*: the base
-//     verdicts stand and zero prefixes are simulated;
-//  4. otherwise simulate only the affected prefixes some triggered intent
-//     actually consults (covering-prefix containment for flow intents,
-//     exact-key lookup for global ones), by delta re-simulation from the
-//     base outcome where Derive kept the sessions; untouched prefixes reuse
-//     the base outcome, and prefixes nobody will read are skipped outright.
+// returned, against the base: it derives the candidate's version over the
+// prefixes its intents consult (derive) and returns its report. The context
+// is checked between per-prefix simulations and threaded into the
+// simulation passes, so a deadline interrupts validation mid-candidate. On
+// cancellation it returns the context's error and no report.
 func (iv *Incremental) CheckApplied(ctx context.Context, newConfigs map[string]*netcfg.Config, edits []netcfg.EditSet) (*Report, Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
+	v, stats, err := iv.derive(ctx, newConfigs, edits, false)
+	if err != nil {
+		return nil, stats, err
 	}
-	// dirty is the set for delta re-simulation: exactly the devices whose
-	// configuration text changed.
-	newFiles, dirty := iv.parseChanged(newConfigs)
-	im := iv.impact.Compare(newFiles)
-	newNet, sameSessions := iv.net.Derive(newFiles, dirty)
-	broad := im.Broad
+	return v.report, stats, nil
+}
+
+// version is a configuration version derive built from the base.
+type version struct {
+	configs map[string]*netcfg.Config
+	files   map[string]*netcfg.File
+	dirty   []string
+	net     *bgp.Net
+	// sameSessions reports whether net establishes the base's sessions;
+	// then every prefix of out that did not move holds the base's outcome.
+	sameSessions bool
+	out          *bgp.Outcome
+	report       *Report
+}
+
+// derive is the one derivation of a version from the base, for a check and
+// a commit alike:
+//
+//  1. parse the changed devices and diff their ASTs against the base
+//     (semantic diff — line-number-only shifts have no impact) for the
+//     over-approximate impact set: affected prefixes, origination
+//     literals, dataplane devices, leaf devices whose control plane
+//     changed, and whether sessions may change;
+//  2. cross-check the prediction against the net derived from the base
+//     (bgp.Net.Derive refusing because the established sessions changed,
+//     prefixes entering or leaving the universe) — any construct the
+//     analysis missed degrades the derivation to broad rather than going
+//     unsound;
+//  3. re-simulate prefixes one at a time (bgp.ResimulatePrefix, delta from
+//     the base outcome where Derive kept the sessions): every prefix when
+//     all is set or the impact is broad, else each affected prefix some
+//     intent consults (covering-prefix containment for flow intents, the
+//     exact key for global ones) and each prefix an intent observing a
+//     changed leaf device consults. Every other prefix keeps the base's
+//     outcome, and a new one no intent consults is skipped;
+//  4. decide again exactly the base verdicts stale reports; the rest stand.
+//
+// A version derived with nothing simulated and no verdict decided again is
+// statically refuted.
+func (iv *Incremental) derive(ctx context.Context, newConfigs map[string]*netcfg.Config, edits []netcfg.EditSet, all bool) (version, Stats, error) {
+	if err := ctx.Err(); err != nil {
+		return version{}, Stats{}, err
+	}
+	files, dirty := iv.parseChanged(newConfigs)
+	im := iv.impact.Compare(files)
+	n, sameSessions := iv.net.Derive(files, dirty)
+	v := version{configs: newConfigs, files: files, dirty: dirty, net: n, sameSessions: sameSessions}
 
 	// Cross-check 1: the session set must not change unless predicted.
-	if !broad && !im.SessionsMayChange && !sameSessions {
-		broad = true
-	}
-	// Cross-check 2: every origination entering or leaving the universe
-	// must have been predicted as a literal (or already-affected prefix).
-	affected := make(map[netip.Prefix]bool, len(im.Prefixes))
-	for p := range im.Prefixes { //acrvet:ordered
-		affected[p] = true
-	}
-	newAll := newNet.AllPrefixes()
-	newSet := map[netip.Prefix]bool{}
-	for _, p := range newAll {
-		newSet[p] = true
-	}
-	oldSet := map[netip.Prefix]bool{}
-	for _, p := range iv.net.AllPrefixes() {
-		oldSet[p] = true
-		if !newSet[p] {
-			affected[p] = true
-			if !im.Prefixes[p] && !im.Literals[p] {
-				broad = true
-			}
-		}
-	}
-	for _, p := range newAll {
-		if !oldSet[p] {
-			affected[p] = true
-			if !im.Prefixes[p] && !im.Literals[p] {
-				broad = true
-			}
-		}
-	}
-
+	broad := im.Broad || !im.SessionsMayChange && !sameSessions
+	// Cross-check 2: every prefix entering or leaving the universe must
+	// have been predicted as a literal or an affected prefix. Such a prefix
+	// moved. A few moved prefixes fit on the stack.
+	moved := make([]netip.Prefix, 0, 8)
+	newAll := n.AllPrefixes()
+	universeDiff(iv.net.AllPrefixes(), newAll, func(p netip.Prefix) {
+		moved = append(moved, p)
+		broad = broad || !im.Prefixes[p] && !im.Literals[p]
+	})
 	stats := Stats{PrefixesTotal: len(newAll), IntentsTotal: len(iv.Intents), Broad: broad}
 
-	editedLines := map[netcfg.LineRef]bool{}
+	simOpts := iv.SimOpts
+	simOpts.Ctx = ctx
+	// Delta re-simulation seeds a prefix from the base outcome and
+	// propagates only from the dirty devices. It requires the sessions
+	// Derive kept: the seed state's adj-in structure must be the version's
+	// session structure. Broad impact is fine — broad widens which prefixes
+	// are simulated, not how each one is.
+	useDelta := sameSessions && len(dirty) > 0
+	if !useDelta && (all || broad) {
+		// Every prefix cold: Simulate reuses its scratch from one to the next.
+		v.out = bgp.Simulate(n, simOpts)
+		if v.out.Canceled() {
+			return version{}, stats, ctx.Err()
+		}
+		stats.PrefixesSimulated = len(newAll)
+		for _, p := range newAll {
+			stats.Activations += v.out.ByPrefix[p].Activations
+		}
+		moved = append(moved, newAll...)
+	} else {
+		// localWatch marks intents that observe a leaf device whose local
+		// control plane changed (im.LocalDevices): the change is invisible
+		// to the rest of the network, but these intents read routing state
+		// *at* the leaf, so every prefix they consult must be freshly
+		// simulated — copying a base outcome would reuse the leaf's stale
+		// FIB.
+		var localWatch []bool
+		if !all && !broad && len(im.LocalDevices) > 0 {
+			localWatch = make([]bool, len(iv.Intents))
+			for i, in := range iv.Intents {
+				localWatch[i] = iv.observesLocalDevices(iv.report.Verdicts[i], in, iv.probes[i], im)
+			}
+		}
+		// simNeeded reports whether prefix p must be freshly simulated: some
+		// intent reads its outcome (consultsPrefix), and either the prefix
+		// itself is affected or the reader observes a changed leaf device,
+		// whose base outcome for p carries a stale local FIB.
+		simNeeded := func(p netip.Prefix) bool {
+			// The base has an outcome for every prefix of its universe, so
+			// a prefix without one entered it.
+			affected := im.Prefixes[p] || iv.out.ByPrefix[p] == nil
+			for i, in := range iv.Intents {
+				if (affected || localWatch != nil && localWatch[i]) && consultsPrefix(in, iv.probes[i], p) {
+					return true
+				}
+			}
+			return false
+		}
+		for _, p := range newAll {
+			if !all && !broad && !simNeeded(p) {
+				continue
+			}
+			if err := ctx.Err(); err != nil {
+				return version{}, stats, err
+			}
+			base := iv.out.ByPrefix[p]
+			seed := base
+			if !useDelta {
+				seed = nil
+			}
+			po, acts, delta := bgp.ResimulatePrefix(n, seed, dirty, p, simOpts)
+			if delta {
+				stats.PrefixesDelta++
+			} else {
+				stats.PrefixesSimulated++
+				if useDelta {
+					stats.DeltaFallbacks++
+				}
+			}
+			if po.Canceled {
+				return version{}, stats, ctx.Err()
+			}
+			stats.Activations += acts
+			iv.outcome(&v).ByPrefix[p] = po
+			if po != base && base != nil {
+				moved = append(moved, p) // an entering prefix is in moved already
+			}
+		}
+	}
+
+	edited := map[netcfg.LineRef]bool{}
 	for _, es := range edits {
 		for _, e := range es.Edits {
 			switch ed := e.(type) {
 			case netcfg.DeleteLine:
-				editedLines[netcfg.LineRef{Device: es.Device, Line: ed.At}] = true
+				edited[netcfg.LineRef{Device: es.Device, Line: ed.At}] = true
 			case netcfg.ReplaceLine:
-				editedLines[netcfg.LineRef{Device: es.Device, Line: ed.At}] = true
+				edited[netcfg.LineRef{Device: es.Device, Line: ed.At}] = true
 			}
 		}
 	}
-
-	// localWatch marks intents that observe a leaf device whose local
-	// control plane changed (im.LocalDevices): the change is invisible to
-	// the rest of the network, but these intents read routing state *at*
-	// the leaf, so every prefix they consult must be freshly simulated —
-	// copying a base outcome would reuse the leaf's stale FIB.
-	localWatch := make([]bool, len(iv.Intents))
-	if !broad && len(im.LocalDevices) > 0 {
-		for i, in := range iv.Intents {
-			localWatch[i] = iv.observesLocalDevices(iv.report.Verdicts[i], in, iv.probes[i], im)
-		}
-	}
-
-	reverify := make([]bool, len(iv.Intents))
-	any := false
+	v.report = &Report{Verdicts: make([]Verdict, len(iv.Intents))}
 	for i, in := range iv.Intents {
-		if broad || localWatch[i] ||
-			iv.impactTriggers(iv.report.Verdicts[i], in, iv.probes[i], im, affected, editedLines) {
-			reverify[i] = true
-			any = true
-		}
-	}
-	if !any && !broad {
-		// Statically refuted: the impact set is disjoint from every
-		// intent's dependencies, so the candidate provably cannot change
-		// any verdict. The base report stands, at zero simulations.
-		stats.Refuted = true
-		return &Report{Verdicts: append([]Verdict(nil), iv.report.Verdicts...)}, stats, nil
-	}
-
-	// simNeeded reports whether prefix p must be freshly simulated: some
-	// triggered intent reads its outcome (flow intents read the longest
-	// ByPrefix key covering their destination — any covering key is
-	// potentially selected — global intents read their DstPrefix key
-	// exactly), and either the prefix itself is affected or the reader
-	// observes a changed leaf device, whose base outcome for p carries a
-	// stale local FIB.
-	simNeeded := func(p netip.Prefix) bool {
-		for i, in := range iv.Intents {
-			if !reverify[i] {
-				continue
-			}
-			if consultsPrefix(in, iv.probes[i], p) && (affected[p] || localWatch[i]) {
-				return true
-			}
-		}
-		return false
-	}
-
-	simOpts := iv.SimOpts
-	simOpts.Ctx = ctx
-	newOut := &bgp.Outcome{Net: newNet, ByPrefix: map[netip.Prefix]*bgp.PrefixOutcome{}}
-	// Delta re-simulation seeds each needed prefix from the base outcome
-	// and propagates only from the dirty devices. It requires the sessions
-	// Derive kept: the seed state's adj-in structure must be the candidate's
-	// session structure. Broad impact is fine — broad widens which prefixes
-	// are simulated, not how each one is.
-	useDelta := sameSessions && len(dirty) > 0
-	simulate := func(p netip.Prefix) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if useDelta {
-			if po, ok := bgp.DeltaSimulatePrefix(newNet, iv.out.ByPrefix[p], dirty, p, simOpts); ok {
-				newOut.ByPrefix[p] = po
-				stats.PrefixesDelta++
-				stats.Activations += po.Activations
-				return nil
-			}
-			stats.DeltaFallbacks++
-		}
-		po := bgp.SimulatePrefix(newNet, p, simOpts)
-		if po.Canceled {
-			return ctx.Err()
-		}
-		newOut.ByPrefix[p] = po
-		stats.PrefixesSimulated++
-		stats.Activations += po.Activations
-		return nil
-	}
-	for _, p := range newAll {
-		if broad || simNeeded(p) {
-			if err := simulate(p); err != nil {
-				return nil, stats, err
-			}
-			continue
-		}
-		if iv.out.ByPrefix[p] != nil {
-			// Unaffected (or affected but unread this round): reuse the
-			// base outcome so covering-prefix selection sees the same key
-			// set a full simulation would produce.
-			newOut.ByPrefix[p] = iv.out.ByPrefix[p]
-		}
-		// Else: new origination no triggered intent consults — skip. Only
-		// triggered intents read newOut, and none selects this key.
-	}
-
-	rep := &Report{Verdicts: make([]Verdict, len(iv.Intents))}
-	for i, in := range iv.Intents {
-		if !reverify[i] {
-			rep.Verdicts[i] = iv.report.Verdicts[i]
+		if !broad && !iv.stale(i, im, moved, edited) {
+			v.report.Verdicts[i] = iv.report.Verdicts[i]
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, stats, err
+			return version{}, stats, err
 		}
-		rep.Verdicts[i] = checkIntent(newNet, newOut, in, iv.probes[i])
+		v.report.Verdicts[i] = checkIntent(n, iv.outcome(&v), in, iv.probes[i])
 		stats.IntentsReverified++
 	}
-	return rep, stats, nil
+	stats.Refuted = !broad && stats.PrefixesSimulated+stats.PrefixesDelta == 0 && stats.IntentsReverified == 0
+	return v, stats, nil
 }
 
-// impactTriggers decides whether an intent's cached verdict may be stale
-// under the given impact set:
+// outcome returns v.out, built on first use from the base's outcomes of
+// v's prefixes.
+func (iv *Incremental) outcome(v *version) *bgp.Outcome {
+	if v.out == nil {
+		v.out = &bgp.Outcome{Net: v.net, ByPrefix: make(map[netip.Prefix]*bgp.PrefixOutcome, len(v.net.AllPrefixes()))}
+		for _, p := range v.net.AllPrefixes() {
+			if po := iv.out.ByPrefix[p]; po != nil {
+				v.out.ByPrefix[p] = po
+			}
+		}
+	}
+	return v.out
+}
+
+// universeDiff calls f with every prefix in exactly one of the prefix
+// lists old and new, both sorted by netcfg.PrefixLess.
+func universeDiff(old, new []netip.Prefix, f func(netip.Prefix)) {
+	if len(old) == len(new) && (len(old) == 0 || &old[0] == &new[0]) {
+		return
+	}
+	for len(old) > 0 || len(new) > 0 {
+		switch {
+		case len(new) == 0 || len(old) > 0 && netcfg.PrefixLess(old[0], new[0]):
+			f(old[0])
+			old = old[1:]
+		case len(old) == 0 || netcfg.PrefixLess(new[0], old[0]):
+			f(new[0])
+			new = new[1:]
+		default:
+			old, new = old[1:], new[1:]
+		}
+	}
+}
+
+// stale reports whether base verdict i may differ on a version derived
+// with impact im: its moved prefixes were re-simulated to a different
+// outcome or entered or left the universe, and its edits deleted or
+// replaced the edited lines of the base. A verdict reads the outcome of
+// the prefix covering its sampled destination, the forwarding state of
+// the routers its traces visit and the topology, so it stands unless:
 //
-//   - an affected prefix, or a prefix entering/leaving the universe,
-//     covers the intent's destination (control-plane trigger). This
-//     covers every changed origination literal too: a literal in the base
-//     universe is in im.Prefixes, one entering or leaving the universe is
-//     affected, and one in neither originates nothing before or after;
-//   - a device whose forwarding decisions may change appears on the
-//     intent's base traces — global intents keep only a capped sample of
-//     failing traces, so any dataplane change re-triggers them;
-//   - as a belt: an edit touches a line the base traces executed.
-func (iv *Incremental) impactTriggers(base Verdict, in Intent, pr probe, im *analysis.Impact, affected map[netip.Prefix]bool, edited map[netcfg.LineRef]bool) bool {
-	for p := range affected { //acrvet:ordered
-		if p.Contains(pr.pkt.Dst) {
+//   - a moved prefix covers the destination. This covers every changed
+//     origination literal too: one entering or leaving the universe moved,
+//     and one in neither originates nothing before or after;
+//   - a device whose forwarding decisions may change lies on the base
+//     traces — global intents keep only a capped sample of failing traces,
+//     so any dataplane change counts for them;
+//   - as a belt: an edit touched a line the base traces executed.
+func (iv *Incremental) stale(i int, im *analysis.Impact, moved []netip.Prefix, edited map[netcfg.LineRef]bool) bool {
+	base := &iv.report.Verdicts[i]
+	for _, p := range moved {
+		if p.Contains(iv.probes[i].pkt.Dst) {
 			return true
 		}
 	}
 	if len(im.DataplaneDevices) > 0 {
-		switch in.Kind {
+		switch base.Intent.Kind {
 		case LoopFree, BlackholeFree:
 			return true
-		default:
-			for _, tr := range base.Traces {
-				for dev := range im.DataplaneDevices { //acrvet:ordered
-					if tr.Visits(dev) {
-						return true
-					}
+		}
+		for _, tr := range base.Traces {
+			for dev := range im.DataplaneDevices { //acrvet:ordered — any-match boolean
+				if tr.Visits(dev) {
+					return true
 				}
 			}
 		}
 	}
-	for _, l := range base.Lines() {
-		if edited[l] {
-			return true
+	if len(edited) > 0 {
+		for _, tr := range base.Traces {
+			for _, l := range tr.Lines {
+				if edited[l] {
+					return true
+				}
+			}
 		}
 	}
 	return false
@@ -619,34 +612,35 @@ func (iv *Incremental) FullCheckCtx(ctx context.Context, edits []netcfg.EditSet)
 }
 
 // Commit applies edits to the base permanently. The new base is derived
-// from the old one rather than verified from scratch: unedited devices
-// keep their parsed files and the net is derived (bgp.Net.Derive). While
-// the established sessions are unchanged, each prefix is delta-simulated
-// from its old outcome over the edited devices and, where its stable state
-// did not move, keeps the old outcome and re-derives only the provenance
-// that involves an edited device (see bgp.DeltaSimulate,
-// bgp.DeriveProvenance); a flow verdict that read nothing the edit moved
-// stands, and every other intent is checked again. A session change, where
-// Derive refuses and compiles cold, falls back to a cold simulation, a full
-// provenance replay and a check of every intent. Either way the result is
-// the base NewIncremental would build on the edited texts. On error the
-// base is unchanged.
+// from the old one rather than verified from scratch: it is the version
+// derive builds over every prefix, so unedited devices keep their parsed
+// files, the net is derived (bgp.Net.Derive), a prefix whose stable state
+// did not move keeps the old outcome, and a verdict that read nothing the
+// edit moved stands. While the established sessions are unchanged,
+// bgp.DeriveProvenance re-derives only the provenance that involves an
+// edited device; a session change falls back to a full provenance replay.
+// Either way the result is the base NewIncremental would build on the
+// edited texts. SimOpts.Ctx, when set, bounds the derivation. On error,
+// cancellation included, the base is unchanged.
 func (iv *Incremental) Commit(edits []netcfg.EditSet) error {
 	newConfigs, err := iv.Apply(edits)
 	if err != nil {
 		return err
 	}
-	files, dirty := iv.parseChanged(newConfigs)
-	n, sameSessions := iv.net.Derive(files, dirty)
-	var out *bgp.Outcome
-	var prov *provenance.Graph
-	if sameSessions {
-		out = bgp.DeltaSimulate(n, iv.out, dirty, iv.SimOpts)
-		prov = bgp.DeriveProvenance(n, out, iv.out, iv.prov, dirty)
-	} else {
-		out = bgp.Simulate(n, iv.SimOpts)
-		prov = bgp.BuildProvenance(n, out)
+	ctx := iv.SimOpts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	iv.install(newConfigs, files, n, out, prov, iv.verify(n, out, sameSessions, dirty))
+	v, _, err := iv.derive(ctx, newConfigs, edits, true)
+	if err != nil {
+		return err
+	}
+	var prov *provenance.Graph
+	if v.sameSessions {
+		prov = bgp.DeriveProvenance(v.net, v.out, iv.out, iv.prov, v.dirty)
+	} else {
+		prov = bgp.BuildProvenance(v.net, v.out)
+	}
+	iv.install(v.configs, v.files, v.net, v.out, prov, v.report)
 	return nil
 }

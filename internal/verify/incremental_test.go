@@ -410,3 +410,63 @@ func TestOriginationJoinsOtherComponent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestUnmovedPrefixKeepsVerdicts: a verdict is decided again when something
+// it read moved, not whenever the impact set might reach it. On WAN(6,4,3)
+// bb0 gains a second DCN_PREFIXES entry for 20.2.0.0/16 behind the one at
+// index 30. The first match wins, so the prefix the analysis marks affected
+// is delta-simulated back to its base outcome and all 22 verdicts stand.
+// Committing the same edit on a base whose blackhole-free intent for that
+// prefix fails at a null0 static on bb1 keeps that global verdict too, and
+// the new base is the one NewIncremental builds on the same texts.
+func TestUnmovedPrefixKeepsVerdicts(t *testing.T) {
+	s := scenario.WAN(6, 4, 3, scenario.GenOptions{})
+	const listed = "ip prefix-list DCN_PREFIXES index 30 permit 20.2.0.0/16"
+	if got := s.Configs["bb0"].Lines()[10]; got != listed {
+		t.Fatalf("bb0 line 11 is %q, want %q", got, listed)
+	}
+	edits := []netcfg.EditSet{{Device: "bb0", Edits: []netcfg.Edit{netcfg.InsertBefore{
+		At: 12, Text: "ip prefix-list DCN_PREFIXES index 35 permit 20.2.0.0/16"}}}}
+
+	iv := newIV(t, s)
+	rep, stats, err := iv.Check(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.PrefixesDelta != 1 || stats.PrefixesSimulated != 0 || stats.IntentsReverified != 0 || stats.Refuted {
+		t.Errorf("check: %s; want one prefix delta-simulated and no intent reverified", stats)
+	}
+	full, err := iv.FullCheck(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range full.Verdicts {
+		if g := rep.Verdicts[i]; g.Pass != w.Pass || g.Reason() != w.Reason() {
+			t.Errorf("%s: check pass=%v %q, full check pass=%v %q", w.Intent.ID, g.Pass, g.Reason(), w.Pass, w.Reason())
+		}
+	}
+	if err := oracle.Audit(context.Background(), iv, edits); err != nil {
+		t.Fatal(err)
+	}
+
+	p := netip.MustParsePrefix("20.2.0.0/16")
+	intents := append(append([]verify.Intent(nil), s.Intents...), verify.LoopFreeIntent("lf", p), verify.BlackholeFreeIntent("bh", p))
+	cfgs := maps.Clone(s.Configs)
+	cfgs["bb1"] = netcfg.FromLines("bb1", append(cfgs["bb1"].Lines(), "ip route static 20.2.0.0/16 null0"))
+	base := verify.NewIncremental(s.Topo, cfgs, intents, bgp.Options{})
+	bh := base.BaseReport().ByID("bh")
+	if bh == nil || bh.Pass || len(bh.Traces) == 0 {
+		t.Fatalf("the null0 static on bb1 does not fail bh:\n%s", base.BaseReport().Summary())
+	}
+	committed := base.Clone()
+	if err := committed.Commit(edits); err != nil {
+		t.Fatal(err)
+	}
+	if got := committed.BaseReport().ByID("bh"); len(got.Traces) == 0 || &got.Traces[0] != &bh.Traces[0] {
+		t.Error("Commit decided bh again; its prefix did not move and no forwarding decision changed")
+	}
+	if committed.BaseOutcome().ByPrefix[p] != base.BaseOutcome().ByPrefix[p] {
+		t.Errorf("%v moved", p)
+	}
+	sameBase(t, "bb0 index 35", committed)
+}
