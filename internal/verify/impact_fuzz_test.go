@@ -98,14 +98,17 @@ func checkAudited(t *testing.T, base, op uint8, line uint16, text string) {
 }
 
 // sameBase fails unless committed, a verifier Commit advanced, holds the
-// base NewIncremental builds on its texts: every verdict's pass and reason,
-// and every prefix's convergence and stable routes.
+// base NewIncremental builds on its texts: every verdict's pass, reason and
+// executed lines, and every prefix's convergence and stable routes.
 func sameBase(t *testing.T, label string, committed *verify.Incremental) {
 	t.Helper()
 	want := verify.NewIncremental(committed.Topo, committed.BaseConfigs(), committed.Intents, committed.SimOpts)
 	for i, w := range want.BaseReport().Verdicts {
 		if g := committed.BaseReport().Verdicts[i]; g.Pass != w.Pass || g.Reason() != w.Reason() {
 			t.Fatalf("%s: committed %s pass=%v %q, from scratch pass=%v %q", label, w.Intent.ID, g.Pass, g.Reason(), w.Pass, w.Reason())
+		}
+		if g, w := committed.BaseReport().Verdicts[i].Lines(), w.Lines(); !slices.Equal(g, w) {
+			t.Fatalf("%s: committed %s executed %v, from scratch %v", label, committed.Intents[i].ID, g, w)
 		}
 	}
 	prefixes := want.BaseNet().AllPrefixes()

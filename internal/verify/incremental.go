@@ -424,20 +424,28 @@ func (iv *Incremental) derive(ctx context.Context, newConfigs map[string]*netcfg
 		}
 	}
 
-	edited := map[netcfg.LineRef]bool{}
+	// firstEdit maps each edited device to the lowest line its edits name:
+	// every line from there on may be deleted, replaced or renumbered.
+	firstEdit := map[string]int{}
 	for _, es := range edits {
 		for _, e := range es.Edits {
+			at := 1 // an edit of unknown kind may touch any line
 			switch ed := e.(type) {
+			case netcfg.InsertBefore:
+				at = ed.At
 			case netcfg.DeleteLine:
-				edited[netcfg.LineRef{Device: es.Device, Line: ed.At}] = true
+				at = ed.At
 			case netcfg.ReplaceLine:
-				edited[netcfg.LineRef{Device: es.Device, Line: ed.At}] = true
+				at = ed.At
+			}
+			if first, ok := firstEdit[es.Device]; !ok || at < first {
+				firstEdit[es.Device] = at
 			}
 		}
 	}
 	v.report = &Report{Verdicts: make([]Verdict, len(iv.Intents))}
 	for i, in := range iv.Intents {
-		if !broad && !iv.stale(i, im, moved, edited) {
+		if !broad && !iv.stale(i, im, moved, firstEdit) {
 			v.report.Verdicts[i] = iv.report.Verdicts[i]
 			continue
 		}
@@ -487,22 +495,24 @@ func universeDiff(old, new []netip.Prefix, f func(netip.Prefix)) {
 
 // stale reports whether base verdict i may differ on a version derived
 // with impact im: its moved prefixes were re-simulated to a different
-// outcome or entered or left the universe, and its edits deleted or
-// replaced the edited lines of the base. A verdict reads the outcome of
-// the prefix covering its sampled destination, the forwarding state of
-// the routers its traces visit and the topology, so it stands unless:
+// outcome or entered or left the universe, and firstEdit maps each edited
+// device to the lowest line its edits name. A verdict reads the outcome of
+// the prefix it consults (consultsPrefix), the forwarding state of the
+// routers its traces visit and the topology, and records the lines its
+// traces executed, so it stands unless:
 //
-//   - a moved prefix covers the destination. This covers every changed
-//     origination literal too: one entering or leaving the universe moved,
-//     and one in neither originates nothing before or after;
+//   - it consults a moved prefix. This covers every changed origination
+//     literal too: one entering or leaving the universe moved, and one in
+//     neither originates nothing before or after;
 //   - a device whose forwarding decisions may change lies on the base
 //     traces — global intents keep only a capped sample of failing traces,
 //     so any dataplane change counts for them;
-//   - as a belt: an edit touched a line the base traces executed.
-func (iv *Incremental) stale(i int, im *analysis.Impact, moved []netip.Prefix, edited map[netcfg.LineRef]bool) bool {
+//   - an edit on a device comes at or before a line the base traces
+//     executed there, which it may delete, replace or renumber.
+func (iv *Incremental) stale(i int, im *analysis.Impact, moved []netip.Prefix, firstEdit map[string]int) bool {
 	base := &iv.report.Verdicts[i]
 	for _, p := range moved {
-		if p.Contains(iv.probes[i].pkt.Dst) {
+		if consultsPrefix(base.Intent, iv.probes[i], p) {
 			return true
 		}
 	}
@@ -519,13 +529,9 @@ func (iv *Incremental) stale(i int, im *analysis.Impact, moved []netip.Prefix, e
 			}
 		}
 	}
-	if len(edited) > 0 {
-		for _, tr := range base.Traces {
-			for _, l := range tr.Lines {
-				if edited[l] {
-					return true
-				}
-			}
+	for _, l := range base.Lines() {
+		if first, ok := firstEdit[l.Device]; ok && l.Line >= first {
+			return true
 		}
 	}
 	return false

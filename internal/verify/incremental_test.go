@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"maps"
 	"net/netip"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"acr/internal/analysis"
 	"acr/internal/bgp"
+	"acr/internal/dataplane"
 	"acr/internal/netcfg"
 	"acr/internal/oracle"
 	"acr/internal/scenario"
@@ -469,4 +472,86 @@ func TestUnmovedPrefixKeepsVerdicts(t *testing.T) {
 		t.Errorf("%v moved", p)
 	}
 	sameBase(t, "bb0 index 35", committed)
+}
+
+// TestCommitRenumbersKeptLines: a verdict records the lines its traces
+// executed, so an edit above one of them renumbers it even when it changes
+// nothing the verdict reads. A null0 static on a reachability intent's
+// injection router fails the intent at that line; an unused prefix-list
+// line inserted above the static moves no prefix and no forwarding
+// decision, yet the committed verdicts, lines included, must be the ones
+// NewIncremental builds on the same texts. The check re-decides the
+// verdict by the same rule.
+func TestCommitRenumbersKeptLines(t *testing.T) {
+	s := scenario.WAN(6, 4, 3, scenario.GenOptions{})
+	var in verify.Intent
+	for _, c := range s.Intents {
+		if c.Kind == verify.Reachability {
+			in = c
+			break
+		}
+	}
+	src := dataplane.InjectionPoint(s.Topo, in.Packet().Src)
+	cfgs := maps.Clone(s.Configs)
+	cfgs[src] = netcfg.FromLines(src, append(cfgs[src].Lines(), "ip route static "+in.DstPrefix.String()+" null0"))
+	static := netcfg.LineRef{Device: src, Line: cfgs[src].NumLines()}
+	base := verify.NewIncremental(s.Topo, cfgs, s.Intents, bgp.Options{})
+	if v := base.BaseReport().ByID(in.ID); v.Pass || !slices.Contains(v.Lines(), static) {
+		t.Fatalf("%s does not fail at %v: pass=%v lines %v", in.ID, static, v.Pass, v.Lines())
+	}
+	edits := []netcfg.EditSet{{Device: src, Edits: []netcfg.Edit{netcfg.InsertBefore{
+		At: static.Line, Text: "ip prefix-list UNUSED index 5 permit 192.0.2.0/24"}}}}
+
+	rep, stats, err := base.Check(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := static
+	want.Line++
+	if got := rep.ByID(in.ID).Lines(); !slices.Contains(got, want) {
+		t.Errorf("check (%s): %s executed %v, want %v", stats, in.ID, got, want)
+	}
+	committed := base.Clone()
+	if err := committed.Commit(edits); err != nil {
+		t.Fatal(err)
+	}
+	scratch := verify.NewIncremental(s.Topo, committed.BaseConfigs(), s.Intents, bgp.Options{})
+	if g, w := committed.BaseReport().Verdicts, scratch.BaseReport().Verdicts; !reflect.DeepEqual(g, w) {
+		t.Errorf("committed %s executed %v, from scratch %v", in.ID, committed.BaseReport().ByID(in.ID).Lines(), scratch.BaseReport().ByID(in.ID).Lines())
+	}
+	sameBase(t, "insert above a static", committed)
+}
+
+// TestGlobalVerdictReadsItsPrefixKey: a global intent reads its DstPrefix's
+// outcome exactly, and the sampled destination of a /32 ending in an even
+// octet lies outside that prefix. pop0 originates 30.0.0.2/32, bb1 holds a
+// null0 static for it, and its blackhole-free intent fails; deleting the
+// origination takes the prefix out of the universe, and the check and the
+// commit must both decide that verdict again.
+func TestGlobalVerdictReadsItsPrefixKey(t *testing.T) {
+	s := scenario.WAN(6, 4, 3, scenario.GenOptions{})
+	p := netip.MustParsePrefix("30.0.0.2/32")
+	intents := append(append([]verify.Intent(nil), s.Intents...), verify.BlackholeFreeIntent("bh", p))
+	cfgs := maps.Clone(s.Configs)
+	pop0 := cfgs["pop0"].Lines() // its bgp block ends at line 4
+	cfgs["pop0"] = netcfg.FromLines("pop0", slices.Insert(pop0, 4, " network "+p.String()))
+	cfgs["bb1"] = netcfg.FromLines("bb1", append(cfgs["bb1"].Lines(), "ip route static "+p.String()+" null0"))
+	base := verify.NewIncremental(s.Topo, cfgs, intents, bgp.Options{})
+	if bh := base.BaseReport().ByID("bh"); bh.Pass {
+		t.Fatalf("the null0 static on bb1 does not fail bh:\n%s", base.BaseReport().Summary())
+	}
+	edits := []netcfg.EditSet{{Device: "pop0", Edits: []netcfg.Edit{netcfg.DeleteLine{At: 5}}}}
+
+	rep, stats, err := base.Check(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bh := rep.ByID("bh"); !bh.Pass {
+		t.Errorf("check (%s): bh %s after %v left the universe", stats, bh.Reason(), p)
+	}
+	committed := base.Clone()
+	if err := committed.Commit(edits); err != nil {
+		t.Fatal(err)
+	}
+	sameBase(t, "delete the /32 origination", committed)
 }
