@@ -295,6 +295,12 @@ func SessionHeader(c *Case, opts RepairOptions) JournalHeader {
 	return core.SessionHeader(c.Name, c.problem(), opts)
 }
 
+// CheckResume reports why sess may not resume a repair of c under opts,
+// or nil when it may: the engine's one resume gate (core.CheckResume).
+func CheckResume(sess *JournalSession, c *Case, opts RepairOptions) error {
+	return core.CheckResume(sess, c.problem(), opts)
+}
+
 // CreateJournal starts a new crash-safe session journal in dir for a
 // repair of c under opts. Pass the writer on RepairOptions.Journal and
 // Close it after the run; if the process dies mid-run, ReplayJournal +

@@ -66,6 +66,44 @@ func onlyWAL(t *testing.T, dir string) {
 	}
 }
 
+// TestRepairResumeRefusals: `acr repair -journal d -resume` refuses a
+// session that already completed and one journaled under another -seed.
+// Each refusal exits 1 and leaves the WAL byte for byte as it was.
+func TestRepairResumeRefusals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-execs the test binary; skipped in -short")
+	}
+	tmp := t.TempDir()
+	done, crashed := filepath.Join(tmp, "done"), filepath.Join(tmp, "crashed")
+	run := []string{"repair", "-builtin", "figure2", "-seed", "1"}
+	if _, ps := runAcr(t, 0, append(run, "-journal", done)...); ps.ExitCode() != exitFeasible {
+		t.Fatalf("journaled run exited %d, want %d", ps.ExitCode(), exitFeasible)
+	}
+	if _, ps := runAcr(t, 3, append(run, "-journal", crashed)...); !ps.Sys().(syscall.WaitStatus).Signaled() {
+		t.Fatalf("crashing run ended with %v, want SIGKILL", ps)
+	}
+	for _, tc := range []struct {
+		name, dir string
+		args      []string
+	}{
+		{"completed", done, run},
+		{"other seed", crashed, []string{"repair", "-builtin", "figure2", "-seed", "2"}},
+	} {
+		wal := filepath.Join(tc.dir, "wal.log")
+		before, err := os.ReadFile(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, ps := runAcr(t, 0, append(tc.args, "-journal", tc.dir, "-resume")...)
+		if ps.ExitCode() != 1 {
+			t.Errorf("%s: -resume exited %d, want 1:\n%s", tc.name, ps.ExitCode(), out)
+		}
+		if after, err := os.ReadFile(wal); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s: the refused resume changed the WAL (%d bytes before, %d after, err %v)", tc.name, len(before), len(after), err)
+		}
+	}
+}
+
 // TestRepairSIGKILLResume kills `acr repair -journal` mid-search, resumes
 // the session with -resume, and requires the result of an uninterrupted
 // run: the same canonical SHA-256, work counters and repaired configs.

@@ -109,37 +109,28 @@ run "acr <cmd> -h" for command flags`)
 }
 
 func caseFlags(fs *flag.FlagSet) (builtin, dir *string) {
-	builtin = fs.String("builtin", "", "built-in case: figure2, figure2-repaired, dcn4, wan")
+	builtin = fs.String("builtin", "", "built-in case: "+scenario.BuiltinNames)
 	dir = fs.String("dir", "", "case directory (see internal/caseio)")
 	return
 }
 
 func loadCase(builtin, dir string) (*acr.Case, error) {
+	var s *scenario.Scenario
+	var err error
 	switch {
 	case builtin != "" && dir != "":
 		return nil, fmt.Errorf("-builtin and -dir are mutually exclusive")
 	case builtin != "":
-		switch builtin {
-		case "figure2":
-			return acr.Figure2Incident(), nil
-		case "figure2-repaired":
-			return acr.Figure2Repaired(), nil
-		case "dcn4":
-			return acr.FatTreeDCN(4, acr.GenOptions{WithScrubber: true, StaticOriginEvery: 2}), nil
-		case "wan":
-			return acr.WANBackbone(6, 4, 3, acr.GenOptions{StaticOriginEvery: 2}), nil
-		default:
-			return nil, fmt.Errorf("unknown builtin %q", builtin)
-		}
+		s, err = scenario.Builtin(builtin)
 	case dir != "":
-		s, err := caseio.Load(dir)
-		if err != nil {
-			return nil, err
-		}
-		return &acr.Case{Name: s.Name, Topo: s.Topo, Configs: s.Configs, Intents: s.Intents, Notes: s.Notes}, nil
+		s, err = caseio.Load(dir)
 	default:
 		return nil, fmt.Errorf("one of -builtin or -dir is required")
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &acr.Case{Name: s.Name, Topo: s.Topo, Configs: s.Configs, Intents: s.Intents, GroundTruth: s.FaultyLines, Notes: s.Notes}, nil
 }
 
 func runVerify(args []string) error {
@@ -306,14 +297,9 @@ func runRepair(args []string) error {
 			if err != nil {
 				return fmt.Errorf("replay journal %s: %w", *journalDir, err)
 			}
-			if !sess.Resumable() {
-				return fmt.Errorf("session in %s already completed (%s); nothing to resume",
-					*journalDir, sess.Terminal.Termination)
-			}
-			if hdr := acr.SessionHeader(c, opts); sess.Header.CaseDigest != hdr.CaseDigest ||
-				sess.Header.OptionsDigest != hdr.OptionsDigest {
-				return fmt.Errorf("journal in %s was written for a different case or search (case %q, seed %d); refusing to resume",
-					*journalDir, sess.Header.Case, sess.Header.Seed)
+			if err := acr.CheckResume(sess, c, opts); err != nil {
+				return fmt.Errorf("journal in %s (case %q, seed %d): %w; refusing to resume",
+					*journalDir, sess.Header.Case, sess.Header.Seed, err)
 			}
 			if sess.Truncated {
 				fmt.Fprintf(os.Stderr, "acr: journal tail torn (%s); resuming from last checkpoint\n", sess.TruncatedReason)

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -233,6 +234,19 @@ func TestCrashResumeCorpus(t *testing.T) {
 	}
 }
 
+// cancelAt wires opts to cancel the returned context at the start of the
+// run's k-th per-prefix simulation.
+func cancelAt(opts core.Options, k int) (context.Context, core.Options, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	sims := 0
+	opts.SimOpts.PrefixHook = func(netip.Prefix) {
+		if sims++; sims == k {
+			cancel()
+		}
+	}
+	return ctx, opts, cancel
+}
+
 // cancelRun runs a journaled repair whose context is canceled at the start
 // of its k-th per-prefix simulation, leaving dir as a drained job or a
 // repair cut by its timeout leaves it.
@@ -243,26 +257,17 @@ func cancelRun(t *testing.T, dir string, p core.Problem, opts core.Options, k in
 		t.Fatal(err)
 	}
 	defer w.Close()
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, opts, cancel := cancelAt(opts, k)
 	defer cancel()
-	sims := 0
 	opts.Journal = w
-	opts.SimOpts.PrefixHook = func(netip.Prefix) {
-		if sims++; sims == k {
-			cancel()
-		}
-	}
 	return core.RepairContext(ctx, p, opts)
 }
 
-// TestCancelResumeByteIdentical: a run canceled mid-simulation resumes
-// from its journal to the uninterrupted run's result and counters. The
-// points cut inc-000-Policy (a double fault, 188 per-prefix simulations)
-// at its base verification, inside its first candidate checks, during the
-// last preservation of an iteration (84–86: a checkpoint written after
-// that cut would hold a member scored on canceled outcomes, or none) and
-// near its end.
-func TestCancelResumeByteIdentical(t *testing.T) {
+// policyDoubleFault is inc-000-Policy of the seed-5 double-fault corpus:
+// under run seed 11 it searches three iterations, so a crash after 25
+// appends leaves a checkpoint past the base one.
+func policyDoubleFault(t *testing.T) core.Problem {
+	t.Helper()
 	incs, err := incidents.GenerateCorpus(incidents.CorpusOptions{Size: 12, Seed: 5, DoubleFaultShare: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +277,38 @@ func TestCancelResumeByteIdentical(t *testing.T) {
 		t.Fatal("inc-000-Policy is not in the corpus")
 	}
 	s := incs[i].Scenario
-	p := core.Problem{Topo: s.Topo, Configs: s.Configs, Intents: s.Intents}
+	return core.Problem{Topo: s.Topo, Configs: s.Configs, Intents: s.Intents}
+}
+
+// laterCheckpoint crashes a journaled run after 25 appends and returns its
+// replayed session, whose checkpoint must close an iteration.
+func laterCheckpoint(t *testing.T, dir string, p core.Problem, opts core.Options) *journal.Session {
+	t.Helper()
+	if !crashRun(t, dir, p, opts, Plan{CrashAfterAppends: 25}) {
+		t.Fatal("crash point 25 not reached")
+	}
+	sess, err := journal.Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Checkpoint == nil || sess.Checkpoint.Iteration == 0 || len(sess.Checkpoint.Population) == 0 {
+		t.Fatalf("crash@25 left no checkpoint past the base: %+v", sess.Checkpoint)
+	}
+	return sess
+}
+
+// TestCancelResumeByteIdentical: a run canceled mid-simulation resumes
+// from its journal to the uninterrupted run's result and counters. The
+// points cut inc-000-Policy (a double fault, 188 per-prefix simulations)
+// at its base verification, inside its first candidate checks, during the
+// last preservation of an iteration (84–86: a checkpoint written after
+// that cut would hold a member scored on canceled outcomes, or none) and
+// near its end. A resume canceled at its 1st to 8th simulation, while it
+// re-verifies a later checkpoint's population, ends "canceled" without
+// recording a journal error, and the next resume still reaches the
+// uninterrupted result.
+func TestCancelResumeByteIdentical(t *testing.T) {
+	p := policyDoubleFault(t)
 	opts := core.Options{Seed: 11, MaxIterations: 20}
 	straight, _ := journaledRun(t, t.TempDir(), p, opts)
 	want := straight.Canonical()
@@ -283,18 +319,83 @@ func TestCancelResumeByteIdentical(t *testing.T) {
 	if total != 188 {
 		t.Fatalf("the uninterrupted run simulates %d prefixes, the points assume 188", total)
 	}
+	check := func(what string, res *core.Result) {
+		t.Helper()
+		if got := res.Canonical(); got != want {
+			t.Errorf("%s: resumed result diverges from uninterrupted run\n--- want ---\n%s\n--- got ---\n%s", what, want, got)
+		}
+		if res.Counters != straight.Counters {
+			t.Errorf("%s: resumed counters %+v, uninterrupted %+v", what, res.Counters, straight.Counters)
+		}
+	}
 	for _, k := range []int{1, 20, 84, 85, 86, 187} {
 		dir := t.TempDir()
 		if res := cancelRun(t, dir, p, opts, k); res.Termination != "canceled" {
 			t.Fatalf("cancel@%d: the run ended %q", k, res.Termination)
 		}
-		res := resumeRun(t, dir, p, opts)
-		if got := res.Canonical(); got != want {
-			t.Errorf("cancel@%d: resumed result diverges from uninterrupted run\n--- want ---\n%s\n--- got ---\n%s", k, want, got)
+		check(fmt.Sprintf("cancel@%d", k), resumeRun(t, dir, p, opts))
+	}
+
+	dir := t.TempDir()
+	laterCheckpoint(t, dir, p, opts)
+	for k := 1; k <= 8; k++ {
+		sess, err := journal.Replay(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res.Counters != straight.Counters {
-			t.Errorf("cancel@%d: resumed counters %+v, uninterrupted %+v", k, res.Counters, straight.Counters)
+		w, err := journal.Resume(dir, sess)
+		if err != nil {
+			t.Fatal(err)
 		}
+		ctx, cut, cancel := cancelAt(opts, k)
+		cut.Journal, cut.Resume = w, sess
+		res := core.RepairContext(ctx, p, cut)
+		cancel()
+		w.Close()
+		if res.Termination != "canceled" {
+			t.Errorf("restore cancel@%d: the run ended %q", k, res.Termination)
+		}
+		for _, e := range res.Errors {
+			if e.Kind == core.KindJournal {
+				t.Errorf("restore cancel@%d: %v", k, e)
+			}
+		}
+	}
+	check("restore cancels", resumeRun(t, dir, p, opts))
+}
+
+// TestRefusedRestoreRunsFresh: a checkpoint whose every member's journaled
+// fitness disagrees with its re-verification is refused with a journal
+// error, and the run that falls back is a fresh one: the uninterrupted
+// run's Canonical() and counters, with nothing of the checkpoint's
+// counters, logs or best-effort record inherited.
+func TestRefusedRestoreRunsFresh(t *testing.T) {
+	p := policyDoubleFault(t)
+	opts := core.Options{Seed: 11, MaxIterations: 20}
+	straight, _ := journaledRun(t, t.TempDir(), p, opts)
+	dir := t.TempDir()
+	sess := laterCheckpoint(t, dir, p, opts)
+	for i := range sess.Checkpoint.Population {
+		sess.Checkpoint.Population[i].Fitness++
+	}
+	w, err := journal.Resume(dir, sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	opts.Journal, opts.Resume = w, sess
+	res := core.RepairContext(context.Background(), p, opts)
+	if res.Resumed {
+		t.Fatal("resumed from a checkpoint whose members all disagree with their re-verification")
+	}
+	if !slices.ContainsFunc(res.Errors, func(e *core.RepairError) bool { return e.Kind == core.KindJournal && e.Op == "resume" }) {
+		t.Errorf("the refused restore recorded no resume error: %v", res.Errors)
+	}
+	if got, want := res.Canonical(), straight.Canonical(); got != want {
+		t.Errorf("the fallback diverges from a fresh run\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+	if res.Counters != straight.Counters {
+		t.Errorf("the fallback's counters %+v, a fresh run's %+v", res.Counters, straight.Counters)
 	}
 }
 

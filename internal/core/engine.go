@@ -92,9 +92,10 @@ type Options struct {
 	// KindJournal errors); they never fail the run.
 	Journal *journal.Writer
 	// Resume, when non-nil, restores the run from a replayed session
-	// instead of starting from the base configuration version. The
-	// session's digests must match this problem and these options; on any
-	// mismatch the engine records a KindJournal error and runs fresh.
+	// instead of starting from the base configuration version. A session
+	// CheckResume refuses, or whose checkpointed population does not
+	// survive re-verification, records a KindJournal error and the run
+	// starts fresh, as if Resume were nil.
 	// Because every random stream is derived from (Seed, iteration) and
 	// (Seed, version), a resumed run continues exactly where the
 	// journaled one left off and produces the same Result as an
@@ -110,23 +111,6 @@ func (o Options) withDefaults() Options {
 		o.Templates = BuiltinTemplates()
 	}
 	return o
-}
-
-// IterationLog records one localize-fix-validate round.
-type IterationLog struct {
-	Iteration int
-	// Generated counts candidate updates produced by templates — the size
-	// of this iteration's search space (the leaf nodes of the search
-	// forest, Figure 3c).
-	Generated int
-	// Validated counts candidates actually checked (after dedup and caps).
-	Validated int
-	// Kept counts candidates preserved for the next iteration.
-	Kept int
-	// BestFitness is the lowest failing-test count seen this iteration.
-	BestFitness int
-	// TopSuspicious snapshots the head of the ranking (for reports).
-	TopSuspicious []sbfl.Score
 }
 
 // Result is the outcome of a repair run.
@@ -147,7 +131,13 @@ type Result struct {
 	// Termination explains why the run ended: "feasible", "exhausted"
 	// (S = ∅), "iteration-cap", "deadline", or "canceled".
 	Termination string
-	Logs        []IterationLog
+	// Logs holds one record per iteration, as the journal carries it:
+	// Generated counts the template applications (the leaves of the search
+	// forest, Figure 3c), Validated the candidates checked after dedup and
+	// caps, Kept those it passed to preservation (none when it found a
+	// feasible update or the run was cut), BestFitness the lowest fitness
+	// seen, and Top the head of the first member's ranking.
+	Logs []journal.Iteration
 
 	// Counters are the run's work counters, each documented on
 	// journal.Counters; a checkpoint carries them and a resume restores
@@ -251,6 +241,12 @@ type proposal struct {
 	fitness int
 }
 
+// descs narrates the version the proposal builds: its parent's template
+// applications, then its own.
+func (pr *proposal) descs() []string {
+	return append(append([]string{}, pr.parent.descs...), pr.update.Desc)
+}
+
 // errQuarantined marks a candidate removed from the search by a panic
 // without ending the run.
 var errQuarantined = fmt.Errorf("candidate quarantined")
@@ -275,288 +271,289 @@ func RepairContext(ctx context.Context, p Problem, opts Options) *Result {
 	// performs while preserving candidates.
 	opts.SimOpts.Ctx = ctx
 
-	res := &Result{FinalConfigs: p.Configs, Termination: "iteration-cap"}
-	sink := newJournalSink(opts.Journal, res)
-	ec := newEvalCache(p, opts)
-
-	best := &bestEffort{fitness: -1}
-	finish := func(term string) *Result {
-		res.Termination = term
-		best.writeTo(res)
-		sink.terminal(term, res.Feasible)
-		// Fold the cache's store-corruption tally in on every exit path.
-		// Not checkpointed and not part of Canonical(): a resumed run only
-		// reports the corruption it observed itself.
-		res.StoreCorrupt = ec.storeCorrupt
-		res.WallClock = time.Since(start)
-		return res
-	}
-	interrupted := func() (string, bool) {
-		switch ctx.Err() {
-		case context.DeadlineExceeded:
-			return "deadline", true
-		case context.Canceled:
-			return "canceled", true
+	res := &Result{FinalConfigs: p.Configs}
+	r := &run{ctx: ctx, p: p, opts: opts, res: res, best: bestEffort{fitness: -1},
+		sink: newJournalSink(opts.Journal, res), ec: newEvalCache(p, opts)}
+	term := r.search()
+	switch term {
+	case "deadline", "canceled":
+		res.recordError(&RepairError{Kind: ErrorKind(term), Op: "run", Err: ctx.Err()})
+	case "feasible":
+		// The feasible update is the run's best version: no fitness beats
+		// 0, and the first candidate to reach it ends the run.
+		res.Feasible = true
+		res.FinalConfigs, res.Applied = r.best.configs, r.best.applied
+		for d, c := range res.FinalConfigs {
+			// Compare by text, not only by pointer: a resumed run's
+			// configs are rebuilt from the checkpoint and never share
+			// pointers with p.Configs.
+			if !c.SameText(p.Configs[d]) {
+				res.Diffs = append(res.Diffs, netcfg.Diff(p.Configs[d], c))
+			}
 		}
-		return "", false
+		sort.Strings(res.Diffs)
 	}
-	abort := func() *Result {
-		term, _ := interrupted()
-		kind := KindDeadline
-		if term == "canceled" {
-			kind = KindCanceled
-		}
-		res.recordError(&RepairError{Kind: kind, Op: "run", Err: ctx.Err()})
-		return finish(term)
-	}
+	res.Termination = term
+	r.best.writeTo(res)
+	r.sink.terminal(term, res.Feasible)
+	// Fold the cache's store-corruption tally in on every exit path. Not
+	// checkpointed and not part of Canonical(): a resumed run only reports
+	// the corruption it observed itself.
+	res.StoreCorrupt = r.ec.storeCorrupt
+	res.WallClock = time.Since(start)
+	return res
+}
 
-	// st carries the loop-control state across iterations so it can be
-	// checkpointed as a unit. st.widen multiplies the suspicious-line
-	// scope. It grows when an iteration preserves nothing (every candidate
-	// made things worse) and when fitness stagnates across iterations —
-	// interacting faults can poison the constraints of the top-ranked
-	// lines' templates while the real fix sits just below a tie boundary
-	// or outside a tight TopK.
-	var st loopState
-	if restored, ok := tryResume(res, best, p, opts); ok {
-		st = restored
-		res.Resumed = true
-		res.ResumedFrom = st.iter
+// run is one repair run's state: what it fills in, the best version it has
+// seen, where it journals and what it has evaluated.
+type run struct {
+	ctx  context.Context
+	p    Problem
+	opts Options
+	res  *Result
+	best bestEffort
+	sink *journalSink
+	ec   *evalCache
+}
+
+// bestEffort is the best configuration version a run has seen: the
+// candidate with the fewest failing intents, and so the feasible update
+// when one was found. An interrupted or infeasible run returns it as its
+// partial progress. fitness is -1 until the base is verified.
+type bestEffort struct {
+	fitness int
+	configs map[string]*netcfg.Config
+	applied []string
+}
+
+func (b *bestEffort) writeTo(res *Result) {
+	if b.fitness < 0 {
+		// Nothing was ever verified: fall back to the base.
+		res.BestEffortConfigs = res.FinalConfigs
+		res.BestEffortFitness = res.BaseFailing
+		return
+	}
+	res.BestEffortConfigs = b.configs
+	res.BestEffortFitness = b.fitness
+	res.BestEffortApplied = b.applied
+	res.Improved = b.fitness < res.BaseFailing
+}
+
+// cut names the termination of a run whose context is done, else "".
+func (r *run) cut() string {
+	switch r.ctx.Err() {
+	case context.DeadlineExceeded:
+		return "deadline"
+	case context.Canceled:
+		return "canceled"
+	}
+	return ""
+}
+
+// search runs the loop from a restored checkpoint or the verified base
+// version and returns how the run ended.
+func (r *run) search() string {
+	st, ok := tryResume(r.ctx, r.res, &r.best, r.p, r.opts)
+	if ok {
+		r.res.Resumed, r.res.ResumedFrom = true, st.iter
 		// Rebuild the evaluation cache the straight-through run held at
 		// this checkpoint from the journaled candidate digests, so the
 		// resumed run's hits and misses replay identically.
-		ec.warm(opts.Resume.Candidates, st.iter)
+		r.ec.warm(r.opts.Resume.Candidates, st.iter)
 	} else {
-		base := preserve(res, nil, scratchVersion(p, p.Configs, nil, opts))
-		if base == nil {
-			// The base version itself could not be verified (a panic or
-			// immediate cancellation): nothing to search from.
-			if _, ok := interrupted(); ok {
-				return abort()
-			}
-			return finish("exhausted")
+		var term string
+		if st, term = r.begin(); term != "" {
+			return term
 		}
-		if _, ok := interrupted(); ok {
-			// The base verification may be partial (canceled outcomes):
-			// its fitness is not trustworthy, so report nothing beyond
-			// the abort.
-			return abort()
-		}
-		res.BaseFailing = base.fitness
-		res.StaticDiagnostics = len(base.ctx.Diags)
-		res.PriorSeededLines = base.ctx.PriorSeeded
-		best.observe(base.fitness, p.Configs, nil)
-		if base.fitness == 0 {
-			res.Feasible = true
-			return finish("feasible")
-		}
-		st = loopState{pop: []*candidate{base}, prevFitness: base.fitness,
-			widen: 1, bestEver: base.fitness}
-		// The base snapshot is the minimum viable restart point: a crash
-		// before the first iteration checkpoint resumes here instead of
-		// re-paying base verification and localization.
-		sink.checkpoint(res, best, st)
 	}
-	pop, prevFitness := st.pop, st.prevFitness
-	widen, bestEver, stagnant := st.widen, st.bestEver, st.stagnant
+	for st.iter < r.opts.MaxIterations {
+		if term := r.iterate(&st); term != "" {
+			return term
+		}
+	}
+	return "iteration-cap"
+}
 
-	for iter := st.iter + 1; iter <= opts.MaxIterations; iter++ {
-		// Every random stream this iteration draws from is derived from
-		// (Seed, iter), so a run resumed at this boundary replays the
-		// exact straight-through search.
-		rng := iterRNG(opts.Seed, iter)
-		endIteration := func() {
-			sink.checkpoint(res, best, loopState{iter: iter, pop: pop,
-				prevFitness: prevFitness, widen: widen, bestEver: bestEver, stagnant: stagnant})
-		}
-		if _, ok := interrupted(); ok {
-			return abort()
-		}
-		res.Iterations = iter
-		log := IterationLog{Iteration: iter, BestFitness: prevFitness}
+// begin verifies the base version and checkpoints it as the first restart
+// point, or returns the termination of a run that ends there.
+func (r *run) begin() (loopState, string) {
+	// A run cut before or while it restored a checkpoint, or while it
+	// verified the base, has nothing trustworthy to search from: its
+	// fitness values may rest on canceled outcomes.
+	if term := r.cut(); term != "" {
+		return loopState{}, term
+	}
+	base := preserve(r.res, nil, scratchVersion(r.p, r.p.Configs, nil, r.opts))
+	if term := r.cut(); term != "" {
+		return loopState{}, term
+	}
+	if base == nil {
+		// The base version itself could not be verified (a panic):
+		// nothing to search from.
+		return loopState{}, "exhausted"
+	}
+	r.res.BaseFailing = base.fitness
+	r.res.StaticDiagnostics = len(base.ctx.Diags)
+	r.res.PriorSeededLines = base.ctx.PriorSeeded
+	r.best = bestEffort{fitness: base.fitness, configs: r.p.Configs}
+	if base.fitness == 0 {
+		return loopState{}, "feasible"
+	}
+	st := loopState{pop: []*candidate{base}, prevFitness: base.fitness,
+		widen: 1, bestEver: base.fitness}
+	// The base snapshot is the minimum viable restart point: a crash
+	// before the first iteration checkpoint resumes here instead of
+	// re-paying base verification and localization.
+	r.sink.checkpoint(r.res, &r.best, st)
+	return st, ""
+}
 
-		// --- Fix: generate candidates from every preserved update --------
-		var props []proposal
-		var seen signatures
-		for _, member := range pop {
-			mProps := generate(res, member, opts, widen, rng)
-			log.Generated += len(mProps)
-			for _, pr := range mProps {
-				if seen.add(member, pr.update) {
-					props = append(props, pr)
-				}
-			}
-		}
-		if len(pop) > 0 {
-			log.TopSuspicious = append(log.TopSuspicious,
-				sbfl.Suspicious(pop[0].ctx.Ranks, 5, minSusp)...)
-		}
-		if len(props) == 0 {
-			if widen < 8 {
-				widen *= 2
-				res.Logs = append(res.Logs, log)
-				sink.iteration(log)
-				endIteration()
-				continue
-			}
-			res.Logs = append(res.Logs, log)
-			sink.iteration(log)
-			return finish("exhausted")
-		}
-		limit := candidateCap * widen
-		if len(props) > limit {
-			if opts.Strategy == Evolutionary {
-				rng.Shuffle(len(props), func(i, j int) { props[i], props[j] = props[j], props[i] })
-			}
-			props = props[:limit]
-		}
+// iterate runs iteration st.iter+1 and returns the run's termination, or
+// "" with st at the iteration's checkpoint when the search goes on.
+func (r *run) iterate(st *loopState) string {
+	if term := r.cut(); term != "" {
+		return term
+	}
+	iter := st.iter + 1
+	r.res.Iterations = iter
+	// Every random stream this iteration draws from is derived from
+	// (Seed, iter), so a run resumed at this boundary replays the exact
+	// straight-through search.
+	rng := iterRNG(r.opts.Seed, iter)
+	log := journal.Iteration{Iteration: iter, BestFitness: st.prevFitness}
+	kept, feasible := r.validate(iter, st, r.propose(st, rng, &log), &log)
 
-		// --- Validate -----------------------------------------------------
-		// Proposals are evaluated one at a time, in proposal order, so the
-		// first feasible one ends the iteration before anything after it is
-		// simulated. The members' verifiers carry a parse memo for the
-		// iteration: siblings leaving a device with the same text parse it
-		// once.
-		for _, m := range pop {
-			m.iv.BeginBatch()
-		}
-		endBatch := func() {
-			for _, m := range pop {
-				m.iv.EndBatch()
-			}
-		}
-		var kept []proposal
-		feasibleAt := -1
-		for i := range props {
-			if _, ok := interrupted(); ok {
-				endBatch()
-				res.Logs = append(res.Logs, log)
-				return abort()
-			}
-			pr := &props[i]
-			fitness, digest, refuted, err := evaluate(ctx, res, ec, pr, opts)
-			if err != nil {
-				if _, ok := interrupted(); ok {
-					endBatch()
-					res.Logs = append(res.Logs, log)
-					return abort()
-				}
-				continue // malformed or quarantined candidate
-			}
-			res.CandidatesValidated++
-			log.Validated++
-			pr.fitness = fitness
-			sink.candidate(iter, pr.update.Desc, pr.fitness, digest, refuted)
-			if pr.fitness < log.BestFitness {
-				log.BestFitness = pr.fitness
-			}
-			if best.fitness < 0 || pr.fitness < best.fitness {
-				best.observeLazy(pr.fitness, pr)
-			}
-			if pr.fitness == 0 {
-				// Feasible update found (termination condition 1).
-				feasibleAt = i
-				break
-			}
-			// Discard candidates whose fitness exceeds the previous
-			// iteration's (the paper's preservation rule).
-			if pr.fitness <= prevFitness {
-				kept = append(kept, *pr)
-			}
-		}
-		endBatch()
-		if feasibleAt >= 0 {
-			pr := &props[feasibleAt]
-			final := applyUpdate(pr.parent.configs, pr.update)
-			res.Feasible = true
-			res.FinalConfigs = final
-			res.Applied = append(append([]string{}, pr.parent.descs...), pr.update.Desc)
-			for d, c := range final {
-				// Compare by text, not only by pointer: a resumed run's
-				// configs are rebuilt from the checkpoint and never share
-				// pointers with p.Configs.
-				if !c.SameText(p.Configs[d]) {
-					res.Diffs = append(res.Diffs, netcfg.Diff(p.Configs[d], c))
-				}
-			}
-			sort.Strings(res.Diffs)
-			res.Logs = append(res.Logs, log)
-			sink.iteration(log)
-			return finish("feasible")
-		}
+	// The iteration closes here, however it ended: its log is kept and
+	// journaled once.
+	term := r.cut()
+	if feasible {
+		term = "feasible"
+	}
+	if term == "" {
 		log.Kept = len(kept)
-		res.Logs = append(res.Logs, log)
-		sink.iteration(log)
-		if len(kept) == 0 {
-			if widen < 8 {
-				// Nothing preserved at this scope: widen and retry from
-				// the same population.
-				widen *= 2
-				endIteration()
-				continue
-			}
-			return finish("exhausted")
+	}
+	r.res.Logs = append(r.res.Logs, log)
+	r.sink.iteration(log)
+	if term != "" {
+		return term
+	}
+
+	if len(kept) > 0 {
+		if log.BestFitness < st.bestEver {
+			st.bestEver, st.widen, st.stagnant = log.BestFitness, 1, 0
+		} else if st.stagnant++; st.stagnant >= 2 && st.escalate() {
+			// Candidates are preserved but fitness has stopped improving:
+			// the fix is probably outside the current suspicious scope.
+			st.stagnant = 0
 		}
-		if log.BestFitness < bestEver {
-			bestEver = log.BestFitness
-			widen = 1
-			stagnant = 0
-		} else {
-			stagnant++
-			if stagnant >= 2 && widen < 8 {
-				// Candidates are preserved but fitness has stopped
-				// improving: the fix is probably outside the current
-				// suspicious scope.
-				widen *= 2
-				stagnant = 0
-			}
+	}
+	next := r.preserveKept(kept)
+	if term := r.cut(); term != "" {
+		// A cut during preservation left a member out: checkpointing this
+		// population would resume a different search.
+		return term
+	}
+	if len(next) == 0 {
+		// Nothing preserved at this scope: widen and retry from the same
+		// population.
+		if !st.escalate() {
+			return "exhausted"
 		}
-		// --- Select the next population ------------------------------------
-		sort.SliceStable(kept, func(i, j int) bool {
-			if kept[i].fitness != kept[j].fitness {
-				return kept[i].fitness < kept[j].fitness
-			}
-			return len(kept[i].parent.descs) < len(kept[j].parent.descs)
-		})
-		if len(kept) > populationCap {
-			kept = kept[:populationCap]
-		}
-		next := make([]*candidate, 0, len(kept))
-		maxFit := 0
-		for _, pr := range kept {
-			if _, ok := interrupted(); ok {
-				return abort()
-			}
-			descs := append(append([]string{}, pr.parent.descs...), pr.update.Desc)
-			c := preserve(res, descs, derivedVersion(p, pr, descs, opts))
-			if c == nil {
-				continue // preservation quarantined (panic during re-verify)
-			}
-			next = append(next, c)
-			if c.fitness > maxFit {
-				maxFit = c.fitness
-			}
-		}
-		if _, ok := interrupted(); ok {
-			// A cut during the last preservation left that member out:
-			// checkpointing this population would resume a different search.
-			return abort()
-		}
-		if len(next) == 0 {
-			if widen < 8 {
-				widen *= 2
-				endIteration()
-				continue
-			}
-			return finish("exhausted")
-		}
-		pop = next
+	} else {
 		// "The fitness of an iteration is defined as the largest fitness
 		// among the preserved updates."
-		prevFitness = maxFit
-		endIteration()
+		st.pop, st.prevFitness = next, 0
+		for _, c := range next {
+			st.prevFitness = max(st.prevFitness, c.fitness)
+		}
 	}
-	return finish(res.Termination)
+	st.iter = iter
+	r.sink.checkpoint(r.res, &r.best, *st)
+	return ""
+}
+
+// propose generates candidates from every preserved update (Fix),
+// deduplicated and capped at the iteration's candidate budget.
+func (r *run) propose(st *loopState, rng *rand.Rand, log *journal.Iteration) []proposal {
+	var props []proposal
+	var seen signatures
+	for _, member := range st.pop {
+		mProps := generate(r.res, member, r.opts, st.widen, rng)
+		log.Generated += len(mProps)
+		for _, pr := range mProps {
+			if seen.add(member, pr.update) {
+				props = append(props, pr)
+			}
+		}
+	}
+	log.Top = scoresToJournal(sbfl.Suspicious(st.pop[0].ctx.Ranks, 5, minSusp))
+	if limit := candidateCap * st.widen; len(props) > limit {
+		if r.opts.Strategy == Evolutionary {
+			rng.Shuffle(len(props), func(i, j int) { props[i], props[j] = props[j], props[i] })
+		}
+		props = props[:limit]
+	}
+	return props
+}
+
+// validate evaluates the proposals one at a time, in proposal order, so the
+// first feasible one ends the iteration before anything after it is
+// simulated. It returns the proposals the paper's preservation rule keeps —
+// those no worse than the previous iteration's fitness — and whether one
+// was feasible. The members' verifiers carry a parse memo for the
+// iteration: siblings leaving a device with the same text parse it once.
+func (r *run) validate(iter int, st *loopState, props []proposal, log *journal.Iteration) (kept []proposal, feasible bool) {
+	for _, m := range st.pop {
+		m.iv.BeginBatch()
+		defer m.iv.EndBatch()
+	}
+	for i := range props {
+		if r.cut() != "" {
+			break
+		}
+		pr := &props[i]
+		configs, digest, refuted, err := evaluate(r.ctx, r.res, r.ec, pr, r.opts)
+		if err != nil {
+			continue // malformed, quarantined or cut
+		}
+		r.res.CandidatesValidated++
+		log.Validated++
+		r.sink.candidate(iter, pr.update.Desc, pr.fitness, digest, refuted)
+		log.BestFitness = min(log.BestFitness, pr.fitness)
+		if r.best.fitness < 0 || pr.fitness < r.best.fitness {
+			r.best = bestEffort{fitness: pr.fitness, configs: configs, applied: pr.descs()}
+		}
+		if pr.fitness == 0 {
+			return kept, true // termination condition 1
+		}
+		if pr.fitness <= st.prevFitness {
+			kept = append(kept, *pr)
+		}
+	}
+	return kept, false
+}
+
+// preserveKept selects the next population from the kept proposals — the
+// fittest first, then the shortest histories, up to populationCap — and
+// builds each one's version. A member whose preservation fails is left out.
+func (r *run) preserveKept(kept []proposal) []*candidate {
+	sort.SliceStable(kept, func(i, j int) bool {
+		if kept[i].fitness != kept[j].fitness {
+			return kept[i].fitness < kept[j].fitness
+		}
+		return len(kept[i].parent.descs) < len(kept[j].parent.descs)
+	})
+	if len(kept) > populationCap {
+		kept = kept[:populationCap]
+	}
+	var next []*candidate
+	for _, pr := range kept {
+		descs := pr.descs()
+		if c := preserve(r.res, descs, derivedVersion(r.p, pr, descs, r.opts)); c != nil {
+			next = append(next, c)
+		}
+	}
+	return next
 }
 
 // iterRNG derives iteration iter's random stream. Streams are addressed
@@ -585,136 +582,29 @@ func deriveSeed(seed int64, stream string) int64 {
 	return int64(h.Sum64())
 }
 
-// tryResume restores the run from opts.Resume. It refuses — recording a
-// KindJournal error and reporting ok=false, which falls back to a fresh
-// run — when the session's digests do not match this problem and these
-// options, when the session already completed its search, or when no
-// checkpointed population member survives re-verification.
-func tryResume(res *Result, best *bestEffort, p Problem, opts Options) (loopState, bool) {
-	sess := opts.Resume
-	if sess == nil || sess.Header == nil {
-		return loopState{}, false
-	}
-	refuse := func(err error) (loopState, bool) {
-		res.recordError(&RepairError{Kind: KindJournal, Op: "resume", Err: err})
-		return loopState{}, false
-	}
-	if got := p.Digest(); sess.Header.CaseDigest != got {
-		return refuse(fmt.Errorf("journaled case digest %.12s does not match this case (%.12s)", sess.Header.CaseDigest, got))
-	}
-	if got := opts.SearchDigest(); sess.Header.OptionsDigest != got {
-		return refuse(fmt.Errorf("journaled options digest %.12s does not match these options (%.12s)", sess.Header.OptionsDigest, got))
-	}
-	if !sess.Resumable() {
-		return refuse(fmt.Errorf("session already completed (%s)", sess.Terminal.Termination))
-	}
-	if sess.Checkpoint == nil {
-		// The run died before its first checkpoint: nothing to restore,
-		// but nothing lost either — a fresh run under the same seed IS
-		// the continuation.
-		return loopState{}, false
-	}
-	st, ok := restoreCheckpoint(res, best, p, opts, sess.Checkpoint)
-	if !ok {
-		return refuse(fmt.Errorf("no checkpointed population member survived re-verification"))
-	}
-	return st, true
-}
-
-// bestEffort tracks the best configuration version observed so far, so an
-// interrupted or infeasible run still returns partial progress. Improving
-// candidates are recorded unmaterialized — the parent's configs plus the
-// winning update — and the full configuration map is only built when
-// something actually reads it (the final result, a checkpoint). A long
-// run that improves on hundreds of candidates but keeps only the last
-// therefore clones configurations O(checkpoints) times, not O(improvements).
-type bestEffort struct {
-	fitness int // -1 until first observation
-	// configs/applied are the materialized form: either observed directly
-	// (base version, checkpoint restore) or built by materialize.
-	configs map[string]*netcfg.Config
-	applied []string
-	// parent/update are the pending lazy observation; parent is nil when
-	// configs is current.
-	parent      map[string]*netcfg.Config
-	parentDescs []string
-	update      Update
-}
-
-// observe records a fully materialized version (the base, or a restored
-// checkpoint's best).
-func (b *bestEffort) observe(fitness int, configs map[string]*netcfg.Config, applied []string) {
-	if b.fitness >= 0 && fitness >= b.fitness {
-		return
-	}
-	b.fitness = fitness
-	b.configs = configs
-	b.applied = applied
-	b.parent = nil
-}
-
-// observeLazy records an improving candidate without materializing it.
-// The caller has already established the improvement (the validate loop's
-// fitness check), so this unconditionally replaces the previous best.
-func (b *bestEffort) observeLazy(fitness int, pr *proposal) {
-	b.fitness = fitness
-	b.configs = nil
-	b.applied = nil
-	b.parent = pr.parent.configs
-	b.parentDescs = pr.parent.descs
-	b.update = pr.update
-}
-
-// materialize builds (and memoizes) the best version's configuration map.
-func (b *bestEffort) materialize() {
-	if b.parent == nil {
-		return
-	}
-	b.configs = applyUpdate(b.parent, b.update)
-	b.applied = append(append([]string{}, b.parentDescs...), b.update.Desc)
-	b.parent = nil
-}
-
-func (b *bestEffort) writeTo(res *Result) {
-	if b.fitness < 0 {
-		// Nothing was ever verified: fall back to the base.
-		res.BestEffortConfigs = res.FinalConfigs
-		res.BestEffortFitness = res.BaseFailing
-		return
-	}
-	b.materialize()
-	res.BestEffortConfigs = b.configs
-	res.BestEffortFitness = b.fitness
-	res.BestEffortApplied = b.applied
-	res.Improved = b.fitness < res.BaseFailing
-	if res.Feasible {
-		res.BestEffortConfigs = res.FinalConfigs
-		res.BestEffortFitness = 0
-		res.BestEffortApplied = res.Applied
-		res.Improved = res.BaseFailing > 0
-	}
-}
-
-// evaluate answers one proposal's fitness from the evaluation cache, else
-// the persistent store, else by validating it on its parent's verifier.
-// A duplicate of an earlier proposal hits the entry that proposal wrote. A
-// store answer replaces only the simulation: it is accounted as a cache
-// miss and enters the cache like the simulation it replaced, so
-// CacheHits/CacheMisses — part of Canonical() — match a cold-store run and
-// only the store counters see it. A proposal whose edits do not apply is
-// an error, neither digested nor checked; refuted reports that the impact
-// analysis answered the validation without simulating.
-func evaluate(ctx context.Context, res *Result, ec *evalCache, pr *proposal, opts Options) (fitness int, digest string, refuted bool, err error) {
+// evaluate answers one proposal's fitness, setting pr.fitness, from the
+// evaluation cache, else the persistent store, else by validating it on its
+// parent's verifier. It returns the candidate's configuration set, which the
+// run keeps when the candidate is its best. A duplicate of an earlier
+// proposal hits the entry that proposal wrote. A store answer replaces only
+// the simulation: it is accounted as a cache miss and enters the cache like
+// the simulation it replaced, so CacheHits/CacheMisses — part of
+// Canonical() — match a cold-store run and only the store counters see it.
+// A proposal whose edits do not apply is an error, neither digested nor
+// checked; refuted reports that the impact analysis answered the validation
+// without simulating.
+func evaluate(ctx context.Context, res *Result, ec *evalCache, pr *proposal, opts Options) (configs map[string]*netcfg.Config, digest string, refuted bool, err error) {
 	// The edits are applied once: the digest hashes the configuration set
 	// a cache miss then checks.
-	configs, err := pr.parent.iv.Apply(pr.update.Edits)
+	configs, err = pr.parent.iv.Apply(pr.update.Edits)
 	if err != nil {
-		return 0, "", false, err
+		return nil, "", false, err
 	}
 	digest = ec.digest(pr.parent, configs)
 	if fit, ok := ec.get(digest); ok {
 		res.CacheHits++
-		return fit, digest, false, nil
+		pr.fitness = fit
+		return configs, digest, false, nil
 	}
 	fitness, stored := ec.storeGet(digest)
 	if stored {
@@ -722,7 +612,7 @@ func evaluate(ctx context.Context, res *Result, ec *evalCache, pr *proposal, opt
 	} else {
 		rep, stats, err := validateCandidate(ctx, res, pr, configs, opts)
 		if err != nil {
-			return 0, digest, false, err
+			return nil, digest, false, err
 		}
 		fitness, refuted = rep.NumFailed(), stats.Refuted
 		if ec.store != nil {
@@ -732,7 +622,8 @@ func evaluate(ctx context.Context, res *Result, ec *evalCache, pr *proposal, opt
 	}
 	res.CacheMisses++
 	ec.put(digest, fitness)
-	return fitness, digest, refuted, nil
+	pr.fitness = fitness
+	return configs, digest, refuted, nil
 }
 
 // validateCandidate validates one candidate, configs being its edits
@@ -941,22 +832,6 @@ func newCandidate(p Problem, iv *verify.Incremental, descs []string, opts Option
 	sort.Strings(c.devices)
 	c.ctx = buildContext(p, iv, sbfl.Tarantula, versionRNG(opts.Seed, descs), !opts.noStaticPrior)
 	return c
-}
-
-// applyUpdate materializes an update against a configuration map.
-func applyUpdate(configs map[string]*netcfg.Config, up Update) map[string]*netcfg.Config {
-	out := make(map[string]*netcfg.Config, len(configs))
-	for d, c := range configs { //acrvet:ordered
-		out[d] = c
-	}
-	for _, es := range up.Edits {
-		if base, ok := out[es.Device]; ok {
-			if next, err := es.Apply(base); err == nil {
-				out[es.Device] = next
-			}
-		}
-	}
-	return out
 }
 
 // signatures deduplicates one iteration's proposals: two are the same when

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"acr/internal/journal"
 	"acr/internal/netcfg"
 )
 
@@ -43,15 +44,15 @@ func (r *Result) Report(baseConfigs map[string]*netcfg.Config) string {
 		sb.WriteByte('\n')
 		// Localization snapshot of the first iteration.
 		first := r.Logs[0]
-		if len(first.TopSuspicious) > 0 {
+		if len(first.Top) > 0 {
 			fmt.Fprintf(&sb, "## Most suspicious lines (iteration 1)\n\n")
-			for _, s := range first.TopSuspicious {
+			for _, s := range first.Top {
 				text := ""
-				if cfg := baseConfigs[s.Line.Device]; cfg != nil && s.Line.Line >= 1 && s.Line.Line <= cfg.NumLines() {
-					text = strings.TrimSpace(cfg.Line(s.Line.Line))
+				if cfg := baseConfigs[s.Device]; cfg != nil && s.Line >= 1 && s.Line <= cfg.NumLines() {
+					text = strings.TrimSpace(cfg.Line(s.Line))
 				}
 				fmt.Fprintf(&sb, "  %-14s susp=%.3f (failed=%d passed=%d)  %s\n",
-					s.Line, s.Susp, s.Failed, s.Passed, text)
+					lineOf(s), s.Susp, s.Failed, s.Passed, text)
 			}
 			sb.WriteByte('\n')
 		}
@@ -159,10 +160,15 @@ func (r *Result) Canonical() string {
 	for _, l := range r.Logs {
 		fmt.Fprintf(&sb, "iter=%d generated=%d validated=%d kept=%d bestFitness=%d top=",
 			l.Iteration, l.Generated, l.Validated, l.Kept, l.BestFitness)
-		for _, s := range l.TopSuspicious {
-			fmt.Fprintf(&sb, "%s:%g,%d,%d,%g;", s.Line, s.Susp, s.Failed, s.Passed, s.Prior)
+		for _, s := range l.Top {
+			fmt.Fprintf(&sb, "%s:%g,%d,%d,%g;", lineOf(s), s.Susp, s.Failed, s.Passed, s.Prior)
 		}
 		sb.WriteByte('\n')
 	}
 	return sb.String()
+}
+
+// lineOf names a journaled score's line as the ranking did.
+func lineOf(s journal.Score) netcfg.LineRef {
+	return netcfg.LineRef{Device: s.Device, Line: s.Line}
 }

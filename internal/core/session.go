@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -14,9 +16,9 @@ import (
 )
 
 // This file is the bridge between the engine and the write-ahead journal
-// (internal/journal): session identity digests, conversions between the
-// engine's in-memory state and journal records, and the restore path that
-// rebuilds a population from a checkpoint.
+// (internal/journal): session identity digests, the resume gate,
+// checkpoints of the engine's state, and the restore path that rebuilds a
+// population from one.
 
 // Digest fingerprints the repair problem: topology, configurations, and
 // intents. A journal header carries it so resume can refuse to continue a
@@ -132,30 +134,6 @@ func scoresToJournal(scores []sbfl.Score) []journal.Score {
 	return out
 }
 
-func scoresFromJournal(scores []journal.Score) []sbfl.Score {
-	if len(scores) == 0 {
-		return nil
-	}
-	out := make([]sbfl.Score, len(scores))
-	for i, s := range scores {
-		out[i] = sbfl.Score{Line: netcfg.LineRef{Device: s.Device, Line: s.Line},
-			Susp: s.Susp, Failed: s.Failed, Passed: s.Passed, Prior: s.Prior}
-	}
-	return out
-}
-
-func logToJournal(l IterationLog) journal.Iteration {
-	return journal.Iteration{Iteration: l.Iteration, Generated: l.Generated,
-		Validated: l.Validated, Kept: l.Kept, BestFitness: l.BestFitness,
-		Top: scoresToJournal(l.TopSuspicious)}
-}
-
-func logFromJournal(l journal.Iteration) IterationLog {
-	return IterationLog{Iteration: l.Iteration, Generated: l.Generated,
-		Validated: l.Validated, Kept: l.Kept, BestFitness: l.BestFitness,
-		TopSuspicious: scoresFromJournal(l.Top)}
-}
-
 // configsToLines snapshots a configuration version as raw line slices —
 // the representation that restores byte-exactly (Text round trips drop
 // trailing blank lines).
@@ -176,7 +154,9 @@ func configsFromLines(lines map[string][]string) map[string]*netcfg.Config {
 }
 
 // loopState is the restart-relevant loop-control state at an iteration
-// boundary (the top of iteration iter+1).
+// boundary (the top of iteration iter+1). widen multiplies the
+// suspicious-line scope; stagnant counts iterations since fitness last
+// improved on bestEver.
 type loopState struct {
 	iter        int
 	pop         []*candidate
@@ -184,6 +164,21 @@ type loopState struct {
 	widen       int
 	bestEver    int
 	stagnant    int
+}
+
+// escalate is the search's one escalation rule: it doubles the
+// suspicious-line scope up to 8× and reports false, the search being
+// exhausted, when the scope is already at 8×. It fires when an iteration
+// preserves nothing (every candidate made things worse) and when fitness
+// stagnates across iterations: interacting faults can poison the
+// constraints of the top-ranked lines' templates while the real fix sits
+// just below a tie boundary or outside a tight top-K.
+func (st *loopState) escalate() bool {
+	if st.widen >= 8 {
+		return false
+	}
+	st.widen *= 2
+	return true
 }
 
 // buildCheckpoint snapshots the run for the journal.
@@ -198,6 +193,7 @@ func buildCheckpoint(res *Result, best *bestEffort, st loopState) journal.Checkp
 		StaticDiagnostics: res.StaticDiagnostics,
 		PriorSeededLines:  res.PriorSeededLines,
 		Counters:          journal.CheckpointCounters{Counters: res.Counters},
+		Logs:              res.Logs,
 	}
 	for _, m := range st.pop {
 		cp.Population = append(cp.Population, journal.Member{
@@ -207,15 +203,11 @@ func buildCheckpoint(res *Result, best *bestEffort, st loopState) journal.Checkp
 		})
 	}
 	if best.fitness >= 0 {
-		best.materialize()
 		cp.Best = &journal.BestEffort{
 			Fitness: best.fitness,
 			Configs: configsToLines(best.configs),
 			Applied: best.applied,
 		}
-	}
-	for _, l := range res.Logs {
-		cp.Logs = append(cp.Logs, logToJournal(l))
 	}
 	for _, e := range res.Errors {
 		ev := journal.ErrorEvent{Kind: string(e.Kind), Op: e.Op, Candidate: e.Candidate}
@@ -227,37 +219,82 @@ func buildCheckpoint(res *Result, best *bestEffort, st loopState) journal.Checkp
 	return cp
 }
 
-// restoreCheckpoint rebuilds the run from a checkpoint: counters and logs
-// into res, the best-effort tracker, and the population (each member is
-// re-verified — the only validation work a resume re-pays, bounded by
-// populationCap). A member whose re-verification fails or disagrees with
-// its journaled fitness is dropped (quarantine semantics); restore reports
-// ok=false when no member survives, and the caller falls back to a fresh
-// run.
-func restoreCheckpoint(res *Result, best *bestEffort, p Problem, opts Options, cp *journal.Checkpoint) (loopState, bool) {
-	res.BaseFailing = cp.BaseFailing
-	res.StaticDiagnostics = cp.StaticDiagnostics
-	res.PriorSeededLines = cp.PriorSeededLines
-	res.Iterations = cp.Iteration
-	res.Counters = cp.Counters.Counters
-	res.Logs = nil
-	for _, l := range cp.Logs {
-		res.Logs = append(res.Logs, logFromJournal(l))
+// CheckResume is the one resume gate: it reports why sess may not resume
+// a repair of p under opts, or nil when it may. The session must have been
+// journaled for this case (its case digest) and this search (its options
+// digest), and must not have completed its search. The engine, `acr repair
+// -resume` and the service all decide by it.
+func CheckResume(sess *journal.Session, p Problem, opts Options) error {
+	if sess == nil || sess.Header == nil {
+		return errors.New("no journaled session header")
 	}
-	res.Errors = nil
+	if got := p.Digest(); sess.Header.CaseDigest != got {
+		return fmt.Errorf("journaled case digest %.12s does not match this case (%.12s)", sess.Header.CaseDigest, got)
+	}
+	if got := opts.SearchDigest(); sess.Header.OptionsDigest != got {
+		return fmt.Errorf("journaled options digest %.12s does not match these options (%.12s)", sess.Header.OptionsDigest, got)
+	}
+	if !sess.Resumable() {
+		return fmt.Errorf("session already completed (%s)", sess.Terminal.Termination)
+	}
+	return nil
+}
+
+// tryResume restores the run from opts.Resume. A session CheckResume
+// refuses, or one no checkpointed member of survives, records a
+// KindJournal error and reports ok=false: the caller runs fresh, from the
+// untouched res and best. A session that died before its first checkpoint
+// also runs fresh, with no error: a fresh run under the same seed is its
+// continuation. A restore the context cuts reports ok=false and records
+// nothing.
+func tryResume(ctx context.Context, res *Result, best *bestEffort, p Problem, opts Options) (loopState, bool) {
+	sess := opts.Resume
+	if sess == nil {
+		return loopState{}, false
+	}
+	err := CheckResume(sess, p, opts)
+	if err == nil && sess.Checkpoint == nil {
+		return loopState{}, false
+	}
+	var st loopState
+	if err == nil {
+		st, err = restoreCheckpoint(ctx, res, best, p, opts, sess.Checkpoint)
+	}
+	if err != nil && ctx.Err() == nil {
+		res.recordError(&RepairError{Kind: KindJournal, Op: "resume", Err: err})
+	}
+	return st, err == nil
+}
+
+// restoreCheckpoint rebuilds the run from a checkpoint: counters, logs and
+// errors into res, the best-effort record into best, and the population.
+// Each member is re-verified — the only validation work a resume re-pays,
+// bounded by populationCap — and one whose re-verification fails or
+// disagrees with its journaled fitness is dropped (quarantine semantics).
+// The restored state is built apart and written to res and best only once
+// a member survives; when none does, res holds only the dropped members'
+// errors. The context is checked after each member: a cut returns its
+// error and records nothing, since members re-verified on canceled
+// outcomes prove nothing about the journal.
+func restoreCheckpoint(ctx context.Context, res *Result, best *bestEffort, p Problem, opts Options, cp *journal.Checkpoint) (loopState, error) {
+	r := Result{
+		FinalConfigs:      res.FinalConfigs,
+		Iterations:        cp.Iteration,
+		BaseFailing:       cp.BaseFailing,
+		Logs:              cp.Logs,
+		Counters:          cp.Counters.Counters,
+		StaticDiagnostics: cp.StaticDiagnostics,
+		PriorSeededLines:  cp.PriorSeededLines,
+	}
 	for i := range cp.Errors {
 		e := cp.Errors[i]
 		var err error
 		if e.Message != "" {
 			err = fmt.Errorf("%s", e.Message)
 		}
-		res.recordError(&RepairError{Kind: ErrorKind(e.Kind), Op: e.Op, Candidate: e.Candidate, Err: err})
+		r.recordError(&RepairError{Kind: ErrorKind(e.Kind), Op: e.Op, Candidate: e.Candidate, Err: err})
 	}
-	if cp.Best != nil {
-		best.fitness = cp.Best.Fitness
-		best.configs = configsFromLines(cp.Best.Configs)
-		best.applied = cp.Best.Applied
-	}
+	restored := len(r.Errors)
 	st := loopState{
 		iter:        cp.Iteration,
 		prevFitness: cp.PrevFitness,
@@ -266,19 +303,32 @@ func restoreCheckpoint(res *Result, best *bestEffort, p Problem, opts Options, c
 		stagnant:    cp.Stagnant,
 	}
 	for _, m := range cp.Population {
-		c := preserve(res, m.Descs, scratchVersion(p, configsFromLines(m.Configs), m.Descs, opts))
+		c := preserve(&r, m.Descs, scratchVersion(p, configsFromLines(m.Configs), m.Descs, opts))
+		if err := ctx.Err(); err != nil {
+			return loopState{}, err
+		}
 		if c == nil {
 			continue
 		}
 		if c.fitness != m.Fitness {
-			res.recordError(&RepairError{Kind: KindJournal, Op: "restore",
+			r.recordError(&RepairError{Kind: KindJournal, Op: "restore",
 				Candidate: strings.Join(m.Descs, " + "),
 				Err:       fmt.Errorf("re-verified fitness %d disagrees with journaled %d", c.fitness, m.Fitness)})
 			continue
 		}
 		st.pop = append(st.pop, c)
 	}
-	return st, len(st.pop) > 0
+	if len(st.pop) == 0 {
+		for _, e := range r.Errors[restored:] {
+			res.recordError(e)
+		}
+		return loopState{}, errors.New("no checkpointed population member survived re-verification")
+	}
+	*res = r
+	if cp.Best != nil {
+		*best = bestEffort{fitness: cp.Best.Fitness, configs: configsFromLines(cp.Best.Configs), applied: cp.Best.Applied}
+	}
+	return st, nil
 }
 
 // journalSink funnels the engine's event emission. A nil sink (journaling
@@ -314,11 +364,11 @@ func (j *journalSink) candidate(iter int, desc string, fitness int, digest strin
 	j.emit("journal", j.w.AppendCandidate(journal.Candidate{Iteration: iter, Desc: desc, Fitness: fitness, Digest: digest, Refuted: refuted}))
 }
 
-func (j *journalSink) iteration(l IterationLog) {
+func (j *journalSink) iteration(l journal.Iteration) {
 	if j == nil || j.disabled {
 		return
 	}
-	j.emit("journal", j.w.AppendIteration(logToJournal(l)))
+	j.emit("journal", j.w.AppendIteration(l))
 }
 
 // checkpoint journals a restart point: the base snapshot (iteration 0)

@@ -358,12 +358,30 @@ func TestMergeUpdates(t *testing.T) {
 	}
 }
 
+// TestApplyUpdateIsolation: evaluating a proposal applies its update to a
+// new configuration set, the one the run keeps when the proposal is its
+// best version, and leaves the parent version's set untouched.
 func TestApplyUpdateIsolation(t *testing.T) {
-	base := map[string]*netcfg.Config{"A": netcfg.NewConfig("A", "x\ny\n")}
-	up := Update{Edits: []netcfg.EditSet{{Device: "A", Edits: []netcfg.Edit{netcfg.DeleteLine{At: 1}}}}}
-	out := applyUpdate(base, up)
-	if out["A"].NumLines() != 1 || base["A"].NumLines() != 2 {
-		t.Error("applyUpdate mutated base or failed")
+	s := scenario.Figure2()
+	p := Problem{Topo: s.Topo, Configs: s.Configs, Intents: s.Intents}
+	opts := Options{}.withDefaults()
+	parent, err := scratchVersion(p, p.Configs, nil, opts)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := parent.configs["A"]
+	n := a.NumLines()
+	del := netcfg.EditSet{Device: "A", Edits: []netcfg.Edit{netcfg.DeleteLine{At: scenario.FigureALinePrefixList}}}
+	pr := &proposal{parent: parent, update: Update{Edits: []netcfg.EditSet{del}, Desc: "delete A:11"}}
+	configs, _, _, err := evaluate(context.Background(), &Result{}, newEvalCache(p, opts), pr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if configs["A"].NumLines() != n-1 || parent.configs["A"] != a || a.NumLines() != n {
+		t.Error("evaluate mutated the parent's configurations or did not apply the update")
+	}
+	if configs["B"] != parent.configs["B"] {
+		t.Error("an unedited device's configuration was copied, not shared")
 	}
 }
 

@@ -323,9 +323,11 @@ func forwardTo(n *bgp.Net, router string, nh netip.Addr, what string, res *Trace
 }
 
 // SamplePacket draws a deterministic representative packet for a flow from
-// src prefix to dst prefix: the .1 host address on each side, TCP to port
-// 80. This is the paper's "sample a packet from its header space" (§4.1).
-// A zero prefix (a global intent has no source) samples the zero address.
+// src prefix to dst prefix: the first host address on each side (the .1 of
+// a subnet, the address itself of a single-address prefix such as a /32),
+// TCP to port 80. This is the paper's "sample a packet from its header
+// space" (§4.1). A zero prefix (a global intent has no source) samples the
+// zero address.
 func SamplePacket(src, dst netip.Prefix) Packet {
 	return Packet{
 		Src:     hostAddr(src),
@@ -340,9 +342,11 @@ func hostAddr(p netip.Prefix) netip.Addr {
 	if !p.IsValid() {
 		return netip.Addr{}
 	}
-	a := p.Masked().Addr().As4()
-	a[3] |= 1
-	return netip.AddrFrom4(a)
+	a := p.Masked().Addr()
+	if p.Bits() < a.BitLen() {
+		return a.Next()
+	}
+	return a
 }
 
 // InjectionPoint maps a packet source address to the router where the

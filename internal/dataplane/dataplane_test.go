@@ -287,6 +287,27 @@ func TestSamplePacketDeterministic(t *testing.T) {
 	}
 }
 
+// TestSamplePacketInsidePrefix: every prefix samples an address it holds —
+// the .1 of a subnet as before, the address itself of a /32 or /128 (an
+// even last octet included) — and an IPv6 prefix samples without a panic.
+func TestSamplePacketInsidePrefix(t *testing.T) {
+	for _, tc := range []struct{ prefix, want string }{
+		{"10.1.0.0/16", "10.1.0.1"},
+		{"10.1.0.4/30", "10.1.0.5"},
+		{"10.1.0.2/31", "10.1.0.3"},
+		{"30.0.0.2/32", "30.0.0.2"},
+		{"30.0.0.3/32", "30.0.0.3"},
+		{"2001:db8::/64", "2001:db8::1"},
+		{"2001:db8::2/128", "2001:db8::2"},
+	} {
+		p := netip.MustParsePrefix(tc.prefix)
+		pkt := SamplePacket(p, p)
+		if want := netip.MustParseAddr(tc.want); pkt.Src != want || pkt.Dst != want {
+			t.Errorf("%s samples %v -> %v, want %v", p, pkt.Src, pkt.Dst, want)
+		}
+	}
+}
+
 func TestInjectionPoint(t *testing.T) {
 	net := lineNet()
 	if got := InjectionPoint(net, netip.MustParseAddr("10.1.3.4")); got != "SRC" {

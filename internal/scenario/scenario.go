@@ -16,6 +16,27 @@ import (
 	"acr/internal/verify"
 )
 
+// BuiltinNames lists the built-in cases Builtin generates.
+const BuiltinNames = "figure2, figure2-repaired, dcn4, wan"
+
+// Builtin generates a built-in case by name: the cases `acr -builtin` and
+// the service's builtin jobs run. Generation is deterministic, so a job
+// rerun after a reboot rebuilds the byte-identical problem (the journal's
+// case digest checks this).
+func Builtin(name string) (*Scenario, error) {
+	switch name {
+	case "figure2":
+		return Figure2(), nil
+	case "figure2-repaired":
+		return Figure2Correct(), nil
+	case "dcn4":
+		return DCN(4, GenOptions{WithScrubber: true, StaticOriginEvery: 2}), nil
+	case "wan":
+		return WAN(6, 4, 3, GenOptions{StaticOriginEvery: 2}), nil
+	}
+	return nil, fmt.Errorf("unknown builtin case %q (valid: %s)", name, BuiltinNames)
+}
+
 // Scenario is one complete case.
 type Scenario struct {
 	Name    string

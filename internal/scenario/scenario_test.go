@@ -319,3 +319,29 @@ func TestStubStaticOrigination(t *testing.T) {
 		t.Fatalf("static-origin WAN broken:\n%s", rep.Summary())
 	}
 }
+
+// TestHostRouteIntentsPass: a network that delivers a /32 ending in an even
+// octet passes its reachability, loop-free and blackhole-free intents. Each
+// samples the /32's own address; sampling the address above it traces a
+// packet no route covers.
+func TestHostRouteIntentsPass(t *testing.T) {
+	host := netip.MustParsePrefix("30.0.0.2/32")
+	tn := topo.New("host-route")
+	tn.AddNode("R", topo.Backbone, 65001, netip.MustParseAddr("1.0.0.1"))
+	tn.AddNode("S", topo.PoP, 64601, netip.MustParseAddr("1.0.0.2")).Originates = []netip.Prefix{netip.MustParsePrefix("20.0.0.0/24")}
+	tn.AddNode("H", topo.PoP, 64602, netip.MustParseAddr("1.0.0.3")).Originates = []netip.Prefix{host}
+	tn.Connect("S", "R")
+	tn.Connect("R", "H")
+	s := &Scenario{Name: "host-route", Topo: tn, Configs: map[string]*netcfg.Config{}, Intents: []verify.Intent{
+		verify.ReachIntent("reach-host", netip.MustParsePrefix("20.0.0.0/24"), host),
+		{ID: "loop-free-host", Kind: verify.LoopFree, DstPrefix: host},
+		{ID: "blackhole-free-host", Kind: verify.BlackholeFree, DstPrefix: host},
+	}}
+	for _, nd := range tn.Nodes() {
+		s.Configs[nd.Name] = stubConfig(tn, nd.Name, false)
+	}
+	_, _, rep := verifyScenario(t, s)
+	if rep.NumFailed() != 0 {
+		t.Errorf("the /32 network fails intents:\n%s", rep.Summary())
+	}
+}

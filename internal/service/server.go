@@ -193,7 +193,7 @@ func prepare(req JobRequest) (*scenario.Scenario, error) {
 		return nil, &apiError{http.StatusBadRequest, err.Error()}
 	}
 	if req.Builtin != "" {
-		sc, err := builtinScenario(req.Builtin)
+		sc, err := scenario.Builtin(req.Builtin)
 		if err != nil {
 			return nil, &apiError{http.StatusBadRequest, err.Error()}
 		}

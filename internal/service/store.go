@@ -218,7 +218,7 @@ func (s *store) open(j *job) (*journal.Writer, *journal.Session, *scenario.Scena
 	var sc *scenario.Scenario
 	switch rec := j.snapshot(); {
 	case rec.Builtin != "":
-		sc, err = builtinScenario(rec.Builtin)
+		sc, err = scenario.Builtin(rec.Builtin)
 	case err == nil && first.Upload == nil:
 		err = errors.New("no upload in the job's first record")
 	case err == nil:
@@ -291,22 +291,4 @@ func (s *store) list() []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return slices.Clone(s.order)
-}
-
-// builtinScenario maps the builtin names the CLI accepts to generated
-// cases. Generation is deterministic, so a job rerun after a reboot
-// rebuilds the byte-identical problem (the journal's case digest checks
-// this).
-func builtinScenario(name string) (*scenario.Scenario, error) {
-	switch name {
-	case "figure2":
-		return scenario.Figure2(), nil
-	case "figure2-repaired":
-		return scenario.Figure2Correct(), nil
-	case "dcn4":
-		return scenario.DCN(4, scenario.GenOptions{WithScrubber: true, StaticOriginEvery: 2}), nil
-	case "wan":
-		return scenario.WAN(6, 4, 3, scenario.GenOptions{StaticOriginEvery: 2}), nil
-	}
-	return nil, fmt.Errorf("unknown builtin case %q", name)
 }

@@ -141,10 +141,8 @@ func (s *Server) runJob(j *job) {
 // result. Both cuts precede the running record, so no engine record that
 // a resumed run regenerates sits before a job record.
 func (s *Server) startSession(j *job, w *journal.Writer, sess *journal.Session, p core.Problem, opts *core.Options) error {
-	hdr := core.SessionHeader(j.snapshot().Case, p, *opts)
 	var err error
-	if sess.Header != nil && sess.Resumable() && sess.Header.CaseDigest == hdr.CaseDigest &&
-		sess.Header.OptionsDigest == hdr.OptionsDigest {
+	if core.CheckResume(sess, p, *opts) == nil {
 		// Provisional: the terminal update replaces this with the engine's
 		// own Resumed flag (false when there was no checkpoint to restore).
 		j.mu.Lock()
@@ -162,7 +160,7 @@ func (s *Server) startSession(j *job, w *journal.Writer, sess *journal.Session, 
 	if opts.Resume != nil {
 		return nil
 	}
-	return w.AppendHeader(hdr)
+	return w.AppendHeader(core.SessionHeader(j.snapshot().Case, p, *opts))
 }
 
 // journalErr wraps journal-layer failures in the engine's error taxonomy
