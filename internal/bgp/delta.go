@@ -39,22 +39,25 @@ import (
 // prefix is delta-simulated from base, cold where the delta run refuses,
 // and an outcome whose stable state — Final, AdjIn and the router IDs its
 // sessions resolve AdjIn with — came out equal to base's is base itself, so
-// the caller recognises an unmoved prefix by pointer. Without one it is
-// SimulatePrefix. acts counts the run's activations, which an outcome
-// handed back as base does not carry; delta reports whether the delta run
-// answered.
+// the caller recognises an unmoved prefix by pointer. A delta run that
+// comes to rest in base's state is recognised before any outcome is built
+// from it. Without a base it is SimulatePrefix. acts counts the run's
+// activations, which an outcome handed back as base does not carry; delta
+// reports whether the delta run answered.
 func ResimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix netip.Prefix, opts Options) (po *PrefixOutcome, acts int, delta bool) {
 	if base != nil {
-		po, delta = DeltaSimulatePrefix(n, base, dirty, prefix, opts)
+		if st, acts, ok := deltaRun(n, base, dirty, prefix, opts); ok {
+			if st.sameStable(n, base) {
+				return base, acts, true
+			}
+			return st.outcome(n, base, prefix, acts), acts, true
+		}
 	}
-	if !delta {
-		po = SimulatePrefix(n, prefix, opts)
-	}
-	acts = po.Activations
+	po = SimulatePrefix(n, prefix, opts)
 	if base != nil && sameStableState(po, base, n.Order) {
-		po = base
+		return base, po.Activations, false
 	}
-	return po, acts, delta
+	return po, po.Activations, false
 }
 
 // sameStableState reports whether two outcomes converged to the same
@@ -65,13 +68,37 @@ func sameStableState(a, b *PrefixOutcome, order []string) bool {
 		return false
 	}
 	for i, name := range order {
-		if !sameRoute(a.Final[name], b.Final[name]) || len(a.AdjIn[i]) != len(b.AdjIn[i]) {
+		if !sameRoute(a.Final[name], b.Final[name]) || !sameRow(a.AdjIn[i], b.AdjIn[i]) {
 			return false
 		}
-		for j, rt := range a.AdjIn[i] {
-			if !sameRoute(rt, b.AdjIn[i][j]) {
-				return false
-			}
+	}
+	return true
+}
+
+// sameStable is sameStableState between the converged state a delta run on
+// n left and its base, read off the state's rows: a row the run never
+// wrote is the base's own.
+func (st *prefixState) sameStable(n *Net, base *PrefixOutcome) bool {
+	if !sameRIDs(n.rids, base.rids) {
+		return false
+	}
+	for i, name := range n.Order {
+		if !sameHeld(st.best[i], held{rt: base.Final[name]}) || st.owned[i] && !sameRow(st.adj[i], base.AdjIn[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRow reports whether two adj-in rows hold the same routes slot by
+// slot.
+func sameRow(a, b []*Route) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j, rt := range a {
+		if !sameRoute(rt, b[j]) {
+			return false
 		}
 	}
 	return true
@@ -94,14 +121,31 @@ func sameRIDs(a, b []netip.Addr) bool {
 // dirty router, a clean router whose sessions changed, cancellation, pass
 // bound exhausted) and the caller must fall back to a cold SimulatePrefix.
 func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix netip.Prefix, opts Options) (*PrefixOutcome, bool) {
-	if base == nil || !base.Converged || base.Final == nil || len(base.AdjIn) != len(n.routers) {
+	st, acts, ok := deltaRun(n, base, dirty, prefix, opts)
+	if !ok {
 		return nil, false
+	}
+	return st.outcome(n, base, prefix, acts), true
+}
+
+// outcome builds the converged outcome of a delta run on n from base that
+// left st after acts activations.
+func (st *prefixState) outcome(n *Net, base *PrefixOutcome, prefix netip.Prefix, acts int) *PrefixOutcome {
+	return &PrefixOutcome{Prefix: prefix, Converged: true, Passes: base.Passes,
+		Final: n.snapshot(st.best, &st.mem), AdjIn: st.adj, Activations: acts, rids: n.rids}
+}
+
+// deltaRun is DeltaSimulatePrefix up to its converged state, which it
+// returns with the run's activations; ok false refuses the shortcut.
+func deltaRun(n *Net, base *PrefixOutcome, dirty []string, prefix netip.Prefix, opts Options) (st *prefixState, acts int, ok bool) {
+	if base == nil || !base.Converged || base.Final == nil || len(base.AdjIn) != len(n.routers) {
+		return nil, 0, false
 	}
 	dirtyAt := make([]bool, len(n.routers))
 	for _, d := range dirty {
 		r := n.Routers[d]
 		if r == nil {
-			return nil, false
+			return nil, 0, false
 		}
 		dirtyAt[r.index] = true
 	}
@@ -113,7 +157,7 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 	// Seed the state from the base outcome, copy-on-write: best is a fresh
 	// slice, clean routers' adj rows stay shared with the immutable base
 	// until their first write.
-	st := &prefixState{
+	st = &prefixState{
 		best:  make([]held, len(n.routers)),
 		adj:   make([][]*Route, len(n.routers)),
 		owned: make([]bool, len(n.routers)),
@@ -127,7 +171,7 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 		case len(base.AdjIn[i]) == len(r.Sessions):
 			st.adj[i] = base.AdjIn[i]
 		default:
-			return nil, false
+			return nil, 0, false
 		}
 	}
 
@@ -151,7 +195,6 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 	// changed form the first frontier, and so does every receiver of a
 	// router whose ID moved: an adj-in slot holds no identity, so the new
 	// ID reaches the receiver's tie-break through its session, not a push.
-	acts := 0
 	pending, next := make([]bool, len(n.routers)), make([]bool, len(n.routers))
 	for i, r := range n.routers {
 		if !dirtyAt[i] {
@@ -173,7 +216,7 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 	// changed its adj-in. Quiet frontier = converged.
 	for pass := 1; slices.Contains(pending, true); pass++ {
 		if pass > bound || opts.canceled() {
-			return nil, false
+			return nil, 0, false
 		}
 		for i, r := range n.routers {
 			if pending[i] {
@@ -184,6 +227,5 @@ func DeltaSimulatePrefix(n *Net, base *PrefixOutcome, dirty []string, prefix net
 		pending, next = next, pending
 		clear(next)
 	}
-	return &PrefixOutcome{Prefix: prefix, Converged: true, Passes: base.Passes,
-		Final: n.snapshot(st.best, &st.mem), AdjIn: st.adj, Activations: acts, rids: n.rids}, true
+	return st, acts, true
 }

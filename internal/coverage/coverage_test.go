@@ -144,7 +144,7 @@ func TestBuildPanicsOutsideTheLineSpace(t *testing.T) {
 	n := bgp.Compile(s.Topo, s.Files())
 	out := bgp.Simulate(n, bgp.Options{})
 	bad := netcfg.LineRef{Device: "A", Line: n.Files["A"].NumLines + 1}
-	rep := &verify.Report{Verdicts: []verify.Verdict{{Pass: true,
+	rep := &verify.Report{Verdicts: []verify.Verdict{{Intent: &s.Intents[0], Pass: true,
 		Traces: []*dataplane.TraceResult{{Lines: []netcfg.LineRef{{Device: "A", Line: 1}, bad}}}}}}
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, bad.String()) {

@@ -258,6 +258,17 @@ func step(n *bgp.Net, routes map[string]*bgp.Route, prefix netip.Prefix, pkt Pac
 	}
 }
 
+// SameHop reports whether step decides alike at a router holding BGP route
+// a and at one holding b, everything else equal. Of the route, step reads
+// only whether there is one, its Src and its NextHop; a trace whose every
+// router holds routes SameHop finds alike is the same trace.
+func SameHop(a, b *bgp.Route) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Src == b.Src && a.NextHop == b.NextHop
+}
+
 // evalPBR evaluates the rules of pol for pkt. hit reports whether a permit
 // rule applied; the returned disposition is Dropped for `apply drop`,
 // otherwise the next hop is returned. Deny rules exempt the packet (no

@@ -52,8 +52,10 @@ type FatTreeOpts struct {
 	// K is the fat-tree arity; must be even and >= 2. The graph has
 	// (K/2)^2 cores, K pods with K/2 spines and K/2 leaves each.
 	K int
-	// RackPrefixBase is the first /16 used for leaf rack prefixes;
-	// leaf i originates 10.(base+i).0.0/16. Default base 0.
+	// RackPrefixBase is the first /16 used for leaf rack prefixes; leaf i
+	// originates the (base+i)-th /16 counted from 10.0.0.0/16, which is
+	// 10.(base+i).0.0/16 below 256 and runs on into 11.0.0.0/16 and up.
+	// Default base 0.
 	RackPrefixBase int
 }
 
@@ -89,8 +91,9 @@ func FatTree(opts FatTreeOpts) *Network {
 			name := fmt.Sprintf("leaf%d-%d", pod, l)
 			leaf := n.AddNode(name, Leaf, uint32(63000+pod*half+l), ridFor(ord))
 			ord++
-			leaf.Originates = []netip.Prefix{netip.MustParsePrefix(
-				fmt.Sprintf("10.%d.0.0/16", opts.RackPrefixBase+leafIdx))}
+			rack := opts.RackPrefixBase + leafIdx
+			leaf.Originates = []netip.Prefix{netip.PrefixFrom(
+				netip.AddrFrom4([4]byte{byte(10 + rack>>8), byte(rack), 0, 0}), 16)}
 			leafIdx++
 			for _, s := range spines {
 				n.Connect(name, s)

@@ -82,11 +82,18 @@ func checkAudited(t *testing.T, base, op uint8, line uint16, text string) {
 	}
 	edits := []netcfg.EditSet{{Device: dev, Edits: []netcfg.Edit{edit}}}
 
-	if _, _, err := iv.Check(edits); err != nil {
+	rep, _, err := iv.Check(edits)
+	if err != nil {
 		// Parse/apply failure: the candidate is discarded, nothing to
 		// cross-check.
 		return
 	}
+	label := fmt.Sprintf("%s %v", dev, edit)
+	full, err := iv.FullCheck(edits)
+	if err != nil {
+		t.Fatalf("%s: from-scratch check: %v", label, err)
+	}
+	sameVerdicts(t, label+": checked", rep, full)
 	if err := oracle.Audit(context.Background(), iv, edits); err != nil {
 		t.Fatalf("incremental check diverged from its references: %v", err)
 	}
@@ -94,23 +101,37 @@ func checkAudited(t *testing.T, base, op uint8, line uint16, text string) {
 	if err := committed.Commit(edits); err != nil {
 		t.Fatalf("commit of a checked edit: %v", err)
 	}
-	sameBase(t, fmt.Sprintf("%s %v", dev, edit), committed)
+	sameBase(t, label, committed)
+}
+
+// sameVerdicts fails unless every verdict of got is the from-scratch
+// verdict of want: pass, reason, resolved prefix, flapping, and each
+// trace's outcome, path, executed lines and reason.
+func sameVerdicts(t *testing.T, label string, got, want *verify.Report) {
+	t.Helper()
+	for i := range want.Verdicts {
+		g, w := &got.Verdicts[i], &want.Verdicts[i]
+		if g.Pass != w.Pass || g.Reason() != w.Reason() || g.Prefix != w.Prefix || g.Flapping != w.Flapping || len(g.Traces) != len(w.Traces) {
+			t.Fatalf("%s %s: pass=%v %q prefix %v flapping=%v with %d traces, from scratch pass=%v %q prefix %v flapping=%v with %d traces",
+				label, w.Intent.ID, g.Pass, g.Reason(), g.Prefix, g.Flapping, len(g.Traces), w.Pass, w.Reason(), w.Prefix, w.Flapping, len(w.Traces))
+		}
+		for j, wt := range w.Traces {
+			gt := g.Traces[j]
+			if gt.Outcome != wt.Outcome || !slices.Equal(gt.Path, wt.Path) || !slices.Equal(gt.Lines, wt.Lines) || gt.Reason() != wt.Reason() {
+				t.Fatalf("%s %s trace %d: %v %v executed %v %q, from scratch %v %v executed %v %q", label, w.Intent.ID, j,
+					gt.Outcome, gt.Path, gt.Lines, gt.Reason(), wt.Outcome, wt.Path, wt.Lines, wt.Reason())
+			}
+		}
+	}
 }
 
 // sameBase fails unless committed, a verifier Commit advanced, holds the
-// base NewIncremental builds on its texts: every verdict's pass, reason and
-// executed lines, and every prefix's convergence and stable routes.
+// base NewIncremental builds on its texts: every verdict (sameVerdicts),
+// and every prefix's convergence and stable routes.
 func sameBase(t *testing.T, label string, committed *verify.Incremental) {
 	t.Helper()
 	want := verify.NewIncremental(committed.Topo, committed.BaseConfigs(), committed.Intents, committed.SimOpts)
-	for i, w := range want.BaseReport().Verdicts {
-		if g := committed.BaseReport().Verdicts[i]; g.Pass != w.Pass || g.Reason() != w.Reason() {
-			t.Fatalf("%s: committed %s pass=%v %q, from scratch pass=%v %q", label, w.Intent.ID, g.Pass, g.Reason(), w.Pass, w.Reason())
-		}
-		if g, w := committed.BaseReport().Verdicts[i].Lines(), w.Lines(); !slices.Equal(g, w) {
-			t.Fatalf("%s: committed %s executed %v, from scratch %v", label, committed.Intents[i].ID, g, w)
-		}
-	}
+	sameVerdicts(t, label+": committed", committed.BaseReport(), want.BaseReport())
 	prefixes := want.BaseNet().AllPrefixes()
 	if g := committed.BaseNet().AllPrefixes(); !slices.Equal(g, prefixes) {
 		t.Fatalf("%s: committed prefixes %v, from scratch %v", label, g, prefixes)

@@ -7,6 +7,7 @@ import (
 
 	"acr/internal/analysis"
 	"acr/internal/bgp"
+	"acr/internal/dataplane"
 	"acr/internal/netcfg"
 	"acr/internal/provenance"
 	"acr/internal/topo"
@@ -117,8 +118,8 @@ func (iv *Incremental) rebase(configs map[string]*netcfg.Config) {
 	n := bgp.Compile(iv.Topo, files)
 	out := bgp.Simulate(n, iv.SimOpts)
 	rep := &Report{Verdicts: make([]Verdict, len(iv.Intents))}
-	for i, in := range iv.Intents {
-		rep.Verdicts[i] = checkIntent(n, out, in, iv.probes[i])
+	for i := range iv.Intents {
+		rep.Verdicts[i] = checkIntent(n, out, &iv.Intents[i], iv.probes[i])
 	}
 	iv.install(configs, files, n, out, bgp.BuildProvenance(n, out), rep)
 }
@@ -336,10 +337,10 @@ func (iv *Incremental) derive(ctx context.Context, newConfigs map[string]*netcfg
 	// Cross-check 2: every prefix entering or leaving the universe must
 	// have been predicted as a literal or an affected prefix. Such a prefix
 	// moved. A few moved prefixes fit on the stack.
-	moved := make([]netip.Prefix, 0, 8)
+	moved := make([]movedPrefix, 0, 8)
 	newAll := n.AllPrefixes()
 	universeDiff(iv.net.AllPrefixes(), newAll, func(p netip.Prefix) {
-		moved = append(moved, p)
+		moved = append(moved, movedPrefix{p: p, base: iv.out.ByPrefix[p]})
 		broad = broad || !im.Prefixes[p] && !im.Literals[p]
 	})
 	stats := Stats{PrefixesTotal: len(newAll), IntentsTotal: len(iv.Intents), Broad: broad}
@@ -361,8 +362,8 @@ func (iv *Incremental) derive(ctx context.Context, newConfigs map[string]*netcfg
 		stats.PrefixesSimulated = len(newAll)
 		for _, p := range newAll {
 			stats.Activations += v.out.ByPrefix[p].Activations
+			moved = append(moved, movedPrefix{p: p, base: iv.out.ByPrefix[p], cur: v.out.ByPrefix[p]})
 		}
-		moved = append(moved, newAll...)
 	} else {
 		// localWatch marks intents that observe a leaf device whose local
 		// control plane changed (im.LocalDevices): the change is invisible
@@ -373,8 +374,8 @@ func (iv *Incremental) derive(ctx context.Context, newConfigs map[string]*netcfg
 		var localWatch []bool
 		if !all && !broad && len(im.LocalDevices) > 0 {
 			localWatch = make([]bool, len(iv.Intents))
-			for i, in := range iv.Intents {
-				localWatch[i] = iv.observesLocalDevices(iv.report.Verdicts[i], in, iv.probes[i], im)
+			for i := range iv.Intents {
+				localWatch[i] = iv.observesLocalDevices(iv.report.Verdicts[i], &iv.Intents[i], iv.probes[i], im)
 			}
 		}
 		// simNeeded reports whether prefix p must be freshly simulated: some
@@ -385,8 +386,8 @@ func (iv *Incremental) derive(ctx context.Context, newConfigs map[string]*netcfg
 			// The base has an outcome for every prefix of its universe, so
 			// a prefix without one entered it.
 			affected := im.Prefixes[p] || iv.out.ByPrefix[p] == nil
-			for i, in := range iv.Intents {
-				if (affected || localWatch != nil && localWatch[i]) && consultsPrefix(in, iv.probes[i], p) {
+			for i := range iv.Intents {
+				if (affected || localWatch != nil && localWatch[i]) && consultsPrefix(&iv.Intents[i], iv.probes[i], p) {
 					return true
 				}
 			}
@@ -419,7 +420,7 @@ func (iv *Incremental) derive(ctx context.Context, newConfigs map[string]*netcfg
 			stats.Activations += acts
 			iv.outcome(&v).ByPrefix[p] = po
 			if po != base && base != nil {
-				moved = append(moved, p) // an entering prefix is in moved already
+				moved = append(moved, movedPrefix{p: p, base: base, cur: po}) // an entering prefix is in moved already
 			}
 		}
 	}
@@ -444,7 +445,7 @@ func (iv *Incremental) derive(ctx context.Context, newConfigs map[string]*netcfg
 		}
 	}
 	v.report = &Report{Verdicts: make([]Verdict, len(iv.Intents))}
-	for i, in := range iv.Intents {
+	for i := range iv.Intents {
 		if !broad && !iv.stale(i, im, moved, firstEdit) {
 			v.report.Verdicts[i] = iv.report.Verdicts[i]
 			continue
@@ -452,7 +453,7 @@ func (iv *Incremental) derive(ctx context.Context, newConfigs map[string]*netcfg
 		if err := ctx.Err(); err != nil {
 			return version{}, stats, err
 		}
-		v.report.Verdicts[i] = checkIntent(n, iv.outcome(&v), in, iv.probes[i])
+		v.report.Verdicts[i] = checkIntent(n, iv.outcome(&v), &iv.Intents[i], iv.probes[i])
 		stats.IntentsReverified++
 	}
 	stats.Refuted = !broad && stats.PrefixesSimulated+stats.PrefixesDelta == 0 && stats.IntentsReverified == 0
@@ -493,26 +494,35 @@ func universeDiff(old, new []netip.Prefix, f func(netip.Prefix)) {
 	}
 }
 
+// movedPrefix is a prefix a derivation moved, with its base outcome and
+// the version's; either is nil when the prefix entered or left the universe.
+type movedPrefix struct {
+	p         netip.Prefix
+	base, cur *bgp.PrefixOutcome
+}
+
 // stale reports whether base verdict i may differ on a version derived
-// with impact im: its moved prefixes were re-simulated to a different
-// outcome or entered or left the universe, and firstEdit maps each edited
-// device to the lowest line its edits name. A verdict reads the outcome of
-// the prefix it consults (consultsPrefix), the forwarding state of the
-// routers its traces visit and the topology, and records the lines its
-// traces executed, so it stands unless:
+// with impact im: moved lists the prefixes re-simulated to a different
+// outcome or entering or leaving the universe, and firstEdit maps each
+// edited device to the lowest line its edits name. A verdict reads the
+// outcome of the prefix it consults (consultsPrefix) — of that, only what
+// dataplane.SameHop compares at the routers its traces visit — the files
+// of those routers and the topology, and records the lines its traces
+// executed, so it stands unless:
 //
-//   - it consults a moved prefix. This covers every changed origination
-//     literal too: one entering or leaving the universe moved, and one in
-//     neither originates nothing before or after;
+//   - it consults a moved prefix whose forwarding may read differently
+//     (forwards). This covers every changed origination literal too: one
+//     entering or leaving the universe moved, and one in neither
+//     originates nothing before or after;
 //   - a device whose forwarding decisions may change lies on the base
 //     traces — global intents keep only a capped sample of failing traces,
 //     so any dataplane change counts for them;
 //   - an edit on a device comes at or before a line the base traces
 //     executed there, which it may delete, replace or renumber.
-func (iv *Incremental) stale(i int, im *analysis.Impact, moved []netip.Prefix, firstEdit map[string]int) bool {
+func (iv *Incremental) stale(i int, im *analysis.Impact, moved []movedPrefix, firstEdit map[string]int) bool {
 	base := &iv.report.Verdicts[i]
-	for _, p := range moved {
-		if consultsPrefix(base.Intent, iv.probes[i], p) {
+	for _, m := range moved {
+		if consultsPrefix(base.Intent, iv.probes[i], m.p) && iv.forwards(base, m) {
 			return true
 		}
 	}
@@ -537,6 +547,40 @@ func (iv *Incremental) stale(i int, im *analysis.Impact, moved []netip.Prefix, f
 	return false
 }
 
+// forwards reports whether verdict v, which consults moved prefix m, may
+// read something different from it: m entered or left the universe,
+// either side did not converge, or a router v reads holds routes
+// dataplane.SameHop tells apart. A flow verdict reads only the prefix it
+// resolved to — any other covering prefix is shorter, since m is in both
+// universes — and only at the routers its traces visit; a global verdict
+// traces from every router holding a route.
+func (iv *Incremental) forwards(v *Verdict, m movedPrefix) bool {
+	if m.base == nil || m.cur == nil || !m.base.Converged || !m.cur.Converged {
+		return true
+	}
+	was, is := m.base.Final, m.cur.Final
+	switch v.Intent.Kind {
+	case LoopFree, BlackholeFree:
+		for _, name := range iv.net.Order {
+			if !dataplane.SameHop(was[name], is[name]) {
+				return true
+			}
+		}
+		return false
+	}
+	if m.p != v.Prefix {
+		return false
+	}
+	for _, tr := range v.Traces {
+		for _, name := range tr.Path {
+			if !dataplane.SameHop(was[name], is[name]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // observesLocalDevices reports whether an intent reads routing state at
 // any device in im.LocalDevices. Global intents always do (they trace from
 // every router holding a route, leaves included). A flow intent observes a
@@ -546,7 +590,7 @@ func (iv *Incremental) stale(i int, im *analysis.Impact, moved []netip.Prefix, f
 // depends only on state the leaf cannot influence (non-leaf FIBs for
 // prefixes the leaf does not originate; leaf-originated prefixes are in
 // the affected set and trigger through the ordinary prefix channel).
-func (iv *Incremental) observesLocalDevices(base Verdict, in Intent, pr probe, im *analysis.Impact) bool {
+func (iv *Incremental) observesLocalDevices(base Verdict, in *Intent, pr probe, im *analysis.Impact) bool {
 	switch in.Kind {
 	case LoopFree, BlackholeFree:
 		return true
@@ -568,7 +612,7 @@ func (iv *Incremental) observesLocalDevices(base Verdict, in Intent, pr probe, i
 // outcome: flow intents read any ByPrefix key covering their destination
 // (the longest is selected, but any covering key is potentially it),
 // global intents read their DstPrefix key exactly.
-func consultsPrefix(in Intent, pr probe, p netip.Prefix) bool {
+func consultsPrefix(in *Intent, pr probe, p netip.Prefix) bool {
 	switch in.Kind {
 	case LoopFree, BlackholeFree:
 		return p == in.DstPrefix

@@ -274,21 +274,32 @@ func TestIncrementalSessionEditIsBroad(t *testing.T) {
 	edits := []netcfg.EditSet{{Device: "S", Edits: []netcfg.Edit{
 		netcfg.ReplaceLine{At: asnLine, Text: " peer " + f.BGP.Peers[1].Addr.String() + " as-number 64999"},
 	}}}
-	_, stats, err := iv.Check(edits)
+	rep, stats, err := iv.Check(edits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The impact analysis scopes the session edit to S's connected
 	// component rather than declaring it broad; on Figure 2 that is the
-	// whole network, so nothing may be pruned.
+	// whole network, so no prefix may be pruned.
 	if stats.Refuted {
 		t.Fatalf("session-affecting edit statically refuted: %s", stats)
 	}
 	if !stats.Broad && stats.PrefixesSimulated != stats.PrefixesTotal {
 		t.Errorf("session-affecting edit under-scoped: %s", stats)
 	}
-	if !stats.Broad && stats.IntentsReverified != stats.IntentsTotal {
-		t.Errorf("session-affecting edit skipped intents: %s", stats)
+	// A verdict whose traced forwarding the edit leaves alone stands, and
+	// every verdict is the one a from-scratch check decides.
+	full, err := iv.FullCheck(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range full.Verdicts {
+		if !reflect.DeepEqual(rep.Verdicts[i], full.Verdicts[i]) {
+			t.Errorf("%s: check %+v, from scratch %+v", full.Verdicts[i].Intent.ID, rep.Verdicts[i], full.Verdicts[i])
+		}
+	}
+	if stats.IntentsReverified == stats.IntentsTotal {
+		t.Errorf("session-affecting edit kept no verdict: %s", stats)
 	}
 }
 

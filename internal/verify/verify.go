@@ -14,7 +14,10 @@ import (
 
 // Verdict is the result of checking one intent.
 type Verdict struct {
-	Intent Intent
+	// Intent is the intent checked: an element of the intents the verdict
+	// was checked against (Incremental.Intents, Verify's argument), shared,
+	// never copied.
+	Intent *Intent
 	Pass   bool
 	// Prefix is the originated prefix the intent's destination resolved
 	// to (its control-plane dependency); invalid when none covers it.
@@ -174,9 +177,9 @@ func (r *Report) Summary() string {
 
 // Verify checks every intent against a simulated outcome.
 func Verify(n *bgp.Net, out *bgp.Outcome, intents []Intent) *Report {
-	rep := &Report{}
-	for _, in := range intents {
-		rep.Verdicts = append(rep.Verdicts, checkIntent(n, out, in, probeOf(n.Topo, in)))
+	rep := &Report{Verdicts: make([]Verdict, len(intents))}
+	for i := range intents {
+		rep.Verdicts[i] = checkIntent(n, out, &intents[i], probeOf(n.Topo, intents[i]))
 	}
 	return rep
 }
@@ -210,7 +213,7 @@ func coveringOutcome(out *bgp.Outcome, addr netip.Addr) (netip.Prefix, *bgp.Pref
 	return best, bestPO
 }
 
-func checkIntent(n *bgp.Net, out *bgp.Outcome, in Intent, pr probe) Verdict {
+func checkIntent(n *bgp.Net, out *bgp.Outcome, in *Intent, pr probe) Verdict {
 	switch in.Kind {
 	case Reachability, Isolation, Waypoint:
 		return checkFlow(n, out, in, pr)
@@ -223,7 +226,7 @@ func checkIntent(n *bgp.Net, out *bgp.Outcome, in Intent, pr probe) Verdict {
 // checkFlow traces a flow intent's packet in every phase of the outcome of
 // the prefix covering its destination. The verdict reads nothing else: that
 // outcome, the files of the routers the traces visit, and the topology.
-func checkFlow(n *bgp.Net, out *bgp.Outcome, in Intent, pr probe) Verdict {
+func checkFlow(n *bgp.Net, out *bgp.Outcome, in *Intent, pr probe) Verdict {
 	v := Verdict{Intent: in}
 	pkt, from := pr.pkt, pr.from
 	if from == "" {
@@ -287,7 +290,7 @@ func checkFlow(n *bgp.Net, out *bgp.Outcome, in Intent, pr probe) Verdict {
 // globalTraceCap bounds how many failing traces a global verdict retains.
 const globalTraceCap = 4
 
-func checkGlobal(n *bgp.Net, out *bgp.Outcome, in Intent) Verdict {
+func checkGlobal(n *bgp.Net, out *bgp.Outcome, in *Intent) Verdict {
 	v := Verdict{Intent: in}
 	prefix := in.DstPrefix
 	po := out.ByPrefix[prefix]
