@@ -269,13 +269,8 @@ func runRepair(args []string) error {
 		return err
 	}
 	opts := acr.RepairOptions{Seed: *seed, MaxIterations: *maxIter}
-	switch *strategy {
-	case "evolutionary":
-		opts.Strategy = core.Evolutionary
-	case "bruteforce":
-		opts.Strategy = core.BruteForce
-	default:
-		return fmt.Errorf("unknown strategy %q", *strategy)
+	if opts.Strategy, err = core.ParseStrategy(*strategy); err != nil {
+		return err
 	}
 	if *resume && *journalDir == "" {
 		return fmt.Errorf("-resume requires -journal")

@@ -135,7 +135,7 @@ func AEDContext(ctx context.Context, p core.Problem, opts AEDOptions) *AEDResult
 		}
 		res.Feasible = true
 		res.Applied = []string{up.Desc}
-		res.FinalConfigs = applyUpdateAll(p.Configs, up)
+		res.FinalConfigs, _ = iv.Apply(up.Edits) // the check just applied these edits
 		return true
 	}
 
@@ -218,19 +218,4 @@ func mergeDisjoint(a, b core.Update) (core.Update, bool) {
 		Edits: append(append([]netcfg.EditSet{}, a.Edits...), b.Edits...),
 		Desc:  a.Desc + " + " + b.Desc,
 	}, true
-}
-
-func applyUpdateAll(configs map[string]*netcfg.Config, up core.Update) map[string]*netcfg.Config {
-	out := make(map[string]*netcfg.Config, len(configs))
-	for d, c := range configs {
-		out[d] = c
-	}
-	for _, es := range up.Edits {
-		if base, ok := out[es.Device]; ok {
-			if next, err := es.Apply(base); err == nil {
-				out[es.Device] = next
-			}
-		}
-	}
-	return out
 }

@@ -137,7 +137,7 @@ func MetaProvContext(ctx context.Context, p core.Problem) *MetaProvResult {
 			}
 			res.TargetFixed = true
 			res.ChosenDesc = cand.desc
-			res.FinalConfigs = applyOne(p.Configs, cand.edits)
+			res.FinalConfigs, _ = iv.Apply([]netcfg.EditSet{cand.edits}) // the check just applied these edits
 			// Post-hoc audit (not part of MetaProv): full verification.
 			for i, v := range rep.Verdicts {
 				if v.Pass {
@@ -177,7 +177,7 @@ func leafCandidates(files map[string]*netcfg.File, configs map[string]*netcfg.Co
 					edits: netcfg.EditSet{Device: leaf.Device, Edits: []netcfg.Edit{
 						netcfg.InsertBefore{
 							At:   leaf.Line,
-							Text: netcfg.FormatPrefixListEntry(e.Name, maxInt(1, e.Index-1), false, p, 0, 0),
+							Text: netcfg.FormatPrefixListEntry(e.Name, max(1, e.Index-1), false, p, 0, 0),
 						},
 					}},
 					desc: fmt.Sprintf("metaprov: shadow %s with deny in %s at %s", p, e.Name, leaf),
@@ -212,24 +212,4 @@ func failingDstPrefixes(rep *verify.Report) []netip.Prefix {
 		}
 	}
 	return out
-}
-
-func applyOne(configs map[string]*netcfg.Config, es netcfg.EditSet) map[string]*netcfg.Config {
-	out := make(map[string]*netcfg.Config, len(configs))
-	for d, c := range configs {
-		out[d] = c
-	}
-	if base, ok := out[es.Device]; ok {
-		if next, err := es.Apply(base); err == nil {
-			out[es.Device] = next
-		}
-	}
-	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,9 +6,10 @@
 //     (Tarantula by default).
 //   - Fix: apply change templates — one per misconfiguration class of
 //     Table 1 — to the most suspicious lines. Parameter values (prefix
-//     sets, AS numbers) are solved locally with the smt package from
-//     constraints collected over the provenance of passing and failing
-//     tests (P ∧ ¬F).
+//     sets, AS numbers) are solved locally from constraints collected
+//     over the provenance of passing and failing tests (P ∧ ¬F); the
+//     constraints are literals over one variable, so each answer is read
+//     off them in closed form.
 //   - Validate: check every candidate with the incremental verifier;
 //     fitness is the number of failing tests; candidates whose fitness
 //     exceeds the previous iteration's are discarded.

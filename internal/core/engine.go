@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -34,6 +33,18 @@ const (
 	// the Cartesian-product strategy.
 	BruteForce
 )
+
+// ParseStrategy maps a strategy's name, "evolutionary" or "bruteforce",
+// to its Strategy.
+func ParseStrategy(name string) (Strategy, error) {
+	switch name {
+	case "evolutionary":
+		return Evolutionary, nil
+	case "bruteforce":
+		return BruteForce, nil
+	}
+	return 0, fmt.Errorf("unknown strategy %q", name)
+}
 
 // The search's fixed parameters. Localization ranks lines by Tarantula
 // (sbfl.Tarantula). The widening multiplier scales topKLines, candidateCap
@@ -637,14 +648,7 @@ func validateCandidate(ctx context.Context, res *Result, pr *proposal, configs m
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
-			res.CandidatesPanicked++
-			res.recordError(&RepairError{
-				Kind:      KindCandidatePanic,
-				Op:        "validate",
-				Candidate: pr.update.Desc,
-				Err:       fmt.Errorf("panic: %v", rec),
-				Stack:     debug.Stack(),
-			})
+			res.quarantine("validate", pr.update.Desc, rec)
 			rep, err = nil, errQuarantined
 		}
 	}()
@@ -726,14 +730,7 @@ func generate(res *Result, member *candidate, opts Options, widen int, rng *rand
 func safeGenerate(res *Result, tmpl Template, ctx *Context, line netcfg.LineRef) (ups []Update) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			res.CandidatesPanicked++
-			res.recordError(&RepairError{
-				Kind:      KindCandidatePanic,
-				Op:        "generate",
-				Candidate: fmt.Sprintf("%s@%s", tmpl.Name(), line),
-				Err:       fmt.Errorf("panic: %v", rec),
-				Stack:     debug.Stack(),
-			})
+			res.quarantine("generate", fmt.Sprintf("%s@%s", tmpl.Name(), line), rec)
 			ups = nil
 		}
 	}()
@@ -768,14 +765,7 @@ func mergeUpdates(a, b Update) (Update, bool) {
 func preserve(res *Result, descs []string, build func() (*candidate, error)) (c *candidate) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			res.CandidatesPanicked++
-			res.recordError(&RepairError{
-				Kind:      KindCandidatePanic,
-				Op:        "preserve",
-				Candidate: strings.Join(descs, " + "),
-				Err:       fmt.Errorf("panic: %v", rec),
-				Stack:     debug.Stack(),
-			})
+			res.quarantine("preserve", strings.Join(descs, " + "), rec)
 			c = nil
 		}
 	}()

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"runtime/debug"
+)
 
 // ErrorKind classifies the failures a repair run can absorb or end on.
 // The engine never surfaces a raw panic or bare context error: everything
@@ -69,4 +72,18 @@ func (r *Result) recordError(e *RepairError) {
 	if len(r.Errors) < maxStoredErrors {
 		r.Errors = append(r.Errors, e)
 	}
+}
+
+// quarantine records a panic recovered from one candidate's op (generate,
+// validate or preserve): the candidate is dropped and the run continues.
+// Called from the deferred recover, so the stack is the panic's.
+func (r *Result) quarantine(op, candidate string, rec any) {
+	r.CandidatesPanicked++
+	r.recordError(&RepairError{
+		Kind:      KindCandidatePanic,
+		Op:        op,
+		Candidate: candidate,
+		Err:       fmt.Errorf("panic: %v", rec),
+		Stack:     debug.Stack(),
+	})
 }

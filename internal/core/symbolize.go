@@ -2,10 +2,10 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 
 	"acr/internal/netcfg"
-	"acr/internal/smt"
 )
 
 // listSolve is the outcome of the paper's local symbolic step for one
@@ -37,9 +37,9 @@ func (ctx *Context) solveList(device, listName string) listSolve {
 // solveListValue performs the paper's local symbolic step (§5 step 2) for
 // one prefix-list on one device: the list's membership becomes a symbolic
 // prefix-set variable; every tested prefix whose provenance shows the
-// list's policies ran at this device contributes a constraint — passing
-// tests must keep their match outcome (P), failing tests must flip theirs
-// (¬F) — and the solver returns a minimal satisfying membership.
+// list's policies ran at this device contributes a membership literal —
+// passing tests must keep their match outcome (P), failing tests must flip
+// theirs (¬F) — and solveLiterals reads the minimal membership off them.
 func solveListValue(ctx *Context, device, listName string) listSolve {
 	f := ctx.Files[device]
 	if f == nil {
@@ -69,15 +69,9 @@ func solveListValue(ctx *Context, device, listName string) listSolve {
 	for p := range failing {
 		prefixes = append(prefixes, p)
 	}
-	sort.Slice(prefixes, func(i, j int) bool {
-		if prefixes[i].Addr() != prefixes[j].Addr() {
-			return prefixes[i].Addr().Less(prefixes[j].Addr())
-		}
-		return prefixes[i].Bits() < prefixes[j].Bits()
-	})
+	slices.SortFunc(prefixes, comparePrefixes)
 
-	v := smt.PrefixSetVar("var")
-	var conj []smt.Formula
+	var lits []listLiteral
 	anyFailing := false
 	for _, p := range prefixes {
 		var lines netcfg.LineSet // the lines p's derivations executed
@@ -89,11 +83,7 @@ func solveListValue(ctx *Context, device, listName string) listSolve {
 			continue
 		}
 		// A passing prefix keeps its match outcome, a failing one flips it.
-		if matched != failing[p] {
-			conj = append(conj, smt.In(p, v))
-		} else {
-			conj = append(conj, smt.Not(smt.In(p, v)))
-		}
+		lits = append(lits, listLiteral{prefix: p, in: matched != failing[p]})
 		anyFailing = anyFailing || failing[p]
 	}
 	if !anyFailing {
@@ -101,12 +91,61 @@ func solveListValue(ctx *Context, device, listName string) listSolve {
 		// anything.
 		return listSolve{}
 	}
-	formula := smt.And(conj...)
-	model, ok := smt.NewProblem().Solve(formula)
-	if !ok {
-		return listSolve{constraints: smt.String(formula)}
+	return solveLiterals(lits)
+}
+
+// listLiteral is one constraint over the list's prefix-set variable var:
+// prefix ∈ var when in, ¬(prefix ∈ var) otherwise.
+type listLiteral struct {
+	prefix netip.Prefix
+	in     bool
+}
+
+// solveLiterals solves the conjunction of lits in closed form. Its minimal
+// model is the set of masked prefixes with a positive literal, sorted by
+// address and then bits; there is none when one masked prefix carries
+// literals of both signs (10.0.0.1/24 and 10.0.0.0/24 mask alike). The
+// constraint text, "(" + the literals joined by " ∧ " + ")", is returned
+// either way, literals in the given order and duplicates kept.
+func solveLiterals(lits []listLiteral) listSolve {
+	var buf [256]byte
+	b := append(buf[:0], '(')
+	sign := make(map[netip.Prefix]bool, len(lits))
+	var want []netip.Prefix
+	ok := true
+	for i, l := range lits {
+		p := l.prefix.Masked()
+		if i > 0 {
+			b = append(b, " ∧ "...)
+		}
+		if l.in {
+			b = append(p.AppendTo(b), " ∈ var"...)
+		} else {
+			b = append(p.AppendTo(append(b, "¬("...)), " ∈ var)"...)
+		}
+		if in, seen := sign[p]; seen {
+			ok = ok && in == l.in
+			continue
+		}
+		sign[p] = l.in
+		if l.in {
+			want = append(want, p)
+		}
 	}
-	return listSolve{want: model.Set("var"), ok: true, constraints: smt.String(formula)}
+	s := listSolve{constraints: string(append(b, ')'))}
+	if ok {
+		slices.SortFunc(want, comparePrefixes)
+		s.want, s.ok = want, true
+	}
+	return s
+}
+
+// comparePrefixes orders prefixes by address and then bits.
+func comparePrefixes(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return a.Bits() - b.Bits()
 }
 
 // attachLinesForList returns the lines of every policy attachment (and

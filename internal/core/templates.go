@@ -7,7 +7,6 @@ import (
 
 	"acr/internal/errclass"
 	"acr/internal/netcfg"
-	"acr/internal/smt"
 	"acr/internal/verify"
 )
 
@@ -441,20 +440,14 @@ func (FixPeerASN) Generate(ctx *Context, line netcfg.LineRef) []Update {
 	if neighborASN == 0 || neighborASN == peer.ASN {
 		return nil
 	}
-	// The "solve": the session-establishment constraint asn = neighborASN.
-	v := smt.IntVar("asn")
-	p := smt.NewProblem()
-	p.IntDomain(v, neighborASN)
-	model, ok := p.Solve(smt.EqInt(v, neighborASN))
-	if !ok {
-		return nil
-	}
-	asn, _ := model.Int("asn")
+	// The session-establishment constraint asn = neighborASN is its own
+	// solution.
+	asn := strconv.FormatUint(uint64(neighborASN), 10)
 	return []Update{{
 		Edits: []netcfg.EditSet{{Device: line.Device, Edits: []netcfg.Edit{
-			netcfg.ReplaceLine{At: line.Line, Text: " peer " + peer.Addr.String() + " as-number " + strconv.FormatUint(uint64(asn), 10)},
+			netcfg.ReplaceLine{At: line.Line, Text: " peer " + peer.Addr.String() + " as-number " + asn},
 		}}},
-		Desc: describeEdits("fix-peer-asn["+strconv.FormatUint(uint64(asn), 10)+"]", line, ""),
+		Desc: describeEdits("fix-peer-asn["+asn+"]", line, ""),
 	}}
 }
 

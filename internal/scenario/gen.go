@@ -299,10 +299,3 @@ func stubsOf(t *topo.Network, k topo.Kind) []*topo.Node {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -94,13 +94,12 @@ type JobRequest struct {
 // overflow an int64, is refused.
 func (r *JobRequest) Options() (core.Options, time.Duration, error) {
 	opts := core.Options{Seed: r.Seed, MaxIterations: r.MaxIterations}
-	switch r.Strategy {
-	case "", "evolutionary":
-		opts.Strategy = core.Evolutionary
-	case "bruteforce":
-		opts.Strategy = core.BruteForce
-	default:
-		return opts, 0, fmt.Errorf("unknown strategy %q", r.Strategy)
+	if r.Strategy != "" { // "" keeps the zero value, Evolutionary
+		s, err := core.ParseStrategy(r.Strategy)
+		if err != nil {
+			return opts, 0, err
+		}
+		opts.Strategy = s
 	}
 	// float64(math.MaxInt64) rounds up to 2^63, so ">=" is the overflow
 	// test; the negated form also refuses NaN.

@@ -36,7 +36,7 @@ type text struct{ description, useCase string }
 // catalogue holds the display text of every library template, by name.
 var catalogue = map[string]text{
 	"symbolize-prefix-list": {
-		"Replace a prefix-list's entries with an SMT-solved set satisfying the failing and passing reachability constraints",
+		"Replace a prefix-list's entries with a solved set satisfying the failing and passing reachability constraints",
 		"A prefix-list filters traffic an intent requires, or admits traffic an intent forbids"},
 	"add-redistribute-static": {
 		"Insert a redistribute-static line into the bgp block of a device whose static route covers a failing destination",
@@ -60,7 +60,7 @@ var catalogue = map[string]text{
 		"Delete a route-policy attachment from a peer group",
 		"A route map that should have been dis-enabled is still attached and filters valid routes"},
 	"fix-peer-asn": {
-		"Rewrite a peer's remote AS number to the SMT-solved value matching the neighbor's actual AS",
+		"Rewrite a peer's remote AS number to the solved value matching the neighbor's actual AS",
 		"An eBGP session stays down because the configured remote AS is wrong"},
 	"attach-policy-like-peers": {
 		"Attach a locally defined route policy to a group, mirroring same-role devices",

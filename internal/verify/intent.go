@@ -97,22 +97,6 @@ func (i Intent) Packet() dataplane.Packet {
 	return pkt
 }
 
-// Test is one generated test case: an intent plus its sampled packet. The
-// SBFL spectrum is built over Tests.
-type Test struct {
-	Intent Intent
-	Packet dataplane.Packet
-}
-
-// GenerateTests materializes the test suite from a specification.
-func GenerateTests(intents []Intent) []Test {
-	out := make([]Test, len(intents))
-	for i, in := range intents {
-		out[i] = Test{Intent: in, Packet: in.Packet()}
-	}
-	return out
-}
-
 // ReachIntent is a convenience constructor.
 func ReachIntent(id string, src, dst netip.Prefix) Intent {
 	return Intent{ID: id, Kind: Reachability, SrcPrefix: src, DstPrefix: dst}
