@@ -16,6 +16,7 @@ import (
 	"acr"
 	"acr/internal/caseio"
 	"acr/internal/chaos"
+	"acr/internal/incidents"
 )
 
 // TestMain doubles as the acr binary: re-exec'd with ACR_TEST_MAIN=1 the
@@ -107,26 +108,27 @@ func TestRepairResumeRefusals(t *testing.T) {
 // TestRepairSIGKILLResume kills `acr repair -journal` mid-search, resumes
 // the session with -resume, and requires the result of an uninterrupted
 // run: the same canonical SHA-256, work counters and repaired configs.
-// inc-000-Peer of the seed-1 corpus at seed 7 searches past its first
-// iteration, so a crash after 28 appends lands after a non-base
-// checkpoint.
+// The case is the four-fault stack of the seed-3, 24-incident corpus
+// (incidents.Stack): its search fixes one fault per iteration over four
+// and checkpoints its first iteration at append 11 and its second at 35,
+// so a crash after 28 appends lands after a non-base checkpoint.
 func TestRepairSIGKILLResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-execs the test binary; skipped in -short")
 	}
-	incs, err := acr.GenerateCorpus(acr.CorpusOptions{Size: 120, Seed: 1})
+	incs, err := acr.GenerateCorpus(acr.CorpusOptions{Size: 24, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack, err := incidents.Stack(incs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tmp := t.TempDir()
 	caseDir, jdir := filepath.Join(tmp, "case"), filepath.Join(tmp, "journal")
 	repaired, straight := filepath.Join(tmp, "repaired"), filepath.Join(tmp, "straight")
-	for _, inc := range incs {
-		if inc.ID == "inc-000-Peer" {
-			if err := caseio.Save(caseDir, inc.Scenario); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if err := caseio.Save(caseDir, stack.Scenario); err != nil {
+		t.Fatal(err)
 	}
 	run := []string{"repair", "-dir", caseDir, "-seed", "7"}
 
@@ -159,6 +161,9 @@ func TestRepairSIGKILLResume(t *testing.T) {
 		t.Fatalf("uninterrupted run exited %d, want %d:\n%s", ps.ExitCode(), exitFeasible, out)
 	}
 	want := decodeResult(t, out)
+	if iters, _ := asInt(want["iterations"]); iters != 4 {
+		t.Errorf("the uninterrupted run searched %v iterations, the crash point assumes 4", want["iterations"])
+	}
 	if resumed["canonicalSha256"] != want["canonicalSha256"] {
 		t.Errorf("canonicalSha256: resumed %v, uninterrupted %v", resumed["canonicalSha256"], want["canonicalSha256"])
 	}

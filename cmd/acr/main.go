@@ -7,7 +7,7 @@
 //	acr simulate (-builtin <name> | -dir <casedir>)
 //	acr lint     (-builtin <name> | -dir <casedir>) [-json] [-severity info]
 //	acr localize (-builtin <name> | -dir <casedir>) [-formula tarantula] [-top 15]
-//	acr repair   (-builtin <name> | -dir <casedir>) [-strategy evolutionary] [-seed 0] [-out <dir>]
+//	acr repair   (-builtin <name> | -dir <casedir>) [-seed 0] [-out <dir>]
 //	             [-journal <dir> [-resume]] [-o text|json]
 //	             [-cache-dir <dir> [-cache-max-bytes <n>]]
 //	acr serve    -state-dir <dir> [-addr 127.0.0.1:7365] [-workers 2] [-queue-cap 64]
@@ -250,7 +250,7 @@ var repairJournalHook journal.AppendHook
 func runRepair(args []string) error {
 	fs := flag.NewFlagSet("repair", flag.ExitOnError)
 	builtin, dir := caseFlags(fs)
-	strategy := fs.String("strategy", "evolutionary", "generation strategy: evolutionary or bruteforce")
+	strategy := fs.String("strategy", "evolutionary", "deprecated: evolutionary and bruteforce both run the one search, in suspiciousness order")
 	seed := fs.Int64("seed", 0, "random seed")
 	outDir := fs.String("out", "", "write repaired case to this directory")
 	maxIter := fs.Int("max-iterations", 0, "iteration cap (default 500)")

@@ -234,12 +234,14 @@ func (ct *commitTally) add(parent, child *verify.Incremental) {
 
 // TestCommitMatchesScratch is the differential evidence for derived
 // preservation. It follows real searches — Figure 2, a corpus slice, the
-// wan-large panel; all 120 corpus incidents unless -short — and rebuilds
-// every version the engine kept the way the engine does, by committing on a
-// clone of the parent's (itself committed) verifier; each must equal the
-// verifier built from scratch on the same texts, and every prefix of its
-// outcome must pass the reference simulator (oracle.Tally.Reference). The
-// full sweep is a step of the soundness CI job.
+// four-fault stack of that slice (incidents.Stack), the wan-large panel;
+// all 120 corpus incidents unless -short — and rebuilds every version the
+// engine kept the way the engine does, by committing on a clone of the
+// parent's (itself committed) verifier; each must equal the verifier built
+// from scratch on the same texts, and every prefix of its outcome must pass
+// the reference simulator (oracle.Tally.Reference). The stack's search
+// fixes one fault per iteration, so it keeps a chain of three commits. The
+// full sweep runs in the plain go test ./...; -short drops the corpus.
 func TestCommitMatchesScratch(t *testing.T) {
 	type search struct {
 		c    *acr.Case
@@ -253,6 +255,12 @@ func TestCommitMatchesScratch(t *testing.T) {
 	for _, inc := range slice {
 		searches["slice/"+inc.ID] = search{c: acr.IncidentCase(inc)}
 	}
+	stack, err := incidents.Stack(slice, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stackName := "stack/" + stack.ID
+	searches[stackName] = search{c: acr.IncidentCase(stack)}
 	for _, inc := range wanPanel(t) {
 		searches["wan/"+inc.ID] = search{c: acr.IncidentCase(inc), opts: acr.RepairOptions{MaxIterations: 6}}
 	}
@@ -268,7 +276,7 @@ func TestCommitMatchesScratch(t *testing.T) {
 
 	var tally commitTally
 	var ref oracle.Tally
-	deepest := 0
+	deepest := map[string]int{}
 	for name, s := range searches {
 		key := func(descs []string) string { return strings.Join(descs, "\x00") }
 		committed := map[string]*verify.Incremental{
@@ -294,14 +302,21 @@ func TestCommitMatchesScratch(t *testing.T) {
 				}
 				committed[key(m.Descs)] = child
 				tally.add(parent, child)
-				deepest = max(deepest, len(m.Descs))
+				deepest[name] = max(deepest[name], len(m.Descs))
 			}
 		}
 	}
-	t.Logf("%d searches, %d kept versions (deepest chain %d): %d prefixes kept the parent's outcome, %d moved; %d traced verdicts reused, %d re-verified; reference-checked %d converged and %d flapping prefixes",
-		len(searches), tally.versions, deepest, tally.kept, tally.moved, tally.reused, tally.reverified, ref.Converged, ref.Flapping)
-	if tally.kept == 0 || tally.moved == 0 || deepest < 3 || ref.Converged == 0 {
-		t.Errorf("the sweep is vacuous: %d kept prefixes, %d moved, deepest chain %d, %d reference-checked", tally.kept, tally.moved, deepest, ref.Converged)
+	deepestAll := 0
+	for _, d := range deepest {
+		deepestAll = max(deepestAll, d)
+	}
+	t.Logf("%d searches, %d kept versions (deepest chain %d, %s %d): %d prefixes kept the parent's outcome, %d moved; %d traced verdicts reused, %d re-verified; reference-checked %d converged and %d flapping prefixes",
+		len(searches), tally.versions, deepestAll, stackName, deepest[stackName], tally.kept, tally.moved, tally.reused, tally.reverified, ref.Converged, ref.Flapping)
+	if tally.kept == 0 || tally.moved == 0 || deepestAll < 3 || ref.Converged == 0 {
+		t.Errorf("the sweep is vacuous: %d kept prefixes, %d moved, deepest chain %d, %d reference-checked", tally.kept, tally.moved, deepestAll, ref.Converged)
+	}
+	if deepest[stackName] < 3 {
+		t.Errorf("%s keeps a chain of %d commits, want at least 3", stackName, deepest[stackName])
 	}
 	if tally.reused == 0 || tally.reverified == 0 {
 		t.Errorf("Commit's verdict reuse is untested: %d traced verdicts reused, %d re-verified", tally.reused, tally.reverified)

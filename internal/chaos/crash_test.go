@@ -263,20 +263,22 @@ func cancelRun(t *testing.T, dir string, p core.Problem, opts core.Options, k in
 	return core.RepairContext(ctx, p, opts)
 }
 
-// policyDoubleFault is inc-000-Policy of the seed-5 double-fault corpus:
-// under run seed 11 it searches three iterations, so a crash after 25
-// appends leaves a checkpoint past the base one.
-func policyDoubleFault(t *testing.T) core.Problem {
+// stackedFaults is the four-fault stack of the seed-3, 24-incident corpus
+// (incidents.Stack): inc-000-Route+inc-001-Route+inc-002-Peer+inc-003-Policy.
+// The search fixes one fault per iteration and is feasible in its fourth,
+// so a crash after 25 appends leaves the first iteration's checkpoint,
+// and the points below cut every phase of an iteration.
+func stackedFaults(t *testing.T) core.Problem {
 	t.Helper()
-	incs, err := incidents.GenerateCorpus(incidents.CorpusOptions{Size: 12, Seed: 5, DoubleFaultShare: 1})
+	incs, err := incidents.GenerateCorpus(incidents.CorpusOptions{Size: 24, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := slices.IndexFunc(incs, func(inc *incidents.Incident) bool { return inc.ID == "inc-000-Policy" })
-	if i < 0 {
-		t.Fatal("inc-000-Policy is not in the corpus")
+	inc, err := incidents.Stack(incs, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := incs[i].Scenario
+	s := inc.Scenario
 	return core.Problem{Topo: s.Topo, Configs: s.Configs, Intents: s.Intents}
 }
 
@@ -299,25 +301,28 @@ func laterCheckpoint(t *testing.T, dir string, p core.Problem, opts core.Options
 
 // TestCancelResumeByteIdentical: a run canceled mid-simulation resumes
 // from its journal to the uninterrupted run's result and counters. The
-// points cut inc-000-Policy (a double fault, 188 per-prefix simulations)
-// at its base verification, inside its first candidate checks, during the
-// last preservation of an iteration (84–86: a checkpoint written after
-// that cut would hold a member scored on canceled outcomes, or none) and
-// near its end. A resume canceled at its 1st to 8th simulation, while it
-// re-verifies a later checkpoint's population, ends "canceled" without
-// recording a journal error, and the next resume still reaches the
-// uninterrupted result.
+// points cut the four-fault stack (four iterations, 238 per-prefix
+// simulations) at its base verification (1–5), inside its first candidate
+// checks (6–12), during the last preservation of its third iteration
+// (232–234: a checkpoint written after that cut would hold a member
+// scored on canceled outcomes, or none) and near its end. A resume
+// canceled at its 1st to 8th simulation, while it re-verifies a later
+// checkpoint's population, ends "canceled" without recording a journal
+// error, and the next resume still reaches the uninterrupted result.
 func TestCancelResumeByteIdentical(t *testing.T) {
-	p := policyDoubleFault(t)
+	p := stackedFaults(t)
 	opts := core.Options{Seed: 11, MaxIterations: 20}
 	straight, _ := journaledRun(t, t.TempDir(), p, opts)
+	if straight.Iterations != 4 || !straight.Feasible {
+		t.Fatalf("the uninterrupted run ends %q after %d iterations, the points assume feasible after 4", straight.Termination, straight.Iterations)
+	}
 	want := straight.Canonical()
 	total := 0
 	counted := opts
 	counted.SimOpts.PrefixHook = func(netip.Prefix) { total++ }
 	core.Repair(p, counted)
-	if total != 188 {
-		t.Fatalf("the uninterrupted run simulates %d prefixes, the points assume 188", total)
+	if total != 238 {
+		t.Fatalf("the uninterrupted run simulates %d prefixes, the points assume 238", total)
 	}
 	check := func(what string, res *core.Result) {
 		t.Helper()
@@ -328,7 +333,7 @@ func TestCancelResumeByteIdentical(t *testing.T) {
 			t.Errorf("%s: resumed counters %+v, uninterrupted %+v", what, res.Counters, straight.Counters)
 		}
 	}
-	for _, k := range []int{1, 20, 84, 85, 86, 187} {
+	for _, k := range []int{1, 8, 232, 233, 234, 237} {
 		dir := t.TempDir()
 		if res := cancelRun(t, dir, p, opts, k); res.Termination != "canceled" {
 			t.Fatalf("cancel@%d: the run ended %q", k, res.Termination)
@@ -370,7 +375,7 @@ func TestCancelResumeByteIdentical(t *testing.T) {
 // run's Canonical() and counters, with nothing of the checkpoint's
 // counters, logs or best-effort record inherited.
 func TestRefusedRestoreRunsFresh(t *testing.T) {
-	p := policyDoubleFault(t)
+	p := stackedFaults(t)
 	opts := core.Options{Seed: 11, MaxIterations: 20}
 	straight, _ := journaledRun(t, t.TempDir(), p, opts)
 	dir := t.TempDir()

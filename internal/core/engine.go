@@ -19,18 +19,19 @@ import (
 	"acr/internal/verify"
 )
 
-// Strategy selects how candidates are generated from the suspicious set
-// (§4.2 "Generation strategy").
+// Strategy names a generation strategy (§4.2 "Generation strategy"). The
+// engine runs one search, whatever the name: it proposes template
+// applications in suspiciousness order (sbfl.Suspicious), template order
+// breaking ties, and validates them in that order up to the iteration's
+// candidate cap.
+//
+// Deprecated: Strategy is ignored. Both names are still accepted, and
+// SearchDigest hashes both as BruteForce.
 type Strategy uint8
 
-// Generation strategies.
+// Generation strategy names.
 const (
-	// Evolutionary samples template applications randomly per preserved
-	// update and merges disjoint candidates (single-point crossover in
-	// edit space) — the paper's search-based strategy.
 	Evolutionary Strategy = iota
-	// BruteForce applies every template to every suspicious statement —
-	// the Cartesian-product strategy.
 	BruteForce
 )
 
@@ -47,23 +48,23 @@ func ParseStrategy(name string) (Strategy, error) {
 }
 
 // The search's fixed parameters. Localization ranks lines by Tarantula
-// (sbfl.Tarantula). The widening multiplier scales topKLines, candidateCap
-// and sampleSize.
+// (sbfl.Tarantula). The widening multiplier scales topKLines and
+// candidateCap.
 const (
 	minSusp       = 0.45 // suspiciousness threshold
 	topKLines     = 24   // suspicious lines considered per version
 	populationCap = 8    // preserved updates carried per iteration
 	candidateCap  = 64   // validated candidates per iteration
-	sampleSize    = 16   // evolutionary: proposals sampled per member
 )
 
 // Options tunes the engine. Zero values select the paper's defaults.
 type Options struct {
 	MaxIterations int // default 500 (the paper's cap)
-	Strategy      Strategy
-	Seed          int64
-	Templates     []Template
-	SimOpts       bgp.Options
+	// Deprecated: Strategy is ignored; see the Strategy type.
+	Strategy  Strategy
+	Seed      int64
+	Templates []Template
+	SimOpts   bgp.Options
 	// noStaticPrior disables the static-analysis localization prior: no
 	// diagnostic-boosted ranking, no seeded uncovered lines, no template
 	// pruning at diagnosed lines. Only tests set it (export_test.go), to
@@ -427,12 +428,8 @@ func (r *run) iterate(st *loopState) string {
 	}
 	iter := st.iter + 1
 	r.res.Iterations = iter
-	// Every random stream this iteration draws from is derived from
-	// (Seed, iter), so a run resumed at this boundary replays the exact
-	// straight-through search.
-	rng := iterRNG(r.opts.Seed, iter)
 	log := journal.Iteration{Iteration: iter, BestFitness: st.prevFitness}
-	kept, feasible := r.validate(iter, st, r.propose(st, rng, &log), &log)
+	kept, feasible := r.validate(iter, st, r.propose(st, &log), &log)
 
 	// The iteration closes here, however it ended: its log is kept and
 	// journaled once.
@@ -483,13 +480,14 @@ func (r *run) iterate(st *loopState) string {
 	return ""
 }
 
-// propose generates candidates from every preserved update (Fix),
-// deduplicated and capped at the iteration's candidate budget.
-func (r *run) propose(st *loopState, rng *rand.Rand, log *journal.Iteration) []proposal {
+// propose generates candidates from every preserved update (Fix), member
+// by member in population order, deduplicated and capped at the
+// iteration's candidate budget.
+func (r *run) propose(st *loopState, log *journal.Iteration) []proposal {
 	var props []proposal
 	var seen signatures
 	for _, member := range st.pop {
-		mProps := generate(r.res, member, r.opts, st.widen, rng)
+		mProps := generate(r.res, member, r.opts, st.widen)
 		log.Generated += len(mProps)
 		for _, pr := range mProps {
 			if seen.add(member, pr.update) {
@@ -499,9 +497,6 @@ func (r *run) propose(st *loopState, rng *rand.Rand, log *journal.Iteration) []p
 	}
 	log.Top = scoresToJournal(sbfl.Suspicious(st.pop[0].ctx.Ranks, 5, minSusp))
 	if limit := candidateCap * st.widen; len(props) > limit {
-		if r.opts.Strategy == Evolutionary {
-			rng.Shuffle(len(props), func(i, j int) { props[i], props[j] = props[j], props[i] })
-		}
 		props = props[:limit]
 	}
 	return props
@@ -567,18 +562,10 @@ func (r *run) preserveKept(kept []proposal) []*candidate {
 	return next
 }
 
-// iterRNG derives iteration iter's random stream. Streams are addressed
-// by (seed, purpose) instead of advancing one global generator so a
-// checkpointed run restarts mid-search without serializing RNG state: the
-// stream for any iteration — or any preserved configuration version (see
-// versionRNG) — is recomputable from the journal alone.
-func iterRNG(seed int64, iter int) *rand.Rand {
-	return rand.New(rand.NewSource(deriveSeed(seed, fmt.Sprintf("iter/%d", iter))))
-}
-
 // versionRNG derives the stream for one configuration version, addressed
-// by the template applications that produced it. Rebuilding the version
-// from a checkpoint therefore reconstructs the identical context.
+// by the template applications that produced it instead of advancing one
+// global generator, so a version rebuilt from a checkpoint reconstructs the
+// identical context without serializing RNG state.
 func versionRNG(seed int64, descs []string) *rand.Rand {
 	return rand.New(rand.NewSource(deriveSeed(seed, "version/"+strings.Join(descs, "|"))))
 }
@@ -675,11 +662,11 @@ func validateCandidate(ctx context.Context, res *Result, pr *proposal, configs m
 	return rep, stats, err
 }
 
-// generate produces this member's proposals: template applications at
-// suspicious lines, sampled under the evolutionary strategy, plus simple
-// crossovers merging disjoint-device proposals. Each template application
-// is panic-isolated: a panicking template poisons only its own proposals.
-func generate(res *Result, member *candidate, opts Options, widen int, rng *rand.Rand) []proposal {
+// generate produces this member's proposals: every template application at
+// its suspicious lines, most suspicious line first, template order breaking
+// ties. Each template application is panic-isolated: a panicking template
+// poisons only its own proposals.
+func generate(res *Result, member *candidate, opts Options, widen int) []proposal {
 	sus := sbfl.Suspicious(member.ctx.Ranks, topKLines*widen, minSusp)
 	var props []proposal
 	for _, sc := range sus {
@@ -709,20 +696,6 @@ func generate(res *Result, member *candidate, opts Options, widen int, rng *rand
 			}
 		}
 	}
-	if opts.Strategy == Evolutionary {
-		rng.Shuffle(len(props), func(i, j int) { props[i], props[j] = props[j], props[i] })
-		if max := sampleSize * widen; len(props) > max {
-			props = props[:max]
-		}
-		// Crossover: merge pairs touching disjoint devices.
-		n := len(props)
-		for c := 0; c < 4 && n >= 2; c++ {
-			a, b := props[rng.Intn(n)], props[rng.Intn(n)]
-			if merged, ok := mergeUpdates(a.update, b.update); ok {
-				props = append(props, proposal{parent: member, update: merged})
-			}
-		}
-	}
 	return props
 }
 
@@ -735,26 +708,6 @@ func safeGenerate(res *Result, tmpl Template, ctx *Context, line netcfg.LineRef)
 		}
 	}()
 	return tmpl.Generate(ctx, line)
-}
-
-// mergeUpdates combines two updates when they touch disjoint devices.
-func mergeUpdates(a, b Update) (Update, bool) {
-	devs := map[string]bool{}
-	for _, es := range a.Edits {
-		devs[es.Device] = true
-	}
-	for _, es := range b.Edits {
-		if devs[es.Device] {
-			return Update{}, false
-		}
-	}
-	if a.Desc == b.Desc {
-		return Update{}, false
-	}
-	return Update{
-		Edits: append(append([]netcfg.EditSet{}, a.Edits...), b.Edits...),
-		Desc:  a.Desc + " + " + b.Desc,
-	}, true
 }
 
 // preserve builds one configuration version's verifier and localization

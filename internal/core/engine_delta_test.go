@@ -29,17 +29,21 @@ func TestDeltaCountersExcludedFromCanonical(t *testing.T) {
 	}
 }
 
-// TestSearchDigestGolden pins SearchDigest to the value written before the
-// full-validation, impact and delta ablation switches were removed (they
-// hash as their constant false), so journals and service state directories
-// written then still resume.
+// TestSearchDigestGolden pins SearchDigest to the value brute force wrote
+// before the full-validation, impact and delta ablation switches were
+// removed (they hash as their constant false) and before the evolutionary
+// search was retired, so brute-force journals and service state
+// directories written then still resume. Both strategy names, the default
+// among them, now hash as brute force.
 func TestSearchDigestGolden(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		opts core.Options
 		want string
 	}{
-		{"defaults", core.Options{}, "4e11203c04540eb565dd9dee844c30eb4e67665fcd2013f88aaa37339961dc10"},
+		{"defaults", core.Options{}, "26e3a00fce6e607d4e0e7613bcd292fb2cc3b32096b517b0bd42e7d6a0ff4a0a"},
+		{"bruteforce", core.Options{Strategy: core.BruteForce}, "26e3a00fce6e607d4e0e7613bcd292fb2cc3b32096b517b0bd42e7d6a0ff4a0a"},
+		{"evolutionary", core.Options{Strategy: core.Evolutionary}, "26e3a00fce6e607d4e0e7613bcd292fb2cc3b32096b517b0bd42e7d6a0ff4a0a"},
 	} {
 		if got := c.opts.SearchDigest(); got != c.want {
 			t.Errorf("%s: SearchDigest() = %s, want %s", c.name, got, c.want)
@@ -54,30 +58,42 @@ func TestSearchDigestGolden(t *testing.T) {
 // KindJournal error and run fresh, not mis-resume.
 func TestNoCacheSessionRefused(t *testing.T) {
 	// SearchDigest of Options{Seed: 1, NoCache: true} when the switch existed.
-	refusesRetiredDigest(t, "c335d0a3830e35a9253b809086c0adab0f759f2209ab436935fedb75813690b3")
+	refusesRetiredDigest(t, "c335d0a3830e35a9253b809086c0adab0f759f2209ab436935fedb75813690b3", core.Options{Seed: 1})
 }
 
 // TestFullValidationSessionRefused: a session journaled with the retired
 // full-validation ablation is refused the same way.
 func TestFullValidationSessionRefused(t *testing.T) {
 	// SearchDigest of Options{FullValidation: true} when the switch existed.
-	refusesRetiredDigest(t, "42dfd7271eae0da1634a89e7bd543001d1ecb99276c45d1d0842668db937eef2")
+	refusesRetiredDigest(t, "42dfd7271eae0da1634a89e7bd543001d1ecb99276c45d1d0842668db937eef2", core.Options{Seed: 1})
 }
 
-// refusesRetiredDigest journals a Figure 2 run under options digest digest,
-// then resumes it: the resume must be refused with a KindJournal error and
-// match a fresh run.
-func refusesRetiredDigest(t *testing.T, digest string) {
+// TestEvolutionarySessionRefused: a Figure 2 session journaled under the
+// retired evolutionary search, which shuffled and sampled its proposals,
+// cannot be continued by the rank-order search that name now runs.
+// CheckResume refuses it, and the run is a fresh one.
+func TestEvolutionarySessionRefused(t *testing.T) {
+	opts := core.Options{Strategy: core.Evolutionary, Seed: 7, MaxIterations: 25}
+	// SearchDigest of these options while the evolutionary search existed.
+	refusesRetiredDigest(t, "2b98907a330b1161ef6c58dd76ee00c9835033353f359d81756191fddc59b14a", opts)
+}
+
+// refusesRetiredDigest journals a Figure 2 run of opts under options digest
+// digest, then resumes it: CheckResume and the resume must refuse it, the
+// latter with a KindJournal error, and the run must match a fresh one.
+func refusesRetiredDigest(t *testing.T, digest string, opts core.Options) {
 	t.Helper()
 	p := problemOf(scenario.Figure2())
-	hdr := core.SessionHeader("retired", p, core.Options{Seed: 1})
+	hdr := core.SessionHeader("retired", p, opts)
 	hdr.OptionsDigest = digest
 	dir := t.TempDir()
 	w, err := journal.Create(dir, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Repair(p, core.Options{Seed: 1, Journal: w})
+	journaled := opts
+	journaled.Journal = w
+	core.Repair(p, journaled)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +106,12 @@ func refusesRetiredDigest(t *testing.T, digest string) {
 		t.Fatal("journaled session holds no resumable checkpoint")
 	}
 
-	res := core.Repair(p, core.Options{Seed: 1, Resume: sess})
+	if err := core.CheckResume(sess, p, opts); err == nil || !strings.Contains(err.Error(), "options digest") {
+		t.Errorf("CheckResume = %v, want an options-digest refusal", err)
+	}
+	resumed := opts
+	resumed.Resume = sess
+	res := core.Repair(p, resumed)
 	if res.Resumed {
 		t.Fatal("resumed a session journaled under a retired option")
 	}
@@ -103,7 +124,7 @@ func refusesRetiredDigest(t *testing.T, digest string) {
 	if !refused {
 		t.Errorf("no KindJournal options-digest refusal recorded: %v", res.Errors)
 	}
-	if fresh := core.Repair(p, core.Options{Seed: 1}); res.Canonical() != fresh.Canonical() {
+	if fresh := core.Repair(p, opts); res.Canonical() != fresh.Canonical() {
 		t.Errorf("refused resume diverges from a fresh run\n--- fresh ---\n%s\n--- refused ---\n%s",
 			fresh.Canonical(), res.Canonical())
 	}

@@ -108,6 +108,9 @@ func TestRepairFigure2FlagshipTemplate(t *testing.T) {
 	checkRepaired(t, p, res)
 }
 
+// TestRepairFigure2Evolutionary: the evolutionary name, still accepted,
+// runs the one rank-order search: its repair is brute force's, byte for
+// byte, whatever the seed.
 func TestRepairFigure2Evolutionary(t *testing.T) {
 	s := scenario.Figure2()
 	p := problemOf(s)
@@ -116,6 +119,9 @@ func TestRepairFigure2Evolutionary(t *testing.T) {
 		t.Fatalf("evolutionary strategy failed within 25 iterations: %s", res.Summary())
 	}
 	checkRepaired(t, p, res)
+	if brute := core.Repair(p, core.Options{Strategy: core.BruteForce}); res.Canonical() != brute.Canonical() {
+		t.Errorf("the evolutionary name ran another search\n--- evolutionary ---\n%s\n--- bruteforce ---\n%s", res.Canonical(), brute.Canonical())
+	}
 }
 
 func TestRepairAlreadyCorrect(t *testing.T) {

@@ -33,91 +33,99 @@ func corpusSlice(t *testing.T) ([]string, []core.Problem) {
 	return ids, ps
 }
 
-// TestCanonicalGolden pins the SHA-256 of Canonical() for Figure 2 under
-// both strategies and for every incident of the seed-3 corpus slice. The
-// digests are the ones the engine produced while it still had validator
-// retries and per-candidate timeouts, whose counters Canonical() now
-// renders as constant zeros; the service's canonicalSha256 and the
-// benchmark's canonical_sha256 hash the same bytes.
+// fourFaultStack is the four-fault stack of the seed-3, 24-incident corpus
+// (incidents.Stack): inc-000-Route+inc-001-Route+inc-002-Peer+inc-003-Policy.
+// The search fixes one fault per iteration and is feasible in its fourth,
+// with two or more members in every population after the base.
+func fourFaultStack(t *testing.T) *incidents.Incident {
+	t.Helper()
+	incs, err := incidents.GenerateCorpus(incidents.CorpusOptions{Size: 24, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := incidents.Stack(incs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inc
+}
+
+// TestCanonicalGolden pins the SHA-256 of Canonical() for Figure 2 and for
+// every incident of the seed-3 corpus slice, under both strategy names:
+// they run the one search, so each pin holds for both. The digests are the
+// ones the engine produced while it still had validator retries and
+// per-candidate timeouts, whose counters Canonical() now renders as
+// constant zeros; the service's canonicalSha256 and the benchmark's
+// canonical_sha256 hash the same bytes.
 func TestCanonicalGolden(t *testing.T) {
 	sum := func(res *core.Result) string {
 		h := sha256.Sum256([]byte(res.Canonical()))
 		return hex.EncodeToString(h[:])
 	}
+	strategies := []core.Strategy{core.BruteForce, core.Evolutionary}
 	p := problemOf(scenario.Figure2())
-	for _, c := range []struct {
-		name string
-		opts core.Options
-		want string
-	}{
-		{"figure2 bruteforce", core.Options{Strategy: core.BruteForce}, "3d997f81565632a45fe99ab53821a88005f054d4e1cb398b9a53dfa98125468d"},
-		{"figure2 evolutionary", core.Options{Strategy: core.Evolutionary, Seed: 7, MaxIterations: 25}, "9de86bef3c5521647d6b33ac096e36a105e3f78bb51052cfa10539ef6e2b7f69"},
-	} {
-		if got := sum(core.Repair(p, c.opts)); got != c.want {
-			t.Errorf("%s: Canonical() sha256 = %s, want %s", c.name, got, c.want)
+	for _, opts := range []core.Options{{Strategy: core.BruteForce}, {Strategy: core.Evolutionary, Seed: 7, MaxIterations: 25}} {
+		if got, want := sum(core.Repair(p, opts)), "3d997f81565632a45fe99ab53821a88005f054d4e1cb398b9a53dfa98125468d"; got != want {
+			t.Errorf("figure2, strategy %d: Canonical() sha256 = %s, want %s", opts.Strategy, got, want)
 		}
 	}
 	want := map[string]string{
 		"inc-000-Route":  "cf181d11531c4a7f2a9b277ed4b760ec0f748d0a00dd67ba243b97a254ce2454",
 		"inc-001-PBR":    "5e1fecb8287a133474b17b96d2d9d767b469a501fb1bde5b757ac3137cd42a1c",
 		"inc-002-Route":  "bbbe81dc858f29e7cd00618661c6e49df3a7dad665f8c5fcdeea16793d4a5ec4",
-		"inc-003-Policy": "e77e21f0f6606f8c0a2be775a2732df4f19cf413e0c37e08178d989a779de941",
-		"inc-004-Peer":   "2b459a0c140441a32f44f866a09abc5313e81391936e46e6e27f8dfc5a0ccfc4",
-		"inc-005-Policy": "925c717f461252d88d95b46cef89bfdea18c239498658d03d6c28f167e8327ca",
-		"inc-006-Peer":   "9f87b07d4f8bf18f776c27a7d7b96b3b2e93c3a3bf372523bce8186b3fa98e43",
-		"inc-007-Policy": "abe8d8bce2551030be177665636394f144afeb00c67f6bbc0406782ee3233942",
+		"inc-003-Policy": "27f7c6cd1817db49c6fd8c68412d722b85bff6c40d53a79141a85b46653e1497",
+		"inc-004-Peer":   "8a98ce010f87488ef128f785065950739cf8a7670ef14bf0b59891453ca3958f",
+		"inc-005-Policy": "4701253b280885c1990789836f7876aa65d1c414cf70f9ecd58d2999e5489f7c",
+		"inc-006-Peer":   "619135cde7cbf4384f2fd749eb482537650f6014d36567ae99c889917c687f7a",
+		"inc-007-Policy": "ef5ef6b983be20e9b79006a9b955441f91b27d8169b003372242dc2ca1f1a109",
 	}
 	ids, ps := corpusSlice(t)
 	if len(ids) != len(want) {
 		t.Fatalf("corpus slice has %d incidents, want %d", len(ids), len(want))
 	}
 	for i, p := range ps {
-		if got := sum(core.Repair(p, core.Options{Seed: 11, MaxIterations: 20})); got != want[ids[i]] {
-			t.Errorf("%s: Canonical() sha256 = %s, want %s", ids[i], got, want[ids[i]])
+		for _, s := range strategies {
+			if got := sum(core.Repair(p, core.Options{Strategy: s, Seed: 11, MaxIterations: 20})); got != want[ids[i]] {
+				t.Errorf("%s, strategy %d: Canonical() sha256 = %s, want %s", ids[i], s, got, want[ids[i]])
+			}
 		}
 	}
 }
 
 // TestEvalCacheInvariants pins the evaluation cache's accounting: every
 // validated candidate resolves through it (validated = hits + misses), and
-// the corpus slice re-proposes candidates the cache answers.
+// the four-fault stack, whose later populations reach one version by more
+// than one order of edits, re-proposes candidates the cache answers.
 func TestEvalCacheInvariants(t *testing.T) {
-	for _, strat := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"bruteforce", core.Options{Strategy: core.BruteForce}},
-		{"evolutionary", core.Options{Strategy: core.Evolutionary, Seed: 7, MaxIterations: 25}},
-	} {
-		p := problemOf(scenario.Figure2())
-		want := core.Repair(p, strat.opts)
-		if !want.Feasible {
-			t.Fatalf("%s: infeasible: %s", strat.name, want.Summary())
-		}
-		if want.CandidatesValidated != want.CacheHits+want.CacheMisses {
-			t.Errorf("%s: validated=%d but hits+misses=%d — every candidate must resolve through the cache",
-				strat.name, want.CandidatesValidated, want.CacheHits+want.CacheMisses)
-		}
+	p := problemOf(scenario.Figure2())
+	want := core.Repair(p, core.Options{})
+	if !want.Feasible {
+		t.Fatalf("infeasible: %s", want.Summary())
+	}
+	if want.CandidatesValidated != want.CacheHits+want.CacheMisses {
+		t.Errorf("validated=%d but hits+misses=%d — every candidate must resolve through the cache",
+			want.CandidatesValidated, want.CacheHits+want.CacheMisses)
 	}
 
 	ids, ps := corpusSlice(t)
-	tested, hits := 0, 0
+	stack := fourFaultStack(t)
+	ids, ps = append(ids, stack.ID), append(ps, problemOf(stack.Scenario))
+	tested := 0
 	for i, p := range ps {
 		res := core.Repair(p, core.Options{Seed: 11, MaxIterations: 20})
 		if res.BaseFailing == 0 {
 			continue // injection invisible to the intent suite
 		}
 		tested++
-		hits += res.CacheHits
 		if res.CandidatesValidated != res.CacheHits+res.CacheMisses {
 			t.Errorf("%s: validated=%d but hits+misses=%d", ids[i], res.CandidatesValidated, res.CacheHits+res.CacheMisses)
+		}
+		if ids[i] == stack.ID && (res.Iterations != 4 || res.CacheHits == 0) {
+			t.Errorf("%s: %d iterations and %d cache hits, want 4 iterations and hits", ids[i], res.Iterations, res.CacheHits)
 		}
 	}
 	if tested == 0 {
 		t.Fatal("no visible incidents in corpus slice")
-	}
-	if hits == 0 {
-		t.Error("corpus slice produced zero cache hits — duplicate proposals should recur across iterations")
 	}
 }
 

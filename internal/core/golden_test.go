@@ -28,9 +28,10 @@ import (
 )
 
 // TestJournalGolden pins the write-ahead log a journaled repair writes for
-// a fixed set of seed-1 corpus incidents at default options:
-// single-iteration repairs, two- and three-iteration searches and one that
-// validates 166 candidates. Every byte a journal record carries —
+// a fixed set of seed-1 corpus incidents, each repaired in one iteration,
+// and for the four-fault stack, a four-iteration search whose checkpoints
+// carry populations of preserved versions, at default options. Every byte
+// a journal record carries —
 // candidate descriptions, digests, checkpointed populations — is pinned,
 // so a change to how the engine builds that text shows here. The pins are
 // one SHA-256 per record, in testdata/journal/<incident>.records as
@@ -43,8 +44,10 @@ func TestJournalGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stack := fourFaultStack(t)
+	ids = append(ids, stack.ID)
 	seen := 0
-	for _, inc := range corpus {
+	for _, inc := range append(corpus, stack) {
 		if !slices.Contains(ids, inc.ID) {
 			continue
 		}
@@ -183,10 +186,10 @@ func decodedFields(payload []byte) string {
 	return sb.String()
 }
 
-// TestReportGolden pins two hashes over brute-force searches of Figure 2,
-// plain and with global intents (whose loops and flap fail them), and
-// every search of the seed-1 corpus, plain and with the global intents of
-// its first 40 incidents: the report text (verify.Report.Summary, failing reasons included) of
+// TestReportGolden pins two hashes over the searches of Figure 2, plain
+// and with global intents (whose loops and flap fail them), of the
+// four-fault stack, and of the seed-1 corpus, plain and with the global
+// intents of its first 40 incidents: the report text (verify.Report.Summary, failing reasons included) of
 // every base version a candidate is validated on and of every validated
 // candidate's check, and the static impact set (analysis.Impact.Digest)
 // of every validated candidate. Canonical() carries neither: it records
@@ -194,8 +197,8 @@ func decodedFields(payload []byte) string {
 // that is wide enough.
 func TestReportGolden(t *testing.T) {
 	const (
-		wantReports = "16548981494273d6ba8321eba3d86d656864fc6fb6b025a1c7c1480adbb6d0c5"
-		wantImpacts = "251e27f77eebb0b4cb7451f2b89162029b32c25fbcc79b1467a4c4d6c20a70ab"
+		wantReports = "eb4ca67e6ffecb1b5eded2b62d57c94f8fc1de2c8e9011b7d8f544b7e1624b94"
+		wantImpacts = "385402e00f80f213241a53dae64280e08ca8c929007ba732bd6450c1e5cc2b2c"
 	)
 	corpus, err := incidents.GenerateCorpus(incidents.CorpusOptions{Seed: 1})
 	if err != nil {
@@ -254,8 +257,8 @@ func TestReportGolden(t *testing.T) {
 		s    *scenario.Scenario
 		opts core.Options
 	}
-	brute := core.Options{Strategy: core.BruteForce}
-	searches := []search{{"figure2", scenario.Figure2(), brute}, {"figure2/global", withGlobalIntents(scenario.Figure2()), brute}}
+	searches := []search{{"figure2", scenario.Figure2(), core.Options{}}, {"figure2/global", withGlobalIntents(scenario.Figure2()), core.Options{}},
+		{"stack", fourFaultStack(t).Scenario, core.Options{}}}
 	for i, inc := range corpus {
 		searches = append(searches, search{"corpus/" + inc.ID, inc.Scenario, core.Options{}})
 		if i < 40 {

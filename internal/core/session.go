@@ -87,15 +87,16 @@ func (o Options) SearchDigest() string {
 	// Store is deliberately absent: the persistent evaluation store only
 	// substitutes disk reads for simulations without touching anything in
 	// Canonical, so a session may resume on a machine with a different
-	// -cache-dir, budget, or no store at all. Everything but
-	// iters, strategy and seed is constant text: the search constants,
-	// and "full", "noprior", "nocache", "noimpact" and "nodelta" as
-	// false, keep the digest of every option vector equal to the one
-	// written when those were options, so older journals and service
-	// state directories still resume. A session journaled with the cache
-	// off or with full validation hashes true there and is refused.
-	fmt.Fprintf(h, "formula=tarantula iters=%d minsusp=0.45 topk=24 popcap=8 candcap=64 sample=16 strategy=%d seed=%d full=false noprior=false nocache=false noimpact=false nodelta=false\n",
-		o.MaxIterations, o.Strategy, o.Seed)
+	// -cache-dir, budget, or no store at all. Everything but iters and
+	// seed is constant text: the search constants, the retired sample=16,
+	// strategy=1 (brute force, the search both names run), and "full",
+	// "noprior", "nocache", "noimpact" and "nodelta" as false, keep the
+	// digest of every option vector equal to the one written when those
+	// were options, so older journals and service state directories still
+	// resume. A session journaled with the cache off, with full validation
+	// or under the retired evolutionary search (strategy=0) is refused.
+	fmt.Fprintf(h, "formula=tarantula iters=%d minsusp=0.45 topk=24 popcap=8 candcap=64 sample=16 strategy=1 seed=%d full=false noprior=false nocache=false noimpact=false nodelta=false\n",
+		o.MaxIterations, o.Seed)
 	for _, t := range o.Templates {
 		// A library template hashes with its pinned identity, so a resume
 		// across a change to its generation logic is refused even though

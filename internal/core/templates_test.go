@@ -343,21 +343,6 @@ func TestCopyPolicyFromRoleReconstructsBlock(t *testing.T) {
 	}
 }
 
-func TestMergeUpdates(t *testing.T) {
-	a := Update{Edits: []netcfg.EditSet{{Device: "A", Edits: []netcfg.Edit{netcfg.DeleteLine{At: 1}}}}, Desc: "a"}
-	b := Update{Edits: []netcfg.EditSet{{Device: "B", Edits: []netcfg.Edit{netcfg.DeleteLine{At: 2}}}}, Desc: "b"}
-	c := Update{Edits: []netcfg.EditSet{{Device: "A", Edits: []netcfg.Edit{netcfg.DeleteLine{At: 3}}}}, Desc: "c"}
-	if m, ok := mergeUpdates(a, b); !ok || len(m.Edits) != 2 {
-		t.Errorf("disjoint merge failed: %v %v", m, ok)
-	}
-	if _, ok := mergeUpdates(a, c); ok {
-		t.Error("same-device merge should fail")
-	}
-	if _, ok := mergeUpdates(a, a); ok {
-		t.Error("self merge should fail")
-	}
-}
-
 // TestApplyUpdateIsolation: evaluating a proposal applies its update to a
 // new configuration set, the one the run keeps when the proposal is its
 // best version, and leaves the parent version's set untouched.

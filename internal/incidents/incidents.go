@@ -8,9 +8,12 @@ package incidents
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"acr/internal/bgp"
 	"acr/internal/core"
@@ -190,10 +193,7 @@ func isWANClass(c ErrorClass) bool {
 // a different device (so the first fault's ground-truth line numbers stay
 // valid). On persistent collision the single-fault incident is kept.
 func addSecondFault(inc *Incident, opts CorpusOptions, rng *rand.Rand) (*Incident, error) {
-	firstDevices := map[string]bool{}
-	for _, l := range inc.Scenario.FaultyLines {
-		firstDevices[l.Device] = true
-	}
+	firstDevices := faultDevices(inc)
 	wanClasses := []ErrorClass{
 		MissingRedistribution, MissingPeerGroup, ExtraPeerGroupItem,
 		MissingRoutingPolicy, LeftoverRouteMap, WrongASNumber, MissingPrefixListItem,
@@ -209,31 +209,69 @@ func addSecondFault(inc *Incident, opts CorpusOptions, rng *rand.Rand) (*Inciden
 		trial := inc.Scenario.Clone()
 		trial.FaultyLines = nil
 		second2, err := injectWAN(second, trial, rng)
-		if err != nil {
+		if err != nil || second2.faultsAny(firstDevices) {
 			continue
 		}
-		collide := false
-		for _, l := range second2.Scenario.FaultyLines {
-			if firstDevices[l.Device] {
-				collide = true
-			}
-		}
-		if collide {
-			continue
-		}
-		merged := &Incident{
-			Class:        inc.Class,
-			DoubleFault:  true,
-			SecondClass:  second,
-			Scenario:     second2.Scenario,
-			LinesChanged: inc.LinesChanged + second2.LinesChanged,
-		}
-		merged.Scenario.FaultyLines = append(append([]netcfg.LineRef{}, inc.Scenario.FaultyLines...),
-			second2.Scenario.FaultyLines...)
-		merged.Scenario.Notes = inc.Scenario.Notes + "; " + second2.Scenario.Notes
-		return merged, nil
+		return layer(inc, second2, second2.Scenario), nil
 	}
 	return inc, fmt.Errorf("no compatible second fault found")
+}
+
+// Stack layers the faults of WAN incidents of one corpus, which share one
+// substrate, onto the first one: each later fault brings the configurations
+// of the devices its ground truth is on. Fat-tree incidents, and those
+// whose faults touch a device an earlier fault is on, are skipped. Stack
+// returns the first n incidents it could layer, as one double fault when
+// n > 1, or an error when the corpus holds fewer.
+func Stack(incs []*Incident, n int) (*Incident, error) {
+	var out *Incident
+	var ids []string
+	used := map[string]bool{}
+	for _, inc := range incs {
+		if !isWANClass(inc.Class) || inc.faultsAny(used) {
+			continue
+		}
+		devices := faultDevices(inc)
+		if out == nil {
+			first := *inc
+			first.Scenario = inc.Scenario.Clone()
+			out = &first
+		} else {
+			s := out.Scenario.Clone()
+			for d := range devices {
+				s.Configs[d] = inc.Scenario.Configs[d]
+			}
+			out = layer(out, inc, s)
+		}
+		maps.Copy(used, devices)
+		if ids = append(ids, inc.ID); len(ids) == n {
+			out.ID = strings.Join(ids, "+")
+			return out, nil
+		}
+	}
+	return nil, fmt.Errorf("the corpus holds %d stackable faults, want %d", len(ids), n)
+}
+
+// faultDevices is the set of devices inc's ground truth is on.
+func faultDevices(inc *Incident) map[string]bool {
+	devices := map[string]bool{}
+	for _, l := range inc.Scenario.FaultyLines {
+		devices[l.Device] = true
+	}
+	return devices
+}
+
+// faultsAny reports whether inc's ground truth is on one of devices.
+func (inc *Incident) faultsAny(devices map[string]bool) bool {
+	return slices.ContainsFunc(inc.Scenario.FaultyLines, func(l netcfg.LineRef) bool { return devices[l.Device] })
+}
+
+// layer is first with second's fault added, on s, the network carrying both.
+func layer(first, second *Incident, s *scenario.Scenario) *Incident {
+	s.FaultyLines = append(append([]netcfg.LineRef{}, first.Scenario.FaultyLines...), second.Scenario.FaultyLines...)
+	s.Notes = first.Scenario.Notes + "; " + second.Scenario.Notes
+	return &Incident{Class: first.Class, DoubleFault: true, SecondClass: second.Class, Scenario: s,
+		LinesChanged: first.LinesChanged + second.LinesChanged}
 }
 
 // apportion distributes Size incidents over Table 1's ratios with

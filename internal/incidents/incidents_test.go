@@ -3,6 +3,7 @@ package incidents
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"acr/internal/core"
@@ -232,5 +233,89 @@ func TestDoubleFaultRepairable(t *testing.T) {
 	}
 	if tried == 0 {
 		t.Fatal("no double incidents to try")
+	}
+}
+
+// TestStack: a stack of n faults carries, on each faulted device, the
+// configuration of the incident that faulted it, and the first incident's
+// configuration everywhere else; its ground truth is every stacked fault's.
+func TestStack(t *testing.T) {
+	incs, err := GenerateCorpus(CorpusOptions{Size: 24, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Stack(incs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := strings.Split(st.ID, "+")
+	if len(parts) != 4 || !st.DoubleFault {
+		t.Fatalf("stack %q (double fault %v), want 4 incidents", st.ID, st.DoubleFault)
+	}
+	from := map[string]*Incident{}
+	for _, inc := range incs {
+		from[inc.ID] = inc
+	}
+	owner := map[string]string{}
+	truth := 0
+	for _, id := range parts {
+		inc := from[id]
+		truth += len(inc.Scenario.FaultyLines)
+		for _, l := range inc.Scenario.FaultyLines {
+			if prev, ok := owner[l.Device]; ok && prev != id {
+				t.Errorf("%s and %s both fault %s", prev, id, l.Device)
+			}
+			owner[l.Device] = id
+		}
+	}
+	for d, c := range st.Scenario.Configs {
+		want := from[parts[0]].Scenario.Configs[d]
+		if id, ok := owner[d]; ok {
+			want = from[id].Scenario.Configs[d]
+		}
+		if c != want {
+			t.Errorf("%s: the stack's configuration is not %s's", d, owner[d])
+		}
+	}
+	if len(st.Scenario.FaultyLines) != truth {
+		t.Errorf("%d ground-truth lines, the stacked incidents have %d", len(st.Scenario.FaultyLines), truth)
+	}
+	if _, err := Stack(incs, len(incs)+1); err == nil {
+		t.Error("stacked more faults than the corpus holds")
+	}
+}
+
+// TestSearchQualityBounds holds the engine's rank-order search to what it
+// repairs, and at what cost, on three corpora at seed 1: every incident is
+// repaired, with no more candidates validated in total than the bound.
+func TestSearchQualityBounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("repairs 360 incidents; skipped in -short")
+	}
+	for _, c := range []struct {
+		name  string
+		opts  CorpusOptions
+		bound int
+	}{
+		{"default", CorpusOptions{Seed: 1}, 191},
+		{"double-fault", CorpusOptions{Seed: 1, DoubleFaultShare: 1}, 2010},
+		{"WAN 30/16/10, k=12", CorpusOptions{Seed: 1, WANRouters: 30, WANPoPs: 16, WANDCNs: 10, FatTreeK: 12}, 1401},
+	} {
+		incs, err := GenerateCorpus(c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repaired, validated := 0, 0
+		for _, inc := range incs {
+			r := Run(inc, core.Options{Seed: 1})
+			if r.Feasible {
+				repaired++
+			}
+			validated += r.CandidatesValidated
+		}
+		t.Logf("%s: %d/%d repaired, %d candidates validated", c.name, repaired, len(incs), validated)
+		if repaired != len(incs) || validated > c.bound {
+			t.Errorf("%s: %d/%d repaired with %d candidates, want all with at most %d", c.name, repaired, len(incs), validated, c.bound)
+		}
 	}
 }

@@ -76,7 +76,9 @@ type JobRequest struct {
 	// Seed is the engine's random seed (the same seed reproduces the same
 	// repair, interrupted or not).
 	Seed int64 `json:"seed,omitempty"`
-	// Strategy is "evolutionary" (default) or "bruteforce".
+	// Strategy is accepted for one release: "evolutionary" and
+	// "bruteforce" both run the engine's one search, in suspiciousness
+	// order; any other name is refused.
 	Strategy string `json:"strategy,omitempty"`
 	// MaxIterations caps the search (0 = the paper's default, 500).
 	MaxIterations int `json:"maxIterations,omitempty"`
@@ -94,7 +96,7 @@ type JobRequest struct {
 // overflow an int64, is refused.
 func (r *JobRequest) Options() (core.Options, time.Duration, error) {
 	opts := core.Options{Seed: r.Seed, MaxIterations: r.MaxIterations}
-	if r.Strategy != "" { // "" keeps the zero value, Evolutionary
+	if r.Strategy != "" {
 		s, err := core.ParseStrategy(r.Strategy)
 		if err != nil {
 			return opts, 0, err

@@ -498,7 +498,7 @@ func BenchmarkSubmitUploaded(b *testing.B) {
 // options may not get a second journal identity from a different link
 // graph.
 func TestOptionsDigestIndependentOfLinkGraph(t *testing.T) {
-	const want = "4e11203c04540eb565dd9dee844c30eb4e67665fcd2013f88aaa37339961dc10"
+	const want = "26e3a00fce6e607d4e0e7613bcd292fb2cc3b32096b517b0bd42e7d6a0ff4a0a"
 	if got := (core.Options{}).SearchDigest(); got != want {
 		t.Fatalf("Options{}.SearchDigest() = %s, want %s", got, want)
 	}

@@ -69,28 +69,36 @@ func TestDifferentialCorpus(t *testing.T) {
 
 // TestIncrementalMatchesFullValidation holds the default validation path
 // to verify.FullCheck, which re-parses, recompiles, cold-simulates every
-// prefix and re-verifies every intent. On the seed-3 corpus the incremental
-// check of the broken configurations and of each reported repair must give
-// every intent the verdict the from-scratch check gives it. Pricing each
-// validated candidate at the from-scratch check of the broken
-// configurations, the search must evaluate at least 3x fewer prefixes, and
-// delta re-simulation must answer at least 90% of the prefixes it
-// simulates. TestSoundnessAudit in internal/core holds every candidate a
-// search validates to the from-scratch check.
+// prefix and re-verifies every intent. On the seed-3 double-fault corpus
+// the incremental check of the broken configurations and of each reported
+// repair must give every intent the verdict the from-scratch check gives
+// it. Pricing each validated candidate at the from-scratch check of the
+// broken configurations, the search must evaluate at least 3x fewer
+// prefixes, and delta re-simulation must answer at least 90% of the
+// prefixes it simulates. Every double fault must take its search past the
+// first iteration, where candidates are checked on preserved versions.
+// TestSoundnessAudit in internal/core holds every candidate a search
+// validates to the from-scratch check.
 func TestIncrementalMatchesFullValidation(t *testing.T) {
 	size := 24
 	if testing.Short() {
 		size = 8
 	}
-	incs, err := acr.GenerateCorpus(acr.CorpusOptions{Size: size, Seed: 3})
+	incs, err := acr.GenerateCorpus(acr.CorpusOptions{Size: size, Seed: 3, DoubleFaultShare: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	cold, delta, full := 0, 0, 0
+	cold, delta, full, doubles := 0, 0, 0, 0
 	for _, inc := range incs {
 		c := acr.IncidentCase(inc)
 		res := acr.Repair(c, acr.RepairOptions{})
+		if inc.DoubleFault {
+			doubles++
+			if res.Iterations < 2 {
+				t.Errorf("%s: a double fault searched %d iterations, want at least 2", inc.ID, res.Iterations)
+			}
+		}
 		iv := verify.NewIncremental(c.Topo, c.Configs, c.Intents, bgp.Options{})
 		var edits []netcfg.EditSet
 		for _, d := range iv.BaseNet().Order {
@@ -124,8 +132,11 @@ func TestIncrementalMatchesFullValidation(t *testing.T) {
 		delta += res.DeltaReused
 	}
 	evaluated := cold + delta
-	t.Logf("prefixes evaluated: %d under full validation, %d incremental (%d cold, %d by delta): %.2fx",
-		full, evaluated, cold, delta, float64(full)/float64(max(evaluated, 1)))
+	t.Logf("%d incidents, %d double faults; prefixes evaluated: %d under full validation, %d incremental (%d cold, %d by delta): %.2fx",
+		len(incs), doubles, full, evaluated, cold, delta, float64(full)/float64(max(evaluated, 1)))
+	if doubles == 0 {
+		t.Error("the corpus holds no double fault")
+	}
 	if full < 3*evaluated {
 		t.Errorf("incremental validation evaluates %d prefixes, over a third of full validation's %d", evaluated, full)
 	}
